@@ -14,6 +14,12 @@
 //! correctness". The live runtime substitutes an atomic doorbell with
 //! reason bits plus a `Thread::unpark` kick; the same tolerance applies: a
 //! missed doorbell only delays work that the idle loop will find anyway.
+//!
+//! A third kick is not an IPI of the paper's and is counted apart:
+//! [`Doorbell::wake`] unparks a worker because *stealable* work appeared
+//! (see [`crate::idle::SleeperSet`]). A polling core needs no such signal —
+//! it is the price of parking instead of spinning — so it raises no reason
+//! bit and leaves the IPI counters alone.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::thread::Thread;
@@ -29,6 +35,28 @@ pub enum IpiReason {
     RemoteSyscalls = 1,
 }
 
+/// The reasons a [`Doorbell::take`] found pending: a `Copy` bit-set, so the
+/// IPI handler that runs on every dispatch allocates nothing.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct IpiReasons(u64);
+
+impl IpiReasons {
+    /// True if `reason` was pending.
+    pub fn contains(self, reason: IpiReason) -> bool {
+        self.0 & (1 << reason as u64) != 0
+    }
+
+    /// Number of distinct pending reasons.
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// True if nothing was pending.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+}
+
 /// A per-core doorbell: pending-reason bits plus an optional thread handle
 /// to kick a parked core.
 pub struct Doorbell {
@@ -36,6 +64,8 @@ pub struct Doorbell {
     bits: AtomicU64,
     /// Count of doorbells ever rung (telemetry; Figure 8 companion).
     rung: AtomicUsize,
+    /// Count of work-conservation wake-ups delivered (not IPIs).
+    woken: AtomicUsize,
     /// The target core's thread, once it registered.
     target: SpinLock<Option<Thread>>,
 }
@@ -52,6 +82,7 @@ impl Doorbell {
         Doorbell {
             bits: AtomicU64::new(0),
             rung: AtomicUsize::new(0),
+            woken: AtomicUsize::new(0),
             target: SpinLock::new(None),
         }
     }
@@ -72,26 +103,31 @@ impl Doorbell {
         let newly_set = prev & bit == 0;
         if newly_set {
             self.rung.fetch_add(1, Ordering::Relaxed);
-            // Kick the target if it parked. Unpark on a running thread is
-            // cheap and harmless; a lost wakeup is tolerated by design.
-            if let Some(t) = self.target.lock().as_ref() {
-                t.unpark();
-            }
+            self.unpark_target();
         }
         newly_set
     }
 
+    /// Kicks the target if it parked. Unpark on a running thread is cheap
+    /// and harmless; a lost wakeup is tolerated by design.
+    fn unpark_target(&self) {
+        if let Some(t) = self.target.lock().as_ref() {
+            t.unpark();
+        }
+    }
+
+    /// Unparks the target because stealable work appeared. Raises no
+    /// reason and is not coalesced: the caller has claimed the target from
+    /// the [`SleeperSet`](crate::idle::SleeperSet), which is what keeps two
+    /// producers from waking the same worker twice.
+    pub fn wake(&self) {
+        self.woken.fetch_add(1, Ordering::Relaxed);
+        self.unpark_target();
+    }
+
     /// Atomically takes and clears all pending reasons (the IPI handler).
-    pub fn take(&self) -> Vec<IpiReason> {
-        let bits = self.bits.swap(0, Ordering::AcqRel);
-        let mut out = Vec::new();
-        if bits & (1 << IpiReason::PendingPackets as u64) != 0 {
-            out.push(IpiReason::PendingPackets);
-        }
-        if bits & (1 << IpiReason::RemoteSyscalls as u64) != 0 {
-            out.push(IpiReason::RemoteSyscalls);
-        }
-        out
+    pub fn take(&self) -> IpiReasons {
+        IpiReasons(self.bits.swap(0, Ordering::AcqRel))
     }
 
     /// True if any reason is pending (checked at safepoints).
@@ -102,6 +138,11 @@ impl Doorbell {
     /// Total distinct doorbell rings so far.
     pub fn rung_count(&self) -> usize {
         self.rung.load(Ordering::Relaxed)
+    }
+
+    /// Total work-conservation wake-ups delivered so far.
+    pub fn wake_count(&self) -> usize {
+        self.woken.load(Ordering::Relaxed)
     }
 }
 
@@ -116,7 +157,9 @@ mod tests {
         assert!(!d.any_pending());
         assert!(d.ring(IpiReason::PendingPackets));
         assert!(d.any_pending());
-        assert_eq!(d.take(), vec![IpiReason::PendingPackets]);
+        let taken = d.take();
+        assert!(taken.contains(IpiReason::PendingPackets));
+        assert_eq!(taken.len(), 1);
         assert!(!d.any_pending());
         assert!(d.take().is_empty());
     }
@@ -127,7 +170,9 @@ mod tests {
         assert!(d.ring(IpiReason::RemoteSyscalls));
         assert!(!d.ring(IpiReason::RemoteSyscalls), "second ring coalesced");
         assert_eq!(d.rung_count(), 1);
-        assert_eq!(d.take(), vec![IpiReason::RemoteSyscalls]);
+        let taken = d.take();
+        assert!(taken.contains(IpiReason::RemoteSyscalls));
+        assert!(!taken.contains(IpiReason::PendingPackets));
     }
 
     #[test]
@@ -137,8 +182,8 @@ mod tests {
         d.ring(IpiReason::PendingPackets);
         let reasons = d.take();
         assert_eq!(reasons.len(), 2);
-        assert!(reasons.contains(&IpiReason::PendingPackets));
-        assert!(reasons.contains(&IpiReason::RemoteSyscalls));
+        assert!(reasons.contains(IpiReason::PendingPackets));
+        assert!(reasons.contains(IpiReason::RemoteSyscalls));
     }
 
     #[test]
@@ -156,7 +201,18 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         d.ring(IpiReason::PendingPackets);
         let got = waiter.join().unwrap();
-        assert_eq!(got, vec![IpiReason::PendingPackets]);
+        assert!(got.contains(IpiReason::PendingPackets));
+        assert_eq!(got.len(), 1);
+    }
+
+    #[test]
+    fn wake_is_not_an_ipi() {
+        let d = Doorbell::new();
+        d.wake();
+        assert_eq!(d.wake_count(), 1);
+        assert_eq!(d.rung_count(), 0);
+        assert!(!d.any_pending());
+        assert!(d.take().is_empty());
     }
 
     #[test]

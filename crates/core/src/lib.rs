@@ -14,7 +14,9 @@
 //!   ships a stealing core's syscalls back to the home core (§4.2 step b).
 //! * [`idle`] — the idle-loop polling policy: own NIC ring first, then
 //!   randomized sweeps of remote shuffle queues, software queues and NIC
-//!   rings (§5 "Idle loop polling logic").
+//!   rings (§5 "Idle loop polling logic"), and the sleeper set that lets a
+//!   worker which parks instead of polling be woken when stealable work
+//!   appears.
 //! * [`doorbell`] — the IPI substitute for the live runtime: an atomic
 //!   doorbell with reason bits plus an unpark hook (§4.5; delivery is a
 //!   *hint*, tolerated to be lost or late, exactly like the paper's
@@ -33,7 +35,8 @@ pub mod spinlock;
 pub mod stats;
 pub mod syscall;
 
-pub use doorbell::{Doorbell, IpiReason};
+pub use doorbell::{Doorbell, IpiReason, IpiReasons};
+pub use idle::SleeperSet;
 pub use shuffle::{ConnState, FinishOutcome, ShuffleLayer};
 pub use spinlock::SpinLock;
 pub use stats::{CoreStats, StatsSnapshot};

@@ -214,6 +214,14 @@ impl<E> ShuffleLayer<E> {
     /// order — this, plus busy-state exclusivity, is the paper's §4.3
     /// ordering guarantee.
     pub fn take_events(&self, conn: ConnId, max: usize) -> Vec<E> {
+        let mut out = Vec::new();
+        self.take_events_into(conn, max, &mut out);
+        out
+    }
+
+    /// [`take_events`](ShuffleLayer::take_events) appending to a buffer the
+    /// caller keeps, so a worker's loop does not allocate per dequeue.
+    pub fn take_events_into(&self, conn: ConnId, max: usize, out: &mut Vec<E>) {
         let pcb = &self.pcbs[conn.index()];
         debug_assert_eq!(
             ConnState::from_u8(pcb.state.load(Ordering::Relaxed)),
@@ -222,7 +230,7 @@ impl<E> ShuffleLayer<E> {
         );
         let mut ev = pcb.events.lock();
         let n = ev.len().min(max);
-        ev.drain(..n).collect()
+        out.extend(ev.drain(..n));
     }
 
     /// Completes execution of a busy connection (paper Figure 5, the

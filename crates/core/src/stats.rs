@@ -25,6 +25,10 @@ pub struct CoreStats {
     pub ipis_handled: AtomicU64,
     /// Remote syscalls this core executed on behalf of stealers.
     pub remote_syscalls: AtomicU64,
+    /// Parked workers this core woke because stealable work backed up —
+    /// the live runtime's stand-in for the paper's continuous polling,
+    /// counted apart so `ipis_sent` keeps the paper's meaning.
+    pub wakes_sent: AtomicU64,
 }
 
 macro_rules! bump {
@@ -53,6 +57,7 @@ impl CoreStats {
         count_ipi_sent => ipis_sent,
         count_ipi_handled => ipis_handled,
         count_remote_syscall => remote_syscalls,
+        count_wake_sent => wakes_sent,
     }
 }
 
@@ -75,6 +80,8 @@ pub struct StatsSnapshot {
     pub ipis_handled: u64,
     /// Sum of remotely-executed syscalls.
     pub remote_syscalls: u64,
+    /// Sum of work-conservation wake-ups sent (not IPIs).
+    pub wakes_sent: u64,
 }
 
 impl StatsSnapshot {
@@ -90,6 +97,7 @@ impl StatsSnapshot {
             s.ipis_sent += c.ipis_sent.load(Ordering::Relaxed);
             s.ipis_handled += c.ipis_handled.load(Ordering::Relaxed);
             s.remote_syscalls += c.remote_syscalls.load(Ordering::Relaxed);
+            s.wakes_sent += c.wakes_sent.load(Ordering::Relaxed);
         }
         s
     }
@@ -142,11 +150,14 @@ mod tests {
         a.count_steal();
         b.count_stolen_event();
         b.count_ipi_sent();
+        b.count_wake_sent();
+        b.count_wake_sent();
         let s = StatsSnapshot::collect([&a, &b]);
         assert_eq!(s.local_events, 3);
         assert_eq!(s.stolen_events, 1);
         assert_eq!(s.steals, 1);
         assert_eq!(s.ipis_sent, 1);
+        assert_eq!(s.wakes_sent, 2, "wake-ups are not IPIs");
         assert_eq!(s.total_events(), 4);
         assert!((s.steal_fraction() - 0.25).abs() < 1e-12);
         assert!((s.ipis_per_event() - 0.25).abs() < 1e-12);

@@ -51,10 +51,11 @@ impl RemoteSyscallChannel {
         }
     }
 
-    /// Ships a batch of syscalls home. Spins if momentarily full — the
-    /// home core is guaranteed to drain (it executes remote syscalls with
+    /// Ships a batch of syscalls home (a `Vec`, or the drain of a buffer
+    /// the caller keeps). Spins if momentarily full — the home core is
+    /// guaranteed to drain (it executes remote syscalls with
     /// interrupts-priority), so this cannot deadlock.
-    pub fn ship(&self, batch: Vec<BatchedSyscall>) {
+    pub fn ship(&self, batch: impl IntoIterator<Item = BatchedSyscall>) {
         for mut sc in batch {
             loop {
                 match self.ring.push(sc) {
@@ -71,13 +72,21 @@ impl RemoteSyscallChannel {
     /// Home core: drains up to `max` pending remote syscalls.
     pub fn drain(&self, max: usize) -> Vec<BatchedSyscall> {
         let mut out = Vec::new();
-        while out.len() < max {
+        self.drain_into(max, &mut out);
+        out
+    }
+
+    /// [`drain`](RemoteSyscallChannel::drain) appending to a buffer the
+    /// caller keeps; returns how many were appended.
+    pub fn drain_into(&self, max: usize, out: &mut Vec<BatchedSyscall>) -> usize {
+        let before = out.len();
+        while out.len() - before < max {
             match self.ring.pop() {
                 Some(sc) => out.push(sc),
                 None => break,
             }
         }
-        out
+        out.len() - before
     }
 
     /// Racy emptiness check (idle-loop / safepoint probe).
@@ -129,11 +138,7 @@ mod tests {
     #[test]
     fn drain_respects_max() {
         let ch = RemoteSyscallChannel::with_capacity(16);
-        ch.ship(
-            (0..10)
-                .map(|i| BatchedSyscall::Nop { conn: ConnId(i) })
-                .collect(),
-        );
+        ch.ship((0..10).map(|i| BatchedSyscall::Nop { conn: ConnId(i) }));
         assert_eq!(ch.drain(4).len(), 4);
         assert_eq!(ch.len(), 6);
         assert_eq!(ch.drain(usize::MAX).len(), 6);

@@ -230,7 +230,7 @@ fn cmd_bench(args: &[String]) -> ExitCode {
             Ok(t) => t,
             Err(e) => {
                 eprintln!(
-                    "no bench baseline {} ({e}); create it with `lab bench --smoke --write`",
+                    "no bench baseline {} ({e}); create it with `lab bench --write`",
                     out.display()
                 );
                 return ExitCode::FAILURE;

@@ -81,8 +81,10 @@ impl Framer {
         if self.buf.len() < total {
             return Ok(None);
         }
-        self.buf.advance(RPC_HEADER_LEN);
-        let body: Bytes = self.buf.split_to(header.body_len as usize).freeze();
+        // One copy out of the reassembly buffer (which keeps its storage
+        // for the bytes that follow), then consume header and body.
+        let body = Bytes::copy_from_slice(&self.buf[RPC_HEADER_LEN..total]);
+        self.buf.advance(total);
         Ok(Some(RpcMessage { header, body }))
     }
 

@@ -10,6 +10,26 @@
 //! lock-free [`CreditGate`] sibling of the simulator's `CreditPool` (same
 //! AIMD rule and invariants).
 //!
+//! # Idle workers and work conservation
+//!
+//! The paper's idle cores poll remote shuffle queues without pause, so a
+//! ready connection never waits while a core is free. A worker here parks
+//! when a pass over the ladder finds nothing, and is woken by two signals:
+//! its doorbell (packets on its own ring, remote syscalls — the paper's
+//! two IPIs) and the [`SleeperSet`] protocol, the live counterpart of the
+//! simulator's `wake_idle()`:
+//!
+//! * a worker that may take shared work publishes itself in
+//!   `Shared::sleepers`, re-checks its ring, its shuffle queue, its
+//!   remote-syscall channel and every queue it could steal from, and only
+//!   then parks (`Worker::park`);
+//! * a worker that leaves a ready connection queued behind it — on
+//!   dequeuing from its shuffle queue, after an RX batch, when a stolen
+//!   connection is re-queued, on a floating-queue push — wakes one parked
+//!   worker (`Worker::wake_one_sleeper`), provided its own recent
+//!   per-connection handler time exceeds `WAKE_COST_NS`: below that,
+//!   running the connection in place is cheaper than the futex.
+//!
 //! # The live latency signal
 //!
 //! With [`RuntimeConfig::slo`](crate::RuntimeConfig::slo) set, every
@@ -52,8 +72,8 @@ use zygos_sched::{
 };
 
 use zygos_core::doorbell::{Doorbell, IpiReason};
-use zygos_core::idle::{IdlePolicy, PollTarget};
-use zygos_core::shuffle::ShuffleLayer;
+use zygos_core::idle::{IdlePolicy, PollTarget, SleeperSet};
+use zygos_core::shuffle::{FinishOutcome, ShuffleLayer};
 use zygos_core::spinlock::SpinLock;
 use zygos_core::stats::{CoreStats, StatsSnapshot};
 use zygos_core::syscall::{BatchedSyscall, RemoteSyscallChannel};
@@ -88,6 +108,10 @@ pub(crate) struct Shared {
     /// Per-core remote-syscall channels.
     remote_sys: Vec<RemoteSyscallChannel>,
     pub(crate) doorbells: Vec<Doorbell>,
+    /// Workers parked (or about to park) that may be woken to take shared
+    /// work. Revoked elastic workers and workers of a non-stealing policy
+    /// never enter it.
+    sleepers: SleeperSet,
     stats: Vec<CoreStats>,
     /// Floating mode: the shared ready queue.
     floating_q: SpinLock<VecDeque<(ConnId, Stamped)>>,
@@ -260,6 +284,33 @@ impl SloSignal {
 /// simulator's 25µs: wall-clock queue signals on a shared host are noisy).
 const CTL_PERIOD: Duration = Duration::from_millis(1);
 
+/// What handing a queued connection to a parked worker costs the waker,
+/// per connection handed off. The `futex(FUTEX_WAKE)` behind
+/// `Thread::unpark` takes about 6 µs on the 2-vCPU reference box when the
+/// target sleeps in the kernel (25 ns when it has not got there yet), and
+/// the woken worker starts 10–15 µs later; once awake it keeps stealing
+/// without further wake-ups (on `live-steal`, one wake-up per 3–4 stolen
+/// events), which brings the cost per connection to about 2 µs. A worker
+/// wakes a sleeper only while its own recent handler time per connection
+/// is above this; a sub-microsecond echo handler drains its queue sooner
+/// than the sleeper could start.
+const WAKE_COST_NS: u64 = 2_000;
+
+/// Cap on one sample folded into a worker's handler-time average, so a
+/// single preempted handler (milliseconds on a shared host) cannot hold
+/// the wake gate open for the dozens of samples the average would need to
+/// decay.
+const EXEC_SAMPLE_CAP_NS: u64 = 4 * WAKE_COST_NS;
+
+/// Idle park of a granted worker. The doorbell and the sleeper set end it
+/// early; the timeout is the backstop for what neither announces (work
+/// queued behind handlers cheaper than [`WAKE_COST_NS`], the control tick).
+const IDLE_NAP: Duration = Duration::from_micros(100);
+
+/// Idle park of a revoked elastic worker: an order of magnitude longer —
+/// that, plus not stealing, is what frees its CPU.
+const REVOKED_NAP: Duration = Duration::from_millis(1);
+
 /// A running server instance.
 pub struct Server {
     shared: Arc<Shared>,
@@ -363,6 +414,7 @@ impl Server {
                 .map(|_| RemoteSyscallChannel::with_capacity(cfg.ring_capacity))
                 .collect(),
             doorbells: (0..cfg.cores).map(|_| Doorbell::new()).collect(),
+            sleepers: SleeperSet::new(cfg.cores),
             stats: (0..cfg.cores).map(|_| CoreStats::new()).collect(),
             floating_q: SpinLock::new(VecDeque::new()),
             resp_tx,
@@ -465,29 +517,29 @@ impl Shared {
     }
 }
 
-/// One worker's private state: the framers of the connections homed here.
-struct HomeState {
+/// One worker's private state.
+struct Worker {
+    core: usize,
+    /// Framers of the connections homed here.
     framers: Vec<Framer>,
+    /// Max events taken from one connection per dequeue.
+    batch: usize,
+    /// Moving average of the handler time this worker spends per executed
+    /// connection (ns), samples capped at [`EXEC_SAMPLE_CAP_NS`]: the
+    /// measured side of the wake gate.
+    exec_ns: u64,
+    // Buffers the loop reuses, so a dispatch allocates nothing of its own.
+    events: Vec<Stamped>,
+    shipped: Vec<BatchedSyscall>,
+    remote: Vec<BatchedSyscall>,
 }
 
 fn worker_loop(core: usize, shared: Arc<Shared>, app: Arc<dyn RpcApp>) {
     shared.doorbells[core].register_target(std::thread::current());
-    let mut home = HomeState {
-        framers: (0..shared.cfg.conns).map(|_| Framer::new()).collect(),
-    };
-    let mut policy = IdlePolicy::new(core, shared.cfg.cores);
-    // Cheap xorshift for victim-order randomization.
-    let mut rng_state: u64 = 0x9E37_79B9 ^ (core as u64 + 1);
-    let mut rand = move || {
-        rng_state ^= rng_state << 13;
-        rng_state ^= rng_state >> 7;
-        rng_state ^= rng_state << 17;
-        rng_state
-    };
-    let batch = match shared.cfg.scheduler {
-        SchedulerKind::Elastic { quantum_events, .. } => shared.cfg.conn_batch.min(quantum_events),
-        _ => shared.cfg.conn_batch,
-    };
+    let mut worker = Worker::new(core, &shared);
+    let mut idle = IdlePolicy::new(core, shared.cfg.cores);
+    // Cheap xorshift state for victim-order randomization.
+    let mut rng: u64 = 0x9E37_79B9 ^ (core as u64 + 1);
 
     loop {
         if shared.stop.load(Ordering::Acquire) {
@@ -497,49 +549,108 @@ fn worker_loop(core: usize, shared: Arc<Shared>, app: Arc<dyn RpcApp>) {
         if core == 0 {
             control_tick(&shared);
         }
-        let mut parked = false;
-        let did_work = match &shared.elastic {
+        let (granted, did_work) = match &shared.elastic {
             Some(ctl) => {
-                parked = !ctl.gate.is_active(core);
-                let t0 = std::time::Instant::now();
-                let did = dispatch_step(
-                    core,
-                    &shared,
-                    &app,
-                    &mut home,
-                    &mut policy,
-                    &mut rand,
-                    !parked,
-                    batch,
-                );
+                let granted = ctl.gate.is_active(core);
+                let t0 = Instant::now();
+                let did = dispatch_step(&mut worker, &mut idle, &mut rng, &shared, &app, granted);
                 if did {
                     ctl.busy_ns[core].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 }
-                did
+                (granted, did)
             }
-            None => dispatch_step(
-                core,
-                &shared,
-                &app,
-                &mut home,
-                &mut policy,
-                &mut rand,
+            None => (
                 true,
-                batch,
+                dispatch_step(&mut worker, &mut idle, &mut rng, &shared, &app, true),
             ),
         };
         if !did_work {
-            // Idle: park briefly; doorbells unpark us immediately. Parked
-            // (revoked) elastic workers sleep an order of magnitude longer
-            // — that, plus not stealing, is what frees their CPU.
-            let nap = if parked {
-                Duration::from_millis(1)
-            } else {
-                Duration::from_micros(100)
-            };
-            std::thread::park_timeout(nap);
+            worker.park(&shared, granted);
         }
     }
+}
+
+impl Worker {
+    fn new(core: usize, shared: &Shared) -> Worker {
+        Worker {
+            core,
+            framers: (0..shared.cfg.conns).map(|_| Framer::new()).collect(),
+            batch: match shared.cfg.scheduler {
+                SchedulerKind::Elastic { quantum_events, .. } => {
+                    shared.cfg.conn_batch.min(quantum_events)
+                }
+                _ => shared.cfg.conn_batch,
+            },
+            exec_ns: 0,
+            events: Vec::new(),
+            shipped: Vec::new(),
+            remote: Vec::new(),
+        }
+    }
+
+    /// Parks a worker that found nothing to do. Doorbells unpark it at once
+    /// (and an unpark that races the park is kept as a token, so those
+    /// need no handshake). Work it could take from *another* queue is
+    /// announced through the sleeper set, which does: publish, look again,
+    /// and only then sleep. A worker that may not take such work — revoked,
+    /// or under a non-stealing policy — stays out of the set.
+    fn park(&self, shared: &Shared, granted: bool) {
+        let core = self.core;
+        let floating = matches!(shared.cfg.scheduler, SchedulerKind::Floating);
+        if !floating && !shared.dispatch.may_steal(granted) {
+            std::thread::park_timeout(if granted { IDLE_NAP } else { REVOKED_NAP });
+            return;
+        }
+        shared.sleepers.publish(core);
+        let in_reach = !shared.rings[core].is_empty()
+            || !shared.remote_sys[core].is_empty()
+            || if floating {
+                !shared.floating_q.lock().is_empty()
+            } else {
+                // Own shuffle queue included.
+                shared.shuffle.total_ready() > 0
+            };
+        if !in_reach {
+            std::thread::park_timeout(IDLE_NAP);
+        }
+        shared.sleepers.cancel(core);
+    }
+
+    /// Wakes one parked worker because this one is leaving a ready
+    /// connection queued where the sleeper can take it. Free when this
+    /// worker's handlers are cheaper than the wake-up, one fence and one
+    /// load when nobody is parked; never wakes a revoked elastic worker,
+    /// and under a non-stealing policy nobody is ever in the set.
+    fn wake_one_sleeper(&self, shared: &Shared) {
+        if self.exec_ns <= WAKE_COST_NS {
+            return;
+        }
+        // Workers at or above the grant are revoked.
+        let limit = shared
+            .elastic
+            .as_ref()
+            .map_or(shared.cfg.cores, |ctl| ctl.gate.active());
+        if shared
+            .sleepers
+            .wake_one(self.core, limit, &shared.doorbells)
+            .is_some()
+        {
+            shared.stats[self.core].count_wake_sent();
+        }
+    }
+
+    /// Folds one executed connection's handler time into the average.
+    fn note_exec(&mut self, handler_ns: u64) {
+        self.exec_ns = (7 * self.exec_ns + handler_ns.min(EXEC_SAMPLE_CAP_NS)) / 8;
+    }
+}
+
+/// Runs the handler for one event; returns the response and the handler's
+/// wall time (for [`Worker::note_exec`]).
+fn timed_handle(app: &Arc<dyn RpcApp>, conn: ConnId, ev: &Stamped) -> (RpcMessage, u64) {
+    let t0 = Instant::now();
+    let resp = app.handle(conn, &ev.msg);
+    (resp, t0.elapsed().as_nanos() as u64)
 }
 
 /// Worker 0's control-plane duty: every [`CTL_PERIOD`], harvest the
@@ -633,15 +744,12 @@ fn control_tick(shared: &Shared) {
 /// shuffle layer (or the floating queue), stamping each framed request's
 /// ingress time and shedding creditless requests at the edge (weighted by
 /// tenant class: the loosest SLO class is capped at the smallest pool
-/// share and sheds first). Home core only.
-fn tcp_in(
-    core: usize,
-    shared: &Shared,
-    home: &mut HomeState,
-    floating: bool,
-    max_pkts: usize,
-) -> usize {
+/// share and sheds first). Home core only. Leaving more than one ready
+/// connection behind (this worker serves one itself) wakes a sleeper.
+fn tcp_in(w: &mut Worker, shared: &Shared, floating: bool, max_pkts: usize) -> usize {
+    let core = w.core;
     let mut processed = 0;
+    let mut floating_backlog = 0;
     let ingress = Instant::now();
     while processed < max_pkts {
         let Some(pkt) = shared.rings[core].pop() else {
@@ -650,7 +758,7 @@ fn tcp_in(
         processed += 1;
         let conn = pkt.conn;
         debug_assert_eq!(shared.conn_home[conn.index()] as usize, core);
-        let framer = &mut home.framers[conn.index()];
+        let framer = &mut w.framers[conn.index()];
         if framer.feed(&pkt.payload).is_err() {
             continue; // Poisoned stream: drop (a real stack would RST).
         }
@@ -678,7 +786,9 @@ fn tcp_in(
                     }
                     let stamped = Stamped { msg, ingress };
                     if floating {
-                        shared.floating_q.lock().push_back((conn, stamped));
+                        let mut q = shared.floating_q.lock();
+                        q.push_back((conn, stamped));
+                        floating_backlog = q.len();
                     } else {
                         shared.shuffle.produce(conn, stamped);
                     }
@@ -686,6 +796,16 @@ fn tcp_in(
                 Ok(None) => break,
                 Err(_) => break,
             }
+        }
+    }
+    if processed > 0 {
+        let ready = if floating {
+            floating_backlog
+        } else {
+            shared.shuffle.queue_len(core)
+        };
+        if ready > 1 {
+            w.wake_one_sleeper(shared);
         }
     }
     processed
@@ -734,19 +854,16 @@ fn release_credit(shared: &Shared, conn: ConnId) {
 
 /// Executes all taken events of a connection, following the paper's
 /// home/remote syscall discipline, then finishes it.
-fn exec_conn(
-    core: usize,
-    shared: &Shared,
-    app: &Arc<dyn RpcApp>,
-    conn: ConnId,
-    stolen: bool,
-    batch: usize,
-) {
+fn exec_conn(w: &mut Worker, shared: &Shared, app: &Arc<dyn RpcApp>, conn: ConnId, stolen: bool) {
+    let core = w.core;
     let home_core = shared.conn_home[conn.index()] as usize;
-    let events = shared.shuffle.take_events(conn, batch);
-    let mut shipped = Vec::new();
-    for ev in &events {
-        let resp = app.handle(conn, &ev.msg);
+    shared
+        .shuffle
+        .take_events_into(conn, w.batch, &mut w.events);
+    let mut handler_ns = 0;
+    for ev in w.events.drain(..) {
+        let (resp, ns) = timed_handle(app, conn, &ev);
+        handler_ns += ns;
         // Release before computing the grant: the completing request's own
         // credit must not read as occupancy, or at full pool (capacity
         // in-flight, the steady state under overload with a small pool)
@@ -759,57 +876,60 @@ fn exec_conn(
             sig.record(core, conn, ev.ingress.elapsed().as_nanos() as u64);
         }
         if stolen {
-            shipped.push(BatchedSyscall::SendMsg { conn, wire });
+            w.shipped.push(BatchedSyscall::SendMsg { conn, wire });
             shared.stats[core].count_stolen_event();
         } else {
-            // Home execution transmits eagerly (§6.2).
-            shared.respond(conn, wire);
+            // Home execution transmits eagerly (§6.2). Counted first: a
+            // client that has the response must find it in the stats.
             shared.stats[core].count_local_event();
+            shared.respond(conn, wire);
         }
     }
-    if stolen && !shipped.is_empty() {
-        shared.remote_sys[home_core].ship(shipped);
+    w.note_exec(handler_ns);
+    if !w.shipped.is_empty() {
+        shared.remote_sys[home_core].ship(w.shipped.drain(..));
         if shared.doorbells[home_core].ring(IpiReason::RemoteSyscalls) {
             shared.stats[core].count_ipi_sent();
         }
     }
-    shared.shuffle.finish(conn);
+    // A stolen connection that goes back on its home queue may find the
+    // home core parked. (The home core re-queues onto the queue it serves
+    // next, and decides at that dequeue whether anything is left over.)
+    if shared.shuffle.finish(conn) == FinishOutcome::Requeued && stolen {
+        w.wake_one_sleeper(shared);
+    }
 }
 
 /// One iteration of a worker's scheduling loop: walk the shared dispatch
 /// ladder, binding each rung to its live mechanism, and take the first
 /// that yields work. Returns `true` if any work was found.
-#[allow(clippy::too_many_arguments)]
 fn dispatch_step(
-    core: usize,
+    w: &mut Worker,
+    idle: &mut IdlePolicy,
+    rng: &mut u64,
     shared: &Shared,
     app: &Arc<dyn RpcApp>,
-    home: &mut HomeState,
-    policy: &mut IdlePolicy,
-    rand: &mut impl FnMut() -> u64,
     core_active: bool,
-    batch: usize,
 ) -> bool {
     // Doorbell (the "IPI handler") precedes the ladder: clear pending
     // reasons; the duties are performed by the rungs below.
-    for _reason in shared.doorbells[core].take() {
-        shared.stats[core].count_ipi_handled();
+    for _ in 0..shared.doorbells[w.core].take().len() {
+        shared.stats[w.core].count_ipi_handled();
     }
     let floating = matches!(shared.cfg.scheduler, SchedulerKind::Floating);
     for &rung in shared.dispatch.ladder() {
         let took = match rung {
-            Rung::RemoteSyscalls => rung_remote_syscalls(core, shared),
+            Rung::RemoteSyscalls => rung_remote_syscalls(w, shared),
             Rung::LocalReady => {
                 if floating {
-                    rung_floating_claim(core, shared, app)
+                    rung_floating_claim(w, shared, app)
                 } else {
-                    rung_local_ready(core, shared, app, batch)
+                    rung_local_ready(w, shared, app)
                 }
             }
-            Rung::LocalNet => tcp_in(core, shared, home, floating, 64) > 0,
+            Rung::LocalNet => tcp_in(w, shared, floating, 64) > 0,
             Rung::StealReady => {
-                shared.dispatch.may_steal(core_active)
-                    && rung_idle_sweep(core, shared, app, home, policy, rand, batch)
+                shared.dispatch.may_steal(core_active) && rung_idle_sweep(w, idle, rng, shared, app)
             }
             // The runtime's idle sweep performs the IPI scan (its doorbell
             // ring) as part of StealReady; a cooperative runtime has no
@@ -827,13 +947,12 @@ fn dispatch_step(
 }
 
 /// Remote syscalls: transmit responses for stolen executions.
-fn rung_remote_syscalls(core: usize, shared: &Shared) -> bool {
-    let remote = shared.remote_sys[core].drain(64);
-    if remote.is_empty() {
+fn rung_remote_syscalls(w: &mut Worker, shared: &Shared) -> bool {
+    if shared.remote_sys[w.core].drain_into(64, &mut w.remote) == 0 {
         return false;
     }
-    for sc in remote {
-        shared.stats[core].count_remote_syscall();
+    for sc in w.remote.drain(..) {
+        shared.stats[w.core].count_remote_syscall();
         match sc {
             BatchedSyscall::SendMsg { conn, wire } => shared.respond(conn, wire),
             BatchedSyscall::Close { .. } | BatchedSyscall::Nop { .. } => {}
@@ -842,73 +961,83 @@ fn rung_remote_syscalls(core: usize, shared: &Shared) -> bool {
     true
 }
 
-/// Own shuffle queue.
-fn rung_local_ready(core: usize, shared: &Shared, app: &Arc<dyn RpcApp>, batch: usize) -> bool {
-    let Some(conn) = shared.shuffle.dequeue_local(core) else {
+/// Own shuffle queue. What stays queued behind the dequeued connection
+/// would wait for this worker's handler: offer it to a sleeper first.
+fn rung_local_ready(w: &mut Worker, shared: &Shared, app: &Arc<dyn RpcApp>) -> bool {
+    let Some(conn) = shared.shuffle.dequeue_local(w.core) else {
         return false;
     };
-    shared.stats[core].count_local_dequeue();
-    exec_conn(core, shared, app, conn, false, batch);
+    shared.stats[w.core].count_local_dequeue();
+    if shared.shuffle.queue_len(w.core) > 0 {
+        w.wake_one_sleeper(shared);
+    }
+    exec_conn(w, shared, app, conn, false);
     true
 }
 
 /// Floating mode: claim one ready event from the shared pool.
-fn rung_floating_claim(core: usize, shared: &Shared, app: &Arc<dyn RpcApp>) -> bool {
+fn rung_floating_claim(w: &mut Worker, shared: &Shared, app: &Arc<dyn RpcApp>) -> bool {
     let claimed = shared.floating_q.lock().pop_front();
     let Some((conn, ev)) = claimed else {
         return false;
     };
-    let resp = app.handle(conn, &ev.msg);
+    let (resp, handler_ns) = timed_handle(app, conn, &ev);
+    w.note_exec(handler_ns);
     release_credit(shared, conn);
     if let Some(sig) = &shared.slo {
-        sig.record(core, conn, ev.ingress.elapsed().as_nanos() as u64);
+        sig.record(w.core, conn, ev.ingress.elapsed().as_nanos() as u64);
     }
+    shared.stats[w.core].count_local_event();
     shared.respond(conn, grant_credits(shared, conn, resp).to_bytes());
-    shared.stats[core].count_local_event();
     true
+}
+
+/// Fisher–Yates over the sweep's victim order with a worker-local xorshift.
+fn shuffle_victims(rng: &mut u64, victims: &mut [usize]) {
+    for i in (1..victims.len()).rev() {
+        *rng ^= *rng << 13;
+        *rng ^= *rng >> 7;
+        *rng ^= *rng << 17;
+        victims.swap(i, (*rng % (i as u64 + 1)) as usize);
+    }
 }
 
 /// The idle sweep: steal from remote shuffle queues, then check remote
 /// rings and ring the home core's doorbell (the IPI).
 fn rung_idle_sweep(
-    core: usize,
+    w: &mut Worker,
+    idle: &mut IdlePolicy,
+    rng: &mut u64,
     shared: &Shared,
     app: &Arc<dyn RpcApp>,
-    home: &mut HomeState,
-    policy: &mut IdlePolicy,
-    rand: &mut impl FnMut() -> u64,
-    batch: usize,
 ) -> bool {
-    let sweep = policy.sweep(|victims| {
-        // Fisher–Yates with the worker-local generator.
-        for i in (1..victims.len()).rev() {
-            let j = (rand() % (i as u64 + 1)) as usize;
-            victims.swap(i, j);
-        }
-    });
-    for target in sweep {
+    for target in idle.sweep(|victims| shuffle_victims(rng, victims)) {
         match target {
             PollTarget::OwnHwRing => {
                 // Re-check: a packet may have landed since the net rung.
-                if tcp_in(core, shared, home, false, 64) > 0 {
+                if tcp_in(w, shared, false, 64) > 0 {
                     return true;
                 }
             }
             PollTarget::RemoteShuffle(v) => {
                 if let Some(conn) = shared.shuffle.try_steal(v) {
-                    shared.stats[core].count_steal();
-                    exec_conn(core, shared, app, conn, true, batch);
+                    shared.stats[w.core].count_steal();
+                    exec_conn(w, shared, app, conn, true);
                     return true;
                 }
-                shared.stats[core].count_failed_steal();
+                shared.stats[w.core].count_failed_steal();
             }
-            PollTarget::RemoteSwQueue(v) | PollTarget::RemoteHwRing(v) => {
+            // The loopback port has one ingress ring per core. It stands
+            // for both the software packet queue and the NIC ring of §5,
+            // and is probed once per sweep, at the NIC ring's turn.
+            PollTarget::RemoteSwQueue(_) => {}
+            PollTarget::RemoteHwRing(v) => {
                 // Pending packets on a remote core's ring: only its home
                 // core may run the stack — send the "IPI".
                 if !shared.rings[v].is_empty()
                     && shared.doorbells[v].ring(IpiReason::PendingPackets)
                 {
-                    shared.stats[core].count_ipi_sent();
+                    shared.stats[w.core].count_ipi_sent();
                 }
             }
         }
@@ -988,7 +1117,13 @@ mod tests {
 
     #[test]
     fn partitioned_mode_never_steals() {
-        let (server, client) = echo_server(RuntimeConfig::partitioned(4, 32));
+        // Handlers slow enough to open the wake gate: with stealing off
+        // nobody may be woken for queued work either.
+        let slow = |_c: ConnId, req: &RpcMessage| {
+            std::thread::sleep(Duration::from_micros(20));
+            RpcMessage::new(0, req.header.req_id, Bytes::new())
+        };
+        let (server, client) = Server::start(RuntimeConfig::partitioned(4, 32), Arc::new(slow));
         for id in 0..2_000u64 {
             client.send(
                 ConnId((id % 32) as u32),
@@ -1000,6 +1135,7 @@ mod tests {
         }
         let stats = server.stats();
         assert_eq!(stats.steals, 0);
+        assert_eq!(stats.wakes_sent, 0);
         assert_eq!(stats.stolen_events, 0);
         assert_eq!(stats.local_events, 2_000);
         server.shutdown();
@@ -1047,6 +1183,80 @@ mod tests {
             stats.steals > 0,
             "expected steals under load imbalance: {stats:?}"
         );
+        server.shutdown();
+    }
+
+    #[test]
+    fn parked_workers_are_woken_to_steal_from_one_loaded_core() {
+        // Every connection in use is homed on worker 0 and the handler
+        // sleeps, so the three other workers are parked unless something
+        // wakes them: they must do most of the work, and stealing must
+        // keep exactly-once and per-connection order (§4.3).
+        let slow = |_c: ConnId, req: &RpcMessage| {
+            std::thread::sleep(Duration::from_micros(300));
+            RpcMessage::new(0, req.header.req_id, Bytes::new())
+        };
+        let (server, client) = Server::start(RuntimeConfig::zygos(4, 128), Arc::new(slow));
+        let conns: Vec<ConnId> = (0..128)
+            .map(ConnId)
+            .filter(|&c| server.home_of(c) == 0)
+            .take(12)
+            .collect();
+        assert_eq!(conns.len(), 12, "RSS homes enough connections on worker 0");
+        let depth = 40u64;
+        for seq in 0..depth {
+            for &conn in &conns {
+                client.send(
+                    conn,
+                    &RpcMessage::new(1, (conn.0 as u64) << 32 | seq, Bytes::new()),
+                );
+            }
+        }
+        let mut next: HashMap<u32, u64> = HashMap::new();
+        for _ in 0..conns.len() as u64 * depth {
+            let (conn, resp) = client.recv_timeout(Duration::from_secs(30)).expect("resp");
+            assert_eq!(resp.header.req_id >> 32, conn.0 as u64);
+            let expect = next.entry(conn.0).or_insert(0);
+            assert_eq!(
+                resp.header.req_id & 0xFFFF_FFFF,
+                *expect,
+                "conn {} out of order or answered twice",
+                conn.0
+            );
+            *expect += 1;
+        }
+        assert!(client.recv_timeout(Duration::from_millis(20)).is_none());
+        let stats = server.stats();
+        assert_eq!(stats.total_events(), conns.len() as u64 * depth);
+        assert!(
+            stats.stolen_events > stats.local_events,
+            "three thieves against one home core: {stats:?}"
+        );
+        assert!(stats.wakes_sent > 0, "sleepers were woken: {stats:?}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn revoked_elastic_workers_are_never_woken_to_steal() {
+        let (server, _client) = echo_server(RuntimeConfig::elastic(4, 8));
+        // Idle, the controller revokes down to its floor of two workers.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while server.active_cores() != Some(2) {
+            assert!(Instant::now() < deadline, "never revoked to the floor");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let shared = &server.shared;
+        // Worker 3 as if revoked while asleep in the set: a producer whose
+        // handlers are well past the wake gate must leave it alone.
+        shared.sleepers.publish(3);
+        let mut waker = Worker::new(0, shared);
+        waker.exec_ns = 10 * WAKE_COST_NS;
+        for _ in 0..8 {
+            waker.wake_one_sleeper(shared);
+        }
+        assert_eq!(shared.doorbells[3].wake_count(), 0);
+        assert_eq!(shared.doorbells[2].wake_count(), 0);
+        shared.sleepers.cancel(3);
         server.shutdown();
     }
 

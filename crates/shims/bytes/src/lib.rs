@@ -30,10 +30,26 @@ macro_rules! fmt_bytes_debug {
     };
 }
 
+/// Shared storage behind a [`Bytes`]: a slice that was copied in (one
+/// allocation holds counts and data), or a `Vec` that was moved in (its
+/// buffer is kept as it is; only the counts are allocated).
+#[derive(Clone)]
+enum Storage {
+    Slice(Arc<[u8]>),
+    Vec(Arc<Vec<u8>>),
+}
+
+impl Default for Storage {
+    fn default() -> Self {
+        // The empty `Arc<[u8]>` is a shared static: no allocation.
+        Storage::Slice(Arc::default())
+    }
+}
+
 /// A cheaply cloneable, contiguous, immutable slice of memory.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Storage,
     start: usize,
     end: usize,
 }
@@ -54,11 +70,10 @@ impl Bytes {
 
     /// Creates `Bytes` by copying a slice.
     pub fn copy_from_slice(b: &[u8]) -> Self {
-        let data: Arc<[u8]> = Arc::from(b);
         Bytes {
             start: 0,
-            end: data.len(),
-            data,
+            end: b.len(),
+            data: Storage::Slice(Arc::from(b)),
         }
     }
 
@@ -87,7 +102,7 @@ impl Bytes {
         };
         assert!(lo <= hi && hi <= self.len(), "slice out of bounds");
         Bytes {
-            data: Arc::clone(&self.data),
+            data: self.data.clone(),
             start: self.start + lo,
             end: self.start + hi,
         }
@@ -99,7 +114,10 @@ impl Bytes {
     }
 
     fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.data {
+            Storage::Slice(data) => &data[self.start..self.end],
+            Storage::Vec(data) => &data[self.start..self.end],
+        }
     }
 }
 
@@ -159,12 +177,12 @@ impl fmt::Debug for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes over the vector's buffer: nothing is copied.
     fn from(v: Vec<u8>) -> Self {
-        let data: Arc<[u8]> = Arc::from(v.into_boxed_slice());
         Bytes {
             start: 0,
-            end: data.len(),
-            data,
+            end: v.len(),
+            data: Storage::Vec(Arc::new(v)),
         }
     }
 }
@@ -263,9 +281,14 @@ impl BytesMut {
         self.head = 0;
     }
 
-    /// Freezes the buffer into an immutable [`Bytes`].
+    /// Freezes the buffer into an immutable [`Bytes`] over the same
+    /// storage: nothing is copied, a consumed prefix is just not viewed.
     pub fn freeze(self) -> Bytes {
-        Bytes::from(self.as_slice().to_vec())
+        Bytes {
+            start: self.head,
+            end: self.buf.len(),
+            data: Storage::Vec(Arc::new(self.buf)),
+        }
     }
 
     /// Appends `cnt` copies of `val` (the `BufMut::put_bytes` operation).
@@ -470,6 +493,24 @@ mod tests {
         assert_eq!(&m[..], b"xyz");
         let frozen = m.freeze();
         assert_eq!(&frozen[..], b"xyz");
+    }
+
+    #[test]
+    fn freeze_and_from_vec_move_the_buffer() {
+        let v = b"moved, not copied".to_vec();
+        let at = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), at);
+        assert_eq!(&b.slice(7..)[..], b"not copied");
+
+        let mut m = BytesMut::with_capacity(64);
+        m.extend_from_slice(b"headerbody");
+        let at = m.as_ptr();
+        m.advance(6);
+        let frozen = m.freeze();
+        assert_eq!(&frozen[..], b"body");
+        assert_eq!(frozen.as_ptr(), at.wrapping_add(6));
+        assert_eq!(frozen.clone(), Bytes::copy_from_slice(b"body"));
     }
 
     #[test]

@@ -119,6 +119,10 @@ pub mod channel {
         items: VecDeque<T>,
         senders: usize,
         receivers: usize,
+        /// Receivers blocked in `recv_timeout` right now. A send notifies
+        /// only when this is non-zero: `Condvar::notify_one` is a futex
+        /// system call in std whether or not anybody waits.
+        waiting: usize,
     }
 
     /// Error returned by [`Sender::send`] when all receivers are gone.
@@ -147,6 +151,7 @@ pub mod channel {
                 items: VecDeque::new(),
                 senders: 1,
                 receivers: 1,
+                waiting: 0,
             }),
             ready: Condvar::new(),
         });
@@ -161,8 +166,14 @@ pub mod channel {
                 return Err(SendError(value));
             }
             st.items.push_back(value);
+            // Read under the lock a waiter holds until it is inside
+            // `wait_timeout`, so a receiver that is about to block is
+            // either counted here or sees the item.
+            let blocked = st.waiting > 0;
             drop(st);
-            self.0.ready.notify_one();
+            if blocked {
+                self.0.ready.notify_one();
+            }
             Ok(())
         }
     }
@@ -205,12 +216,14 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                st.waiting += 1;
                 let (guard, _t) = self
                     .0
                     .ready
                     .wait_timeout(st, deadline - now)
                     .unwrap_or_else(|p| p.into_inner());
                 st = guard;
+                st.waiting -= 1;
             }
         }
 
@@ -293,6 +306,28 @@ mod tests {
             rx.recv_timeout(Duration::from_millis(10)),
             Err(RecvTimeoutError::Disconnected)
         );
+    }
+
+    #[test]
+    fn blocked_receivers_are_all_served() {
+        // Sends notify only counted waiters: two receivers blocked at once
+        // must each get one of two back-to-back sends.
+        let (tx, rx) = unbounded::<u32>();
+        let waiters: Vec<_> = (0..2)
+            .map(|_| {
+                let rx = rx.clone();
+                std::thread::spawn(move || rx.recv_timeout(Duration::from_secs(10)))
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(50));
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        let mut got: Vec<u32> = waiters
+            .into_iter()
+            .map(|w| w.join().unwrap().expect("woken within the timeout"))
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, vec![1, 2]);
     }
 
     #[test]
