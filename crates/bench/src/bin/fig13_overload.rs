@@ -2,9 +2,9 @@
 //! credit-based admission control — server-edge vs client-side credits,
 //! plus the two-tenant weighted-fair-shedding panel.
 //!
-//! The whole experiment is one `zygos_lab` scenario
-//! (`zygos_bench::fig13::scenario`, committed as
-//! `scenarios/fig13_overload.toml`); this binary is a thin wrapper that
+//! The whole experiment is one `zygos_lab` scenario — the committed
+//! `scenarios/fig13_overload.toml`, re-scaled by
+//! `zygos_bench::fig13::scenario`; this binary is a thin wrapper that
 //! runs it and renders the paper-style series.
 //!
 //! Flags:
@@ -12,7 +12,7 @@
 //! * `--smoke` — reduced duration/arrival count and a 3-point load grid
 //!   (CI runs the equivalent through `lab run scenarios/fig13_overload.toml
 //!   --smoke --check`);
-//! * `--check` — exit nonzero unless the acceptance claims hold: admitted
+//! * `--check` — exit nonzero unless the spec's `[[claim]]`s hold: admitted
 //!   p99 within 2× the SLO at offered load ≥ 1.2 while the uncontrolled
 //!   policies diverge, client-side credits strictly below server-edge
 //!   wasted wire time, and the loosest tenant class shedding first while
@@ -41,16 +41,19 @@ fn main() {
         let fast = std::env::var("ZYGOS_FAST").is_ok_and(|v| v == "1");
         (Scale::from_env(), fast)
     };
-    let (curves, tenants) = fig13::run(&scale, fast);
+    let sc = fig13::scenario(&scale, fast);
+    let report = zygos_bench::run(&sc);
+    let violations = zygos_lab::check_claims(&sc, &report);
+    let (curves, tenants) = fig13::panels(report);
     fig13::print(&curves, &tenants);
     if check {
-        let result = fig13::check(&curves).and_then(|()| fig13::check_tenants(&tenants));
-        match result {
-            Ok(()) => println!("# fig13 check OK"),
-            Err(e) => {
-                eprintln!("fig13 check FAILED: {e}");
-                std::process::exit(1);
+        if violations.is_empty() {
+            println!("# fig13 check OK");
+        } else {
+            for v in &violations {
+                eprintln!("fig13 check FAILED: {v}");
             }
+            std::process::exit(1);
         }
     }
 }

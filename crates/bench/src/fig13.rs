@@ -28,11 +28,11 @@
 //!   its own cap (and sheds) first, while keeping a guaranteed floor of
 //!   admissions.
 //!
-//! The experiment matrix is one [`Scenario`] ([`scenario`]) — the same
-//! description committed as `scenarios/fig13_overload.toml`, whose
-//! claims CI enforces through `lab run --smoke --check`. The claims the
-//! local `--check` mode (and `tests/overload.rs`) pin at offered load
-//! ≥ 1.2:
+//! The experiment matrix is one [`Scenario`] ([`scenario`]): the
+//! committed `scenarios/fig13_overload.toml`, re-scaled. Its `[[claim]]`
+//! tables are what CI enforces through `lab run --smoke --check` and what
+//! the local `--check` mode evaluates (`zygos_lab::check_claims`); they
+//! (and `tests/overload.rs`) pin at offered load ≥ 1.2:
 //!
 //! 1. all credit systems' **admitted p99 stays within 2× the SLO** while
 //!    the uncontrolled policies blow through it;
@@ -42,13 +42,11 @@
 //!    shedding — and, with per-class occupancy tracking, retains a
 //!    floor of admissions instead of starving.
 
-use zygos_lab::{Case, Claims, PointMetrics, Scenario, SimHost};
+use zygos_lab::{PointMetrics, Report, Scenario};
 use zygos_load::slo::{Slo, SloClass, TenantSlos};
 use zygos_sched::CreditConfig;
-use zygos_sim::dist::ServiceDist;
-use zygos_sysim::{AdmissionMode, CREDIT_HEADROOM};
+use zygos_sysim::CREDIT_HEADROOM;
 
-use crate::fig12_elastic::QUANTUM_US;
 use crate::Scale;
 
 /// The SLO this figure is judged against: the paper's microbenchmark
@@ -64,15 +62,6 @@ pub const CREDIT_TARGET_US: f64 = CREDIT_HEADROOM * SLO_US;
 
 /// Admitted-tail acceptance bound: within 2× the SLO at overload.
 pub const BOUND_US: f64 = 2.0 * SLO_US;
-
-/// The overload-focused load grid (fractions of ideal saturation).
-pub fn loads(fast: bool) -> Vec<f64> {
-    if fast {
-        vec![0.8, 1.2, 1.4]
-    } else {
-        vec![0.6, 0.8, 0.9, 1.0, 1.1, 1.2, 1.35, 1.5]
-    }
-}
 
 /// The credit-gate configuration the figure (and the acceptance tests)
 /// use for a `cores`-wide plane.
@@ -91,48 +80,19 @@ pub fn tenant_slos() -> TenantSlos {
     ])
 }
 
-/// The five-case overload scenario — the programmatic twin of
-/// `scenarios/fig13_overload.toml`.
+/// The five-case overload scenario: the committed
+/// `scenarios/fig13_overload.toml` (cases, claims, telemetry) with its
+/// measurement windows taken from `scale`, on the spec's smoke grid when
+/// `fast`.
 pub fn scenario(scale: &Scale, fast: bool) -> Scenario {
-    let claims = Claims {
-        admitted_p99_bound_us: Some(BOUND_US),
-        uncontrolled_diverge_past_us: Some(BOUND_US),
-        client_waste_below_server: true,
-        loose_sheds_first: true,
-        loose_floor_max_shed_rate: Some(0.95),
-        ..Claims::default()
-    };
-    crate::scenario("fig13-overload", scale)
-        .service(ServiceDist::exponential_us(10.0))
-        .loads(loads(fast))
-        .case(Case::sim("ZygOS (static)", SimHost::Zygos))
-        .case(
-            Case::sim(
-                format!("ZygOS (elastic, q={QUANTUM_US}us)"),
-                SimHost::Elastic,
-            )
-            .min_cores(2)
-            .quantum_us(QUANTUM_US),
-        )
-        .case(
-            Case::sim("ZygOS (credits)", SimHost::Zygos)
-                .admission(AdmissionMode::ServerEdge)
-                .credit_target_us(CREDIT_TARGET_US),
-        )
-        .case(
-            Case::sim("ZygOS (client credits)", SimHost::Zygos)
-                .admission(AdmissionMode::ClientSide)
-                .credit_target_us(CREDIT_TARGET_US),
-        )
-        .case(
-            Case::sim("ZygOS (credits, tenants)", SimHost::Zygos)
-                .admission(AdmissionMode::ServerEdge)
-                .credit_target_us(CREDIT_TARGET_US)
-                .slo(tenant_slos()),
-        )
-        .claims(claims)
-        .build()
-        .expect("fig13 scenario")
+    let mut sc =
+        zygos_lab::scenario_from_toml(include_str!("../../../scenarios/fig13_overload.toml"))
+            .expect("the committed fig13 spec is valid");
+    (sc.scale.requests, sc.scale.warmup) = (scale.requests, scale.warmup);
+    if fast {
+        sc.workload.loads = sc.loads(true).to_vec();
+    }
+    sc
 }
 
 /// One system's overload curve.
@@ -159,11 +119,9 @@ pub struct TenantShedPoint {
     pub p99_us: f64,
 }
 
-/// Runs the scenario; returns the four single-tenant curves and the
-/// tenant panel.
-pub fn run(scale: &Scale, fast: bool) -> (Vec<Curve>, Vec<TenantShedPoint>) {
-    let sc = scenario(scale, fast);
-    let report = crate::run(&sc);
+/// Splits a report of [`scenario`] into the four single-tenant curves
+/// and the tenant panel.
+pub fn panels(report: Report) -> (Vec<Curve>, Vec<TenantShedPoint>) {
     let mut curves = Vec::new();
     let mut tenants = Vec::new();
     for series in report.series {
@@ -271,107 +229,4 @@ pub fn headline(curves: &[Curve]) {
             );
         }
     }
-}
-
-/// CI gate over the four curves: at every offered load ≥ 1.2 both credit
-/// systems' admitted p99 must sit within 2× the SLO while the
-/// uncontrolled PR-1 policies diverge past it, and client-side credits
-/// must strictly reduce wasted wire time versus server-edge shedding.
-/// Returns a description of the first violation.
-pub fn check(curves: &[Curve]) -> Result<(), String> {
-    let stat = find(curves, "ZygOS (static)").ok_or("missing static curve")?;
-    let elastic = find(curves, "ZygOS (elastic").ok_or("missing elastic curve")?;
-    let credits = find(curves, "ZygOS (credits)").ok_or("missing credits curve")?;
-    let client = find(curves, "ZygOS (client credits)").ok_or("missing client-credits curve")?;
-    let mut checked = 0;
-    for (((s, e), c), k) in stat
-        .points
-        .iter()
-        .zip(&elastic.points)
-        .zip(&credits.points)
-        .zip(&client.points)
-    {
-        if s.load < 1.19 {
-            continue;
-        }
-        checked += 1;
-        for (label, pt) in [("credits", c), ("client credits", k)] {
-            if pt.p99_us > BOUND_US {
-                return Err(format!(
-                    "load {:.2}: {label} p99 {:.0}us exceeds the 2xSLO bound {:.0}us",
-                    pt.load, pt.p99_us, BOUND_US
-                ));
-            }
-            if pt.shed_fraction <= 0.0 {
-                return Err(format!(
-                    "load {:.2}: {label} must shed at overload, got {}",
-                    pt.load, pt.shed_fraction
-                ));
-            }
-        }
-        if s.p99_us <= BOUND_US {
-            return Err(format!(
-                "load {:.2}: static p99 {:.0}us should diverge past {:.0}us — overload too weak?",
-                s.load, s.p99_us, BOUND_US
-            ));
-        }
-        if e.p99_us <= BOUND_US {
-            return Err(format!(
-                "load {:.2}: elastic p99 {:.0}us should diverge past {:.0}us — overload too weak?",
-                e.load, e.p99_us, BOUND_US
-            ));
-        }
-        if c.wasted_wire_us <= 0.0 {
-            return Err(format!(
-                "load {:.2}: server-edge shedding must burn wire RTT, got {}us",
-                c.load, c.wasted_wire_us
-            ));
-        }
-        if k.wasted_wire_us >= c.wasted_wire_us {
-            return Err(format!(
-                "load {:.2}: client-side waste {:.0}us must be strictly below server-edge {:.0}us",
-                k.load, k.wasted_wire_us, c.wasted_wire_us
-            ));
-        }
-    }
-    if checked == 0 {
-        return Err("no overload points (load >= 1.2) in the grid".to_string());
-    }
-    Ok(())
-}
-
-/// CI gate over the two-tenant sweep: at every overload point the loose
-/// (batch) class must carry strictly more of the sheds than the strict
-/// (interactive) class **while retaining an admission floor** (its own
-/// shed rate stays below 95%), and the admitted tail must stay bounded
-/// (≤ [`BOUND_US`], judged against the strict class's SLO — the batch
-/// class's own bound is 10× looser).
-pub fn check_tenants(points: &[TenantShedPoint]) -> Result<(), String> {
-    if points.is_empty() {
-        return Err("no tenant overload points".to_string());
-    }
-    for t in points {
-        if t.shed_fraction <= 0.0 {
-            return Err(format!("load {:.2}: tenants must shed at overload", t.load));
-        }
-        if t.loose_shed_share <= t.strict_shed_share {
-            return Err(format!(
-                "load {:.2}: loose class must shed first (loose {:.2} vs strict {:.2})",
-                t.load, t.loose_shed_share, t.strict_shed_share
-            ));
-        }
-        if t.loose_shed_rate >= 0.95 {
-            return Err(format!(
-                "load {:.2}: loose class lost its floor (own shed rate {:.2})",
-                t.load, t.loose_shed_rate
-            ));
-        }
-        if t.p99_us > BOUND_US {
-            return Err(format!(
-                "load {:.2}: multi-tenant admitted p99 {:.0}us exceeds the 2xSLO bound {:.0}us",
-                t.load, t.p99_us, BOUND_US
-            ));
-        }
-    }
-    Ok(())
 }

@@ -12,7 +12,8 @@
 //!   `--check` it evaluates the scenario's claims and diffs the report
 //!   against `DIR/<name>.json` (default `scenarios/baselines`), exiting
 //!   nonzero on any violation — the CI gate. `--write-baselines`
-//!   (re)writes the baseline files instead of comparing.
+//!   (re)writes the baseline files instead of comparing — unless the
+//!   report violates its claims or telemetry pins, which is never pinned.
 //! * `bench` times the canonical experiment-plane workloads (events/sec,
 //!   points/sec). With `--check` it compares rates against the committed
 //!   `BENCH_expplane.json` baseline and fails on a >30% regression;
@@ -382,6 +383,15 @@ fn run_one(spec_path: &Path, flags: &RunFlags) -> Result<Vec<String>, String> {
     }
     if flags.write_baselines {
         let path = flags.baselines.join(format!("{}.json", sc.name));
+        if !errs.is_empty() {
+            // A baseline pins what the claims accept; never pin a report
+            // they reject.
+            errs.push(format!(
+                "refusing to write {}: the report violates its claims or telemetry pins",
+                path.display()
+            ));
+            return Ok(errs);
+        }
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
         }

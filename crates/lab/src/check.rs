@@ -3,450 +3,179 @@
 //! Two independent gates, both driven from the scenario spec so a new
 //! scenario file automatically becomes a CI gate:
 //!
-//! * [`check_claims`] — semantic assertions ([`crate::spec::Claims`])
-//!   over the fresh report: bounded admitted tails at overload, diverging
-//!   uncontrolled baselines, client-side wire savings, weighted-fair shed
-//!   order and the per-class floor, elastic parking. These encode *what
-//!   the experiment is supposed to show*; a refactor that silently
-//!   changes the outcome fails here with a sentence naming the claim.
+//! * [`check_claims`] — the scenario's `[[claim]]`s
+//!   ([`crate::spec::Claim`]: compare / recovers / settles) evaluated
+//!   over the fresh report by one generic evaluator: bounded admitted
+//!   tails at overload, diverging uncontrolled baselines, recovered tail
+//!   gaps, settled series. These encode *what the experiment is supposed
+//!   to show*; a refactor that silently changes the outcome fails here
+//!   with the claim's own keys, the case, the load and both sides.
 //! * [`check_baseline`] — structural and numeric comparison against a
 //!   committed baseline JSON: same series, same grid, and (for
 //!   deterministic hosts) headline metrics within the scenario's
 //!   tolerance. This catches quiet drift that no claim covers.
 
-use crate::report::{PointMetrics, Report, Series};
-use crate::spec::{Case, HostSpec, Scenario};
-use zygos_sysim::AdmissionMode;
+use crate::report::{Drift, PointMetrics, Report, Series, SCALARS};
+use crate::spec::{Claim, Op, Rhs, Scenario};
 
 /// Evaluates the scenario's claims over a report. Returns every
-/// violation (empty = pass).
+/// violation (empty = pass); each one prints the claim's own keys, the
+/// case, the load and both sides of the comparison that failed.
 pub fn check_claims(sc: &Scenario, report: &Report) -> Vec<String> {
-    let claims = &sc.claims;
     let mut errs = Vec::new();
-    fn claim(errs: &mut Vec<String>, ok: bool, msg: String) {
-        if !ok {
-            errs.push(msg);
-        }
-    }
-    fn overload(s: &Series, from: f64) -> Vec<&PointMetrics> {
-        s.points.iter().filter(|p| p.load >= from).collect()
-    }
-    let case_of = |s: &Series| sc.case(&s.label);
-    let gated = |c: &Case| c.policy.admission.is_some();
-
-    if let Some(bound) = claims.admitted_p99_bound_us {
-        for s in report
-            .series
-            .iter()
-            .filter(|s| case_of(s).is_some_and(gated))
-        {
-            for p in overload(s, claims.overload_from) {
-                claim(
-                    &mut errs,
-                    p.p99_us <= bound,
-                    format!(
-                        "[{}] load {:.2}: admitted p99 {:.0}us exceeds the {bound:.0}us bound",
-                        s.label, p.load, p.p99_us
-                    ),
-                );
-                claim(
-                    &mut errs,
-                    p.shed_fraction > 0.0,
-                    format!(
-                        "[{}] load {:.2}: an admission gate must shed at overload",
-                        s.label, p.load
-                    ),
-                );
-            }
-        }
-    }
-    if let Some(past) = claims.uncontrolled_diverge_past_us {
-        for s in report.series.iter().filter(|s| {
-            case_of(s).is_some_and(|c| !gated(c) && !matches!(c.host, HostSpec::Model(_)))
-        }) {
-            for p in overload(s, claims.overload_from) {
-                claim(
-                    &mut errs,
-                    p.p99_us > past,
-                    format!(
-                        "[{}] load {:.2}: ungated p99 {:.0}us should diverge past {past:.0}us — \
-                         overload too weak?",
-                        s.label, p.load, p.p99_us
-                    ),
-                );
-            }
-        }
-    }
-    if claims.client_waste_below_server {
-        let with_mode = |mode: AdmissionMode| {
-            report.series.iter().find(|s| {
-                case_of(s)
-                    .and_then(|c| c.policy.admission.as_ref())
-                    .is_some_and(|a| a.mode == mode)
-            })
-        };
-        match (
-            with_mode(AdmissionMode::ServerEdge),
-            with_mode(AdmissionMode::ClientSide),
-        ) {
-            (Some(server), Some(client)) => {
-                for (sp, cp) in overload(server, claims.overload_from)
-                    .iter()
-                    .zip(overload(client, claims.overload_from).iter())
-                {
-                    claim(
-                        &mut errs,
-                        sp.wasted_wire_us > 0.0,
-                        format!(
-                            "[{}] load {:.2}: server-edge shedding must burn wire RTT",
-                            server.label, sp.load
-                        ),
-                    );
-                    claim(
-                        &mut errs,
-                        cp.wasted_wire_us < sp.wasted_wire_us,
-                        format!(
-                            "load {:.2}: client-side waste {:.0}us must sit strictly below \
-                             server-edge {:.0}us",
-                            cp.load, cp.wasted_wire_us, sp.wasted_wire_us
-                        ),
-                    );
+    for (i, claim) in sc.claims.iter().enumerate() {
+        let prefix = format!("claim #{} {{{claim}}}", i + 1);
+        match comparisons(claim, sc, report) {
+            Ok(found) => {
+                for c in found.iter().filter(|c| !c.op.holds(c.lhs, c.rhs)) {
+                    let (case, load, what, op) = (&c.case, c.load, &c.what, c.op.symbol());
+                    errs.push(format!(
+                        "{prefix}: [{case}] load {load:.2}: {what} {:.3} is not {op} {}{:.3}",
+                        c.lhs, c.rhs_from, c.rhs
+                    ));
                 }
             }
-            _ => errs.push(
-                "client_waste_below_server: missing a server-edge or client-side series".into(),
-            ),
-        }
-    }
-    if claims.loose_sheds_first || claims.loose_floor_max_shed_rate.is_some() {
-        for s in &report.series {
-            let Some(case) = case_of(s) else { continue };
-            let Some(slos) = &case.policy.slo else {
-                continue;
-            };
-            if !gated(case) || slos.classes().len() < 2 {
-                continue;
-            }
-            // Class ranks by bound: strictest = smallest bound.
-            let bounds: Vec<f64> = slos.classes().iter().map(|c| c.slo.bound_us).collect();
-            let strict = idx_min(&bounds);
-            let loose = idx_max(&bounds);
-            for p in overload(s, claims.overload_from) {
-                if p.shed_share_by_class.len() < 2 {
-                    // Hosts that do not report per-class metrics (live
-                    // series) cannot back these claims; validation
-                    // requires a sim case, so skipping is safe here.
-                    continue;
-                }
-                if claims.loose_sheds_first {
-                    let (ls, ss) = (
-                        p.shed_share_by_class.get(loose).copied().unwrap_or(0.0),
-                        p.shed_share_by_class.get(strict).copied().unwrap_or(0.0),
-                    );
-                    claim(
-                        &mut errs,
-                        ls > ss,
-                        format!(
-                            "[{}] load {:.2}: loosest class shed share {ls:.2} must exceed \
-                             strictest {ss:.2}",
-                            s.label, p.load
-                        ),
-                    );
-                }
-                if let Some(max_rate) = claims.loose_floor_max_shed_rate {
-                    let rate = p.shed_rate_by_class.get(loose).copied().unwrap_or(0.0);
-                    claim(
-                        &mut errs,
-                        rate <= max_rate,
-                        format!(
-                            "[{}] load {:.2}: loosest class shed rate {rate:.2} breaches its \
-                             occupancy floor (max {max_rate:.2})",
-                            s.label, p.load
-                        ),
-                    );
-                }
-            }
-        }
-    }
-    if let Some(below) = claims.elastic_parks_below_load {
-        for s in report
-            .series
-            .iter()
-            .filter(|s| case_of(s).is_some_and(|c| c.host.is_elastic()))
-        {
-            for p in s.points.iter().filter(|p| p.load <= below) {
-                claim(
-                    &mut errs,
-                    p.avg_cores < sc.workload.cores as f64,
-                    format!(
-                        "[{}] load {:.2}: an elastic host must park below load {below:.2} \
-                         (granted {:.2} of {})",
-                        s.label, p.load, p.avg_cores, sc.workload.cores
-                    ),
-                );
-            }
-        }
-    }
-    if let Some(g) = &claims.fleet_tail_gap {
-        let find = |label: &str| report.series.iter().find(|s| s.label == label);
-        match (find(&g.healthy), find(&g.degraded), find(&g.recovered)) {
-            (Some(h), Some(d), Some(r)) => {
-                for ((hp, dp), rp) in h.points.iter().zip(&d.points).zip(&r.points) {
-                    claim(
-                        &mut errs,
-                        dp.p99_us >= g.min_ratio * hp.p99_us,
-                        format!(
-                            "[{}] load {:.2}: degraded fleet p99 {:.1}us is under {}x the \
-                             healthy p99 {:.1}us",
-                            d.label, dp.load, dp.p99_us, g.min_ratio, hp.p99_us
-                        ),
-                    );
-                    let gap = dp.p99_us - hp.p99_us;
-                    claim(
-                        &mut errs,
-                        dp.p99_us - rp.p99_us >= g.min_recovery * gap,
-                        format!(
-                            "[{}] load {:.2}: load-aware routing recovered only {:.1}us of the \
-                             {gap:.1}us degraded-vs-healthy p99 gap (claimed at least {:.0}%)",
-                            r.label,
-                            rp.load,
-                            dp.p99_us - rp.p99_us,
-                            g.min_recovery * 100.0
-                        ),
-                    );
-                }
-            }
-            _ => {
-                errs.push("fleet_tail_gap names a case that is missing from the report".to_string())
-            }
-        }
-    }
-    if let Some(g) = &claims.staged_crossover {
-        let find = |label: &str| report.series.iter().find(|s| s.label == label);
-        match (find(&g.unified), find(&g.split)) {
-            (Some(u), Some(s)) if !u.points.is_empty() && u.points.len() == s.points.len() => {
-                // The crossover claim reads the grid's extremes: pooling
-                // wins the light tail, splitting wins the heavy tail.
-                let lo = idx_min(&u.points.iter().map(|p| p.load).collect::<Vec<_>>());
-                let hi = idx_max(&u.points.iter().map(|p| p.load).collect::<Vec<_>>());
-                let (ul, sl) = (&u.points[lo], &s.points[lo]);
-                claim(
-                    &mut errs,
-                    sl.p99_us >= g.low_ratio * ul.p99_us,
-                    format!(
-                        "load {:.2}: split p99 {:.1}us undercuts {}x the unified p99 {:.1}us — \
-                         pooling should win the light tail",
-                        sl.load, sl.p99_us, g.low_ratio, ul.p99_us
-                    ),
-                );
-                let (uh, sh) = (&u.points[hi], &s.points[hi]);
-                claim(
-                    &mut errs,
-                    uh.p99_us >= g.high_ratio * sh.p99_us,
-                    format!(
-                        "load {:.2}: unified p99 {:.1}us is under {}x the split p99 {:.1}us — \
-                         the HoL-blocking crossover did not appear",
-                        uh.load, uh.p99_us, g.high_ratio, sh.p99_us
-                    ),
-                );
-            }
-            _ => errs
-                .push("staged_crossover names a case that is missing from the report".to_string()),
-        }
-    }
-    if let Some(g) = &claims.retry_storm {
-        let find = |label: &str| report.series.iter().find(|s| s.label == label);
-        match (find(&g.backoff), find(&g.drop), find(&g.naive)) {
-            (Some(b), Some(d), Some(n)) => {
-                for ((bp, dp), np) in overload(b, claims.overload_from)
-                    .iter()
-                    .zip(overload(d, claims.overload_from))
-                    .zip(overload(n, claims.overload_from))
-                {
-                    claim(
-                        &mut errs,
-                        bp.p99_us <= g.bound_us,
-                        format!(
-                            "[{}] load {:.2}: backoff-retry p99 {:.0}us exceeds the {:.0}us \
-                             storm bound",
-                            b.label, bp.load, bp.p99_us, g.bound_us
-                        ),
-                    );
-                    claim(
-                        &mut errs,
-                        bp.goodput >= g.min_goodput_ratio * dp.goodput,
-                        format!(
-                            "[{}] load {:.2}: backoff goodput {:.3} fell under {:.0}% of the \
-                             drop baseline's {:.3}",
-                            b.label,
-                            bp.load,
-                            bp.goodput,
-                            g.min_goodput_ratio * 100.0,
-                            dp.goodput
-                        ),
-                    );
-                    claim(
-                        &mut errs,
-                        np.p99_us > g.bound_us,
-                        format!(
-                            "[{}] load {:.2}: naive-retry p99 {:.0}us should diverge past \
-                             {:.0}us — storm too weak?",
-                            n.label, np.load, np.p99_us, g.bound_us
-                        ),
-                    );
-                    claim(
-                        &mut errs,
-                        np.retry_rate > bp.retry_rate,
-                        format!(
-                            "[{}] load {:.2}: naive retry rate {:.2} should exceed backoff's \
-                             {:.2} — the storm is what backoff is supposed to damp",
-                            n.label, np.load, np.retry_rate, bp.retry_rate
-                        ),
-                    );
-                }
-            }
-            _ => errs.push("retry_storm names a case that is missing from the report".to_string()),
-        }
-    }
-    if let Some(g) = &claims.metastable_recovery {
-        let find = |label: &str| report.series.iter().find(|s| s.label == label);
-        let burst = sc.faults.as_ref().and_then(|f| f.burst);
-        match (find(&g.gated), find(&g.ungated), burst) {
-            (Some(gs), Some(us), Some((at_us, duration_us, _))) => {
-                let end_us = at_us + duration_us;
-                for (gp, up) in gs.points.iter().zip(&us.points) {
-                    // The recovery deadline is `windows` series intervals
-                    // past burst end, with the interval read off the
-                    // harvested series itself.
-                    let Some(wp) = series_of(gp, "window_p99_us") else {
-                        errs.push(format!(
-                            "[{}] load {:.2}: metastable_recovery needs a non-empty \
-                             window_p99_us series",
-                            gs.label, gp.load
-                        ));
-                        continue;
-                    };
-                    let Some(dt) = series_dt(wp) else {
-                        errs.push(format!(
-                            "[{}] load {:.2}: window_p99_us has too few points to define \
-                             a recovery window",
-                            gs.label, gp.load
-                        ));
-                        continue;
-                    };
-                    let deadline_us = end_us + g.windows as f64 * dt;
-                    let tol = sc.check_tolerance;
-                    match (
-                        mean_where(wp, |t| t < at_us),
-                        mean_where(wp, |t| t >= deadline_us),
-                    ) {
-                        (Some(pre), Some(post)) => claim(
-                            &mut errs,
-                            post <= (1.0 + tol) * pre,
-                            format!(
-                                "[{}] load {:.2}: gated window p99 {post:.1}us after the \
-                                 recovery deadline never returned to the pre-burst \
-                                 {pre:.1}us — admission did not break the metastable state",
-                                gs.label, gp.load
-                            ),
-                        ),
-                        _ => errs.push(format!(
-                            "[{}] load {:.2}: window_p99_us has no pre-burst or \
-                             post-deadline samples (burst at {at_us:.0}us, deadline \
-                             {deadline_us:.0}us)",
-                            gs.label, gp.load
-                        )),
-                    }
-                    match series_of(gp, "credit_capacity").map(|cs| {
-                        (
-                            mean_where(cs, |t| t < at_us),
-                            mean_where(cs, |t| t >= deadline_us),
-                        )
-                    }) {
-                        Some((Some(pre), Some(post))) => claim(
-                            &mut errs,
-                            post >= (1.0 - tol) * pre,
-                            format!(
-                                "[{}] load {:.2}: credit capacity {post:.1} after the \
-                                 recovery deadline never re-opened to the pre-burst \
-                                 {pre:.1} — AIMD stayed clamped",
-                                gs.label, gp.load
-                            ),
-                        ),
-                        _ => errs.push(format!(
-                            "[{}] load {:.2}: metastable_recovery needs a credit_capacity \
-                             series spanning the burst",
-                            gs.label, gp.load
-                        )),
-                    }
-                    // The ungated twin must stay degraded: the closed
-                    // retry loop sustains the overload the burst started.
-                    match series_of(up, "window_p99_us").map(|uw| {
-                        (
-                            mean_where(uw, |t| t < at_us),
-                            mean_where(uw, |t| t >= deadline_us),
-                        )
-                    }) {
-                        Some((Some(pre), Some(post))) => claim(
-                            &mut errs,
-                            post >= 2.0 * pre,
-                            format!(
-                                "[{}] load {:.2}: ungated window p99 {post:.1}us settled back \
-                                 near the pre-burst {pre:.1}us — the metastable state did \
-                                 not persist (burst too weak or retries too gentle?)",
-                                us.label, up.load
-                            ),
-                        ),
-                        _ => errs.push(format!(
-                            "[{}] load {:.2}: metastable_recovery needs the ungated twin's \
-                             window_p99_us series spanning the burst",
-                            us.label, up.load
-                        )),
-                    }
-                }
-            }
-            (_, _, None) => errs
-                .push("metastable_recovery needs the [faults] burst in the scenario".to_string()),
-            _ => errs.push(
-                "metastable_recovery names a case that is missing from the report".to_string(),
-            ),
-        }
-    }
-    if let Some(g) = &claims.scatter_gather {
-        let find = |label: &str| report.series.iter().find(|s| s.label == label);
-        match (find(&g.base), find(&g.fanned), find(&g.recovered)) {
-            (Some(b), Some(f), Some(r)) => {
-                for ((bp, fp), rp) in b.points.iter().zip(&f.points).zip(&r.points) {
-                    claim(
-                        &mut errs,
-                        fp.p99_us >= g.min_amplification * bp.p99_us,
-                        format!(
-                            "[{}] load {:.2}: fanned p99 {:.1}us is under {}x the fan-out-1 \
-                             p99 {:.1}us — no tail-at-scale amplification",
-                            f.label, fp.load, fp.p99_us, g.min_amplification, bp.p99_us
-                        ),
-                    );
-                    let gap = fp.p99_us - bp.p99_us;
-                    claim(
-                        &mut errs,
-                        fp.p99_us - rp.p99_us >= g.min_recovery * gap,
-                        format!(
-                            "[{}] load {:.2}: recovered only {:.1}us of the {gap:.1}us \
-                             fan-out p99 gap (claimed at least {:.0}%)",
-                            r.label,
-                            rp.load,
-                            fp.p99_us - rp.p99_us,
-                            g.min_recovery * 100.0
-                        ),
-                    );
-                }
-            }
-            _ => {
-                errs.push("scatter_gather names a case that is missing from the report".to_string())
-            }
+            Err(e) => errs.push(format!("{prefix}: {e}")),
         }
     }
     errs
+}
+
+/// One comparison a claim makes: a case at a load, and both sides.
+struct Comparison {
+    case: String,
+    load: f64,
+    /// What the left-hand side measures.
+    what: String,
+    lhs: f64,
+    op: Op,
+    rhs: f64,
+    /// How the right-hand side was derived (empty for a constant).
+    rhs_from: String,
+}
+
+/// Every comparison `claim` makes over `report`, or the reason it cannot
+/// be evaluated (a named case, load or metric the report lacks — loud,
+/// never silently skipped).
+fn comparisons(claim: &Claim, sc: &Scenario, report: &Report) -> Result<Vec<Comparison>, String> {
+    let series = |label: &str| {
+        report
+            .series(label)
+            .ok_or_else(|| format!("case {label:?} is missing from the report"))
+    };
+    fn at_load(s: &Series, load: f64) -> Result<&PointMetrics, String> {
+        s.points
+            .iter()
+            .find(|q| (q.load - load).abs() < 1e-9)
+            .ok_or_else(|| format!("[{}] has no point at load {load:.2}", s.label))
+    }
+    let read = |s: &Series, p: &PointMetrics, metric: &str| {
+        p.metric(metric).ok_or_else(|| {
+            format!(
+                "[{}] load {:.2}: the point has no {metric}",
+                s.label, p.load
+            )
+        })
+    };
+    let mut out = Vec::new();
+    match claim {
+        Claim::Compare(c) => {
+            for label in &c.cases {
+                let s = series(label)?;
+                let loads: Vec<f64> = s.points.iter().map(|p| p.load).collect();
+                let picked = c.select.indices(&loads);
+                if picked.is_empty() {
+                    return Err(format!(
+                        "[{label}] the load window selects no point of {loads:?}"
+                    ));
+                }
+                for p in picked.into_iter().map(|i| &s.points[i]) {
+                    let (rhs, rhs_from) = match &c.rhs {
+                        Rhs::Value(v) => (*v, String::new()),
+                        Rhs::Times {
+                            times,
+                            of,
+                            of_metric,
+                        } => {
+                            let rs = series(of.as_ref().unwrap_or(label))?;
+                            let rm = of_metric.as_ref().unwrap_or(&c.metric);
+                            let r = read(rs, at_load(rs, p.load)?, rm)?;
+                            let from = format!("{times} x {rm} of [{}] {r:.3} = ", rs.label);
+                            (times * r, from)
+                        }
+                    };
+                    out.push(Comparison {
+                        case: label.clone(),
+                        load: p.load,
+                        what: c.metric.clone(),
+                        lhs: read(s, p, &c.metric)?,
+                        op: c.op,
+                        rhs,
+                        rhs_from,
+                    });
+                }
+            }
+        }
+        Claim::Recovers(r) => {
+            let (metric, base, worse) = (&r.metric, &r.base, &r.worse);
+            let (b, w, f) = (series(base)?, series(worse)?, series(&r.fixed)?);
+            for wp in &w.points {
+                let wv = read(w, wp, metric)?;
+                let bv = read(b, at_load(b, wp.load)?, metric)?;
+                let fv = read(f, at_load(f, wp.load)?, metric)?;
+                out.push(Comparison {
+                    case: r.fixed.clone(),
+                    load: wp.load,
+                    what: format!("{metric} recovery ([{worse}] {wv:.3} - {fv:.3}) ="),
+                    lhs: wv - fv,
+                    op: Op::Ge,
+                    rhs: r.fraction * (wv - bv),
+                    rhs_from: format!("{} x the gap ({wv:.3} - [{base}] {bv:.3}) = ", r.fraction),
+                });
+            }
+        }
+        Claim::Settles(c) => {
+            let (name, case, value) = (&c.series, &c.case, c.value);
+            let (at_us, duration_us, _) = sc
+                .faults
+                .as_ref()
+                .and_then(|f| f.burst)
+                .ok_or("the scenario has no [faults] burst to settle after")?;
+            for p in &series(case)?.points {
+                let here = format!("[{case}] load {:.2}", p.load);
+                let ts = p
+                    .timeseries
+                    .iter()
+                    .find(|ts| &ts.name == name)
+                    .map(|ts| ts.points.as_slice())
+                    .ok_or_else(|| format!("{here}: the point has no {name} series"))?;
+                // The deadline is counted in series intervals read off the
+                // harvested series itself.
+                let dt = series_dt(ts)
+                    .ok_or_else(|| format!("{here}: {name} has too few samples for an interval"))?;
+                let deadline_us = at_us + duration_us + c.settle_windows as f64 * dt;
+                let (Some(pre), Some(post)) = (
+                    mean_where(ts, |t| t < at_us),
+                    mean_where(ts, |t| t >= deadline_us),
+                ) else {
+                    return Err(format!(
+                        "{here}: {name} has no pre-burst or post-deadline samples \
+                         (burst at {at_us:.0}us, deadline {deadline_us:.0}us)"
+                    ));
+                };
+                out.push(Comparison {
+                    case: case.clone(),
+                    load: p.load,
+                    what: format!("{name} mean past the {deadline_us:.0}us settling deadline"),
+                    lhs: post,
+                    op: c.op,
+                    rhs: value * pre,
+                    rhs_from: format!("{value} x the pre-burst mean {pre:.3} = "),
+                });
+            }
+        }
+    }
+    Ok(out)
 }
 
 /// Pins the telemetry the scenario requested: every ZygOS-family sim
@@ -556,32 +285,21 @@ pub fn check_baseline(sc: &Scenario, fresh: &Report, baseline: &Report) -> Vec<S
             if !(b.deterministic && f.deterministic) {
                 continue; // Wall-clock series: structural compare only.
             }
-            // Headline metrics only: the point is catching regressions,
-            // not entombing every digit.
-            let label = f.label.clone();
-            let mut field = |name: &str, bv: f64, fv: f64, abs_floor: f64| {
-                let scale = bv.abs().max(fv.abs()).max(abs_floor);
-                if (bv - fv).abs() > sc.check_tolerance * scale {
-                    errs.push(format!(
-                        "[{label}] load {:.2}: {name} drifted from {bv:.3} to {fv:.3} \
-                         (tolerance {:.0}%)",
-                        bp.load,
-                        sc.check_tolerance * 100.0
-                    ));
+            // Headline metrics only (the table's non-`Free` entries): the
+            // point is catching regressions, not entombing every digit.
+            for (m, drift) in SCALARS {
+                let (bv, fv) = (*(m.get)(bp), *(m.get)(fp));
+                let failure = match *drift {
+                    // NaN: the baseline predates this metric.
+                    _ if bv.is_nan() => None,
+                    Drift::Free => None,
+                    Drift::Within(floor) => drifted(sc, m.name, bv, fv, floor),
+                    Drift::Sign => ((bv > 0.0) != (fv > 0.0))
+                        .then(|| format!("{} changed sign class ({bv:.0} vs {fv:.0})", m.name)),
+                };
+                if let Some(e) = failure {
+                    errs.push(format!("[{}] load {:.2}: {e}", f.label, bp.load));
                 }
-            };
-            field("p99_us", bp.p99_us, fp.p99_us, 5.0);
-            field("mrps", bp.mrps, fp.mrps, 0.01);
-            field("shed_fraction", bp.shed_fraction, fp.shed_fraction, 0.1);
-            field("avg_cores", bp.avg_cores, fp.avg_cores, 2.0);
-            field("goodput", bp.goodput, fp.goodput, 0.1);
-            field("retry_rate", bp.retry_rate, fp.retry_rate, 0.1);
-            if (bp.wasted_wire_us > 0.0) != (fp.wasted_wire_us > 0.0) {
-                errs.push(format!(
-                    "[{label}] load {:.2}: wasted_wire_us changed sign class \
-                     ({:.0} vs {:.0})",
-                    bp.load, bp.wasted_wire_us, fp.wasted_wire_us
-                ));
             }
         }
         // Search and tail results: presence is structural; values compare
@@ -600,31 +318,36 @@ pub fn check_baseline(sc: &Scenario, fresh: &Report, baseline: &Report) -> Vec<S
             ));
         }
         if b.deterministic && f.deterministic {
-            let label = f.label.clone();
-            let mut field = |name: &str, bv: f64, fv: f64, abs_floor: f64| {
-                let scale = bv.abs().max(fv.abs()).max(abs_floor);
-                if (bv - fv).abs() > sc.check_tolerance * scale {
-                    errs.push(format!(
-                        "[{label}] {name} drifted from {bv:.3} to {fv:.3} (tolerance {:.0}%)",
-                        sc.check_tolerance * 100.0
-                    ));
-                }
-            };
+            let mut results = Vec::new();
             if let (Some(bs), Some(fs)) = (&b.search, &f.search) {
-                field("search.max_load", bs.max_load, fs.max_load, 0.05);
+                results.push(("search.max_load", bs.max_load, fs.max_load, 0.05));
             }
             if let (Some(bt), Some(ft)) = (&b.tail, &f.tail) {
-                field("tail.value_us", bt.value_us, ft.value_us, 5.0);
-                field(
-                    "tail.brute_value_us",
-                    bt.brute_value_us,
-                    ft.brute_value_us,
-                    5.0,
-                );
+                results.push(("tail.value_us", bt.value_us, ft.value_us, 5.0));
+                let (bv, fv) = (bt.brute_value_us, ft.brute_value_us);
+                results.push(("tail.brute_value_us", bv, fv, 5.0));
+            }
+            for (name, bv, fv, floor) in results {
+                if let Some(e) = drifted(sc, name, bv, fv, floor) {
+                    errs.push(format!("[{}] {e}", f.label));
+                }
             }
         }
     }
     errs
+}
+
+/// `Some(description)` when `fv` left `bv` by more than the scenario's
+/// relative tolerance (`floor` keeps near-zero values from producing
+/// infinite ratios).
+fn drifted(sc: &Scenario, name: &str, bv: f64, fv: f64, floor: f64) -> Option<String> {
+    let scale = bv.abs().max(fv.abs()).max(floor);
+    ((bv - fv).abs() > sc.check_tolerance * scale).then(|| {
+        format!(
+            "{name} drifted from {bv:.3} to {fv:.3} (tolerance {:.0}%)",
+            sc.check_tolerance * 100.0
+        )
+    })
 }
 
 fn mode(smoke: bool) -> &'static str {
@@ -633,30 +356,6 @@ fn mode(smoke: bool) -> &'static str {
     } else {
         "full"
     }
-}
-
-fn idx_min(xs: &[f64]) -> usize {
-    xs.iter()
-        .enumerate()
-        .min_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(i, _)| i)
-        .unwrap_or(0)
-}
-
-fn idx_max(xs: &[f64]) -> usize {
-    xs.iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(i, _)| i)
-        .unwrap_or(0)
-}
-
-/// The named time-series of a point, if present and non-empty.
-fn series_of<'a>(p: &'a PointMetrics, name: &str) -> Option<&'a [(f64, f64)]> {
-    p.timeseries
-        .iter()
-        .find(|ts| ts.name == name && !ts.points.is_empty())
-        .map(|ts| ts.points.as_slice())
 }
 
 /// Median spacing between consecutive series samples, µs. Median rather
@@ -689,136 +388,263 @@ fn mean_where(points: &[(f64, f64)], pred: impl Fn(f64) -> bool) -> Option<f64> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::SCHEMA_VERSION;
-    use crate::spec::{Case, Claims, Scenario, SimHost};
-    use zygos_sim::dist::ServiceDist;
+    use crate::report::{TraceSeries, SCHEMA_VERSION};
+    use crate::scenario_from_toml;
 
-    fn scenario() -> Scenario {
-        let claims = Claims {
-            admitted_p99_bound_us: Some(200.0),
-            uncontrolled_diverge_past_us: Some(200.0),
-            ..Claims::default()
-        };
-        Scenario::builder("chk")
-            .service(ServiceDist::exponential_us(10.0))
-            .loads(vec![1.2])
-            .case(Case::sim("static", SimHost::Zygos))
-            .case(
-                Case::sim("credits", SimHost::Zygos)
-                    .admission(AdmissionMode::ServerEdge)
-                    .credit_target_us(70.0),
-            )
-            .claims(claims)
-            .build()
-            .expect("valid")
+    /// `sim:zygos` cases `labels` over `loads`, then `rest` — further
+    /// TOML tables, here the `[[claim]]`s under test.
+    fn scenario_of(loads: &str, labels: &[&str], rest: &str) -> Scenario {
+        let case = |l: &&str| format!("[[case]]\nlabel = \"{l}\"\nhost = \"sim:zygos\"\n");
+        let cases: String = labels.iter().map(case).collect();
+        let head = "name = \"chk\"\n[workload]\nservice = \"exponential\"\nmean_us = 10.0";
+        scenario_from_toml(&format!("{head}\nloads = {loads}\n{cases}{rest}")).expect("valid")
     }
 
-    fn report(static_p99: f64, credits_p99: f64, shed: f64) -> Report {
-        let point = |p99: f64, shed: f64| PointMetrics {
-            load: 1.2,
-            p99_us: p99,
-            shed_fraction: shed,
-            mrps: 1.0,
-            avg_cores: 16.0,
+    fn scenario() -> Scenario {
+        let claims = "[[claim]]\nmetric = \"p99_us\"\ncases = [\"credits\"]\nop = \"<=\"\n\
+                      value = 200.0\nmin_load = 1.19\n\
+                      [[claim]]\nmetric = \"p99_us\"\ncases = [\"static\"]\nop = \">=\"\n\
+                      times = 2.0\nof = \"credits\"\n";
+        scenario_of("[1.2]", &["static", "credits"], claims)
+    }
+
+    /// One deterministic series per `(label, [(load, p99_us)])`.
+    fn p99_report(curves: &[(&str, &[(f64, f64)])]) -> Report {
+        let point = |&(load, p99_us): &(f64, f64)| PointMetrics {
+            load,
+            p99_us,
             ..PointMetrics::default()
+        };
+        let series = |(label, curve): &(&str, &[(f64, f64)])| Series {
+            label: label.to_string(),
+            host: "sim:zygos".into(),
+            deterministic: true,
+            points: curve.iter().map(point).collect(),
+            search: None,
+            tail: None,
         };
         Report {
             schema: SCHEMA_VERSION,
             scenario: "chk".into(),
             smoke: true,
-            series: vec![
-                Series {
-                    label: "static".into(),
-                    host: "sim:zygos".into(),
-                    deterministic: true,
-                    points: vec![point(static_p99, 0.0)],
-                    search: None,
-                    tail: None,
-                },
-                Series {
-                    label: "credits".into(),
-                    host: "sim:zygos".into(),
-                    deterministic: true,
-                    points: vec![point(credits_p99, shed)],
-                    search: None,
-                    tail: None,
-                },
-            ],
+            series: curves.iter().map(series).collect(),
+        }
+    }
+
+    fn report(static_p99: f64, credits_p99: f64, shed: f64) -> Report {
+        let (s, c) = ([(1.2, static_p99)], [(1.2, credits_p99)]);
+        let mut r = p99_report(&[("static", &s), ("credits", &c)]);
+        for s in &mut r.series {
+            s.points[0].mrps = 1.0;
+            s.points[0].avg_cores = 16.0;
+        }
+        r.series[1].points[0].shed_fraction = shed;
+        r
+    }
+
+    /// Asserts exactly one violation, naming every needle.
+    fn assert_one(errs: &[String], needles: &[&str]) {
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        for n in needles {
+            assert!(errs[0].contains(n), "{n:?} not in {:?}", errs[0]);
         }
     }
 
     #[test]
-    fn claims_pass_and_fail_as_expected() {
+    fn compare_claims_name_case_load_and_both_sides() {
         let sc = scenario();
         assert!(check_claims(&sc, &report(2_500.0, 90.0, 0.3)).is_empty());
-        let errs = check_claims(&sc, &report(2_500.0, 400.0, 0.3));
-        assert!(errs.iter().any(|e| e.contains("exceeds")), "{errs:?}");
-        let errs = check_claims(&sc, &report(150.0, 90.0, 0.3));
-        assert!(errs.iter().any(|e| e.contains("diverge")), "{errs:?}");
-        let errs = check_claims(&sc, &report(2_500.0, 90.0, 0.0));
-        assert!(errs.iter().any(|e| e.contains("must shed")), "{errs:?}");
+        assert_one(
+            &check_claims(&sc, &report(2_500.0, 400.0, 0.3)),
+            &[
+                "claim #1 {metric = \"p99_us\", cases = [\"credits\"], op = \"<=\", value = 200.0",
+                "[credits] load 1.20: p99_us 400.000 is not <= 200.000",
+            ],
+        );
+        let side = "p99_us 150.000 is not >= 2 x p99_us of [credits] 90.000 = 180.000";
+        assert_one(
+            &check_claims(&sc, &report(150.0, 90.0, 0.3)),
+            &["claim #2", "[static] load 1.20:", side],
+        );
+        // A renamed series is loud, not silently skipped.
+        let mut renamed = report(2_500.0, 90.0, 0.3);
+        renamed.series[1].label = "renamed".into();
+        let errs = check_claims(&sc, &renamed);
+        assert_eq!(errs.len(), 2, "both claims read it: {errs:?}");
+        assert!(errs[0].contains("\"credits\" is missing from the report"));
     }
 
     #[test]
-    fn staged_crossover_claim_reads_grid_extremes() {
-        use crate::spec::StagedCrossoverClaim;
-        use zygos_net::cost::CostModel;
-        use zygos_sysim::{CoreLayout, StagedConfig};
-        let plan = StagedConfig::paper_pipeline(&CostModel::zygos());
-        let mut sc = Scenario::builder("xover")
-            .service(ServiceDist::exponential_us(10.0))
-            .loads(vec![0.5, 0.8])
-            .stages(plan.stages.clone())
-            .case(Case::sim("unified", SimHost::Staged))
-            .case(Case::sim("split", SimHost::Staged).layout(CoreLayout::SplitNet { net_cores: 1 }))
-            .build()
-            .expect("valid");
-        sc.claims.staged_crossover = Some(StagedCrossoverClaim {
-            unified: "unified".into(),
-            split: "split".into(),
-            low_ratio: 1.0,
-            high_ratio: 1.1,
-        });
-        let mk = |label: &str, p99s: [f64; 2]| Series {
-            label: label.into(),
-            host: "sim:staged".into(),
-            deterministic: true,
-            points: p99s
-                .iter()
-                .zip([0.5, 0.8])
-                .map(|(&p99, load)| PointMetrics {
-                    load,
-                    p99_us: p99,
-                    ..PointMetrics::default()
-                })
-                .collect(),
-            search: None,
-            tail: None,
-        };
-        let report = |u: [f64; 2], s: [f64; 2]| Report {
-            schema: SCHEMA_VERSION,
-            scenario: "xover".into(),
-            smoke: true,
-            series: vec![mk("unified", u), mk("split", s)],
+    fn compare_claims_read_grid_extremes() {
+        let claims = "[[claim]]\nmetric = \"p99_us\"\ncases = [\"split\"]\nop = \">=\"\n\
+                      times = 1.0\nof = \"unified\"\nat = \"lowest\"\n\
+                      [[claim]]\nmetric = \"p99_us\"\ncases = [\"unified\"]\nop = \">=\"\n\
+                      times = 1.1\nof = \"split\"\nat = \"highest\"\n";
+        let sc = scenario_of("[0.5, 0.8]", &["unified", "split"], claims);
+        let report = |u: [f64; 2], s: [f64; 2]| {
+            let (u, s) = ([(0.5, u[0]), (0.8, u[1])], [(0.5, s[0]), (0.8, s[1])]);
+            p99_report(&[("unified", &u), ("split", &s)])
         };
         // Unified wins low, loses high by >1.1x: the claimed crossover.
         assert!(check_claims(&sc, &report([200.0, 550.0], [210.0, 450.0])).is_empty());
-        // Split beats unified at low load: pooling claim fires.
-        let errs = check_claims(&sc, &report([200.0, 550.0], [180.0, 450.0]));
-        assert!(errs.iter().any(|e| e.contains("light tail")), "{errs:?}");
-        // No high-load gap: crossover claim fires.
-        let errs = check_claims(&sc, &report([200.0, 460.0], [210.0, 450.0]));
-        assert!(errs.iter().any(|e| e.contains("crossover")), "{errs:?}");
-        // A renamed series is loud, not silently skipped.
-        let mut r = report([200.0, 550.0], [210.0, 450.0]);
-        r.series[1].label = "renamed".into();
-        let errs = check_claims(&sc, &r);
-        assert!(errs.iter().any(|e| e.contains("missing")), "{errs:?}");
+        // Split beats unified at the lowest load only: claim #1 fires there.
+        assert_one(
+            &check_claims(&sc, &report([200.0, 550.0], [180.0, 450.0])),
+            &[
+                "at = \"lowest\"",
+                "[split] load 0.50: p99_us 180.000",
+                "[unified] 200.000",
+            ],
+        );
+        // No gap at the highest load: claim #2 fires there.
+        assert_one(
+            &check_claims(&sc, &report([200.0, 460.0], [210.0, 450.0])),
+            &[
+                "at = \"highest\"",
+                "[unified] load 0.80: p99_us 460.000",
+                "= 495.000",
+            ],
+        );
+    }
+
+    #[test]
+    fn recovers_claims_measure_the_closed_gap() {
+        let claim = "[[claim]]\nrecovers = [\"base\", \"worse\", \"fixed\"]\nmetric = \"p99_us\"\n\
+                     fraction = 0.5\n";
+        let sc = scenario_of("[0.5]", &["base", "worse", "fixed"], claim);
+        let report = |fixed: f64| {
+            let (b, w, f) = ([(0.5, 100.0)], [(0.5, 300.0)], [(0.5, fixed)]);
+            p99_report(&[("base", &b), ("worse", &w), ("fixed", &f)])
+        };
+        // 150 of the 200us gap closed; then only 50.
+        assert!(check_claims(&sc, &report(150.0)).is_empty());
+        assert_one(
+            &check_claims(&sc, &report(250.0)),
+            &[
+                "recovers = [\"base\", \"worse\", \"fixed\"]",
+                "[fixed] load 0.50: p99_us recovery ([worse] 300.000 - 250.000) = 50.000 is not >= \
+                 0.5 x the gap (300.000 - [base] 100.000) = 100.000",
+            ],
+        );
+    }
+
+    #[test]
+    fn settles_claims_compare_post_deadline_to_pre_burst() {
+        // Burst over [1000, 2000)us; samples every 200us, so two windows
+        // put the settling deadline at 2400us.
+        let rest = "[faults]\nburst = [1000.0, 1000.0, 2.0]\n\
+                    [telemetry]\ntrace = false\nseries = [\"window_p99_us\"]\n\
+                    [[claim]]\nseries = \"window_p99_us\"\ncase = \"gated\"\nsettle_windows = 2\n\
+                    op = \"<=\"\nvalue = 1.5\n";
+        let sc = scenario_of("[0.5]", &["gated"], rest);
+        let bare = || p99_report(&[("gated", &[(0.5, 80.0)])]);
+        let report = |settled: f64| {
+            let level = |t: f64| match t {
+                t if t < 1_000.0 => 50.0,
+                t if t < 2_400.0 => 900.0,
+                _ => settled,
+            };
+            let times = (0..20).map(|i| i as f64 * 200.0);
+            let mut r = bare();
+            r.series[0].points[0].timeseries = vec![TraceSeries {
+                name: "window_p99_us".into(),
+                points: times.map(|t| (t, level(t))).collect(),
+            }];
+            r
+        };
+        assert!(check_claims(&sc, &report(60.0)).is_empty());
+        assert_one(
+            &check_claims(&sc, &report(200.0)),
+            &[
+                "series = \"window_p99_us\", case = \"gated\", settle_windows = 2",
+                "[gated] load 0.50: window_p99_us mean past the 2400us settling deadline 200.000 \
+                 is not <= 1.5 x the pre-burst mean 50.000 = 75.000",
+            ],
+        );
+        // A point without the series is loud.
+        let needle = "[gated] load 0.50: the point has no window_p99_us series";
+        assert_one(&check_claims(&sc, &bare()), &[needle]);
+    }
+
+    /// The committed `(scenario, baseline report)` pairs under `scenarios/`.
+    fn committed() -> Vec<(Scenario, Report)> {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+        let mut out = Vec::new();
+        for entry in std::fs::read_dir(&dir).expect("scenarios/") {
+            let path = entry.expect("entry").path();
+            if path.extension().is_some_and(|e| e == "toml") {
+                let text = std::fs::read_to_string(&path).expect("reads");
+                let sc = scenario_from_toml(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+                let json = dir.join("baselines").join(format!("{}.json", sc.name));
+                let json = std::fs::read_to_string(json).expect("baseline");
+                out.push((sc, Report::from_json(&json).expect("parses")));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_committed_claim_holds_and_can_fail() {
+        // Non-vacuity: against its committed baseline each claim passes,
+        // and with its comparator negated it yields a violation — so no
+        // claim is satisfied merely by comparing nothing.
+        let negated = |op: Op| match op {
+            Op::Lt => Op::Ge,
+            Op::Le => Op::Gt,
+            Op::Gt => Op::Le,
+            Op::Ge => Op::Lt,
+        };
+        let mut claims = 0;
+        for (sc, baseline) in committed() {
+            assert!(check_claims(&sc, &baseline).is_empty(), "{}", sc.name);
+            for claim in &sc.claims {
+                let found = comparisons(claim, &sc, &baseline)
+                    .unwrap_or_else(|e| panic!("{} {{{claim}}}: {e}", sc.name));
+                assert!(
+                    found.iter().any(|c| !negated(c.op).holds(c.lhs, c.rhs)),
+                    "{} {{{claim}}} cannot fail",
+                    sc.name
+                );
+                claims += 1;
+            }
+        }
+        assert!(claims >= 21, "every ported claim is exercised: {claims}");
+    }
+
+    #[test]
+    fn baselines_grow_additively() {
+        let (sc, fresh) = committed()
+            .into_iter()
+            .find(|(sc, _)| sc.name == "retry-storm")
+            .expect("committed");
+        let json = fresh.to_json();
+        assert!(fresh.series[0].points[0].goodput > 0.0, "worth comparing");
+        // An older baseline that predates `goodput`: the key is absent
+        // from every point, so the value parses as absent and is skipped.
+        let mut older = String::new();
+        for (i, piece) in json.split("\"goodput\": ").enumerate() {
+            older += if i == 0 {
+                piece
+            } else {
+                piece.split_once(", ").expect("more keys").1
+            };
+        }
+        let older = Report::from_json(&older).expect("a missing scalar is not an error");
+        assert!(older.series[0].points[0].goodput.is_nan());
+        assert!(check_baseline(&sc, &fresh, &older).is_empty());
+        // A newer baseline with a key this binary does not know.
+        let newer = json.replace("\"load\": ", "\"p9999_us\": 1.5, \"load\": ");
+        let newer = Report::from_json(&newer).expect("unknown keys are ignored");
+        assert_eq!(newer, fresh);
+        // Real drift still fails.
+        let mut drifted = fresh.clone();
+        drifted.series[0].points[0].p99_us *= 3.0;
+        let errs = check_baseline(&sc, &fresh, &drifted);
+        assert_one(&errs, &["[backoff] load 0.80: p99_us drifted"]);
     }
 
     #[test]
     fn telemetry_pins_catch_bad_decomposition_and_missing_series() {
-        use crate::report::TraceSeries;
         use crate::spec::TelemetrySpec;
         use zygos_sysim::SeriesKind;
         let mut sc = scenario();

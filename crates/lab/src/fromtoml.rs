@@ -26,8 +26,12 @@
 //! admission_mode = "server-edge"
 //! credit_target_us = 70.0
 //!
-//! [claims]
-//! admitted_p99_bound_us = 200.0
+//! [[claim]]
+//! metric = "p99_us"
+//! cases = ["ZygOS (credits)"]
+//! op = "<="
+//! value = 200.0
+//! min_load = 1.19
 //! ```
 //!
 //! Every key is checked: unknown keys, wrong types, and contradictory
@@ -55,9 +59,8 @@ use zygos_sysim::{CoreLayout, QueueDiscipline, StageSpec};
 use zygos_load::retry::RetryPolicy;
 
 use crate::spec::{
-    Case, Claims, FaultsSpec, FleetGapClaim, FleetSpec, HostSpec, MetastableRecoveryClaim,
-    RetryStormClaim, ScatterGatherClaim, Scenario, SearchSpec, SpecError, StagedCrossoverClaim,
-    TailSpec, TelemetrySpec,
+    Case, Claim, Compare, FaultsSpec, FleetSpec, HostSpec, Op, Recovers, Rhs, Scenario, SearchSpec,
+    Select, Settles, SpecError, TailSpec, TelemetrySpec,
 };
 use crate::toml::{self, Table, Value};
 
@@ -68,21 +71,13 @@ pub fn scenario_from_toml(text: &str) -> Result<Scenario, SpecError> {
     for table in doc.tables.keys() {
         if !matches!(
             table.as_str(),
-            "workload"
-                | "scale"
-                | "fleet"
-                | "faults"
-                | "telemetry"
-                | "search"
-                | "tail"
-                | "claims"
-                | "check"
+            "workload" | "scale" | "fleet" | "faults" | "telemetry" | "search" | "tail" | "check"
         ) {
             return Err(SpecError::new(format!("unknown table [{table}]")));
         }
     }
     for array in doc.arrays.keys() {
-        if !matches!(array.as_str(), "case" | "stages") {
+        if !matches!(array.as_str(), "case" | "stages" | "claim") {
             return Err(SpecError::new(format!("unknown array [[{array}]]")));
         }
     }
@@ -219,8 +214,8 @@ pub fn scenario_from_toml(text: &str) -> Result<Scenario, SpecError> {
     if let Some(t) = doc.tables.get("tail") {
         b = b.tail(parse_tail(t)?);
     }
-    if let Some(c) = doc.tables.get("claims") {
-        b = b.claims(parse_claims(c)?);
+    for (i, t) in doc.arrays.get("claim").into_iter().flatten().enumerate() {
+        b = b.claim(parse_claim(t, i)?);
     }
     if let Some(c) = doc.tables.get("check") {
         check_keys("[check]", c, &["tolerance"])?;
@@ -752,168 +747,97 @@ fn parse_tail(t: &Table) -> Result<TailSpec, SpecError> {
     Ok(spec)
 }
 
-fn parse_claims(c: &Table) -> Result<Claims, SpecError> {
+/// `[[claim]]`: one of three forms, told apart by their lead key —
+/// `recovers = [base, worse, fixed]` (+ `metric`, `fraction`), `series`
+/// (+ `case`, `settle_windows`, `op`, `value`), else a compare (`metric`,
+/// `cases`, `op`, then `value` or `times` [`of`, `of_metric`], then
+/// `min_load`/`max_load` or `at`).
+fn parse_claim(t: &Table, index: usize) -> Result<Claim, SpecError> {
+    let ctx = format!("[[claim]] #{}", index + 1);
+    let err = |msg: &str| SpecError::new(format!("{ctx}: {msg}"));
+    let opt_str = |key: &str| t.get(key).map(|v| str_of(v, key)).transpose();
+    let req_num = |key: &str| opt_num(t, key, &ctx)?.ok_or_else(|| err(&format!("missing {key}")));
+    let op = || {
+        let s = req_str(t, "op", &ctx)?;
+        Op::parse(&s).ok_or_else(|| err(&format!("unknown op {s:?} (<, <=, >, >=)")))
+    };
+    let labels = |key: &str| -> Result<Vec<String>, SpecError> {
+        let items = t.get(key).and_then(Value::as_arr);
+        items
+            .and_then(|a| a.iter().map(|x| x.as_str().map(str::to_string)).collect())
+            .ok_or_else(|| err(&format!("{key} must be an array of case labels")))
+    };
+    if t.contains_key("recovers") {
+        check_keys(&ctx, t, &["recovers", "metric", "fraction"])?;
+        let Ok([base, worse, fixed]) = <[String; 3]>::try_from(labels("recovers")?) else {
+            return Err(err("recovers must be [base, worse, fixed]"));
+        };
+        return Ok(Claim::Recovers(Recovers {
+            metric: req_str(t, "metric", &ctx)?,
+            base,
+            worse,
+            fixed,
+            fraction: req_num("fraction")?,
+        }));
+    }
+    if t.contains_key("series") {
+        check_keys(
+            &ctx,
+            t,
+            &["series", "case", "settle_windows", "op", "value"],
+        )?;
+        return Ok(Claim::Settles(Settles {
+            series: req_str(t, "series", &ctx)?,
+            case: req_str(t, "case", &ctx)?,
+            settle_windows: as_count(req_num("settle_windows")?, "settle_windows")?,
+            op: op()?,
+            value: req_num("value")?,
+        }));
+    }
     check_keys(
-        "[claims]",
-        c,
+        &ctx,
+        t,
         &[
-            "overload_from",
-            "admitted_p99_bound_us",
-            "uncontrolled_diverge_past_us",
-            "client_waste_below_server",
-            "loose_sheds_first",
-            "loose_floor_max_shed_rate",
-            "elastic_parks_below_load",
-            "fleet_tail_gap",
-            "staged_crossover",
-            "retry_storm",
-            "metastable_recovery",
-            "scatter_gather",
+            "metric",
+            "cases",
+            "op",
+            "value",
+            "times",
+            "of",
+            "of_metric",
+            "min_load",
+            "max_load",
+            "at",
         ],
     )?;
-    let mut claims = Claims::default();
-    if let Some(v) = opt_num(c, "overload_from", "[claims]")? {
-        claims.overload_from = v;
-    }
-    claims.admitted_p99_bound_us = opt_num(c, "admitted_p99_bound_us", "[claims]")?;
-    claims.uncontrolled_diverge_past_us = opt_num(c, "uncontrolled_diverge_past_us", "[claims]")?;
-    claims.loose_floor_max_shed_rate = opt_num(c, "loose_floor_max_shed_rate", "[claims]")?;
-    claims.elastic_parks_below_load = opt_num(c, "elastic_parks_below_load", "[claims]")?;
-    for (key, slot) in [
-        (
-            "client_waste_below_server",
-            &mut claims.client_waste_below_server,
-        ),
-        ("loose_sheds_first", &mut claims.loose_sheds_first),
-    ] {
-        if let Some(v) = c.get(key) {
-            *slot = v
-                .as_bool()
-                .ok_or_else(|| SpecError::new(format!("[claims] {key} must be bool")))?;
+    let (of, of_metric) = (opt_str("of")?, opt_str("of_metric")?);
+    let rhs = match (opt_num(t, "value", &ctx)?, opt_num(t, "times", &ctx)?) {
+        (Some(v), None) if of.is_none() && of_metric.is_none() => Rhs::Value(v),
+        (Some(_), None) => return Err(err("of/of_metric belong to `times`, not `value`")),
+        (None, Some(times)) => Rhs::Times {
+            times,
+            of,
+            of_metric,
+        },
+        _ => return Err(err("a compare claim takes exactly one of value / times")),
+    };
+    let (min_load, max_load) = (opt_num(t, "min_load", &ctx)?, opt_num(t, "max_load", &ctx)?);
+    let select = match opt_str("at")?.as_deref() {
+        None => Select::Window { min_load, max_load },
+        Some(_) if min_load.is_some() || max_load.is_some() => {
+            return Err(err("pick one of `at` / min_load, max_load"))
         }
-    }
-    if let Some(v) = c.get("fleet_tail_gap") {
-        let items = v.as_arr().filter(|a| a.len() == 5).ok_or_else(|| {
-            SpecError::new(
-                "[claims] fleet_tail_gap must be \
-                 [healthy, degraded, recovered, min_ratio, min_recovery]",
-            )
-        })?;
-        let label = |i: usize, what: &str| {
-            items[i]
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| SpecError::new(format!("fleet_tail_gap {what} must be a label")))
-        };
-        let num = |i: usize, what: &str| {
-            items[i]
-                .as_num()
-                .ok_or_else(|| SpecError::new(format!("fleet_tail_gap {what} must be a number")))
-        };
-        claims.fleet_tail_gap = Some(FleetGapClaim {
-            healthy: label(0, "healthy")?,
-            degraded: label(1, "degraded")?,
-            recovered: label(2, "recovered")?,
-            min_ratio: num(3, "min_ratio")?,
-            min_recovery: num(4, "min_recovery")?,
-        });
-    }
-    if let Some(v) = c.get("staged_crossover") {
-        let items = v.as_arr().filter(|a| a.len() == 4).ok_or_else(|| {
-            SpecError::new(
-                "[claims] staged_crossover must be \
-                 [unified, split, low_ratio, high_ratio]",
-            )
-        })?;
-        let label = |i: usize, what: &str| {
-            items[i]
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| SpecError::new(format!("staged_crossover {what} must be a label")))
-        };
-        let num = |i: usize, what: &str| {
-            items[i]
-                .as_num()
-                .ok_or_else(|| SpecError::new(format!("staged_crossover {what} must be a number")))
-        };
-        claims.staged_crossover = Some(StagedCrossoverClaim {
-            unified: label(0, "unified")?,
-            split: label(1, "split")?,
-            low_ratio: num(2, "low_ratio")?,
-            high_ratio: num(3, "high_ratio")?,
-        });
-    }
-    if let Some(v) = c.get("retry_storm") {
-        let items = v.as_arr().filter(|a| a.len() == 5).ok_or_else(|| {
-            SpecError::new(
-                "[claims] retry_storm must be \
-                 [backoff, drop, naive, bound_us, min_goodput_ratio]",
-            )
-        })?;
-        let label = |i: usize, what: &str| {
-            items[i]
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| SpecError::new(format!("retry_storm {what} must be a label")))
-        };
-        let num = |i: usize, what: &str| {
-            items[i]
-                .as_num()
-                .ok_or_else(|| SpecError::new(format!("retry_storm {what} must be a number")))
-        };
-        claims.retry_storm = Some(RetryStormClaim {
-            backoff: label(0, "backoff")?,
-            drop: label(1, "drop")?,
-            naive: label(2, "naive")?,
-            bound_us: num(3, "bound_us")?,
-            min_goodput_ratio: num(4, "min_goodput_ratio")?,
-        });
-    }
-    if let Some(v) = c.get("metastable_recovery") {
-        let items = v.as_arr().filter(|a| a.len() == 3).ok_or_else(|| {
-            SpecError::new("[claims] metastable_recovery must be [gated, ungated, windows]")
-        })?;
-        let label = |i: usize, what: &str| {
-            items[i].as_str().map(str::to_string).ok_or_else(|| {
-                SpecError::new(format!("metastable_recovery {what} must be a label"))
-            })
-        };
-        let windows = items[2]
-            .as_num()
-            .ok_or_else(|| SpecError::new("metastable_recovery windows must be a number"))?;
-        claims.metastable_recovery = Some(MetastableRecoveryClaim {
-            gated: label(0, "gated")?,
-            ungated: label(1, "ungated")?,
-            windows: as_count(windows, "metastable_recovery windows")?,
-        });
-    }
-    if let Some(v) = c.get("scatter_gather") {
-        let items = v.as_arr().filter(|a| a.len() == 5).ok_or_else(|| {
-            SpecError::new(
-                "[claims] scatter_gather must be \
-                 [base, fanned, recovered, min_amplification, min_recovery]",
-            )
-        })?;
-        let label = |i: usize, what: &str| {
-            items[i]
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| SpecError::new(format!("scatter_gather {what} must be a label")))
-        };
-        let num = |i: usize, what: &str| {
-            items[i]
-                .as_num()
-                .ok_or_else(|| SpecError::new(format!("scatter_gather {what} must be a number")))
-        };
-        claims.scatter_gather = Some(ScatterGatherClaim {
-            base: label(0, "base")?,
-            fanned: label(1, "fanned")?,
-            recovered: label(2, "recovered")?,
-            min_amplification: num(3, "min_amplification")?,
-            min_recovery: num(4, "min_recovery")?,
-        });
-    }
-    Ok(claims)
+        Some("lowest") => Select::Lowest,
+        Some("highest") => Select::Highest,
+        Some(other) => return Err(err(&format!("unknown at {other:?} (lowest, highest)"))),
+    };
+    Ok(Claim::Compare(Compare {
+        metric: req_str(t, "metric", &ctx)?,
+        cases: labels("cases")?,
+        op: op()?,
+        rhs,
+        select,
+    }))
 }
 
 /// `[faults]`: scenario-wide adversarial injections — `burst`
@@ -1200,8 +1124,6 @@ label = "split"
 host = "sim:staged"
 layout = "split-net"
 net_cores = 1
-[claims]
-staged_crossover = ["unified", "split", 1.0, 1.1]
 "#;
         let s = scenario_from_toml(text).expect("valid");
         let stages = s.stages.as_ref().expect("parsed");
@@ -1218,9 +1140,6 @@ staged_crossover = ["unified", "split", 1.0, 1.1]
             split.policy.layout,
             Some(CoreLayout::SplitNet { net_cores: 1 })
         );
-        let claim = s.claims.staged_crossover.as_ref().expect("armed");
-        assert_eq!(claim.unified, "unified");
-        assert_eq!(claim.high_ratio, 1.1);
         // Contradictions stay loud: core counts without a layout, counts
         // of the wrong layout, unknown discipline names.
         let e = scenario_from_toml(
@@ -1273,9 +1192,6 @@ label = "naive"
 host = "sim:zygos"
 retry = ["backoff", 1, 1.0, 8]
 retry_timeout_us = 400.0
-[claims]
-retry_storm = ["backoff", "drop", "naive", 400.0, 0.8]
-metastable_recovery = ["backoff", "naive", 4]
 "#;
         let s = scenario_from_toml(text).expect("valid");
         let faults = s.faults.as_ref().expect("armed");
@@ -1299,13 +1215,6 @@ metastable_recovery = ["backoff", "naive", 4]
             s.case("naive").unwrap().policy.retry_timeout_us,
             Some(400.0)
         );
-        let storm = s.claims.retry_storm.as_ref().expect("armed");
-        assert_eq!(storm.naive, "naive");
-        assert_eq!(storm.bound_us, 400.0);
-        assert_eq!(storm.min_goodput_ratio, 0.8);
-        let meta = s.claims.metastable_recovery.as_ref().expect("armed");
-        assert_eq!(meta.gated, "backoff");
-        assert_eq!(meta.windows, 4);
         // Unknown policy spellings and malformed shapes stay loud.
         let e = scenario_from_toml(&text.replace("\"drop\"", "\"shrug\"")).expect_err("reject");
         assert!(e.to_string().contains("shrug"), "{e}");
@@ -1344,19 +1253,125 @@ label = "m4r"
 host = "fleet:zygos"
 routing = "po2c"
 fanout = 4
-[claims]
-scatter_gather = ["m1", "m4", "m4r", 1.2, 0.3]
 "#;
         let s = scenario_from_toml(text).expect("valid");
         assert_eq!(s.case("m1").unwrap().policy.fanout, None);
         assert_eq!(s.case("m4").unwrap().policy.fanout, Some(4));
-        let sg = s.claims.scatter_gather.as_ref().expect("armed");
-        assert_eq!(sg.recovered, "m4r");
-        assert_eq!(sg.min_amplification, 1.2);
-        assert_eq!(sg.min_recovery, 0.3);
-        let e = scenario_from_toml(&text.replace("fanout = 4\n[claims]", "fanout = 9\n[claims]"))
+        let e = scenario_from_toml(&text.replace("po2c\"\nfanout = 4", "po2c\"\nfanout = 9"))
             .expect_err("reject");
         assert!(e.to_string().contains("exceeds"), "{e}");
+    }
+
+    #[test]
+    fn claim_tables_parse_print_and_validate() {
+        // Cases a (sim:zygos), b (sim:ix), c (sim:zygos) over loads
+        // [0.3, 1.4] (smoke [0.3, 0.6]) with a burst and one harvested
+        // series; `claim` is spliced in as the scenario's only [[claim]].
+        let text = |claim: &str| {
+            let grids = "loads = [0.3, 1.4]\n[scale]\nsmoke_loads = [0.3, 0.6]";
+            let base = MINIMAL
+                .replace("loads = [0.3, 0.6]", grids)
+                .replace("label = \"ZygOS\"", "label = \"a\"");
+            let more = "[[case]]\nlabel = \"b\"\nhost = \"sim:ix\"\n[[case]]\nlabel = \"c\"\n\
+                        host = \"sim:zygos\"\n[faults]\nburst = [2000.0, 1000.0, 1.5]\n[telemetry]\n\
+                        trace = false\nseries = [\"window_p99_us\"]\n[[claim]]\n";
+            format!("{base}{more}{claim}")
+        };
+        let compare = "metric = \"p99_us\"\ncases = [\"a\"]\nop = \"<=\"\nvalue = 90.0";
+        let settles = "series = \"window_p99_us\"\ncase = \"a\"\nsettle_windows = 4\nop = \"<\"\n\
+                       value = 1.5";
+        // One of each form parses, and prints its keys as written.
+        for claim in [
+            compare,
+            "metric = \"goodput\"\ncases = [\"a\", \"c\"]\nop = \">=\"\ntimes = 0.8\nof = \"b\"\n\
+             min_load = 0.2\nmax_load = 0.5",
+            "metric = \"shed_share_by_class.1\"\ncases = [\"a\"]\nop = \">\"\ntimes = 1.0\n\
+             of_metric = \"shed_share_by_class.0\"\nat = \"highest\"",
+            "recovers = [\"a\", \"b\", \"c\"]\nmetric = \"p99_us\"\nfraction = 0.5",
+            settles,
+        ] {
+            let sc = scenario_from_toml(&text(claim)).unwrap_or_else(|e| panic!("{claim}: {e}"));
+            assert_eq!(sc.claims[0].to_string(), claim.replace('\n', ", "));
+        }
+        // Each row edits one claim (`from => to`) into a rejection.
+        let rejects = |claim: &str, rows: &[(&str, &str)]| {
+            for (edit, needle) in rows {
+                let (from, to) = edit.split_once(" => ").expect("from => to");
+                let e = scenario_from_toml(&text(&claim.replace(from, to))).expect_err(needle);
+                assert!(e.to_string().contains(needle), "{edit}: {e}");
+            }
+        };
+        let malformed = [
+            ("\"<=\" => \"=<\"", "unknown op"),
+            (
+                "value = 90.0 => value = 90.0\ntimes = 2.0",
+                "exactly one of",
+            ),
+            (
+                "value = 90.0 => value = 90.0\nof = \"b\"",
+                "belong to `times`",
+            ),
+            (
+                "value = 90.0 => value = 9.0\nat = \"lowest\"\nmin_load = 0.3",
+                "pick one",
+            ),
+            (
+                "value = 90.0 => value = 90.0\nat = \"median\"",
+                "unknown at",
+            ),
+            (
+                "value = 90.0 => value = 90.0\nfraction = 0.5",
+                "unknown key",
+            ),
+            ("[\"a\"] => \"a\"", "array of case labels"),
+        ];
+        rejects(compare, &malformed);
+        // The generic build-time rules.
+        let unbacked = [
+            ("p99_us => p98_us", "unknown metric \"p98_us\""),
+            ("p99_us => shed_share.1", "unknown metric"),
+            ("[\"a\"] => [\"a\", \"z\"]", "unknown case \"z\""),
+            ("[\"a\"] => [\"a\", \"a\"]", "named twice"),
+            ("value = 90.0 => times = 2.0\nof = \"a\"", "named twice"),
+            ("value = 90.0 => times = 2.0", "`times` needs"),
+            ("value = 90.0 => value = 1e999", "finite"),
+            ("[\"a\"] => []", "`cases` is empty"),
+            // Overload claims need overload points — in the smoke grid too.
+            (
+                "value = 90.0 => value = 9.0\nmin_load = 1.19",
+                "no point of the smoke grid",
+            ),
+            (
+                "value = 90.0 => value = 9.0\nmin_load = 1.5",
+                "no point of the full grid",
+            ),
+        ];
+        rejects(compare, &unbacked);
+        let unsettled = [
+            (
+                "window_p99_us => credit_capacity",
+                "not listed in [telemetry]",
+            ),
+            (
+                "case = \"a\" => case = \"b\"",
+                "ZygOS-family simulator host",
+            ),
+        ];
+        rejects(settles, &unsettled);
+        // An extreme needs two loads to be extreme among; a settles claim
+        // needs a burst to settle after.
+        let one_load = text(&format!("{compare}\nat = \"highest\"")).replace(", 0.6]", "]");
+        let e = scenario_from_toml(&one_load).expect_err("one smoke load");
+        assert!(e.to_string().contains("two distinct loads"), "{e}");
+        let no_burst = text(settles).replace("[faults]\nburst = [2000.0, 1000.0, 1.5]\n", "");
+        let e = scenario_from_toml(&no_burst).expect_err("no burst");
+        assert!(e.to_string().contains("[faults] burst"), "{e}");
+        // The retired table is an unknown table, not a silent no-op.
+        let e = scenario_from_toml(&text(compare).replace("[[claim]]", "[claims]"));
+        assert!(e
+            .expect_err("retired")
+            .to_string()
+            .contains("unknown table [claims]"));
     }
 
     #[test]
@@ -1393,11 +1408,6 @@ host = "sim:zygos"
 admission = true
 admission_mode = "server-edge"
 slo_classes = [["interactive", 100.0], ["batch", 1000.0]]
-[claims]
-overload_from = 1.19
-loose_sheds_first = true
-loose_floor_max_shed_rate = 0.95
-elastic_parks_below_load = 0.31
 [check]
 tolerance = 0.4
 "#,
@@ -1406,7 +1416,6 @@ tolerance = 0.4
         assert_eq!(s.cases.len(), 2);
         assert!(matches!(s.workload.arrivals, ArrivalSpec::Trace(_)));
         assert_eq!(s.scale.seed, 7);
-        assert!(s.claims.loose_sheds_first);
         assert_eq!(s.check_tolerance, 0.4);
         let tenants = s.case("tenants").expect("present");
         assert_eq!(

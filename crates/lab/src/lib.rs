@@ -21,7 +21,7 @@
 //!   reuse the `zygos-sched` policy plane types, and the builder rejects
 //!   contradictory specs instead of letting a host silently ignore them;
 //! * **one regression gate** — `lab run scenarios/*.toml --smoke
-//!   --check` evaluates each scenario's [`spec::Claims`] and diffs its
+//!   --check` evaluates each scenario's [`spec::Claim`]s and diffs its
 //!   report against a committed baseline, so *adding a scenario file
 //!   adds a CI gate*.
 //!
@@ -64,7 +64,7 @@ pub use runner::{
     runtime_config_for, sys_config_for, xy,
 };
 pub use spec::{
-    staged_plan, AdmissionSpec, Case, Claims, FleetGapClaim, FleetSpec, HostSpec, LiveHost,
-    PolicySpec, ScaleSpec, Scenario, ScenarioBuilder, SearchSpec, SimHost, SpecError,
-    StagedCrossoverClaim, TailSpec, TelemetrySpec, WorkloadSpec,
+    staged_plan, AdmissionSpec, Case, Claim, Compare, FleetSpec, HostSpec, LiveHost, Op,
+    PolicySpec, Recovers, Rhs, ScaleSpec, Scenario, ScenarioBuilder, SearchSpec, Select, Settles,
+    SimHost, SpecError, TailSpec, TelemetrySpec, WorkloadSpec,
 };

@@ -88,6 +88,99 @@ pub struct TraceSeries {
     pub points: Vec<(f64, f64)>,
 }
 
+/// How [`crate::check_baseline`] compares one scalar between a fresh
+/// report and its baseline.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Drift {
+    /// Not a headline metric: never compared.
+    Free,
+    /// Relative drift within the scenario's tolerance; the absolute floor
+    /// keeps near-zero values from producing infinite ratios.
+    Within(f64),
+    /// Only the sign class (zero vs positive) must match.
+    Sign,
+}
+
+/// One typed field of [`PointMetrics`] under its JSON key — which is also
+/// the name a `[[claim]]` reads it by.
+pub(crate) struct Field<T: 'static> {
+    pub(crate) name: &'static str,
+    pub(crate) get: fn(&PointMetrics) -> &T,
+    set: fn(&mut PointMetrics, T),
+}
+
+macro_rules! field {
+    ($field:ident) => {
+        Field {
+            name: stringify!($field),
+            get: |p| &p.$field,
+            set: |p, v| p.$field = v,
+        }
+    };
+}
+
+/// **The** metric table: every scalar of [`PointMetrics`] in JSON key
+/// order, with its baseline-diff rule (the non-`Free` entries are the
+/// headline set). [`Report::to_json`], [`Report::from_json`], the claim
+/// evaluator and the baseline diff all iterate this list, so a new scalar
+/// is one struct field plus one line here — and old baselines, which lack
+/// it, still parse (see [`Report::from_json`]).
+pub(crate) const SCALARS: &[(Field<f64>, Drift)] = &[
+    (field!(load), Drift::Free),
+    (field!(mrps), Drift::Within(0.01)),
+    (field!(p50_us), Drift::Free),
+    (field!(p99_us), Drift::Within(5.0)),
+    (field!(p999_us), Drift::Free),
+    (field!(steal_fraction), Drift::Free),
+    (field!(ipis_per_req), Drift::Free),
+    (field!(preemptions_per_req), Drift::Free),
+    (field!(avg_cores), Drift::Within(2.0)),
+    (field!(core_seconds), Drift::Free),
+    (field!(shed_fraction), Drift::Within(0.1)),
+    (field!(wasted_wire_us), Drift::Sign),
+    (field!(retry_rate), Drift::Within(0.1)),
+    (field!(give_up_rate), Drift::Free),
+    (field!(goodput), Drift::Within(0.1)),
+    (field!(p99_queue_us), Drift::Free),
+    (field!(p99_service_us), Drift::Free),
+    (field!(p99_steal_us), Drift::Free),
+    (field!(p99_preempt_us), Drift::Free),
+];
+
+/// The vector metrics, in JSON key order (after the scalars); claims
+/// read element `N` as `name.N`.
+const VECTORS: &[Field<Vec<f64>>] = &[
+    field!(shed_share_by_class),
+    field!(shed_rate_by_class),
+    field!(stage_p99_wait_us),
+];
+
+/// True when `name` is a metric a claim may read.
+pub(crate) fn metric_exists(name: &str) -> bool {
+    SCALARS.iter().any(|(m, _)| m.name == name) || vector_elem(name).is_some()
+}
+
+fn vector_elem(name: &str) -> Option<(&'static Field<Vec<f64>>, usize)> {
+    let (vec, idx) = name.rsplit_once('.')?;
+    let v = VECTORS.iter().find(|v| v.name == vec)?;
+    Some((v, idx.parse().ok()?))
+}
+
+impl PointMetrics {
+    /// The metric called `name` — a scalar field's name, or `vector.N`
+    /// for element `N` of a per-class / per-stage vector (e.g.
+    /// `shed_share_by_class.1`). `None` for an unknown name or an index
+    /// this point's vector does not reach (live hosts report no per-class
+    /// vectors).
+    pub fn metric(&self, name: &str) -> Option<f64> {
+        if let Some((m, _)) = SCALARS.iter().find(|(m, _)| m.name == name) {
+            return Some(*(m.get)(self));
+        }
+        let (v, idx) = vector_elem(name)?;
+        (v.get)(self).get(idx).copied()
+    }
+}
+
 /// The outcome of a `[search]` block for one case: the paper's
 /// "maximum load @ SLO" metric plus the probe accounting that pins the
 /// checkpoint-prefix-reuse win (`cold_probes` stays 1 for warmable
@@ -202,39 +295,13 @@ impl Report {
             out.push_str("      \"points\": [\n");
             for (j, p) in s.points.iter().enumerate() {
                 out.push_str("        {");
-                let fields = [
-                    ("load", p.load),
-                    ("mrps", p.mrps),
-                    ("p50_us", p.p50_us),
-                    ("p99_us", p.p99_us),
-                    ("p999_us", p.p999_us),
-                    ("steal_fraction", p.steal_fraction),
-                    ("ipis_per_req", p.ipis_per_req),
-                    ("preemptions_per_req", p.preemptions_per_req),
-                    ("avg_cores", p.avg_cores),
-                    ("core_seconds", p.core_seconds),
-                    ("shed_fraction", p.shed_fraction),
-                    ("wasted_wire_us", p.wasted_wire_us),
-                    ("retry_rate", p.retry_rate),
-                    ("give_up_rate", p.give_up_rate),
-                    ("goodput", p.goodput),
-                    ("p99_queue_us", p.p99_queue_us),
-                    ("p99_service_us", p.p99_service_us),
-                    ("p99_steal_us", p.p99_steal_us),
-                    ("p99_preempt_us", p.p99_preempt_us),
-                ];
-                for (name, v) in fields {
-                    let _ = write!(out, "\"{name}\": {}, ", num(v));
+                for (m, _) in SCALARS {
+                    let _ = write!(out, "\"{}\": {}, ", m.name, num(*(m.get)(p)));
                 }
-                let _ = write!(
-                    out,
-                    "\"shed_share_by_class\": {}, \"shed_rate_by_class\": {}, \
-                     \"stage_p99_wait_us\": {}, \"timeseries\": {}",
-                    num_array(&p.shed_share_by_class),
-                    num_array(&p.shed_rate_by_class),
-                    num_array(&p.stage_p99_wait_us),
-                    series_array(&p.timeseries)
-                );
+                for v in VECTORS {
+                    let _ = write!(out, "\"{}\": {}, ", v.name, num_array((v.get)(p)));
+                }
+                let _ = write!(out, "\"timeseries\": {}", series_array(&p.timeseries));
                 out.push('}');
                 out.push_str(if j + 1 < s.points.len() { ",\n" } else { "\n" });
             }
@@ -252,7 +319,11 @@ impl Report {
     }
 
     /// Parses the output of [`Report::to_json`] (any equivalent JSON,
-    /// really — the parser is a small general one).
+    /// really — the parser is a small general one). The point schema is
+    /// additive: a scalar metric the text lacks reads as absent (NaN,
+    /// which [`crate::check_baseline`] skips), a missing vector metric as
+    /// empty, and keys this binary does not know are ignored — so a new
+    /// metric needs neither a schema bump nor regenerated baselines.
     pub fn from_json(text: &str) -> Result<Report, String> {
         let v = Json::parse(text)?;
         let top = v.object("report")?;
@@ -269,10 +340,6 @@ impl Report {
             let mut points = Vec::new();
             for (j, pv) in get(so, "points")?.array("points")?.iter().enumerate() {
                 let po = pv.object(&format!("point[{j}]"))?;
-                let f = |k: &str| -> Result<f64, String> { get(po, k)?.number(k) };
-                let arr = |k: &str| -> Result<Vec<f64>, String> {
-                    get(po, k)?.array(k)?.iter().map(|x| x.number(k)).collect()
-                };
                 let mut timeseries = Vec::new();
                 for (k, tv) in get(po, "timeseries")?
                     .array("timeseries")?
@@ -293,31 +360,27 @@ impl Report {
                         points: pts,
                     });
                 }
-                points.push(PointMetrics {
-                    load: f("load")?,
-                    mrps: f("mrps")?,
-                    p50_us: f("p50_us")?,
-                    p99_us: f("p99_us")?,
-                    p999_us: f("p999_us")?,
-                    steal_fraction: f("steal_fraction")?,
-                    ipis_per_req: f("ipis_per_req")?,
-                    preemptions_per_req: f("preemptions_per_req")?,
-                    avg_cores: f("avg_cores")?,
-                    core_seconds: f("core_seconds")?,
-                    shed_fraction: f("shed_fraction")?,
-                    wasted_wire_us: f("wasted_wire_us")?,
-                    retry_rate: f("retry_rate")?,
-                    give_up_rate: f("give_up_rate")?,
-                    goodput: f("goodput")?,
-                    shed_share_by_class: arr("shed_share_by_class")?,
-                    shed_rate_by_class: arr("shed_rate_by_class")?,
-                    p99_queue_us: f("p99_queue_us")?,
-                    p99_service_us: f("p99_service_us")?,
-                    p99_steal_us: f("p99_steal_us")?,
-                    p99_preempt_us: f("p99_preempt_us")?,
-                    stage_p99_wait_us: arr("stage_p99_wait_us")?,
+                let mut point = PointMetrics {
                     timeseries,
-                });
+                    ..PointMetrics::default()
+                };
+                for (m, _) in SCALARS {
+                    let v = match po.get(m.name) {
+                        Some(v) => v.number(m.name)?,
+                        None => f64::NAN,
+                    };
+                    (m.set)(&mut point, v);
+                }
+                for vm in VECTORS {
+                    if let Some(v) = po.get(vm.name) {
+                        let items = v.array(vm.name)?.iter().map(|x| x.number(vm.name));
+                        (vm.set)(&mut point, items.collect::<Result<_, _>>()?);
+                    }
+                }
+                if point.load.is_nan() {
+                    return Err(format!("point[{j}] has no load"));
+                }
+                points.push(point);
             }
             let search = match get(so, "search")? {
                 Json::Null => None,
@@ -765,6 +828,39 @@ mod tests {
         let r = sample();
         let back = Report::from_json(&r.to_json()).expect("parses");
         assert_eq!(back, r);
+    }
+
+    #[test]
+    fn metrics_resolve_by_name_and_the_doc_quotes_the_headline_set() {
+        let p = &sample().series[1].points[0];
+        assert_eq!(p.metric("p99_us"), Some(87.0));
+        assert_eq!(p.metric("shed_rate_by_class.1"), Some(0.61));
+        assert_eq!(p.metric("stage_p99_wait_us.3"), None, "past the vector");
+        assert!(metric_exists("stage_p99_wait_us.3"));
+        for unknown in [
+            "p98_us",
+            "shed_rate_by_class",
+            "shed_rate_by_class.x",
+            "timeseries.0",
+        ] {
+            assert!(!metric_exists(unknown) && p.metric(unknown).is_none());
+        }
+        // docs/SCENARIOS.md names what the baseline diff compares; the
+        // names come from the table, so the two cannot drift apart again.
+        let within = SCALARS
+            .iter()
+            .filter(|(_, drift)| matches!(drift, Drift::Within(_)))
+            .map(|(m, _)| format!("`{}`, ", m.name));
+        let sign = SCALARS.iter().filter(|(_, drift)| *drift == Drift::Sign);
+        let sign: Vec<String> = sign.map(|(m, _)| format!("`{}`", m.name)).collect();
+        let quoted = format!(
+            "{}and the sign class of {}",
+            within.collect::<String>(),
+            sign.join(", ")
+        );
+        let doc = include_str!("../../../docs/SCENARIOS.md");
+        let doc = doc.split_whitespace().collect::<Vec<_>>().join(" ");
+        assert!(doc.contains(&quoted), "SCENARIOS.md must quote: {quoted}");
     }
 
     #[test]

@@ -651,7 +651,7 @@ fn apply_faults(cfg: &mut SysConfig, fl: &FaultsSpec) {
 
 /// Lowers a fleet case at one load to a `FleetConfig` — the single
 /// construction point for fleet experiments. The base world is lowered
-/// exactly like a `sim:*` case ([`lower_sim`]); only the credit-pool
+/// exactly like a `sim:*` case (`lower_sim`); only the credit-pool
 /// sizing and the telemetry rules differ:
 ///
 /// * With [`AdmissionTopology::FleetWide`] the derived pool is sized for

@@ -10,7 +10,7 @@
 //!   zero-overhead queueing model) plus a [`PolicySpec`] (allocation,
 //!   admission, SLO classes, dispatch knobs);
 //! * a [`ScaleSpec`] — full-size and smoke-size measurement windows;
-//! * optional [`Claims`] — the acceptance assertions `lab --check`
+//! * optional [`Claim`]s — the acceptance assertions `lab --check`
 //!   enforces, and a baseline tolerance for regression diffing.
 //!
 //! Construction goes through [`Scenario::builder`], and **every** way of
@@ -714,179 +714,211 @@ impl FaultsSpec {
     }
 }
 
-/// The `fleet_tail_gap` claim: a degraded shard must drag the fleet p99
-/// under affinity routing, and load-aware routing must claw most of it
-/// back. Checked at every grid point by label triple.
-#[derive(Clone, Debug)]
-pub struct FleetGapClaim {
-    /// Label of the healthy reference case.
-    pub healthy: String,
-    /// Label of the degraded case under affinity (e.g. consistent-hash)
-    /// routing.
-    pub degraded: String,
-    /// Label of the degraded case under load-aware (e.g. po2c) routing.
-    pub recovered: String,
-    /// The degraded case's p99 must be at least this multiple of the
-    /// healthy case's.
-    pub min_ratio: f64,
-    /// The recovered case must close at least this fraction of the
-    /// degraded−healthy p99 gap.
-    pub min_recovery: f64,
+/// Comparison operator of a [`Claim`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Op {
+    /// `<`
+    Lt,
+    /// `<=`
+    Le,
+    /// `>`
+    Gt,
+    /// `>=`
+    Ge,
 }
 
-/// The `staged_crossover` claim: at the lowest grid load, pooling every
-/// core must pay — the unified case's p99 must win or tie
-/// (`split >= low_ratio × unified`); at the highest grid load, batch
-/// commitment must cost the unified case its tail
-/// (`unified >= high_ratio × split`).
-#[derive(Clone, Debug)]
-pub struct StagedCrossoverClaim {
-    /// Label of the unified-layout case.
-    pub unified: String,
-    /// Label of the split-layout case.
-    pub split: String,
-    /// At the lowest load: split p99 must be at least this multiple of
-    /// unified p99.
-    pub low_ratio: f64,
-    /// At the highest load: unified p99 must be at least this multiple of
-    /// split p99.
-    pub high_ratio: f64,
-}
+impl Op {
+    /// The TOML spelling.
+    pub fn symbol(self) -> &'static str {
+        match self {
+            Op::Lt => "<",
+            Op::Le => "<=",
+            Op::Gt => ">",
+            Op::Ge => ">=",
+        }
+    }
 
-/// The `retry_storm` claim: at overload points, backoff-with-jitter
-/// keeps the admitted tail bounded and its goodput within a claimed
-/// fraction of the drop baseline, while naive immediate retry feeds the
-/// storm and diverges past the same bound. Checked at every overload
-/// grid point by label triple.
-#[derive(Clone, Debug)]
-pub struct RetryStormClaim {
-    /// Label of the backoff-retry case (stays bounded).
-    pub backoff: String,
-    /// Label of the no-retry baseline case.
-    pub drop: String,
-    /// Label of the naive immediate-retry case (diverges).
-    pub naive: String,
-    /// The p99 bound the backoff case must stay at or below, µs.
-    pub bound_us: f64,
-    /// Backoff goodput must be at least this fraction of drop goodput.
-    pub min_goodput_ratio: f64,
-}
+    /// Parses [`Op::symbol`]'s spelling.
+    pub fn parse(s: &str) -> Option<Op> {
+        [Op::Lt, Op::Le, Op::Gt, Op::Ge]
+            .into_iter()
+            .find(|op| op.symbol() == s)
+    }
 
-/// The `metastable_recovery` claim: after the `[faults]` burst ends,
-/// the admission-gated case's windowed p99 and credit capacity must
-/// return to their pre-burst levels within `windows` series intervals,
-/// while the ungated twin's windowed p99 stays degraded for the rest of
-/// the run — the retry loop sustains the overload the trigger started.
-/// Read from the `window_p99_us` and `credit_capacity` series.
-#[derive(Clone, Debug)]
-pub struct MetastableRecoveryClaim {
-    /// Label of the admission-gated case (recovers).
-    pub gated: String,
-    /// Label of the ungated twin (stays metastable).
-    pub ungated: String,
-    /// Recovery deadline after burst end, in series intervals.
-    pub windows: usize,
-}
-
-/// The `scatter_gather` claim: fanning every request over M shards must
-/// amplify the user-level p99 (completion at the slowest replica), and
-/// load-aware routing with fleet-wide credits must claw a claimed
-/// fraction of that amplification back. Checked at every grid point by
-/// label triple.
-#[derive(Clone, Debug)]
-pub struct ScatterGatherClaim {
-    /// Label of the fan-out-1 reference case.
-    pub base: String,
-    /// Label of the fanned (fan-out > 1) case.
-    pub fanned: String,
-    /// Label of the fanned case under load-aware routing and fleet-wide
-    /// credits.
-    pub recovered: String,
-    /// The fanned p99 must be at least this multiple of the base p99.
-    pub min_amplification: f64,
-    /// The recovered case must close at least this fraction of the
-    /// fanned−base p99 gap.
-    pub min_recovery: f64,
-}
-
-/// Acceptance claims `lab --check` enforces over a scenario's report.
-/// All off by default; [`ScenarioBuilder::build`] rejects claims that no
-/// case can back.
-#[derive(Clone, Debug)]
-pub struct Claims {
-    /// Loads at or above this are "overload points" (default 1.19).
-    pub overload_from: f64,
-    /// Every admission-gated case's p99 must stay at or below this at
-    /// overload points (and must shed there).
-    pub admitted_p99_bound_us: Option<f64>,
-    /// Every ungated case's p99 must exceed this at overload points.
-    pub uncontrolled_diverge_past_us: Option<f64>,
-    /// At overload points, the first client-side-admission case must
-    /// waste strictly less wire time than the first server-edge case
-    /// (which must waste some).
-    pub client_waste_below_server: bool,
-    /// At overload points, the loosest SLO class of every multi-tenant
-    /// admission case must carry a strictly larger shed share than the
-    /// strictest.
-    pub loose_sheds_first: bool,
-    /// Ceiling on the loosest class's own shed *rate* at overload — the
-    /// per-class-occupancy floor guarantee (e.g. 0.95: batch still admits
-    /// at least 5% of its arrivals while a strict tenant saturates).
-    pub loose_floor_max_shed_rate: Option<f64>,
-    /// At loads at or below this, every elastic case must grant fewer
-    /// cores than the configured fleet (it parks).
-    pub elastic_parks_below_load: Option<f64>,
-    /// Degraded-shard tail claim over a fleet label triple (see
-    /// [`FleetGapClaim`]).
-    pub fleet_tail_gap: Option<FleetGapClaim>,
-    /// Layout-crossover claim over a staged label pair (see
-    /// [`StagedCrossoverClaim`]).
-    pub staged_crossover: Option<StagedCrossoverClaim>,
-    /// Retry-storm containment claim over a label triple (see
-    /// [`RetryStormClaim`]).
-    pub retry_storm: Option<RetryStormClaim>,
-    /// Metastable-failure recovery claim over a gated/ungated pair (see
-    /// [`MetastableRecoveryClaim`]).
-    pub metastable_recovery: Option<MetastableRecoveryClaim>,
-    /// Scatter-gather tail-at-scale claim over a fleet label triple (see
-    /// [`ScatterGatherClaim`]).
-    pub scatter_gather: Option<ScatterGatherClaim>,
-}
-
-impl Default for Claims {
-    fn default() -> Self {
-        Claims {
-            overload_from: 1.19,
-            admitted_p99_bound_us: None,
-            uncontrolled_diverge_past_us: None,
-            client_waste_below_server: false,
-            loose_sheds_first: false,
-            loose_floor_max_shed_rate: None,
-            elastic_parks_below_load: None,
-            fleet_tail_gap: None,
-            staged_crossover: None,
-            retry_storm: None,
-            metastable_recovery: None,
-            scatter_gather: None,
+    /// `lhs op rhs`; false when either side is NaN.
+    pub fn holds(self, lhs: f64, rhs: f64) -> bool {
+        match self {
+            Op::Lt => lhs < rhs,
+            Op::Le => lhs <= rhs,
+            Op::Gt => lhs > rhs,
+            Op::Ge => lhs >= rhs,
         }
     }
 }
 
-impl Claims {
-    /// True when no claim is armed (check mode then only diffs the
-    /// baseline).
-    pub fn is_empty(&self) -> bool {
-        self.admitted_p99_bound_us.is_none()
-            && self.uncontrolled_diverge_past_us.is_none()
-            && !self.client_waste_below_server
-            && !self.loose_sheds_first
-            && self.loose_floor_max_shed_rate.is_none()
-            && self.elastic_parks_below_load.is_none()
-            && self.fleet_tail_gap.is_none()
-            && self.staged_crossover.is_none()
-            && self.retry_storm.is_none()
-            && self.metastable_recovery.is_none()
-            && self.scatter_gather.is_none()
+/// The right-hand side of a [`Compare`].
+#[derive(Clone, Debug, PartialEq)]
+pub enum Rhs {
+    /// `value`: a constant.
+    Value(f64),
+    /// `times ×` a metric read at the same load: from case `of` (absent:
+    /// the case under test), metric `of_metric` (absent: the claim's own
+    /// metric). At least one of the two must be named.
+    Times {
+        /// The factor.
+        times: f64,
+        /// Label of the reference case.
+        of: Option<String>,
+        /// Metric read on the reference side.
+        of_metric: Option<String>,
+    },
+}
+
+/// Which load points a [`Compare`] reads.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Select {
+    /// Every grid load in `[min_load, max_load]`; an absent bound is open.
+    Window {
+        /// Inclusive lower bound.
+        min_load: Option<f64>,
+        /// Inclusive upper bound.
+        max_load: Option<f64>,
+    },
+    /// `at = "lowest"`: only the lowest grid load.
+    Lowest,
+    /// `at = "highest"`: only the highest grid load.
+    Highest,
+}
+
+impl Select {
+    /// Indices into `loads` of the points this selection reads.
+    pub(crate) fn indices(&self, loads: &[f64]) -> Vec<usize> {
+        let all = 0..loads.len();
+        let by_load = |a: &usize, b: &usize| loads[*a].total_cmp(&loads[*b]);
+        match self {
+            Select::Window { min_load, max_load } => all
+                .filter(|&i| {
+                    min_load.is_none_or(|m| loads[i] >= m) && max_load.is_none_or(|m| loads[i] <= m)
+                })
+                .collect(),
+            Select::Lowest => all.min_by(by_load).into_iter().collect(),
+            Select::Highest => all.max_by(by_load).into_iter().collect(),
+        }
+    }
+}
+
+/// `metric` of every case in `cases`, at every selected load, `op` the
+/// right-hand side.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Compare {
+    /// The metric read on the left-hand side.
+    pub metric: String,
+    /// Labels of the cases under test.
+    pub cases: Vec<String>,
+    /// The comparison.
+    pub op: Op,
+    /// What the metric is compared against.
+    pub rhs: Rhs,
+    /// Which load points are read.
+    pub select: Select,
+}
+
+/// At every grid load, `fixed` closes at least `fraction` of the gap
+/// `worse` opened over `base`:
+/// `worse − fixed >= fraction × (worse − base)` on `metric`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Recovers {
+    /// The metric the gap is measured on.
+    pub metric: String,
+    /// Label of the reference case.
+    pub base: String,
+    /// Label of the case that opened the gap.
+    pub worse: String,
+    /// Label of the case that must close it.
+    pub fixed: String,
+    /// The fraction of the gap that must be closed.
+    pub fraction: f64,
+}
+
+/// At every grid load, the time-series `series` of `case` settles after
+/// the `[faults]` burst: its mean from `settle_windows` series intervals
+/// past burst end onwards `op` `value ×` its pre-burst mean.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Settles {
+    /// Registry name of the series (listed in `[telemetry]`).
+    pub series: String,
+    /// Label of the case whose series is read.
+    pub case: String,
+    /// Settling deadline after burst end, in series intervals.
+    pub settle_windows: usize,
+    /// The comparison.
+    pub op: Op,
+    /// The factor on the pre-burst mean.
+    pub value: f64,
+}
+
+/// One acceptance claim `lab --check` enforces over a scenario's report
+/// — a `[[claim]]` table. Every quantitative statement a scenario makes
+/// has one of these three shapes; cases are named by label and metrics
+/// by their [`crate::report::PointMetrics`] field name (`name.N` indexes
+/// a per-class vector), so a new claim is data, not code.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Claim {
+    /// A metric against a constant or another metric.
+    Compare(Compare),
+    /// A closed gap.
+    Recovers(Recovers),
+    /// A settled time-series.
+    Settles(Settles),
+}
+
+/// Prints the claim's own keys in their `[[claim]]` spelling — the prefix
+/// of every violation and validation error.
+impl std::fmt::Display for Claim {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        fn opt<T: std::fmt::Debug>(key: &str, v: &Option<T>) -> String {
+            v.as_ref()
+                .map_or(String::new(), |v| format!(", {key} = {v:?}"))
+        }
+        match self {
+            Claim::Compare(c) => {
+                let (metric, cases, op) = (&c.metric, &c.cases, c.op.symbol());
+                write!(f, "metric = {metric:?}, cases = {cases:?}, op = {op:?}")?;
+                match &c.rhs {
+                    Rhs::Value(v) => write!(f, ", value = {v:?}")?,
+                    Rhs::Times {
+                        times,
+                        of,
+                        of_metric,
+                    } => {
+                        let (of, of_metric) = (opt("of", of), opt("of_metric", of_metric));
+                        write!(f, ", times = {times:?}{of}{of_metric}")?
+                    }
+                }
+                match &c.select {
+                    Select::Window { min_load, max_load } => {
+                        let (min, max) = (opt("min_load", min_load), opt("max_load", max_load));
+                        write!(f, "{min}{max}")
+                    }
+                    Select::Lowest => write!(f, ", at = \"lowest\""),
+                    Select::Highest => write!(f, ", at = \"highest\""),
+                }
+            }
+            Claim::Recovers(r) => write!(
+                f,
+                "recovers = [{:?}, {:?}, {:?}], metric = {:?}, fraction = {:?}",
+                r.base, r.worse, r.fixed, r.metric, r.fraction
+            ),
+            Claim::Settles(s) => write!(
+                f,
+                "series = {:?}, case = {:?}, settle_windows = {}, op = {:?}, value = {:?}",
+                s.series,
+                s.case,
+                s.settle_windows,
+                s.op.symbol(),
+                s.value
+            ),
+        }
     }
 }
 
@@ -919,8 +951,9 @@ pub struct Scenario {
     pub search: Option<SearchSpec>,
     /// RESTART importance splitting over ZygOS-family simulator cases.
     pub tail: Option<TailSpec>,
-    /// Acceptance claims.
-    pub claims: Claims,
+    /// Acceptance claims, in file order (empty: `--check` only diffs the
+    /// baseline).
+    pub claims: Vec<Claim>,
     /// Relative tolerance for baseline diffs (default 0.5 — smoke
     /// windows are deterministic but small, and the gate exists to catch
     /// regressions, not formatting noise).
@@ -945,7 +978,7 @@ impl Scenario {
             telemetry: None,
             search: None,
             tail: None,
-            claims: Claims::default(),
+            claims: Vec::new(),
             check_tolerance: 0.5,
         }
     }
@@ -1009,7 +1042,7 @@ pub struct ScenarioBuilder {
     telemetry: Option<TelemetrySpec>,
     search: Option<SearchSpec>,
     tail: Option<TailSpec>,
-    claims: Claims,
+    claims: Vec<Claim>,
     check_tolerance: f64,
 }
 
@@ -1112,9 +1145,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Replaces the claims block.
-    pub fn claims(mut self, claims: Claims) -> Self {
-        self.claims = claims;
+    /// Adds an acceptance claim.
+    pub fn claim(mut self, claim: Claim) -> Self {
+        self.claims.push(claim);
         self
     }
 
@@ -1497,6 +1530,44 @@ fn validate_case(case: &Case, cores: usize) -> Result<(), SpecError> {
         case.host,
         HostSpec::Sim(SimHost::Zygos | SimHost::ZygosNoInterrupts | SimHost::Elastic)
     );
+    // Rules every simulated world shares, single-shard or fleeted.
+    if matches!(case.host, HostSpec::Sim(_) | HostSpec::Fleet(_)) {
+        if p.quantum_events.is_some() {
+            return fail(
+                "quantum_events is the live cooperative quantum; \
+                 the simulator preempts via quantum_us"
+                    .into(),
+            );
+        }
+        if let Some(q) = p.quantum_us {
+            if q <= 0.0 {
+                return fail(format!("quantum_us must be positive, got {q}"));
+            }
+        }
+        if p.background_order.is_some() && p.quantum_us.is_none() {
+            return fail("background_order orders the preempted queue; it needs quantum_us".into());
+        }
+        if !case.host.is_elastic() {
+            if p.min_cores.is_some() {
+                return fail("min_cores is an elastic knob; host is static".into());
+            }
+            if p.alloc.is_some() {
+                return fail("alloc picks the elastic controller; host is static".into());
+            }
+        }
+        if let Some(m) = p.min_cores {
+            if m == 0 || m > cores {
+                return fail(format!("min_cores {m} out of range [1, {cores}]"));
+            }
+        }
+        if p.admission.as_ref().is_some_and(|a| a.overcommit) {
+            return fail(
+                "credit overcommitment is a live client mechanism; \
+                 the simulator models the converged distribution already"
+                    .into(),
+            );
+        }
+    }
     match case.host {
         HostSpec::Model(_) => {
             // Zero-overhead models take no policy at all.
@@ -1516,38 +1587,8 @@ fn validate_case(case: &Case, cores: usize) -> Result<(), SpecError> {
             }
         }
         HostSpec::Sim(_) => {
-            if p.quantum_events.is_some() {
-                return fail(
-                    "quantum_events is the live cooperative quantum; \
-                     the simulator preempts via quantum_us"
-                        .into(),
-                );
-            }
-            if let Some(q) = p.quantum_us {
-                if q <= 0.0 {
-                    return fail(format!("quantum_us must be positive, got {q}"));
-                }
-                if !sim_family {
-                    return fail("a preemption quantum needs a ZygOS-family host".into());
-                }
-            }
-            if p.background_order.is_some() && p.quantum_us.is_none() {
-                return fail(
-                    "background_order orders the preempted queue; it needs quantum_us".into(),
-                );
-            }
-            if !case.host.is_elastic() {
-                if p.min_cores.is_some() {
-                    return fail("min_cores is an elastic knob; host is static".into());
-                }
-                if p.alloc.is_some() {
-                    return fail("alloc picks the elastic controller; host is static".into());
-                }
-            }
-            if let Some(m) = p.min_cores {
-                if m == 0 || m > cores {
-                    return fail(format!("min_cores {m} out of range [1, {cores}]"));
-                }
+            if p.quantum_us.is_some() && !sim_family {
+                return fail("a preemption quantum needs a ZygOS-family host".into());
             }
             // The simulator models the credit gate and the SLO windows
             // only in the ZygOS-family host (zygos.rs); IX/Linux would
@@ -1566,15 +1607,6 @@ fn validate_case(case: &Case, cores: usize) -> Result<(), SpecError> {
                         .into(),
                 );
             }
-            if let Some(a) = &p.admission {
-                if a.overcommit {
-                    return fail(
-                        "credit overcommitment is a live client mechanism; \
-                         the simulator models the converged distribution already"
-                            .into(),
-                    );
-                }
-            }
         }
         HostSpec::Fleet(_) => {
             // Every fleet base is a ZygOS-family simulator world, so the
@@ -1591,45 +1623,6 @@ fn validate_case(case: &Case, cores: usize) -> Result<(), SpecError> {
                 )
             ) {
                 return fail("fleet shards must be ZygOS-family worlds".into());
-            }
-            if p.quantum_events.is_some() {
-                return fail(
-                    "quantum_events is the live cooperative quantum; \
-                     the simulator preempts via quantum_us"
-                        .into(),
-                );
-            }
-            if let Some(q) = p.quantum_us {
-                if q <= 0.0 {
-                    return fail(format!("quantum_us must be positive, got {q}"));
-                }
-            }
-            if p.background_order.is_some() && p.quantum_us.is_none() {
-                return fail(
-                    "background_order orders the preempted queue; it needs quantum_us".into(),
-                );
-            }
-            if !case.host.is_elastic() {
-                if p.min_cores.is_some() {
-                    return fail("min_cores is an elastic knob; host is static".into());
-                }
-                if p.alloc.is_some() {
-                    return fail("alloc picks the elastic controller; host is static".into());
-                }
-            }
-            if let Some(m) = p.min_cores {
-                if m == 0 || m > cores {
-                    return fail(format!("min_cores {m} out of range [1, {cores}]"));
-                }
-            }
-            if let Some(a) = &p.admission {
-                if a.overcommit {
-                    return fail(
-                        "credit overcommitment is a live client mechanism; \
-                         the simulator models the converged distribution already"
-                            .into(),
-                    );
-                }
             }
             if p.fleet_admission.is_some() && p.admission.is_none() {
                 return fail(
@@ -1773,263 +1766,121 @@ fn validate_case(case: &Case, cores: usize) -> Result<(), SpecError> {
     Ok(())
 }
 
-/// Claims must be backed by cases that can produce their evidence.
+/// The generic claim rules: everything a claim names must exist, and it
+/// must read at least one point in every grid `--check` will see.
 fn validate_claims(
-    claims: &Claims,
+    claims: &[Claim],
     cases: &[Case],
     loads: &[f64],
     scale: &ScaleSpec,
     faults: Option<&FaultsSpec>,
     telemetry: Option<&TelemetrySpec>,
 ) -> Result<(), SpecError> {
-    let fail = |msg: &str| Err(SpecError::new(format!("claims: {msg}")));
-    let has_admission = |c: &Case| c.policy.admission.is_some();
-    let overload_in = |grid: &[f64]| grid.iter().any(|&l| l >= claims.overload_from);
-    let needs_overload = claims.admitted_p99_bound_us.is_some()
-        || claims.uncontrolled_diverge_past_us.is_some()
-        || claims.client_waste_below_server
-        || claims.loose_sheds_first
-        || claims.loose_floor_max_shed_rate.is_some();
-    if needs_overload {
-        if !overload_in(loads) {
-            return fail("an overload claim needs a load at or above overload_from in the grid");
-        }
-        if let Some(sl) = &scale.smoke_loads {
-            if !overload_in(sl) {
-                return fail(
-                    "overload claims also apply under --smoke: add an overload point \
-                             to smoke_loads",
-                );
-            }
-        }
-    }
-    if claims.admitted_p99_bound_us.is_some() && !cases.iter().any(has_admission) {
-        return fail("admitted_p99_bound_us needs at least one admission-gated case");
-    }
-    if claims.uncontrolled_diverge_past_us.is_some() && cases.iter().all(has_admission) {
-        return fail("uncontrolled_diverge_past_us needs at least one ungated case");
-    }
-    if claims.client_waste_below_server {
-        let mode_of = |c: &Case| c.policy.admission.as_ref().map(|a| a.mode);
-        let has = |m| cases.iter().any(|c| mode_of(c) == Some(m));
-        if !has(AdmissionMode::ServerEdge) || !has(AdmissionMode::ClientSide) {
-            return fail(
-                "client_waste_below_server needs one server-edge and one client-side case",
-            );
-        }
-    }
-    if claims.loose_sheds_first || claims.loose_floor_max_shed_rate.is_some() {
-        // Per-class shed metrics come from the simulator host; a live
-        // case cannot back these claims (its report carries no class
-        // vectors).
-        let multi_tenant = cases.iter().any(|c| {
-            matches!(c.host, HostSpec::Sim(_))
-                && has_admission(c)
-                && c.policy
-                    .slo
-                    .as_ref()
-                    .is_some_and(|s| s.classes().len() >= 2)
-        });
-        if !multi_tenant {
-            return fail(
-                "tenant-shedding claims need a simulator admission case with >= 2 SLO classes",
-            );
-        }
-    }
-    if claims.elastic_parks_below_load.is_some() && !cases.iter().any(|c| c.host.is_elastic()) {
-        return fail("elastic_parks_below_load needs an elastic case");
-    }
-    if let Some(g) = &claims.fleet_tail_gap {
-        let labels = [&g.healthy, &g.degraded, &g.recovered];
-        for pair in [(0, 1), (0, 2), (1, 2)] {
-            if labels[pair.0] == labels[pair.1] {
-                return fail("fleet_tail_gap needs three distinct case labels");
-            }
-        }
-        for label in labels {
-            match cases.iter().find(|c| &c.label == label) {
-                None => {
-                    return Err(SpecError::new(format!(
-                        "claims: fleet_tail_gap names unknown case {label:?}"
-                    )))
-                }
-                Some(c) if !c.host.is_fleet() => {
-                    return Err(SpecError::new(format!(
-                        "claims: fleet_tail_gap case {label:?} is not a fleet:* host"
-                    )))
-                }
-                Some(_) => {}
-            }
-        }
-        if !(g.min_ratio.is_finite() && g.min_ratio >= 1.0) {
-            return fail("fleet_tail_gap min_ratio must be >= 1");
-        }
-        if !(g.min_recovery > 0.0 && g.min_recovery <= 1.0) {
-            return fail("fleet_tail_gap min_recovery must be in (0, 1]");
-        }
-    }
-    if let Some(g) = &claims.staged_crossover {
-        if g.unified == g.split {
-            return fail("staged_crossover needs two distinct case labels");
-        }
-        for label in [&g.unified, &g.split] {
-            match cases.iter().find(|c| &c.label == label) {
-                None => {
-                    return Err(SpecError::new(format!(
-                        "claims: staged_crossover names unknown case {label:?}"
-                    )))
-                }
-                Some(c) if c.host != HostSpec::Sim(SimHost::Staged) => {
-                    return Err(SpecError::new(format!(
-                        "claims: staged_crossover case {label:?} is not a sim:staged host"
-                    )))
-                }
-                Some(_) => {}
-            }
-        }
-        if !(g.low_ratio.is_finite() && g.low_ratio > 0.0) {
-            return fail("staged_crossover low_ratio must be positive");
-        }
-        if !(g.high_ratio.is_finite() && g.high_ratio >= 1.0) {
-            return fail("staged_crossover high_ratio must be >= 1");
-        }
-        // A crossover needs two distinct loads to cross between — in
-        // every grid the check will actually see.
-        for grid in [Some(loads), scale.smoke_loads.as_deref()]
-            .into_iter()
-            .flatten()
-        {
-            let (min, max) = grid
-                .iter()
-                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &l| {
-                    (lo.min(l), hi.max(l))
-                });
-            if min >= max {
-                return fail("staged_crossover needs a grid with two distinct loads");
-            }
-        }
-    }
-    if let Some(g) = &claims.retry_storm {
-        let labels = [&g.backoff, &g.drop, &g.naive];
-        for pair in [(0, 1), (0, 2), (1, 2)] {
-            if labels[pair.0] == labels[pair.1] {
-                return fail("retry_storm needs three distinct case labels");
-            }
-        }
-        let case_of = |label: &String| -> Result<&Case, SpecError> {
-            cases.iter().find(|c| &c.label == label).ok_or_else(|| {
-                SpecError::new(format!("claims: retry_storm names unknown case {label:?}"))
-            })
+    let grids = [
+        ("full", Some(loads)),
+        ("smoke", scale.smoke_loads.as_deref()),
+    ];
+    for (i, claim) in claims.iter().enumerate() {
+        let fail = |msg: String| {
+            let n = i + 1;
+            Err(SpecError::new(format!("claim #{n} {{{claim}}}: {msg}")))
         };
-        let backoff = case_of(&g.backoff)?;
-        if !matches!(backoff.policy.retry, Some(RetryPolicy::Backoff { .. })) {
-            return fail("retry_storm backoff case must arm a backoff retry policy");
-        }
-        let drop = case_of(&g.drop)?;
-        if !matches!(drop.policy.retry, None | Some(RetryPolicy::Drop)) {
-            return fail("retry_storm drop case must not re-issue (no retry, or \"drop\")");
-        }
-        let naive = case_of(&g.naive)?;
-        if !matches!(
-            naive.policy.retry,
-            Some(RetryPolicy::Backoff { .. } | RetryPolicy::HedgeToDeadline { .. })
-        ) {
-            return fail("retry_storm naive case must arm a re-issuing retry policy");
-        }
-        if !(g.bound_us.is_finite() && g.bound_us > 0.0) {
-            return fail("retry_storm bound_us must be positive");
-        }
-        if !(g.min_goodput_ratio > 0.0 && g.min_goodput_ratio <= 1.0) {
-            return fail("retry_storm min_goodput_ratio must be in (0, 1]");
-        }
-        if !overload_in(loads) {
-            return fail("retry_storm is an overload claim: add a load at or above overload_from");
-        }
-        if let Some(sl) = &scale.smoke_loads {
-            if !overload_in(sl) {
-                return fail(
-                    "retry_storm also applies under --smoke: add an overload point to smoke_loads",
-                );
+        // Everything the claim names: case labels, metrics, numbers.
+        let (labels, metrics, numbers): (Vec<&String>, Vec<&String>, Vec<f64>) = match claim {
+            Claim::Compare(c) => {
+                let (factor, of, of_metric) = match &c.rhs {
+                    Rhs::Value(v) => (*v, None, None),
+                    Rhs::Times {
+                        times,
+                        of,
+                        of_metric,
+                    } => (*times, of.as_ref(), of_metric.as_ref()),
+                };
+                let window = match c.select {
+                    Select::Window { min_load, max_load } => [min_load, max_load],
+                    _ => [None, None],
+                };
+                (
+                    c.cases.iter().chain(of).collect(),
+                    [&c.metric].into_iter().chain(of_metric).collect(),
+                    [factor]
+                        .into_iter()
+                        .chain(window.into_iter().flatten())
+                        .collect(),
+                )
             }
-        }
-    }
-    if let Some(g) = &claims.metastable_recovery {
-        if g.gated == g.ungated {
-            return fail("metastable_recovery needs two distinct case labels");
-        }
-        for (label, wants_gate) in [(&g.gated, true), (&g.ungated, false)] {
-            match cases.iter().find(|c| &c.label == label) {
-                None => {
-                    return Err(SpecError::new(format!(
-                        "claims: metastable_recovery names unknown case {label:?}"
-                    )))
-                }
-                Some(c) if !Scenario::host_is_traced(c.host) => {
-                    return Err(SpecError::new(format!(
-                        "claims: metastable_recovery case {label:?} must be a ZygOS-family \
-                         simulator host (the claim reads its control-tick series)"
-                    )))
-                }
-                Some(c) if c.policy.admission.is_some() != wants_gate => {
-                    return Err(SpecError::new(format!(
-                        "claims: metastable_recovery {} case {label:?} must {} admission",
-                        if wants_gate { "gated" } else { "ungated" },
-                        if wants_gate { "arm" } else { "run without" },
-                    )))
-                }
-                Some(_) => {}
-            }
-        }
-        if g.windows == 0 {
-            return fail("metastable_recovery windows must be >= 1");
-        }
-        if faults.and_then(|f| f.burst).is_none() {
-            return fail("metastable_recovery recovers from the [faults] burst; arm one");
-        }
-        let series_ok = telemetry.is_some_and(|t| {
-            t.series.contains(&SeriesKind::WindowP99)
-                && t.series.contains(&SeriesKind::CreditCapacity)
-        });
-        if !series_ok {
-            return fail(
-                "metastable_recovery reads the window_p99_us and credit_capacity series; \
-                 list both in [telemetry]",
-            );
-        }
-    }
-    if let Some(g) = &claims.scatter_gather {
-        let labels = [&g.base, &g.fanned, &g.recovered];
-        for pair in [(0, 1), (0, 2), (1, 2)] {
-            if labels[pair.0] == labels[pair.1] {
-                return fail("scatter_gather needs three distinct case labels");
-            }
-        }
-        let case_of = |label: &String| -> Result<&Case, SpecError> {
-            match cases.iter().find(|c| &c.label == label) {
-                None => Err(SpecError::new(format!(
-                    "claims: scatter_gather names unknown case {label:?}"
-                ))),
-                Some(c) if !c.host.is_fleet() => Err(SpecError::new(format!(
-                    "claims: scatter_gather case {label:?} is not a fleet:* host"
-                ))),
-                Some(c) => Ok(c),
-            }
+            Claim::Recovers(r) => (
+                vec![&r.base, &r.worse, &r.fixed],
+                vec![&r.metric],
+                vec![r.fraction],
+            ),
+            Claim::Settles(s) => (vec![&s.case], vec![], vec![s.value]),
         };
-        if case_of(&g.base)?.policy.fanout.unwrap_or(1) != 1 {
-            return fail("scatter_gather base case must run fan-out 1");
+        if let Some(m) = metrics.iter().find(|m| !crate::report::metric_exists(m)) {
+            return fail(format!("unknown metric {m:?}"));
         }
-        for label in [&g.fanned, &g.recovered] {
-            if case_of(label)?.policy.fanout.unwrap_or(1) < 2 {
-                return Err(SpecError::new(format!(
-                    "claims: scatter_gather case {label:?} must fan out (fanout >= 2)"
-                )));
+        for (j, label) in labels.iter().enumerate() {
+            if !cases.iter().any(|c| &c.label == *label) {
+                return fail(format!("unknown case {label:?}"));
+            }
+            if labels[..j].contains(label) {
+                return fail(format!("case {label:?} is named twice"));
             }
         }
-        if !(g.min_amplification.is_finite() && g.min_amplification >= 1.0) {
-            return fail("scatter_gather min_amplification must be >= 1");
+        if numbers.iter().any(|n| !n.is_finite()) {
+            return fail("every number must be finite".into());
         }
-        if !(g.min_recovery > 0.0 && g.min_recovery <= 1.0) {
-            return fail("scatter_gather min_recovery must be in (0, 1]");
+        match claim {
+            Claim::Compare(c) => {
+                if c.cases.is_empty() {
+                    return fail("`cases` is empty".into());
+                }
+                if matches!(
+                    &c.rhs,
+                    Rhs::Times {
+                        of: None,
+                        of_metric: None,
+                        ..
+                    }
+                ) {
+                    return fail("`times` needs `of` and/or `of_metric` to multiply".into());
+                }
+                for (mode, grid) in grids {
+                    let Some(grid) = grid else { continue };
+                    if c.select.indices(grid).is_empty() {
+                        return fail(format!(
+                            "the load window selects no point of the {mode} grid {grid:?}"
+                        ));
+                    }
+                    let extreme = !matches!(c.select, Select::Window { .. });
+                    if extreme && grid.iter().all(|&l| l == grid[0]) {
+                        return fail(format!(
+                            "`at` needs two distinct loads; the {mode} grid is {grid:?}"
+                        ));
+                    }
+                }
+            }
+            Claim::Recovers(_) => {}
+            Claim::Settles(s) => {
+                if faults.and_then(|f| f.burst).is_none() {
+                    return fail(
+                        "a settles claim settles after the [faults] burst; arm one".into(),
+                    );
+                }
+                let series = &s.series;
+                if !telemetry.is_some_and(|t| t.series.iter().any(|k| series.starts_with(k.name())))
+                {
+                    return fail(format!("series {series:?} is not listed in [telemetry]"));
+                }
+                let traced = |c: &Case| c.label == s.case && Scenario::host_is_traced(c.host);
+                if !cases.iter().any(traced) {
+                    return fail(format!(
+                        "case {:?} must be a ZygOS-family simulator host \
+                         (only those harvest control-tick series)",
+                        s.case
+                    ));
+                }
+            }
         }
     }
     Ok(())
@@ -2038,7 +1889,6 @@ fn validate_claims(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zygos_load::slo::Slo;
     use zygos_load::source::Phase;
 
     fn base() -> ScenarioBuilder {
@@ -2185,165 +2035,6 @@ mod tests {
             )
             .build()
             .expect("valid");
-    }
-
-    #[test]
-    fn adversarial_claims_validate() {
-        let backoff = RetryPolicy::Backoff {
-            base_us: 20,
-            factor: 2.0,
-            max_attempts: 4,
-        };
-        let storm = |b: ScenarioBuilder| {
-            b.loads(vec![0.5, 1.4])
-                .case(
-                    Case::sim("backoff", SimHost::Zygos)
-                        .admission(AdmissionMode::ServerEdge)
-                        .credit_target_us(70.0)
-                        .retry(backoff),
-                )
-                .case(
-                    Case::sim("drop", SimHost::Zygos)
-                        .admission(AdmissionMode::ServerEdge)
-                        .credit_target_us(70.0),
-                )
-                .case(
-                    Case::sim("naive", SimHost::Zygos)
-                        .retry(RetryPolicy::Backoff {
-                            base_us: 1,
-                            factor: 1.0,
-                            max_attempts: 8,
-                        })
-                        .retry_timeout_us(400.0),
-                )
-        };
-        let claim = |backoff: &str, drop: &str, naive: &str| RetryStormClaim {
-            backoff: backoff.into(),
-            drop: drop.into(),
-            naive: naive.into(),
-            bound_us: 400.0,
-            min_goodput_ratio: 0.8,
-        };
-        storm(base())
-            .claims(Claims {
-                retry_storm: Some(claim("backoff", "drop", "naive")),
-                ..Claims::default()
-            })
-            .build()
-            .expect("valid");
-        // Role mismatches: the drop case re-issues, the naive one drops.
-        let e = storm(base())
-            .claims(Claims {
-                retry_storm: Some(claim("drop", "backoff", "naive")),
-                ..Claims::default()
-            })
-            .build()
-            .expect_err("roles swapped");
-        assert!(e.to_string().contains("backoff retry policy"), "{e}");
-        // No overload point to read the storm at.
-        assert!(storm(base())
-            .smoke_loads(vec![0.5])
-            .claims(Claims {
-                retry_storm: Some(claim("backoff", "drop", "naive")),
-                ..Claims::default()
-            })
-            .build()
-            .is_err());
-
-        let meta_claim = MetastableRecoveryClaim {
-            gated: "gated".into(),
-            ungated: "ungated".into(),
-            windows: 4,
-        };
-        let twins = |b: ScenarioBuilder| {
-            b.case(
-                Case::sim("gated", SimHost::Zygos)
-                    .admission(AdmissionMode::ServerEdge)
-                    .credit_target_us(70.0)
-                    .retry(backoff),
-            )
-            .case(
-                Case::sim("ungated", SimHost::Zygos)
-                    .retry(backoff)
-                    .retry_timeout_us(400.0),
-            )
-            .faults(FaultsSpec {
-                burst: Some((2_000.0, 1_000.0, 1.5)),
-                ..FaultsSpec::default()
-            })
-        };
-        let series = TelemetrySpec {
-            trace: false,
-            series: vec![SeriesKind::WindowP99, SeriesKind::CreditCapacity],
-            ..TelemetrySpec::default()
-        };
-        twins(base())
-            .telemetry(series.clone())
-            .claims(Claims {
-                metastable_recovery: Some(meta_claim.clone()),
-                ..Claims::default()
-            })
-            .build()
-            .expect("valid");
-        // Without the burst there is nothing to recover from; without the
-        // series there is nothing to read recovery off.
-        let e = twins(base())
-            .telemetry(series.clone())
-            .faults(FaultsSpec {
-                slow_clients: Some((0.1, 200.0)),
-                ..FaultsSpec::default()
-            })
-            .claims(Claims {
-                metastable_recovery: Some(meta_claim.clone()),
-                ..Claims::default()
-            })
-            .build()
-            .expect_err("no burst");
-        assert!(e.to_string().contains("burst"), "{e}");
-        assert!(twins(base())
-            .claims(Claims {
-                metastable_recovery: Some(meta_claim),
-                ..Claims::default()
-            })
-            .build()
-            .is_err());
-
-        let sg_claim = ScatterGatherClaim {
-            base: "m1".into(),
-            fanned: "m4".into(),
-            recovered: "m4r".into(),
-            min_amplification: 1.2,
-            min_recovery: 0.3,
-        };
-        let fanned = |b: ScenarioBuilder| {
-            b.case(Case::fleet("m1", SimHost::Zygos))
-                .case(Case::fleet("m4", SimHost::Zygos).fanout(4))
-                .case(
-                    Case::fleet("m4r", SimHost::Zygos)
-                        .fanout(4)
-                        .routing(RoutePolicy::PowerOfTwoChoices),
-                )
-                .fleet(FleetSpec { shards: 8 })
-        };
-        fanned(base())
-            .claims(Claims {
-                scatter_gather: Some(sg_claim.clone()),
-                ..Claims::default()
-            })
-            .build()
-            .expect("valid");
-        // The base case must not fan out.
-        assert!(fanned(base())
-            .claims(Claims {
-                scatter_gather: Some(ScatterGatherClaim {
-                    base: "m4".into(),
-                    fanned: "m1".into(),
-                    ..sg_claim
-                }),
-                ..Claims::default()
-            })
-            .build()
-            .is_err());
     }
 
     #[test]
@@ -2506,90 +2197,6 @@ mod tests {
     }
 
     #[test]
-    fn staged_crossover_claim_needs_staged_pair() {
-        let stages = StagedConfig::zygos_equivalent().stages;
-        let claim = |unified: &str, split: &str| Claims {
-            staged_crossover: Some(StagedCrossoverClaim {
-                unified: unified.into(),
-                split: split.into(),
-                low_ratio: 1.0,
-                high_ratio: 1.1,
-            }),
-            ..Claims::default()
-        };
-        let two_loads = || {
-            Scenario::builder("t")
-                .service(ServiceDist::exponential_us(10.0))
-                .loads(vec![0.3, 0.8])
-        };
-        // Names must exist and be staged hosts.
-        let e = two_loads()
-            .case(Case::sim("u", SimHost::Staged))
-            .stages(stages.clone())
-            .claims(claim("u", "missing"))
-            .build()
-            .expect_err("unknown label");
-        assert!(e.to_string().contains("unknown case"), "{e}");
-        let e = two_loads()
-            .case(Case::sim("u", SimHost::Staged))
-            .case(Case::sim("z", SimHost::Zygos))
-            .stages(stages.clone())
-            .claims(claim("u", "z"))
-            .build()
-            .expect_err("non-staged label");
-        assert!(e.to_string().contains("not a sim:staged"), "{e}");
-        // A single-load grid has nothing to cross between.
-        let e = base()
-            .case(Case::sim("u", SimHost::Staged))
-            .case(Case::sim("s", SimHost::Staged))
-            .stages(stages.clone())
-            .claims(claim("u", "s"))
-            .build()
-            .expect_err("one load");
-        assert!(e.to_string().contains("two distinct loads"), "{e}");
-        // The valid shape builds.
-        assert!(two_loads()
-            .case(Case::sim("u", SimHost::Staged))
-            .case(Case::sim("s", SimHost::Staged))
-            .stages(stages)
-            .claims(claim("u", "s"))
-            .build()
-            .is_ok());
-    }
-
-    #[test]
-    fn claims_need_backing_cases() {
-        let claims = Claims {
-            loose_sheds_first: true,
-            ..Claims::default()
-        };
-        let e = Scenario::builder("t")
-            .service(ServiceDist::exponential_us(10.0))
-            .loads(vec![1.4])
-            .case(Case::sim("z", SimHost::Zygos))
-            .claims(claims.clone())
-            .build()
-            .expect_err("no multi-tenant case");
-        assert!(e.to_string().contains("SLO classes"), "{e}");
-        // With a backing case it builds.
-        let ok = Scenario::builder("t")
-            .service(ServiceDist::exponential_us(10.0))
-            .loads(vec![1.4])
-            .case(
-                Case::sim("z", SimHost::Zygos)
-                    .admission(AdmissionMode::ServerEdge)
-                    .credit_target_us(70.0)
-                    .slo(TenantSlos::new(vec![
-                        zygos_load::slo::SloClass::new("i", Slo::p99(100.0)),
-                        zygos_load::slo::SloClass::new("b", Slo::p99(1000.0)),
-                    ])),
-            )
-            .claims(claims)
-            .build();
-        assert!(ok.is_ok(), "{ok:?}");
-    }
-
-    #[test]
     fn telemetry_needs_a_host_that_records() {
         // An all-off block is contradictory.
         let off = TelemetrySpec {
@@ -2624,24 +2231,6 @@ mod tests {
         assert!(cfg.trace && !cfg.is_off());
         assert_eq!(cfg.series, vec![SeriesKind::ActiveCores]);
         assert_eq!(cfg.series_every, 4);
-    }
-
-    #[test]
-    fn overload_claims_need_overload_points() {
-        let claims = Claims {
-            admitted_p99_bound_us: Some(200.0),
-            ..Claims::default()
-        };
-        let e = base()
-            .case(
-                Case::sim("c", SimHost::Zygos)
-                    .admission(AdmissionMode::ServerEdge)
-                    .credit_target_us(70.0),
-            )
-            .claims(claims)
-            .build()
-            .expect_err("grid tops out at 0.5");
-        assert!(e.to_string().contains("overload"), "{e}");
     }
 
     #[test]

@@ -218,7 +218,7 @@ impl StagedConfig {
 
     /// Validates the pipeline against a core count. The lab's spec layer
     /// surfaces these as scenario errors; direct `sysim` callers hit the
-    /// assert in [`run`].
+    /// assert in `run`.
     pub fn validate(&self, cores: usize) -> Result<(), String> {
         if self.stages.is_empty() {
             return Err("a staged pipeline needs at least one stage".to_string());
