@@ -8,8 +8,14 @@
 //! a racy-but-safe read usable from any thread.
 //!
 //! [`MpscRing`] is the remote-batched-syscall channel: many stealing cores
-//! produce, the home core consumes (§4.2 step (b)). It is built on
-//! `crossbeam`'s proven MPMC `ArrayQueue` restricted to one consumer.
+//! produce, the home core consumes (§4.2 step (b)). It wraps `crossbeam`'s
+//! MPMC `ArrayQueue` restricted to one consumer. In this workspace that
+//! name resolves to the offline shim (`crates/shims/crossbeam`), whose
+//! `ArrayQueue` is a `Mutex<VecDeque>`: `push`, `pop`, and also `len` /
+//! `is_empty`, take the lock — so an occupancy poll contends with the
+//! producers, which the real lock-free queue's would not. The benchmark's
+//! `net.ring.mpsc_push_pop_ns` and `core.syscall.ship_drain_ns` time that
+//! stand-in (see `docs/OFFLINE_BUILDS.md`).
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -134,6 +140,9 @@ impl<T> Drop for SpscRing<T> {
 }
 
 /// A bounded multi-producer / single-consumer ring (remote syscall channel).
+///
+/// Every method locks the shim's mutex in offline builds, `len` and
+/// `is_empty` included (module docs).
 pub struct MpscRing<T> {
     q: ArrayQueue<T>,
 }

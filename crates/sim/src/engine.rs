@@ -9,9 +9,12 @@
 //! The queue behind the engine is pluggable through [`EventQueue`]:
 //!
 //! * [`WheelQueue`] (the default) — a hierarchical timing wheel: a
-//!   near-horizon wheel of 1ns buckets (65.5µs), a second-level wheel of
-//!   bucket pages behind it (~268ms), and a sorted overflow heap for the
-//!   far future. Push and pop are O(1) amortized instead of the heap's
+//!   near-horizon wheel of 2048 32ns buckets (one 65.5µs page), a
+//!   second-level wheel of 4096 pages behind it (~268ms), and a sorted
+//!   overflow heap for the far future. Events live in one arena of
+//!   records and a bucket is a chain threaded through them, so an event's
+//!   payload is written once when it is scheduled and read once when it
+//!   fires. Push and pop are O(1) amortized instead of the heap's
 //!   O(log n) — and the event queue is touched several times per simulated
 //!   request, so this is the floor under the whole experiment plane's
 //!   events/sec.
@@ -56,7 +59,7 @@
 //! assert_eq!(engine.now(), SimTime::from_micros(9));
 //! ```
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
@@ -73,15 +76,18 @@ pub trait Model {
 
 /// Interface handed to event handlers for scheduling follow-up events.
 ///
-/// The backing buffer is owned by the engine and recycled across events,
-/// so scheduling from a handler never allocates in steady state.
-pub struct Scheduler<E> {
+/// It schedules straight into the engine's queue while the handler runs:
+/// each call takes the next sequence number, so same-instant follow-ups
+/// fire in call order, and nothing is buffered in between.
+pub struct Scheduler<'a, E> {
     now: SimTime,
-    pending: Vec<(SimTime, E)>,
+    /// The engine's `queue.push(at, seq, event); seq += 1`. Type-erased
+    /// so that [`Model::handle`] does not depend on the queue kind.
+    push: &'a mut dyn FnMut(SimTime, E),
     stopped: bool,
 }
 
-impl<E> Scheduler<E> {
+impl<E> Scheduler<'_, E> {
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -92,13 +98,12 @@ impl<E> Scheduler<E> {
     /// Times in the past are clamped to `now` (the event fires immediately
     /// after the current one).
     pub fn at(&mut self, at: SimTime, event: E) {
-        let t = at.max(self.now);
-        self.pending.push((t, event));
+        (self.push)(at.max(self.now), event);
     }
 
     /// Schedules `event` after a relative delay.
     pub fn after(&mut self, delay: SimDuration, event: E) {
-        self.pending.push((self.now + delay, event));
+        (self.push)(self.now + delay, event);
     }
 
     /// Requests the run loop to stop after the current event completes.
@@ -230,8 +235,8 @@ impl<E> EventQueue<E> for HeapQueue<E> {
 /// control ticks all land inside the current page.
 const L0_BITS: u32 = 16;
 /// Level-0 buckets are 32ns wide (2048 per page): coarse enough that the
-/// bucket array stays cache-resident, fine enough that a bucket holds a
-/// handful of events — sorted by `(time, seq)` when the cursor reaches it.
+/// bucket array stays cache-resident, fine enough that a bucket chains a
+/// handful of events.
 const GRAIN_BITS: u32 = 5;
 const L0_SLOT_BITS: u32 = L0_BITS - GRAIN_BITS;
 const L0_SLOTS: usize = 1 << L0_SLOT_BITS;
@@ -239,6 +244,9 @@ const L0_SLOTS: usize = 1 << L0_SLOT_BITS;
 /// ~268ms horizon. Entries cascade into level 0 when their page opens.
 const L1_BITS: u32 = 12;
 const L1_SLOTS: usize = 1 << L1_BITS;
+
+/// End of a chain (bucket or free list). Record indices stay below it.
+const NIL: u32 = u32::MAX;
 
 /// Bit mask selecting bits at or above `bit` (all-zero past the word).
 #[inline]
@@ -250,38 +258,77 @@ fn mask_from(bit: usize) -> u64 {
     }
 }
 
+/// Level-0 slot of a time inside the current page.
+#[inline]
+fn l0_slot(ns: u64) -> usize {
+    ((ns >> GRAIN_BITS) & (L0_SLOTS as u64 - 1)) as usize
+}
+
+/// One record of the wheel's arena: a queued event threaded onto its
+/// bucket's chain, or a vacant record threaded onto the free list.
+#[derive(Clone)]
+struct Node<E> {
+    ns: u64,
+    seq: u64,
+    /// Next record of the same chain, or [`NIL`].
+    next: u32,
+    /// `None` exactly while the record is on the free list.
+    event: Option<E>,
+}
+
+/// A level-0 bucket: a chain of records in ascending `(time, seq)` order.
+#[derive(Clone, Copy)]
+struct Chain {
+    /// First record, or [`NIL`] when the bucket is empty.
+    head: u32,
+    /// Last record; meaningless while the bucket is empty.
+    tail: u32,
+}
+
 /// A hierarchical timing-wheel event queue: O(1) push and amortized-O(1)
 /// pop, with a sorted overflow heap behind the wheel horizon.
+///
+/// Storage is one arena of records; a bucket is a singly linked chain
+/// threaded through them (the layout of Varghese & Lauck's timing wheels),
+/// so an event's payload is written once when it is pushed and read once
+/// when it pops, cascades relink records without moving them, and a popped
+/// record goes to a LIFO free list for the next push. Nothing is allocated
+/// per event once the arena has grown to the run's peak queue depth.
 ///
 /// Ordering is exact — pops come out in `(time, seq)` order, bit-identical
 /// to [`HeapQueue`]:
 ///
-/// * a level-0 bucket spans 32ns; it is sorted by `(time, seq)` when the
-///   cursor reaches it (and re-sorted if pushes land on the in-progress
-///   bucket), so in-bucket order is total;
+/// * a level-0 bucket spans 32ns and its chain is kept in `(time, seq)`
+///   order as records are linked in, so `pop` takes the chain's head;
 /// * across structures, bucketing by page keeps time order: an event in a
 ///   farther structure (overflow vs level 1 vs level 0) always belongs to
-///   a later page than anything nearer, and cascades re-bucket entries
+///   a later page than anything nearer, and cascades re-bucket records
 ///   before they are eligible to pop.
+///
+/// A clone is an exact snapshot — arena, free list, chains, page and
+/// cursor round-trip verbatim — so a checkpoint taken mid-page (cursor
+/// inside level 0, cascades pending in level 1 / overflow) resumes with
+/// the identical pop stream. Pinned by `tests/checkpoint.rs`.
+#[derive(Clone)]
 pub struct WheelQueue<E> {
     /// Absolute page (`time >> L0_BITS`) the level-0 wheel currently maps.
     page: u64,
     /// Level-0 slot of the last pop; pushes never land on earlier times
     /// (they rewind the cursor if they target an earlier slot).
     cursor: usize,
-    /// Whether the cursor bucket is currently sorted.
-    cursor_sorted: bool,
-    /// Level-0 buckets: `(time_ns, seq, event)` per entry.
-    l0: Vec<Vec<(u64, u64, E)>>,
+    nodes: Vec<Node<E>>,
+    /// Head of the free list.
+    free: u32,
+    l0: Vec<Chain>,
     /// Level-0 occupancy bitmap, one bit per slot (`L0_SLOTS` ≤ 4096 bits,
     /// a handful of words — no summary level needed).
     l0_occ: [u64; L0_SLOTS / 64],
-    /// Level-1 slots: entries of one future page each (slot = absolute
-    /// page masked), in push order.
-    l1: Vec<Vec<(u64, u64, E)>>,
-    l1_occ: Vec<u64>,
-    /// Events beyond the level-1 horizon, sorted by `(time, seq)`.
-    overflow: BinaryHeap<Entry<E>>,
+    /// Level-1 slots: the head of an unordered chain holding one future
+    /// page's records (slot = absolute page masked).
+    l1: Vec<u32>,
+    l1_occ: [u64; L1_SLOTS / 64],
+    /// `(time, seq, record)` of events beyond the level-1 horizon.
+    overflow: BinaryHeap<Reverse<(u64, u64, u32)>>,
     len: usize,
     /// Events currently resident per level — lets a sparse queue skip the
     /// bitmap scans of empty levels entirely.
@@ -289,38 +336,21 @@ pub struct WheelQueue<E> {
     l1_len: usize,
 }
 
-/// A cloned wheel is an exact snapshot: the page, cursor and per-level
-/// contents round-trip verbatim, so a checkpoint taken mid-page (cursor
-/// inside level 0, cascades pending in level 1 / overflow) resumes with
-/// the identical pop stream. Pinned by `tests/checkpoint.rs`.
-impl<E: Clone> Clone for WheelQueue<E> {
-    fn clone(&self) -> Self {
-        WheelQueue {
-            page: self.page,
-            cursor: self.cursor,
-            cursor_sorted: self.cursor_sorted,
-            l0: self.l0.clone(),
-            l0_occ: self.l0_occ,
-            l1: self.l1.clone(),
-            l1_occ: self.l1_occ.clone(),
-            overflow: self.overflow.clone(),
-            len: self.len,
-            l0_len: self.l0_len,
-            l1_len: self.l1_len,
-        }
-    }
-}
-
 impl<E> Default for WheelQueue<E> {
     fn default() -> Self {
+        let empty = Chain {
+            head: NIL,
+            tail: NIL,
+        };
         WheelQueue {
             page: 0,
             cursor: 0,
-            cursor_sorted: true,
-            l0: (0..L0_SLOTS).map(|_| Vec::new()).collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            l0: vec![empty; L0_SLOTS],
             l0_occ: [0; L0_SLOTS / 64],
-            l1: (0..L1_SLOTS).map(|_| Vec::new()).collect(),
-            l1_occ: vec![0; L1_SLOTS / 64],
+            l1: vec![NIL; L1_SLOTS],
+            l1_occ: [0; L1_SLOTS / 64],
             overflow: BinaryHeap::new(),
             len: 0,
             l0_len: 0,
@@ -330,16 +360,6 @@ impl<E> Default for WheelQueue<E> {
 }
 
 impl<E> WheelQueue<E> {
-    #[inline]
-    fn l0_set(&mut self, slot: usize) {
-        self.l0_occ[slot >> 6] |= 1 << (slot & 63);
-    }
-
-    #[inline]
-    fn l0_clear(&mut self, slot: usize) {
-        self.l0_occ[slot >> 6] &= !(1 << (slot & 63));
-    }
-
     /// First occupied level-0 slot at or after `from`, if any.
     fn l0_next(&self, from: usize) -> Option<usize> {
         let mut w = from >> 6;
@@ -356,25 +376,21 @@ impl<E> WheelQueue<E> {
         }
     }
 
-    /// Sorts the cursor bucket if it may be out of order.
-    #[inline]
-    fn ensure_sorted(&mut self) {
-        if !self.cursor_sorted {
-            self.l0[self.cursor].sort_unstable_by_key(|e| (e.0, e.1));
-            self.cursor_sorted = true;
+    /// First occupied level-1 slot after the current page's, in circular
+    /// order, with its absolute page (recovered from its head record's
+    /// time).
+    fn l1_next(&self) -> Option<(usize, u64)> {
+        if self.l1_len == 0 {
+            return None;
         }
-    }
-
-    /// First occupied level-1 slot in circular order starting at `from`,
-    /// with its absolute page (recovered from its first entry's time).
-    fn l1_next(&self, from: usize) -> Option<(usize, u64)> {
+        let from = ((self.page + 1) & (L1_SLOTS as u64 - 1)) as usize;
         let words = self.l1_occ.len();
         let mut w = from >> 6;
         let mut bits = self.l1_occ[w] & mask_from(from & 63);
         for step in 0..=words {
             if bits != 0 {
                 let slot = (w << 6) | bits.trailing_zeros() as usize;
-                let page = self.l1[slot].first().expect("occupied l1 slot").0 >> L0_BITS;
+                let page = self.nodes[self.l1[slot] as usize].ns >> L0_BITS;
                 return Some((slot, page));
             }
             if step == words {
@@ -386,29 +402,79 @@ impl<E> WheelQueue<E> {
         None
     }
 
-    /// Places an entry into level 0 of the current page.
+    /// Fills a record taken off the free list (or grown onto the arena).
+    /// Linking it — setting its `next` — is the caller's job.
     #[inline]
-    fn l0_insert(&mut self, ns: u64, seq: u64, event: E) {
-        debug_assert_eq!(ns >> L0_BITS, self.page);
-        let slot = ((ns >> GRAIN_BITS) & (L0_SLOTS as u64 - 1)) as usize;
-        self.l0[slot].push((ns, seq, event));
-        self.l0_set(slot);
-        self.l0_len += 1;
-        if slot == self.cursor {
-            self.cursor_sorted = false;
+    fn alloc(&mut self, ns: u64, seq: u64, event: E) -> u32 {
+        let idx = self.free;
+        if idx == NIL {
+            let idx = self.nodes.len();
+            assert!(idx < NIL as usize, "wheel arena is full");
+            self.nodes.push(Node {
+                ns,
+                seq,
+                next: NIL,
+                event: Some(event),
+            });
+            return idx as u32;
         }
+        let node = &mut self.nodes[idx as usize];
+        self.free = node.next;
+        node.ns = ns;
+        node.seq = seq;
+        node.event = Some(event);
+        idx
     }
 
-    /// Advances the wheel to the next page holding events, cascading
-    /// level-1 and overflow entries into level 0. Precondition: level 0 is
-    /// exhausted. Returns false when the whole queue is empty.
-    fn advance_page(&mut self) -> bool {
-        let next_l1 = if self.l1_len > 0 {
-            self.l1_next(((self.page + 1) & (L1_SLOTS as u64 - 1)) as usize)
+    #[inline]
+    fn key(&self, idx: u32) -> (u64, u64) {
+        let node = &self.nodes[idx as usize];
+        (node.ns, node.seq)
+    }
+
+    /// Links record `idx` into its level-0 bucket of the current page,
+    /// keeping the chain in `(time, seq)` order. Events are scheduled in
+    /// nearly that order, so the usual case is an append at the tail; a
+    /// record that belongs earlier walks the (short) chain from its head.
+    #[inline]
+    fn l0_link(&mut self, idx: u32) {
+        let key = self.key(idx);
+        debug_assert_eq!(key.0 >> L0_BITS, self.page);
+        let slot = l0_slot(key.0);
+        let Chain { head, tail } = self.l0[slot];
+        if head == NIL {
+            self.nodes[idx as usize].next = NIL;
+            self.l0[slot] = Chain {
+                head: idx,
+                tail: idx,
+            };
+            self.l0_occ[slot >> 6] |= 1 << (slot & 63);
+        } else if self.key(tail) < key {
+            self.nodes[idx as usize].next = NIL;
+            self.nodes[tail as usize].next = idx;
+            self.l0[slot].tail = idx;
         } else {
-            None
-        };
-        let next_of = self.overflow.peek().map(|e| e.at.as_nanos() >> L0_BITS);
+            // The tail's key is greater, so the walk ends on the chain.
+            let (mut prev, mut at) = (NIL, head);
+            while self.key(at) < key {
+                (prev, at) = (at, self.nodes[at as usize].next);
+            }
+            self.nodes[idx as usize].next = at;
+            if prev == NIL {
+                self.l0[slot].head = idx;
+            } else {
+                self.nodes[prev as usize].next = idx;
+            }
+        }
+        self.l0_len += 1;
+    }
+
+    /// Advances the wheel to the next page holding events, relinking that
+    /// page's level-1 and overflow records into level 0. Precondition:
+    /// level 0 is exhausted. Returns false when the whole queue is empty.
+    fn advance_page(&mut self) -> bool {
+        let next_l1 = self.l1_next();
+        let next_of = self.overflow.peek().map(|e| e.0 .0 >> L0_BITS);
         let target = match (next_l1, next_of) {
             (Some((_, p1)), Some(p2)) => p1.min(p2),
             (Some((_, p1)), None) => p1,
@@ -417,25 +483,23 @@ impl<E> WheelQueue<E> {
         };
         self.page = target;
         self.cursor = 0;
-        self.cursor_sorted = false;
-        while let Some(e) = self.overflow.peek() {
-            if e.at.as_nanos() >> L0_BITS != target {
+        while let Some(&Reverse((ns, _, idx))) = self.overflow.peek() {
+            if ns >> L0_BITS != target {
                 break;
             }
-            let e = self.overflow.pop().expect("peeked");
-            self.l0_insert(e.at.as_nanos(), e.seq, e.event);
+            self.overflow.pop();
+            self.l0_link(idx);
         }
         if let Some((slot, p1)) = next_l1 {
             if p1 == target {
-                let mut entries = std::mem::take(&mut self.l1[slot]);
+                let mut idx = std::mem::replace(&mut self.l1[slot], NIL);
                 self.l1_occ[slot >> 6] &= !(1 << (slot & 63));
-                self.l1_len -= entries.len();
-                for (ns, seq, event) in entries.drain(..) {
-                    self.l0_insert(ns, seq, event);
+                while idx != NIL {
+                    let next = self.nodes[idx as usize].next;
+                    self.l0_link(idx);
+                    self.l1_len -= 1;
+                    idx = next;
                 }
-                // Hand the spare buffer back so cascades stop allocating
-                // once the hottest page size has been seen.
-                self.l1[slot] = entries;
             }
         }
         true
@@ -452,10 +516,7 @@ impl<E> WheelQueue<E> {
         loop {
             if self.l0_len > 0 {
                 if let Some(slot) = self.l0_next(self.cursor) {
-                    if slot != self.cursor {
-                        self.cursor = slot;
-                        self.cursor_sorted = false;
-                    }
+                    self.cursor = slot;
                     return true;
                 }
             }
@@ -470,24 +531,21 @@ impl<E> EventQueue<E> for WheelQueue<E> {
     fn push(&mut self, at: SimTime, seq: u64, event: E) {
         let ns = at.as_nanos();
         let page = ns >> L0_BITS;
+        let idx = self.alloc(ns, seq, event);
         self.len += 1;
         if page == self.page {
-            let slot = ((ns >> GRAIN_BITS) & (L0_SLOTS as u64 - 1)) as usize;
             // `peek_at` may have advanced the cursor past a slot a later
             // push targets (pushes clamp to the *popped* time, not the
             // peeked one); rewinding only costs a rescan.
-            if slot < self.cursor {
-                self.cursor = slot;
-                self.cursor_sorted = false;
-            }
-            self.l0_insert(ns, seq, event);
+            self.cursor = self.cursor.min(l0_slot(ns));
+            self.l0_link(idx);
         } else if page.wrapping_sub(self.page) < L1_SLOTS as u64 {
             let slot = (page & (L1_SLOTS as u64 - 1)) as usize;
-            self.l1[slot].push((ns, seq, event));
+            self.nodes[idx as usize].next = std::mem::replace(&mut self.l1[slot], idx);
             self.l1_occ[slot >> 6] |= 1 << (slot & 63);
             self.l1_len += 1;
         } else {
-            self.overflow.push(Entry { at, seq, event });
+            self.overflow.push(Reverse((ns, seq, idx)));
         }
     }
 
@@ -495,14 +553,17 @@ impl<E> EventQueue<E> for WheelQueue<E> {
         if !self.normalize() {
             return None;
         }
-        self.ensure_sorted();
-        let slot = &mut self.l0[self.cursor];
-        // A bucket holds a handful of near-simultaneous events, so the
-        // FIFO front-removal shift is a few entries at most.
-        let (ns, seq, event) = slot.remove(0);
-        if slot.is_empty() {
-            self.l0_clear(self.cursor);
+        let slot = self.cursor;
+        let idx = self.l0[slot].head;
+        let node = &mut self.nodes[idx as usize];
+        let event = node.event.take().expect("a linked record holds its event");
+        let (ns, seq) = (node.ns, node.seq);
+        self.l0[slot].head = node.next;
+        if node.next == NIL {
+            self.l0_occ[slot >> 6] &= !(1 << (slot & 63));
         }
+        node.next = self.free;
+        self.free = idx;
         self.len -= 1;
         self.l0_len -= 1;
         Some((SimTime::from_nanos(ns), seq, event))
@@ -516,30 +577,22 @@ impl<E> EventQueue<E> for WheelQueue<E> {
         // an earlier slot rewind it). Across pages, only report the next
         // time — cascading is pop's job: after a cascade the wheel can no
         // longer place a push at an earlier, still-legal time.
-        if self.l0_len > 0 {
+        let ns = if self.l0_len > 0 {
             let _ = self.normalize();
-            self.ensure_sorted();
-            return Some(SimTime::from_nanos(self.l0[self.cursor][0].0));
-        }
-        let next_l1 = if self.l1_len > 0 {
-            self.l1_next(((self.page + 1) & (L1_SLOTS as u64 - 1)) as usize)
-                .map(|(slot, _)| {
-                    self.l1[slot]
-                        .iter()
-                        .map(|e| e.0)
-                        .min()
-                        .expect("occupied l1 slot")
-                })
+            self.nodes[self.l0[self.cursor].head as usize].ns
         } else {
-            None
+            // The earliest of the next level-1 chain (unordered: walk it)
+            // and the overflow heap's top; one of them exists.
+            let mut ns = self.overflow.peek().map_or(u64::MAX, |e| e.0 .0);
+            let mut idx = self.l1_next().map_or(NIL, |(slot, _)| self.l1[slot]);
+            while idx != NIL {
+                let node = &self.nodes[idx as usize];
+                ns = ns.min(node.ns);
+                idx = node.next;
+            }
+            ns
         };
-        let next_of = self.overflow.peek().map(|e| e.at.as_nanos());
-        match (next_l1, next_of) {
-            (Some(a), Some(b)) => Some(SimTime::from_nanos(a.min(b))),
-            (Some(a), None) => Some(SimTime::from_nanos(a)),
-            (None, Some(b)) => Some(SimTime::from_nanos(b)),
-            (None, None) => None,
-        }
+        Some(SimTime::from_nanos(ns))
     }
 
     fn len(&self) -> usize {
@@ -553,16 +606,15 @@ impl<E> EventQueue<E> for WheelQueue<E> {
 
 /// The discrete-event engine: an event queue plus the model under
 /// simulation. Generic over the queue; defaults to the timing wheel.
+///
+/// A clone is an exact snapshot — see [`Engine::checkpoint`].
+#[derive(Clone)]
 pub struct Engine<M: Model, Q: EventQueue<M::Event> = DefaultQueue<<M as Model>::Event>> {
     queue: Q,
     seq: u64,
     now: SimTime,
     model: M,
     processed: u64,
-    /// Recycled buffer behind [`Scheduler`]: events scheduled by a handler
-    /// land here and are drained into the queue, allocation-free in steady
-    /// state.
-    scratch: Vec<(SimTime, M::Event)>,
 }
 
 impl<M: Model> Engine<M> {
@@ -584,7 +636,6 @@ impl<M: Model, Q: EventQueue<M::Event>> Engine<M, Q> {
             now: SimTime::ZERO,
             model,
             processed: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -642,26 +693,7 @@ impl<M: Model, Q: EventQueue<M::Event>> Engine<M, Q> {
                     _ => break,
                 }
             }
-            let Some((at, _seq, event)) = self.queue.pop() else {
-                break;
-            };
-            debug_assert!(at >= self.now, "time went backwards");
-            self.now = at;
-            let mut sched = Scheduler {
-                now: self.now,
-                pending: std::mem::take(&mut self.scratch),
-                stopped: false,
-            };
-            self.model.handle(self.now, event, &mut sched);
-            self.processed += 1;
-            let stopped = sched.stopped;
-            let mut pending = sched.pending;
-            for (at, ev) in pending.drain(..) {
-                self.queue.push(at, self.seq, ev);
-                self.seq += 1;
-            }
-            self.scratch = pending;
-            if stopped {
+            if self.dispatch() != Some(false) {
                 break;
             }
         }
@@ -674,25 +706,28 @@ impl<M: Model, Q: EventQueue<M::Event>> Engine<M, Q> {
     /// `step` with [`Engine::run_until`] is exact: the engine has no
     /// between-events state beyond `(queue, seq, now, processed)`.
     pub fn step(&mut self) -> bool {
-        let Some((at, _seq, event)) = self.queue.pop() else {
-            return false;
-        };
+        self.dispatch().is_some()
+    }
+
+    /// Pops the earliest event and hands it to the model. `None` when the
+    /// queue is empty, otherwise whether the handler asked to stop.
+    #[inline]
+    fn dispatch(&mut self) -> Option<bool> {
+        let (at, _seq, event) = self.queue.pop()?;
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
+        let (queue, seq) = (&mut self.queue, &mut self.seq);
         let mut sched = Scheduler {
-            now: self.now,
-            pending: std::mem::take(&mut self.scratch),
+            now: at,
+            push: &mut |at, event| {
+                queue.push(at, *seq, event);
+                *seq += 1;
+            },
             stopped: false,
         };
-        self.model.handle(self.now, event, &mut sched);
+        self.model.handle(at, event, &mut sched);
         self.processed += 1;
-        let mut pending = sched.pending;
-        for (at, ev) in pending.drain(..) {
-            self.queue.push(at, self.seq, ev);
-            self.seq += 1;
-        }
-        self.scratch = pending;
-        true
+        Some(sched.stopped)
     }
 
     /// True if no events remain.
@@ -707,34 +742,15 @@ impl<M: Model, Q: EventQueue<M::Event>> Engine<M, Q> {
     /// The exact-resume guarantee: resuming the checkpoint and processing
     /// N events is bit-identical to processing those N events on the
     /// original — same pop order, same model trajectory — because the
-    /// engine holds no state outside the snapshot (the scratch buffer is
-    /// empty between events). Pinned by `tests/checkpoint.rs` on both
-    /// queue backends, including checkpoints taken mid-page on the wheel.
+    /// engine holds no state outside the snapshot (handlers schedule
+    /// straight into the queue, so nothing is in flight between events).
+    /// Pinned by `tests/checkpoint.rs` on both queue backends, including
+    /// checkpoints taken mid-page on the wheel.
     pub fn checkpoint(&self) -> Self
     where
         Self: Clone,
     {
         self.clone()
-    }
-}
-
-/// See [`Engine::checkpoint`]: a clone is an exact snapshot.
-impl<M, Q> Clone for Engine<M, Q>
-where
-    M: Model + Clone,
-    M::Event: Clone,
-    Q: EventQueue<M::Event> + Clone,
-{
-    fn clone(&self) -> Self {
-        Engine {
-            queue: self.queue.clone(),
-            seq: self.seq,
-            now: self.now,
-            model: self.model.clone(),
-            processed: self.processed,
-            // Drained back after every event; empty between events.
-            scratch: Vec::new(),
-        }
     }
 }
 

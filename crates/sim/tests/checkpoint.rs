@@ -5,11 +5,11 @@
 //! between events captures the *entire* future: resuming the clone and
 //! resuming the original produce the same event trace, event for event.
 //! The hard cases live in the timing wheel — a checkpoint can land
-//! mid-page, with a partially drained level-0 slot, a sorted-cursor
-//! remainder, and occupancy bitmaps mid-word — so every property here
-//! runs on `WheelQueue` and on the `HeapQueue` oracle, and the mid-page
-//! test pins the wheel's manual `Clone` against the oracle at every
-//! possible checkpoint offset.
+//! mid-page, with a partially drained level-0 chain, records on the free
+//! list, level-1 chains relinked by a page turn, and occupancy bitmaps
+//! mid-word — so every property here runs on `WheelQueue` and on the
+//! `HeapQueue` oracle, and the mid-page and recycled-record tests pin the
+//! wheel's clone against the oracle at every possible checkpoint offset.
 
 use proptest::prelude::*;
 use zygos_sim::engine::{Engine, EventQueue, HeapQueue, Model, Scheduler, WheelQueue};
@@ -111,8 +111,7 @@ proptest! {
 /// Pushes concentrated at level-0 page boundaries: multiples of the
 /// 65.5µs page stride, off by -1/0/+1, with heavy ties. Stepping `k`
 /// events before the checkpoint lands the wheel mid-page with a partially
-/// drained, cursor-sorted slot — the states a derived field-by-field
-/// clone is most likely to get wrong.
+/// drained chain under the cursor.
 #[test]
 fn checkpoint_mid_page_at_wheel_boundary_matches_heap() {
     /// Sink model: records pops, schedules nothing, so the drain order is
@@ -161,4 +160,72 @@ fn checkpoint_mid_page_at_wheel_boundary_matches_heap() {
             "mid-page checkpoint at offset {k} diverged from the heap oracle"
         );
     }
+}
+
+/// Checkpoints of a wheel whose arena has history: records freed by pops
+/// and reused by later pushes (a non-empty free list, chains that no
+/// longer follow arena order) and level-1 chains relinked into level 0 by
+/// a page turn. Taken at every offset of the run and resumed on both
+/// queues; every resumed trace must equal the heap's straight-through one.
+#[test]
+fn checkpoint_with_recycled_records_and_relinked_chains_resumes_exactly() {
+    /// Every third event schedules a follow-up a page or so ahead — into
+    /// level 1, on a record a pop has just freed.
+    #[derive(Clone)]
+    struct Recycler {
+        trace: Vec<(u64, u32)>,
+    }
+    #[derive(Clone)]
+    struct Tag(u32);
+    impl Model for Recycler {
+        type Event = Tag;
+        fn handle(&mut self, now: SimTime, Tag(x): Tag, sched: &mut Scheduler<Tag>) {
+            self.trace.push((now.as_nanos(), x));
+            if x % 3 == 0 && x < 1_000 {
+                let ahead = 60_000 + u64::from(x) * 977 % 20_000;
+                sched.after(SimDuration::from_nanos(ahead), Tag(x + 1_000));
+            }
+        }
+    }
+    fn seeded<Q: EventQueue<Tag>>() -> Engine<Recycler, Q> {
+        let mut e = Engine::<Recycler, Q>::with_queue(Recycler { trace: Vec::new() });
+        let mut tag = 0u32;
+        // Pages 0, 1, 2 and 5, eight events each with ties and shared
+        // buckets, then two beyond the level-1 horizon.
+        for page in [0u64, 1, 2, 5] {
+            for k in 0..8u64 {
+                let at = (page << 16) + (k / 2) * 4_099 + (k % 2) * 3;
+                e.schedule(SimTime::from_nanos(at), Tag(tag));
+                tag += 1;
+            }
+        }
+        for far in [1u64 << 29, (1 << 29) + 5] {
+            e.schedule(SimTime::from_nanos(far), Tag(tag));
+            tag += 1;
+        }
+        e
+    }
+    fn resume_all<Q: EventQueue<Tag> + Clone>(want: &[(u64, u32)]) {
+        for k in 0..=want.len() {
+            let mut e = seeded::<Q>();
+            for _ in 0..k {
+                assert!(e.step());
+            }
+            let mut resumed = e.checkpoint();
+            e.run();
+            resumed.run();
+            assert_eq!(
+                e.model().trace,
+                want,
+                "checkpoint at {k} perturbed the original"
+            );
+            assert_eq!(resumed.model().trace, want, "checkpoint at {k} diverged");
+        }
+    }
+    let mut oracle = seeded::<HeapQueue<Tag>>();
+    oracle.run();
+    let want = oracle.into_model().trace;
+    assert_eq!(want.len(), 34 + 12);
+    resume_all::<WheelQueue<Tag>>(&want);
+    resume_all::<HeapQueue<Tag>>(&want);
 }

@@ -7,7 +7,8 @@
 //! randomized schedules that cross every structural boundary (in-bucket
 //! ties, level-0 page turns, the level-1 horizon, the overflow heap, and
 //! interleaved push/pop with clamped re-pushes) and assert identical pop
-//! streams.
+//! streams; a same-instant burst and a drop-counting payload cover the
+//! wheel's record arena (long chains, the free list, relinking cascades).
 
 use proptest::prelude::*;
 use zygos_sim::engine::{Engine, EventQueue, HeapQueue, Model, Scheduler, WheelQueue};
@@ -93,7 +94,7 @@ proptest! {
 }
 
 /// A model whose handler chains follow-ups at pseudo-random offsets —
-/// covering the engine-level path (scratch drain, seq assignment, stop).
+/// covering the engine-level path (in-handler scheduling, seq assignment).
 struct Chaos {
     trace: Vec<(u64, u32)>,
     budget: u32,
@@ -147,4 +148,145 @@ fn full_engine_trace_is_identical_on_both_queues() {
     let heap = run_on::<HeapQueue<Ev>>();
     assert_eq!(wheel.len(), heap.len());
     assert_eq!(wheel, heap);
+}
+
+/// A burst on one nanosecond: every `Spawn` fires at the same instant, and
+/// one in four schedules a same-instant leaf (into the bucket being
+/// drained) plus one a few nanoseconds later (same or next bucket), which
+/// the same-instant leaves of later spawns must overtake.
+struct Burst {
+    trace: Vec<(u64, u32)>,
+}
+
+enum BurstEv {
+    Spawn(u32),
+    Leaf(u32),
+}
+
+impl Model for Burst {
+    type Event = BurstEv;
+    fn handle(&mut self, now: SimTime, ev: BurstEv, sched: &mut Scheduler<BurstEv>) {
+        match ev {
+            BurstEv::Spawn(id) => {
+                self.trace.push((now.as_nanos(), id));
+                if id % 4 == 0 {
+                    sched.at(
+                        now + SimDuration::from_nanos(u64::from(id % 48)),
+                        BurstEv::Leaf(id ^ 0x8000_0000),
+                    );
+                    sched.after(SimDuration::ZERO, BurstEv::Leaf(id));
+                }
+            }
+            BurstEv::Leaf(id) => self.trace.push((now.as_nanos(), id)),
+        }
+    }
+}
+
+#[test]
+fn same_instant_burst_is_identical_on_both_queues() {
+    const N: u32 = 10_000;
+    const T: u64 = (3 << 16) + 4_001; // Mid-page, mid-bucket.
+    fn run_on<Q: EventQueue<BurstEv>>() -> Vec<(u64, u32)> {
+        let mut e = Engine::<Burst, Q>::with_queue(Burst { trace: Vec::new() });
+        for id in 0..N {
+            e.schedule(SimTime::from_nanos(T), BurstEv::Spawn(id));
+        }
+        e.schedule(SimTime::from_nanos(T + 9_000), BurstEv::Leaf(N));
+        // The deadline falls between the burst and the straggler: the
+        // last `peek_at` leaves the wheel's cursor on the straggler's
+        // slot, and the pushes below target earlier slots of the page.
+        e.run_until(SimTime::from_nanos(T + 100));
+        assert_eq!(e.now(), SimTime::from_nanos(T + 44));
+        for id in 0..N {
+            // Clamped to `now`, then fanned over the next few buckets.
+            e.schedule(
+                SimTime::from_nanos(T + u64::from(id % 200)),
+                BurstEv::Leaf(N + 1 + id),
+            );
+        }
+        e.run();
+        e.into_model().trace
+    }
+    let wheel = run_on::<WheelQueue<BurstEv>>();
+    assert_eq!(wheel.len(), 2 * N as usize + N as usize / 2 + 1);
+    assert_eq!(wheel, run_on::<HeapQueue<BurstEv>>());
+}
+
+/// Drop counts, one cell per [`Token`] ever created.
+type DropTable = std::rc::Rc<std::cell::RefCell<Vec<u32>>>;
+
+/// A payload that counts its drops in a shared table (clones register a
+/// cell of their own).
+struct Token {
+    id: usize,
+    drops: DropTable,
+}
+
+impl Token {
+    fn new(drops: &DropTable) -> Token {
+        let id = drops.borrow().len();
+        drops.borrow_mut().push(0);
+        Token {
+            id,
+            drops: drops.clone(),
+        }
+    }
+}
+
+impl Clone for Token {
+    fn clone(&self) -> Token {
+        Token::new(&self.drops)
+    }
+}
+
+impl Drop for Token {
+    fn drop(&mut self) {
+        self.drops.borrow_mut()[self.id] += 1;
+    }
+}
+
+/// Every payload is dropped exactly once: handed out by `pop`, left
+/// behind in level 0, level 1 or the overflow heap when the queue is
+/// dropped, or copied by a clone taken with records on the free list.
+fn check_drops_exactly_once<Q: EventQueue<Token> + Clone>() {
+    let drops = DropTable::default();
+    let mut q = Q::default();
+    let mut seq = 0u64;
+    let mut push = |q: &mut Q, at: u64| {
+        q.push(SimTime::from_nanos(at), seq, Token::new(&drops));
+        seq += 1;
+    };
+    for i in 0..40u64 {
+        push(&mut q, i * 37); // Level 0, several to a bucket.
+        push(&mut q, (1 + i % 5) << 16 | i); // Level 1, five chains.
+        push(&mut q, (1 << 30) + (i << 20)); // Overflow.
+    }
+    // Popping through page 0 and into page 1 frees records and relinks a
+    // level-1 chain; the pushes that follow reuse some of the free list.
+    for _ in 0..45 {
+        drop(q.pop().expect("queued").2);
+    }
+    for i in 0..10u64 {
+        push(&mut q, (1 << 16) + 900 + i);
+    }
+    assert_eq!(drops.borrow().iter().sum::<u32>(), 45);
+    let snapshot = q.clone();
+    assert_eq!(snapshot.len(), q.len());
+    let created = drops.borrow().len();
+    assert_eq!(created, 130 + q.len());
+    // The clone leaves its events where they are; the original pops its
+    // way into the overflow region first.
+    drop(snapshot);
+    for _ in 0..60 {
+        drop(q.pop().expect("queued").2);
+    }
+    assert!(!q.is_empty());
+    drop(q);
+    assert_eq!(*drops.borrow(), vec![1; created]);
+}
+
+#[test]
+fn every_payload_is_dropped_exactly_once() {
+    check_drops_exactly_once::<WheelQueue<Token>>();
+    check_drops_exactly_once::<HeapQueue<Token>>();
 }

@@ -167,9 +167,11 @@ impl Recorder {
         }
     }
 
-    /// Takes the per-completion samples collected since the last drain.
-    pub fn drain_tail(&mut self) -> Vec<u64> {
-        self.tail.as_mut().map(std::mem::take).unwrap_or_default()
+    /// Drains the per-completion samples collected since the last drain.
+    /// The buffer keeps its capacity: a splitting run drains every few
+    /// dozen events.
+    pub fn drain_tail(&mut self) -> impl Iterator<Item = u64> + '_ {
+        self.tail.iter_mut().flat_map(|buf| buf.drain(..))
     }
 
     /// Records that `req`'s response left the server at `tx_time`.

@@ -463,8 +463,7 @@ impl StagedModel {
             QueueDiscipline::Cfcfs => 0,
             _ => core - seg.cores.start,
         };
-        let ladder: Vec<Rung> = seg.policy.ladder().to_vec();
-        for rung in ladder {
+        for &rung in seg.policy.ladder() {
             match rung {
                 Rung::LocalReady | Rung::LocalNet => {
                     let q = &mut seg.queues[lane];

@@ -1781,7 +1781,7 @@ impl ZygosModel {
     }
 
     /// Drains the per-completion samples collected since the last drain.
-    pub(crate) fn drain_tail(&mut self) -> Vec<u64> {
+    pub(crate) fn drain_tail(&mut self) -> impl Iterator<Item = u64> + '_ {
         self.rec.drain_tail()
     }
 
