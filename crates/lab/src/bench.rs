@@ -44,11 +44,12 @@ pub const TRACE_PAIR: (&str, &str) = ("engine-zygos-0.8", "engine-zygos-0.8-trac
 
 /// Documented bound on full-fidelity tracing overhead: with every
 /// request's whole lifecycle recorded (`sample_period = 1`, the worst
-/// case — ~7 ring stores per request plus the deterministic merge-sort
-/// of the full event stream at collection), the traced twin's events/sec
-/// must stay within this fraction of the untraced twin. Measured
-/// ~42-45% on the reference machine (see `docs/PERFORMANCE.md`); the
-/// bound leaves shared-runner headroom. Production-style tracing uses
+/// case — ~7 ring stores per request plus one copy of the rings at
+/// collection), the traced twin's events/sec must stay within this
+/// fraction of the untraced twin. Measured 12–43% (median 24%) on the
+/// reference machine since trace post-processing stopped sorting, 28–57%
+/// (median 49%) before (see `docs/PERFORMANCE.md`); the bound leaves
+/// shared-runner headroom. Production-style tracing uses
 /// `sample_period > 1`, which divides the cost by the period.
 pub const TRACE_ON_MAX_OVERHEAD: f64 = 0.60;
 

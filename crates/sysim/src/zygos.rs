@@ -2423,6 +2423,27 @@ mod tests {
     }
 
     #[test]
+    fn overload_trace_decomposes_as_a_time_sorted_one() {
+        // fig13's client-credits case at its heaviest smoke load: sheds,
+        // steals and completions interleave across cores.
+        let mut cfg = SysConfig::paper(SystemKind::Zygos, ServiceDist::exponential_us(10.0), 1.4);
+        cfg.requests = 8_000;
+        cfg.warmup = 2_000;
+        cfg.admission = Some(CreditConfig::for_cores(cfg.cores, 70.0));
+        cfg.admission_mode = AdmissionMode::ClientSide;
+        cfg.telemetry = Some(zygos_telemetry::TelemetryConfig::full_trace());
+        let t = run(&cfg).telemetry.expect("armed");
+        assert_eq!(t.dropped, 0, "rings sized for a full-run trace");
+        assert!(t.events.iter().any(|e| e.kind == TraceKind::Shed));
+        let mut sorted = t.events.clone();
+        sorted.sort_by_key(|e| (e.t_ns, e.seq, e.kind, e.core));
+        assert_ne!(sorted, t.events, "collect no longer sorts by time");
+        let decomps = zygos_telemetry::decompose(&t.events);
+        assert!(!decomps.is_empty());
+        assert_eq!(decomps, zygos_telemetry::decompose(&sorted));
+    }
+
+    #[test]
     fn decomposition_sums_match_the_measured_tail() {
         let mut cfg = SysConfig::paper(SystemKind::Zygos, ServiceDist::exponential_us(10.0), 0.7);
         cfg.requests = 10_000;

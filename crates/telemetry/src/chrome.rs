@@ -9,6 +9,7 @@
 
 use std::fmt::Write as _;
 
+use crate::decomp::group_by_request;
 use crate::trace::{TraceEvent, TraceKind};
 
 /// Incremental builder for one trace file spanning several processes
@@ -33,12 +34,11 @@ impl ChromeTrace {
         ));
     }
 
-    /// Adds one case's merged, time-sorted lifecycle stream under `pid`.
+    /// Adds one case's lifecycle stream (any order) under `pid`.
     pub fn add_events(&mut self, pid: u32, events: &[TraceEvent]) {
-        // Service chunks need each request's events adjacent: sort by
-        // (seq, t) and walk windows, same grouping as the decomposition.
-        let mut evs = events.to_vec();
-        evs.sort_by_key(|e| (e.seq, e.t_ns, e.kind));
+        // Service chunks need each request's events adjacent and in
+        // order: the decomposition's grouping.
+        let evs = group_by_request(events);
         for (i, e) in evs.iter().enumerate() {
             let ts = e.t_ns as f64 / 1_000.0;
             if e.kind == TraceKind::Dispatch {

@@ -55,45 +55,92 @@ impl Decomposition {
 }
 
 /// Bucket an interval is billed to, by the state its start entered.
-fn bucket(kind: TraceKind) -> fn(&mut Decomposition) -> &mut u64 {
+fn bucket(d: &mut Decomposition, kind: TraceKind) -> &mut u64 {
     match kind {
-        TraceKind::Arrival | TraceKind::Admit | TraceKind::Enqueue => |d| &mut d.queue_ns,
-        TraceKind::Steal | TraceKind::StolenDone => |d| &mut d.steal_ns,
-        TraceKind::Dispatch => |d| &mut d.service_ns,
-        TraceKind::Preempt | TraceKind::BgRequeue => |d| &mut d.preempt_ns,
+        TraceKind::Arrival | TraceKind::Admit | TraceKind::Enqueue => &mut d.queue_ns,
+        TraceKind::Steal | TraceKind::StolenDone => &mut d.steal_ns,
+        TraceKind::Dispatch => &mut d.service_ns,
+        TraceKind::Preempt | TraceKind::BgRequeue => &mut d.preempt_ns,
         // Terminal states start no interval; unreachable in the walk.
-        TraceKind::Shed | TraceKind::Completion => |d| &mut d.queue_ns,
+        TraceKind::Shed | TraceKind::Completion => &mut d.queue_ns,
     }
+}
+
+/// Bits per counting-sort digit: request keys are `u32`, so grouping
+/// takes one pass, or two when the keys span more than `2^16`.
+const DIGIT_BITS: u32 = 16;
+
+/// A copy of `events` grouped by request: each request's events adjacent
+/// and in `(t_ns, kind)` order, requests ascending by `seq`.
+///
+/// For any input order this equals a stable sort by `(seq, t_ns, kind)`,
+/// in linear time: a stable LSD counting sort on `seq − min` (scratch
+/// O(n + 2^16), never proportional to the `seq` span), then a sort of
+/// each request's handful of events. The decomposition and the Chrome
+/// exporter both walk this grouping.
+pub(crate) fn group_by_request(events: &[TraceEvent]) -> Vec<TraceEvent> {
+    let Some(&first) = events.first() else {
+        return Vec::new();
+    };
+    let (lo, hi) = events.iter().fold((first.seq, first.seq), |(lo, hi), e| {
+        (lo.min(e.seq), hi.max(e.seq))
+    });
+    let mask = (1 << DIGIT_BITS) - 1;
+    let (mut out, mut pass_in) = (Vec::new(), Vec::new());
+    let mut shift = 0;
+    loop {
+        let src = if shift == 0 { events } else { &pass_in[..] };
+        let digit = |e: &TraceEvent| (((e.seq - lo) >> shift) & mask) as usize;
+        // start[d + 1] counts digit d; the prefix sum turns it into the
+        // first slot of digit d + 1.
+        let mut start = vec![0u32; ((hi - lo) >> shift).min(mask) as usize + 2];
+        for e in src {
+            start[digit(e) + 1] += 1;
+        }
+        for d in 1..start.len() {
+            start[d] += start[d - 1];
+        }
+        out.resize(src.len(), first);
+        for e in src {
+            let slot = &mut start[digit(e)];
+            out[*slot as usize] = *e;
+            *slot += 1;
+        }
+        shift += DIGIT_BITS;
+        if shift >= u32::BITS || (hi - lo) >> shift == 0 {
+            break;
+        }
+        std::mem::swap(&mut out, &mut pass_in);
+    }
+    for request in out.chunk_by_mut(|a, b| a.seq == b.seq) {
+        request.sort_by_key(|e| (e.t_ns, e.kind));
+    }
+    out
 }
 
 /// Decomposes every complete lifecycle in `events` (any order; shed and
 /// torn lifecycles — no `Arrival`, or no `Completion` — are skipped).
 ///
-/// Output order follows each request's completion, i.e. sorting the
-/// input by time yields completion order — deterministic for a
-/// deterministic host.
+/// Output is in `(completion t_ns, seq)` order, whatever the input order
+/// — deterministic for a deterministic host, and independent of how seqs
+/// were assigned.
 pub fn decompose(events: &[TraceEvent]) -> Vec<Decomposition> {
-    // Group by seq: sort a copy by (seq, t, kind) and walk runs.
-    let mut evs = events.to_vec();
-    evs.sort_by_key(|e| (e.seq, e.t_ns, e.kind));
-    let mut tagged: Vec<(u64, Decomposition)> = Vec::new();
-    let mut i = 0;
-    while i < evs.len() {
-        let j = (i..evs.len())
-            .find(|&k| evs[k].seq != evs[i].seq)
-            .unwrap_or(evs.len());
-        if let Some(d) = decompose_one(&evs[i..j]) {
-            tagged.push((evs[j - 1].t_ns, d));
+    let grouped = group_by_request(events);
+    let mut decomps = Vec::new();
+    // (completion t_ns, index): indices ascend with seq, so sorting the
+    // keys gives (completion, seq) order.
+    let mut order: Vec<(u64, usize)> = Vec::new();
+    for request in grouped.chunk_by(|a, b| a.seq == b.seq) {
+        if let Some(d) = decompose_one(request) {
+            order.push((request[request.len() - 1].t_ns, decomps.len()));
+            decomps.push(d);
         }
-        i = j;
     }
-    // Completion order: the report's decomposition must not depend on
-    // seq assignment order.
-    tagged.sort_by_key(|&(t, _)| t);
-    tagged.into_iter().map(|(_, d)| d).collect()
+    order.sort_unstable();
+    order.into_iter().map(|(_, i)| decomps[i]).collect()
 }
 
-/// Decomposes one request's (time-sorted) lifecycle; `None` when torn
+/// Decomposes one request's `(t_ns, kind)`-ordered lifecycle; `None` when torn
 /// or shed.
 fn decompose_one(evs: &[TraceEvent]) -> Option<Decomposition> {
     if evs.first()?.kind != TraceKind::Arrival || evs.last()?.kind != TraceKind::Completion {
@@ -107,7 +154,7 @@ fn decompose_one(evs: &[TraceEvent]) -> Option<Decomposition> {
         ..Decomposition::default()
     };
     for w in evs.windows(2) {
-        *bucket(w[0].kind)(&mut d) += w[1].t_ns - w[0].t_ns;
+        *bucket(&mut d, w[0].kind) += w[1].t_ns - w[0].t_ns;
     }
     debug_assert_eq!(d.sum_ns(), d.total_ns, "decomposition must partition");
     Some(d)
@@ -118,15 +165,22 @@ fn decompose_one(evs: &[TraceEvent]) -> Option<Decomposition> {
 /// Rank rule mirrors `zygos_sim::stats::LatencyHistogram`
 /// (`ceil(q·n)` clamped to `[1, n]`), so against a histogram quantile of
 /// the same population the totals differ only by bucket precision
-/// (~0.1%). Sorts in place; returns `None` when empty.
+/// (~0.1%). Ties in `total_ns` go to the earlier element, as under a
+/// stable sort. `decomps` is left in its order; returns `None` when
+/// empty.
 pub fn decomposition_at_quantile(decomps: &mut [Decomposition], q: f64) -> Option<Decomposition> {
     if decomps.is_empty() {
         return None;
     }
-    decomps.sort_by_key(|d| d.total_ns);
     let n = decomps.len();
     let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-    Some(decomps[rank - 1])
+    let mut keys: Vec<(u64, usize)> = decomps
+        .iter()
+        .enumerate()
+        .map(|(i, d)| (d.total_ns, i))
+        .collect();
+    let (_, &mut (_, i), _) = keys.select_nth_unstable(rank - 1);
+    Some(decomps[i])
 }
 
 #[cfg(test)]
@@ -210,6 +264,167 @@ mod tests {
             ev(3, 0, TraceKind::Dispatch, 20),
         ];
         assert!(decompose(&evs).is_empty());
+    }
+
+    /// The sort-based decomposition this module shipped until the
+    /// counting-sort grouping replaced it: the oracle.
+    fn decompose_by_sorting(events: &[TraceEvent]) -> Vec<Decomposition> {
+        let mut evs = events.to_vec();
+        evs.sort_by_key(|e| (e.seq, e.t_ns, e.kind));
+        let mut tagged: Vec<(u64, Decomposition)> = Vec::new();
+        for request in evs.chunk_by(|a, b| a.seq == b.seq) {
+            if let Some(d) = decompose_one(request) {
+                tagged.push((request[request.len() - 1].t_ns, d));
+            }
+        }
+        tagged.sort_by_key(|&(t, _)| t);
+        tagged.into_iter().map(|(_, d)| d).collect()
+    }
+
+    /// xorshift64: deterministic test randomness without a dependency.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+
+        fn shuffle<T>(&mut self, v: &mut [T]) {
+            for i in (1..v.len()).rev() {
+                v.swap(i, self.below(i as u64 + 1) as usize);
+            }
+        }
+    }
+
+    /// `n` lifecycles on `seqs`, on a coarse clock so same-instant points
+    /// of different kinds and cores are common: some complete (several
+    /// Dispatch/Preempt rounds, maybe stolen), some shed, some torn.
+    fn lifecycles(rng: &mut Rng, seqs: impl Iterator<Item = u32>) -> Vec<TraceEvent> {
+        use TraceKind::*;
+        let mut evs = Vec::new();
+        for seq in seqs {
+            let mut t = rng.below(50) * 10;
+            let mut push = |rng: &mut Rng, kind| {
+                evs.push(ev(seq, rng.below(4) as u16, kind, t));
+                t += rng.below(3) * 10;
+            };
+            let torn = rng.below(8);
+            if torn != 0 {
+                push(rng, Arrival);
+            }
+            if rng.below(6) == 0 {
+                push(rng, Shed);
+                continue;
+            }
+            push(rng, Admit);
+            push(rng, Enqueue);
+            let stolen = rng.below(3) == 0;
+            if stolen {
+                push(rng, Steal);
+            }
+            for _ in 0..=rng.below(3) {
+                push(rng, Dispatch);
+                if rng.below(2) == 0 {
+                    push(rng, Preempt);
+                    push(rng, BgRequeue);
+                }
+            }
+            if stolen {
+                push(rng, StolenDone);
+            }
+            if torn != 1 {
+                push(rng, Completion);
+            }
+        }
+        evs
+    }
+
+    /// Shuffles `evs` several ways and checks grouping and decomposition
+    /// against their sort-based definitions; returns the decomposition.
+    fn assert_matches_sorting(rng: &mut Rng, mut evs: Vec<TraceEvent>) -> Vec<Decomposition> {
+        let expect = decompose_by_sorting(&evs);
+        for _ in 0..4 {
+            rng.shuffle(&mut evs);
+            let mut sorted = evs.clone();
+            sorted.sort_by_key(|e| (e.seq, e.t_ns, e.kind));
+            assert_eq!(group_by_request(&evs), sorted);
+            assert_eq!(decompose(&evs), expect);
+        }
+        expect
+    }
+
+    #[test]
+    fn shuffled_streams_decompose_like_the_sort_based_oracle() {
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        for n in [1, 2, 17, 400] {
+            let evs = lifecycles(&mut rng, 0..n);
+            let d = assert_matches_sorting(&mut rng, evs);
+            if n == 400 {
+                assert!(d.len() > 100, "the mix keeps most lifecycles whole");
+            }
+        }
+        assert!(assert_matches_sorting(&mut rng, Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn sheds_and_torn_lifecycles_match_the_oracle() {
+        let mut rng = Rng(7);
+        let mut evs = lifecycles(&mut rng, 0..50);
+        assert!(evs.iter().any(|e| e.kind == TraceKind::Shed));
+        // Nothing but sheds and fragments: every lifecycle loses its
+        // Arrival or its Completion.
+        evs.retain(|e| e.seq % 2 == 0 || e.kind != TraceKind::Arrival);
+        evs.retain(|e| e.seq % 2 == 1 || e.kind != TraceKind::Completion);
+        assert!(assert_matches_sorting(&mut rng, evs).is_empty());
+    }
+
+    #[test]
+    fn sampled_seqs_group_like_the_oracle() {
+        let mut rng = Rng(0xDEAD_BEEF);
+        // Sampled traces: every seq a multiple of p, so the keys span p
+        // times the request count (two counting passes past 2^16).
+        for p in [3, 1_000] {
+            let evs = lifecycles(&mut rng, (0..200).map(|i| i * p));
+            assert!(!assert_matches_sorting(&mut rng, evs).is_empty());
+        }
+    }
+
+    #[test]
+    fn sparse_seqs_do_not_allocate_by_span() {
+        // A span-sized count table here would be 16 GiB; the two 16-bit
+        // passes need 2^16 + 1 entries each.
+        let mut rng = Rng(42);
+        let evs = lifecycles(&mut rng, [0, 7, u32::MAX - 1, 0, u32::MAX].into_iter());
+        assert_matches_sorting(&mut rng, evs);
+    }
+
+    #[test]
+    fn quantile_matches_a_stable_sort_with_tied_totals() {
+        let mut rng = Rng(11);
+        // Totals from a handful of values, so most ranks sit inside a
+        // tie; the other fields tell tied elements apart.
+        let ds: Vec<Decomposition> = (0..300u64)
+            .map(|i| Decomposition {
+                total_ns: rng.below(6) * 100,
+                queue_ns: i,
+                ..Decomposition::default()
+            })
+            .collect();
+        let mut sorted = ds.clone();
+        sorted.sort_by_key(|d| d.total_ns);
+        for q in [0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            let rank = ((q * ds.len() as f64).ceil() as usize).clamp(1, ds.len());
+            let mut work = ds.clone();
+            assert_eq!(
+                decomposition_at_quantile(&mut work, q),
+                Some(sorted[rank - 1]),
+                "q = {q}"
+            );
+            assert_eq!(work, ds, "the slice keeps its order");
+        }
     }
 
     #[test]

@@ -152,7 +152,9 @@ impl TelemetryConfig {
 /// harvested time-series, both deterministic for deterministic hosts.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TelemetryOut {
-    /// Lifecycle events, merged across cores and time-sorted.
+    /// Lifecycle events, in recording order per core (core 0's first;
+    /// see [`Tracer::collect`]). Not time-sorted: group by request, as
+    /// [`decompose`] does.
     pub events: Vec<TraceEvent>,
     /// Events overwritten by ring wrap-around (0 = complete capture).
     pub dropped: u64,

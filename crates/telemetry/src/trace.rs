@@ -86,11 +86,10 @@ impl Ring {
         }
     }
 
-    /// Events in recording order (oldest first).
-    fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.buf[self.head..]
-            .iter()
-            .chain(self.buf[..self.head].iter())
+    /// Appends the events in recording order (oldest first) to `out`.
+    fn copy_into(&self, out: &mut Vec<TraceEvent>) {
+        out.extend_from_slice(&self.buf[self.head..]);
+        out.extend_from_slice(&self.buf[..self.head]);
     }
 }
 
@@ -147,14 +146,18 @@ impl Tracer {
         self.rings.iter().map(|r| r.dropped).sum()
     }
 
-    /// Merges every ring into one deterministic, time-sorted stream.
+    /// Concatenates the rings into one stream, in recording order per
+    /// core: ring 0 oldest-first, then ring 1, and so on.
     ///
-    /// Ties (equal `t_ns`) order by `(seq, kind, core)` so the output is
-    /// a pure function of the recorded events — the byte-identical-trace
-    /// determinism pin rests on this.
+    /// No sort: the order is a pure function of the recording sequence,
+    /// so a deterministic host still yields byte-identical streams, and
+    /// every consumer ([`decompose`](crate::decomp::decompose), the
+    /// Chrome exporter) groups by request itself.
     pub fn collect(&self) -> Vec<TraceEvent> {
-        let mut out: Vec<TraceEvent> = self.rings.iter().flat_map(|r| r.iter().copied()).collect();
-        out.sort_by_key(|e| (e.t_ns, e.seq, e.kind, e.core));
+        let mut out = Vec::with_capacity(self.rings.iter().map(|r| r.buf.len()).sum());
+        for r in &self.rings {
+            r.copy_into(&mut out);
+        }
         out
     }
 }
@@ -162,6 +165,7 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decomp::decompose;
 
     #[test]
     fn ring_wraps_and_counts_drops() {
@@ -192,24 +196,41 @@ mod tests {
         }
     }
 
+    /// Calls `f` on every permutation of `v[k..]` (behind a fixed `v[..k]`).
+    fn permutations(v: &mut [TraceEvent], k: usize, f: &mut impl FnMut(&[TraceEvent])) {
+        if k == v.len() {
+            return f(v);
+        }
+        for i in k..v.len() {
+            v.swap(k, i);
+            permutations(v, k + 1, f);
+            v.swap(k, i);
+        }
+    }
+
     #[test]
-    fn collect_is_deterministic_and_time_sorted() {
+    fn collect_is_deterministic_and_decomposes_in_any_order() {
         let record = || {
             let mut t = Tracer::new(4, 16, 1);
             t.record(3, 1, TraceKind::Dispatch, 500);
             t.record(0, 0, TraceKind::Arrival, 0);
             t.record(2, 1, TraceKind::Arrival, 100);
+            t.record(0, 0, TraceKind::Dispatch, 100);
             t.record(0, 0, TraceKind::Completion, 500);
+            t.record(2, 1, TraceKind::Completion, 700);
             t.collect()
         };
         let a = record();
-        assert_eq!(a, record());
-        for w in a.windows(2) {
-            assert!(w[0].t_ns <= w[1].t_ns);
-        }
-        // Equal timestamps tie-break by seq: seq 0's completion before
-        // seq 1's dispatch.
-        assert_eq!(a[2].seq, 0);
-        assert_eq!(a[3].seq, 1);
+        assert_eq!(a, record(), "same recording, same stream");
+        // Recording order per core, cores in order: no time sort.
+        let order: Vec<(u16, u64)> = a.iter().map(|e| (e.core, e.t_ns)).collect();
+        assert_eq!(
+            order,
+            [(0, 0), (0, 100), (0, 500), (2, 100), (2, 700), (3, 500)]
+        );
+        let expect = decompose(&a);
+        assert_eq!(expect.len(), 2);
+        let mut v = a.clone();
+        permutations(&mut v, 0, &mut |p| assert_eq!(decompose(p), expect));
     }
 }
