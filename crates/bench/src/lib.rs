@@ -1,11 +1,11 @@
-//! Experiment drivers shared by the figure binaries and the Criterion
-//! smoke benchmarks.
+//! Experiment drivers behind the figure binaries.
 //!
 //! Every paper table/figure has a module here exposing `run(&Scale)` (the
 //! computation, returning structured rows) and `print(..)` (the binary's
 //! stdout rendering, shaped like the paper's series). The binaries run at
-//! [`Scale::from_env`] (set `ZYGOS_FAST=1` for a quick pass); `cargo bench`
-//! exercises each experiment at [`Scale::smoke`].
+//! [`Scale::from_env`] (set `ZYGOS_FAST=1` for a quick pass); tests run
+//! experiments at [`Scale::smoke`]. Performance is measured by the
+//! reference benchmark under `benchmark/`, not here.
 //!
 //! Since PR 4 every module is a **thin wrapper over the scenario plane**
 //! (`zygos_lab`): a fig module *describes* its experiment matrix as a
@@ -74,7 +74,7 @@ impl Scale {
         }
     }
 
-    /// Tiny scale used by the Criterion smoke benchmarks.
+    /// Tiny scale for tests and `fig13_overload --smoke`.
     pub fn smoke() -> Scale {
         Scale {
             requests: 2_000,

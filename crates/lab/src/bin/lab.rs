@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! lab run <spec.toml>... [--smoke] [--check] [--baselines DIR] [--write-baselines] [--json]
-//! lab bench [--smoke] [--check] [--write] [--out FILE]
 //! lab trace <spec.toml> [--smoke] [--chrome FILE]
 //! lab gen-trace [--out FILE]
 //! ```
@@ -14,10 +13,6 @@
 //!   nonzero on any violation — the CI gate. `--write-baselines`
 //!   (re)writes the baseline files instead of comparing — unless the
 //!   report violates its claims or telemetry pins, which is never pinned.
-//! * `bench` times the canonical experiment-plane workloads (events/sec,
-//!   points/sec). With `--check` it compares rates against the committed
-//!   `BENCH_expplane.json` baseline and fails on a >30% regression;
-//!   `--write` (re)writes that baseline. See `docs/PERFORMANCE.md`.
 //! * `trace` re-runs the scenario's ZygOS-family simulator cases with
 //!   the lifecycle tracer at full fidelity and prints the p50/p99
 //!   sojourn decomposition (queueing vs service vs steal/IPI vs
@@ -30,9 +25,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use zygos_lab::{
-    check_baseline, check_bench, check_claims, check_telemetry, run_bench, run_scenario,
-    scenario_from_toml, sys_config_for, BenchReport, Report, Scenario, BENCH_BASELINE,
-    REGRESSION_TOLERANCE,
+    check_baseline, check_claims, check_telemetry, run_scenario, scenario_from_toml,
+    sys_config_for, Report, Scenario,
 };
 use zygos_sysim::{run_system, TelemetryConfig};
 use zygos_telemetry::{decompose, decomposition_at_quantile, ChromeTrace};
@@ -41,15 +35,13 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
         Some("gen-trace") => cmd_gen_trace(&args[1..]),
         _ => {
             eprintln!(
                 "usage: lab run <spec.toml>... [--smoke] [--check] [--baselines DIR] \
-                 [--write-baselines] [--json]\n       lab bench [--smoke] [--check] [--write] \
-                 [--out FILE]\n       lab trace <spec.toml> [--smoke] [--chrome FILE]\n       \
-                 lab gen-trace [--out FILE]"
+                 [--write-baselines] [--json]\n       lab trace <spec.toml> [--smoke] \
+                 [--chrome FILE]\n       lab gen-trace [--out FILE]"
             );
             ExitCode::from(2)
         }
@@ -174,86 +166,6 @@ fn run_trace(spec_path: &Path, smoke: bool, chrome: Option<&Path>) -> Result<(),
         );
     }
     Ok(())
-}
-
-fn cmd_bench(args: &[String]) -> ExitCode {
-    let mut smoke = false;
-    let mut check = false;
-    let mut write = false;
-    let mut out = PathBuf::from(BENCH_BASELINE);
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--check" => check = true,
-            "--write" => write = true,
-            "--out" => match it.next() {
-                Some(p) => out = PathBuf::from(p),
-                None => {
-                    eprintln!("--out needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("unknown flag {other}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if check && write {
-        eprintln!("--check and --write are mutually exclusive (a write would overwrite the baseline the check compares against)");
-        return ExitCode::from(2);
-    }
-    let report = run_bench(smoke);
-    println!(
-        "# lab bench ({} scale)",
-        if smoke { "smoke" } else { "full" }
-    );
-    println!("# columns: workload\twall_ms\trate\tunit");
-    for e in &report.entries {
-        let (rate, unit) = if e.events_per_sec > 0.0 {
-            (e.events_per_sec, "events/sec")
-        } else {
-            (e.points_per_sec, "points/sec")
-        };
-        println!("{}\t{:.1}\t{:.0}\t{}", e.name, e.wall_ms, rate, unit);
-    }
-    if write {
-        if let Err(e) = std::fs::write(&out, report.to_json()) {
-            eprintln!("writing {}: {e}", out.display());
-            return ExitCode::FAILURE;
-        }
-        println!("# wrote bench baseline {}", out.display());
-        return ExitCode::SUCCESS;
-    }
-    if check {
-        let text = match std::fs::read_to_string(&out) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!(
-                    "no bench baseline {} ({e}); create it with `lab bench --write`",
-                    out.display()
-                );
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline = match BenchReport::from_json(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("parsing {}: {e}", out.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let errs = check_bench(&report, &baseline, REGRESSION_TOLERANCE);
-        if !errs.is_empty() {
-            for e in errs {
-                eprintln!("lab bench FAILED: {e}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!("# lab bench check OK ({} workloads)", report.entries.len());
-    }
-    ExitCode::SUCCESS
 }
 
 fn cmd_gen_trace(args: &[String]) -> ExitCode {

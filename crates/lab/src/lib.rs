@@ -43,7 +43,6 @@
 //! assert!(report.series[0].points[0].p99_us > 40.0);
 //! ```
 
-pub mod bench;
 pub mod check;
 pub mod fromtoml;
 pub mod report;
@@ -52,10 +51,6 @@ pub mod spec;
 pub mod toml;
 pub mod traces;
 
-pub use bench::{
-    check_bench, run_bench, BenchReport, BENCH_BASELINE, PAR_MIN_RATIO, PAR_PAIR,
-    REGRESSION_TOLERANCE, TRACE_ON_MAX_OVERHEAD, TRACE_PAIR, WARM_MIN_SPEEDUP, WARM_PAIR,
-};
 pub use check::{check_baseline, check_claims, check_telemetry};
 pub use fromtoml::scenario_from_toml;
 pub use report::{PointMetrics, Report, SearchResult, Series, TailResult, TraceSeries};

@@ -299,8 +299,10 @@ pub struct SysOutput {
     /// window is [`SysOutput::completed`]).
     pub completed_total: u64,
     /// Discrete events the engine processed over the whole run (including
-    /// warmup) — the numerator of the experiment plane's events/sec, what
-    /// `lab bench` tracks across PRs.
+    /// warmup) — a machine-independent cost count: the benchmark's
+    /// `sysim.*.events_per_req` probes divide it by completions, and
+    /// `driver.rs`'s `warm_chain_processes_a_fraction_of_the_cold_events`
+    /// gates warm-start chains on it.
     pub events: u64,
     /// Simulated duration in microseconds (measurement window).
     pub sim_time_us: f64,

@@ -144,8 +144,8 @@ pub fn run_system_chain(base: &SysConfig, loads: &[f64]) -> Vec<SysOutput> {
 }
 
 /// The pre-warm-start sweep: every grid point pays the full cold
-/// convergence. Kept as the baseline side of the `sweep-warm` vs
-/// `sweep-cold` benchmark pair and for callers that need fully
+/// convergence. Kept as the cold side of the benchmark's
+/// `sysim.warm.chain_speedup` probe and for callers that need fully
 /// independent points.
 pub fn latency_throughput_sweep_cold(base: &SysConfig, loads: &[f64]) -> Vec<SweepPoint> {
     let mut cfg = base.clone();
@@ -355,6 +355,39 @@ mod tests {
                 c.p99_us
             );
         }
+    }
+
+    #[test]
+    fn warm_chain_processes_a_fraction_of_the_cold_events() {
+        // The warm-start gate as an exact count, on the smoke grid of the
+        // benchmark's `sysim.warm.chain_speedup` probe. Each cold point
+        // converges 30k + 2.5k completions; the chain pays that once, then
+        // warmup/8 + 2.5k per point. Σ cold / Σ chain engine events
+        // measured 2.531–2.557 over seeds 1–10, so the floor sits just
+        // under the lowest seed. A chain that stops warming reads 1.0.
+        const MIN_COLD_OVER_WARM: f64 = 2.5;
+        let mut base = SysConfig::paper(SystemKind::Zygos, ServiceDist::exponential_us(10.0), 0.3);
+        base.seed = 1;
+        (base.requests, base.warmup) = (2_500, 30_000);
+        let loads = [0.3, 0.4, 0.5, 0.6, 0.7, 0.8];
+        let mut cfg = base.clone();
+        let cold: u64 = loads
+            .iter()
+            .map(|&load| {
+                cfg.load = load;
+                run_system(&cfg).events
+            })
+            .sum();
+        let warm: u64 = run_system_chain(&base, &loads)
+            .iter()
+            .map(|o| o.events)
+            .sum();
+        assert!(
+            cold as f64 >= MIN_COLD_OVER_WARM * warm as f64,
+            "warm chain lost its head start: {cold} cold events vs {warm} chained \
+             ({:.3}x, floor {MIN_COLD_OVER_WARM}x)",
+            cold as f64 / warm as f64
+        );
     }
 
     #[test]

@@ -233,8 +233,9 @@ impl FleetOutput {
         self.shards.iter().map(|s| s.timeouts).sum()
     }
 
-    /// Engine events processed across the fleet — the `lab bench`
-    /// numerator for the fleet workload.
+    /// Engine events processed across the fleet — the fleet's
+    /// machine-independent cost count, the sum of each shard's
+    /// [`SysOutput::events`](crate::SysOutput::events).
     pub fn events(&self) -> u64 {
         self.shards.iter().map(|s| s.events).sum()
     }

@@ -2409,6 +2409,21 @@ mod tests {
             .filter(|e| e.kind == TraceKind::Completion)
             .count() as u64;
         assert_eq!(completions, traced.latency.count());
+        // The trace's cost as an exact count: ring stores per run, by kind
+        // (`TraceKind as usize`). 62,032 records over 12,000 completions
+        // is 5.17 stores per request: Arrival, Enqueue, Dispatch, one
+        // Completion per measured request, and Steal + StolenDone for the
+        // two thirds that are stolen. A new hot-path trace point shows up
+        // here as a diff; its wall-clock cost is the benchmark's
+        // `telemetry.trace.full_ns_per_req`.
+        let mut by_kind = [0usize; 10];
+        for e in &t.events {
+            by_kind[e.kind as usize] += 1;
+        }
+        assert_eq!(
+            by_kind,
+            [12_019, 0, 0, 12_017, 7_994, 12_015, 0, 0, 7_987, 10_000]
+        );
     }
 
     #[test]
