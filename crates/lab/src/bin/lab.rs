@@ -28,7 +28,8 @@ use zygos_lab::{
     check_baseline, check_claims, check_telemetry, run_scenario, scenario_from_toml,
     sys_config_for, Report, Scenario,
 };
-use zygos_sysim::{run_system, TelemetryConfig};
+use zygos_net::cost::CostModel;
+use zygos_sysim::{run_system, StagedConfig, TelemetryConfig};
 use zygos_telemetry::{decompose, decomposition_at_quantile, ChromeTrace};
 
 fn main() -> ExitCode {
@@ -372,6 +373,16 @@ fn print_report(sc: &Scenario, report: &Report) {
                 report.scenario, s.label, t.load, t.clones, t.truncated, t.clone_events,
             );
         }
+        // Stage names for the per-stage rows: the scenario's [[stages]] on
+        // `sim:staged`; `sim:ix` always runs the paper pipeline.
+        let stage_names: Vec<String> = match (&sc.stages, s.host.as_str()) {
+            (Some(stages), "sim:staged") => stages.iter().map(|st| st.name.clone()).collect(),
+            _ => StagedConfig::paper_pipeline(&CostModel::ix())
+                .stages
+                .into_iter()
+                .map(|st| st.name)
+                .collect(),
+        };
         for p in &s.points {
             let metrics: [(&str, f64); 7] = [
                 ("p99_us", p.p99_us),
@@ -409,14 +420,8 @@ fn print_report(sc: &Scenario, report: &Report) {
                     );
                 }
             }
-            // Staged hosts: the per-stage queueing decomposition, named
-            // by the pipeline's own stage names.
-            for (i, wait) in p.stage_p99_wait_us.iter().enumerate() {
-                let stage = sc
-                    .stages
-                    .as_ref()
-                    .and_then(|st| st.get(i))
-                    .map_or_else(|| format!("stage{i}"), |st| st.name.clone());
+            // Staged-engine hosts: the per-stage queueing decomposition.
+            for (stage, wait) in stage_names.iter().zip(&p.stage_p99_wait_us) {
                 println!(
                     "{}\t{}\tstage_p99_wait_us:{}\t{:.4}\t{:.3}",
                     report.scenario, s.label, stage, p.load, wait

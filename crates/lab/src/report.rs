@@ -67,7 +67,8 @@ pub struct PointMetrics {
     pub p99_steal_us: f64,
     /// p99 decomposition: background-queue wait after preemptions.
     pub p99_preempt_us: f64,
-    /// Staged hosts only: p99 queue wait ahead of each pipeline stage,
+    /// Staged-engine hosts only (`sim:staged`, and `sim:ix`, which runs
+    /// the paper pipeline): p99 queue wait ahead of each pipeline stage,
     /// µs, pipeline order (empty on every other host). This is the
     /// per-stage tail decomposition the layout crossover is read from.
     pub stage_p99_wait_us: Vec<f64>,

@@ -28,7 +28,10 @@ pub enum SystemKind {
         /// Floor on granted cores (the controller never parks below this).
         min_cores: usize,
     },
-    /// IX: shared-nothing run-to-completion with bounded batching.
+    /// IX: shared-nothing run-to-completion with adaptive bounded batching
+    /// ([`SysConfig::rx_batch`] = the paper's `B`). Runs on the staged
+    /// engine as [`StagedConfig::paper_pipeline`] (unified layout, per-core
+    /// dFCFS head queue, no stealing) and ignores [`SysConfig::staged`].
     Ix,
     /// Linux, connections partitioned across epoll sets.
     LinuxPartitioned,
@@ -203,8 +206,9 @@ pub struct SysConfig {
     pub slo: Option<TenantSlos>,
     /// Staged-pipeline description (stage table + core layout); consulted
     /// only by [`SystemKind::Staged`]. `None` on a staged run falls back
-    /// to [`StagedConfig::paper_pipeline`]; every other system kind
-    /// ignores it (and keeps it `None`, which is what the degenerate
+    /// to [`StagedConfig::paper_pipeline`]. [`SystemKind::Ix`] runs on the
+    /// same engine but always with the paper pipeline; every other system
+    /// kind ignores it (and keeps it `None`, which is what the degenerate
     /// staged host's bit-identity to plain ZygOS rides on).
     pub staged: Option<StagedConfig>,
     /// Telemetry plane: lifecycle tracing and control-tick time-series
@@ -306,7 +310,9 @@ pub struct SysOutput {
     pub events: u64,
     /// Simulated duration in microseconds (measurement window).
     pub sim_time_us: f64,
-    /// Events executed on their home core.
+    /// Events executed on their home core. The staged engine (IX
+    /// included) counts an item when a core takes it from its own queue,
+    /// so a batch still in flight when the run stops is counted too.
     pub local_events: u64,
     /// Events executed on a stealing core.
     pub stolen_events: u64,
@@ -354,18 +360,21 @@ pub struct SysOutput {
     /// Items that finished each pipeline stage's processing, in stage
     /// order — the staged plane's conservation ledger (non-increasing
     /// along the pipeline; the final entry equals
-    /// [`SysOutput::completed_total`]). Empty on every non-staged run and
-    /// on the degenerate staged run delegated to the ZygOS model.
+    /// [`SysOutput::completed_total`]). Filled by the staged engine
+    /// ([`SystemKind::Staged`] and [`SystemKind::Ix`]); empty on ZygOS
+    /// and Linux runs and on the degenerate staged run delegated to the
+    /// ZygOS model.
     pub stage_counts: Vec<u64>,
     /// p99 queue wait (µs) ahead of each pipeline stage over the
     /// measurement window — the staged plane's tail-decomposition
     /// buckets. `0` for stages that run back-to-back inside a segment
-    /// (they have no queue); empty on non-staged runs.
+    /// (they have no queue; on IX only `net_poll`, the RX queue, is
+    /// non-zero); empty wherever [`SysOutput::stage_counts`] is.
     pub stage_p99_wait_us: Vec<f64>,
     /// Telemetry harvest: the merged lifecycle event stream and the
     /// control-tick time-series. `None` unless [`SysConfig::telemetry`]
-    /// armed the plane (the IX/Linux models do not trace yet and always
-    /// report `None`).
+    /// armed the plane (the staged engine, IX included, and the Linux
+    /// models do not trace yet and always report `None`).
     pub telemetry: Option<TelemetryOut>,
 }
 

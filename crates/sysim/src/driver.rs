@@ -8,7 +8,7 @@ use zygos_sim::queueing::{self, Policy, QueueConfig};
 
 use crate::config::{SysConfig, SysOutput, SystemKind};
 use crate::zygos::WarmState;
-use crate::{ix, linux, staged, zygos};
+use crate::{linux, staged, zygos};
 
 /// Divisor on the cold warmup for a warm-started point: a spliced run
 /// starts from a converged neighbor, so it only needs to re-equilibrate
@@ -43,9 +43,8 @@ pub fn run_system(cfg: &SysConfig) -> SysOutput {
         SystemKind::Zygos | SystemKind::ZygosNoInterrupts | SystemKind::Elastic { .. } => {
             zygos::run(cfg)
         }
-        SystemKind::Ix => ix::run(cfg),
         SystemKind::LinuxPartitioned | SystemKind::LinuxFloating => linux::run(cfg),
-        SystemKind::Staged => staged::run(cfg),
+        SystemKind::Ix | SystemKind::Staged => staged::run(cfg),
     }
 }
 
@@ -316,6 +315,90 @@ mod tests {
             zygos > ix + 0.10,
             "ZygOS load@SLO {zygos} should clearly beat IX {ix}"
         );
+    }
+
+    /// An IX run at the paper's scale: 16 cores, 2752 connections.
+    fn ix(service: ServiceDist, load: f64, rx_batch: u64) -> SysOutput {
+        let mut cfg = SysConfig::paper(SystemKind::Ix, service, load);
+        cfg.requests = 20_000;
+        cfg.warmup = 4_000;
+        cfg.rx_batch = rx_batch;
+        run_system(&cfg)
+    }
+
+    #[test]
+    fn ix_golden_pin() {
+        // IX runs as the staged engine's paper pipeline. These values were
+        // recorded from the standalone IX model that engine replaced, which
+        // matched it bit for bit on every output but `local_events`; they
+        // are the oracle now that the standalone model is gone.
+        // (service, load, B, events, generated, p99 µs); seed 1, 30k + 5k.
+        let (exp, bimodal) = (
+            ServiceDist::exponential_us(10.0),
+            ServiceDist::bimodal1_us(10.0),
+        );
+        let pins = [
+            (exp.clone(), 0.3, 1, 140_008, 35_006, 79.167),
+            (exp.clone(), 0.8, 16, 115_444, 35_101, 397.055),
+            (exp, 0.95, 64, 112_736, 38_061, 3051.519),
+            (bimodal, 0.5, 1, 140_027, 35_017, 170.623),
+        ];
+        for (service, load, rx_batch, events, generated, p99_us) in pins {
+            let mut cfg = SysConfig::paper(SystemKind::Ix, service, load);
+            (cfg.requests, cfg.warmup, cfg.seed, cfg.rx_batch) = (30_000, 5_000, 1, rx_batch);
+            let out = run_system(&cfg);
+            let p99 = out.p99_us();
+            let got = (
+                out.events,
+                out.completed_total,
+                out.generated,
+                p99.to_bits(),
+            );
+            let want = (events, 35_000, generated, f64::to_bits(p99_us));
+            assert_eq!(got, want, "load {load}, B {rx_batch}: p99 {p99} µs");
+        }
+    }
+
+    #[test]
+    fn ix_completes_and_never_steals() {
+        let out = ix(ServiceDist::exponential_us(10.0), 0.4, 1);
+        assert_eq!(out.completed, 20_000);
+        assert_eq!(out.stolen_events, 0);
+        assert_eq!(out.ipis, 0);
+    }
+
+    #[test]
+    fn ix_partitioned_tail_grows_much_earlier_than_pooled() {
+        // At 70% load a partitioned M/G/1-like system has a far worse tail
+        // than centralized designs; just sanity-check stability + ordering.
+        let lo = ix(ServiceDist::exponential_us(10.0), 0.3, 1);
+        let hi = ix(ServiceDist::exponential_us(10.0), 0.7, 1);
+        assert!(hi.p99_us() > lo.p99_us() * 1.5);
+    }
+
+    #[test]
+    fn ix_batching_raises_saturation_throughput() {
+        // With tiny tasks the fixed driver cost dominates; B=64 amortizes
+        // it and sustains a higher load with bounded latency.
+        let b1 = ix(ServiceDist::exponential_us(2.0), 0.8, 1);
+        let b64 = ix(ServiceDist::exponential_us(2.0), 0.8, 64);
+        assert!(
+            b64.p99_us() < b1.p99_us(),
+            "B=64 p99 {} should beat B=1 p99 {}",
+            b64.p99_us(),
+            b1.p99_us()
+        );
+    }
+
+    #[test]
+    fn ix_run_to_completion_head_of_line_blocking() {
+        // Bimodal-1 at moderate load: the p99 reflects short requests stuck
+        // behind 55µs ones on the same core — well above the 55µs mode.
+        let mut cfg = SysConfig::paper(SystemKind::Ix, ServiceDist::bimodal1_us(10.0), 0.5);
+        cfg.requests = 30_000;
+        cfg.warmup = 5_000;
+        let out = run_system(&cfg);
+        assert!(out.p99_us() > 60.0, "p99 = {}", out.p99_us());
     }
 
     #[test]

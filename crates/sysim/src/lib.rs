@@ -2,14 +2,12 @@
 //!
 //! A 16-core server behind a multi-queue NIC (real RSS mapping from
 //! `zygos-net`), 2752 client connections, open-loop Poisson arrivals, and
-//! four system models:
+//! three server models:
 //!
 //! * [`config::SystemKind::Zygos`] — the paper's system: per-core network
 //!   stacks, shuffle queues with connection-granularity work stealing,
 //!   remote batched syscalls, and IPIs ([`SystemKind::ZygosNoInterrupts`]
 //!   disables the IPIs for the cooperative ablation).
-//! * [`config::SystemKind::Ix`] — shared-nothing run-to-completion with
-//!   adaptive bounded batching (`rx_batch` = the paper's `B`).
 //! * [`config::SystemKind::LinuxPartitioned`] / [`SystemKind::LinuxFloating`]
 //!   — the epoll baselines with Linux's per-request kernel cost.
 //! * [`config::SystemKind::Elastic`] — ZygOS under the `zygos-sched`
@@ -29,6 +27,10 @@
 //!   queues and disciplines (cFCFS / dFCFS / dFCFS+steal) and a
 //!   [`staged::CoreLayout`] assigning core roles (unified run-to-completion
 //!   vs dedicated net/app core splits); see [`staged`].
+//!   [`config::SystemKind::Ix`] — shared-nothing run-to-completion with
+//!   adaptive bounded batching (`rx_batch` = the paper's `B`) — runs on
+//!   this engine as [`StagedConfig::paper_pipeline`]: unified layout, a
+//!   per-core dFCFS head queue, no stealing.
 //!
 //! Every model routes its queue-pick decisions through the shared
 //! `zygos_sched::DispatchPolicy` ladder (the same objects the live
@@ -69,7 +71,6 @@ mod arrivals;
 pub mod config;
 pub mod driver;
 pub mod fleet;
-mod ix;
 mod linux;
 pub mod staged;
 pub mod tail;

@@ -1,11 +1,11 @@
 //! The staged service plane: a request as a multi-phase pipeline
 //! (`net_poll → net_stack → app`) with explicit core layouts.
 //!
-//! Every other model in this crate folds a request's NIC-poll,
-//! network-stack and application phases into one opaque cost; the paper's
-//! IX-vs-ZygOS argument, though, is really about *where* those phases run
-//! (§2, §3 of conf_sosp_PrekasKB17, and Belay et al.'s run-to-completion
-//! case). This module makes the phases first-class:
+//! The ZygOS and Linux models fold a request's NIC-poll, network-stack
+//! and application phases into one opaque cost; the paper's IX-vs-ZygOS
+//! argument, though, is really about *where* those phases run (§2, §3 of
+//! conf_sosp_PrekasKB17, and Belay et al.'s run-to-completion case). This
+//! module makes the phases first-class:
 //!
 //! * A [`StagedConfig`] names the stages. Every stage carries a fixed
 //!   per-item cost (plus an amortizable per-batch cost), and the **final**
@@ -35,6 +35,14 @@
 //! amortizes — and under `Unified` the entire batch then runs to
 //! completion, which is exactly the head-of-line blocking the split
 //! layouts exist to avoid); downstream segments take one item at a time.
+//!
+//! **IX is the paper pipeline.** [`SystemKind::Ix`] runs
+//! [`StagedConfig::paper_pipeline`] on this engine whatever
+//! [`SysConfig::staged`] holds: one `Unified` segment whose head stage
+//! (`net_poll`) queues per core under dFCFS, so a core polls up to `B`
+//! packets from its own RSS queue and runs the batch to completion, and
+//! nothing is ever rebalanced. Its `stage_p99_wait_us` is the RX-queue
+//! wait in slot 0 and zeros behind it (interior stages never queue).
 //!
 //! **Bit-identity contract** (the PR-8 pattern): the *degenerate* pipeline
 //! — a single zero-cost `Unified` stage with steal dispatch, i.e.
@@ -152,7 +160,8 @@ pub struct StageSpec {
 
 /// A full staged-pipeline description: the stage table plus the core
 /// layout. Carried in [`SysConfig::staged`] and consulted only by
-/// [`SystemKind::Staged`].
+/// [`SystemKind::Staged`] ([`SystemKind::Ix`] always runs
+/// [`StagedConfig::paper_pipeline`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StagedConfig {
     /// The pipeline, in traversal order; the last stage is the
@@ -376,7 +385,8 @@ struct StagedModel {
     /// Per-stage queue wait at the segment heads, measurement window only
     /// (interior stages of a segment have no queue and stay empty).
     stage_wait: Vec<LatencyHistogram>,
-    /// Recycled batch buffers (same idiom as the IX model).
+    /// Recycled batch buffers: one per in-flight batch instead of an
+    /// allocation per take.
     batch_pool: Vec<VecDeque<Item>>,
 }
 
@@ -562,7 +572,8 @@ impl StagedModel {
     }
 
     /// Runs the next application item of the tail segment's batch
-    /// (run-to-completion, same shape as the IX model's app alternation).
+    /// (run-to-completion: the core takes no new batch until this one is
+    /// done).
     fn next_app(
         &mut self,
         core: usize,
@@ -613,26 +624,27 @@ impl Model for StagedModel {
     }
 }
 
-/// Runs the staged-pipeline system simulation. The degenerate
+/// Runs the segment engine for [`SystemKind::Staged`] and
+/// [`SystemKind::Ix`]. IX is always [`StagedConfig::paper_pipeline`] and
+/// ignores [`SysConfig::staged`]. The degenerate
 /// [`StagedConfig::zygos_equivalent`] pipeline is delegated verbatim to
-/// the ZygOS model (the bit-identity contract); everything else runs the
-/// segment engine.
+/// the ZygOS model (the bit-identity contract).
 pub(crate) fn run(cfg: &SysConfig) -> SysOutput {
-    debug_assert_eq!(cfg.system, SystemKind::Staged);
-    let plan = cfg
-        .staged
-        .clone()
-        .unwrap_or_else(|| StagedConfig::paper_pipeline(&cfg.cost));
+    debug_assert!(matches!(cfg.system, SystemKind::Staged | SystemKind::Ix));
+    let mut cfg = cfg.clone();
+    let plan = match (cfg.system, cfg.staged.take()) {
+        (SystemKind::Staged, Some(plan)) => plan,
+        // IX: per-core dFCFS head queue, RX batch B, run to completion.
+        _ => StagedConfig::paper_pipeline(&cfg.cost),
+    };
     if plan.is_zygos_equivalent() {
-        let mut inner = cfg.clone();
-        inner.system = SystemKind::Zygos;
-        inner.staged = None;
-        return crate::zygos::run(&inner);
+        cfg.system = SystemKind::Zygos;
+        return crate::zygos::run(&cfg);
     }
     if let Err(e) = plan.validate(cfg.cores) {
         panic!("invalid staged config: {e}");
     }
-    let mut engine = Engine::new(StagedModel::new(cfg.clone(), plan));
+    let mut engine = Engine::new(StagedModel::new(cfg, plan));
     engine.schedule(SimTime::ZERO, Ev::Gen);
     engine.run();
     let now = engine.now();
@@ -657,14 +669,14 @@ pub(crate) fn run(cfg: &SysConfig) -> SysOutput {
         stolen_events: model.stolen_events,
         ipis: 0,
         preemptions: 0,
-        avg_active_cores: cfg.cores as f64,
+        avg_active_cores: model.cfg.cores as f64,
         admitted: 0,
         rejected: 0,
         wire_rejects: 0,
         retries: 0,
         give_ups: 0,
         timeouts: 0,
-        rtt_us: cfg.cost.network_rtt_ns as f64 / 1_000.0,
+        rtt_us: model.cfg.cost.network_rtt_ns as f64 / 1_000.0,
         rejected_by_class: vec![0],
         admitted_by_class: vec![0],
         stage_counts: model.stage_counts,

@@ -1,82 +1,33 @@
 //! The fleet differential wire: a 1-shard `fleet:zygos` case under
 //! pass-through routing must reproduce its `sim:zygos` base case
-//! **bit-for-bit** — every numeric field of every report point compared
-//! via `f64::to_bits`, not within a tolerance. This is what certifies
-//! that the fleet plane's lowering and Σ-aggregation add *zero*
-//! modelling distortion: any fleet-vs-sim difference in a real
-//! experiment is then attributable to sharding and routing, never to
-//! the plumbing.
+//! **bit-for-bit** — every field of every report point, not within a
+//! tolerance (`common::assert_bits`). This is what certifies that the
+//! fleet plane's lowering and Σ-aggregation add *zero* modelling
+//! distortion: any fleet-vs-sim difference in a real experiment is then
+//! attributable to sharding and routing, never to the plumbing.
 
-use zygos::lab::{run_scenario, Case, FleetSpec, PointMetrics, Scenario, SimHost};
+mod common;
+
+use common::assert_bits;
+use zygos::lab::{run_scenario, Case, FleetSpec, Scenario, SimHost};
+use zygos::load::retry::RetryPolicy;
 use zygos::sim::dist::ServiceDist;
 use zygos::sysim::{AdmissionMode, RoutePolicy};
 
-/// Asserts two points are bitwise identical, field by field.
-fn assert_bits(b: &PointMetrics, f: &PointMetrics, what: &str) {
-    let scalars = [
-        ("load", b.load, f.load),
-        ("mrps", b.mrps, f.mrps),
-        ("p50_us", b.p50_us, f.p50_us),
-        ("p99_us", b.p99_us, f.p99_us),
-        ("p999_us", b.p999_us, f.p999_us),
-        ("steal_fraction", b.steal_fraction, f.steal_fraction),
-        ("ipis_per_req", b.ipis_per_req, f.ipis_per_req),
-        (
-            "preemptions_per_req",
-            b.preemptions_per_req,
-            f.preemptions_per_req,
-        ),
-        ("avg_cores", b.avg_cores, f.avg_cores),
-        ("core_seconds", b.core_seconds, f.core_seconds),
-        ("shed_fraction", b.shed_fraction, f.shed_fraction),
-        ("wasted_wire_us", b.wasted_wire_us, f.wasted_wire_us),
-        ("p99_queue_us", b.p99_queue_us, f.p99_queue_us),
-        ("p99_service_us", b.p99_service_us, f.p99_service_us),
-        ("p99_steal_us", b.p99_steal_us, f.p99_steal_us),
-        ("p99_preempt_us", b.p99_preempt_us, f.p99_preempt_us),
-    ];
-    for (name, sim, fleet) in scalars {
-        assert_eq!(
-            sim.to_bits(),
-            fleet.to_bits(),
-            "{what}: field {name} differs (sim {sim}, fleet {fleet})"
-        );
-    }
-    for (name, sim, fleet) in [
-        (
-            "shed_share_by_class",
-            &b.shed_share_by_class,
-            &f.shed_share_by_class,
-        ),
-        (
-            "shed_rate_by_class",
-            &b.shed_rate_by_class,
-            &f.shed_rate_by_class,
-        ),
-    ] {
-        assert_eq!(sim.len(), fleet.len(), "{what}: {name} length");
-        for (i, (s, fl)) in sim.iter().zip(fleet).enumerate() {
-            assert_eq!(
-                s.to_bits(),
-                fl.to_bits(),
-                "{what}: {name}[{i}] differs (sim {s}, fleet {fl})"
-            );
-        }
-    }
-    assert_eq!(
-        b.timeseries.len(),
-        f.timeseries.len(),
-        "{what}: timeseries count"
-    );
-}
-
 #[test]
 fn single_shard_pass_through_fleet_is_bit_identical_to_sim() {
-    // Two twin pairs: a plain world across sub- and over-saturation
-    // loads, and a credit-gated world shedding at overload (exercising
-    // the per-class/shed reductions as well as the latency ones). The
-    // grid descends so no two consecutive loads form a warm-start chain:
-    // fleet shards always run cold, so the sim twin must too.
+    // Three twin pairs: a plain world across sub- and over-saturation
+    // loads, a credit-gated world shedding at overload (exercising the
+    // per-class/shed reductions as well as the latency ones), and the
+    // same gate with backoff retries (so retry_rate, give_up_rate and
+    // goodput are non-trivial). The grid descends so no two consecutive
+    // loads form a warm-start chain: fleet shards always run cold, so the
+    // sim twin must too.
+    let backoff = RetryPolicy::Backoff {
+        base_us: 50,
+        factor: 2.0,
+        max_attempts: 2,
+    };
     let sc = Scenario::builder("fleet-diff")
         .service(ServiceDist::exponential_us(10.0))
         .cores(4)
@@ -98,10 +49,27 @@ fn single_shard_pass_through_fleet_is_bit_identical_to_sim() {
                 .admission(AdmissionMode::ServerEdge)
                 .credit_target_us(70.0),
         )
+        .case(
+            Case::sim("base-retry", SimHost::Zygos)
+                .admission(AdmissionMode::ServerEdge)
+                .credit_target_us(70.0)
+                .retry(backoff),
+        )
+        .case(
+            Case::fleet("fleet-retry", SimHost::Zygos)
+                .routing(RoutePolicy::PassThrough)
+                .admission(AdmissionMode::ServerEdge)
+                .credit_target_us(70.0)
+                .retry(backoff),
+        )
         .build()
         .expect("valid");
     let report = run_scenario(&sc, true).expect("runs");
-    for (sim_label, fleet_label) in [("base", "fleet"), ("base-credits", "fleet-credits")] {
+    for (sim_label, fleet_label) in [
+        ("base", "fleet"),
+        ("base-credits", "fleet-credits"),
+        ("base-retry", "fleet-retry"),
+    ] {
         let sim = report.series(sim_label).expect("sim series");
         let fleet = report.series(fleet_label).expect("fleet series");
         assert_eq!(sim.points.len(), fleet.points.len());
@@ -110,4 +78,11 @@ fn single_shard_pass_through_fleet_is_bit_identical_to_sim() {
             assert_bits(b, f, &format!("{fleet_label} @ load {}", b.load));
         }
     }
+    // The retry twin exercises the retry plane, not only its zeros.
+    let retry = &report.series("base-retry").expect("retry series").points[0];
+    assert!(
+        retry.retry_rate > 0.0 && retry.give_up_rate > 0.0 && retry.goodput < 1.0,
+        "retry twin at load {}: {retry:?}",
+        retry.load
+    );
 }

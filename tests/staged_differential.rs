@@ -1,80 +1,22 @@
 //! The staged differential wire: a `sim:staged` case running the
 //! degenerate single-stage pipeline (`StagedConfig::zygos_equivalent`,
 //! unified layout) must reproduce its `sim:zygos` base case
-//! **bit-for-bit** — every numeric field of every report point compared
-//! via `f64::to_bits`, not within a tolerance. This is what certifies
-//! that the staged plane's lowering adds *zero* modelling distortion:
-//! any staged-vs-zygos difference in a real experiment is then
-//! attributable to stage decomposition and core layout, never to the
-//! plumbing.
+//! **bit-for-bit** — every field of every report point, not within a
+//! tolerance (`common::assert_bits`). This is what certifies that the
+//! staged plane's lowering adds *zero* modelling distortion: any
+//! staged-vs-zygos difference in a real experiment is then attributable
+//! to stage decomposition and core layout, never to the plumbing.
+//!
+//! This rung only proves that the degenerate pipeline is handed to the
+//! ZygOS model. The computed rung — IX run as the paper pipeline — is
+//! pinned by `ix_golden_pin` in `zygos-sysim`'s `driver.rs`.
 
-use zygos::lab::{run_scenario, Case, PointMetrics, Scenario, SimHost};
+mod common;
+
+use common::assert_bits;
+use zygos::lab::{run_scenario, Case, Scenario, SimHost};
 use zygos::sim::dist::ServiceDist;
 use zygos::sysim::StagedConfig;
-
-/// Asserts two points are bitwise identical, field by field.
-fn assert_bits(b: &PointMetrics, f: &PointMetrics, what: &str) {
-    let scalars = [
-        ("load", b.load, f.load),
-        ("mrps", b.mrps, f.mrps),
-        ("p50_us", b.p50_us, f.p50_us),
-        ("p99_us", b.p99_us, f.p99_us),
-        ("p999_us", b.p999_us, f.p999_us),
-        ("steal_fraction", b.steal_fraction, f.steal_fraction),
-        ("ipis_per_req", b.ipis_per_req, f.ipis_per_req),
-        (
-            "preemptions_per_req",
-            b.preemptions_per_req,
-            f.preemptions_per_req,
-        ),
-        ("avg_cores", b.avg_cores, f.avg_cores),
-        ("core_seconds", b.core_seconds, f.core_seconds),
-        ("shed_fraction", b.shed_fraction, f.shed_fraction),
-        ("wasted_wire_us", b.wasted_wire_us, f.wasted_wire_us),
-        ("p99_queue_us", b.p99_queue_us, f.p99_queue_us),
-        ("p99_service_us", b.p99_service_us, f.p99_service_us),
-        ("p99_steal_us", b.p99_steal_us, f.p99_steal_us),
-        ("p99_preempt_us", b.p99_preempt_us, f.p99_preempt_us),
-    ];
-    for (name, zygos, staged) in scalars {
-        assert_eq!(
-            zygos.to_bits(),
-            staged.to_bits(),
-            "{what}: field {name} differs (zygos {zygos}, staged {staged})"
-        );
-    }
-    for (name, zygos, staged) in [
-        (
-            "shed_share_by_class",
-            &b.shed_share_by_class,
-            &f.shed_share_by_class,
-        ),
-        (
-            "shed_rate_by_class",
-            &b.shed_rate_by_class,
-            &f.shed_rate_by_class,
-        ),
-        (
-            "stage_p99_wait_us",
-            &b.stage_p99_wait_us,
-            &f.stage_p99_wait_us,
-        ),
-    ] {
-        assert_eq!(zygos.len(), staged.len(), "{what}: {name} length");
-        for (i, (z, s)) in zygos.iter().zip(staged).enumerate() {
-            assert_eq!(
-                z.to_bits(),
-                s.to_bits(),
-                "{what}: {name}[{i}] differs (zygos {z}, staged {s})"
-            );
-        }
-    }
-    assert_eq!(
-        b.timeseries.len(),
-        f.timeseries.len(),
-        "{what}: timeseries count"
-    );
-}
 
 #[test]
 fn degenerate_staged_pipeline_is_bit_identical_to_zygos() {
