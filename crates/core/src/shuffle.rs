@@ -131,6 +131,10 @@ impl<E> ShuffleLayer<E> {
             state: AtomicU8::new(0),
             events: SpinLock::new(VecDeque::new()),
         });
+        // A connection sits on its home queue at most once: with a slot for
+        // every connection homed here, the queue never grows while serving.
+        let homed = self.pcbs.iter().filter(|p| p.home == home).count();
+        self.cores[home].queue.get_mut().reserve(homed);
         id
     }
 

@@ -24,7 +24,7 @@
 //! packets, which at µs scale is the difference between a control plane
 //! and a tax.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 
 use crate::flow::ConnId;
 
@@ -74,12 +74,18 @@ pub struct RpcHeader {
 impl RpcHeader {
     /// Encodes the header (including magic) into `dst`.
     pub fn encode(&self, dst: &mut BytesMut) {
-        dst.reserve(RPC_HEADER_LEN);
-        dst.put_u16_le(RPC_MAGIC);
-        dst.put_u16_le(self.opcode);
-        dst.put_u64_le(self.req_id);
-        dst.put_u32_le(self.body_len);
-        dst.put_u32_le(self.credits);
+        dst.extend_from_slice(&self.to_array());
+    }
+
+    /// The header's wire bytes, laid out as the module docs draw them.
+    fn to_array(self) -> [u8; RPC_HEADER_LEN] {
+        let mut h = [0u8; RPC_HEADER_LEN];
+        h[0..2].copy_from_slice(&RPC_MAGIC.to_le_bytes());
+        h[2..4].copy_from_slice(&self.opcode.to_le_bytes());
+        h[4..12].copy_from_slice(&self.req_id.to_le_bytes());
+        h[12..16].copy_from_slice(&self.body_len.to_le_bytes());
+        h[16..20].copy_from_slice(&self.credits.to_le_bytes());
+        h
     }
 
     /// Decodes a header from the first [`RPC_HEADER_LEN`] bytes of `src`.
@@ -112,6 +118,11 @@ impl RpcHeader {
 }
 
 /// A complete RPC message (header + body).
+///
+/// A message taken off the wire by [`Framer`](crate::wire::Framer) holds
+/// its body as a slice of the received segment, so the body keeps that
+/// whole segment alive. Copy what must outlive the request (as
+/// `zygos-kv` does with keys and values).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RpcMessage {
     /// Decoded header.
@@ -141,12 +152,13 @@ impl RpcMessage {
         self
     }
 
-    /// Serializes header + body into a single buffer.
+    /// Serializes header + body into a single buffer: one allocation, into
+    /// which header and body are each copied once.
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(RPC_HEADER_LEN + self.body.len());
-        self.header.encode(&mut buf);
-        buf.extend_from_slice(&self.body);
-        buf.freeze()
+        let header = self.header.to_array();
+        (&header[..])
+            .chain(&self.body[..])
+            .copy_to_bytes(self.wire_len())
     }
 
     /// Total wire length of the message.
@@ -190,6 +202,7 @@ impl Packet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BufMut;
 
     #[test]
     fn header_roundtrip() {

@@ -223,11 +223,10 @@ impl ClientPort {
     ///
     /// Returns `None` on timeout.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<(ConnId, RpcMessage)> {
-        let (conn, wire) = self.resp_rx.recv_timeout(timeout).ok()?;
+        let (conn, mut wire) = self.resp_rx.recv_timeout(timeout).ok()?;
         debug_assert!(wire.len() >= RPC_HEADER_LEN, "short response frame");
-        let mut buf = wire.clone();
-        let header = RpcHeader::decode(&mut buf).expect("well-formed response");
-        let body = buf.slice(..header.body_len as usize);
+        let header = RpcHeader::decode(&mut wire).expect("well-formed response");
+        let body = wire.slice(..header.body_len as usize);
         if let Some(credits) = &self.credits {
             if header.credits > 0 {
                 credits[conn.index()].fetch_add(header.credits, Ordering::Relaxed);

@@ -311,6 +311,11 @@ const IDLE_NAP: Duration = Duration::from_micros(100);
 /// that, plus not stealing, is what frees its CPU.
 const REVOKED_NAP: Duration = Duration::from_millis(1);
 
+/// Remote syscalls handled as one batch: the home core drains at most this
+/// many per ladder pass, and a worker's ship and drain buffers start with
+/// room for this many, so serving does not grow them.
+const SYSCALL_BATCH: usize = 64;
+
 /// A running server instance.
 pub struct Server {
     shared: Arc<Shared>,
@@ -583,8 +588,8 @@ impl Worker {
             },
             exec_ns: 0,
             events: Vec::new(),
-            shipped: Vec::new(),
-            remote: Vec::new(),
+            shipped: Vec::with_capacity(SYSCALL_BATCH),
+            remote: Vec::with_capacity(SYSCALL_BATCH),
         }
     }
 
@@ -948,7 +953,7 @@ fn dispatch_step(
 
 /// Remote syscalls: transmit responses for stolen executions.
 fn rung_remote_syscalls(w: &mut Worker, shared: &Shared) -> bool {
-    if shared.remote_sys[w.core].drain_into(64, &mut w.remote) == 0 {
+    if shared.remote_sys[w.core].drain_into(SYSCALL_BATCH, &mut w.remote) == 0 {
         return false;
     }
     for sc in w.remote.drain(..) {

@@ -374,12 +374,77 @@ pub trait Buf {
         self.advance(dst.len());
     }
 
+    /// Consumes `len` bytes into a new [`Bytes`].
+    ///
+    /// One allocation: the bytes are copied chunk by chunk straight into
+    /// the shared storage (the real crate builds a `BytesMut` of exactly
+    /// `len` and freezes it, which is one allocation there too).
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `len` bytes remain.
+    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
+        assert!(len <= self.remaining(), "copy_to_bytes past end");
+        let mut data = Arc::<[u8]>::new_uninit_slice(len);
+        let dst = Arc::get_mut(&mut data).expect("fresh Arc");
+        let mut at = 0;
+        while at < len {
+            let chunk = self.chunk();
+            let n = chunk.len().min(len - at);
+            dst[at..at + n].write_copy_of_slice(&chunk[..n]);
+            self.advance(n);
+            at += n;
+        }
+        // SAFETY: the loop ends only once `at == len`, and each pass wrote
+        // `n` bytes at `at` before moving `at` past them, so all `len`
+        // bytes are initialized.
+        let data = unsafe { data.assume_init() };
+        Bytes {
+            start: 0,
+            end: len,
+            data: Storage::Slice(data),
+        }
+    }
+
+    /// Joins `self` and `next` into one buffer that reads `self` first.
+    fn chain<U: Buf>(self, next: U) -> Chain<Self, U>
+    where
+        Self: Sized,
+    {
+        Chain { a: self, b: next }
+    }
+
     #[doc(hidden)]
     fn take_array<const N: usize>(&mut self) -> [u8; N] {
         let mut a = [0u8; N];
         a.copy_from_slice(&self.chunk()[..N]);
         self.advance(N);
         a
+    }
+}
+
+/// Two buffers read one after the other (returned by [`Buf::chain`]; the
+/// real crate names it `bytes::buf::Chain`).
+pub struct Chain<T, U> {
+    a: T,
+    b: U,
+}
+
+impl<T: Buf, U: Buf> Buf for Chain<T, U> {
+    fn remaining(&self) -> usize {
+        self.a.remaining() + self.b.remaining()
+    }
+    fn chunk(&self) -> &[u8] {
+        if self.a.remaining() > 0 {
+            self.a.chunk()
+        } else {
+            self.b.chunk()
+        }
+    }
+    fn advance(&mut self, n: usize) {
+        let first = n.min(self.a.remaining());
+        self.a.advance(first);
+        self.b.advance(n - first);
     }
 }
 
@@ -520,6 +585,17 @@ mod tests {
         let front = m.split_to(2);
         assert_eq!(&front[..], b"ab");
         assert_eq!(&m[..], b"cdef");
+    }
+
+    #[test]
+    fn chain_copies_both_parts_into_one_buffer() {
+        let mut joined = (&b"head"[..]).chain(Bytes::from_static(b"er+body"));
+        assert_eq!(joined.remaining(), 11);
+        assert_eq!(joined.copy_to_bytes(6), Bytes::from_static(b"header"));
+        assert_eq!(joined.chunk(), b"+body");
+        assert_eq!(&joined.copy_to_bytes(5)[..], b"+body");
+        assert_eq!(joined.remaining(), 0);
+        assert!((&b""[..]).copy_to_bytes(0).is_empty());
     }
 
     #[test]

@@ -25,9 +25,12 @@ proptest! {
         for m in &msgs {
             wire.extend_from_slice(&m.to_bytes());
         }
-        // Segment the stream at the proposed cut sizes (cycled).
+        let wire = bytes::Bytes::from(wire);
+        // Segment the stream at the proposed cut sizes (cycled): frames
+        // whole inside a segment are sliced out of it, the rest reassembled.
         let mut framer = Framer::new();
         let mut out = Vec::new();
+        let mut seg_ends = Vec::new();
         let mut off = 0;
         let mut cut_idx = 0;
         while off < wire.len() {
@@ -38,14 +41,26 @@ proptest! {
             };
             cut_idx += 1;
             let end = (off + step).min(wire.len());
-            framer.feed(&wire[off..end]).unwrap();
+            framer.feed(&wire.slice(off..end)).unwrap();
             out.extend(framer.drain().unwrap());
+            seg_ends.push(end);
             off = end;
         }
         prop_assert_eq!(out.len(), msgs.len());
+        prop_assert_eq!(framer.pending_bytes(), 0);
+        let in_wire = wire.as_ptr_range();
+        let mut frame_start = 0;
         for (got, want) in out.iter().zip(&msgs) {
             prop_assert_eq!(got.header.req_id, want.header.req_id);
             prop_assert_eq!(&got.body[..], &want.body[..]);
+            // Drained after every segment, a frame is sliced out of the
+            // stream exactly when no segment boundary falls inside it.
+            let frame_end = frame_start + want.wire_len();
+            let whole = !seg_ends.iter().any(|&e| frame_start < e && e < frame_end);
+            if !got.body.is_empty() {
+                prop_assert_eq!(in_wire.contains(&got.body.as_ptr()), whole);
+            }
+            frame_start = frame_end;
         }
     }
 
