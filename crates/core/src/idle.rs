@@ -17,8 +17,9 @@
 //! runtime and simulator supply the actual probes.
 //!
 //! A live worker cannot poll forever on a shared host: when a sweep finds
-//! nothing it parks. [`SleeperSet`] is the idle/wake protocol that keeps
-//! the runtime work-conserving all the same.
+//! nothing it polls for about one wake-up's cost, then parks.
+//! [`SleeperSet`] is the idle/wake protocol that keeps the runtime
+//! work-conserving all the same.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
@@ -87,9 +88,9 @@ impl IdlePolicy {
 /// idle `CoreMask`s and its `wake_idle()`.
 ///
 /// The paper's idle cores poll remote shuffle queues continuously, so a
-/// ready connection is seen within a poll. A worker on a shared host parks
-/// instead, and something must tell it that stealable work appeared. The
-/// protocol is the two-sided flag handshake:
+/// ready connection is seen within a poll. A worker on a shared host polls
+/// only briefly and then parks, and something must tell it that stealable
+/// work appeared. The protocol is the two-sided flag handshake:
 ///
 /// * **sleeper**: [`publish`](SleeperSet::publish), then re-check every
 ///   queue it could serve; if one is non-empty, [`cancel`](SleeperSet::cancel)

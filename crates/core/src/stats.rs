@@ -29,6 +29,9 @@ pub struct CoreStats {
     /// the live runtime's stand-in for the paper's continuous polling,
     /// counted apart so `ipis_sent` keeps the paper's meaning.
     pub wakes_sent: AtomicU64,
+    /// Times this core's worker went to sleep (`park_timeout` calls),
+    /// after its poll found nothing.
+    pub parks: AtomicU64,
 }
 
 macro_rules! bump {
@@ -58,6 +61,7 @@ impl CoreStats {
         count_ipi_handled => ipis_handled,
         count_remote_syscall => remote_syscalls,
         count_wake_sent => wakes_sent,
+        count_park => parks,
     }
 }
 
@@ -82,6 +86,8 @@ pub struct StatsSnapshot {
     pub remote_syscalls: u64,
     /// Sum of work-conservation wake-ups sent (not IPIs).
     pub wakes_sent: u64,
+    /// Sum of worker parks.
+    pub parks: u64,
 }
 
 impl StatsSnapshot {
@@ -98,6 +104,7 @@ impl StatsSnapshot {
             s.ipis_handled += c.ipis_handled.load(Ordering::Relaxed);
             s.remote_syscalls += c.remote_syscalls.load(Ordering::Relaxed);
             s.wakes_sent += c.wakes_sent.load(Ordering::Relaxed);
+            s.parks += c.parks.load(Ordering::Relaxed);
         }
         s
     }
@@ -152,12 +159,15 @@ mod tests {
         b.count_ipi_sent();
         b.count_wake_sent();
         b.count_wake_sent();
+        a.count_park();
+        b.count_park();
         let s = StatsSnapshot::collect([&a, &b]);
         assert_eq!(s.local_events, 3);
         assert_eq!(s.stolen_events, 1);
         assert_eq!(s.steals, 1);
         assert_eq!(s.ipis_sent, 1);
         assert_eq!(s.wakes_sent, 2, "wake-ups are not IPIs");
+        assert_eq!(s.parks, 2);
         assert_eq!(s.total_events(), 4);
         assert!((s.steal_fraction() - 0.25).abs() < 1e-12);
         assert!((s.ipis_per_event() - 0.25).abs() < 1e-12);

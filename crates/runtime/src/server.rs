@@ -13,8 +13,10 @@
 //! # Idle workers and work conservation
 //!
 //! The paper's idle cores poll remote shuffle queues without pause, so a
-//! ready connection never waits while a core is free. A worker here parks
-//! when a pass over the ladder finds nothing, and is woken by two signals:
+//! ready connection never waits while a core is free. A worker here polls
+//! for one wake-up's cost (`WAKE_COST_NS`, yielding the CPU between
+//! checks) when a pass over the ladder finds nothing, then parks, and is
+//! woken by two signals:
 //! its doorbell (packets on its own ring, remote syscalls — the paper's
 //! two IPIs) and the [`SleeperSet`] protocol, the live counterpart of the
 //! simulator's `wake_idle()`:
@@ -294,6 +296,10 @@ const CTL_PERIOD: Duration = Duration::from_millis(1);
 /// wakes a sleeper only while its own recent handler time per connection
 /// is above this; a sub-microsecond echo handler drains its queue sooner
 /// than the sleeper could start.
+///
+/// It is also the poll budget of [`Worker::park`]: a worker that may take
+/// shared work polls this long before it parks, since work that arrives
+/// sooner is cheaper to find by looking than to be woken for.
 const WAKE_COST_NS: u64 = 2_000;
 
 /// Cap on one sample folded into a worker's handler-time average, so a
@@ -599,23 +605,28 @@ impl Worker {
     /// announced through the sleeper set, which does: publish, look again,
     /// and only then sleep. A worker that may not take such work — revoked,
     /// or under a non-stealing policy — stays out of the set.
+    ///
+    /// A worker that may take shared work first polls for
+    /// [`WAKE_COST_NS`] (competitive spinning). The poll yields between
+    /// checks instead of spinning: the client thread may need the CPU.
     fn park(&self, shared: &Shared, granted: bool) {
         let core = self.core;
         let floating = matches!(shared.cfg.scheduler, SchedulerKind::Floating);
         if !floating && !shared.dispatch.may_steal(granted) {
+            shared.stats[core].count_park();
             std::thread::park_timeout(if granted { IDLE_NAP } else { REVOKED_NAP });
             return;
         }
+        let poll_start = Instant::now();
+        while poll_start.elapsed() < Duration::from_nanos(WAKE_COST_NS) {
+            std::thread::yield_now();
+            if shared.doorbells[core].any_pending() || work_in_reach(shared, core, floating) {
+                return;
+            }
+        }
         shared.sleepers.publish(core);
-        let in_reach = !shared.rings[core].is_empty()
-            || !shared.remote_sys[core].is_empty()
-            || if floating {
-                !shared.floating_q.lock().is_empty()
-            } else {
-                // Own shuffle queue included.
-                shared.shuffle.total_ready() > 0
-            };
-        if !in_reach {
+        if !work_in_reach(shared, core, floating) {
+            shared.stats[core].count_park();
             std::thread::park_timeout(IDLE_NAP);
         }
         shared.sleepers.cancel(core);
@@ -648,6 +659,19 @@ impl Worker {
     fn note_exec(&mut self, handler_ns: u64) {
         self.exec_ns = (7 * self.exec_ns + handler_ns.min(EXEC_SAMPLE_CAP_NS)) / 8;
     }
+}
+
+/// Work a worker that may take shared work would find on its next ladder
+/// pass: its own ring, its remote syscalls, and any ready connection (own
+/// shuffle queue included) or, floating, the shared queue.
+fn work_in_reach(shared: &Shared, core: usize, floating: bool) -> bool {
+    !shared.rings[core].is_empty()
+        || !shared.remote_sys[core].is_empty()
+        || if floating {
+            !shared.floating_q.lock().is_empty()
+        } else {
+            shared.shuffle.total_ready() > 0
+        }
 }
 
 /// Runs the handler for one event; returns the response and the handler's
@@ -1262,6 +1286,20 @@ mod tests {
         assert_eq!(shared.doorbells[3].wake_count(), 0);
         assert_eq!(shared.doorbells[2].wake_count(), 0);
         shared.sleepers.cancel(3);
+        server.shutdown();
+    }
+
+    #[test]
+    fn idle_workers_still_park() {
+        // The pre-park poll must end: without traffic every worker parks
+        // about once per IDLE_NAP, and a poll that never gives up parks
+        // none.
+        let (server, _client) = echo_server(RuntimeConfig::zygos(2, 64));
+        std::thread::sleep(Duration::from_millis(100));
+        for (core, stats) in server.shared.stats.iter().enumerate() {
+            let parks = stats.parks.load(Ordering::Relaxed);
+            assert!(parks >= 10, "worker {core} parked {parks} times in 100 ms");
+        }
         server.shutdown();
     }
 

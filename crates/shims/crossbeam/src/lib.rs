@@ -200,10 +200,33 @@ pub mod channel {
         }
     }
 
+    /// Backoff steps that spin `2^step` times before the first yield.
+    const SPIN_LIMIT: u32 = 6;
+    /// Last backoff step; past it the receiver blocks.
+    const YIELD_LIMIT: u32 = 10;
+
     impl<T> Receiver<T> {
         /// Receives a message, waiting up to `timeout`.
+        ///
+        /// Like upstream, the receiver snoozes before it blocks: it tries
+        /// the queue, spins `2^step` times for steps 0–6, then yields, up
+        /// to step 10, trying the queue again after each. A message that
+        /// arrives within those few microseconds costs neither side a
+        /// futex call. The deadline counts from entry.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
             let deadline = Instant::now() + timeout;
+            for step in 0..=YIELD_LIMIT {
+                if let Some(v) = self.try_recv() {
+                    return Ok(v);
+                }
+                if step <= SPIN_LIMIT {
+                    for _ in 0..1u32 << step {
+                        std::hint::spin_loop();
+                    }
+                } else {
+                    std::thread::yield_now();
+                }
+            }
             let mut st = self.0.queue.lock().unwrap_or_else(|p| p.into_inner());
             loop {
                 if let Some(v) = st.items.pop_front() {
@@ -279,7 +302,8 @@ pub mod channel {
 mod tests {
     use super::channel::{unbounded, RecvTimeoutError};
     use super::queue::ArrayQueue;
-    use std::time::Duration;
+    use std::sync::{Arc, Barrier};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn array_queue_bounded_fifo() {
@@ -306,6 +330,37 @@ mod tests {
             rx.recv_timeout(Duration::from_millis(10)),
             Err(RecvTimeoutError::Disconnected)
         );
+    }
+
+    #[test]
+    fn timeouts_hold_after_the_backoff() {
+        let (_tx, rx) = unbounded::<u32>();
+        for timeout in [Duration::ZERO, Duration::from_millis(1)] {
+            let t = Instant::now();
+            assert_eq!(rx.recv_timeout(timeout), Err(RecvTimeoutError::Timeout));
+            let took = t.elapsed();
+            assert!(took >= timeout, "{timeout:?} timed out after {took:?}");
+            assert!(
+                took < timeout + Duration::from_millis(100),
+                "{timeout:?} timed out after {took:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_message_sent_during_the_backoff_is_received() {
+        let (tx, rx) = unbounded::<u32>();
+        let start = Arc::new(Barrier::new(2));
+        let sender = {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                tx.send(5).unwrap();
+            })
+        };
+        start.wait();
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(5));
+        sender.join().unwrap();
     }
 
     #[test]

@@ -1750,12 +1750,6 @@ impl ZygosModel {
         }
     }
 
-    /// Total queued requests over the active cores: NIC rings, ready
-    /// connections on shuffle queues, preempted background entries, and
-    /// pending remote syscalls. This is the importance-splitting level
-    /// function — a trajectory's backlog crossing a threshold is the
-    /// rare-event precursor the RESTART estimator splits on (see
-    /// `docs/TAIL.md`).
     /// The configuration this model was built (or last retargeted) with.
     pub(crate) fn cfg(&self) -> &SysConfig {
         &self.cfg
@@ -1766,6 +1760,12 @@ impl ZygosModel {
         self.rec.is_done()
     }
 
+    /// Total queued requests over the active cores: NIC rings, ready
+    /// connections on shuffle queues, preempted background entries, and
+    /// pending remote syscalls. This is the importance-splitting level
+    /// function — a trajectory's backlog crossing a threshold is the
+    /// rare-event precursor the RESTART estimator splits on (see
+    /// `docs/TAIL.md`).
     pub(crate) fn backlog(&self) -> usize {
         self.cores
             .iter()
