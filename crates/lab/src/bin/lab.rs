@@ -26,7 +26,7 @@ use std::process::ExitCode;
 
 use zygos_lab::{
     check_baseline, check_claims, check_telemetry, run_scenario, scenario_from_toml,
-    sys_config_for, Report, Scenario,
+    sys_config_for, Readers, Report, Scenario,
 };
 use zygos_net::cost::CostModel;
 use zygos_sysim::{run_system, StagedConfig, TelemetryConfig};
@@ -109,7 +109,7 @@ fn run_trace(spec_path: &Path, smoke: bool, chrome: Option<&Path>) -> Result<(),
     let mut pid = 0u32;
     let mut traced = 0usize;
     for case in &sc.cases {
-        if !Scenario::host_is_traced(case.host) {
+        if !Readers::ZygosSim.reads(case.host) {
             continue;
         }
         for &load in sc.loads(smoke) {

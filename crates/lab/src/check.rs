@@ -16,7 +16,7 @@
 //!   tolerance. This catches quiet drift that no claim covers.
 
 use crate::report::{Drift, PointMetrics, Report, Series, SCALARS};
-use crate::spec::{Claim, Op, Rhs, Scenario};
+use crate::spec::{Claim, Op, Readers, Rhs, Scenario};
 
 /// Evaluates the scenario's claims over a report. Returns every
 /// violation (empty = pass); each one prints the claim's own keys, the
@@ -192,7 +192,7 @@ pub fn check_telemetry(sc: &Scenario, report: &Report) -> Vec<String> {
         let Some(case) = sc.case(&s.label) else {
             continue;
         };
-        if !Scenario::host_is_traced(case.host) {
+        if !Readers::ZygosSim.reads(case.host) {
             continue;
         }
         for p in &s.points {

@@ -34,214 +34,152 @@
 //! min_load = 1.19
 //! ```
 //!
-//! Every key is checked: unknown keys, wrong types, and contradictory
-//! combinations (`admission_mode` without `admission = true`, a quantum
-//! on a host that cannot preempt, …) are errors. Everything funnels into
-//! [`crate::spec::ScenarioBuilder::build`], so TOML-built and
-//! programmatically-built scenarios pass the same validation.
+//! Every key is named once, where it is read. Each block is read through
+//! a `Keys` reader whose accessors (`num`, `count`, `str`, `bool`,
+//! `choice`, `list`, `tuple`, `take`) *remove* the key they read; when
+//! the block is read, `Keys::finish` rejects the first key left over as
+//! `{block}: unknown key "k"`, and a table or array of tables no reader
+//! took is an `unknown table [x]` / `unknown array [[x]]`. So there is no
+//! allow-list to keep in step with the readers. Wrong types, counts that
+//! do not fit their field, and contradictory combinations
+//! (`admission_mode` without `admission = true`, …) are errors too.
+//! Everything funnels into [`crate::spec::ScenarioBuilder::build`], so
+//! TOML-built and programmatically-built scenarios pass the same
+//! validation, including which hosts read which knob
+//! ([`crate::spec::CASE_KNOBS`]).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
+use zygos_load::retry::RetryPolicy;
 use zygos_load::slo::{Slo, SloClass, TenantSlos};
 use zygos_load::source::{ArrivalSpec, Phase, Trace};
 use zygos_sched::BackgroundOrder;
 use zygos_sim::dist::ServiceDist;
 use zygos_sysim::config::AllocKind;
-use zygos_sysim::AdmissionMode;
-
-use zygos_sysim::SeriesKind;
-
 use zygos_sysim::fleet::AdmissionTopology;
-use zygos_sysim::RoutePolicy;
-
-use zygos_sysim::{CoreLayout, QueueDiscipline, StageSpec};
-
-use zygos_load::retry::RetryPolicy;
+use zygos_sysim::{AdmissionMode, CoreLayout, QueueDiscipline, RoutePolicy, SeriesKind, StageSpec};
 
 use crate::spec::{
-    Case, Claim, Compare, FaultsSpec, FleetSpec, HostSpec, Op, Recovers, Rhs, Scenario, SearchSpec,
-    Select, Settles, SpecError, TailSpec, TelemetrySpec,
+    AdmissionSpec, Case, Claim, Compare, FaultsSpec, FleetSpec, HostSpec, Op, PolicySpec, Recovers,
+    Rhs, Scenario, SearchSpec, Select, Settles, SpecError, TailSpec, TelemetrySpec,
 };
 use crate::toml::{self, Table, Value};
 
 /// Parses a scenario from TOML text.
 pub fn scenario_from_toml(text: &str) -> Result<Scenario, SpecError> {
-    let doc = toml::parse(text).map_err(SpecError::new)?;
-    check_keys("top level", &doc.root, &["name"])?;
-    for table in doc.tables.keys() {
-        if !matches!(
-            table.as_str(),
-            "workload" | "scale" | "fleet" | "faults" | "telemetry" | "search" | "tail" | "check"
-        ) {
-            return Err(SpecError::new(format!("unknown table [{table}]")));
-        }
-    }
-    for array in doc.arrays.keys() {
-        if !matches!(array.as_str(), "case" | "stages" | "claim") {
-            return Err(SpecError::new(format!("unknown array [[{array}]]")));
-        }
-    }
-    let name = req_str(&doc.root, "name", "top level")?;
-    let mut b = Scenario::builder(name);
+    let toml::Document {
+        root,
+        mut tables,
+        mut arrays,
+    } = toml::parse(text).map_err(SpecError::new)?;
+    let mut top = Keys::new("top level", root);
+    let mut b = Scenario::builder(top.req("name", Keys::str)?);
+    top.finish()?;
 
-    let Some(w) = doc.tables.get("workload") else {
+    let Some(w) = tables.remove("workload") else {
         return Err(SpecError::new("missing [workload] table"));
     };
-    check_keys(
-        "[workload]",
-        w,
-        &[
-            "service",
-            "mean_us",
-            "fast_us",
-            "slow_us",
-            "p_fast",
-            "cv2",
-            "cores",
-            "conns",
-            "loads",
-            "arrivals",
-            "trace_file",
-            "phases",
-        ],
-    )?;
-    b = b.service(parse_service(w)?);
-    b = b.arrivals(parse_arrivals(w)?);
-    if let Some(v) = opt_num(w, "cores", "[workload]")? {
-        b = b.cores(as_count(v, "cores")?);
+    let mut w = Keys::new("[workload]", w);
+    b = b.service(parse_service(&mut w)?);
+    b = b.arrivals(parse_arrivals(&mut w)?);
+    if let Some(n) = w.count("cores")? {
+        b = b.cores(n);
     }
-    if let Some(v) = opt_num(w, "conns", "[workload]")? {
-        b = b.conns(as_count(v, "conns")? as u32);
+    if let Some(n) = w.count("conns")? {
+        b = b.conns(n);
     }
-    b = b.loads(req_num_array(w, "loads", "[workload]")?);
+    b = b.loads(w.req("loads", Keys::nums)?);
+    w.finish()?;
 
-    if let Some(s) = doc.tables.get("scale") {
-        check_keys(
-            "[scale]",
-            s,
-            &[
-                "requests",
-                "warmup",
-                "smoke_requests",
-                "smoke_warmup",
-                "smoke_loads",
-                "seed",
-            ],
-        )?;
-        let full_req = opt_num(s, "requests", "[scale]")?;
-        let full_warm = opt_num(s, "warmup", "[scale]")?;
-        if let (Some(r), Some(wu)) = (full_req, full_warm) {
-            b = b.requests(
-                as_count(r, "requests")? as u64,
-                as_count(wu, "warmup")? as u64,
-            );
-        } else if full_req.is_some() || full_warm.is_some() {
-            return Err(SpecError::new("[scale] requests and warmup come together"));
+    if let Some(s) = tables.remove("scale") {
+        let mut s = Keys::new("[scale]", s);
+        match (s.count("requests")?, s.count("warmup")?) {
+            (Some(r), Some(wu)) => b = b.requests(r, wu),
+            (None, None) => {}
+            _ => return Err(s.err("requests and warmup come together")),
         }
-        let sr = opt_num(s, "smoke_requests", "[scale]")?;
-        let sw = opt_num(s, "smoke_warmup", "[scale]")?;
-        if let (Some(r), Some(wu)) = (sr, sw) {
-            b = b.smoke(
-                as_count(r, "smoke_requests")? as u64,
-                as_count(wu, "smoke_warmup")? as u64,
-            );
-        } else if sr.is_some() || sw.is_some() {
-            return Err(SpecError::new(
-                "[scale] smoke_requests and smoke_warmup come together",
-            ));
+        match (s.count("smoke_requests")?, s.count("smoke_warmup")?) {
+            (Some(r), Some(wu)) => b = b.smoke(r, wu),
+            (None, None) => {}
+            _ => return Err(s.err("smoke_requests and smoke_warmup come together")),
         }
-        if let Some(loads) = s.get("smoke_loads") {
-            b = b.smoke_loads(num_array(loads, "smoke_loads")?);
+        if let Some(loads) = s.nums("smoke_loads")? {
+            b = b.smoke_loads(loads);
         }
-        if let Some(seed) = opt_num(s, "seed", "[scale]")? {
-            b = b.seed(as_count(seed, "seed")? as u64);
+        if let Some(seed) = s.count("seed")? {
+            b = b.seed(seed);
         }
+        s.finish()?;
     }
 
-    let Some(cases) = doc.arrays.get("case") else {
+    let Some(cases) = arrays.remove("case") else {
         return Err(SpecError::new("a scenario needs at least one [[case]]"));
     };
-    for (i, t) in cases.iter().enumerate() {
-        b = b.case(parse_case(t, i)?);
+    for (i, t) in cases.into_iter().enumerate() {
+        b = b.case(parse_case(Keys::new(format!("[[case]] #{}", i + 1), t))?);
     }
-
-    if let Some(stages) = doc.arrays.get("stages") {
-        let mut out = Vec::new();
-        for (i, t) in stages.iter().enumerate() {
-            let ctx = format!("[[stages]] #{}", i + 1);
-            check_keys(
-                &ctx,
-                t,
-                &["name", "batch_fixed_ns", "fixed_ns", "discipline"],
-            )?;
-            let mut spec = StageSpec {
-                name: req_str(t, "name", &ctx)?,
-                batch_fixed_ns: 0,
-                fixed_ns: 0,
-                discipline: QueueDiscipline::default(),
-            };
-            if let Some(v) = opt_num(t, "batch_fixed_ns", &ctx)? {
-                spec.batch_fixed_ns = as_count(v, "batch_fixed_ns")? as u64;
-            }
-            if let Some(v) = opt_num(t, "fixed_ns", &ctx)? {
-                spec.fixed_ns = as_count(v, "fixed_ns")? as u64;
-            }
-            if let Some(v) = t.get("discipline") {
-                spec.discipline = parse_discipline(&str_of(v, "discipline")?, &ctx)?;
-            }
-            out.push(spec);
-        }
-        b = b.stages(out);
+    if let Some(stages) = arrays.remove("stages") {
+        let stages = stages
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| parse_stage(Keys::new(format!("[[stages]] #{}", i + 1), t)));
+        b = b.stages(stages.collect::<Result<_, _>>()?);
     }
-
-    if let Some(f) = doc.tables.get("fleet") {
-        check_keys("[fleet]", f, &["shards"])?;
-        let shards = opt_num(f, "shards", "[fleet]")?
-            .ok_or_else(|| SpecError::new("[fleet] needs shards"))?;
+    if let Some(f) = tables.remove("fleet") {
+        let mut f = Keys::new("[fleet]", f);
         b = b.fleet(FleetSpec {
-            shards: as_count(shards, "shards")?,
+            shards: f.req("shards", Keys::count)?,
         });
+        f.finish()?;
     }
-    if let Some(t) = doc.tables.get("faults") {
-        b = b.faults(parse_faults(t)?);
+    if let Some(t) = tables.remove("faults") {
+        b = b.faults(parse_faults(Keys::new("[faults]", t))?);
     }
-    if let Some(t) = doc.tables.get("telemetry") {
-        b = b.telemetry(parse_telemetry(t)?);
+    if let Some(t) = tables.remove("telemetry") {
+        b = b.telemetry(parse_telemetry(Keys::new("[telemetry]", t))?);
     }
-    if let Some(t) = doc.tables.get("search") {
-        b = b.search(parse_search(t)?);
+    if let Some(t) = tables.remove("search") {
+        b = b.search(parse_search(Keys::new("[search]", t))?);
     }
-    if let Some(t) = doc.tables.get("tail") {
-        b = b.tail(parse_tail(t)?);
+    if let Some(t) = tables.remove("tail") {
+        b = b.tail(parse_tail(Keys::new("[tail]", t))?);
     }
-    for (i, t) in doc.arrays.get("claim").into_iter().flatten().enumerate() {
-        b = b.claim(parse_claim(t, i)?);
+    for (i, t) in arrays.remove("claim").into_iter().flatten().enumerate() {
+        b = b.claim(parse_claim(Keys::new(format!("[[claim]] #{}", i + 1), t))?);
     }
-    if let Some(c) = doc.tables.get("check") {
-        check_keys("[check]", c, &["tolerance"])?;
-        if let Some(t) = opt_num(c, "tolerance", "[check]")? {
+    if let Some(c) = tables.remove("check") {
+        let mut c = Keys::new("[check]", c);
+        if let Some(t) = c.num("tolerance")? {
             b = b.check_tolerance(t);
         }
+        c.finish()?;
+    }
+    if let Some(name) = tables.keys().next() {
+        return Err(SpecError::new(format!("unknown table [{name}]")));
+    }
+    if let Some(name) = arrays.keys().next() {
+        return Err(SpecError::new(format!("unknown array [[{name}]]")));
     }
     b.build()
 }
 
-fn parse_service(w: &Table) -> Result<ServiceDist, SpecError> {
-    let kind = req_str(w, "service", "[workload]")?;
-    let mean = |key: &str| -> Result<f64, SpecError> {
-        opt_num(w, key, "[workload]")?
+fn parse_service(w: &mut Keys) -> Result<ServiceDist, SpecError> {
+    let kind = w.req("service", Keys::str)?;
+    let mut need = |key: &str| -> Result<f64, SpecError> {
+        w.num(key)?
             .ok_or_else(|| SpecError::new(format!("service {kind:?} needs {key}")))
     };
     Ok(match kind.as_str() {
-        "deterministic" => ServiceDist::deterministic_us(mean("mean_us")?),
-        "exponential" => ServiceDist::exponential_us(mean("mean_us")?),
-        "bimodal-1" => ServiceDist::bimodal1_us(mean("mean_us")?),
-        "bimodal-2" => ServiceDist::bimodal2_us(mean("mean_us")?),
-        "lognormal" => ServiceDist::lognormal_us(mean("mean_us")?, mean("cv2")?),
+        "deterministic" => ServiceDist::deterministic_us(need("mean_us")?),
+        "exponential" => ServiceDist::exponential_us(need("mean_us")?),
+        "bimodal-1" => ServiceDist::bimodal1_us(need("mean_us")?),
+        "bimodal-2" => ServiceDist::bimodal2_us(need("mean_us")?),
+        "lognormal" => ServiceDist::lognormal_us(need("mean_us")?, need("cv2")?),
         "two-point" => ServiceDist::TwoPoint {
-            fast_us: mean("fast_us")?,
-            slow_us: mean("slow_us")?,
-            p_fast: mean("p_fast")?,
+            fast_us: need("fast_us")?,
+            slow_us: need("slow_us")?,
+            p_fast: need("p_fast")?,
         },
         other => {
             return Err(SpecError::new(format!(
@@ -251,22 +189,19 @@ fn parse_service(w: &Table) -> Result<ServiceDist, SpecError> {
     })
 }
 
-fn parse_arrivals(w: &Table) -> Result<ArrivalSpec, SpecError> {
-    let named = w
-        .get("arrivals")
-        .map(|v| str_of(v, "arrivals"))
-        .transpose()?;
-    let trace_file = w
-        .get("trace_file")
-        .map(|v| str_of(v, "trace_file"))
-        .transpose()?;
-    let phases = w.get("phases");
-    let armed = [named.is_some(), trace_file.is_some(), phases.is_some()]
-        .iter()
-        .filter(|&&b| b)
-        .count();
-    if armed > 1 {
-        return Err(SpecError::new("pick one of arrivals / trace_file / phases"));
+fn parse_arrivals(w: &mut Keys) -> Result<ArrivalSpec, SpecError> {
+    let named = w.str("arrivals")?;
+    let trace_file = w.str("trace_file")?;
+    let phases = w.list("phases", "[duration_us, factor] pairs", |v| {
+        let [duration_us, rate_factor] = nums_of(&v)?;
+        Some(Phase {
+            duration_us,
+            rate_factor,
+        })
+    })?;
+    let armed = [named.is_some(), trace_file.is_some(), phases.is_some()];
+    if armed.iter().filter(|&&b| b).count() > 1 {
+        return Err(w.err("pick one of arrivals / trace_file / phases"));
     }
     if let Some(path) = trace_file {
         let text = std::fs::read_to_string(&path)
@@ -274,358 +209,194 @@ fn parse_arrivals(w: &Table) -> Result<ArrivalSpec, SpecError> {
         let trace = Trace::parse(&text).map_err(SpecError::new)?;
         return Ok(ArrivalSpec::Trace(Arc::new(trace)));
     }
-    if let Some(v) = phases {
-        let mut out = Vec::new();
-        for (i, item) in v
-            .as_arr()
-            .ok_or_else(|| SpecError::new("phases must be an array"))?
-            .iter()
-            .enumerate()
-        {
-            let pair = item.as_arr().filter(|a| a.len() == 2).ok_or_else(|| {
-                SpecError::new(format!("phases[{i}] must be [duration_us, factor]"))
-            })?;
-            out.push(Phase {
-                duration_us: pair[0]
-                    .as_num()
-                    .ok_or_else(|| SpecError::new("phase duration must be a number"))?,
-                rate_factor: pair[1]
-                    .as_num()
-                    .ok_or_else(|| SpecError::new("phase factor must be a number"))?,
-            });
-        }
-        return Ok(ArrivalSpec::Phased(out));
+    if let Some(phases) = phases {
+        return Ok(ArrivalSpec::Phased(phases));
     }
     match named.as_deref() {
         None | Some("poisson") => Ok(ArrivalSpec::Poisson),
         Some("diurnal") => Ok(ArrivalSpec::Trace(crate::traces::diurnal())),
-        Some(other) => Err(SpecError::new(format!(
+        Some(other) => Err(w.err(format!(
             "unknown arrivals {other:?} (poisson, diurnal, or use trace_file/phases)"
         ))),
     }
 }
 
-fn parse_case(t: &Table, index: usize) -> Result<Case, SpecError> {
-    let ctx = format!("[[case]] #{}", index + 1);
-    check_keys(
-        &ctx,
-        t,
+/// A `[[case]]` table, read straight into its [`PolicySpec`]; which
+/// hosts read each knob is the builder's job.
+fn parse_case(mut t: Keys) -> Result<Case, SpecError> {
+    let label = t.req("label", Keys::str)?;
+    let host = HostSpec::parse(&t.req("host", Keys::str)?)?;
+    let mut p = PolicySpec::default();
+
+    // Admission: `admission = true` arms the gate; its mode, target or
+    // overcommitment without it is the canonical contradictory spec.
+    let armed = t.bool("admission")?.unwrap_or(false);
+    let mode = t.choice(
+        "admission_mode",
         &[
-            "label",
-            "host",
-            "min_cores",
-            "alloc",
-            "quantum_us",
-            "quantum_events",
-            "background_order",
-            "rx_batch",
-            "randomize_steal_order",
-            "ipi_delivery_ns",
-            "steal_extra_ns",
-            "admission",
-            "admission_mode",
-            "credit_target_us",
-            "overcommit",
-            "slo_classes",
-            "slo_bound_us",
-            "routing",
-            "fleet_admission",
-            "degraded",
-            "loss",
-            "fanout",
-            "retry",
-            "retry_jitter",
-            "retry_timeout_us",
-            "layout",
-            "net_cores",
-            "poll_cores",
-            "stack_cores",
-            "discipline",
+            ("server-edge", AdmissionMode::ServerEdge),
+            ("client-side", AdmissionMode::ClientSide),
         ],
     )?;
-    let label = req_str(t, "label", &ctx)?;
-    let host = HostSpec::parse(&req_str(t, "host", &ctx)?)?;
-    let mut case = Case {
-        label,
-        host,
-        policy: Default::default(),
-    };
-
-    // Admission: `admission = true` arms the gate; `admission_mode`
-    // without it is the canonical contradictory spec and is rejected.
-    let armed = match t.get("admission") {
-        None => false,
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| SpecError::new(format!("{ctx}: admission must be true/false")))?,
-    };
-    let mode = t
-        .get("admission_mode")
-        .map(|v| str_of(v, "admission_mode"))
-        .transpose()?;
-    let overcommit = match t.get("overcommit") {
-        None => false,
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| SpecError::new(format!("{ctx}: overcommit must be true/false")))?,
-    };
-    if !armed {
-        if let Some(m) = &mode {
-            return Err(SpecError::new(format!(
-                "{ctx}: admission_mode = {m:?} with admission off — arm `admission = true` \
-                 or drop the mode"
-            )));
-        }
-        if t.get("credit_target_us").is_some() || overcommit {
-            return Err(SpecError::new(format!(
-                "{ctx}: credit knobs with admission off"
-            )));
-        }
-    } else {
-        let mode = match mode.as_deref() {
-            None | Some("server-edge") => AdmissionMode::ServerEdge,
-            Some("client-side") => AdmissionMode::ClientSide,
-            Some(other) => {
-                return Err(SpecError::new(format!(
-                    "{ctx}: unknown admission_mode {other:?}"
-                )))
-            }
-        };
-        case = case.admission(mode);
-        if let Some(target) = opt_num(t, "credit_target_us", &ctx)? {
-            case = case.credit_target_us(target);
-        }
-        if overcommit {
-            case = case.overcommit();
-            case = case.admission(mode); // overcommit() must not change the mode
-        }
+    let target_us = t.num("credit_target_us")?;
+    let overcommit = t.bool("overcommit")?.unwrap_or(false);
+    if armed {
+        p.admission = Some(AdmissionSpec {
+            mode: mode.unwrap_or(AdmissionMode::ServerEdge),
+            target_us,
+            credits: None,
+            overcommit,
+        });
+    } else if mode.is_some() {
+        return Err(
+            t.err("admission_mode with admission off — arm `admission = true` or drop the mode")
+        );
+    } else if target_us.is_some() || overcommit {
+        return Err(t.err("credit knobs with admission off"));
     }
 
-    if let Some(v) = opt_num(t, "min_cores", &ctx)? {
-        case = case.min_cores(as_count(v, "min_cores")?);
-    }
-    if let Some(v) = t.get("alloc") {
-        case = case.alloc(match str_of(v, "alloc")?.as_str() {
-            "utilization" => AllocKind::Utilization,
-            "slo-driven" => AllocKind::SloDriven,
-            other => return Err(SpecError::new(format!("{ctx}: unknown alloc {other:?}"))),
-        });
-    }
-    if let Some(v) = opt_num(t, "quantum_us", &ctx)? {
-        case = case.quantum_us(v);
-    }
-    if let Some(v) = opt_num(t, "quantum_events", &ctx)? {
-        case = case.quantum_events(as_count(v, "quantum_events")?);
-    }
-    if let Some(v) = t.get("background_order") {
-        case = case.background_order(match str_of(v, "background_order")?.as_str() {
-            "fcfs" => BackgroundOrder::Fcfs,
-            "srpt" => BackgroundOrder::Srpt,
-            other => {
-                return Err(SpecError::new(format!(
-                    "{ctx}: unknown background_order {other:?}"
-                )))
-            }
-        });
-    }
-    if let Some(v) = opt_num(t, "rx_batch", &ctx)? {
-        case = case.rx_batch(as_count(v, "rx_batch")? as u64);
-    }
-    if let Some(v) = t.get("randomize_steal_order") {
-        let randomize = v
-            .as_bool()
-            .ok_or_else(|| SpecError::new(format!("{ctx}: randomize_steal_order must be bool")))?;
-        if !randomize {
-            case = case.sequential_steal();
-        } else {
-            case.policy.randomize_steal_order = Some(true);
-        }
-    }
-    if let Some(v) = opt_num(t, "ipi_delivery_ns", &ctx)? {
-        case = case.ipi_delivery_ns(as_count(v, "ipi_delivery_ns")? as u64);
-    }
-    if let Some(v) = opt_num(t, "steal_extra_ns", &ctx)? {
-        case = case.steal_extra_ns(as_count(v, "steal_extra_ns")? as u64);
-    }
+    p.min_cores = t.count("min_cores")?;
+    p.alloc = t.choice(
+        "alloc",
+        &[
+            ("utilization", AllocKind::Utilization),
+            ("slo-driven", AllocKind::SloDriven),
+        ],
+    )?;
+    p.quantum_us = t.num("quantum_us")?;
+    p.quantum_events = t.count("quantum_events")?;
+    p.background_order = t.choice(
+        "background_order",
+        &[
+            ("fcfs", BackgroundOrder::Fcfs),
+            ("srpt", BackgroundOrder::Srpt),
+        ],
+    )?;
+    p.rx_batch = t.count("rx_batch")?;
+    p.randomize_steal_order = t.bool("randomize_steal_order")?;
+    p.ipi_delivery_ns = t.count("ipi_delivery_ns")?;
+    p.steal_extra_ns = t.count("steal_extra_ns")?;
 
     // Fleet knobs: balancer policy, admission topology, and the injected
-    // shard faults. Host/topology consistency is the builder's job.
-    if let Some(v) = t.get("routing") {
-        let name = str_of(v, "routing")?;
-        case = case
-            .routing(RoutePolicy::parse(&name).map_err(|e| SpecError::new(format!("{ctx}: {e}")))?);
+    // shard faults.
+    if let Some(name) = t.str("routing")? {
+        p.routing = Some(RoutePolicy::parse(&name).map_err(|e| t.err(e))?);
     }
-    if let Some(v) = t.get("fleet_admission") {
-        case = case.fleet_admission(match str_of(v, "fleet_admission")?.as_str() {
-            "per-shard" => AdmissionTopology::PerShard,
-            "fleet-wide" => AdmissionTopology::FleetWide,
-            other => {
-                return Err(SpecError::new(format!(
-                    "{ctx}: unknown fleet_admission {other:?} (per-shard, fleet-wide)"
-                )))
-            }
-        });
-    }
-    if let Some(v) = t.get("degraded") {
-        let mut out = Vec::new();
-        for (i, item) in v
-            .as_arr()
-            .ok_or_else(|| SpecError::new(format!("{ctx}: degraded must be an array")))?
-            .iter()
-            .enumerate()
-        {
-            let pair = item.as_arr().filter(|a| a.len() == 2).ok_or_else(|| {
-                SpecError::new(format!("{ctx}: degraded[{i}] must be [shard, factor]"))
-            })?;
-            let shard = pair[0]
-                .as_num()
-                .ok_or_else(|| SpecError::new(format!("{ctx}: degraded shard must be a number")))?;
-            let factor = pair[1].as_num().ok_or_else(|| {
-                SpecError::new(format!("{ctx}: degradation factor must be a number"))
-            })?;
-            out.push((as_count(shard, "degraded shard")?, factor));
+    p.fleet_admission = t.choice(
+        "fleet_admission",
+        &[
+            ("per-shard", AdmissionTopology::PerShard),
+            ("fleet-wide", AdmissionTopology::FleetWide),
+        ],
+    )?;
+    if let Some(pairs) = t.list("degraded", "[shard, factor] pairs", |v| nums_of(&v))? {
+        if pairs.is_empty() {
+            return Err(t.err("degraded is empty"));
         }
-        if out.is_empty() {
-            return Err(SpecError::new(format!("{ctx}: degraded is empty")));
-        }
-        case = case.degraded(out);
+        let shards = pairs
+            .into_iter()
+            .map(|[shard, factor]| Ok((as_count(shard, "degraded shard")?, factor)));
+        p.degraded = Some(shards.collect::<Result<_, SpecError>>()?);
     }
-    if let Some(v) = t.get("loss") {
-        let pair = v
-            .as_arr()
-            .filter(|a| a.len() == 2)
-            .ok_or_else(|| SpecError::new(format!("{ctx}: loss must be [shard, at_us]")))?;
-        let shard = pair[0]
-            .as_num()
-            .ok_or_else(|| SpecError::new(format!("{ctx}: lost shard must be a number")))?;
-        let at_us = pair[1]
-            .as_num()
-            .ok_or_else(|| SpecError::new(format!("{ctx}: loss time must be a number")))?;
-        case = case.loss(as_count(shard, "lost shard")?, at_us);
+    if let Some([shard, at_us]) = t.tuple("loss", "[shard, at_us]")? {
+        p.loss = Some((as_count(shard, "lost shard")?, at_us));
     }
-    if let Some(v) = opt_num(t, "fanout", &ctx)? {
-        case = case.fanout(as_count(v, "fanout")?);
-    }
+    p.fanout = t.count("fanout")?;
 
-    // Retry-plane knobs: the closed feedback loop, its jitter, and the
-    // client timeout that feeds it.
-    if let Some(v) = t.get("retry") {
-        case = case.retry(parse_retry(v, &ctx)?);
+    // Retry plane: the closed feedback loop, its jitter, and the client
+    // timeout that feeds it.
+    if let Some(v) = t.take("retry") {
+        p.retry = Some(parse_retry(v, &t)?);
     }
-    if let Some(v) = t.get("retry_jitter") {
-        let on = v
-            .as_bool()
-            .ok_or_else(|| SpecError::new(format!("{ctx}: retry_jitter must be true/false")))?;
-        case = case.retry_jitter(on);
-    }
-    if let Some(v) = opt_num(t, "retry_timeout_us", &ctx)? {
-        case = case.retry_timeout_us(v);
-    }
+    p.retry_jitter = t.bool("retry_jitter")?;
+    p.retry_timeout_us = t.num("retry_timeout_us")?;
 
-    // Staged-pipeline knobs: the layout plus the core counts that size
-    // it, and the whole-pipeline discipline override.
-    let net_cores = opt_num(t, "net_cores", &ctx)?;
-    let poll_cores = opt_num(t, "poll_cores", &ctx)?;
-    let stack_cores = opt_num(t, "stack_cores", &ctx)?;
-    let layout = t.get("layout").map(|v| str_of(v, "layout")).transpose()?;
-    match layout.as_deref() {
-        None => {
-            if net_cores.is_some() || poll_cores.is_some() || stack_cores.is_some() {
-                return Err(SpecError::new(format!(
-                    "{ctx}: net_cores/poll_cores/stack_cores size a layout; set `layout` first"
-                )));
-            }
+    // Staged pipeline: the layout plus the core counts that size it, and
+    // the whole-pipeline discipline override.
+    let counts = (
+        t.count("net_cores")?,
+        t.count("poll_cores")?,
+        t.count("stack_cores")?,
+    );
+    p.layout = match (t.str("layout")?.as_deref(), counts) {
+        (None, (None, None, None)) => None,
+        (None, _) => {
+            return Err(t.err("net_cores/poll_cores/stack_cores size a layout; set `layout` first"))
         }
-        Some("unified") => {
-            if net_cores.is_some() || poll_cores.is_some() || stack_cores.is_some() {
-                return Err(SpecError::new(format!(
-                    "{ctx}: the unified layout takes no core counts"
-                )));
-            }
-            case = case.layout(CoreLayout::Unified);
+        (Some("unified"), (None, None, None)) => Some(CoreLayout::Unified),
+        (Some("unified"), _) => return Err(t.err("the unified layout takes no core counts")),
+        (Some("split-net"), (Some(net_cores), None, None)) => {
+            Some(CoreLayout::SplitNet { net_cores })
         }
-        Some("split-net") => {
-            if poll_cores.is_some() || stack_cores.is_some() {
-                return Err(SpecError::new(format!(
-                    "{ctx}: poll_cores/stack_cores size the split-full layout"
-                )));
-            }
-            let n = net_cores.ok_or_else(|| {
-                SpecError::new(format!("{ctx}: layout \"split-net\" needs net_cores"))
-            })?;
-            case = case.layout(CoreLayout::SplitNet {
-                net_cores: as_count(n, "net_cores")?,
-            });
+        (Some("split-net"), (None, None, None)) => {
+            return Err(t.err("layout \"split-net\" needs net_cores"))
         }
-        Some("split-full") => {
-            if net_cores.is_some() {
-                return Err(SpecError::new(format!(
-                    "{ctx}: net_cores sizes the split-net layout"
-                )));
-            }
-            let p = poll_cores.ok_or_else(|| {
-                SpecError::new(format!("{ctx}: layout \"split-full\" needs poll_cores"))
-            })?;
-            let s = stack_cores.ok_or_else(|| {
-                SpecError::new(format!("{ctx}: layout \"split-full\" needs stack_cores"))
-            })?;
-            case = case.layout(CoreLayout::SplitFull {
-                poll_cores: as_count(p, "poll_cores")?,
-                stack_cores: as_count(s, "stack_cores")?,
-            });
+        (Some("split-net"), _) => {
+            return Err(t.err("poll_cores/stack_cores size the split-full layout"))
         }
-        Some(other) => {
-            return Err(SpecError::new(format!(
-                "{ctx}: unknown layout {other:?} (unified, split-net, split-full)"
+        (Some("split-full"), (None, Some(poll_cores), Some(stack_cores))) => {
+            Some(CoreLayout::SplitFull {
+                poll_cores,
+                stack_cores,
+            })
+        }
+        (Some("split-full"), (Some(_), _, _)) => {
+            return Err(t.err("net_cores sizes the split-net layout"))
+        }
+        (Some("split-full"), _) => {
+            return Err(t.err("layout \"split-full\" needs poll_cores and stack_cores"))
+        }
+        (Some(other), _) => {
+            return Err(t.err(format!(
+                "unknown layout {other:?} (unified, split-net, split-full)"
             )))
         }
-    }
-    if let Some(v) = t.get("discipline") {
-        case = case.discipline(parse_discipline(&str_of(v, "discipline")?, &ctx)?);
-    }
+    };
+    p.discipline = discipline(&mut t)?;
 
     // SLO classes: either a full list or a uniform single-bound shortcut.
-    if t.get("slo_classes").is_some() && t.get("slo_bound_us").is_some() {
-        return Err(SpecError::new(format!(
-            "{ctx}: pick one of slo_classes / slo_bound_us"
-        )));
-    }
-    if let Some(v) = opt_num(t, "slo_bound_us", &ctx)? {
-        case = case.slo(TenantSlos::uniform(Slo::p99(v)));
-    }
-    if let Some(v) = t.get("slo_classes") {
-        let mut classes = Vec::new();
-        for (i, item) in v
-            .as_arr()
-            .ok_or_else(|| SpecError::new(format!("{ctx}: slo_classes must be an array")))?
-            .iter()
-            .enumerate()
-        {
-            let pair = item.as_arr().filter(|a| a.len() == 2).ok_or_else(|| {
-                SpecError::new(format!(
-                    "{ctx}: slo_classes[{i}] must be [name, p99_bound_us]"
-                ))
-            })?;
-            let name = pair[0]
-                .as_str()
-                .ok_or_else(|| SpecError::new(format!("{ctx}: class name must be a string")))?;
-            let bound = pair[1]
-                .as_num()
-                .ok_or_else(|| SpecError::new(format!("{ctx}: class bound must be a number")))?;
-            classes.push(SloClass::new(name, Slo::p99(bound)));
-        }
-        if classes.is_empty() {
-            return Err(SpecError::new(format!("{ctx}: slo_classes is empty")));
-        }
-        case = case.slo(TenantSlos::new(classes));
-    }
-    Ok(case)
+    let classes = t.list("slo_classes", "[name, p99_bound_us] pairs", |v| match v {
+        Value::Arr(pair) => match <[Value; 2]>::try_from(pair) {
+            Ok([Value::Str(name), Value::Num(bound)]) => Some(SloClass::new(name, Slo::p99(bound))),
+            _ => None,
+        },
+        _ => None,
+    })?;
+    p.slo = match (classes, t.num("slo_bound_us")?) {
+        (Some(_), Some(_)) => return Err(t.err("pick one of slo_classes / slo_bound_us")),
+        (Some(classes), None) if classes.is_empty() => return Err(t.err("slo_classes is empty")),
+        (Some(classes), None) => Some(TenantSlos::new(classes)),
+        (None, Some(bound)) => Some(TenantSlos::uniform(Slo::p99(bound))),
+        (None, None) => None,
+    };
+    t.finish()?;
+    Ok(Case {
+        label,
+        host,
+        policy: p,
+    })
 }
 
-fn parse_discipline(name: &str, ctx: &str) -> Result<QueueDiscipline, SpecError> {
-    QueueDiscipline::parse(name).ok_or_else(|| {
-        SpecError::new(format!(
-            "{ctx}: unknown discipline {name:?} (cfcfs, dfcfs, dfcfs-steal)"
+/// A `[[stages]]` table.
+fn parse_stage(mut t: Keys) -> Result<StageSpec, SpecError> {
+    let spec = StageSpec {
+        name: t.req("name", Keys::str)?,
+        batch_fixed_ns: t.count("batch_fixed_ns")?.unwrap_or(0),
+        fixed_ns: t.count("fixed_ns")?.unwrap_or(0),
+        discipline: discipline(&mut t)?.unwrap_or_default(),
+    };
+    t.finish()?;
+    Ok(spec)
+}
+
+/// The `discipline` key a `[[stages]]` and a `[[case]]` table share.
+fn discipline(t: &mut Keys) -> Result<Option<QueueDiscipline>, SpecError> {
+    let Some(name) = t.str("discipline")? else {
+        return Ok(None);
+    };
+    QueueDiscipline::parse(&name).map(Some).ok_or_else(|| {
+        t.err(format!(
+            "unknown discipline {name:?} (cfcfs, dfcfs, dfcfs-steal)"
         ))
     })
 }
@@ -633,117 +404,61 @@ fn parse_discipline(name: &str, ctx: &str) -> Result<QueueDiscipline, SpecError>
 /// `[telemetry]`: `trace` (default true — writing the block means you
 /// want the decomposition), `sample_period`, `series` (registry names),
 /// `series_every`, `max_series_points`.
-fn parse_telemetry(t: &Table) -> Result<TelemetrySpec, SpecError> {
-    check_keys(
-        "[telemetry]",
-        t,
-        &[
-            "trace",
-            "sample_period",
-            "series",
-            "series_every",
-            "max_series_points",
-        ],
-    )?;
-    let mut spec = TelemetrySpec::default();
-    if let Some(v) = t.get("trace") {
-        spec.trace = v
-            .as_bool()
-            .ok_or_else(|| SpecError::new("[telemetry] trace must be true/false"))?;
-    }
-    if let Some(v) = opt_num(t, "sample_period", "[telemetry]")? {
-        spec.sample_period = as_count(v, "sample_period")? as u32;
-    }
-    if let Some(v) = opt_num(t, "series_every", "[telemetry]")? {
-        spec.series_every = as_count(v, "series_every")? as u32;
-    }
-    if let Some(v) = opt_num(t, "max_series_points", "[telemetry]")? {
-        spec.max_series_points = as_count(v, "max_series_points")?;
-    }
-    if let Some(v) = t.get("series") {
-        let items = v
-            .as_arr()
-            .ok_or_else(|| SpecError::new("[telemetry] series must be an array of strings"))?;
-        for item in items {
-            let name = item
-                .as_str()
-                .ok_or_else(|| SpecError::new("[telemetry] series must hold strings"))?;
-            let kind = SeriesKind::parse(name).ok_or_else(|| {
-                SpecError::new(format!(
-                    "[telemetry] unknown series {name:?} (admitted_rate, credit_capacity, \
-                     active_cores, shed_by_class)"
-                ))
-            })?;
-            spec.series.push(kind);
-        }
-    }
+fn parse_telemetry(mut t: Keys) -> Result<TelemetrySpec, SpecError> {
+    let d = TelemetrySpec::default();
+    let names = t
+        .list("series", "strings", Value::into_str)?
+        .unwrap_or_default();
+    let series = names.iter().map(|name| {
+        SeriesKind::parse(name).ok_or_else(|| t.err(format!("unknown series {name:?}")))
+    });
+    let spec = TelemetrySpec {
+        series: series.collect::<Result<_, _>>()?,
+        trace: t.bool("trace")?.unwrap_or(d.trace),
+        sample_period: t.count("sample_period")?.unwrap_or(d.sample_period),
+        series_every: t.count("series_every")?.unwrap_or(d.series_every),
+        max_series_points: t.count("max_series_points")?.unwrap_or(d.max_series_points),
+    };
+    t.finish()?;
     Ok(spec)
 }
 
 /// `[search]`: `metric` (`"p50"` / `"p99"` / `"p999"`, default p99),
 /// `bound_us` (required), `resolution` (default 16).
-fn parse_search(t: &Table) -> Result<SearchSpec, SpecError> {
-    check_keys("[search]", t, &["metric", "bound_us", "resolution"])?;
-    let mut spec = SearchSpec::default();
-    if let Some(v) = t.get("metric") {
-        spec.quantile = match str_of(v, "metric")?.as_str() {
-            "p50" => 0.50,
-            "p99" => 0.99,
-            "p999" => 0.999,
-            other => {
-                return Err(SpecError::new(format!(
-                    "[search] unknown metric {other:?} (p50, p99, p999)"
-                )))
-            }
-        };
-    }
-    spec.bound_us = opt_num(t, "bound_us", "[search]")?
-        .ok_or_else(|| SpecError::new("[search] needs bound_us"))?;
-    if let Some(v) = opt_num(t, "resolution", "[search]")? {
-        spec.resolution = as_count(v, "resolution")?;
-    }
+fn parse_search(mut t: Keys) -> Result<SearchSpec, SpecError> {
+    let d = SearchSpec::default();
+    let metrics = [("p50", 0.50), ("p99", 0.99), ("p999", 0.999)];
+    let spec = SearchSpec {
+        quantile: t.choice("metric", &metrics)?.unwrap_or(d.quantile),
+        bound_us: t.req("bound_us", Keys::num)?,
+        resolution: t.count("resolution")?.unwrap_or(d.resolution),
+    };
+    t.finish()?;
     Ok(spec)
 }
 
 /// `[tail]`: `load` (required), `quantile`, `levels`, `splits`,
 /// `check_every`, `clone_budget` — see `docs/TAIL.md` for how to pick
 /// the levels.
-fn parse_tail(t: &Table) -> Result<TailSpec, SpecError> {
-    check_keys(
-        "[tail]",
-        t,
-        &[
-            "load",
-            "quantile",
-            "levels",
-            "splits",
-            "check_every",
-            "clone_budget",
-        ],
-    )?;
-    let mut spec = TailSpec {
-        load: opt_num(t, "load", "[tail]")?
-            .ok_or_else(|| SpecError::new("[tail] needs a load to study"))?,
-        ..TailSpec::default()
-    };
-    if let Some(v) = opt_num(t, "quantile", "[tail]")? {
-        spec.quantile = v;
-    }
-    if let Some(v) = t.get("levels") {
-        spec.levels = num_array(v, "levels")?
+fn parse_tail(mut t: Keys) -> Result<TailSpec, SpecError> {
+    let d = TailSpec::default();
+    let load = t.req("load", Keys::num)?;
+    let levels = match t.nums("levels")? {
+        Some(levels) => levels
             .into_iter()
             .map(|l| as_count(l, "levels"))
-            .collect::<Result<_, _>>()?;
-    }
-    if let Some(v) = opt_num(t, "splits", "[tail]")? {
-        spec.splits = as_count(v, "splits")?;
-    }
-    if let Some(v) = opt_num(t, "check_every", "[tail]")? {
-        spec.check_every = as_count(v, "check_every")? as u64;
-    }
-    if let Some(v) = opt_num(t, "clone_budget", "[tail]")? {
-        spec.clone_budget = as_count(v, "clone_budget")? as u64;
-    }
+            .collect::<Result<_, _>>()?,
+        None => d.levels,
+    };
+    let spec = TailSpec {
+        load,
+        quantile: t.num("quantile")?.unwrap_or(d.quantile),
+        levels,
+        splits: t.count("splits")?.unwrap_or(d.splits),
+        check_every: t.count("check_every")?.unwrap_or(d.check_every),
+        clone_budget: t.count("clone_budget")?.unwrap_or(d.clone_budget),
+    };
+    t.finish()?;
     Ok(spec)
 }
 
@@ -752,236 +467,269 @@ fn parse_tail(t: &Table) -> Result<TailSpec, SpecError> {
 /// (+ `case`, `settle_windows`, `op`, `value`), else a compare (`metric`,
 /// `cases`, `op`, then `value` or `times` [`of`, `of_metric`], then
 /// `min_load`/`max_load` or `at`).
-fn parse_claim(t: &Table, index: usize) -> Result<Claim, SpecError> {
-    let ctx = format!("[[claim]] #{}", index + 1);
-    let err = |msg: &str| SpecError::new(format!("{ctx}: {msg}"));
-    let opt_str = |key: &str| t.get(key).map(|v| str_of(v, key)).transpose();
-    let req_num = |key: &str| opt_num(t, key, &ctx)?.ok_or_else(|| err(&format!("missing {key}")));
-    let op = || {
-        let s = req_str(t, "op", &ctx)?;
-        Op::parse(&s).ok_or_else(|| err(&format!("unknown op {s:?} (<, <=, >, >=)")))
-    };
-    let labels = |key: &str| -> Result<Vec<String>, SpecError> {
-        let items = t.get(key).and_then(Value::as_arr);
-        items
-            .and_then(|a| a.iter().map(|x| x.as_str().map(str::to_string)).collect())
-            .ok_or_else(|| err(&format!("{key} must be an array of case labels")))
-    };
-    if t.contains_key("recovers") {
-        check_keys(&ctx, t, &["recovers", "metric", "fraction"])?;
-        let Ok([base, worse, fixed]) = <[String; 3]>::try_from(labels("recovers")?) else {
-            return Err(err("recovers must be [base, worse, fixed]"));
+fn parse_claim(mut t: Keys) -> Result<Claim, SpecError> {
+    let claim = if t.table.contains_key("recovers") {
+        let Ok([base, worse, fixed]) = <[String; 3]>::try_from(t.labels("recovers")?) else {
+            return Err(t.err("recovers must be [base, worse, fixed]"));
         };
-        return Ok(Claim::Recovers(Recovers {
-            metric: req_str(t, "metric", &ctx)?,
+        Claim::Recovers(Recovers {
+            metric: t.req("metric", Keys::str)?,
             base,
             worse,
             fixed,
-            fraction: req_num("fraction")?,
-        }));
-    }
-    if t.contains_key("series") {
-        check_keys(
-            &ctx,
-            t,
-            &["series", "case", "settle_windows", "op", "value"],
-        )?;
-        return Ok(Claim::Settles(Settles {
-            series: req_str(t, "series", &ctx)?,
-            case: req_str(t, "case", &ctx)?,
-            settle_windows: as_count(req_num("settle_windows")?, "settle_windows")?,
-            op: op()?,
-            value: req_num("value")?,
-        }));
-    }
-    check_keys(
-        &ctx,
-        t,
-        &[
-            "metric",
-            "cases",
-            "op",
-            "value",
-            "times",
-            "of",
-            "of_metric",
-            "min_load",
-            "max_load",
-            "at",
-        ],
-    )?;
-    let (of, of_metric) = (opt_str("of")?, opt_str("of_metric")?);
-    let rhs = match (opt_num(t, "value", &ctx)?, opt_num(t, "times", &ctx)?) {
-        (Some(v), None) if of.is_none() && of_metric.is_none() => Rhs::Value(v),
-        (Some(_), None) => return Err(err("of/of_metric belong to `times`, not `value`")),
-        (None, Some(times)) => Rhs::Times {
-            times,
-            of,
-            of_metric,
-        },
-        _ => return Err(err("a compare claim takes exactly one of value / times")),
+            fraction: t.req("fraction", Keys::num)?,
+        })
+    } else if let Some(series) = t.str("series")? {
+        Claim::Settles(Settles {
+            series,
+            case: t.req("case", Keys::str)?,
+            settle_windows: t.req("settle_windows", Keys::count)?,
+            op: parse_op(&mut t)?,
+            value: t.req("value", Keys::num)?,
+        })
+    } else {
+        let metric = t.req("metric", Keys::str)?;
+        let cases = t.labels("cases")?;
+        let op = parse_op(&mut t)?;
+        let (of, of_metric) = (t.str("of")?, t.str("of_metric")?);
+        let rhs = match (t.num("value")?, t.num("times")?) {
+            (Some(v), None) if of.is_none() && of_metric.is_none() => Rhs::Value(v),
+            (Some(_), None) => return Err(t.err("of/of_metric belong to `times`, not `value`")),
+            (None, Some(times)) => Rhs::Times {
+                times,
+                of,
+                of_metric,
+            },
+            _ => return Err(t.err("a compare claim takes exactly one of value / times")),
+        };
+        let (min_load, max_load) = (t.num("min_load")?, t.num("max_load")?);
+        let extremes = [("lowest", Select::Lowest), ("highest", Select::Highest)];
+        let select = match t.choice("at", &extremes)? {
+            None => Select::Window { min_load, max_load },
+            Some(_) if min_load.is_some() || max_load.is_some() => {
+                return Err(t.err("pick one of `at` / min_load, max_load"))
+            }
+            Some(at) => at,
+        };
+        Claim::Compare(Compare {
+            metric,
+            cases,
+            op,
+            rhs,
+            select,
+        })
     };
-    let (min_load, max_load) = (opt_num(t, "min_load", &ctx)?, opt_num(t, "max_load", &ctx)?);
-    let select = match opt_str("at")?.as_deref() {
-        None => Select::Window { min_load, max_load },
-        Some(_) if min_load.is_some() || max_load.is_some() => {
-            return Err(err("pick one of `at` / min_load, max_load"))
-        }
-        Some("lowest") => Select::Lowest,
-        Some("highest") => Select::Highest,
-        Some(other) => return Err(err(&format!("unknown at {other:?} (lowest, highest)"))),
-    };
-    Ok(Claim::Compare(Compare {
-        metric: req_str(t, "metric", &ctx)?,
-        cases: labels("cases")?,
-        op: op()?,
-        rhs,
-        select,
-    }))
+    t.finish()?;
+    Ok(claim)
+}
+
+fn parse_op(t: &mut Keys) -> Result<Op, SpecError> {
+    let s = t.req("op", Keys::str)?;
+    Op::parse(&s).ok_or_else(|| t.err(format!("unknown op {s:?} (<, <=, >, >=)")))
 }
 
 /// `[faults]`: scenario-wide adversarial injections — `burst`
 /// `[at_us, duration_us, factor]`, `churn` `[interval_us, spike_us,
 /// factor]`, `slow_clients` `[fraction, stall_us]`, `slowdown`
 /// `[shard, factor]`.
-fn parse_faults(t: &Table) -> Result<FaultsSpec, SpecError> {
-    check_keys(
-        "[faults]",
-        t,
-        &["burst", "churn", "slow_clients", "slowdown"],
-    )?;
-    let nums = |v: &Value, n: usize, what: &str, shape: &str| -> Result<Vec<f64>, SpecError> {
-        let items = v
-            .as_arr()
-            .filter(|a| a.len() == n)
-            .ok_or_else(|| SpecError::new(format!("[faults] {what} must be {shape}")))?;
-        items
-            .iter()
-            .map(|x| {
-                x.as_num()
-                    .ok_or_else(|| SpecError::new(format!("[faults] {what} must hold numbers")))
-            })
-            .collect()
+fn parse_faults(mut t: Keys) -> Result<FaultsSpec, SpecError> {
+    let spec = FaultsSpec {
+        burst: t
+            .tuple("burst", "[at_us, duration_us, factor]")?
+            .map(|[at, duration, factor]| (at, duration, factor)),
+        churn: t
+            .tuple("churn", "[interval_us, spike_us, factor]")?
+            .map(|[interval, spike, factor]| (interval, spike, factor)),
+        slow_clients: t
+            .tuple("slow_clients", "[fraction, stall_us]")?
+            .map(|[fraction, stall]| (fraction, stall)),
+        slowdown: match t.tuple("slowdown", "[shard, factor]")? {
+            Some([shard, factor]) => Some((as_count(shard, "slowdown shard")?, factor)),
+            None => None,
+        },
     };
-    let mut spec = FaultsSpec::default();
-    if let Some(v) = t.get("burst") {
-        let p = nums(v, 3, "burst", "[at_us, duration_us, factor]")?;
-        spec.burst = Some((p[0], p[1], p[2]));
-    }
-    if let Some(v) = t.get("churn") {
-        let p = nums(v, 3, "churn", "[interval_us, spike_us, factor]")?;
-        spec.churn = Some((p[0], p[1], p[2]));
-    }
-    if let Some(v) = t.get("slow_clients") {
-        let p = nums(v, 2, "slow_clients", "[fraction, stall_us]")?;
-        spec.slow_clients = Some((p[0], p[1]));
-    }
-    if let Some(v) = t.get("slowdown") {
-        let p = nums(v, 2, "slowdown", "[shard, factor]")?;
-        spec.slowdown = Some((as_count(p[0], "slowdown shard")?, p[1]));
-    }
+    t.finish()?;
     Ok(spec)
 }
 
 /// `retry = "drop"`, `["backoff", base_us, factor, max_attempts]`, or
 /// `["hedge", deadline_us]`.
-fn parse_retry(v: &Value, ctx: &str) -> Result<RetryPolicy, SpecError> {
+fn parse_retry(v: Value, t: &Keys) -> Result<RetryPolicy, SpecError> {
     let shapes = "\"drop\", [\"backoff\", base_us, factor, max_attempts], \
                   or [\"hedge\", deadline_us]";
-    if let Some(s) = v.as_str() {
-        return match s {
-            "drop" => Ok(RetryPolicy::Drop),
-            other => Err(SpecError::new(format!(
-                "{ctx}: unknown retry {other:?} ({shapes})"
-            ))),
-        };
-    }
-    let items = v
-        .as_arr()
-        .ok_or_else(|| SpecError::new(format!("{ctx}: retry must be {shapes}")))?;
-    let kind = items
-        .first()
-        .and_then(|x| x.as_str())
-        .ok_or_else(|| SpecError::new(format!("{ctx}: retry must be {shapes}")))?;
-    let num = |i: usize, what: &str| -> Result<f64, SpecError> {
-        items
-            .get(i)
-            .and_then(|x| x.as_num())
-            .ok_or_else(|| SpecError::new(format!("{ctx}: retry {what} must be a number")))
+    let bad = || t.err(format!("retry must be {shapes}"));
+    let items = match v {
+        Value::Str(s) if s == "drop" => return Ok(RetryPolicy::Drop),
+        Value::Str(s) => return Err(t.err(format!("unknown retry {s:?} ({shapes})"))),
+        Value::Arr(items) => items,
+        _ => return Err(bad()),
     };
-    match kind {
-        "backoff" if items.len() == 4 => Ok(RetryPolicy::Backoff {
-            base_us: as_count(num(1, "base_us")?, "retry base_us")? as u64,
-            factor: num(2, "factor")?,
-            max_attempts: as_count(num(3, "max_attempts")?, "retry max_attempts")? as u32,
+    let num = |i: usize| items.get(i).and_then(Value::as_num).ok_or_else(bad);
+    match (items.first().and_then(Value::as_str), items.len()) {
+        (Some("backoff"), 4) => Ok(RetryPolicy::Backoff {
+            base_us: as_count(num(1)?, "retry base_us")?,
+            factor: num(2)?,
+            max_attempts: as_count(num(3)?, "retry max_attempts")?,
         }),
-        "hedge" if items.len() == 2 => Ok(RetryPolicy::HedgeToDeadline {
-            deadline_us: as_count(num(1, "deadline_us")?, "retry deadline_us")? as u64,
+        (Some("hedge"), 2) => Ok(RetryPolicy::HedgeToDeadline {
+            deadline_us: as_count(num(1)?, "retry deadline_us")?,
         }),
-        _ => Err(SpecError::new(format!("{ctx}: retry must be {shapes}"))),
+        _ => Err(bad()),
     }
 }
 
-// --- small typed readers -------------------------------------------------
+// --- the consuming reader ------------------------------------------------
 
-fn check_keys(ctx: &str, table: &Table, allowed: &[&str]) -> Result<(), SpecError> {
-    for key in table.keys() {
-        if !allowed.contains(&key.as_str()) {
-            return Err(SpecError::new(format!("{ctx}: unknown key {key:?}")));
+/// One TOML table being read. Every accessor *removes* the key it reads,
+/// so what is left once the block is read is a key no reader took:
+/// [`Keys::finish`] rejects it.
+struct Keys {
+    /// The block, as errors name it: `[workload]`, `[[case]] #2`, ….
+    ctx: Cow<'static, str>,
+    table: Table,
+}
+
+impl Keys {
+    fn new(ctx: impl Into<Cow<'static, str>>, table: Table) -> Keys {
+        Keys {
+            ctx: ctx.into(),
+            table,
         }
     }
-    Ok(())
-}
 
-fn str_of(v: &Value, what: &str) -> Result<String, SpecError> {
-    v.as_str()
-        .map(str::to_string)
-        .ok_or_else(|| SpecError::new(format!("{what} must be a string")))
-}
+    fn err(&self, msg: impl std::fmt::Display) -> SpecError {
+        SpecError::new(format!("{}: {msg}", self.ctx))
+    }
 
-fn req_str(t: &Table, key: &str, ctx: &str) -> Result<String, SpecError> {
-    t.get(key)
-        .ok_or_else(|| SpecError::new(format!("{ctx}: missing {key}")))
-        .and_then(|v| str_of(v, key))
-}
+    /// The value of `key` as written.
+    fn take(&mut self, key: &str) -> Option<Value> {
+        self.table.remove(key)
+    }
 
-fn opt_num(t: &Table, key: &str, ctx: &str) -> Result<Option<f64>, SpecError> {
-    match t.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_num()
+    /// `key` through `convert`; `what` names the shape it must have.
+    fn typed<T>(
+        &mut self,
+        key: &str,
+        what: &str,
+        convert: impl FnOnce(Value) -> Option<T>,
+    ) -> Result<Option<T>, SpecError> {
+        match self.take(key).map(convert) {
+            None => Ok(None),
+            Some(Some(v)) => Ok(Some(v)),
+            Some(None) => Err(self.err(format!("{key} must be {what}"))),
+        }
+    }
+
+    fn num(&mut self, key: &str) -> Result<Option<f64>, SpecError> {
+        self.typed(key, "a number", |v| v.as_num())
+    }
+
+    fn bool(&mut self, key: &str) -> Result<Option<bool>, SpecError> {
+        self.typed(key, "true/false", |v| v.as_bool())
+    }
+
+    fn str(&mut self, key: &str) -> Result<Option<String>, SpecError> {
+        self.typed(key, "a string", Value::into_str)
+    }
+
+    /// A number that is a non-negative integer fitting `T`.
+    fn count<T: TryFrom<u64>>(&mut self, key: &str) -> Result<Option<T>, SpecError> {
+        self.num(key)?.map(|v| as_count(v, key)).transpose()
+    }
+
+    /// `N` numbers; `shape` spells them out, e.g. `[shard, at_us]`.
+    fn tuple<const N: usize>(
+        &mut self,
+        key: &str,
+        shape: &str,
+    ) -> Result<Option<[f64; N]>, SpecError> {
+        self.typed(key, shape, |v| nums_of(&v))
+    }
+
+    /// An array whose every element `item` converts; `what` names the
+    /// elements.
+    fn list<T>(
+        &mut self,
+        key: &str,
+        what: &str,
+        item: impl FnMut(Value) -> Option<T>,
+    ) -> Result<Option<Vec<T>>, SpecError> {
+        let items = match self.take(key) {
+            None => return Ok(None),
+            Some(Value::Arr(items)) => items.into_iter().map(item).collect(),
+            Some(_) => None,
+        };
+        items
             .map(Some)
-            .ok_or_else(|| SpecError::new(format!("{ctx}: {key} must be a number"))),
+            .ok_or_else(|| self.err(format!("{key} must be an array of {what}")))
+    }
+
+    fn nums(&mut self, key: &str) -> Result<Option<Vec<f64>>, SpecError> {
+        self.list(key, "numbers", |v| v.as_num())
+    }
+
+    fn labels(&mut self, key: &str) -> Result<Vec<String>, SpecError> {
+        self.req(key, |t, key| t.list(key, "case labels", Value::into_str))
+    }
+
+    /// One of `options`, by name.
+    fn choice<T: Clone>(
+        &mut self,
+        key: &str,
+        options: &[(&str, T)],
+    ) -> Result<Option<T>, SpecError> {
+        let Some(name) = self.str(key)? else {
+            return Ok(None);
+        };
+        match options.iter().find(|(n, _)| *n == name) {
+            Some((_, v)) => Ok(Some(v.clone())),
+            None => {
+                let names: Vec<&str> = options.iter().map(|(n, _)| *n).collect();
+                let names = names.join(", ");
+                Err(self.err(format!("unknown {key} {name:?} ({names})")))
+            }
+        }
+    }
+
+    /// A key that must be present, read by `read`.
+    fn req<T>(
+        &mut self,
+        key: &str,
+        read: fn(&mut Keys, &str) -> Result<Option<T>, SpecError>,
+    ) -> Result<T, SpecError> {
+        read(self, key)?.ok_or_else(|| self.err(format!("missing {key}")))
+    }
+
+    /// Rejects the first key no reader took.
+    fn finish(self) -> Result<(), SpecError> {
+        match self.table.keys().next() {
+            Some(key) => Err(self.err(format!("unknown key {key:?}"))),
+            None => Ok(()),
+        }
     }
 }
 
-fn num_array(v: &Value, what: &str) -> Result<Vec<f64>, SpecError> {
-    v.as_arr()
-        .ok_or_else(|| SpecError::new(format!("{what} must be an array")))?
-        .iter()
-        .map(|x| {
-            x.as_num()
-                .ok_or_else(|| SpecError::new(format!("{what} must hold numbers")))
-        })
-        .collect()
-}
-
-fn req_num_array(t: &Table, key: &str, ctx: &str) -> Result<Vec<f64>, SpecError> {
-    num_array(
-        t.get(key)
-            .ok_or_else(|| SpecError::new(format!("{ctx}: missing {key}")))?,
-        key,
-    )
-}
-
-fn as_count(v: f64, what: &str) -> Result<usize, SpecError> {
-    if v >= 0.0 && v.fract() == 0.0 && v <= u64::MAX as f64 {
-        Ok(v as usize)
-    } else {
-        Err(SpecError::new(format!(
-            "{what} must be a non-negative integer, got {v}"
-        )))
+/// `v` as exactly `N` numbers.
+fn nums_of<const N: usize>(v: &Value) -> Option<[f64; N]> {
+    let items = v.as_arr().filter(|a| a.len() == N)?;
+    let mut out = [0.0; N];
+    for (o, x) in out.iter_mut().zip(items) {
+        *o = x.as_num()?;
     }
+    Some(out)
+}
+
+/// `v` as a count of type `T`: a non-negative integer that fits it, so
+/// an out-of-range value is an error rather than silently narrowed.
+fn as_count<T: TryFrom<u64>>(v: f64, what: &str) -> Result<T, SpecError> {
+    let whole = v >= 0.0 && v.fract() == 0.0 && v < u64::MAX as f64;
+    let n = whole
+        .then_some(v as u64)
+        .ok_or_else(|| SpecError::new(format!("{what} must be a non-negative integer, got {v}")))?;
+    T::try_from(n).map_err(|_| {
+        let ty = std::any::type_name::<T>();
+        SpecError::new(format!("{what} = {v} does not fit in {ty}"))
+    })
 }
 
 #[cfg(test)]
@@ -1020,11 +768,201 @@ host = "sim:zygos"
         assert!(e.to_string().contains("admission off"), "{e}");
     }
 
+    /// A scenario with every block and each `[[claim]]` form.
+    const EVERY_BLOCK: &str = r#"name = "every-block"
+[workload]
+service = "exponential"
+mean_us = 10.0
+cores = 4
+conns = 16
+loads = [0.5, 0.8]
+[scale]
+smoke_requests = 1_000
+smoke_warmup = 200
+[[case]]
+label = "a"
+host = "sim:zygos"
+[[case]]
+label = "b"
+host = "sim:staged"
+[[case]]
+label = "c"
+host = "fleet:zygos"
+[[stages]]
+name = "app"
+[fleet]
+shards = 2
+[faults]
+burst = [2000.0, 1000.0, 1.5]
+[telemetry]
+series = ["window_p99_us"]
+[search]
+bound_us = 100.0
+[tail]
+load = 0.8
+[check]
+tolerance = 0.5
+[[claim]]
+metric = "p99_us"
+cases = ["a"]
+op = "<="
+value = 90.0
+[[claim]]
+recovers = ["a", "b", "c"]
+metric = "p99_us"
+fraction = 0.5
+[[claim]]
+series = "window_p99_us"
+case = "a"
+settle_windows = 4
+op = "<"
+value = 1.5"#;
+
     #[test]
     fn unknown_keys_are_rejected() {
-        let text = MINIMAL.replace("mean_us = 10.0", "mean_us = 10.0\nfrobnicate = 3");
-        let e = scenario_from_toml(&text).expect_err("reject");
-        assert!(e.to_string().contains("frobnicate"), "{e}");
+        scenario_from_toml(EVERY_BLOCK).expect("valid");
+        let reject = |text: &str, want: &str| {
+            let e = scenario_from_toml(text).expect_err(want);
+            assert_eq!(e.to_string(), format!("invalid scenario: {want}"));
+        };
+        // A key nobody reads, in every block: the error names both.
+        reject(
+            &format!("frobnicate = 1\n{EVERY_BLOCK}"),
+            "top level: unknown key \"frobnicate\"",
+        );
+        let lines: Vec<&str> = EVERY_BLOCK.lines().collect();
+        let mut seen = std::collections::BTreeMap::new();
+        let mut blocks = 0;
+        for (i, line) in lines.iter().enumerate() {
+            let block = if line.starts_with("[[") {
+                let n = seen.entry(*line).or_insert(0);
+                *n += 1;
+                format!("{line} #{n}")
+            } else if line.starts_with('[') {
+                line.to_string()
+            } else {
+                continue;
+            };
+            let mut edited = lines.clone();
+            edited.insert(i + 1, "frobnicate = 1");
+            reject(
+                &edited.join("\n"),
+                &format!("{block}: unknown key \"frobnicate\""),
+            );
+            blocks += 1;
+        }
+        assert_eq!(blocks, 15, "every block but the top level");
+        // Tables and arrays of tables nobody reads.
+        reject(
+            &format!("{EVERY_BLOCK}\n[frobnicate]"),
+            "unknown table [frobnicate]",
+        );
+        reject(
+            &format!("{EVERY_BLOCK}\n[[frobnicate]]"),
+            "unknown array [[frobnicate]]",
+        );
+    }
+
+    #[test]
+    fn every_case_knob_is_rejected_on_the_hosts_that_do_not_read_it() {
+        use crate::spec::CASE_KNOBS;
+        // One row per knob: its key, the knob with what it needs, and a
+        // host that reads it.
+        let rows = [
+            ("min_cores", "min_cores = 2", "sim:elastic"),
+            ("alloc", "alloc = \"utilization\"", "live:elastic"),
+            (
+                "background_order",
+                "quantum_us = 25.0\nbackground_order = \"srpt\"",
+                "sim:zygos",
+            ),
+            ("quantum_us", "quantum_us = 25.0", "fleet:elastic"),
+            ("quantum_events", "quantum_events = 8", "live:elastic"),
+            (
+                "overcommit",
+                "admission = true\ncredit_target_us = 70.0\novercommit = true",
+                "live:zygos",
+            ),
+            (
+                "fleet_admission",
+                "admission = true\ncredit_target_us = 70.0\nfleet_admission = \"fleet-wide\"",
+                "fleet:zygos",
+            ),
+            (
+                "admission",
+                "admission = true\ncredit_target_us = 70.0",
+                "live:floating",
+            ),
+            (
+                "slo_classes/slo_bound_us",
+                "slo_bound_us = 100.0",
+                "sim:zygos",
+            ),
+            ("rx_batch", "rx_batch = 8", "sim:ix"),
+            (
+                "randomize_steal_order",
+                "randomize_steal_order = false",
+                "sim:linux-floating",
+            ),
+            ("ipi_delivery_ns", "ipi_delivery_ns = 500", "sim:zygos"),
+            ("steal_extra_ns", "steal_extra_ns = 100", "fleet:zygos"),
+            ("routing", "routing = \"po2c\"", "fleet:zygos"),
+            ("degraded", "degraded = [[0, 2.0]]", "fleet:zygos"),
+            ("loss", "loss = [1, 500.0]", "fleet:zygos-nointerrupts"),
+            ("fanout", "fanout = 2", "fleet:zygos"),
+            (
+                "retry",
+                "retry = \"drop\"\nretry_timeout_us = 400.0",
+                "sim:elastic",
+            ),
+            ("layout", "layout = \"unified\"", "sim:staged"),
+            ("discipline", "discipline = \"cfcfs\"", "sim:staged"),
+        ];
+        assert_eq!(rows.len(), CASE_KNOBS.len());
+        let build = |host: &str, knob: &str| {
+            let mut text = format!(
+                "name = \"k\"\n[workload]\nservice = \"exponential\"\nmean_us = 10.0\n\
+                 cores = 4\nconns = 16\nloads = [0.5]\n[[case]]\nlabel = \"c\"\n\
+                 host = \"{host}\"\n{knob}\n"
+            );
+            if host.starts_with("fleet:") {
+                text += "[fleet]\nshards = 2\n";
+            }
+            if host == "sim:staged" {
+                text += "[[stages]]\nname = \"app\"\n";
+            }
+            scenario_from_toml(&text)
+        };
+        for ((key, knob, reader), &(table_key, readers, _)) in rows.iter().zip(CASE_KNOBS) {
+            assert_eq!(*key, table_key, "rows follow CASE_KNOBS");
+            let host = HostSpec::parse(reader).expect("a host");
+            assert!(readers.reads(host), "{reader} reads {key}");
+            build(reader, knob).unwrap_or_else(|e| panic!("{key} on {reader}: {e}"));
+            for host in HostSpec::all().filter(|&h| !readers.reads(h)) {
+                let e = build(&host.id(), knob).expect_err(key);
+                assert!(e.to_string().contains(key), "{key} on {}: {e}", host.id());
+            }
+        }
+    }
+
+    #[test]
+    fn counts_that_do_not_fit_their_field_are_rejected() {
+        // 2^32 + 1 connections used to narrow to 1 without an error.
+        let e = scenario_from_toml(&MINIMAL.replace("conns = 32", "conns = 4294967297"))
+            .expect_err("does not fit u32");
+        assert!(e.to_string().contains("conns"), "{e}");
+        let retry = "retry = [\"backoff\", 20, 2.0, 4294967296]\nretry_timeout_us = 400.0";
+        let text = MINIMAL.replace(
+            "host = \"sim:zygos\"",
+            &format!("host = \"sim:zygos\"\n{retry}"),
+        );
+        let e = scenario_from_toml(&text).expect_err("does not fit u32");
+        assert!(e.to_string().contains("max_attempts"), "{e}");
+        for fraction in ["conns = 2.5", "conns = -1"] {
+            let e = scenario_from_toml(&MINIMAL.replace("conns = 32", fraction))
+                .expect_err("not a count");
+            assert!(e.to_string().contains("non-negative integer"), "{e}");
+        }
     }
 
     #[test]

@@ -60,6 +60,6 @@ pub use runner::{
 };
 pub use spec::{
     staged_plan, AdmissionSpec, Case, Claim, Compare, FleetSpec, HostSpec, LiveHost, Op,
-    PolicySpec, Recovers, Rhs, ScaleSpec, Scenario, ScenarioBuilder, SearchSpec, Select, Settles,
-    SimHost, SpecError, TailSpec, TelemetrySpec, WorkloadSpec,
+    PolicySpec, Readers, Recovers, Rhs, ScaleSpec, Scenario, ScenarioBuilder, SearchSpec, Select,
+    Settles, SimHost, SpecError, TailSpec, TelemetrySpec, WorkloadSpec, CASE_KNOBS,
 };

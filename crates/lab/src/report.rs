@@ -186,7 +186,7 @@ impl PointMetrics {
 /// "maximum load @ SLO" metric plus the probe accounting that pins the
 /// checkpoint-prefix-reuse win (`cold_probes` stays 1 for warmable
 /// cases).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Default)]
 pub struct SearchResult {
     /// The latency quantile the SLO binds.
     pub quantile: f64,
@@ -206,7 +206,7 @@ pub struct SearchResult {
 /// importance-splitting deep-tail estimate next to the brute-force
 /// estimate from the bit-identical master trajectory (see
 /// `docs/TAIL.md` for the estimator).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Default)]
 pub struct TailResult {
     /// The load studied.
     pub load: f64,
@@ -231,6 +231,57 @@ pub struct TailResult {
     /// Deepest backlog level observed.
     pub max_backlog: u64,
 }
+
+/// One field of a `[search]`/`[tail]` result under its JSON key. Integer
+/// fields travel as `f64` (exact below 2^53); `f64`'s `Display` prints
+/// them with neither a fraction nor an exponent.
+struct ResultField<R> {
+    name: &'static str,
+    get: fn(&R) -> f64,
+    set: fn(&mut R, f64),
+}
+
+macro_rules! result_field {
+    ($field:ident) => {
+        ResultField {
+            name: stringify!($field),
+            get: |r| r.$field,
+            set: |r, v| r.$field = v,
+        }
+    };
+    ($field:ident as $int:ty) => {
+        ResultField {
+            name: stringify!($field),
+            get: |r| r.$field as f64,
+            set: |r, v| r.$field = v as $int,
+        }
+    };
+}
+
+/// [`SearchResult`]'s JSON fields, in key order.
+const SEARCH_FIELDS: &[ResultField<SearchResult>] = &[
+    result_field!(quantile),
+    result_field!(bound_us),
+    result_field!(resolution as u32),
+    result_field!(max_load),
+    result_field!(probes as u32),
+    result_field!(cold_probes as u32),
+];
+
+/// [`TailResult`]'s JSON fields, in key order.
+const TAIL_FIELDS: &[ResultField<TailResult>] = &[
+    result_field!(load),
+    result_field!(quantile),
+    result_field!(value_us),
+    result_field!(brute_value_us),
+    result_field!(samples as u64),
+    result_field!(total_weight),
+    result_field!(clones as u64),
+    result_field!(truncated as u64),
+    result_field!(master_events as u64),
+    result_field!(clone_events as u64),
+    result_field!(max_backlog as u64),
+];
 
 /// One case's sweep.
 #[derive(Clone, Debug, PartialEq)]
@@ -306,9 +357,11 @@ impl Report {
                 out.push('}');
                 out.push_str(if j + 1 < s.points.len() { ",\n" } else { "\n" });
             }
-            out.push_str("      ],\n");
-            let _ = writeln!(out, "      \"search\": {},", search_json(&s.search));
-            let _ = writeln!(out, "      \"tail\": {}", tail_json(&s.tail));
+            out.push_str("      ],\n      \"search\": ");
+            write_result(&mut out, &s.search, SEARCH_FIELDS);
+            out.push_str(",\n      \"tail\": ");
+            write_result(&mut out, &s.tail, TAIL_FIELDS);
+            out.push('\n');
             out.push_str(if i + 1 < self.series.len() {
                 "    },\n"
             } else {
@@ -383,41 +436,8 @@ impl Report {
                 }
                 points.push(point);
             }
-            let search = match get(so, "search")? {
-                Json::Null => None,
-                v => {
-                    let o = v.object("search")?;
-                    let f = |k: &str| -> Result<f64, String> { get(o, k)?.number(k) };
-                    Some(SearchResult {
-                        quantile: f("quantile")?,
-                        bound_us: f("bound_us")?,
-                        resolution: f("resolution")? as u32,
-                        max_load: f("max_load")?,
-                        probes: f("probes")? as u32,
-                        cold_probes: f("cold_probes")? as u32,
-                    })
-                }
-            };
-            let tail = match get(so, "tail")? {
-                Json::Null => None,
-                v => {
-                    let o = v.object("tail")?;
-                    let f = |k: &str| -> Result<f64, String> { get(o, k)?.number(k) };
-                    Some(TailResult {
-                        load: f("load")?,
-                        quantile: f("quantile")?,
-                        value_us: f("value_us")?,
-                        brute_value_us: f("brute_value_us")?,
-                        samples: f("samples")? as u64,
-                        total_weight: f("total_weight")?,
-                        clones: f("clones")? as u64,
-                        truncated: f("truncated")? as u64,
-                        master_events: f("master_events")? as u64,
-                        clone_events: f("clone_events")? as u64,
-                        max_backlog: f("max_backlog")? as u64,
-                    })
-                }
-            };
+            let search = read_result(get(so, "search")?, "search", SEARCH_FIELDS)?;
+            let tail = read_result(get(so, "tail")?, "tail", TAIL_FIELDS)?;
             series.push(Series {
                 label: get(so, "label")?.string("label")?,
                 host: get(so, "host")?.string("host")?,
@@ -455,43 +475,35 @@ fn num_array(vs: &[f64]) -> String {
     format!("[{}]", inner.join(", "))
 }
 
-fn search_json(s: &Option<SearchResult>) -> String {
-    match s {
-        None => "null".to_string(),
-        Some(s) => format!(
-            "{{\"quantile\": {}, \"bound_us\": {}, \"resolution\": {}, \
-             \"max_load\": {}, \"probes\": {}, \"cold_probes\": {}}}",
-            num(s.quantile),
-            num(s.bound_us),
-            s.resolution,
-            num(s.max_load),
-            s.probes,
-            s.cold_probes
-        ),
+/// Writes a `[search]`/`[tail]` result as one JSON object (or `null`),
+/// its fields in table order.
+fn write_result<R>(out: &mut String, r: &Option<R>, fields: &[ResultField<R>]) {
+    let Some(r) = r else {
+        out.push_str("null");
+        return;
+    };
+    for (i, f) in fields.iter().enumerate() {
+        let sep = if i == 0 { "{" } else { ", " };
+        let _ = write!(out, "{sep}\"{}\": {}", f.name, num((f.get)(r)));
     }
+    out.push('}');
 }
 
-fn tail_json(t: &Option<TailResult>) -> String {
-    match t {
-        None => "null".to_string(),
-        Some(t) => format!(
-            "{{\"load\": {}, \"quantile\": {}, \"value_us\": {}, \
-             \"brute_value_us\": {}, \"samples\": {}, \"total_weight\": {}, \
-             \"clones\": {}, \"truncated\": {}, \"master_events\": {}, \
-             \"clone_events\": {}, \"max_backlog\": {}}}",
-            num(t.load),
-            num(t.quantile),
-            num(t.value_us),
-            num(t.brute_value_us),
-            t.samples,
-            num(t.total_weight),
-            t.clones,
-            t.truncated,
-            t.master_events,
-            t.clone_events,
-            t.max_backlog
-        ),
+/// Reads what [`write_result`] wrote; every field is required.
+fn read_result<R: Default>(
+    v: &Json,
+    what: &str,
+    fields: &[ResultField<R>],
+) -> Result<Option<R>, String> {
+    if *v == Json::Null {
+        return Ok(None);
     }
+    let o = v.object(what)?;
+    let mut r = R::default();
+    for f in fields {
+        (f.set)(&mut r, get(o, f.name)?.number(f.name)?);
+    }
+    Ok(Some(r))
 }
 
 fn series_array(series: &[TraceSeries]) -> String {

@@ -45,7 +45,7 @@ use crate::report::{
 use zygos_load::source::{ArrivalSpec, Phase};
 
 use crate::spec::{
-    AdmissionSpec, Case, FaultsSpec, HostSpec, LiveHost, Scenario, SimHost, SpecError,
+    AdmissionSpec, Case, FaultsSpec, HostSpec, LiveHost, Readers, Scenario, SimHost, SpecError,
 };
 
 /// Hard per-point completion cap for live cases: wall-clock experiments
@@ -129,7 +129,7 @@ fn jobs_for(sc: &Scenario, loads: &[f64], smoke: bool) -> Vec<Job> {
         if sc.search.is_some() {
             jobs.push(Job::Search { ci });
         }
-        if sc.tail.is_some() && Scenario::host_is_traced(case.host) {
+        if sc.tail.is_some() && Readers::ZygosSim.reads(case.host) {
             jobs.push(Job::Tail { ci });
         }
     }
@@ -243,55 +243,29 @@ pub fn run_scenario_threads(
     })
 }
 
-/// Runs one case over the load grid. Deterministic hosts run the same
-/// warm-start chains and `[search]`/`[tail]` work as [`run_scenario`], so
-/// a directly-run case reproduces its series in the full report exactly.
+/// Runs one case over the load grid. A deterministic case runs as the
+/// one-case scenario through the same job list as [`run_scenario`], so it
+/// reproduces its series in the full report exactly.
 pub fn run_case(sc: &Scenario, case: &Case, smoke: bool) -> Result<Series, SpecError> {
-    let loads = sc.loads(smoke).to_vec();
-    if matches!(case.host, HostSpec::Live(_)) {
-        let mut points = Vec::with_capacity(loads.len());
-        for &load in &loads {
-            points.push(run_point(sc, case, load, smoke)?);
-        }
-        return Ok(Series {
-            label: case.label.clone(),
-            host: case.host.id(),
-            deterministic: false,
-            points,
-            search: None,
-            tail: None,
-        });
+    if !matches!(case.host, HostSpec::Live(_)) {
+        let one = Scenario {
+            cases: vec![case.clone()],
+            ..sc.clone()
+        };
+        let mut report = run_scenario_threads(&one, smoke, 1)?;
+        return Ok(report.series.pop().expect("one case, one series"));
     }
-    let chains = if case_is_warmable(sc, case, &loads, smoke) {
-        warm_chains(&loads)
-    } else {
-        (0..loads.len()).map(|li| vec![li]).collect()
-    };
-    let mut slots: Vec<Option<PointMetrics>> = vec![None; loads.len()];
-    for lis in chains {
-        let chain: Vec<f64> = lis.iter().map(|&li| loads[li]).collect();
-        for (&li, p) in lis.iter().zip(run_chain(sc, case, &chain, smoke)?) {
-            slots[li] = Some(p);
-        }
-    }
-    let search = match sc.search {
-        Some(_) => Some(run_search(sc, case, smoke)?),
-        None => None,
-    };
-    let tail = match &sc.tail {
-        Some(_) if Scenario::host_is_traced(case.host) => Some(run_tail(sc, case, smoke)?),
-        _ => None,
-    };
+    let points = sc
+        .loads(smoke)
+        .iter()
+        .map(|&load| run_point(sc, case, load, smoke));
     Ok(Series {
         label: case.label.clone(),
         host: case.host.id(),
-        deterministic: true,
-        points: slots
-            .into_iter()
-            .map(|p| p.expect("chains cover the grid"))
-            .collect(),
-        search,
-        tail,
+        deterministic: false,
+        points: points.collect::<Result<_, _>>()?,
+        search: None,
+        tail: None,
     })
 }
 
@@ -524,7 +498,7 @@ pub fn sys_config_for(
         // Only the ZygOS-family models record; leaving IX/Linux configs
         // off keeps their report zeros honest rather than silently
         // requested-and-dropped.
-        if Scenario::host_is_traced(case.host) {
+        if Readers::ZygosSim.reads(case.host) {
             cfg.telemetry = Some(t.to_config());
         }
     }

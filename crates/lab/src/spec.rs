@@ -86,89 +86,193 @@ pub enum HostSpec {
     Fleet(SimHost),
 }
 
+/// Every single-world host under its id: the one list [`HostSpec::id`],
+/// [`HostSpec::parse`] and [`HostSpec::all`] read. A `fleet:*` host is
+/// not listed: its id is its shard's `sim:` id with the prefix swapped.
+const HOSTS: &[(&str, HostSpec)] = &[
+    ("sim:zygos", HostSpec::Sim(SimHost::Zygos)),
+    (
+        "sim:zygos-nointerrupts",
+        HostSpec::Sim(SimHost::ZygosNoInterrupts),
+    ),
+    ("sim:elastic", HostSpec::Sim(SimHost::Elastic)),
+    ("sim:ix", HostSpec::Sim(SimHost::Ix)),
+    (
+        "sim:linux-partitioned",
+        HostSpec::Sim(SimHost::LinuxPartitioned),
+    ),
+    ("sim:linux-floating", HostSpec::Sim(SimHost::LinuxFloating)),
+    ("sim:staged", HostSpec::Sim(SimHost::Staged)),
+    ("live:zygos", HostSpec::Live(LiveHost::Zygos)),
+    ("live:partitioned", HostSpec::Live(LiveHost::Partitioned)),
+    ("live:floating", HostSpec::Live(LiveHost::Floating)),
+    ("live:elastic", HostSpec::Live(LiveHost::Elastic)),
+    ("model:central-fcfs", HostSpec::Model(Policy::CentralFcfs)),
+    (
+        "model:partitioned-fcfs",
+        HostSpec::Model(Policy::PartitionedFcfs),
+    ),
+    ("model:central-ps", HostSpec::Model(Policy::CentralPs)),
+    (
+        "model:partitioned-ps",
+        HostSpec::Model(Policy::PartitionedPs),
+    ),
+];
+
 impl HostSpec {
     /// Stable string form (used in reports and TOML specs), e.g.
-    /// `"sim:zygos"`, `"live:elastic"`, `"model:central-fcfs"`.
+    /// `"sim:zygos"`, `"live:elastic"`, `"fleet:zygos"`.
     pub fn id(&self) -> String {
-        fn sim_name(h: &SimHost) -> &'static str {
-            match h {
-                SimHost::Zygos => "zygos",
-                SimHost::ZygosNoInterrupts => "zygos-nointerrupts",
-                SimHost::Elastic => "elastic",
-                SimHost::Ix => "ix",
-                SimHost::LinuxPartitioned => "linux-partitioned",
-                SimHost::LinuxFloating => "linux-floating",
-                SimHost::Staged => "staged",
-            }
-        }
-        match self {
-            HostSpec::Sim(h) => format!("sim:{}", sim_name(h)),
-            HostSpec::Fleet(h) => format!("fleet:{}", sim_name(h)),
-            HostSpec::Live(h) => format!(
-                "live:{}",
-                match h {
-                    LiveHost::Zygos => "zygos",
-                    LiveHost::Partitioned => "partitioned",
-                    LiveHost::Floating => "floating",
-                    LiveHost::Elastic => "elastic",
-                }
-            ),
-            HostSpec::Model(p) => format!(
-                "model:{}",
-                match p {
-                    Policy::CentralFcfs => "central-fcfs",
-                    Policy::PartitionedFcfs => "partitioned-fcfs",
-                    Policy::CentralPs => "central-ps",
-                    Policy::PartitionedPs => "partitioned-ps",
-                }
-            ),
-        }
-    }
-
-    /// Parses [`HostSpec::id`]'s format.
-    pub fn parse(s: &str) -> Result<HostSpec, SpecError> {
-        let host = match s {
-            "sim:zygos" => HostSpec::Sim(SimHost::Zygos),
-            "sim:zygos-nointerrupts" => HostSpec::Sim(SimHost::ZygosNoInterrupts),
-            "sim:elastic" => HostSpec::Sim(SimHost::Elastic),
-            "sim:ix" => HostSpec::Sim(SimHost::Ix),
-            "sim:linux-partitioned" => HostSpec::Sim(SimHost::LinuxPartitioned),
-            "sim:linux-floating" => HostSpec::Sim(SimHost::LinuxFloating),
-            "sim:staged" => HostSpec::Sim(SimHost::Staged),
-            "live:zygos" => HostSpec::Live(LiveHost::Zygos),
-            "live:partitioned" => HostSpec::Live(LiveHost::Partitioned),
-            "live:floating" => HostSpec::Live(LiveHost::Floating),
-            "live:elastic" => HostSpec::Live(LiveHost::Elastic),
-            "model:central-fcfs" => HostSpec::Model(Policy::CentralFcfs),
-            "model:partitioned-fcfs" => HostSpec::Model(Policy::PartitionedFcfs),
-            "model:central-ps" => HostSpec::Model(Policy::CentralPs),
-            "model:partitioned-ps" => HostSpec::Model(Policy::PartitionedPs),
-            // Fleet shards must be ZygOS-family worlds (the policy plane
-            // the fleet exists to study); IX/Linux shards are rejected at
-            // the parse, not silently accepted.
-            "fleet:zygos" => HostSpec::Fleet(SimHost::Zygos),
-            "fleet:zygos-nointerrupts" => HostSpec::Fleet(SimHost::ZygosNoInterrupts),
-            "fleet:elastic" => HostSpec::Fleet(SimHost::Elastic),
-            other => return Err(SpecError::new(format!("unknown host {other:?}"))),
+        let (shard, fleet) = match *self {
+            HostSpec::Fleet(h) => (HostSpec::Sim(h), true),
+            host => (host, false),
         };
-        Ok(host)
+        let (id, _) = HOSTS
+            .iter()
+            .find(|(_, h)| *h == shard)
+            .expect("every single-world host is listed");
+        if fleet {
+            id.replacen("sim:", "fleet:", 1)
+        } else {
+            id.to_string()
+        }
     }
 
-    /// True for elastic hosts (the only ones that read elastic knobs).
-    pub fn is_elastic(&self) -> bool {
-        matches!(
-            self,
-            HostSpec::Sim(SimHost::Elastic)
-                | HostSpec::Live(LiveHost::Elastic)
-                | HostSpec::Fleet(SimHost::Elastic)
-        )
+    /// Parses [`HostSpec::id`]'s format. Only [`HostSpec::all`]'s hosts
+    /// parse: an IX, Linux or staged fleet shard is an unknown host.
+    pub fn parse(s: &str) -> Result<HostSpec, SpecError> {
+        let shard = s.strip_prefix("fleet:");
+        let found = HOSTS.iter().find_map(|&(id, host)| match shard {
+            None => (id == s).then_some(host),
+            Some(shard) if id.strip_prefix("sim:") == Some(shard) => host.fleet_of(),
+            Some(_) => None,
+        });
+        found.ok_or_else(|| SpecError::new(format!("unknown host {s:?}")))
     }
 
-    /// True for fleet hosts (the only ones that read fleet knobs).
-    pub fn is_fleet(&self) -> bool {
-        matches!(self, HostSpec::Fleet(_))
+    /// Every valid host: the listed single-world hosts, then a `fleet:*`
+    /// host per ZygOS-family simulator world.
+    pub fn all() -> impl Iterator<Item = HostSpec> {
+        let hosts = HOSTS.iter().map(|&(_, host)| host);
+        hosts.clone().chain(hosts.filter_map(HostSpec::fleet_of))
+    }
+
+    /// The fleet of this world, if it can be a fleet shard: fleets shard
+    /// the ZygOS-family worlds, the policy plane they exist to study.
+    fn fleet_of(self) -> Option<HostSpec> {
+        match self {
+            HostSpec::Sim(h) if Readers::ZygosSim.reads(self) => Some(HostSpec::Fleet(h)),
+            _ => None,
+        }
     }
 }
+
+/// A class of hosts that read a knob. Each class's membership is stated
+/// once, in [`Readers::reads`]; [`CASE_KNOBS`] names one class per knob.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Readers {
+    /// Every simulated world: `sim:*` and `fleet:*`.
+    Simulated,
+    /// The ZygOS-family simulator hosts (`sim:zygos`,
+    /// `sim:zygos-nointerrupts`, `sim:elastic`): the worlds the lifecycle
+    /// tracer instruments, a `[tail]` block clones and a fleet shards.
+    ZygosSim,
+    /// ZygOS-family worlds, single or sharded: [`Readers::ZygosSim`] and
+    /// `fleet:*`.
+    ZygosWorlds,
+    /// Hosts with a credit gate and SLO windows: [`Readers::ZygosWorlds`]
+    /// and `live:*`.
+    Gated,
+    /// The elastic hosts: `sim:elastic`, `live:elastic`, `fleet:elastic`.
+    Elastic,
+    /// `live:elastic`, the one cooperative-quantum host.
+    LiveElastic,
+    /// Every `live:*` host.
+    Live,
+    /// Every `fleet:*` host.
+    Fleet,
+    /// `sim:staged`.
+    Staged,
+}
+
+impl Readers {
+    /// Whether `host` is in this class.
+    pub fn reads(self, host: HostSpec) -> bool {
+        match self {
+            Readers::Simulated => matches!(host, HostSpec::Sim(_) | HostSpec::Fleet(_)),
+            Readers::ZygosSim => matches!(
+                host,
+                HostSpec::Sim(SimHost::Zygos | SimHost::ZygosNoInterrupts | SimHost::Elastic)
+            ),
+            Readers::ZygosWorlds => {
+                Readers::ZygosSim.reads(host) || matches!(host, HostSpec::Fleet(_))
+            }
+            Readers::Gated => Readers::ZygosWorlds.reads(host) || matches!(host, HostSpec::Live(_)),
+            Readers::Elastic => matches!(
+                host,
+                HostSpec::Sim(SimHost::Elastic)
+                    | HostSpec::Live(LiveHost::Elastic)
+                    | HostSpec::Fleet(SimHost::Elastic)
+            ),
+            Readers::LiveElastic => host == HostSpec::Live(LiveHost::Elastic),
+            Readers::Live => matches!(host, HostSpec::Live(_)),
+            Readers::Fleet => matches!(host, HostSpec::Fleet(_)),
+            Readers::Staged => host == HostSpec::Sim(SimHost::Staged),
+        }
+    }
+}
+
+/// One [`CASE_KNOBS`] row: the TOML key, the hosts that read the knob,
+/// and whether a case sets it.
+pub type Knob = (&'static str, Readers, fn(&PolicySpec) -> bool);
+
+/// **The** capability matrix: every [`PolicySpec`] knob under its TOML
+/// key, the hosts that read it, and whether a case sets it. Setting a
+/// knob on a host that does not read it is a validation error, so a
+/// scenario never silently drops a knob. A knob precedes the knobs it
+/// needs (`overcommit` before `admission`), so a rejection names the knob
+/// the host cannot read rather than its prerequisite.
+/// `docs/SCENARIOS.md` renders this table; a unit test pins the copy.
+pub const CASE_KNOBS: &[Knob] = &[
+    ("min_cores", Readers::Elastic, |p| p.min_cores.is_some()),
+    ("alloc", Readers::Elastic, |p| p.alloc.is_some()),
+    ("background_order", Readers::ZygosWorlds, |p| {
+        p.background_order.is_some()
+    }),
+    ("quantum_us", Readers::ZygosWorlds, |p| {
+        p.quantum_us.is_some()
+    }),
+    ("quantum_events", Readers::LiveElastic, |p| {
+        p.quantum_events.is_some()
+    }),
+    ("overcommit", Readers::Live, |p| {
+        p.admission.as_ref().is_some_and(|a| a.overcommit)
+    }),
+    ("fleet_admission", Readers::Fleet, |p| {
+        p.fleet_admission.is_some()
+    }),
+    ("admission", Readers::Gated, |p| p.admission.is_some()),
+    ("slo_classes/slo_bound_us", Readers::Gated, |p| {
+        p.slo.is_some()
+    }),
+    ("rx_batch", Readers::Simulated, |p| p.rx_batch.is_some()),
+    ("randomize_steal_order", Readers::Simulated, |p| {
+        p.randomize_steal_order.is_some()
+    }),
+    ("ipi_delivery_ns", Readers::Simulated, |p| {
+        p.ipi_delivery_ns.is_some()
+    }),
+    ("steal_extra_ns", Readers::Simulated, |p| {
+        p.steal_extra_ns.is_some()
+    }),
+    ("routing", Readers::Fleet, |p| p.routing.is_some()),
+    ("degraded", Readers::Fleet, |p| p.degraded.is_some()),
+    ("loss", Readers::Fleet, |p| p.loss.is_some()),
+    ("fanout", Readers::Fleet, |p| p.fanout.is_some()),
+    ("retry", Readers::ZygosWorlds, |p| p.retry.is_some()),
+    ("layout", Readers::Staged, |p| p.layout.is_some()),
+    ("discipline", Readers::Staged, |p| p.discipline.is_some()),
+];
 
 /// The workload every case of a scenario runs.
 #[derive(Clone, Debug)]
@@ -200,20 +304,20 @@ pub struct AdmissionSpec {
     pub overcommit: bool,
 }
 
-/// Per-case policy knobs. Host-specific knobs are `Option`s: leaving one
-/// `None` takes the host's default, *setting* one on a host that cannot
-/// honor it is a validation error — a scenario never silently drops a
-/// knob.
+/// Per-case policy knobs. Each is an `Option`: leaving one `None` takes
+/// the host's default, *setting* one on a host that does not read it is a
+/// validation error — a scenario never silently drops a knob.
+/// [`CASE_KNOBS`] names the hosts that read each knob.
 #[derive(Clone, Debug, Default)]
 pub struct PolicySpec {
-    /// Elastic floor on granted cores (elastic hosts only; default 2).
+    /// Elastic floor on granted cores (default 2).
     pub min_cores: Option<usize>,
     /// Which allocation policy staffs an elastic host (default
     /// SLO-driven).
     pub alloc: Option<AllocKind>,
-    /// Preemptive quantum in µs (simulator ZygOS-family hosts only).
+    /// Preemptive quantum in µs.
     pub quantum_us: Option<f64>,
-    /// Cooperative quantum in events (live elastic host only; default 64).
+    /// Cooperative quantum in events (default 64).
     pub quantum_events: Option<usize>,
     /// Background (preempted) queue order (requires `quantum_us`).
     pub background_order: Option<BackgroundOrder>,
@@ -221,29 +325,27 @@ pub struct PolicySpec {
     pub admission: Option<AdmissionSpec>,
     /// Per-tenant SLO classes.
     pub slo: Option<TenantSlos>,
-    /// RX batch bound override (simulator hosts only).
+    /// RX batch bound override.
     pub rx_batch: Option<u64>,
-    /// Steal-victim order randomization (simulator hosts only; default
-    /// true).
+    /// Steal-victim order randomization (default true).
     pub randomize_steal_order: Option<bool>,
-    /// IPI delivery latency override, ns (simulator hosts only).
+    /// IPI delivery latency override, ns.
     pub ipi_delivery_ns: Option<u64>,
-    /// Per-steal cost override, ns (simulator hosts only).
+    /// Per-steal cost override, ns.
     pub steal_extra_ns: Option<u64>,
-    /// L4 connection-routing policy (fleet hosts only; default
-    /// consistent-hash; pass-through requires a single shard).
+    /// L4 connection-routing policy (default consistent-hash;
+    /// pass-through requires a single shard).
     pub routing: Option<RoutePolicy>,
-    /// Credit-admission topology (fleet hosts with admission armed only;
-    /// default per-shard pools).
+    /// Credit-admission topology (requires admission; default per-shard
+    /// pools).
     pub fleet_admission: Option<AdmissionTopology>,
-    /// Degraded shards as `(shard, service factor)` (fleet hosts only).
+    /// Degraded shards as `(shard, service factor)`.
     pub degraded: Option<Vec<(usize, f64)>>,
-    /// Shard loss as `(shard, at_us)` (fleet hosts only; needs Poisson
-    /// arrivals and >= 2 shards).
+    /// Shard loss as `(shard, at_us)` (needs Poisson arrivals and >= 2
+    /// shards).
     pub loss: Option<(usize, f64)>,
     /// Closed-loop retry: sheds and timeouts re-enter the arrival stream
-    /// under this policy (ZygOS-family sim and fleet hosts only; `None`
-    /// keeps the open-loop client).
+    /// under this policy (`None` keeps the open-loop client).
     pub retry: Option<RetryPolicy>,
     /// Deterministic per-connection equal jitter on backoff retry delays
     /// (requires `retry`; default true).
@@ -253,15 +355,14 @@ pub struct PolicySpec {
     /// wasted service is what sustains a metastable failure.
     pub retry_timeout_us: Option<f64>,
     /// Scatter-gather fan-out: every user request fans to this many
-    /// distinct shards and completes at the slowest sub-request (fleet
-    /// hosts only; default 1; incompatible with shard loss).
+    /// distinct shards and completes at the slowest sub-request (default
+    /// 1; incompatible with shard loss).
     pub fanout: Option<usize>,
-    /// Core layout of a staged pipeline (`sim:staged` only; default
-    /// unified).
+    /// Core layout of a staged pipeline (default unified).
     pub layout: Option<CoreLayout>,
     /// Queue-discipline override applied to every stage of a staged
-    /// pipeline (`sim:staged` only; default: each stage keeps the
-    /// discipline its `[[stages]]` entry declares).
+    /// pipeline (default: each stage keeps the discipline its
+    /// `[[stages]]` entry declares).
     pub discipline: Option<QueueDiscipline>,
 }
 
@@ -988,15 +1089,6 @@ impl Scenario {
         self.cases.iter().find(|c| c.label == label)
     }
 
-    /// True for hosts the simulator's tracer instruments (the
-    /// ZygOS-family models; IX/Linux and live hosts record nothing).
-    pub fn host_is_traced(host: HostSpec) -> bool {
-        matches!(
-            host,
-            HostSpec::Sim(SimHost::Zygos | SimHost::ZygosNoInterrupts | SimHost::Elastic)
-        )
-    }
-
     /// The load grid for a mode.
     pub fn loads(&self, smoke: bool) -> &[f64] {
         match (&self.scale.smoke_loads, smoke) {
@@ -1208,7 +1300,9 @@ impl ScenarioBuilder {
             }
             validate_case(case, self.cores)?;
         }
-        let fleet_cases: Vec<&Case> = self.cases.iter().filter(|c| c.host.is_fleet()).collect();
+        let fleet_cases: Vec<&Case> = (self.cases.iter())
+            .filter(|c| Readers::Fleet.reads(c.host))
+            .collect();
         match (&self.fleet, fleet_cases.is_empty()) {
             (None, false) => {
                 return err("fleet:* cases need a [fleet] block naming the shard count".into())
@@ -1416,8 +1510,8 @@ impl ScenarioBuilder {
             }
             // Fleet worlds harvest (shard-namespaced) series but never
             // trace: lifecycle correlation keys collide across shards.
-            let any_traced = self.cases.iter().any(|c| Scenario::host_is_traced(c.host));
-            let any_fleet = self.cases.iter().any(|c| c.host.is_fleet());
+            let any_traced = self.cases.iter().any(|c| Readers::ZygosSim.reads(c.host));
+            let any_fleet = self.cases.iter().any(|c| Readers::Fleet.reads(c.host));
             if t.trace && !any_traced {
                 return err(
                     "lifecycle tracing is recorded by ZygOS-family simulator hosts only \
@@ -1481,7 +1575,7 @@ impl ScenarioBuilder {
             if t.check_every == 0 {
                 return err("tail check_every must be >= 1".into());
             }
-            if !self.cases.iter().any(|c| Scenario::host_is_traced(c.host)) {
+            if !self.cases.iter().any(|c| Readers::ZygosSim.reads(c.host)) {
                 return err("a [tail] block needs a ZygOS-family simulator case; \
                      only those worlds are checkpoint-cloneable"
                     .into());
@@ -1521,178 +1615,50 @@ impl ScenarioBuilder {
     }
 }
 
-/// Per-case consistency: every knob must be readable by the chosen host.
+/// Per-case consistency: the host exists, it reads every knob the case
+/// sets ([`CASE_KNOBS`]), and the values and cross-knob rules hold.
 fn validate_case(case: &Case, cores: usize) -> Result<(), SpecError> {
     let p = &case.policy;
     let label = &case.label;
     let fail = |msg: String| Err(SpecError::new(format!("case {label:?}: {msg}")));
-    let sim_family = matches!(
-        case.host,
-        HostSpec::Sim(SimHost::Zygos | SimHost::ZygosNoInterrupts | SimHost::Elastic)
-    );
-    // Rules every simulated world shares, single-shard or fleeted.
-    if matches!(case.host, HostSpec::Sim(_) | HostSpec::Fleet(_)) {
-        if p.quantum_events.is_some() {
-            return fail(
-                "quantum_events is the live cooperative quantum; \
-                 the simulator preempts via quantum_us"
-                    .into(),
-            );
-        }
-        if let Some(q) = p.quantum_us {
-            if q <= 0.0 {
-                return fail(format!("quantum_us must be positive, got {q}"));
-            }
-        }
-        if p.background_order.is_some() && p.quantum_us.is_none() {
-            return fail("background_order orders the preempted queue; it needs quantum_us".into());
-        }
-        if !case.host.is_elastic() {
-            if p.min_cores.is_some() {
-                return fail("min_cores is an elastic knob; host is static".into());
-            }
-            if p.alloc.is_some() {
-                return fail("alloc picks the elastic controller; host is static".into());
-            }
-        }
-        if let Some(m) = p.min_cores {
-            if m == 0 || m > cores {
-                return fail(format!("min_cores {m} out of range [1, {cores}]"));
-            }
-        }
-        if p.admission.as_ref().is_some_and(|a| a.overcommit) {
-            return fail(
-                "credit overcommitment is a live client mechanism; \
-                 the simulator models the converged distribution already"
-                    .into(),
-            );
+    if !HostSpec::all().any(|h| h == case.host) {
+        return fail(format!(
+            "{} is not a host: fleet shards must be ZygOS-family worlds",
+            case.host.id()
+        ));
+    }
+    for &(key, readers, is_set) in CASE_KNOBS {
+        if is_set(p) && !readers.reads(case.host) {
+            let hosts: Vec<String> = HostSpec::all()
+                .filter(|&h| readers.reads(h))
+                .map(|h| h.id())
+                .collect();
+            return fail(format!(
+                "{} does not read {key}; only {} do",
+                case.host.id(),
+                hosts.join(", ")
+            ));
         }
     }
-    match case.host {
-        HostSpec::Model(_) => {
-            // Zero-overhead models take no policy at all.
-            if p.admission.is_some()
-                || p.slo.is_some()
-                || p.min_cores.is_some()
-                || p.alloc.is_some()
-                || p.quantum_us.is_some()
-                || p.quantum_events.is_some()
-                || p.background_order.is_some()
-                || p.rx_batch.is_some()
-                || p.randomize_steal_order.is_some()
-                || p.ipi_delivery_ns.is_some()
-                || p.steal_extra_ns.is_some()
-            {
-                return fail("queueing models are zero-overhead; they take no policy knobs".into());
-            }
-        }
-        HostSpec::Sim(_) => {
-            if p.quantum_us.is_some() && !sim_family {
-                return fail("a preemption quantum needs a ZygOS-family host".into());
-            }
-            // The simulator models the credit gate and the SLO windows
-            // only in the ZygOS-family host (zygos.rs); IX/Linux would
-            // silently drop the knobs, so they are rejected instead.
-            if !sim_family && p.admission.is_some() {
-                return fail(
-                    "the simulator models the credit gate for ZygOS-family hosts only \
-                     (IX/Linux would silently ignore it)"
-                        .into(),
-                );
-            }
-            if !sim_family && p.slo.is_some() {
-                return fail(
-                    "the simulator collects SLO windows for ZygOS-family hosts only \
-                     (IX/Linux would silently ignore the classes)"
-                        .into(),
-                );
-            }
-        }
-        HostSpec::Fleet(_) => {
-            // Every fleet base is a ZygOS-family simulator world, so the
-            // sim-family knobs (admission, SLO classes, quantum_us) all
-            // lower onto each shard unchanged. Parsing already rejects
-            // non-family shard ids; this catches programmatic builds.
-            if matches!(
-                case.host,
-                HostSpec::Fleet(
-                    SimHost::Staged
-                        | SimHost::Ix
-                        | SimHost::LinuxPartitioned
-                        | SimHost::LinuxFloating
-                )
-            ) {
-                return fail("fleet shards must be ZygOS-family worlds".into());
-            }
-            if p.fleet_admission.is_some() && p.admission.is_none() {
-                return fail(
-                    "fleet_admission places the credit pool but no [cases.admission] \
-                     gate is armed"
-                        .into(),
-                );
-            }
-        }
-        HostSpec::Live(host) => {
-            if p.quantum_us.is_some() {
-                return fail(
-                    "the live runtime cannot preempt a closure; \
-                     use quantum_events (cooperative) on live:elastic"
-                        .into(),
-                );
-            }
-            if p.background_order.is_some() {
-                return fail("the live runtime has no preempted background queue".into());
-            }
-            if p.rx_batch.is_some() || p.ipi_delivery_ns.is_some() || p.steal_extra_ns.is_some() {
-                return fail("cost-model knobs are simulator-only".into());
-            }
-            if p.randomize_steal_order.is_some() {
-                return fail("the live idle sweep always randomizes victims".into());
-            }
-            if host != LiveHost::Elastic {
-                if p.quantum_events.is_some() {
-                    return fail("quantum_events needs live:elastic".into());
-                }
-                if p.min_cores.is_some() || p.alloc.is_some() {
-                    return fail("elastic knobs on a static live host".into());
-                }
-            }
-            if let Some(q) = p.quantum_events {
-                if q == 0 {
-                    return fail("quantum_events must be >= 1".into());
-                }
-            }
-            if let Some(m) = p.min_cores {
-                if m == 0 || m > cores {
-                    return fail(format!("min_cores {m} out of range [1, {cores}]"));
-                }
-            }
+    if let Some(q) = p.quantum_us {
+        if q <= 0.0 {
+            return fail(format!("quantum_us must be positive, got {q}"));
         }
     }
-    // Layout and discipline shape a staged pipeline; every other host
-    // would silently ignore them.
-    if case.host != HostSpec::Sim(SimHost::Staged) && (p.layout.is_some() || p.discipline.is_some())
-    {
-        return fail("layout/discipline shape a staged pipeline; they need sim:staged".into());
+    if p.background_order.is_some() && p.quantum_us.is_none() {
+        return fail("background_order orders the preempted queue; it needs quantum_us".into());
     }
-    // Fleet knobs parameterize the balancer and the shard topology;
-    // on a single-world host they would silently do nothing.
-    if !case.host.is_fleet()
-        && (p.routing.is_some()
-            || p.fleet_admission.is_some()
-            || p.degraded.is_some()
-            || p.loss.is_some()
-            || p.fanout.is_some())
-    {
-        return fail("routing/fleet_admission/degraded/loss/fanout need a fleet:* host".into());
+    if p.quantum_events == Some(0) {
+        return fail("quantum_events must be >= 1".into());
     }
-    // The closed retry loop is modelled by the ZygOS-family simulator
-    // worlds (single-shard or fleeted); every other host is open-loop.
-    if p.retry.is_some() && !sim_family && !case.host.is_fleet() {
+    if let Some(m) = p.min_cores {
+        if m == 0 || m > cores {
+            return fail(format!("min_cores {m} out of range [1, {cores}]"));
+        }
+    }
+    if p.fleet_admission.is_some() && p.admission.is_none() {
         return fail(
-            "the closed retry loop is modelled by ZygOS-family simulator worlds only \
-             (sim:zygos* / elastic / fleet:*)"
-                .into(),
+            "fleet_admission places the credit pool but no admission gate is armed".into(),
         );
     }
     if p.retry.is_none() && (p.retry_jitter.is_some() || p.retry_timeout_us.is_some()) {
@@ -1872,7 +1838,7 @@ fn validate_claims(
                 {
                     return fail(format!("series {series:?} is not listed in [telemetry]"));
                 }
-                let traced = |c: &Case| c.label == s.case && Scenario::host_is_traced(c.host);
+                let traced = |c: &Case| c.label == s.case && Readers::ZygosSim.reads(c.host);
                 if !cases.iter().any(traced) {
                     return fail(format!(
                         "case {:?} must be a ZygOS-family simulator host \
@@ -1907,19 +1873,43 @@ mod tests {
 
     #[test]
     fn host_ids_round_trip() {
-        for host in [
-            HostSpec::Sim(SimHost::Zygos),
-            HostSpec::Sim(SimHost::Elastic),
-            HostSpec::Sim(SimHost::LinuxFloating),
-            HostSpec::Sim(SimHost::Staged),
-            HostSpec::Live(LiveHost::Elastic),
-            HostSpec::Live(LiveHost::Partitioned),
-            HostSpec::Model(Policy::CentralFcfs),
-            HostSpec::Model(Policy::PartitionedPs),
-        ] {
+        let hosts: Vec<HostSpec> = HostSpec::all().collect();
+        assert_eq!(hosts.len(), 18);
+        for &host in &hosts {
             assert_eq!(HostSpec::parse(&host.id()).expect("parses"), host);
         }
-        assert!(HostSpec::parse("sim:does-not-exist").is_err());
+        assert_eq!(HostSpec::Fleet(SimHost::Elastic).id(), "fleet:elastic");
+        for bad in [
+            "sim:does-not-exist",
+            "fleet:ix",
+            "fleet:staged",
+            "fleet:fleet:zygos",
+        ] {
+            assert!(HostSpec::parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn scenarios_doc_renders_the_knob_table() {
+        // docs/SCENARIOS.md carries CASE_KNOBS as a knob × host table, so
+        // the doc cannot drift from what validation enforces.
+        let hosts: Vec<HostSpec> = HostSpec::all().collect();
+        let mut table = String::from("| knob |");
+        for h in &hosts {
+            table += &format!(" `{}` |", h.id());
+        }
+        table += &format!("\n|---|{}", "---|".repeat(hosts.len()));
+        for &(key, readers, _) in CASE_KNOBS {
+            table += &format!("\n| `{key}` |");
+            for &h in &hosts {
+                table += if readers.reads(h) { " ✓ |" } else { " |" };
+            }
+        }
+        let doc = include_str!("../../../docs/SCENARIOS.md");
+        assert!(
+            doc.contains(&table),
+            "docs/SCENARIOS.md must contain the CASE_KNOBS table:\n{table}"
+        );
     }
 
     #[test]

@@ -52,6 +52,14 @@ impl Value {
         }
     }
 
+    /// The string, moved out, if this is a string.
+    pub fn into_str(self) -> Option<String> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
     /// The elements, if this is an array.
     pub fn as_arr(&self) -> Option<&[Value]> {
         match self {
