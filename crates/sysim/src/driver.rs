@@ -359,6 +359,186 @@ mod tests {
         }
     }
 
+    /// What a golden pin holds of one run: the engine's event count, the
+    /// client edge's counters and the p99 bits. One struct, so a mismatch
+    /// prints every field.
+    #[derive(Debug, PartialEq)]
+    struct Golden {
+        events: u64,
+        generated: u64,
+        completed_total: u64,
+        /// Total, then per class.
+        admitted: (u64, Vec<u64>),
+        rejected: (u64, Vec<u64>),
+        retries: u64,
+        give_ups: u64,
+        timeouts: u64,
+        wire_rejects: u64,
+        p99_bits: u64,
+    }
+
+    impl Golden {
+        fn of(out: &SysOutput) -> Self {
+            Golden {
+                events: out.events,
+                generated: out.generated,
+                completed_total: out.completed_total,
+                admitted: (out.admitted, out.admitted_by_class.clone()),
+                rejected: (out.rejected, out.rejected_by_class.clone()),
+                retries: out.retries,
+                give_ups: out.give_ups,
+                timeouts: out.timeouts,
+                wire_rejects: out.wire_rejects,
+                p99_bits: out.p99_us().to_bits(),
+            }
+        }
+
+        /// An open-loop run: no gate, no retries, one class.
+        fn open(events: u64, generated: u64, completed_total: u64, p99_us: f64) -> Self {
+            Golden {
+                events,
+                generated,
+                completed_total,
+                admitted: (0, vec![0]),
+                rejected: (0, vec![0]),
+                retries: 0,
+                give_ups: 0,
+                timeouts: 0,
+                wire_rejects: 0,
+                p99_bits: p99_us.to_bits(),
+            }
+        }
+    }
+
+    /// Runs each named config at seed 1 (20k measured after 4k warm-up
+    /// completions) and compares all of them at once, so a failure prints
+    /// every pin's values.
+    fn check_pins(pins: Vec<(&str, SysConfig, Golden)>) {
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for (name, mut cfg, pin) in pins {
+            (cfg.requests, cfg.warmup, cfg.seed) = (20_000, 4_000, 1);
+            got.push((name, Golden::of(&run_system(&cfg))));
+            want.push((name, pin));
+        }
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn linux_golden_pin() {
+        let linux =
+            |system, load| SysConfig::paper(system, ServiceDist::exponential_us(25.0), load);
+        let (part, float) = (SystemKind::LinuxPartitioned, SystemKind::LinuxFloating);
+        check_pins(vec![
+            (
+                "partitioned 0.3",
+                linux(part, 0.3),
+                Golden::open(96_037, 24_012, 24_000, 226.431),
+            ),
+            (
+                "partitioned 0.7",
+                linux(part, 0.7),
+                Golden::open(98_645, 24_882, 24_000, 4681.727),
+            ),
+            (
+                "floating 0.3",
+                linux(float, 0.3),
+                Golden::open(95_971, 24_008, 24_000, 131.583),
+            ),
+            (
+                "floating 0.7",
+                linux(float, 0.7),
+                Golden::open(73_615, 24_675, 24_000, 1491.967),
+            ),
+        ]);
+    }
+
+    #[test]
+    fn staged_golden_pin() {
+        use crate::staged::{CoreLayout, QueueDiscipline};
+        let staged =
+            || SysConfig::paper(SystemKind::Staged, ServiceDist::exponential_us(10.0), 0.7);
+        let mut split = staged();
+        let plan = split.staged.as_mut().expect("paper pipeline");
+        plan.layout = CoreLayout::SplitNet { net_cores: 2 };
+        let mut unified = staged();
+        for s in &mut unified.staged.as_mut().expect("paper pipeline").stages {
+            s.discipline = QueueDiscipline::Cfcfs;
+        }
+        check_pins(vec![
+            (
+                "split-net dfcfs-steal",
+                split,
+                Golden::open(116_444, 24_010, 24_000, 63.871),
+            ),
+            (
+                "unified cfcfs",
+                unified,
+                Golden::open(92_850, 24_009, 24_000, 77.311),
+            ),
+        ]);
+    }
+
+    #[test]
+    fn zygos_client_golden_pin() {
+        use crate::config::AdmissionMode;
+        use zygos_load::retry::RetryPolicy;
+        use zygos_load::slo::{Slo, SloClass, TenantSlos};
+        use zygos_sched::CreditConfig;
+        let overload = || {
+            let mut cfg =
+                SysConfig::paper(SystemKind::Zygos, ServiceDist::exponential_us(10.0), 1.3);
+            cfg.admission = Some(CreditConfig::for_cores(cfg.cores, 80.0));
+            cfg
+        };
+        let mut edge = overload();
+        edge.retry = Some(RetryPolicy::Backoff {
+            base_us: 50,
+            factor: 2.0,
+            max_attempts: 3,
+        });
+        edge.retry_timeout_us = Some(120.0);
+        let mut client = overload();
+        client.admission_mode = AdmissionMode::ClientSide;
+        client.slo = Some(TenantSlos::new(vec![
+            SloClass::new("interactive", Slo::p99(100.0)),
+            SloClass::new("batch", Slo::p99(1000.0)),
+        ]));
+        check_pins(vec![
+            (
+                "server-edge credits, backoff, timeout",
+                edge,
+                Golden {
+                    events: 594_090,
+                    generated: 46_493,
+                    completed_total: 24_000,
+                    admitted: (24_015, vec![24_015]),
+                    rejected: (119_566, vec![119_566]),
+                    retries: 97_377,
+                    give_ups: 22_238,
+                    timeouts: 49,
+                    wire_rejects: 119_566,
+                    p99_bits: f64::to_bits(347.903),
+                },
+            ),
+            (
+                "client-side credits, two SLO classes",
+                client,
+                Golden {
+                    events: 127_436,
+                    generated: 38_340,
+                    completed_total: 24_000,
+                    admitted: (24_048, vec![13_088, 10_960]),
+                    rejected: (14_292, vec![6_076, 8_216]),
+                    retries: 0,
+                    give_ups: 0,
+                    timeouts: 0,
+                    wire_rejects: 0,
+                    p99_bits: f64::to_bits(95.231),
+                },
+            ),
+        ]);
+    }
+
     #[test]
     fn ix_completes_and_never_steals() {
         let out = ix(ServiceDist::exponential_us(10.0), 0.4, 1);
