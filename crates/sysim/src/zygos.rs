@@ -290,9 +290,6 @@ struct Elastic {
     /// opened, so reported core-seconds exclude the warmup (during which
     /// the fleet starts fully granted).
     meas_snapshot: Option<(u64, u128)>,
-    /// `ZYGOS_ELASTIC_TRACE` read once at construction (the env lookup is
-    /// too expensive for a 25µs-period tick path).
-    trace: bool,
 }
 
 /// The model's telemetry plane: the per-core lifecycle tracer plus the
@@ -532,7 +529,6 @@ impl ZygosModel {
                     last_ctl_busy_integral: 0,
                     last_ctl_ns: 0,
                     meas_snapshot: None,
-                    trace: std::env::var_os("ZYGOS_ELASTIC_TRACE").is_some(),
                 })
             }
             _ => None,
@@ -1634,14 +1630,6 @@ impl ZygosModel {
                 backlog,
                 slo_ratio,
             });
-            if elastic.trace {
-                eprintln!(
-                    "ctl t={:.0}us busy={busy:.2} backlog={backlog} ratio={slo_ratio:?} [{}] active={} -> {decision:?}",
-                    now.as_micros_f64(),
-                    elastic.allocator.describe(),
-                    elastic.allocator.active(),
-                );
-            }
             let target = elastic.allocator.active();
             if decision != Decision::Hold {
                 self.apply_allocation(target, now, sched);
@@ -1844,16 +1832,7 @@ impl ZygosModel {
         }
     }
 
-    pub(crate) fn into_output(mut self, final_time: SimTime, events: u64) -> SysOutput {
-        self.note_busy(final_time, 0, true);
-        if std::env::var_os("ZYGOS_ELASTIC_TRACE").is_some() {
-            eprintln!(
-                "run avg_busy={:.2} (fg {:.2}) over {:.0}us",
-                self.busy.integral_ns as f64 / final_time.as_nanos().max(1) as f64,
-                self.fg_busy.integral_ns as f64 / final_time.as_nanos().max(1) as f64,
-                final_time.as_micros_f64()
-            );
-        }
+    pub(crate) fn into_output(self, final_time: SimTime, events: u64) -> SysOutput {
         let sim_time_us = if self.rec.window_us() > 0.0 {
             self.rec.window_us()
         } else {
