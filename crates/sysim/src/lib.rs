@@ -70,6 +70,7 @@
 mod arrivals;
 pub mod config;
 pub mod driver;
+mod edge;
 pub mod fleet;
 mod linux;
 pub mod staged;

@@ -23,23 +23,19 @@
 use std::collections::VecDeque;
 
 use zygos_sched::{DispatchPolicy, FcfsPolicy, Rung};
-use zygos_sim::engine::{Engine, Model, Scheduler};
 use zygos_sim::time::{SimDuration, SimTime};
 
-use crate::arrivals::{Recorder, Req, Source};
+use crate::arrivals::Req;
 use crate::config::{SysConfig, SysOutput, SystemKind};
+use crate::edge::{self, Cx, Server, ServerStats, World};
 
 enum Ev {
-    Gen,
-    Packet(Req),
     Run(usize),
     Done { core: usize, req: Req },
 }
 
 struct LinuxModel {
     cfg: SysConfig,
-    source: Source,
-    rec: Recorder,
     /// One queue per core (partitioned) or a single queue (floating).
     queues: Vec<VecDeque<Req>>,
     busy: Vec<bool>,
@@ -52,19 +48,15 @@ struct LinuxModel {
 }
 
 impl LinuxModel {
-    fn new(cfg: SysConfig) -> Self {
+    fn new(cfg: &SysConfig) -> Self {
         let floating = cfg.system == SystemKind::LinuxFloating;
-        let source = Source::new(&cfg);
-        let rec = Recorder::new(&cfg, source.half_rtt);
         LinuxModel {
             queues: vec![VecDeque::new(); if floating { 1 } else { cfg.cores }],
             busy: vec![false; cfg.cores],
             floating,
             dispatch: FcfsPolicy,
             lock_free_at: SimTime::ZERO,
-            source,
-            rec,
-            cfg,
+            cfg: cfg.clone(),
             events_done: 0,
         }
     }
@@ -80,14 +72,14 @@ impl LinuxModel {
     /// The core loop: walk the policy's dispatch ladder. The Linux models
     /// have no separate network stage (the kernel cost is charged per
     /// request), so only the ready-queue rung binds to a mechanism here.
-    fn run_core(&mut self, core: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
+    fn run_core(&mut self, core: usize, cx: &mut Cx<Ev>) {
         if self.busy[core] {
             return;
         }
         let policy = self.dispatch;
         for &rung in policy.ladder() {
             let took = match rung {
-                Rung::LocalReady => self.rung_local_ready(core, now, sched),
+                Rung::LocalReady => self.rung_local_ready(core, cx),
                 // No per-rung mechanism in this model; in particular the
                 // steal rungs never appear (FCFS policies do not steal).
                 _ => false,
@@ -100,13 +92,14 @@ impl LinuxModel {
 
     /// Serve the next request of this core's FCFS queue (the shared pool
     /// when floating, behind its serializing lock).
-    fn rung_local_ready(&mut self, core: usize, now: SimTime, sched: &mut Scheduler<Ev>) -> bool {
+    fn rung_local_ready(&mut self, core: usize, cx: &mut Cx<Ev>) -> bool {
         let q = self.queue_of(core);
         let Some(req) = self.queues[q].pop_front() else {
             return false;
         };
         self.busy[core] = true;
         let cost = &self.cfg.cost;
+        let now = cx.now();
         let mut start = now;
         if self.floating {
             // Serialize on the shared-pool lock: wait for it, hold it for
@@ -116,49 +109,53 @@ impl LinuxModel {
             start = self.lock_free_at;
         }
         let end = start + SimDuration::from_nanos(cost.linux_per_req_ns) + req.service;
-        sched.at(end, Ev::Done { core, req });
+        cx.at(end, Ev::Done { core, req });
         true
-    }
-
-    fn wake_for_queue(&mut self, q: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
-        if self.floating {
-            // EPOLLEXCLUSIVE semantics: wake one idle thread.
-            if let Some(core) = (0..self.cfg.cores).find(|&c| !self.busy[c]) {
-                sched.at(now, Ev::Run(core));
-            }
-        } else {
-            sched.at(now, Ev::Run(q));
-        }
     }
 }
 
-impl Model for LinuxModel {
+impl Server for LinuxModel {
     type Event = Ev;
 
-    fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
-        if self.rec.is_done() {
-            sched.stop();
-            return;
+    fn packet(&mut self, req: Req, cx: &mut Cx<Ev>) {
+        let q = if self.floating { 0 } else { req.home as usize };
+        self.queues[q].push_back(req);
+        if self.floating {
+            // EPOLLEXCLUSIVE semantics: wake one idle thread.
+            if let Some(core) = (0..self.cfg.cores).find(|&c| !self.busy[c]) {
+                cx.at(cx.now(), Ev::Run(core));
+            }
+        } else {
+            cx.at(cx.now(), Ev::Run(q));
         }
+    }
+
+    fn handle(&mut self, ev: Ev, cx: &mut Cx<Ev>) {
         match ev {
-            Ev::Gen => {
-                let req = self.source.next_req(now);
-                sched.after(self.source.half_rtt, Ev::Packet(req));
-                let gap = self.source.next_gap();
-                sched.after(gap, Ev::Gen);
-            }
-            Ev::Packet(req) => {
-                let q = if self.floating { 0 } else { req.home as usize };
-                self.queues[q].push_back(req);
-                self.wake_for_queue(q, now, sched);
-            }
-            Ev::Run(core) => self.run_core(core, now, sched),
+            Ev::Run(core) => self.run_core(core, cx),
             Ev::Done { core, req } => {
-                self.rec.complete(&req, now);
+                // The request finishes: its response leaves now.
+                cx.complete(&req, cx.now());
                 self.events_done += 1;
                 self.busy[core] = false;
-                self.run_core(core, now, sched);
+                self.run_core(core, cx);
             }
+        }
+    }
+
+    fn active_cores(&self) -> usize {
+        self.cfg.cores
+    }
+
+    fn backlog(&self) -> usize {
+        self.queues.iter().map(VecDeque::len).sum()
+    }
+
+    fn stats(self, _end: SimTime) -> ServerStats {
+        ServerStats {
+            local_events: self.events_done,
+            avg_active_cores: self.cfg.cores as f64,
+            ..ServerStats::default()
         }
     }
 }
@@ -169,44 +166,7 @@ pub(crate) fn run(cfg: &SysConfig) -> SysOutput {
         cfg.system,
         SystemKind::LinuxPartitioned | SystemKind::LinuxFloating
     ));
-    let mut engine = Engine::new(LinuxModel::new(cfg.clone()));
-    engine.schedule(SimTime::ZERO, Ev::Gen);
-    engine.run();
-    let now = engine.now();
-    let events = engine.processed();
-    let model = engine.into_model();
-    let window = model.rec.window_us();
-    SysOutput {
-        // The Linux models exist as latency/throughput baselines; the
-        // lifecycle tracer instruments the ZygOS-family path only.
-        telemetry: None,
-        latency: model.rec.latency.clone(),
-        completed: model.rec.measured(),
-        generated: model.source.emitted(),
-        completed_total: model.rec.completed_total(),
-        events,
-        sim_time_us: if window > 0.0 {
-            window
-        } else {
-            now.as_micros_f64()
-        },
-        local_events: model.events_done,
-        stolen_events: 0,
-        ipis: 0,
-        preemptions: 0,
-        avg_active_cores: cfg.cores as f64,
-        admitted: 0,
-        rejected: 0,
-        wire_rejects: 0,
-        retries: 0,
-        give_ups: 0,
-        timeouts: 0,
-        rtt_us: cfg.cost.network_rtt_ns as f64 / 1_000.0,
-        rejected_by_class: vec![0],
-        admitted_by_class: vec![0],
-        stage_counts: Vec::new(),
-        stage_p99_wait_us: Vec::new(),
-    }
+    edge::run(World::new(cfg, LinuxModel::new(cfg)))
 }
 
 #[cfg(test)]

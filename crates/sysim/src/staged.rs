@@ -60,12 +60,12 @@ use zygos_sched::{
     BackgroundOrder, BuiltinDispatch, DispatchPolicy, FcfsPolicy, QuantumPolicy, RtcPolicy, Rung,
     ZygosPolicy,
 };
-use zygos_sim::engine::{Engine, Model, Scheduler};
 use zygos_sim::stats::LatencyHistogram;
 use zygos_sim::time::{SimDuration, SimTime};
 
-use crate::arrivals::{Recorder, Req, Source};
+use crate::arrivals::Req;
 use crate::config::{SysConfig, SysOutput, SystemKind};
+use crate::edge::{self, Cx, Server, ServerStats, World};
 
 /// Queue shape at one stage boundary.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -353,25 +353,15 @@ fn build_segments(plan: &StagedConfig, cores: usize) -> Vec<Segment> {
 }
 
 enum Ev {
-    Gen,
-    Packet(Req),
     /// A segment's run-to-completion network work over a batch finished.
-    SegDone {
-        core: usize,
-        batch: VecDeque<Item>,
-    },
+    SegDone { core: usize, batch: VecDeque<Item> },
     /// One application completion of the final segment's current batch.
-    AppDone {
-        core: usize,
-        rest: VecDeque<Item>,
-    },
+    AppDone { core: usize, rest: VecDeque<Item> },
 }
 
 struct StagedModel {
     cfg: SysConfig,
     plan: StagedConfig,
-    source: Source,
-    rec: Recorder,
     segs: Vec<Segment>,
     /// Core → owning segment.
     seg_of: Vec<usize>,
@@ -391,9 +381,7 @@ struct StagedModel {
 }
 
 impl StagedModel {
-    fn new(cfg: SysConfig, plan: StagedConfig) -> Self {
-        let source = Source::new(&cfg);
-        let rec = Recorder::new(&cfg, source.half_rtt);
+    fn new(cfg: &SysConfig, plan: StagedConfig) -> Self {
         let segs = build_segments(&plan, cfg.cores);
         let mut seg_of = vec![0usize; cfg.cores];
         for (si, seg) in segs.iter().enumerate() {
@@ -407,12 +395,10 @@ impl StagedModel {
             stage_wait: (0..plan.stages.len())
                 .map(|_| LatencyHistogram::new())
                 .collect(),
-            source,
-            rec,
             segs,
             seg_of,
             plan,
-            cfg,
+            cfg: cfg.clone(),
             local_events: 0,
             stolen_events: 0,
             batch_pool: Vec::new(),
@@ -425,7 +411,7 @@ impl StagedModel {
 
     /// Enqueues an item at segment `si`'s head stage and wakes a core that
     /// the segment's discipline lets serve it.
-    fn enqueue(&mut self, si: usize, item: Item, now: SimTime, sched: &mut Scheduler<Ev>) {
+    fn enqueue(&mut self, si: usize, item: Item, now: SimTime, cx: &mut Cx<Ev>) {
         let wake = {
             let home = item.req.home as usize;
             let seg = &mut self.segs[si];
@@ -452,7 +438,7 @@ impl StagedModel {
             }
         };
         if let Some(core) = wake {
-            self.run_core(core, now, sched);
+            self.run_core(core, now, cx);
         }
     }
 
@@ -501,7 +487,7 @@ impl StagedModel {
 
     /// The core loop at one stage boundary: take, record the head-stage
     /// wait, run the segment's network stages over the batch.
-    fn run_core(&mut self, core: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
+    fn run_core(&mut self, core: usize, now: SimTime, cx: &mut Cx<Ev>) {
         if self.busy[core] {
             return;
         }
@@ -518,7 +504,7 @@ impl StagedModel {
             self.local_events += k;
         }
         let head = self.segs[si].stages.start;
-        if self.rec.measurement_started() {
+        if cx.edge.measurement_started() {
             for item in &batch {
                 self.stage_wait[head].record_nanos(now.duration_since(item.enq).as_nanos());
             }
@@ -536,19 +522,13 @@ impl StagedModel {
             dur += self.cfg.cost.steal_extra_ns;
         }
         self.busy[core] = true;
-        sched.after(Self::ns(dur), Ev::SegDone { core, batch });
+        cx.after(Self::ns(dur), Ev::SegDone { core, batch });
     }
 
     /// A segment's network work over a batch finished: hand the items to
     /// the next segment, or run the application stage if this is the tail
     /// segment.
-    fn seg_done(
-        &mut self,
-        core: usize,
-        mut batch: VecDeque<Item>,
-        now: SimTime,
-        sched: &mut Scheduler<Ev>,
-    ) {
+    fn seg_done(&mut self, core: usize, mut batch: VecDeque<Item>, now: SimTime, cx: &mut Cx<Ev>) {
         let si = self.seg_of[core];
         let stages = self.segs[si].stages.clone();
         let last = self.plan.stages.len() - 1;
@@ -559,67 +539,79 @@ impl StagedModel {
             }
         }
         if stages.end == self.plan.stages.len() {
-            self.next_app(core, batch, now, sched);
+            self.next_app(core, batch, now, cx);
         } else {
             while let Some(mut item) = batch.pop_front() {
                 item.enq = now;
-                self.enqueue(si + 1, item, now, sched);
+                self.enqueue(si + 1, item, now, cx);
             }
             self.batch_pool.push(batch);
             self.busy[core] = false;
-            self.run_core(core, now, sched);
+            self.run_core(core, now, cx);
         }
     }
 
     /// Runs the next application item of the tail segment's batch
     /// (run-to-completion: the core takes no new batch until this one is
     /// done).
-    fn next_app(
-        &mut self,
-        core: usize,
-        mut rest: VecDeque<Item>,
-        now: SimTime,
-        sched: &mut Scheduler<Ev>,
-    ) {
+    fn next_app(&mut self, core: usize, mut rest: VecDeque<Item>, now: SimTime, cx: &mut Cx<Ev>) {
         match rest.pop_front() {
             Some(item) => {
                 let st = self.plan.stages.last().expect("validated: non-empty");
                 let dur = st.batch_fixed_ns + st.fixed_ns + item.req.service.as_nanos();
                 let end = now + Self::ns(dur);
-                // The response leaves the wire at the end of this event.
-                self.rec.complete(&item.req, end);
+                // The response leaves the wire at the end of this event:
+                // the edge records it (and returns its credit) at dispatch.
+                cx.complete(&item.req, end);
                 *self.stage_counts.last_mut().expect("non-empty") += 1;
-                sched.at(end, Ev::AppDone { core, rest });
+                cx.at(end, Ev::AppDone { core, rest });
             }
             None => {
                 self.batch_pool.push(rest);
                 self.busy[core] = false;
-                self.run_core(core, now, sched);
+                self.run_core(core, now, cx);
             }
         }
     }
 }
 
-impl Model for StagedModel {
+impl Server for StagedModel {
     type Event = Ev;
 
-    fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
-        if self.rec.is_done() {
-            sched.stop();
-            return;
-        }
+    fn packet(&mut self, req: Req, cx: &mut Cx<Ev>) {
+        let now = cx.now();
+        self.enqueue(0, Item { req, enq: now }, now, cx);
+    }
+
+    fn handle(&mut self, ev: Ev, cx: &mut Cx<Ev>) {
+        let now = cx.now();
         match ev {
-            Ev::Gen => {
-                let req = self.source.next_req(now);
-                sched.after(self.source.half_rtt, Ev::Packet(req));
-                let gap = self.source.next_gap();
-                sched.after(gap, Ev::Gen);
-            }
-            Ev::Packet(req) => {
-                self.enqueue(0, Item { req, enq: now }, now, sched);
-            }
-            Ev::SegDone { core, batch } => self.seg_done(core, batch, now, sched),
-            Ev::AppDone { core, rest } => self.next_app(core, rest, now, sched),
+            Ev::SegDone { core, batch } => self.seg_done(core, batch, now, cx),
+            Ev::AppDone { core, rest } => self.next_app(core, rest, now, cx),
+        }
+    }
+
+    fn active_cores(&self) -> usize {
+        self.cfg.cores
+    }
+
+    fn backlog(&self) -> usize {
+        let queued = |s: &Segment| s.queues.iter().map(VecDeque::len).sum::<usize>();
+        self.segs.iter().map(queued).sum()
+    }
+
+    fn stats(self, _end: SimTime) -> ServerStats {
+        ServerStats {
+            local_events: self.local_events,
+            stolen_events: self.stolen_events,
+            avg_active_cores: self.cfg.cores as f64,
+            stage_p99_wait_us: self
+                .stage_wait
+                .iter()
+                .map(|h| if h.is_empty() { 0.0 } else { h.p99_us() })
+                .collect(),
+            stage_counts: self.stage_counts,
+            ..ServerStats::default()
         }
     }
 }
@@ -644,48 +636,7 @@ pub(crate) fn run(cfg: &SysConfig) -> SysOutput {
     if let Err(e) = plan.validate(cfg.cores) {
         panic!("invalid staged config: {e}");
     }
-    let mut engine = Engine::new(StagedModel::new(cfg, plan));
-    engine.schedule(SimTime::ZERO, Ev::Gen);
-    engine.run();
-    let now = engine.now();
-    let events = engine.processed();
-    let model = engine.into_model();
-    let window = model.rec.window_us();
-    SysOutput {
-        // The staged plane measures per-stage waits itself; the lifecycle
-        // tracer instruments the ZygOS-family path only.
-        telemetry: None,
-        latency: model.rec.latency.clone(),
-        completed: model.rec.measured(),
-        generated: model.source.emitted(),
-        completed_total: model.rec.completed_total(),
-        events,
-        sim_time_us: if window > 0.0 {
-            window
-        } else {
-            now.as_micros_f64()
-        },
-        local_events: model.local_events,
-        stolen_events: model.stolen_events,
-        ipis: 0,
-        preemptions: 0,
-        avg_active_cores: model.cfg.cores as f64,
-        admitted: 0,
-        rejected: 0,
-        wire_rejects: 0,
-        retries: 0,
-        give_ups: 0,
-        timeouts: 0,
-        rtt_us: model.cfg.cost.network_rtt_ns as f64 / 1_000.0,
-        rejected_by_class: vec![0],
-        admitted_by_class: vec![0],
-        stage_counts: model.stage_counts,
-        stage_p99_wait_us: model
-            .stage_wait
-            .iter()
-            .map(|h| if h.is_empty() { 0.0 } else { h.p99_us() })
-            .collect(),
-    }
+    edge::run(World::new(&cfg, StagedModel::new(&cfg, plan)))
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! crossing) concentrates simulation effort on those excursions instead:
 //!
 //! * The **level function** is the total queued-request backlog
-//!   (`ZygosModel::backlog`), checked every
+//!   (the server's `backlog`), checked every
 //!   [`TailConfig::check_every`] events.
 //! * When a trajectory first crosses threshold `levels[i]` going up, it is
 //!   **split**: `splits - 1` clones of the entire simulated world are
@@ -38,10 +38,10 @@
 
 use zygos_sim::engine::Engine;
 use zygos_sim::stats::WeightedSamples;
-use zygos_sim::time::SimTime;
 
 use crate::config::{SysConfig, SysOutput};
-use crate::zygos::{self, Ev, ZygosModel};
+use crate::edge::{self, Server, World};
+use crate::zygos::{self, ZygosModel};
 
 /// Knobs of the RESTART estimator.
 #[derive(Clone, Debug)]
@@ -120,7 +120,7 @@ pub struct TailOutput {
 
 /// One live trajectory on the exploration stack.
 struct Traj {
-    engine: Engine<ZygosModel>,
+    engine: Engine<World<ZygosModel>>,
     weight: f64,
     /// Level index (1-based) the trajectory was born at; `0` for the
     /// master, which never dies.
@@ -148,14 +148,9 @@ pub fn run_restart(cfg: &SysConfig, tail: &TailConfig) -> (SysOutput, TailOutput
     );
     tail.validate();
 
-    let mut model = ZygosModel::new(cfg.clone());
-    model.arm_tail_sampling();
-    let control = model.wants_control_tick();
-    let mut engine = Engine::new(model);
-    engine.schedule(SimTime::ZERO, Ev::Gen);
-    if control {
-        engine.schedule(SimTime::ZERO, Ev::Control);
-    }
+    let mut world = zygos::world(cfg);
+    world.edge.arm_tail_sampling();
+    let engine = edge::start(world);
 
     let mut est = WeightedSamples::new();
     let mut stack = vec![Traj {
@@ -179,7 +174,7 @@ pub fn run_restart(cfg: &SysConfig, tail: &TailConfig) -> (SysOutput, TailOutput
             // One segment: up to `check_every` events.
             let mut stepped = 0u64;
             while stepped < tail.check_every {
-                if t.engine.model().is_done() || !t.engine.step() {
+                if t.engine.model().edge.is_done() || !t.engine.step() {
                     break;
                 }
                 stepped += 1;
@@ -190,18 +185,16 @@ pub fn run_restart(cfg: &SysConfig, tail: &TailConfig) -> (SysOutput, TailOutput
                 clone_events += stepped;
             }
             let w = t.weight;
-            for ns in t.engine.model_mut().drain_tail() {
+            for ns in t.engine.model_mut().edge.drain_tail() {
                 est.push(ns, w);
             }
-            if t.engine.model().is_done() || stepped == 0 {
+            if t.engine.model().edge.is_done() || stepped == 0 {
                 if t.birth == 0 {
-                    let now = t.engine.now();
-                    let events = master_events;
-                    master_out = Some(t.engine.into_model().into_output(now, events));
+                    master_out = Some(edge::finish(t.engine, master_events));
                 }
                 break;
             }
-            let b = t.engine.model().backlog();
+            let b = t.engine.model().server.backlog();
             max_backlog = max_backlog.max(b);
             if t.birth > 0 && b * 2 < tail.levels[t.birth - 1] {
                 // The clone left its birth level's band: it dies. The

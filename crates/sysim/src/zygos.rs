@@ -44,64 +44,27 @@
 //! remaining-time stamps, per [`SysConfig::background_order`] — bounding
 //! head-of-line blocking under dispersive service times.
 //!
-//! # Admission control
-//!
-//! With [`SysConfig::admission`] set, arrivals pass a Breakwater-style
-//! [`CreditPool`]: no credit → the request is shed before it costs any
-//! processing, and an AIMD loop on the `Control` tick resizes the pool
-//! from the measured window tail. This is what keeps the *admitted* tail
-//! bounded under sustained overload (`fig13`). Three refinements close
-//! the loop end-to-end:
-//!
-//! * [`AdmissionMode`] picks *where* the shed happens: at the server edge
-//!   (the reject burns a full wire RTT — request there, explicit reject
-//!   back) or at the client (sender-side credits; a creditless request is
-//!   never sent, so the shed is free on the wire). The simulator models
-//!   the converged state of Breakwater's credit distribution by letting
-//!   the source consult the shared pool at send time; the live runtime
-//!   implements the actual distribution by piggybacking grants on
-//!   response headers.
-//! * With [`SysConfig::slo`] set, the AIMD target is **per tenant class**
-//!   ([`zygos_load::slo::TenantSlos::aimd_targets_us`] at [`CREDIT_HEADROOM`]) and the
-//!   control tick feeds the worst per-class `tail/target` ratio — one
-//!   AIMD rule serving µs-scale and ms-scale tenants simultaneously.
-//! * Shedding is **weighted-fair** ([`zygos_load::slo::TenantSlos::admit_fractions`]):
-//!   each class is admitted against a fraction of the pool, smallest for
-//!   the loosest class, so the tenants with the most latency headroom
-//!   absorb the overload first.
+//! The client in front of this model — arrivals, the credit gate, retries,
+//! timeouts and the measurement planes — is the shared [`crate::edge`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use zygos_load::retry::RetryDecision;
-use zygos_load::route::conn_key;
 use zygos_sched::{
-    AllocPolicy, AllocatorConfig, BackgroundOrder, CoreAllocator, CoreSecondsMeter, CreditPool,
-    Decision, DispatchPolicy, PolicySignal, QuantumPolicy, Rung, SloController, SloTuning,
-    UtilizationPolicy, ZygosPolicy,
+    AllocPolicy, AllocatorConfig, BackgroundOrder, CoreAllocator, CoreSecondsMeter, Decision,
+    DispatchPolicy, PolicySignal, QuantumPolicy, Rung, SloController, SloTuning, UtilizationPolicy,
+    ZygosPolicy,
 };
-use zygos_sim::engine::{Engine, Model, Scheduler};
-use zygos_sim::stats::WindowHistogram;
+use zygos_sim::engine::Engine;
 use zygos_sim::time::{SimDuration, SimTime};
-use zygos_telemetry::{Registry, SeriesId, SeriesKind, TelemetryOut, TraceKind, Tracer};
+use zygos_telemetry::TraceKind;
 
-use crate::arrivals::{Recorder, Req, Source};
-use crate::config::{AdmissionMode, AllocKind, SysConfig, SysOutput, SystemKind, CREDIT_HEADROOM};
+use crate::arrivals::Req;
+use crate::config::{AllocKind, SysConfig, SysOutput, SystemKind};
+use crate::edge::{self, Cx, Edge, Server, ServerStats, World};
 
+/// The ZygOS server's own events.
 #[derive(Clone)]
 pub(crate) enum Ev {
-    /// Generate the next client request.
-    Gen,
-    /// A request packet reaches its home core's NIC ring; the `u32` is
-    /// which transmission attempt this is (0 = the original send, >0 =
-    /// a retry re-issue fed back by the retry policy).
-    Packet(Req, u32),
-    /// The retry policy's backoff delay expired: the client re-issues
-    /// the request (attempt number carried), re-entering the same
-    /// admission path the original took.
-    Retry { req: Req, attempt: u32 },
-    /// The client's per-request timeout fired for this attempt; stale
-    /// (and ignored) unless the attempt is still the live one.
-    Timeout { req: Req, attempt: u32 },
     /// Core scheduling-loop entry.
     Run(usize),
     /// The core's current work chunk completes (stale if epoch mismatches).
@@ -111,8 +74,6 @@ pub(crate) enum Ev {
     /// The quantum timer fires on a core mid-chunk (stale if epoch
     /// mismatches).
     Preempt { core: usize, epoch: u64 },
-    /// Control-plane tick (elastic allocation and/or credit AIMD).
-    Control,
 }
 
 #[derive(Clone)]
@@ -270,11 +231,6 @@ fn ns(v: u64) -> SimDuration {
     SimDuration::from_nanos(v)
 }
 
-/// Minimum completions in a control window before its tail is trusted as
-/// a signal — shared with the live runtime's control tick via
-/// `zygos-load` so the hosts cannot drift.
-use zygos_load::slo::MIN_WINDOW_SAMPLES;
-
 /// Elastic-mode control-plane state.
 #[derive(Clone)]
 struct Elastic {
@@ -292,45 +248,12 @@ struct Elastic {
     meas_snapshot: Option<(u64, u128)>,
 }
 
-/// The model's telemetry plane: the per-core lifecycle tracer plus the
-/// metrics registry the control tick harvests time-series into. `None`
-/// (the default) costs each hook site one untaken branch on the `Option`
-/// discriminant — the PR-5 zero-alloc hot loop is otherwise untouched.
-struct SimTelemetry {
-    /// Per-core ring tracer; `trace_on == false` leaves it empty (the
-    /// config asked only for series).
-    tracer: Tracer,
-    trace_on: bool,
-    /// Named counter/gauge/series store, harvested on the control tick.
-    reg: Registry,
-    /// Which series the scenario asked to record.
-    harvest: Vec<SeriesKind>,
-    /// Record a series point every N control ticks.
-    series_every: u32,
-    tick: u32,
-    s_admitted: Option<SeriesId>,
-    s_credits: Option<SeriesId>,
-    s_active: Option<SeriesId>,
-    s_shed: Vec<SeriesId>,
-    s_window_p99: Option<SeriesId>,
-    s_retry: Option<SeriesId>,
-    /// Counter snapshots at the previous harvested tick, for rates.
-    last_admitted: u64,
-    last_rejected: Vec<u64>,
-    last_retries: u64,
-    last_t_ns: u64,
-    /// The most recent control-tick window tail (µs), stashed by
-    /// `control()` before the window is cleared so the harvest can
-    /// publish it (NaN when the window had too few samples).
-    last_window_tail: f64,
-}
-
+/// The ZygOS server. A clone is its entire state — every queue,
+/// connection state, RNG position, allocator EWMA and occupancy mask —
+/// which, with the edge's, is what a world checkpoint copies.
+#[derive(Clone)]
 pub(crate) struct ZygosModel {
     cfg: SysConfig,
-    source: Source,
-    rec: Recorder,
-    /// Lifecycle tracer + metrics registry (`None` = telemetry off).
-    telem: Option<SimTelemetry>,
     cores: Vec<Core>,
     conns: Vec<Conn>,
     /// Scratch buffer for randomized victim order.
@@ -351,47 +274,6 @@ pub(crate) struct ZygosModel {
     /// must not borrow the policy).
     ladder: Vec<Rung>,
     elastic: Option<Elastic>,
-    /// Control tick period (armed when elastic or admission is on).
-    ctl_period: SimDuration,
-    /// Credit-based admission gate.
-    admission: Option<CreditPool>,
-    /// Per-class pool fractions for weighted fair shedding (all 1.0 when
-    /// no tenant SLOs are configured).
-    admit_fractions: Vec<f64>,
-    /// Per-class AIMD latency targets (µs), derived from the SLO bounds at
-    /// [`CREDIT_HEADROOM`]; empty when no tenant SLOs are configured (the
-    /// AIMD loop then steers the raw window tail to `CreditConfig::target`).
-    credit_targets_us: Vec<f64>,
-    /// Sheds per tenant class.
-    rejected_by_class: Vec<u64>,
-    /// Admissions per tenant class.
-    admitted_by_class: Vec<u64>,
-    /// Sheds that burned wire RTT (server-edge rejects).
-    wire_rejects: u64,
-    /// The closed-loop retry plane (all dormant when [`SysConfig::retry`]
-    /// is `None`, which keeps the open-loop engine bit-identical):
-    /// retry re-issues scheduled, logical requests abandoned, and
-    /// client-timeout expiries.
-    retries: u64,
-    give_ups: u64,
-    timeouts_fired: u64,
-    /// Live attempt number per in-flight request sequence, maintained
-    /// only when a client timeout is armed: a `Timeout` event is stale —
-    /// the attempt was superseded or the logical request completed —
-    /// unless its attempt matches this map. World state (clones and
-    /// warm-retargets carry it), touched only off the completion fast
-    /// path when timeouts are off.
-    retry_live: HashMap<u32, u32>,
-    /// Precomputed `retry_timeout_us` (`None` = timeouts off).
-    timeout_dur: Option<SimDuration>,
-    /// Per-SLO-class latency window of the current control tick (single
-    /// class when no tenant SLOs are configured). Constant-memory
-    /// histograms: recording is O(1) and the per-tick harvest touches
-    /// only the used buckets, instead of flatten + `sort_unstable` over
-    /// every completion of the window.
-    win: Vec<WindowHistogram>,
-    /// Whether completions are sampled into `win` at all.
-    collect_window: bool,
     /// Free-list of request-batch buffers (RX batches, remote-syscall
     /// flushes): the hot loop recycles them instead of allocating a
     /// `Vec<Req>` per batch.
@@ -441,67 +323,8 @@ impl BusyMeter {
     }
 }
 
-/// Checkpoint semantics: a clone is the *entire simulated world* — every
-/// queue, connection state, RNG position, credit, allocator EWMA, and
-/// occupancy mask — with one deliberate exception: the telemetry plane.
-/// Telemetry is a pure observer (pinned bit-identical by
-/// `tracing_leaves_metrics_and_event_counts_bit_identical`), so dropping
-/// it cannot perturb the trajectory; cloning a multi-megabyte trace ring
-/// per checkpoint would make warm-start sweeps pay for a plane they are
-/// required to run without (the drivers only warm-start telemetry-off
-/// configs).
-impl Clone for ZygosModel {
-    fn clone(&self) -> Self {
-        ZygosModel {
-            cfg: self.cfg.clone(),
-            source: self.source.clone(),
-            rec: self.rec.clone(),
-            telem: None,
-            cores: self.cores.clone(),
-            conns: self.conns.clone(),
-            victims: self.victims.clone(),
-            victims_rng: self.victims_rng.clone(),
-            dispatch: self.dispatch.clone(),
-            ladder: self.ladder.clone(),
-            elastic: self.elastic.clone(),
-            ctl_period: self.ctl_period,
-            admission: self.admission.clone(),
-            admit_fractions: self.admit_fractions.clone(),
-            credit_targets_us: self.credit_targets_us.clone(),
-            rejected_by_class: self.rejected_by_class.clone(),
-            admitted_by_class: self.admitted_by_class.clone(),
-            wire_rejects: self.wire_rejects,
-            retries: self.retries,
-            give_ups: self.give_ups,
-            timeouts_fired: self.timeouts_fired,
-            retry_live: self.retry_live.clone(),
-            timeout_dur: self.timeout_dur,
-            win: self.win.clone(),
-            collect_window: self.collect_window,
-            batch_pool: self.batch_pool.clone(),
-            m_active: self.m_active.clone(),
-            m_busy: self.m_busy.clone(),
-            m_inapp: self.m_inapp.clone(),
-            m_ring: self.m_ring.clone(),
-            m_shuffle: self.m_shuffle.clone(),
-            m_bg: self.m_bg.clone(),
-            m_remote: self.m_remote.clone(),
-            m_ipi: self.m_ipi.clone(),
-            m_run_pending: self.m_run_pending.clone(),
-            local_events: self.local_events,
-            stolen_events: self.stolen_events,
-            ipis_delivered: self.ipis_delivered,
-            preemptions: self.preemptions,
-            busy: self.busy,
-            fg_busy: self.fg_busy,
-        }
-    }
-}
-
 impl ZygosModel {
-    pub(crate) fn new(cfg: SysConfig) -> Self {
-        let source = Source::new(&cfg);
-        let rec = Recorder::new(&cfg, source.half_rtt);
+    pub(crate) fn new(cfg: &SysConfig) -> Self {
         let ipis_enabled = matches!(cfg.system, SystemKind::Zygos | SystemKind::Elastic { .. });
         let quantum = QuantumPolicy::from_us(cfg.preemption_quantum_us);
         let dispatch = ZygosPolicy::new(true, ipis_enabled, quantum, cfg.background_order)
@@ -533,90 +356,11 @@ impl ZygosModel {
             }
             _ => None,
         };
-        let classes = cfg.slo.as_ref().map_or(1, |t| t.classes().len());
-        let admission = cfg.admission.map(|c| CreditPool::with_classes(c, classes));
-        // The window histograms feed the AIMD/SLO controllers, and also
-        // the `window_p99_us` series when a scenario asks for it with no
-        // controller armed (the metastable gates read the *ungated* twin
-        // through exactly that series).
-        let wants_window_p99 = cfg
-            .telemetry
-            .as_ref()
-            .is_some_and(|t| t.series.contains(&SeriesKind::WindowP99));
-        let collect_window = admission.is_some() || cfg.slo.is_some() || wants_window_p99;
-        let (admit_fractions, credit_targets_us) = match (&admission, &cfg.slo) {
-            (Some(_), Some(slo)) => (slo.admit_fractions(), slo.aimd_targets_us(CREDIT_HEADROOM)),
-            _ => (vec![1.0; classes], Vec::new()),
-        };
-        let telem = cfg.telemetry.as_ref().filter(|t| !t.is_off()).map(|t| {
-            // Ring capacity: every completed lifecycle has ≤ 8 points plus
-            // preempt slices, and under overload each *shed* arrival adds
-            // two more (Arrival, Shed) — at offered load L the gate turns
-            // away ~(L-1)/L of arrivals, so budget 16 points per completed
-            // lifecycle (covers sheds up to ~4x the completion count).
-            // A wrapped ring tears the *oldest* lifecycles, which skews any
-            // trace-derived quantile; size to hold the full run so drops
-            // only happen under pathological preemption/overload storms.
-            let lifecycles = (cfg.requests + cfg.warmup) / t.sample_period.max(1) as u64 + 1;
-            let per_core = (lifecycles as usize * 16 / cfg.cores.max(1)).clamp(4_096, 1 << 21);
-            let mut reg = Registry::default();
-            let mut s_admitted = None;
-            let mut s_credits = None;
-            let mut s_active = None;
-            let mut s_shed = Vec::new();
-            let mut s_window_p99 = None;
-            let mut s_retry = None;
-            for kind in &t.series {
-                match kind {
-                    SeriesKind::AdmittedRate => {
-                        s_admitted = Some(reg.register_series(kind.name(), t.max_series_points));
-                    }
-                    SeriesKind::CreditCapacity => {
-                        s_credits = Some(reg.register_series(kind.name(), t.max_series_points));
-                    }
-                    SeriesKind::ActiveCores => {
-                        s_active = Some(reg.register_series(kind.name(), t.max_series_points));
-                    }
-                    SeriesKind::ShedByClass => {
-                        s_shed = (0..classes)
-                            .map(|c| {
-                                reg.register_series(
-                                    &format!("{}{c}", kind.name()),
-                                    t.max_series_points,
-                                )
-                            })
-                            .collect();
-                    }
-                    SeriesKind::WindowP99 => {
-                        s_window_p99 = Some(reg.register_series(kind.name(), t.max_series_points));
-                    }
-                    SeriesKind::RetryRate => {
-                        s_retry = Some(reg.register_series(kind.name(), t.max_series_points));
-                    }
-                }
-            }
-            SimTelemetry {
-                tracer: Tracer::new(cfg.cores, per_core, t.sample_period),
-                trace_on: t.trace,
-                reg,
-                harvest: t.series.clone(),
-                series_every: t.series_every.max(1),
-                tick: 0,
-                s_admitted,
-                s_credits,
-                s_active,
-                s_shed,
-                s_window_p99,
-                s_retry,
-                last_admitted: 0,
-                last_rejected: vec![0; classes],
-                last_retries: 0,
-                last_t_ns: 0,
-                last_window_tail: f64::NAN,
-            }
-        });
+        let mut m_active = CoreMask::new(cfg.cores);
+        for i in 0..cfg.cores {
+            m_active.set(i);
+        }
         ZygosModel {
-            telem,
             cores: (0..cfg.cores)
                 .map(|_| Core {
                     ring: VecDeque::new(),
@@ -639,42 +383,11 @@ impl ZygosModel {
                 .collect(),
             victims: (0..cfg.cores).collect(),
             victims_rng: zygos_sim::rng::Xoshiro256::new(cfg.seed ^ 0x0056_4543_544F_5253), // "VECTORS"
-            source,
-            rec,
             dispatch,
             ladder,
             elastic,
-            ctl_period: SimDuration::from_micros_f64(cfg.elastic.control_period_us.max(1.0)),
-            admission,
-            admit_fractions,
-            credit_targets_us,
-            rejected_by_class: vec![0; classes],
-            admitted_by_class: vec![0; classes],
-            wire_rejects: 0,
-            retries: 0,
-            give_ups: 0,
-            timeouts_fired: 0,
-            retry_live: HashMap::new(),
-            timeout_dur: match (cfg.retry, cfg.retry_timeout_us) {
-                (Some(_), Some(t)) if t > 0.0 => Some(SimDuration::from_micros_f64(t)),
-                _ => None,
-            },
-            // The window buckets are ~¼MB per class: only materialized
-            // when a controller actually harvests them.
-            win: if collect_window {
-                (0..classes).map(|_| WindowHistogram::new()).collect()
-            } else {
-                Vec::new()
-            },
-            collect_window,
             batch_pool: Vec::new(),
-            m_active: {
-                let mut m = CoreMask::new(cfg.cores);
-                for i in 0..cfg.cores {
-                    m.set(i);
-                }
-                m
-            },
+            m_active,
             m_busy: CoreMask::new(cfg.cores),
             m_inapp: CoreMask::new(cfg.cores),
             m_ring: CoreMask::new(cfg.cores),
@@ -683,7 +396,7 @@ impl ZygosModel {
             m_remote: CoreMask::new(cfg.cores),
             m_ipi: CoreMask::new(cfg.cores),
             m_run_pending: CoreMask::new(cfg.cores),
-            cfg,
+            cfg: cfg.clone(),
             local_events: 0,
             stolen_events: 0,
             ipis_delivered: 0,
@@ -691,70 +404,6 @@ impl ZygosModel {
             busy: BusyMeter::default(),
             fg_busy: BusyMeter::default(),
         }
-    }
-
-    /// True when the model arms the periodic `Control` tick.
-    pub(crate) fn has_control_plane(&self) -> bool {
-        self.elastic.is_some() || self.admission.is_some()
-    }
-
-    /// True when the periodic `Control` tick must be armed: a control
-    /// plane is present, or the telemetry config asked for time-series
-    /// (the harvest rides the same tick, so telemetry alone arms it).
-    pub(crate) fn wants_control_tick(&self) -> bool {
-        self.has_control_plane() || self.telem.as_ref().is_some_and(|t| !t.harvest.is_empty())
-    }
-
-    /// Publishes the requested time-series into the registry. Rides the
-    /// control tick; rate series are deltas over the harvest interval.
-    fn telem_harvest(&mut self, now: SimTime) {
-        let Some(tl) = &mut self.telem else { return };
-        if tl.harvest.is_empty() {
-            return;
-        }
-        tl.tick += 1;
-        if tl.tick % tl.series_every != 0 {
-            return;
-        }
-        let t_us = now.as_micros_f64();
-        let dt_s = (now.as_nanos() - tl.last_t_ns) as f64 / 1e9;
-        if dt_s <= 0.0 {
-            return;
-        }
-        if let Some(id) = tl.s_admitted {
-            let total: u64 = self.admitted_by_class.iter().sum();
-            tl.reg
-                .push(id, t_us, (total - tl.last_admitted) as f64 / dt_s);
-            tl.last_admitted = total;
-        }
-        if let Some(id) = tl.s_credits {
-            let cap = self.admission.as_ref().map_or(0.0, |p| p.capacity() as f64);
-            tl.reg.push(id, t_us, cap);
-        }
-        if let Some(id) = tl.s_active {
-            let active: u32 = self.m_active.w.iter().map(|w| w.count_ones()).sum();
-            tl.reg.push(id, t_us, active as f64);
-        }
-        for c in 0..tl.s_shed.len() {
-            let id = tl.s_shed[c];
-            let total = self.rejected_by_class[c];
-            tl.reg
-                .push(id, t_us, (total - tl.last_rejected[c]) as f64 / dt_s);
-            tl.last_rejected[c] = total;
-        }
-        if let Some(id) = tl.s_window_p99 {
-            // NaN windows (too few samples to call a tail) are skipped
-            // rather than recorded: a gap is honest, a zero is a lie.
-            if tl.last_window_tail.is_finite() {
-                tl.reg.push(id, t_us, tl.last_window_tail);
-            }
-        }
-        if let Some(id) = tl.s_retry {
-            tl.reg
-                .push(id, t_us, (self.retries - tl.last_retries) as f64 / dt_s);
-            tl.last_retries = self.retries;
-        }
-        tl.last_t_ns = now.as_nanos();
     }
 
     /// Accounts a `Core::work` presence transition at `now` (`delta` is +1
@@ -775,140 +424,9 @@ impl ZygosModel {
         }
     }
 
-    /// Spends a credit for an arriving request of `conn`'s tenant class
-    /// (weighted fair shedding: looser classes are capped at a smaller
-    /// pool share and shed first). `true` when admission is off or a
-    /// credit was granted.
-    fn gate_admit(&mut self, conn: u32) -> bool {
-        let Some(pool) = &mut self.admission else {
-            return true;
-        };
-        let class = self.cfg.slo.as_ref().map_or(0, |t| t.class_of(conn));
-        if pool.try_admit_weighted(class, self.admit_fractions[class]) {
-            self.admitted_by_class[class] += 1;
-            true
-        } else {
-            self.rejected_by_class[class] += 1;
-            false
-        }
-    }
-
-    /// Arms the client timeout for `attempt` of `req` at its send time
-    /// (no-op unless both a retry policy and a timeout are configured).
-    /// The map entry makes this the request's *live* attempt; any older
-    /// `Timeout` event still in the queue is thereby stale.
-    fn arm_timeout(&mut self, req: Req, attempt: u32, now: SimTime, sched: &mut Scheduler<Ev>) {
-        if let Some(t) = self.timeout_dur {
-            self.retry_live.insert(req.seq, attempt);
-            sched.at(now + t, Ev::Timeout { req, attempt });
-        }
-    }
-
-    /// Feeds one shed or timed-out attempt to the retry policy — the
-    /// closed loop's single entry point. `notify_delay` is how long the
-    /// *client* takes to learn of the failure (zero for a local shed or
-    /// timeout, half an RTT for a server-edge reject); the re-issue, if
-    /// any, fires `notify_delay + backoff` from `now` and re-enters the
-    /// full admission path via [`Ev::Retry`]. Does nothing (and touches
-    /// no counter) when no policy is armed, keeping the open-loop world
-    /// bit-identical.
-    fn feed_retry(
-        &mut self,
-        req: Req,
-        attempt: u32,
-        now: SimTime,
-        notify_delay: SimDuration,
-        sched: &mut Scheduler<Ev>,
-    ) {
-        let Some(policy) = self.cfg.retry else { return };
-        let noticed = now + notify_delay;
-        let elapsed_us = noticed.duration_since(req.send).as_micros_f64() as u64;
-        let decision = if self.cfg.retry_jitter {
-            policy.on_shed_jittered(
-                attempt,
-                elapsed_us,
-                conn_key(self.cfg.seed, req.conn as usize),
-            )
-        } else {
-            policy.on_shed(attempt, elapsed_us)
-        };
-        let delay_us = match decision {
-            RetryDecision::GiveUp => {
-                self.give_ups += 1;
-                return;
-            }
-            RetryDecision::RetryNow => 0,
-            RetryDecision::RetryAfterUs(d) => d,
-        };
-        self.retries += 1;
-        let at = noticed + SimDuration::from_micros_f64(delay_us as f64);
-        sched.at(
-            at,
-            Ev::Retry {
-                req,
-                attempt: attempt + 1,
-            },
-        );
-    }
-
-    /// Issues (or re-issues) `req` as transmission `attempt`: the same
-    /// client-side gating the original send went through, plus timeout
-    /// arming. A client-side shed feeds straight back into the policy.
-    fn issue(&mut self, req: Req, attempt: u32, now: SimTime, sched: &mut Scheduler<Ev>) {
-        let client_gated = self.cfg.admission_mode != AdmissionMode::ServerEdge;
-        if !client_gated || self.gate_admit(req.conn) {
-            if client_gated && self.admission.is_some() {
-                self.trace(req.home, req.seq, TraceKind::Admit, now);
-            }
-            self.arm_timeout(req, attempt, now, sched);
-            sched.after(self.source.half_rtt, Ev::Packet(req, attempt));
-        } else {
-            self.trace(req.home, req.seq, TraceKind::Shed, now);
-            self.feed_retry(req, attempt, now, SimDuration::ZERO, sched);
-        }
-    }
-
-    /// Records one lifecycle trace point (one untaken branch when
-    /// telemetry is off or tracing was not requested).
-    #[inline]
-    fn trace(&mut self, core: u16, seq: u32, kind: TraceKind, t: SimTime) {
-        if let Some(tl) = &mut self.telem {
-            if tl.trace_on {
-                tl.tracer.record(core, seq, kind, t.as_nanos());
-            }
-        }
-    }
-
-    /// Records a completed request: recorder, credit return, and the
-    /// control window's per-class latency sample.
-    fn complete_req(&mut self, req: &Req, tx_time: SimTime) {
-        if self.timeout_dur.is_some() {
-            // The logical request is answered (by whichever attempt got
-            // here first): any pending timeout for it becomes stale.
-            self.retry_live.remove(&req.seq);
-        }
-        let measured = self.rec.complete(req, tx_time);
-        if measured {
-            // Trace exactly the histogram's population, timestamped at the
-            // client's observation (send → client_rx = the recorded
-            // latency), so trace-derived tails match the report's.
-            let client_rx = tx_time + self.source.half_rtt;
-            self.trace(req.home, req.seq, TraceKind::Completion, client_rx);
-        }
-        let class = self.cfg.slo.as_ref().map_or(0, |t| t.class_of(req.conn));
-        if let Some(pool) = &mut self.admission {
-            pool.release_class(class);
-        }
-        if self.collect_window {
-            let client_rx = tx_time + self.source.half_rtt;
-            let lat_ns = client_rx.duration_since(req.send).as_nanos();
-            self.win[class].record_nanos(lat_ns);
-        }
-    }
-
     /// Wakes every idle granted core (something steal-able appeared).
     /// Cores with a run already queued are skipped (see `m_run_pending`).
-    fn wake_idle(&mut self, sched: &mut Scheduler<Ev>) {
+    fn wake_idle(&mut self, cx: &mut Cx<Ev>) {
         for wi in 0..self.m_active.w.len() {
             let mut bits = self.m_active.w[wi] & !self.m_busy.w[wi] & !self.m_run_pending.w[wi];
             while bits != 0 {
@@ -916,25 +434,25 @@ impl ZygosModel {
                 bits &= bits - 1;
                 debug_assert!(self.cores[i].active && self.cores[i].is_idle());
                 self.m_run_pending.set(i);
-                sched.at(sched.now(), Ev::Run(i));
+                cx.at(cx.now(), Ev::Run(i));
             }
         }
     }
 
     /// Wakes one core if granted, idle, and not already woken.
-    fn wake(&mut self, core: usize, sched: &mut Scheduler<Ev>) {
+    fn wake(&mut self, core: usize, cx: &mut Cx<Ev>) {
         if self.m_active.test(core) && !self.m_busy.test(core) && !self.m_run_pending.test(core) {
             self.m_run_pending.set(core);
-            sched.at(sched.now(), Ev::Run(core));
+            cx.at(cx.now(), Ev::Run(core));
         }
     }
 
     /// Sends an IPI to `target` if one is not already in flight.
-    fn send_ipi(&mut self, target: usize, sched: &mut Scheduler<Ev>) {
+    fn send_ipi(&mut self, target: usize, cx: &mut Cx<Ev>) {
         if !self.cores[target].ipi_pending {
             self.cores[target].ipi_pending = true;
             self.m_ipi.set(target);
-            sched.after(ns(self.cfg.cost.ipi_delivery_ns), Ev::Ipi(target));
+            cx.after(ns(self.cfg.cost.ipi_delivery_ns), Ev::Ipi(target));
         }
     }
 
@@ -962,7 +480,7 @@ impl ZygosModel {
     /// Applies RX-batch effects: packets join their connections' event
     /// queues; idle connections become ready on this core's shuffle queue.
     /// The batch buffer is drained and recycled through the pool.
-    fn apply_net_batch(&mut self, core: usize, mut batch: Vec<Req>, sched: &mut Scheduler<Ev>) {
+    fn apply_net_batch(&mut self, core: usize, mut batch: Vec<Req>, cx: &mut Cx<Ev>) {
         // In elastic mode the executing core may have been parked while
         // this net chunk was in flight (apply_allocation drains queues
         // only on the transition): enqueue on its serving core, or the
@@ -982,7 +500,7 @@ impl ZygosModel {
         if newly_ready {
             self.m_shuffle.set(dst);
             // Ready connections are steal-able: every idle core may act.
-            self.wake_idle(sched);
+            self.wake_idle(cx);
         }
     }
 
@@ -996,14 +514,14 @@ impl ZygosModel {
         stolen: bool,
         bg: bool,
         now: SimTime,
-        sched: &mut Scheduler<Ev>,
+        cx: &mut Cx<Ev>,
     ) {
         let c = &mut self.conns[conn as usize];
         debug_assert_eq!(c.st, ConnSt::Busy);
         let mut events = std::mem::take(&mut c.pending);
         debug_assert!(!events.is_empty(), "ready connection without events");
         let cur = events.pop_front().expect("non-empty");
-        self.schedule_app_chunk(core, conn, cur, events, stolen, bg, extra_ns, now, sched);
+        self.schedule_app_chunk(core, conn, cur, events, stolen, bg, extra_ns, now, cx);
     }
 
     /// Installs one application chunk on `core` and schedules its end event
@@ -1020,9 +538,9 @@ impl ZygosModel {
         bg: bool,
         extra_ns: u64,
         now: SimTime,
-        sched: &mut Scheduler<Ev>,
+        cx: &mut Cx<Ev>,
     ) {
-        self.trace(core as u16, cur.seq, TraceKind::Dispatch, now);
+        cx.trace(core as u16, cur.seq, TraceKind::Dispatch, now);
         self.note_busy(now, 1, !bg);
         self.m_busy.set(core);
         self.m_inapp.set(core);
@@ -1052,7 +570,7 @@ impl ZygosModel {
                     bg,
                 });
                 core_ref.end = now + ns(dur);
-                sched.at(core_ref.end, Ev::Preempt { core, epoch });
+                cx.at(core_ref.end, Ev::Preempt { core, epoch });
             }
             None => {
                 let dur = self.event_exec_ns(&cur, stolen) + extra_ns;
@@ -1066,7 +584,7 @@ impl ZygosModel {
                     bg,
                 });
                 core_ref.end = now + ns(dur);
-                sched.at(core_ref.end, Ev::WorkDone { core, epoch });
+                cx.at(core_ref.end, Ev::WorkDone { core, epoch });
             }
         }
     }
@@ -1087,7 +605,7 @@ impl ZygosModel {
 
     /// The core scheduling loop: tries each rung of the shared dispatch
     /// ladder in policy order and takes the first that yields work.
-    fn run_core(&mut self, core: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
+    fn run_core(&mut self, core: usize, now: SimTime, cx: &mut Cx<Ev>) {
         if !self.cores[core].active {
             return; // Parked by the elastic controller; queues were drained.
         }
@@ -1101,15 +619,15 @@ impl ZygosModel {
         let mut victims_ready = false;
         for i in 0..self.ladder.len() {
             let took = match self.ladder[i] {
-                Rung::RemoteSyscalls => self.rung_remote_tx(core, now, sched),
-                Rung::AgedBackground => self.rung_aged_bg(core, now, sched),
-                Rung::LocalReady => self.rung_local_ready(core, now, sched),
-                Rung::LocalNet => self.rung_local_net(core, now, sched),
-                Rung::StealReady => self.rung_steal_ready(core, now, sched, &mut victims_ready),
-                Rung::LocalBackground => self.rung_local_bg(core, now, sched),
-                Rung::StealBackground => self.rung_steal_bg(core, now, sched, &mut victims_ready),
+                Rung::RemoteSyscalls => self.rung_remote_tx(core, now, cx),
+                Rung::AgedBackground => self.rung_aged_bg(core, now, cx),
+                Rung::LocalReady => self.rung_local_ready(core, now, cx),
+                Rung::LocalNet => self.rung_local_net(core, now, cx),
+                Rung::StealReady => self.rung_steal_ready(core, now, cx, &mut victims_ready),
+                Rung::LocalBackground => self.rung_local_bg(core, now, cx),
+                Rung::StealBackground => self.rung_steal_bg(core, now, cx, &mut victims_ready),
                 Rung::IpiScan => {
-                    self.rung_ipi_scan(core, sched, &mut victims_ready);
+                    self.rung_ipi_scan(core, cx, &mut victims_ready);
                     false // The scan kicks another core; this one stays idle.
                 }
             };
@@ -1134,7 +652,7 @@ impl ZygosModel {
 
     /// Remote syscalls (TX for stolen executions): they hold finished
     /// responses.
-    fn rung_remote_tx(&mut self, core: usize, now: SimTime, sched: &mut Scheduler<Ev>) -> bool {
+    fn rung_remote_tx(&mut self, core: usize, now: SimTime, cx: &mut Cx<Ev>) -> bool {
         if self.cores[core].remote_sys.is_empty() {
             return false;
         }
@@ -1149,7 +667,7 @@ impl ZygosModel {
         c.work = Some(Work::RemoteTx { batch });
         c.epoch += 1;
         c.end = now + ns(dur);
-        sched.at(
+        cx.at(
             c.end,
             Ev::WorkDone {
                 core,
@@ -1161,7 +679,7 @@ impl ZygosModel {
 
     /// Aged background connection: a preempted remainder past the policy's
     /// aging bound outranks fresh work.
-    fn rung_aged_bg(&mut self, core: usize, now: SimTime, sched: &mut Scheduler<Ev>) -> bool {
+    fn rung_aged_bg(&mut self, core: usize, now: SimTime, cx: &mut Cx<Ev>) -> bool {
         let age_bound = self.dispatch.background_aging_ns();
         if age_bound == u64::MAX || !self.m_bg.test(core) {
             return false;
@@ -1189,12 +707,12 @@ impl ZygosModel {
         self.conns[entry.conn as usize].st = ConnSt::Busy;
         // Promoted by aging: overdue work is foreground demand.
         let extra = self.cfg.cost.shuffle_op_ns;
-        self.begin_app(core, entry.conn, extra, false, false, now, sched);
+        self.begin_app(core, entry.conn, extra, false, false, now, cx);
         true
     }
 
     /// Own shuffle queue.
-    fn rung_local_ready(&mut self, core: usize, now: SimTime, sched: &mut Scheduler<Ev>) -> bool {
+    fn rung_local_ready(&mut self, core: usize, now: SimTime, cx: &mut Cx<Ev>) -> bool {
         let Some(conn) = self.cores[core].shuffle.pop_front() else {
             return false;
         };
@@ -1204,12 +722,12 @@ impl ZygosModel {
         debug_assert_eq!(self.conns[conn as usize].st, ConnSt::Ready);
         self.conns[conn as usize].st = ConnSt::Busy;
         let extra = self.cfg.cost.shuffle_op_ns;
-        self.begin_app(core, conn, extra, false, false, now, sched);
+        self.begin_app(core, conn, extra, false, false, now, cx);
         true
     }
 
     /// Own NIC ring: run the network stack over a bounded batch.
-    fn rung_local_net(&mut self, core: usize, now: SimTime, sched: &mut Scheduler<Ev>) -> bool {
+    fn rung_local_net(&mut self, core: usize, now: SimTime, cx: &mut Cx<Ev>) -> bool {
         if self.cores[core].ring.is_empty() {
             return false;
         }
@@ -1228,7 +746,7 @@ impl ZygosModel {
         c.work = Some(Work::Net { batch });
         c.epoch += 1;
         c.end = now + ns(dur);
-        sched.at(
+        cx.at(
             c.end,
             Ev::WorkDone {
                 core,
@@ -1243,7 +761,7 @@ impl ZygosModel {
         &mut self,
         core: usize,
         now: SimTime,
-        sched: &mut Scheduler<Ev>,
+        cx: &mut Cx<Ev>,
         victims_ready: &mut bool,
     ) -> bool {
         if !self.dispatch.may_steal(true) {
@@ -1271,14 +789,14 @@ impl ZygosModel {
         };
         debug_assert_eq!(self.conns[conn as usize].st, ConnSt::Ready);
         self.conns[conn as usize].st = ConnSt::Busy;
-        if self.telem.is_some() {
+        if cx.edge.tracing() {
             // The stolen batch's first request (`begin_app` pops it next).
             if let Some(seq) = self.conns[conn as usize].pending.front().map(|r| r.seq) {
-                self.trace(core as u16, seq, TraceKind::Steal, now);
+                cx.trace(core as u16, seq, TraceKind::Steal, now);
             }
         }
         let extra = self.cfg.cost.shuffle_op_ns + self.cfg.cost.steal_extra_ns;
-        self.begin_app(core, conn, extra, true, false, now, sched);
+        self.begin_app(core, conn, extra, true, false, now, cx);
         true
     }
 
@@ -1286,7 +804,7 @@ impl ZygosModel {
     /// is visible anywhere: a quantum-expired request is known long, and
     /// deferring it behind everything short is the approximate-SJF move
     /// that bounds the dispersive tail (Shinjuku's two-level queue).
-    fn rung_local_bg(&mut self, core: usize, now: SimTime, sched: &mut Scheduler<Ev>) -> bool {
+    fn rung_local_bg(&mut self, core: usize, now: SimTime, cx: &mut Cx<Ev>) -> bool {
         let Some(entry) = self.cores[core].bg.pop_front() else {
             return false;
         };
@@ -1296,7 +814,7 @@ impl ZygosModel {
         debug_assert_eq!(self.conns[entry.conn as usize].st, ConnSt::Ready);
         self.conns[entry.conn as usize].st = ConnSt::Busy;
         let extra = self.cfg.cost.shuffle_op_ns;
-        self.begin_app(core, entry.conn, extra, false, true, now, sched);
+        self.begin_app(core, entry.conn, extra, false, true, now, cx);
         true
     }
 
@@ -1305,7 +823,7 @@ impl ZygosModel {
         &mut self,
         core: usize,
         now: SimTime,
-        sched: &mut Scheduler<Ev>,
+        cx: &mut Cx<Ev>,
         victims_ready: &mut bool,
     ) -> bool {
         if !self.dispatch.may_steal(true) {
@@ -1333,17 +851,17 @@ impl ZygosModel {
         };
         debug_assert_eq!(self.conns[entry.conn as usize].st, ConnSt::Ready);
         self.conns[entry.conn as usize].st = ConnSt::Busy;
-        if self.telem.is_some() {
+        if cx.edge.tracing() {
             if let Some(seq) = self.conns[entry.conn as usize]
                 .pending
                 .front()
                 .map(|r| r.seq)
             {
-                self.trace(core as u16, seq, TraceKind::Steal, now);
+                cx.trace(core as u16, seq, TraceKind::Steal, now);
             }
         }
         let extra = self.cfg.cost.shuffle_op_ns + self.cfg.cost.steal_extra_ns;
-        self.begin_app(core, entry.conn, extra, true, true, now, sched);
+        self.begin_app(core, entry.conn, extra, true, true, now, cx);
         true
     }
 
@@ -1351,7 +869,7 @@ impl ZygosModel {
     /// ("aggressively sends interrupts as soon as a remote core detects a
     /// pending packet in the hardware queue and the home core is executing
     /// at user-level", §5).
-    fn rung_ipi_scan(&mut self, core: usize, sched: &mut Scheduler<Ev>, victims_ready: &mut bool) {
+    fn rung_ipi_scan(&mut self, core: usize, cx: &mut Cx<Ev>, victims_ready: &mut bool) {
         if !any_other(&self.m_ring, &self.m_inapp, core) {
             return; // No undrained ring under an app chunk anywhere.
         }
@@ -1369,11 +887,11 @@ impl ZygosModel {
             }
         }
         if let Some(v) = target {
-            self.send_ipi(v, sched);
+            self.send_ipi(v, cx);
         }
     }
 
-    fn work_done(&mut self, core: usize, epoch: u64, now: SimTime, sched: &mut Scheduler<Ev>) {
+    fn work_done(&mut self, core: usize, epoch: u64, now: SimTime, cx: &mut Cx<Ev>) {
         if self.cores[core].epoch != epoch {
             return; // Invalidated by an IPI extension.
         }
@@ -1387,11 +905,11 @@ impl ZygosModel {
         self.m_inapp.clear(core);
         match work {
             Work::Net { batch } => {
-                self.apply_net_batch(core, batch, sched);
+                self.apply_net_batch(core, batch, cx);
             }
             Work::RemoteTx { mut batch } => {
                 for req in batch.drain(..) {
-                    self.complete_req(&req, now);
+                    cx.complete(&req, now);
                 }
                 self.batch_pool.push(batch);
             }
@@ -1404,7 +922,7 @@ impl ZygosModel {
             } => {
                 if stolen {
                     self.stolen_events += 1;
-                    self.trace(core as u16, cur.seq, TraceKind::StolenDone, now);
+                    cx.trace(core as u16, cur.seq, TraceKind::StolenDone, now);
                     // Ship the response home; the home core (or, in
                     // elastic mode, whichever core serves its queues)
                     // transmits.
@@ -1412,18 +930,18 @@ impl ZygosModel {
                     self.cores[home].remote_sys.push(cur);
                     self.m_remote.set(home);
                     if self.cores[home].is_idle() {
-                        self.wake(home, sched);
+                        self.wake(home, cx);
                     } else if self.ipis_enabled() && self.cores[home].in_app() {
-                        self.send_ipi(home, sched);
+                        self.send_ipi(home, cx);
                     }
                 } else {
                     self.local_events += 1;
-                    self.complete_req(&cur, now);
+                    cx.complete(&cur, now);
                 }
                 if let Some(next) = rest.pop_front() {
                     // Continue the connection's event batch (implicit
                     // per-flow batching, §6.2).
-                    self.schedule_app_chunk(core, conn, next, rest, stolen, bg, 0, now, sched);
+                    self.schedule_app_chunk(core, conn, next, rest, stolen, bg, 0, now, cx);
                     return;
                 }
                 // Batch finished: Figure 5 transition out of busy.
@@ -1435,21 +953,21 @@ impl ZygosModel {
                     connref.pending = rest;
                 } else {
                     connref.st = ConnSt::Ready;
-                    let home = self.serving_core(self.source.home_of(conn) as usize);
+                    let home = self.serving_core(cx.edge.home_of(conn) as usize);
                     self.cores[home].shuffle.push_back(conn);
                     self.m_shuffle.set(home);
-                    self.wake_idle(sched);
+                    self.wake_idle(cx);
                 }
             }
         }
         // Re-enter the scheduling loop.
-        self.run_core(core, now, sched);
+        self.run_core(core, now, cx);
     }
 
     /// Quantum expiry: requeue the remainder of the interrupted request on
     /// its serving core's background queue, behind any shorter requests
     /// that arrived meanwhile — the anti-head-of-line move.
-    fn preempt(&mut self, core: usize, epoch: u64, now: SimTime, sched: &mut Scheduler<Ev>) {
+    fn preempt(&mut self, core: usize, epoch: u64, now: SimTime, cx: &mut Cx<Ev>) {
         if self.cores[core].epoch != epoch {
             return; // Invalidated (e.g. an IPI extended the chunk).
         }
@@ -1474,7 +992,7 @@ impl ZygosModel {
         };
         debug_assert!(remaining > 0, "preempted chunk must have a remainder");
         self.preemptions += 1;
-        self.trace(core as u16, cur.seq, TraceKind::Preempt, now);
+        cx.trace(core as u16, cur.seq, TraceKind::Preempt, now);
         cur.service = SimDuration::from_nanos(remaining);
         // Requeue: the remainder stays the connection's oldest event (so
         // per-connection ordering holds), followed by the rest of the taken
@@ -1488,8 +1006,8 @@ impl ZygosModel {
         rest.extend(arrived);
         connref.pending = rest;
         connref.st = ConnSt::Ready;
-        let home = self.serving_core(self.source.home_of(conn) as usize);
-        self.trace(home as u16, seq, TraceKind::BgRequeue, now);
+        let home = self.serving_core(cx.edge.home_of(conn) as usize);
+        cx.trace(home as u16, seq, TraceKind::BgRequeue, now);
         self.bg_enqueue(
             home,
             BgEntry {
@@ -1498,45 +1016,10 @@ impl ZygosModel {
                 remaining_ns: remaining,
             },
         );
-        self.wake_idle(sched);
+        self.wake_idle(cx);
         // The interrupted core re-enters its scheduling loop (the handler
         // cost was charged inside the chunk).
-        self.run_core(core, now, sched);
-    }
-
-    /// Harvests the control window: the worst per-class p99-vs-SLO ratio
-    /// (for the SLO-driven allocator), the overall window tail in µs (for
-    /// the untargeted credit AIMD; `NaN` when the window is too thin), and
-    /// the worst per-class tail-vs-credit-target ratio (for the SLO-driven
-    /// credit AIMD; `NaN` likewise).
-    fn window_signal(&mut self) -> (Option<f64>, f64, f64) {
-        let ratio = self
-            .cfg
-            .slo
-            .as_ref()
-            .and_then(|slo| slo.worst_ratio_hist(&mut self.win, MIN_WINDOW_SAMPLES));
-        let credit_ratio = if self.credit_targets_us.is_empty() {
-            f64::NAN
-        } else {
-            self.cfg
-                .slo
-                .as_ref()
-                .expect("targets derive from slo")
-                .worst_credit_ratio_hist(&mut self.win, &self.credit_targets_us, MIN_WINDOW_SAMPLES)
-                .unwrap_or(f64::NAN)
-        };
-        // The untargeted window tail. Only the single-class configuration
-        // consumes it (with tenant SLOs the AIMD runs on `credit_ratio`),
-        // so the multi-class merge the old exact-sort path paid for is
-        // gone.
-        let tail_us = match &mut self.win[..] {
-            [only] if only.count() >= MIN_WINDOW_SAMPLES as u64 => only.quantile_us(0.99),
-            _ => f64::NAN,
-        };
-        for w in &mut self.win {
-            w.clear();
-        }
-        (ratio, tail_us, credit_ratio)
+        self.run_core(core, now, cx);
     }
 
     /// Debug-build invariant: every occupancy mask mirrors the core state
@@ -1567,25 +1050,12 @@ impl ZygosModel {
         }
     }
 
-    /// Control tick: harvest the window, drive the allocation policy (if
-    /// elastic) and the credit AIMD (if admitting), reschedule.
-    fn control(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
+    /// The control hook: drive the allocation policy (elastic only; the
+    /// edge has already run the credit AIMD on this tick).
+    fn control_tick(&mut self, slo_ratio: Option<f64>, cx: &mut Cx<Ev>) {
         #[cfg(debug_assertions)]
         self.debug_check_masks();
-        let (slo_ratio, tail_us, credit_ratio) = self.window_signal();
-        if let Some(tl) = &mut self.telem {
-            tl.last_window_tail = tail_us;
-        }
-        let slo_targeted = !self.credit_targets_us.is_empty();
-        if let Some(pool) = &mut self.admission {
-            if slo_targeted {
-                // Per-tenant-class targets derived from the SLO bounds:
-                // 1.0 means the worst class sits exactly at its target.
-                pool.update_ratio(credit_ratio);
-            } else {
-                pool.update(tail_us);
-            }
-        }
+        let now = cx.now();
         self.note_busy(now, 0, true); // Flush the busy integrals up to `now`.
         let busy_integral = self.fg_busy.integral_ns;
         let fg_count = self.fg_busy.count;
@@ -1632,18 +1102,16 @@ impl ZygosModel {
             });
             let target = elastic.allocator.active();
             if decision != Decision::Hold {
-                self.apply_allocation(target, now, sched);
+                self.apply_allocation(target, now, cx);
             }
         }
-        self.telem_harvest(now);
-        sched.after(self.ctl_period, Ev::Control);
     }
 
     /// Reconfigures the data plane to `target` granted cores: cores
     /// `[0, target)` are active, the rest park after draining their queues
     /// into an active core (modeling RSS indirection-table reprogramming
     /// plus queue migration — both controller-side, off the data path).
-    fn apply_allocation(&mut self, target: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
+    fn apply_allocation(&mut self, target: usize, now: SimTime, cx: &mut Cx<Ev>) {
         let n = self.cores.len();
         for i in 0..n {
             let was = self.cores[i].active;
@@ -1675,9 +1143,9 @@ impl ZygosModel {
                     self.bg_enqueue(dst, entry);
                 }
                 self.cores[dst].remote_sys.extend(remote);
-                self.wake(dst, sched);
+                self.wake(dst, cx);
             } else if !was && self.cores[i].active {
-                self.wake(i, sched);
+                self.wake(i, cx);
             }
         }
         if let Some(e) = &mut self.elastic {
@@ -1688,13 +1156,13 @@ impl ZygosModel {
         }
     }
 
-    fn ipi(&mut self, core: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
+    fn ipi(&mut self, core: usize, now: SimTime, cx: &mut Cx<Ev>) {
         self.cores[core].ipi_pending = false;
         self.m_ipi.clear(core);
         self.ipis_delivered += 1;
         if !self.cores[core].in_app() {
             // Not in user code: the loop will find the work itself.
-            self.wake(core, sched);
+            self.wake(core, cx);
             return;
         }
         let cost = self.cfg.cost.clone();
@@ -1709,7 +1177,7 @@ impl ZygosModel {
             }
             ext_ns += cost.driver_batch_fixed_ns
                 + k * (cost.driver_per_pkt_ns + cost.stack_rx_per_pkt_ns);
-            self.apply_net_batch(core, batch, sched);
+            self.apply_net_batch(core, batch, cx);
         }
         // Handler duty 2: flush remote syscalls / transmit.
         if !self.cores[core].remote_sys.is_empty() {
@@ -1719,7 +1187,7 @@ impl ZygosModel {
             ext_ns += (cost.remote_syscall_ns + cost.stack_tx_per_msg_ns) * batch.len() as u64;
             let tx_at = now + ns(cost.ipi_handler_ns);
             for req in batch.drain(..) {
-                self.complete_req(&req, tx_at);
+                cx.complete(&req, tx_at);
             }
             self.batch_pool.push(batch);
         }
@@ -1732,20 +1200,88 @@ impl ZygosModel {
         c.epoch += 1;
         let (end, epoch) = (c.end, c.epoch);
         if c.slice_remaining_ns > 0 {
-            sched.at(end, Ev::Preempt { core, epoch });
+            cx.at(end, Ev::Preempt { core, epoch });
         } else {
-            sched.at(end, Ev::WorkDone { core, epoch });
+            cx.at(end, Ev::WorkDone { core, epoch });
         }
     }
 
-    /// The configuration this model was built (or last retargeted) with.
-    pub(crate) fn cfg(&self) -> &SysConfig {
-        &self.cfg
+    /// Rewinds the server's window statistics for a warm-started run
+    /// (see [`World::retarget`]).
+    fn retarget(&mut self, cfg: &SysConfig) {
+        debug_assert_eq!(self.cfg.cores, cfg.cores, "warm start cannot restaff");
+        debug_assert_eq!(self.cfg.conns, cfg.conns, "warm start cannot re-home");
+        self.cfg = cfg.clone();
+        self.local_events = 0;
+        self.stolen_events = 0;
+        self.ipis_delivered = 0;
+        self.preemptions = 0;
+        if let Some(e) = &mut self.elastic {
+            // Re-snapshot when the new window opens; the meter itself and
+            // the busy-integral diff base stay continuous across the
+            // splice (the control loop keeps running through it).
+            e.meas_snapshot = None;
+        }
+    }
+}
+
+impl Server for ZygosModel {
+    type Event = Ev;
+
+    fn packet(&mut self, req: Req, cx: &mut Cx<Ev>) {
+        let now = cx.now();
+        let home = self.serving_core(req.home as usize);
+        cx.trace(home as u16, req.seq, TraceKind::Enqueue, now);
+        self.cores[home].ring.push_back(req);
+        self.m_ring.set(home);
+        if !self.m_busy.test(home) {
+            self.wake(home, cx);
+        } else if self.ipis_enabled()
+            && self.m_inapp.test(home)
+            && any_and_not(&self.m_active, &self.m_busy)
+        {
+            // An idle core's poll sweep (steps c–d) would spot this packet
+            // almost immediately and interrupt the home core.
+            self.send_ipi(home, cx);
+        }
     }
 
-    /// True once the recorder reached its completion target.
-    pub(crate) fn is_done(&self) -> bool {
-        self.rec.is_done()
+    fn handle(&mut self, ev: Ev, cx: &mut Cx<Ev>) {
+        let now = cx.now();
+        match ev {
+            Ev::Run(core) => {
+                self.m_run_pending.clear(core);
+                self.run_core(core, now, cx);
+            }
+            Ev::WorkDone { core, epoch } => self.work_done(core, epoch, now, cx),
+            Ev::Ipi(core) => self.ipi(core, now, cx),
+            Ev::Preempt { core, epoch } => self.preempt(core, epoch, now, cx),
+        }
+    }
+
+    #[inline]
+    fn before_event(&mut self, now: SimTime, edge: &Edge) {
+        if let Some(e) = &mut self.elastic {
+            if e.meas_snapshot.is_none() && edge.measurement_started() {
+                e.meas_snapshot = Some((now.as_nanos(), e.meter.core_ns(now.as_nanos())));
+            }
+        }
+    }
+
+    fn has_control_plane(&self) -> bool {
+        self.elastic.is_some()
+    }
+
+    fn control(&mut self, slo_ratio: Option<f64>, cx: &mut Cx<Ev>) {
+        self.control_tick(slo_ratio, cx);
+    }
+
+    fn active_cores(&self) -> usize {
+        self.m_active
+            .w
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
     /// Total queued requests over the active cores: NIC rings, ready
@@ -1754,7 +1290,7 @@ impl ZygosModel {
     /// function — a trajectory's backlog crossing a threshold is the
     /// rare-event precursor the RESTART estimator splits on (see
     /// `docs/TAIL.md`).
-    pub(crate) fn backlog(&self) -> usize {
+    fn backlog(&self) -> usize {
         self.cores
             .iter()
             .filter(|c| c.active)
@@ -1762,27 +1298,36 @@ impl ZygosModel {
             .sum()
     }
 
-    /// Arms per-completion sample collection on the recorder (importance
-    /// splitting weights individual samples; the histogram cannot).
-    pub(crate) fn arm_tail_sampling(&mut self) {
-        self.rec.arm_tail_sampling();
-    }
-
-    /// Drains the per-completion samples collected since the last drain.
-    pub(crate) fn drain_tail(&mut self) -> impl Iterator<Item = u64> + '_ {
-        self.rec.drain_tail()
-    }
-
-    /// Forks the stochastic streams onto an independent substream:
-    /// importance-splitting clones diverge from the master trajectory at
-    /// the split point, while the master keeps the original streams (so
-    /// the master's own path is identical to the brute-force run's).
-    pub(crate) fn fork_streams(&mut self, stream: u64) {
-        self.source.fork_rng(stream);
+    fn fork_streams(&mut self, stream: u64) {
         self.victims_rng = self.victims_rng.fork(stream ^ 0x0054_4149_4C53_504C);
         // "TAILSPL"
     }
 
+    fn stats(self, end: SimTime) -> ServerStats {
+        let avg_active_cores = match &self.elastic {
+            // Average over the measurement window when we have its start
+            // snapshot; otherwise over the whole run.
+            Some(e) => match e.meas_snapshot {
+                Some((t0, core_ns0)) if end.as_nanos() > t0 => {
+                    (e.meter.core_ns(end.as_nanos()) - core_ns0) as f64
+                        / (end.as_nanos() - t0) as f64
+                }
+                _ => e.meter.avg_cores(end.as_nanos(), 0),
+            },
+            None => self.cfg.cores as f64,
+        };
+        ServerStats {
+            local_events: self.local_events,
+            stolen_events: self.stolen_events,
+            ipis: self.ipis_delivered,
+            preemptions: self.preemptions,
+            avg_active_cores,
+            ..ServerStats::default()
+        }
+    }
+}
+
+impl World<ZygosModel> {
     /// Splices a fresh measurement run onto this converged world: the new
     /// `cfg` (typically the same workload at a neighboring load) replaces
     /// the arrival rate and the recorder, and every *window statistic* —
@@ -1792,242 +1337,38 @@ impl ZygosModel {
     /// allocator EWMAs, busy-time integrals the control plane diffs)
     /// carries over untouched: that converged state is exactly what the
     /// warm start is buying.
-    pub(crate) fn retarget(&mut self, cfg: &SysConfig, now: SimTime, warmup: u64) {
-        debug_assert_eq!(self.cfg.cores, cfg.cores, "warm start cannot restaff");
-        debug_assert_eq!(self.cfg.conns, cfg.conns, "warm start cannot re-home");
-        debug_assert!(cfg.telemetry.is_none(), "warm runs are telemetry-off");
-        self.source.retarget(cfg);
-        self.rec = Recorder::warm(cfg.requests, warmup, self.source.half_rtt, now);
-        self.cfg = cfg.clone();
-        self.timeout_dur = match (self.cfg.retry, self.cfg.retry_timeout_us) {
-            (Some(_), Some(t)) if t > 0.0 => Some(SimDuration::from_micros_f64(t)),
-            _ => None,
-        };
-        self.local_events = 0;
-        self.stolen_events = 0;
-        self.ipis_delivered = 0;
-        self.preemptions = 0;
-        self.wire_rejects = 0;
-        // Window statistics; `retry_live` is world state and carries over.
-        self.retries = 0;
-        self.give_ups = 0;
-        self.timeouts_fired = 0;
-        for v in &mut self.rejected_by_class {
-            *v = 0;
-        }
-        for v in &mut self.admitted_by_class {
-            *v = 0;
-        }
-        if let Some(pool) = &mut self.admission {
-            pool.reset_stats();
-        }
-        for w in &mut self.win {
-            w.clear();
-        }
-        if let Some(e) = &mut self.elastic {
-            // Re-snapshot when the new window opens; the meter itself and
-            // the busy-integral diff base stay continuous across the
-            // splice (the control loop keeps running through it).
-            e.meas_snapshot = None;
-        }
-    }
-
-    pub(crate) fn into_output(self, final_time: SimTime, events: u64) -> SysOutput {
-        let sim_time_us = if self.rec.window_us() > 0.0 {
-            self.rec.window_us()
-        } else {
-            final_time.as_micros_f64()
-        };
-        let avg_active_cores = match &self.elastic {
-            // Average over the measurement window when we have its start
-            // snapshot; otherwise over the whole run.
-            Some(e) => match e.meas_snapshot {
-                Some((t0, core_ns0)) if final_time.as_nanos() > t0 => {
-                    (e.meter.core_ns(final_time.as_nanos()) - core_ns0) as f64
-                        / (final_time.as_nanos() - t0) as f64
-                }
-                _ => e.meter.avg_cores(final_time.as_nanos(), 0),
-            },
-            None => self.cfg.cores as f64,
-        };
-        let (admitted, rejected) = self
-            .admission
-            .as_ref()
-            .map_or((0, 0), |p| (p.admitted(), p.rejected()));
-        let telemetry = self.telem.as_ref().map(|tl| TelemetryOut {
-            events: tl.tracer.collect(),
-            dropped: tl.tracer.dropped(),
-            series: tl.reg.take_series(),
-        });
-        SysOutput {
-            telemetry,
-            latency: self.rec.latency.clone(),
-            completed: self.rec.measured(),
-            generated: self.source.emitted(),
-            completed_total: self.rec.completed_total(),
-            events,
-            sim_time_us,
-            local_events: self.local_events,
-            stolen_events: self.stolen_events,
-            ipis: self.ipis_delivered,
-            preemptions: self.preemptions,
-            avg_active_cores,
-            admitted,
-            rejected,
-            wire_rejects: self.wire_rejects,
-            rtt_us: self.cfg.cost.network_rtt_ns as f64 / 1_000.0,
-            retries: self.retries,
-            give_ups: self.give_ups,
-            timeouts: self.timeouts_fired,
-            rejected_by_class: self.rejected_by_class,
-            admitted_by_class: self.admitted_by_class,
-            stage_counts: Vec::new(),
-            stage_p99_wait_us: Vec::new(),
-        }
+    fn retarget(&mut self, cfg: &SysConfig, now: SimTime, warmup: u64) {
+        self.edge.retarget(cfg, now, warmup);
+        self.server.retarget(cfg);
     }
 }
 
-impl Model for ZygosModel {
-    type Event = Ev;
-
-    fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
-        if self.rec.is_done() {
-            // Defensive: the bottom-of-handler stop below fires on the
-            // event that reached the target, so a running engine should
-            // never pop another event — but a resumed engine whose
-            // recorder was not replaced would.
-            sched.stop();
-            return;
-        }
-        if let Some(e) = &mut self.elastic {
-            if e.meas_snapshot.is_none() && self.rec.measurement_started() {
-                e.meas_snapshot = Some((now.as_nanos(), e.meter.core_ns(now.as_nanos())));
-            }
-        }
-        match ev {
-            Ev::Gen => {
-                let req = self.source.next_req(now);
-                self.trace(req.home, req.seq, TraceKind::Arrival, now);
-                // Client-side credits: a creditless request is never sent —
-                // the shed costs zero wire RTT (the sender-side half of
-                // Breakwater, modelled at its converged state). A shed
-                // feeds the retry policy (a no-op without one).
-                self.issue(req, 0, now, sched);
-                let gap = self.source.next_gap();
-                sched.after(gap, Ev::Gen);
-            }
-            Ev::Retry { req, attempt } => {
-                // The backoff delay expired: the client re-issues the shed
-                // or timed-out request through the full admission path.
-                self.issue(req, attempt, now, sched);
-            }
-            Ev::Timeout { req, attempt } => {
-                // Stale unless this attempt is still the live one (it was
-                // neither completed nor superseded by a later re-issue).
-                if self.retry_live.get(&req.seq) != Some(&attempt) {
-                    return;
-                }
-                self.retry_live.remove(&req.seq);
-                self.timeouts_fired += 1;
-                // The abandoned attempt is *not* recalled from the server:
-                // whatever work it queued still runs to completion — the
-                // wasted service that lets timeout-retry loops sustain
-                // overload after the triggering burst ends.
-                self.feed_retry(req, attempt, now, SimDuration::ZERO, sched);
-            }
-            Ev::Packet(req, attempt) => {
-                // Server-edge credits: the shed request already burned half
-                // an RTT getting here, and its explicit reject burns the
-                // other half going back — but it never touches a ring, a
-                // queue, or a core.
-                if self.cfg.admission_mode == AdmissionMode::ServerEdge {
-                    if !self.gate_admit(req.conn) {
-                        self.wire_rejects += 1;
-                        self.trace(req.home, req.seq, TraceKind::Shed, now);
-                        // The reject travels back before the client can
-                        // react: it learns half an RTT from now, and the
-                        // superseded attempt's timeout must not also fire.
-                        if self.timeout_dur.is_some()
-                            && self.retry_live.get(&req.seq) == Some(&attempt)
-                        {
-                            self.retry_live.remove(&req.seq);
-                        }
-                        self.feed_retry(req, attempt, now, self.source.half_rtt, sched);
-                        return;
-                    }
-                    if self.admission.is_some() {
-                        self.trace(req.home, req.seq, TraceKind::Admit, now);
-                    }
-                }
-                let home = self.serving_core(req.home as usize);
-                self.trace(home as u16, req.seq, TraceKind::Enqueue, now);
-                self.cores[home].ring.push_back(req);
-                self.m_ring.set(home);
-                if !self.m_busy.test(home) {
-                    self.wake(home, sched);
-                } else if self.ipis_enabled()
-                    && self.m_inapp.test(home)
-                    && any_and_not(&self.m_active, &self.m_busy)
-                {
-                    // An idle core's poll sweep (steps c–d) would spot this
-                    // packet almost immediately and interrupt the home core.
-                    self.send_ipi(home, sched);
-                }
-            }
-            Ev::Run(core) => {
-                self.m_run_pending.clear(core);
-                self.run_core(core, now, sched);
-            }
-            Ev::WorkDone { core, epoch } => self.work_done(core, epoch, now, sched),
-            Ev::Ipi(core) => self.ipi(core, now, sched),
-            Ev::Preempt { core, epoch } => self.preempt(core, epoch, now, sched),
-            Ev::Control => self.control(now, sched),
-        }
-        if self.rec.is_done() {
-            // Stop on the event that reached the completion target rather
-            // than consuming (and losing) the next queued event. The event
-            // queue stays intact — self-perpetuating chains (`Gen`,
-            // `Control`) and in-flight work included — which is what makes
-            // a post-run checkpoint resumable without re-arming anything.
-            sched.stop();
-        }
-    }
+/// A fresh ZygOS-family world for `cfg`.
+pub(crate) fn world(cfg: &SysConfig) -> World<ZygosModel> {
+    debug_assert!(is_zygos_family(cfg));
+    World::new(cfg, ZygosModel::new(cfg))
 }
 
 /// Runs the ZygOS-family system simulation (static, no-interrupts, or
 /// elastic; with or without the credit gate).
 pub(crate) fn run(cfg: &SysConfig) -> SysOutput {
-    debug_assert!(matches!(
-        cfg.system,
-        SystemKind::Zygos | SystemKind::ZygosNoInterrupts | SystemKind::Elastic { .. }
-    ));
-    let model = ZygosModel::new(cfg.clone());
-    let control = model.wants_control_tick();
-    let mut engine = Engine::new(model);
-    engine.schedule(SimTime::ZERO, Ev::Gen);
-    if control {
-        engine.schedule(SimTime::ZERO, Ev::Control);
-    }
-    engine.run();
-    let now = engine.now();
-    let events = engine.processed();
-    engine.into_model().into_output(now, events)
+    edge::run(world(cfg))
 }
 
 /// A converged simulated world, checkpointed at the end of a completed
 /// run: the engine's full event queue (in-flight packets, work
 /// completions, the self-perpetuating `Gen`/`Control` chains) plus the
-/// entire `ZygosModel` state. `run_warm` splices the next measurement
-/// run onto it; the handle itself is immutable, so one converged point can
-/// seed several neighbors (the bisection cache does exactly that).
+/// entire world state. `run_warm` splices the next measurement run onto
+/// it; the handle itself is immutable, so one converged point can seed
+/// several neighbors (the bisection cache does exactly that).
 pub struct WarmState {
-    engine: Engine<ZygosModel>,
+    engine: Engine<World<ZygosModel>>,
 }
 
 impl WarmState {
     /// The offered load this world converged at.
     pub fn load(&self) -> f64 {
-        self.engine.model().cfg().load
+        self.engine.model().edge.cfg().load
     }
 }
 
@@ -2040,23 +1381,15 @@ pub(crate) fn is_zygos_family(cfg: &SysConfig) -> bool {
     )
 }
 
-/// As [`run`], but also checkpoints the finished world for warm-starting
-/// a neighboring run. The returned output is bit-identical to `run(cfg)`.
+/// Runs `cfg` cold and also checkpoints the finished world for
+/// warm-starting a neighboring run. The returned output is bit-identical
+/// to `run_system(cfg)`.
 pub(crate) fn run_keep(cfg: &SysConfig) -> (SysOutput, WarmState) {
-    debug_assert!(is_zygos_family(cfg));
-    let model = ZygosModel::new(cfg.clone());
-    let control = model.wants_control_tick();
-    let mut engine = Engine::new(model);
-    engine.schedule(SimTime::ZERO, Ev::Gen);
-    if control {
-        engine.schedule(SimTime::ZERO, Ev::Control);
-    }
+    let mut engine = edge::start(world(cfg));
     engine.run();
-    let now = engine.now();
     let events = engine.processed();
     let keep = engine.checkpoint();
-    let out = engine.into_model().into_output(now, events);
-    (out, WarmState { engine: keep })
+    (edge::finish(engine, events), WarmState { engine: keep })
 }
 
 /// Resumes a checkpointed world under a new config (same machine, new
@@ -2073,16 +1406,15 @@ pub(crate) fn run_warm(warm: &WarmState, cfg: &SysConfig, warmup: u64) -> (SysOu
     let before = engine.processed();
     engine.model_mut().retarget(cfg, now, warmup);
     engine.run();
-    let end = engine.now();
     let events = engine.processed() - before;
     let keep = engine.checkpoint();
-    let out = engine.into_model().into_output(end, events);
-    (out, WarmState { engine: keep })
+    (edge::finish(engine, events), WarmState { engine: keep })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AdmissionMode;
     use zygos_load::slo::{Slo, TenantSlos};
     use zygos_sched::CreditConfig;
     use zygos_sim::dist::ServiceDist;
@@ -2273,10 +1605,7 @@ mod tests {
         let straight = run(&cfg);
         assert!(straight.retries > 0, "the storm must actually fire");
 
-        let model = ZygosModel::new(cfg.clone());
-        let mut engine = Engine::new(model);
-        engine.schedule(SimTime::ZERO, Ev::Gen);
-        engine.schedule(SimTime::ZERO, Ev::Control);
+        let mut engine = edge::start(world(&cfg));
         for _ in 0..30_000 {
             assert!(engine.step(), "run must outlast the checkpoint offset");
         }
@@ -2285,12 +1614,12 @@ mod tests {
         resumed.run();
         for out in [
             {
-                let (now, ev) = (engine.now(), engine.processed());
-                engine.into_model().into_output(now, ev)
+                let ev = engine.processed();
+                edge::finish(engine, ev)
             },
             {
-                let (now, ev) = (resumed.now(), resumed.processed());
-                resumed.into_model().into_output(now, ev)
+                let ev = resumed.processed();
+                edge::finish(resumed, ev)
             },
         ] {
             assert_eq!(out.events, straight.events);
@@ -2335,9 +1664,7 @@ mod tests {
         cfg.warmup = 1_000;
         let straight = run(&cfg);
 
-        let model = ZygosModel::new(cfg.clone());
-        let mut engine = Engine::new(model);
-        engine.schedule(SimTime::ZERO, Ev::Gen);
+        let mut engine = edge::start(world(&cfg));
         for _ in 0..37_123 {
             assert!(engine.step(), "run must outlast the checkpoint offset");
         }
@@ -2346,12 +1673,12 @@ mod tests {
         resumed.run();
         for out in [
             {
-                let (now, ev) = (engine.now(), engine.processed());
-                engine.into_model().into_output(now, ev)
+                let ev = engine.processed();
+                edge::finish(engine, ev)
             },
             {
-                let (now, ev) = (resumed.now(), resumed.processed());
-                resumed.into_model().into_output(now, ev)
+                let ev = resumed.processed();
+                edge::finish(resumed, ev)
             },
         ] {
             assert_eq!(out.completed, straight.completed);
