@@ -163,29 +163,26 @@ pub struct SysConfig {
     pub background_order: BackgroundOrder,
     /// Controller knobs; consulted only by [`SystemKind::Elastic`].
     pub elastic: ElasticKnobs,
-    /// Credit-based admission control (Breakwater-style) in the
-    /// ZygOS-family models: arrivals without a credit are shed before any
-    /// processing, and an AIMD controller resizes the pool from the
-    /// measured window tail latency ([`CreditConfig::target`] is in µs
+    /// Credit-based admission control (Breakwater-style) at every
+    /// simulated host's client edge: arrivals without a credit are shed
+    /// before any processing, and an AIMD controller resizes the pool from
+    /// the measured window tail latency ([`CreditConfig::target`] is in µs
     /// here). With [`SysConfig::slo`] also set, the AIMD target is derived
-    /// *per tenant class* from the SLO bounds
-    /// ([`zygos_load::slo::TenantSlos::aimd_targets_us`] at
-    /// [`crate::CREDIT_HEADROOM`]) and shedding is weighted-fair: the
-    /// loosest class is capped at the smallest share of the pool and sheds
-    /// first. `None` admits everything — the paper's behaviour.
+    /// *per tenant class* from the SLO bounds (at [`crate::CREDIT_HEADROOM`])
+    /// and the loosest class sheds first. `None` admits everything — the
+    /// paper's behaviour.
     pub admission: Option<CreditConfig>,
     /// Whether the credit gate sheds at the server edge (burning an RTT
     /// per reject) or at the client (creditless requests are never sent).
     /// Ignored unless [`SysConfig::admission`] is set.
     pub admission_mode: AdmissionMode,
-    /// Closed-loop retry feedback in the ZygOS-family models: a shed
-    /// request (client-side credit refusal or server-edge reject) and a
-    /// timed-out request ([`SysConfig::retry_timeout_us`]) re-enter the
-    /// arrival stream through this policy instead of vanishing — the
-    /// adversarial-client behaviour that turns overload into retry storms
-    /// and, unchecked, into metastable failure. `None` (the default)
-    /// keeps the pure open-loop world: sheds are final, and every other
-    /// output is bit-identical to the pre-retry engine.
+    /// Closed-loop retry feedback at every simulated host's client edge:
+    /// a shed request (client-side credit refusal or server-edge reject)
+    /// and a timed-out request ([`SysConfig::retry_timeout_us`]) re-enter
+    /// the arrival stream through this policy instead of vanishing — the
+    /// behaviour that turns overload into retry storms and, unchecked, into
+    /// metastable failure. `None` (the default) keeps the pure open-loop
+    /// world: sheds are final.
     pub retry: Option<RetryPolicy>,
     /// Apply deterministic per-connection jitter to
     /// [`RetryPolicy::Backoff`] delays
@@ -211,12 +208,12 @@ pub struct SysConfig {
     /// kind ignores it (and keeps it `None`, which is what the degenerate
     /// staged host's bit-identity to plain ZygOS rides on).
     pub staged: Option<StagedConfig>,
-    /// Telemetry plane: lifecycle tracing and control-tick time-series
-    /// (see `zygos_telemetry::TelemetryConfig`). `None` — the default —
-    /// compiles the whole plane down to one untaken branch per lifecycle
-    /// point, keeping the hot loop inside its bench gate. Tracing only
-    /// *records*: it never touches an RNG or reorders an event, so every
-    /// other [`SysOutput`] field is bit-identical traced or not.
+    /// Telemetry plane: control-tick time-series (every simulated host) and
+    /// lifecycle tracing (the ZygOS-family models; see
+    /// `zygos_telemetry::TelemetryConfig`). `None` — the default — costs
+    /// one untaken branch per lifecycle point. Tracing only *records*: it
+    /// never touches an RNG or reorders an event, so every other
+    /// [`SysOutput`] field is bit-identical traced or not.
     pub telemetry: Option<TelemetryConfig>,
 }
 
@@ -373,8 +370,8 @@ pub struct SysOutput {
     pub stage_p99_wait_us: Vec<f64>,
     /// Telemetry harvest: the merged lifecycle event stream and the
     /// control-tick time-series. `None` unless [`SysConfig::telemetry`]
-    /// armed the plane (the staged engine, IX included, and the Linux
-    /// models do not trace yet and always report `None`).
+    /// armed the plane. Every host reports series; the staged engine (IX
+    /// included) and the Linux models record no lifecycle events.
     pub telemetry: Option<TelemetryOut>,
 }
 
@@ -435,9 +432,8 @@ impl SysOutput {
     /// `rejected_c / Σ rejected`. With round-robin class assignment every
     /// class is offered (near-)equal load, so this share is the direct
     /// reading of the weighted-fair claim: "the loosest class sheds
-    /// first" means its share approaches 1. Note it is *not* a per-class
-    /// shed rate (`rejected_c / offered_c`) — per-class admitted counts
-    /// are not tracked.
+    /// first" means its share approaches 1. It is *not* a per-class shed
+    /// rate; that is [`SysOutput::shed_rate_of_class`].
     pub fn shed_share_of_class(&self, class: usize) -> f64 {
         let total: u64 = self.rejected_by_class.iter().sum();
         if total == 0 {

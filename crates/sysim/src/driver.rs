@@ -547,6 +547,98 @@ mod tests {
     }
 
     #[test]
+    fn every_host_reads_the_client_edge_knobs() {
+        use crate::config::AdmissionMode;
+        use crate::SeriesKind;
+        use zygos_load::retry::RetryPolicy;
+        use zygos_sched::CreditConfig;
+        use zygos_telemetry::TelemetryConfig;
+        for system in [
+            SystemKind::Ix,
+            SystemKind::LinuxPartitioned,
+            SystemKind::LinuxFloating,
+            SystemKind::Staged,
+        ] {
+            let base = || {
+                let mut cfg = SysConfig::paper(system, ServiceDist::exponential_us(10.0), 1.3);
+                (cfg.requests, cfg.warmup, cfg.seed) = (8_000, 2_000, 1);
+                cfg
+            };
+            let gated = || {
+                let mut cfg = base();
+                cfg.admission = Some(CreditConfig::for_cores(cfg.cores, 80.0));
+                cfg
+            };
+            let name = system.label();
+            let ungated = run_system(&base());
+
+            // Server-edge credits with backoff, recording two series.
+            let mut cfg = gated();
+            cfg.retry = Some(RetryPolicy::Backoff {
+                base_us: 50,
+                factor: 2.0,
+                max_attempts: 3,
+            });
+            cfg.telemetry = Some(TelemetryConfig {
+                series: vec![SeriesKind::CreditCapacity, SeriesKind::WindowP99],
+                ..TelemetryConfig::default()
+            });
+            let edge = run_system(&cfg);
+            assert!(edge.rejected > 0 && edge.retries > 0, "{name}: no sheds");
+            assert!(
+                edge.wasted_wire_us() > 0.0,
+                "{name}: free server-edge sheds"
+            );
+            assert!(
+                edge.p99_us() < ungated.p99_us(),
+                "{name}: gated p99 {} vs ungated {}",
+                edge.p99_us(),
+                ungated.p99_us()
+            );
+            let series = edge
+                .telemetry
+                .as_ref()
+                .expect("series armed")
+                .series
+                .clone();
+            for want in ["credit_capacity", "window_p99_us"] {
+                let s = series.iter().find(|s| s.name == want);
+                assert!(s.is_some_and(|s| !s.points.is_empty()), "{name}: {want}");
+            }
+
+            // Client-side credits: a shed request never travels.
+            let mut cfg = gated();
+            cfg.admission_mode = AdmissionMode::ClientSide;
+            let client = run_system(&cfg);
+            assert!(client.rejected > 0, "{name}: client-side gate never shed");
+            assert_eq!(client.wire_rejects, 0, "{name}");
+
+            // No gate: only the client timeout can feed the retry policy.
+            let mut cfg = base();
+            cfg.retry = Some(RetryPolicy::Backoff {
+                base_us: 1,
+                factor: 1.0,
+                max_attempts: 2,
+            });
+            cfg.retry_jitter = false;
+            cfg.retry_timeout_us = Some(300.0);
+            let timeout = run_system(&cfg);
+            assert!(timeout.timeouts > 0, "{name}: no timeouts fired");
+
+            for out in [&ungated, &edge, &client, &timeout] {
+                assert!(
+                    out.generated + out.retries >= out.completed_total + out.rejected,
+                    "{name}: gen {} + retries {} < done {} + rejected {}",
+                    out.generated,
+                    out.retries,
+                    out.completed_total,
+                    out.rejected
+                );
+            }
+        }
+    }
+
+    #[test]
     fn ix_completes_and_never_steals() {
         let out = ix(ServiceDist::exponential_us(10.0), 0.4, 1);
         assert_eq!(out.completed, 20_000);

@@ -14,29 +14,16 @@
 //!
 //! # Admission control
 //!
-//! With [`SysConfig::admission`] set, arrivals pass a [`CreditPool`]: no
-//! credit → the request is shed before it costs any processing, and an
-//! AIMD loop on the `Control` tick resizes the pool from the measured
-//! window tail. Three refinements close the loop end to end:
-//!
-//! * [`AdmissionMode`] picks *where* the shed happens: at the server edge
-//!   (the reject burns a full wire RTT — request there, explicit reject
-//!   back) or at the client (sender-side credits; a creditless request is
-//!   never sent, so the shed is free on the wire). The simulator models
-//!   the converged state of Breakwater's credit distribution by letting
-//!   the source consult the shared pool at send time; the live runtime
-//!   implements the actual distribution by piggybacking grants on
-//!   response headers.
-//! * With [`SysConfig::slo`] set, the AIMD target is **per tenant class**
-//!   ([`zygos_load::slo::TenantSlos::aimd_targets_us`] at
-//!   [`CREDIT_HEADROOM`]) and the control tick feeds the worst per-class
-//!   `tail/target` ratio — one AIMD rule serving µs-scale and ms-scale
-//!   tenants simultaneously.
-//! * Shedding is **weighted-fair**
-//!   ([`zygos_load::slo::TenantSlos::admit_fractions`]): each class is
-//!   admitted against a fraction of the pool, smallest for the loosest
-//!   class, so the tenants with the most latency headroom absorb the
-//!   overload first.
+//! With [`SysConfig::admission`] set, arrivals pass a Breakwater-style
+//! [`CreditPool`]: no credit → the request is shed before it costs any
+//! processing, and an AIMD loop on the `Control` tick resizes the pool
+//! from the window tail (per tenant class against
+//! [`zygos_load::slo::TenantSlos::aimd_targets_us`] when [`SysConfig::slo`]
+//! is set, shedding the loosest class first). [`AdmissionMode`] picks
+//! where the shed happens: at the server edge, burning a wire RTT, or at
+//! the client, where the simulator models the converged state of
+//! Breakwater's credit distribution by consulting the shared pool at
+//! send time.
 //!
 //! A credit is returned when the server reports the response. ZygOS and
 //! Linux report at transmit and finish; the staged engine (IX included)
@@ -170,18 +157,6 @@ impl<E> Cx<'_, '_, E> {
     pub fn after(&mut self, d: SimDuration, ev: E) {
         self.sched.after(d, Ev::Server(ev));
     }
-
-    /// Reports that `req`'s response leaves the server at `tx`.
-    #[inline]
-    pub fn complete(&mut self, req: &Req, tx: SimTime) {
-        self.edge.complete(req, tx);
-    }
-
-    /// Records one lifecycle trace point.
-    #[inline]
-    pub fn trace(&mut self, core: u16, seq: u32, kind: TraceKind, t: SimTime) {
-        self.edge.trace(core, seq, kind, t);
-    }
 }
 
 /// The telemetry plane: the per-core lifecycle tracer plus the metrics
@@ -191,19 +166,14 @@ struct SimTelemetry {
     /// config asked only for series).
     tracer: Tracer,
     trace_on: bool,
-    /// Named counter/gauge/series store, harvested on the control tick.
+    /// Named series store, harvested on the control tick.
     reg: Registry,
-    /// Which series the scenario asked to record.
-    harvest: Vec<SeriesKind>,
+    /// Each requested series with its class (per-class kinds register one
+    /// series per class) and registry id.
+    series: Vec<(SeriesKind, usize, SeriesId)>,
     /// Record a series point every N control ticks.
     series_every: u32,
     tick: u32,
-    s_admitted: Option<SeriesId>,
-    s_credits: Option<SeriesId>,
-    s_active: Option<SeriesId>,
-    s_shed: Vec<SeriesId>,
-    s_window_p99: Option<SeriesId>,
-    s_retry: Option<SeriesId>,
     /// Counter snapshots at the previous harvested tick, for rates.
     last_admitted: u64,
     last_rejected: Vec<u64>,
@@ -217,55 +187,32 @@ struct SimTelemetry {
 
 impl SimTelemetry {
     fn new(cfg: &SysConfig, t: &zygos_telemetry::TelemetryConfig, classes: usize) -> Self {
-        // Ring capacity: every completed lifecycle has ≤ 8 points plus
-        // preempt slices, and under overload each *shed* arrival adds two
-        // more (Arrival, Shed) — at offered load L the gate turns away
-        // ~(L-1)/L of arrivals, so budget 16 points per completed
-        // lifecycle (covers sheds up to ~4x the completion count). A
-        // wrapped ring tears the *oldest* lifecycles, which skews any
-        // trace-derived quantile; size to hold the full run so drops only
-        // happen under pathological preemption/overload storms.
+        // Ring capacity: ≤ 8 points per completed lifecycle plus preempt
+        // slices, and two per *shed* arrival (Arrival, Shed): 16 per
+        // completion covers sheds up to ~4x the completions. A wrapped ring
+        // tears the oldest lifecycles and skews trace-derived quantiles, so
+        // size it to hold the full run.
         let lifecycles = (cfg.requests + cfg.warmup) / t.sample_period.max(1) as u64 + 1;
         let per_core = (lifecycles as usize * 16 / cfg.cores.max(1)).clamp(4_096, 1 << 21);
         let mut reg = Registry::default();
-        let mut s_admitted = None;
-        let mut s_credits = None;
-        let mut s_active = None;
-        let mut s_shed = Vec::new();
-        let mut s_window_p99 = None;
-        let mut s_retry = None;
-        for kind in &t.series {
-            let cap = t.max_series_points;
-            match kind {
-                SeriesKind::AdmittedRate => {
-                    s_admitted = Some(reg.register_series(kind.name(), cap))
-                }
-                SeriesKind::CreditCapacity => {
-                    s_credits = Some(reg.register_series(kind.name(), cap))
-                }
-                SeriesKind::ActiveCores => s_active = Some(reg.register_series(kind.name(), cap)),
-                SeriesKind::ShedByClass => {
-                    s_shed = (0..classes)
-                        .map(|c| reg.register_series(&format!("{}{c}", kind.name()), cap))
-                        .collect();
-                }
-                SeriesKind::WindowP99 => s_window_p99 = Some(reg.register_series(kind.name(), cap)),
-                SeriesKind::RetryRate => s_retry = Some(reg.register_series(kind.name(), cap)),
+        let mut series = Vec::new();
+        for &kind in &t.series {
+            let per_class = kind == SeriesKind::ShedByClass;
+            for c in 0..if per_class { classes } else { 1 } {
+                let name = match per_class {
+                    true => format!("{}{c}", kind.name()),
+                    false => kind.name().to_string(),
+                };
+                series.push((kind, c, reg.register_series(&name, t.max_series_points)));
             }
         }
         SimTelemetry {
             tracer: Tracer::new(cfg.cores, per_core, t.sample_period),
             trace_on: t.trace,
             reg,
-            harvest: t.series.clone(),
+            series,
             series_every: t.series_every.max(1),
             tick: 0,
-            s_admitted,
-            s_credits,
-            s_active,
-            s_shed,
-            s_window_p99,
-            s_retry,
             last_admitted: 0,
             last_rejected: vec![0; classes],
             last_retries: 0,
@@ -275,13 +222,10 @@ impl SimTelemetry {
     }
 }
 
-/// The telemetry plane as world state: `None` (the default) costs each
-/// hook site one untaken branch. Its clone is an empty plane: telemetry is
-/// a pure observer (pinned bit-identical by
-/// `tracing_leaves_metrics_and_event_counts_bit_identical`), so a
-/// checkpoint drops it without perturbing the trajectory, and warm-start
-/// sweeps do not copy a multi-megabyte trace ring per checkpoint (the
-/// drivers only warm-start telemetry-off configs).
+/// The telemetry plane as world state (`None`, the default, costs each hook
+/// one untaken branch). Its clone is an empty plane: telemetry is a pure
+/// observer, so a checkpoint drops it without perturbing the trajectory and
+/// never copies a multi-megabyte trace ring.
 #[derive(Default)]
 struct Observer(Option<SimTelemetry>);
 
@@ -295,12 +239,13 @@ impl Clone for Observer {
 /// its retry loop and the measurement planes.
 #[derive(Clone)]
 pub(crate) struct Edge {
-    cfg: SysConfig,
-    source: Source,
-    rec: Recorder,
+    /// The configuration this edge was built (or last retargeted) with.
+    pub cfg: SysConfig,
+    /// The open-loop request source (RSS homes, workload RNG).
+    pub source: Source,
+    /// The completion recorder (measurement window, stop target).
+    pub rec: Recorder,
     telem: Observer,
-    /// Control tick period.
-    ctl_period: SimDuration,
     /// Credit-based admission gate.
     admission: Option<CreditPool>,
     /// Per-class pool fractions for weighted fair shedding (all 1.0 when
@@ -336,9 +281,8 @@ pub(crate) struct Edge {
     /// class when no tenant SLOs are configured). Constant-memory
     /// histograms: recording is O(1) and the per-tick harvest touches only
     /// the used buckets.
+    /// Empty when no controller or series reads the windows.
     win: Vec<WindowHistogram>,
-    /// Whether completions are sampled into `win` at all.
-    collect_window: bool,
 }
 
 fn timeout_of(cfg: &SysConfig) -> Option<SimDuration> {
@@ -372,7 +316,6 @@ impl Edge {
             telem: Observer(telem.map(|t| SimTelemetry::new(cfg, t, classes))),
             source,
             rec,
-            ctl_period: SimDuration::from_micros_f64(cfg.elastic.control_period_us.max(1.0)),
             admission,
             admit_fractions,
             credit_targets_us,
@@ -391,48 +334,14 @@ impl Edge {
             } else {
                 Vec::new()
             },
-            collect_window,
             cfg: cfg.clone(),
         }
-    }
-
-    /// The configuration this edge was built (or last retargeted) with.
-    pub(crate) fn cfg(&self) -> &SysConfig {
-        &self.cfg
-    }
-
-    /// Home core of connection `conn` (RSS).
-    #[inline]
-    pub(crate) fn home_of(&self, conn: u32) -> u16 {
-        self.source.home_of(conn)
-    }
-
-    /// True once warm-up has completed and the measurement window is open.
-    #[inline]
-    pub(crate) fn measurement_started(&self) -> bool {
-        self.rec.measurement_started()
     }
 
     /// True when lifecycle points are being recorded at all.
     #[inline]
     pub(crate) fn tracing(&self) -> bool {
         self.telem.0.as_ref().is_some_and(|t| t.trace_on)
-    }
-
-    /// True once the recorder reached its completion target.
-    pub(crate) fn is_done(&self) -> bool {
-        self.rec.is_done()
-    }
-
-    /// Arms per-completion sample collection on the recorder (importance
-    /// splitting weights individual samples; the histogram cannot).
-    pub(crate) fn arm_tail_sampling(&mut self) {
-        self.rec.arm_tail_sampling();
-    }
-
-    /// Drains the per-completion samples collected since the last drain.
-    pub(crate) fn drain_tail(&mut self) -> impl Iterator<Item = u64> + '_ {
-        self.rec.drain_tail()
     }
 
     /// Records one lifecycle trace point (one untaken branch when
@@ -453,7 +362,7 @@ impl Edge {
     fn wants_control_tick(&self, server_ctl: bool) -> bool {
         server_ctl
             || self.admission.is_some()
-            || self.telem.0.as_ref().is_some_and(|t| !t.harvest.is_empty())
+            || self.telem.0.as_ref().is_some_and(|t| !t.series.is_empty())
     }
 
     /// Records a completed request: recorder, credit return, and the
@@ -464,20 +373,18 @@ impl Edge {
             // here first): any pending timeout for it becomes stale.
             self.retry_live.remove(&req.seq);
         }
-        let measured = self.rec.complete(req, tx_time);
-        if measured {
+        let client_rx = tx_time + self.source.half_rtt;
+        if self.rec.complete(req, tx_time) {
             // Trace exactly the histogram's population, timestamped at the
             // client's observation (send → client_rx = the recorded
             // latency), so trace-derived tails match the report's.
-            let client_rx = tx_time + self.source.half_rtt;
             self.trace(req.home, req.seq, TraceKind::Completion, client_rx);
         }
         let class = self.cfg.slo.as_ref().map_or(0, |t| t.class_of(req.conn));
         if let Some(pool) = &mut self.admission {
             pool.release_class(class);
         }
-        if self.collect_window {
-            let client_rx = tx_time + self.source.half_rtt;
+        if !self.win.is_empty() {
             let lat_ns = client_rx.duration_since(req.send).as_nanos();
             self.win[class].record_nanos(lat_ns);
         }
@@ -674,7 +581,7 @@ impl Edge {
     /// control tick; rate series are deltas over the harvest interval.
     fn harvest(&mut self, now: SimTime, active_cores: usize) {
         let Some(tl) = &mut self.telem.0 else { return };
-        if tl.harvest.is_empty() {
+        if tl.series.is_empty() {
             return;
         }
         tl.tick += 1;
@@ -686,37 +593,29 @@ impl Edge {
         if dt_s <= 0.0 {
             return;
         }
-        if let Some(id) = tl.s_admitted {
-            let total: u64 = self.admitted_by_class.iter().sum();
-            tl.reg
-                .push(id, t_us, (total - tl.last_admitted) as f64 / dt_s);
-            tl.last_admitted = total;
-        }
-        if let Some(id) = tl.s_credits {
-            let cap = self.admission.as_ref().map_or(0.0, |p| p.capacity() as f64);
-            tl.reg.push(id, t_us, cap);
-        }
-        if let Some(id) = tl.s_active {
-            tl.reg.push(id, t_us, active_cores as f64);
-        }
-        for (c, &id) in tl.s_shed.iter().enumerate() {
-            let total = self.rejected_by_class[c];
-            tl.reg
-                .push(id, t_us, (total - tl.last_rejected[c]) as f64 / dt_s);
-            tl.last_rejected[c] = total;
-        }
-        if let Some(id) = tl.s_window_p99 {
+        let admitted: u64 = self.admitted_by_class.iter().sum();
+        for &(kind, class, id) in &tl.series {
+            let v = match kind {
+                SeriesKind::AdmittedRate => (admitted - tl.last_admitted) as f64 / dt_s,
+                SeriesKind::CreditCapacity => {
+                    self.admission.as_ref().map_or(0.0, |p| p.capacity() as f64)
+                }
+                SeriesKind::ActiveCores => active_cores as f64,
+                SeriesKind::ShedByClass => {
+                    (self.rejected_by_class[class] - tl.last_rejected[class]) as f64 / dt_s
+                }
+                SeriesKind::WindowP99 => tl.last_window_tail,
+                SeriesKind::RetryRate => (self.retries - tl.last_retries) as f64 / dt_s,
+            };
             // NaN windows (too few samples to call a tail) are skipped
             // rather than recorded: a gap is honest, a zero is a lie.
-            if tl.last_window_tail.is_finite() {
-                tl.reg.push(id, t_us, tl.last_window_tail);
+            if v.is_finite() {
+                tl.reg.push(id, t_us, v);
             }
         }
-        if let Some(id) = tl.s_retry {
-            tl.reg
-                .push(id, t_us, (self.retries - tl.last_retries) as f64 / dt_s);
-            tl.last_retries = self.retries;
-        }
+        tl.last_admitted = admitted;
+        tl.last_rejected.copy_from_slice(&self.rejected_by_class);
+        tl.last_retries = self.retries;
         tl.last_t_ns = now.as_nanos();
     }
 
@@ -806,20 +705,6 @@ impl<S: Server> World<S> {
         }
     }
 
-    /// The control tick: the credit AIMD update, the server's control
-    /// hook, the series harvest, then the next tick.
-    fn control(&mut self, sched: &mut Scheduler<Ev<S::Event>>) {
-        let now = sched.now();
-        let slo_ratio = self.edge.control_window();
-        let mut cx = Cx {
-            sched,
-            edge: &mut self.edge,
-        };
-        self.server.control(slo_ratio, &mut cx);
-        self.edge.harvest(now, self.server.active_cores());
-        sched.after(self.edge.ctl_period, Ev::Control);
-    }
-
     /// Forks every stochastic stream — the edge's workload RNG and the
     /// server's own — onto an independent substream: importance-splitting
     /// clones diverge from the master trajectory at the split point, while
@@ -834,40 +719,37 @@ impl<S: Server> Model for World<S> {
     type Event = Ev<S::Event>;
 
     fn handle(&mut self, now: SimTime, ev: Self::Event, sched: &mut Scheduler<Self::Event>) {
-        if self.edge.rec.is_done() {
-            // Defensive: the stop below fires on the event that reached
-            // the target, so a running engine never pops another event —
-            // but a resumed engine whose recorder was not replaced would.
-            sched.stop();
-            return;
-        }
         self.server.before_event(now, &self.edge);
+        let mut cx = Cx {
+            sched,
+            edge: &mut self.edge,
+        };
         match ev {
-            Ev::Gen => self.edge.gen(now, sched),
-            Ev::Retry { req, attempt } => self.edge.issue(req, attempt, now, sched),
-            Ev::Timeout { req, attempt } => self.edge.timeout(req, attempt, now, sched),
+            Ev::Gen => cx.edge.gen(now, cx.sched),
+            Ev::Retry { req, attempt } => cx.edge.issue(req, attempt, now, cx.sched),
+            Ev::Timeout { req, attempt } => cx.edge.timeout(req, attempt, now, cx.sched),
             Ev::Packet(req, attempt) => {
-                if self.edge.admit_packet(req, attempt, now, sched) {
-                    let mut cx = Cx {
-                        sched,
-                        edge: &mut self.edge,
-                    };
+                if cx.edge.admit_packet(req, attempt, now, cx.sched) {
                     self.server.packet(req, &mut cx);
                 }
             }
-            Ev::Control => self.control(sched),
-            Ev::Server(e) => {
-                let mut cx = Cx {
-                    sched,
-                    edge: &mut self.edge,
-                };
-                self.server.handle(e, &mut cx);
+            Ev::Control => {
+                // The credit AIMD update, the server's control hook, the
+                // series harvest, then the next tick.
+                let slo_ratio = cx.edge.control_window();
+                self.server.control(slo_ratio, &mut cx);
+                cx.edge.harvest(now, self.server.active_cores());
+                let period = cx.edge.cfg.elastic.control_period_us.max(1.0);
+                cx.sched
+                    .after(SimDuration::from_micros_f64(period), Ev::Control);
             }
+            Ev::Server(e) => self.server.handle(e, &mut cx),
         }
-        if self.edge.rec.is_done() {
+        if cx.edge.rec.is_done() {
             // Stop on the event that reached the completion target rather
-            // than consuming (and losing) the next queued event.
-            sched.stop();
+            // than consuming (and losing) the next queued event: the queue
+            // stays intact, so a post-run checkpoint resumes as is.
+            cx.sched.stop();
         }
     }
 }
@@ -891,6 +773,17 @@ pub(crate) fn finish<S: Server>(engine: Engine<World<S>>, events: u64) -> SysOut
     let end = engine.now();
     let World { edge, server } = engine.into_model();
     edge.into_output(server.stats(end), end, events)
+}
+
+/// A zeroed output for a world that had nothing to run, shaped like a real
+/// run's (class vectors sized from the SLO config), so fleet reductions
+/// never special-case it.
+pub(crate) fn idle_output(cfg: &SysConfig) -> SysOutput {
+    let cfg = SysConfig {
+        telemetry: None,
+        ..cfg.clone()
+    };
+    Edge::new(&cfg).into_output(ServerStats::default(), SimTime::ZERO, 0)
 }
 
 /// Runs a fresh world to its completion target.

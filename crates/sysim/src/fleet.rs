@@ -69,6 +69,7 @@ use zygos_telemetry::TelemetryOut;
 
 use crate::config::{SysConfig, SysOutput};
 use crate::driver::run_system;
+use crate::edge::idle_output;
 
 /// Seed stride between shards: shard `i` runs at
 /// `base.seed + i · FLEET_SEED_STRIDE` (shard 0 keeps the base seed, so
@@ -467,38 +468,6 @@ fn plan_fleet(cfg: &FleetConfig) -> FleetPlan {
         configs,
         assigned: pre,
         moved,
-    }
-}
-
-/// A zeroed output for a shard that had nothing to run, shaped like the
-/// real ones (class vectors sized from the base SLO config) so fleet
-/// reductions never special-case it.
-fn idle_output(base: &SysConfig) -> SysOutput {
-    let classes = base.slo.as_ref().map_or(1, |t| t.classes().len());
-    SysOutput {
-        latency: LatencyHistogram::new(),
-        completed: 0,
-        generated: 0,
-        completed_total: 0,
-        events: 0,
-        sim_time_us: 0.0,
-        local_events: 0,
-        stolen_events: 0,
-        ipis: 0,
-        preemptions: 0,
-        avg_active_cores: 0.0,
-        admitted: 0,
-        rejected: 0,
-        wire_rejects: 0,
-        retries: 0,
-        give_ups: 0,
-        timeouts: 0,
-        rtt_us: base.cost.network_rtt_ns as f64 / 1_000.0,
-        rejected_by_class: vec![0; classes],
-        admitted_by_class: vec![0; classes],
-        stage_counts: Vec::new(),
-        stage_p99_wait_us: Vec::new(),
-        telemetry: None,
     }
 }
 

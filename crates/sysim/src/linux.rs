@@ -135,7 +135,7 @@ impl Server for LinuxModel {
             Ev::Run(core) => self.run_core(core, cx),
             Ev::Done { core, req } => {
                 // The request finishes: its response leaves now.
-                cx.complete(&req, cx.now());
+                cx.edge.complete(&req, cx.now());
                 self.events_done += 1;
                 self.busy[core] = false;
                 self.run_core(core, cx);

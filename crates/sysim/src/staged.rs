@@ -405,10 +405,6 @@ impl StagedModel {
         }
     }
 
-    fn ns(v: u64) -> SimDuration {
-        SimDuration::from_nanos(v)
-    }
-
     /// Enqueues an item at segment `si`'s head stage and wakes a core that
     /// the segment's discipline lets serve it.
     fn enqueue(&mut self, si: usize, item: Item, now: SimTime, cx: &mut Cx<Ev>) {
@@ -504,7 +500,7 @@ impl StagedModel {
             self.local_events += k;
         }
         let head = self.segs[si].stages.start;
-        if cx.edge.measurement_started() {
+        if cx.edge.rec.measurement_started() {
             for item in &batch {
                 self.stage_wait[head].record_nanos(now.duration_since(item.enq).as_nanos());
             }
@@ -522,7 +518,7 @@ impl StagedModel {
             dur += self.cfg.cost.steal_extra_ns;
         }
         self.busy[core] = true;
-        cx.after(Self::ns(dur), Ev::SegDone { core, batch });
+        cx.after(SimDuration::from_nanos(dur), Ev::SegDone { core, batch });
     }
 
     /// A segment's network work over a batch finished: hand the items to
@@ -559,10 +555,10 @@ impl StagedModel {
             Some(item) => {
                 let st = self.plan.stages.last().expect("validated: non-empty");
                 let dur = st.batch_fixed_ns + st.fixed_ns + item.req.service.as_nanos();
-                let end = now + Self::ns(dur);
+                let end = now + SimDuration::from_nanos(dur);
                 // The response leaves the wire at the end of this event:
                 // the edge records it (and returns its credit) at dispatch.
-                cx.complete(&item.req, end);
+                cx.edge.complete(&item.req, end);
                 *self.stage_counts.last_mut().expect("non-empty") += 1;
                 cx.at(end, Ev::AppDone { core, rest });
             }

@@ -149,7 +149,7 @@ pub fn run_restart(cfg: &SysConfig, tail: &TailConfig) -> (SysOutput, TailOutput
     tail.validate();
 
     let mut world = zygos::world(cfg);
-    world.edge.arm_tail_sampling();
+    world.edge.rec.arm_tail_sampling();
     let engine = edge::start(world);
 
     let mut est = WeightedSamples::new();
@@ -174,7 +174,7 @@ pub fn run_restart(cfg: &SysConfig, tail: &TailConfig) -> (SysOutput, TailOutput
             // One segment: up to `check_every` events.
             let mut stepped = 0u64;
             while stepped < tail.check_every {
-                if t.engine.model().edge.is_done() || !t.engine.step() {
+                if t.engine.model().edge.rec.is_done() || !t.engine.step() {
                     break;
                 }
                 stepped += 1;
@@ -185,10 +185,10 @@ pub fn run_restart(cfg: &SysConfig, tail: &TailConfig) -> (SysOutput, TailOutput
                 clone_events += stepped;
             }
             let w = t.weight;
-            for ns in t.engine.model_mut().edge.drain_tail() {
+            for ns in t.engine.model_mut().edge.rec.drain_tail() {
                 est.push(ns, w);
             }
-            if t.engine.model().edge.is_done() || stepped == 0 {
+            if t.engine.model().edge.rec.is_done() || stepped == 0 {
                 if t.birth == 0 {
                     master_out = Some(edge::finish(t.engine, master_events));
                 }

@@ -540,7 +540,8 @@ impl ZygosModel {
         now: SimTime,
         cx: &mut Cx<Ev>,
     ) {
-        cx.trace(core as u16, cur.seq, TraceKind::Dispatch, now);
+        cx.edge
+            .trace(core as u16, cur.seq, TraceKind::Dispatch, now);
         self.note_busy(now, 1, !bg);
         self.m_busy.set(core);
         self.m_inapp.set(core);
@@ -623,9 +624,9 @@ impl ZygosModel {
                 Rung::AgedBackground => self.rung_aged_bg(core, now, cx),
                 Rung::LocalReady => self.rung_local_ready(core, now, cx),
                 Rung::LocalNet => self.rung_local_net(core, now, cx),
-                Rung::StealReady => self.rung_steal_ready(core, now, cx, &mut victims_ready),
+                Rung::StealReady => self.rung_steal_ready(core, cx, &mut victims_ready),
                 Rung::LocalBackground => self.rung_local_bg(core, now, cx),
-                Rung::StealBackground => self.rung_steal_bg(core, now, cx, &mut victims_ready),
+                Rung::StealBackground => self.rung_steal_bg(core, cx, &mut victims_ready),
                 Rung::IpiScan => {
                     self.rung_ipi_scan(core, cx, &mut victims_ready);
                     false // The scan kicks another core; this one stays idle.
@@ -757,13 +758,8 @@ impl ZygosModel {
     }
 
     /// Steal a ready connection from another core's shuffle queue.
-    fn rung_steal_ready(
-        &mut self,
-        core: usize,
-        now: SimTime,
-        cx: &mut Cx<Ev>,
-        victims_ready: &mut bool,
-    ) -> bool {
+    fn rung_steal_ready(&mut self, core: usize, cx: &mut Cx<Ev>, victims_ready: &mut bool) -> bool {
+        let now = cx.now();
         if !self.dispatch.may_steal(true) {
             return false;
         }
@@ -792,7 +788,7 @@ impl ZygosModel {
         if cx.edge.tracing() {
             // The stolen batch's first request (`begin_app` pops it next).
             if let Some(seq) = self.conns[conn as usize].pending.front().map(|r| r.seq) {
-                cx.trace(core as u16, seq, TraceKind::Steal, now);
+                cx.edge.trace(core as u16, seq, TraceKind::Steal, now);
             }
         }
         let extra = self.cfg.cost.shuffle_op_ns + self.cfg.cost.steal_extra_ns;
@@ -819,13 +815,8 @@ impl ZygosModel {
     }
 
     /// Steal a background entry from another core.
-    fn rung_steal_bg(
-        &mut self,
-        core: usize,
-        now: SimTime,
-        cx: &mut Cx<Ev>,
-        victims_ready: &mut bool,
-    ) -> bool {
+    fn rung_steal_bg(&mut self, core: usize, cx: &mut Cx<Ev>, victims_ready: &mut bool) -> bool {
+        let now = cx.now();
         if !self.dispatch.may_steal(true) {
             return false;
         }
@@ -857,7 +848,7 @@ impl ZygosModel {
                 .front()
                 .map(|r| r.seq)
             {
-                cx.trace(core as u16, seq, TraceKind::Steal, now);
+                cx.edge.trace(core as u16, seq, TraceKind::Steal, now);
             }
         }
         let extra = self.cfg.cost.shuffle_op_ns + self.cfg.cost.steal_extra_ns;
@@ -909,7 +900,7 @@ impl ZygosModel {
             }
             Work::RemoteTx { mut batch } => {
                 for req in batch.drain(..) {
-                    cx.complete(&req, now);
+                    cx.edge.complete(&req, now);
                 }
                 self.batch_pool.push(batch);
             }
@@ -922,7 +913,8 @@ impl ZygosModel {
             } => {
                 if stolen {
                     self.stolen_events += 1;
-                    cx.trace(core as u16, cur.seq, TraceKind::StolenDone, now);
+                    cx.edge
+                        .trace(core as u16, cur.seq, TraceKind::StolenDone, now);
                     // Ship the response home; the home core (or, in
                     // elastic mode, whichever core serves its queues)
                     // transmits.
@@ -936,7 +928,7 @@ impl ZygosModel {
                     }
                 } else {
                     self.local_events += 1;
-                    cx.complete(&cur, now);
+                    cx.edge.complete(&cur, now);
                 }
                 if let Some(next) = rest.pop_front() {
                     // Continue the connection's event batch (implicit
@@ -953,7 +945,7 @@ impl ZygosModel {
                     connref.pending = rest;
                 } else {
                     connref.st = ConnSt::Ready;
-                    let home = self.serving_core(cx.edge.home_of(conn) as usize);
+                    let home = self.serving_core(cx.edge.source.home_of(conn) as usize);
                     self.cores[home].shuffle.push_back(conn);
                     self.m_shuffle.set(home);
                     self.wake_idle(cx);
@@ -992,7 +984,7 @@ impl ZygosModel {
         };
         debug_assert!(remaining > 0, "preempted chunk must have a remainder");
         self.preemptions += 1;
-        cx.trace(core as u16, cur.seq, TraceKind::Preempt, now);
+        cx.edge.trace(core as u16, cur.seq, TraceKind::Preempt, now);
         cur.service = SimDuration::from_nanos(remaining);
         // Requeue: the remainder stays the connection's oldest event (so
         // per-connection ordering holds), followed by the rest of the taken
@@ -1006,8 +998,8 @@ impl ZygosModel {
         rest.extend(arrived);
         connref.pending = rest;
         connref.st = ConnSt::Ready;
-        let home = self.serving_core(cx.edge.home_of(conn) as usize);
-        cx.trace(home as u16, seq, TraceKind::BgRequeue, now);
+        let home = self.serving_core(cx.edge.source.home_of(conn) as usize);
+        cx.edge.trace(home as u16, seq, TraceKind::BgRequeue, now);
         self.bg_enqueue(
             home,
             BgEntry {
@@ -1047,63 +1039,6 @@ impl ZygosModel {
                 !c.remote_sys.is_empty(),
                 "remote mask, core {i}"
             );
-        }
-    }
-
-    /// The control hook: drive the allocation policy (elastic only; the
-    /// edge has already run the credit AIMD on this tick).
-    fn control_tick(&mut self, slo_ratio: Option<f64>, cx: &mut Cx<Ev>) {
-        #[cfg(debug_assertions)]
-        self.debug_check_masks();
-        let now = cx.now();
-        self.note_busy(now, 0, true); // Flush the busy integrals up to `now`.
-        let busy_integral = self.fg_busy.integral_ns;
-        let fg_count = self.fg_busy.count;
-        if self.elastic.is_some() {
-            // Utilization, time-averaged since the previous tick:
-            // instantaneous busy-core counts swing wildly under bursty
-            // Poisson arrivals.
-            let elastic = self.elastic.as_mut().expect("checked");
-            let dt = now.as_nanos() - elastic.last_ctl_ns;
-            let busy = if dt == 0 {
-                fg_count as f64
-            } else {
-                (busy_integral - elastic.last_ctl_busy_integral) as f64 / dt as f64
-            };
-            elastic.last_ctl_busy_integral = busy_integral;
-            elastic.last_ctl_ns = now.as_nanos();
-            // Backlog = work waiting involuntarily. Un-aged background
-            // entries are deferred *by policy* (they run in idle gaps) and
-            // would otherwise read as queue pressure that blocks parking at
-            // low load; only overdue (aged) entries count.
-            let age_bound = self.dispatch.background_aging_ns();
-            let bound = if age_bound == u64::MAX {
-                None
-            } else {
-                Some(ns(age_bound))
-            };
-            let mut backlog = 0;
-            for c in &self.cores {
-                if c.active {
-                    backlog += c.ring.len() + c.shuffle.len() + c.remote_sys.len();
-                    if let Some(b) = bound {
-                        backlog +=
-                            c.bg.iter()
-                                .filter(|e| now.duration_since(e.since) >= b)
-                                .count();
-                    }
-                }
-            }
-            let elastic = self.elastic.as_mut().expect("checked");
-            let decision = elastic.allocator.observe(&PolicySignal {
-                busy_cores: busy,
-                backlog,
-                slo_ratio,
-            });
-            let target = elastic.allocator.active();
-            if decision != Decision::Hold {
-                self.apply_allocation(target, now, cx);
-            }
         }
     }
 
@@ -1187,7 +1122,7 @@ impl ZygosModel {
             ext_ns += (cost.remote_syscall_ns + cost.stack_tx_per_msg_ns) * batch.len() as u64;
             let tx_at = now + ns(cost.ipi_handler_ns);
             for req in batch.drain(..) {
-                cx.complete(&req, tx_at);
+                cx.edge.complete(&req, tx_at);
             }
             self.batch_pool.push(batch);
         }
@@ -1231,7 +1166,7 @@ impl Server for ZygosModel {
     fn packet(&mut self, req: Req, cx: &mut Cx<Ev>) {
         let now = cx.now();
         let home = self.serving_core(req.home as usize);
-        cx.trace(home as u16, req.seq, TraceKind::Enqueue, now);
+        cx.edge.trace(home as u16, req.seq, TraceKind::Enqueue, now);
         self.cores[home].ring.push_back(req);
         self.m_ring.set(home);
         if !self.m_busy.test(home) {
@@ -1262,7 +1197,7 @@ impl Server for ZygosModel {
     #[inline]
     fn before_event(&mut self, now: SimTime, edge: &Edge) {
         if let Some(e) = &mut self.elastic {
-            if e.meas_snapshot.is_none() && edge.measurement_started() {
+            if e.meas_snapshot.is_none() && edge.rec.measurement_started() {
                 e.meas_snapshot = Some((now.as_nanos(), e.meter.core_ns(now.as_nanos())));
             }
         }
@@ -1272,8 +1207,61 @@ impl Server for ZygosModel {
         self.elastic.is_some()
     }
 
+    /// The control hook: drive the allocation policy (elastic only; the
+    /// edge has already run the credit AIMD on this tick).
     fn control(&mut self, slo_ratio: Option<f64>, cx: &mut Cx<Ev>) {
-        self.control_tick(slo_ratio, cx);
+        #[cfg(debug_assertions)]
+        self.debug_check_masks();
+        let now = cx.now();
+        self.note_busy(now, 0, true); // Flush the busy integrals up to `now`.
+        let busy_integral = self.fg_busy.integral_ns;
+        let fg_count = self.fg_busy.count;
+        if self.elastic.is_some() {
+            // Utilization, time-averaged since the previous tick:
+            // instantaneous busy-core counts swing wildly under bursty
+            // Poisson arrivals.
+            let elastic = self.elastic.as_mut().expect("checked");
+            let dt = now.as_nanos() - elastic.last_ctl_ns;
+            let busy = if dt == 0 {
+                fg_count as f64
+            } else {
+                (busy_integral - elastic.last_ctl_busy_integral) as f64 / dt as f64
+            };
+            elastic.last_ctl_busy_integral = busy_integral;
+            elastic.last_ctl_ns = now.as_nanos();
+            // Backlog = work waiting involuntarily. Un-aged background
+            // entries are deferred *by policy* (they run in idle gaps) and
+            // would otherwise read as queue pressure that blocks parking at
+            // low load; only overdue (aged) entries count.
+            let age_bound = self.dispatch.background_aging_ns();
+            let bound = if age_bound == u64::MAX {
+                None
+            } else {
+                Some(ns(age_bound))
+            };
+            let mut backlog = 0;
+            for c in &self.cores {
+                if c.active {
+                    backlog += c.ring.len() + c.shuffle.len() + c.remote_sys.len();
+                    if let Some(b) = bound {
+                        backlog +=
+                            c.bg.iter()
+                                .filter(|e| now.duration_since(e.since) >= b)
+                                .count();
+                    }
+                }
+            }
+            let elastic = self.elastic.as_mut().expect("checked");
+            let decision = elastic.allocator.observe(&PolicySignal {
+                busy_cores: busy,
+                backlog,
+                slo_ratio,
+            });
+            let target = elastic.allocator.active();
+            if decision != Decision::Hold {
+                self.apply_allocation(target, now, cx);
+            }
+        }
     }
 
     fn active_cores(&self) -> usize {
@@ -1368,7 +1356,7 @@ pub struct WarmState {
 impl WarmState {
     /// The offered load this world converged at.
     pub fn load(&self) -> f64 {
-        self.engine.model().edge.cfg().load
+        self.engine.model().edge.cfg.load
     }
 }
 
