@@ -178,11 +178,11 @@ fn comparisons(claim: &Claim, sc: &Scenario, report: &Report) -> Result<Vec<Comp
     Ok(out)
 }
 
-/// Pins the telemetry the scenario requested: every ZygOS-family sim
-/// series must carry the p99 sojourn decomposition (components summing
-/// to the measured p99 within 1% — the attribution is an exact
-/// partition, so the bound only absorbs histogram bucketing) and one
-/// non-empty time-series per requested kind. Returns every violation.
+/// Pins the telemetry the scenario requested: every simulated series must
+/// carry one non-empty time-series per requested kind, and every traced
+/// one the p99 sojourn decomposition (components summing to the measured
+/// p99 within 1% — the attribution is an exact partition, so the bound
+/// only absorbs histogram bucketing). Returns every violation.
 pub fn check_telemetry(sc: &Scenario, report: &Report) -> Vec<String> {
     let Some(tel) = &sc.telemetry else {
         return Vec::new();
@@ -192,11 +192,12 @@ pub fn check_telemetry(sc: &Scenario, report: &Report) -> Vec<String> {
         let Some(case) = sc.case(&s.label) else {
             continue;
         };
-        if !Readers::ZygosSim.reads(case.host) {
+        if !Readers::Simulated.reads(case.host) {
             continue;
         }
+        let traced = tel.trace && Readers::ZygosSim.reads(case.host);
         for p in &s.points {
-            if tel.trace && p.p99_us > 0.0 {
+            if traced && p.p99_us > 0.0 {
                 let sum = p.p99_queue_us + p.p99_service_us + p.p99_steal_us + p.p99_preempt_us;
                 if (sum - p.p99_us).abs() > 0.01 * p.p99_us {
                     errs.push(format!(
@@ -207,12 +208,13 @@ pub fn check_telemetry(sc: &Scenario, report: &Report) -> Vec<String> {
                 }
             }
             for kind in &tel.series {
-                // Per-class kinds register one series per class; a name
-                // prefix match covers both spellings.
-                let present = p
-                    .timeseries
-                    .iter()
-                    .any(|ts| ts.name.starts_with(kind.name()) && !ts.points.is_empty());
+                // Per-class kinds register one series per class, and fleet
+                // series carry a `shard<i>/` namespace; a prefix match on
+                // the last path segment covers every spelling.
+                let present = p.timeseries.iter().any(|ts| {
+                    let name = ts.name.rsplit('/').next().unwrap_or_default();
+                    name.starts_with(kind.name()) && !ts.points.is_empty()
+                });
                 if !present {
                     errs.push(format!(
                         "[{}] load {:.2}: requested series {:?} is missing or empty",

@@ -37,7 +37,7 @@ use zygos_sysim::{
     warmable, AdmissionMode, AdmissionTopology, FleetConfig, FleetOutput, RoutePolicy, SysConfig,
     SysOutput, SystemKind, TailConfig, WARM_MAX_LOAD,
 };
-use zygos_telemetry::{decompose, decomposition_at_quantile};
+use zygos_telemetry::{decompose, decomposition_at_quantile, TelemetryConfig};
 
 use crate::report::{
     PointMetrics, Report, SearchResult, Series, TailResult, TraceSeries, SCHEMA_VERSION,
@@ -494,15 +494,19 @@ pub fn sys_config_for(
         )));
     };
     let mut cfg = lower_sim(sc, case, host, load, smoke);
-    if let Some(t) = &sc.telemetry {
-        // Only the ZygOS-family models record; leaving IX/Linux configs
-        // off keeps their report zeros honest rather than silently
-        // requested-and-dropped.
-        if Readers::ZygosSim.reads(case.host) {
-            cfg.telemetry = Some(t.to_config());
-        }
-    }
+    // Every world's client edge harvests series; only the ZygOS models
+    // carry the lifecycle trace points.
+    cfg.telemetry = telemetry_for(sc, Readers::ZygosSim.reads(case.host));
     Ok(cfg)
+}
+
+/// The scenario's `[telemetry]` block lowered for one world, with the
+/// lifecycle trace kept only where `traced`; `None` when that leaves
+/// nothing to record.
+fn telemetry_for(sc: &Scenario, traced: bool) -> Option<TelemetryConfig> {
+    let mut tc = sc.telemetry.as_ref()?.to_config();
+    tc.trace &= traced;
+    (!tc.is_off()).then_some(tc)
 }
 
 /// The shared sim-world lowering behind [`sys_config_for`] and
@@ -665,13 +669,7 @@ pub fn fleet_config_for(
         };
         base.admission = Some(credit_config_for(a, pool_cores));
     }
-    if let Some(t) = &sc.telemetry {
-        let mut tc = t.to_config();
-        tc.trace = false;
-        if !tc.is_off() {
-            base.telemetry = Some(tc);
-        }
-    }
+    base.telemetry = telemetry_for(sc, false);
     let mut fc = FleetConfig::new(
         base,
         f.shards,
@@ -1327,6 +1325,11 @@ mod tests {
     fn telemetry_decomposes_the_tail_and_carries_series() {
         use crate::spec::TelemetrySpec;
         use zygos_sysim::SeriesKind;
+        let gated = |host| {
+            Case::sim(HostSpec::Sim(host).id(), host)
+                .admission(AdmissionMode::ServerEdge)
+                .credit_target_us(70.0)
+        };
         let sc = Scenario::builder("telem")
             .service(ServiceDist::exponential_us(10.0))
             .cores(4)
@@ -1334,11 +1337,9 @@ mod tests {
             .loads(vec![1.3])
             .requests(6_000, 1_200)
             .smoke(3_000, 600)
-            .case(
-                Case::sim("credits", SimHost::Zygos)
-                    .admission(AdmissionMode::ServerEdge)
-                    .credit_target_us(70.0),
-            )
+            .case(gated(SimHost::Zygos))
+            .case(gated(SimHost::LinuxFloating))
+            .case(gated(SimHost::Ix))
             .telemetry(TelemetrySpec {
                 series: vec![SeriesKind::AdmittedRate, SeriesKind::CreditCapacity],
                 ..TelemetrySpec::default()
@@ -1356,14 +1357,24 @@ mod tests {
             p.p99_us
         );
         assert!(p.p99_queue_us > 0.0 && p.p99_service_us > 0.0);
-        for want in ["admitted_rate", "credit_capacity"] {
-            assert!(
-                p.timeseries
-                    .iter()
-                    .any(|s| s.name == want && !s.points.is_empty()),
-                "series {want} missing from the report point"
-            );
+        // Every host's client edge harvests the series; only ZygOS traces.
+        for s in &report.series {
+            for want in ["admitted_rate", "credit_capacity"] {
+                assert!(
+                    s.points[0]
+                        .timeseries
+                        .iter()
+                        .any(|t| t.name == want && !t.points.is_empty()),
+                    "series {want} missing from {}",
+                    s.label
+                );
+            }
         }
+        assert_eq!(report.series[1].points[0].p99_queue_us, 0.0, "Linux traces");
+        assert_eq!(
+            crate::check::check_telemetry(&sc, &report),
+            Vec::<String>::new()
+        );
     }
 
     #[test]

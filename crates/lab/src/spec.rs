@@ -180,8 +180,8 @@ pub enum Readers {
     /// ZygOS-family worlds, single or sharded: [`Readers::ZygosSim`] and
     /// `fleet:*`.
     ZygosWorlds,
-    /// Hosts with a credit gate and SLO windows: [`Readers::ZygosWorlds`]
-    /// and `live:*`.
+    /// Hosts behind a client edge with a credit gate and SLO windows:
+    /// every host except `model:*`.
     Gated,
     /// The elastic hosts: `sim:elastic`, `live:elastic`, `fleet:elastic`.
     Elastic,
@@ -207,7 +207,7 @@ impl Readers {
             Readers::ZygosWorlds => {
                 Readers::ZygosSim.reads(host) || matches!(host, HostSpec::Fleet(_))
             }
-            Readers::Gated => Readers::ZygosWorlds.reads(host) || matches!(host, HostSpec::Live(_)),
+            Readers::Gated => !matches!(host, HostSpec::Model(_)),
             Readers::Elastic => matches!(
                 host,
                 HostSpec::Sim(SimHost::Elastic)
@@ -269,7 +269,7 @@ pub const CASE_KNOBS: &[Knob] = &[
     ("degraded", Readers::Fleet, |p| p.degraded.is_some()),
     ("loss", Readers::Fleet, |p| p.loss.is_some()),
     ("fanout", Readers::Fleet, |p| p.fanout.is_some()),
-    ("retry", Readers::ZygosWorlds, |p| p.retry.is_some()),
+    ("retry", Readers::Simulated, |p| p.retry.is_some()),
     ("layout", Readers::Staged, |p| p.layout.is_some()),
     ("discipline", Readers::Staged, |p| p.discipline.is_some()),
 ];
@@ -617,9 +617,9 @@ impl Case {
 
 /// Telemetry requested for a scenario's simulator cases: lifecycle
 /// tracing (which puts the p99 sojourn decomposition into the report)
-/// and/or control-tick time-series. The simulator instruments the
-/// ZygOS-family hosts; IX/Linux and live cases carry empty telemetry, so
-/// validation requires at least one case that can actually record.
+/// and/or control-tick time-series. Every simulated world harvests the
+/// series; only the [`Readers::ZygosSim`] hosts trace, so validation rejects a
+/// trace request no case can record.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TelemetrySpec {
     /// Arm the lifecycle tracer (decomposition fields in the report).
@@ -1508,21 +1508,12 @@ impl ScenarioBuilder {
             if t.sample_period == 0 || t.series_every == 0 || t.max_series_points == 0 {
                 return err("telemetry periods and caps must be >= 1".into());
             }
-            // Fleet worlds harvest (shard-namespaced) series but never
-            // trace: lifecycle correlation keys collide across shards.
-            let any_traced = self.cases.iter().any(|c| Readers::ZygosSim.reads(c.host));
-            let any_fleet = self.cases.iter().any(|c| Readers::Fleet.reads(c.host));
-            if t.trace && !any_traced {
+            // Every simulated world harvests series; fleet worlds never
+            // trace (lifecycle correlation keys collide across shards).
+            if t.trace && !self.cases.iter().any(|c| Readers::ZygosSim.reads(c.host)) {
                 return err(
                     "lifecycle tracing is recorded by ZygOS-family simulator hosts only \
-                     (fleet worlds harvest series, never traces); \
-                     every case here would silently record nothing"
-                        .into(),
-                );
-            }
-            if !any_traced && !any_fleet {
-                return err(
-                    "telemetry is recorded by ZygOS-family simulator hosts only; \
+                     (other worlds harvest series, never traces); \
                      every case here would silently record nothing"
                         .into(),
                 );
@@ -1975,9 +1966,10 @@ mod tests {
             .build()
             .expect_err("nothing feeds it");
         assert!(e.to_string().contains("nothing to feed"), "{e}");
-        // Retry on hosts that do not model the closed loop.
+        // Retry on hosts that do not model the closed loop; every
+        // simulated host does, through its client edge.
         for c in [
-            Case::sim("ix", SimHost::Ix)
+            Case::model("m", Policy::CentralFcfs)
                 .retry(backoff)
                 .retry_timeout_us(500.0),
             Case::live("lv", LiveHost::Zygos)
@@ -1986,6 +1978,14 @@ mod tests {
         ] {
             assert!(base().case(c).build().is_err());
         }
+        assert!(base()
+            .case(
+                Case::sim("ix", SimHost::Ix)
+                    .retry(backoff)
+                    .retry_timeout_us(500.0)
+            )
+            .build()
+            .is_ok());
         // Jitter/timeout without a policy to shape.
         assert!(base()
             .case(Case::sim("j", SimHost::Zygos).retry_jitter(false))
