@@ -34,11 +34,13 @@
 //!
 //! Every model routes its queue-pick decisions through the shared
 //! `zygos_sched::DispatchPolicy` ladder (the same objects the live
-//! runtime's workers walk) — this crate owns mechanisms, not order. A
-//! [`SysConfig::admission`] credit gate (Breakwater-style AIMD credits)
-//! sheds arrivals at the server edge under overload; `fig13` sweeps
-//! offered load past saturation to show the admitted tail staying within
-//! 2× the SLO while ungated policies diverge.
+//! runtime's workers walk) — this crate owns mechanisms, not order — and
+//! runs behind one client edge: the arrival source, the recorder, a
+//! [`SysConfig::admission`] credit gate (Breakwater-style AIMD credits),
+//! the [`SysConfig::retry`] loop and the telemetry series are written
+//! once for every model. `fig13` sweeps offered load past saturation to
+//! show the admitted tail staying within 2× the SLO while ungated
+//! policies diverge.
 //!
 //! Why a simulator: the original evaluation needs a 16-hyperthread Xeon,
 //! Intel 82599 NICs and an 11-machine client cluster. This environment has
