@@ -226,7 +226,6 @@ impl SimTelemetry {
 /// one untaken branch). Its clone is an empty plane: telemetry is a pure
 /// observer, so a checkpoint drops it without perturbing the trajectory and
 /// never copies a multi-megabyte trace ring.
-#[derive(Default)]
 struct Observer(Option<SimTelemetry>);
 
 impl Clone for Observer {
@@ -278,10 +277,9 @@ pub(crate) struct Edge {
     /// Precomputed `retry_timeout_us` (`None` = timeouts off).
     timeout_dur: Option<SimDuration>,
     /// Per-SLO-class latency window of the current control tick (single
-    /// class when no tenant SLOs are configured). Constant-memory
-    /// histograms: recording is O(1) and the per-tick harvest touches only
-    /// the used buckets.
-    /// Empty when no controller or series reads the windows.
+    /// class when no tenant SLOs are configured); empty when no controller
+    /// or series reads the windows. Constant-memory histograms: recording
+    /// is O(1) and the per-tick harvest touches only the used buckets.
     win: Vec<WindowHistogram>,
 }
 
@@ -539,10 +537,10 @@ impl Edge {
         );
     }
 
-    /// Harvests the control window: the worst per-class p99-vs-SLO ratio
-    /// (for the SLO-driven allocator), and drives the credit AIMD from
-    /// either the worst per-class tail-vs-credit-target ratio (with tenant
-    /// SLOs) or the overall window tail.
+    /// Harvests and clears the control window: drives the credit AIMD from
+    /// the worst per-class tail-vs-credit-target ratio (with tenant SLOs)
+    /// or the overall window tail, and returns the worst per-class
+    /// p99-vs-SLO ratio for the server's control hook.
     fn control_window(&mut self) -> Option<f64> {
         let slo = self.cfg.slo.as_ref();
         let ratio = slo.and_then(|slo| slo.worst_ratio_hist(&mut self.win, MIN_WINDOW_SAMPLES));
