@@ -547,6 +547,54 @@ mod tests {
     }
 
     #[test]
+    fn preemption_golden_pin() {
+        // The quantum path, where a preempted remainder is joined back in
+        // front of its connection's queue: elastic, min 2 cores,
+        // q = 25 µs, exp 10 µs; seed 1, 20k measured after 4k warm-up
+        // completions. (events, generated, completed_total, preemptions,
+        // stolen_events, p99 µs) per background order and load.
+        use zygos_sched::BackgroundOrder::{Fcfs, Srpt};
+        let pins = [
+            (Fcfs, 0.5, 243_905, 24_013, 24_000, 1_117, 15_338, 63.871),
+            (Fcfs, 0.9, 84_516, 25_262, 24_000, 1_116, 807, 1761.279),
+            (Srpt, 0.5, 243_887, 24_013, 24_000, 1_117, 15_337, 63.807),
+            (Srpt, 0.9, 84_582, 25_254, 24_000, 1_115, 844, 1886.207),
+        ];
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for (order, load, events, generated, completed, preemptions, stolen, p99_us) in pins {
+            let mut cfg = SysConfig::paper(
+                SystemKind::Elastic { min_cores: 2 },
+                ServiceDist::exponential_us(10.0),
+                load,
+            );
+            (cfg.requests, cfg.warmup, cfg.seed) = (20_000, 4_000, 1);
+            cfg.preemption_quantum_us = 25.0;
+            cfg.background_order = order;
+            let out = run_system(&cfg);
+            let p99 = out.p99_us();
+            let fields = [
+                out.events,
+                out.generated,
+                out.completed_total,
+                out.preemptions,
+                out.stolen_events,
+                p99.to_bits(),
+            ];
+            got.push((order, load, p99, fields));
+            let fields = [
+                events,
+                generated,
+                completed,
+                preemptions,
+                stolen,
+                f64::to_bits(p99_us),
+            ];
+            want.push((order, load, p99, fields));
+        }
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn every_host_reads_the_client_edge_knobs() {
         use crate::config::AdmissionMode;
         use crate::SeriesKind;

@@ -69,6 +69,7 @@
 //! assert!(out.steal_fraction() > 0.0); // Work stealing is active.
 //! ```
 
+mod arena;
 mod arrivals;
 pub mod config;
 pub mod driver;

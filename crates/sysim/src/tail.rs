@@ -6,9 +6,9 @@
 //! in run length. RESTART (REstart with Splitting After Threshold
 //! crossing) concentrates simulation effort on those excursions instead:
 //!
-//! * The **level function** is the total queued-request backlog
-//!   (the server's `backlog`), checked every
-//!   [`TailConfig::check_every`] events.
+//! * The **level function** is the total queued backlog (the server's
+//!   `backlog`: requests in rings, ready connections on shuffle
+//!   queues), checked every [`TailConfig::check_every`] events.
 //! * When a trajectory first crosses threshold `levels[i]` going up, it is
 //!   **split**: `splits - 1` clones of the entire simulated world are
 //!   forked (each on an independent RNG substream), and every trajectory
@@ -48,8 +48,8 @@ use crate::zygos::{self, ZygosModel};
 pub struct TailConfig {
     /// The far-tail quantile to estimate (e.g. `0.999`).
     pub quantile: f64,
-    /// Ascending backlog thresholds (total queued requests) that trigger
-    /// splitting.
+    /// Ascending backlog thresholds (the server's `backlog`) that
+    /// trigger splitting.
     pub levels: Vec<usize>,
     /// Bundle width per level crossing: each up-crossing multiplies the
     /// trajectory count by this and divides the weight by it.

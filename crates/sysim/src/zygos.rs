@@ -58,6 +58,7 @@ use zygos_sim::engine::Engine;
 use zygos_sim::time::{SimDuration, SimTime};
 use zygos_telemetry::TraceKind;
 
+use crate::arena::{Arena, Fifo};
 use crate::arrivals::Req;
 use crate::config::{AllocKind, SysConfig, SysOutput, SystemKind};
 use crate::edge::{self, Cx, Edge, Server, ServerStats, World};
@@ -79,13 +80,13 @@ pub(crate) enum Ev {
 #[derive(Clone)]
 enum Work {
     /// Running the network stack over an RX batch.
-    Net { batch: Vec<Req> },
+    Net { batch: Fifo },
     /// Executing one application event; the rest of the connection's batch
     /// follows.
     App {
         conn: u32,
         cur: Req,
-        rest: VecDeque<Req>,
+        rest: Fifo,
         stolen: bool,
         /// Chunk came from the background (preempted) queue: it fills idle
         /// capacity by policy and is excluded from the controller's
@@ -93,7 +94,7 @@ enum Work {
         bg: bool,
     },
     /// Executing remote batched syscalls (TX for stolen events).
-    RemoteTx { batch: Vec<Req> },
+    RemoteTx { batch: Fifo },
 }
 
 /// One background (preempted) queue entry. A quantum-expired remainder is
@@ -112,7 +113,7 @@ struct BgEntry {
 
 #[derive(Clone)]
 struct Core {
-    ring: VecDeque<Req>,
+    ring: Fifo,
     shuffle: VecDeque<u32>,
     /// Preempted connections (Shinjuku-style second-level queue), ordered
     /// per [`DispatchPolicy::background_order`]: FCFS keeps arrival order,
@@ -122,7 +123,7 @@ struct Core {
     /// and with them every later request pipelined on the same socket
     /// (§4.3 ordering holds per connection).
     bg: VecDeque<BgEntry>,
-    remote_sys: Vec<Req>,
+    remote_sys: Fifo,
     work: Option<Work>,
     /// Completion time of the current work chunk (valid when `work` is set).
     end: SimTime,
@@ -223,7 +224,7 @@ fn any_other(a: &CoreMask, b: &CoreMask, except: usize) -> bool {
 #[derive(Clone)]
 struct Conn {
     st: ConnSt,
-    pending: VecDeque<Req>,
+    pending: Fifo,
 }
 
 /// Shorthand for nanosecond durations.
@@ -250,12 +251,17 @@ struct Elastic {
 
 /// The ZygOS server. A clone is its entire state — every queue,
 /// connection state, RNG position, allocator EWMA and occupancy mask —
-/// which, with the edge's, is what a world checkpoint copies.
+/// which, with the edge's, is what a world checkpoint copies. Every
+/// queued request sits in one arena, so that copy is one slab plus
+/// fixed arrays, not a buffer per connection.
 #[derive(Clone)]
 pub(crate) struct ZygosModel {
     cfg: SysConfig,
     cores: Vec<Core>,
     conns: Vec<Conn>,
+    /// Every queued request: NIC rings, connection event queues, RX and
+    /// remote-syscall batches are [`Fifo`]s into this arena.
+    reqs: Arena<Req>,
     /// Scratch buffer for randomized victim order.
     victims: Vec<usize>,
     /// Dedicated RNG for victim-order shuffles. Keeping it off the
@@ -274,10 +280,6 @@ pub(crate) struct ZygosModel {
     /// must not borrow the policy).
     ladder: Vec<Rung>,
     elastic: Option<Elastic>,
-    /// Free-list of request-batch buffers (RX batches, remote-syscall
-    /// flushes): the hot loop recycles them instead of allocating a
-    /// `Vec<Req>` per batch.
-    batch_pool: Vec<Vec<Req>>,
     /// Occupancy masks over cores (see [`CoreMask`]).
     m_active: CoreMask,
     m_busy: CoreMask,
@@ -363,10 +365,10 @@ impl ZygosModel {
         ZygosModel {
             cores: (0..cfg.cores)
                 .map(|_| Core {
-                    ring: VecDeque::new(),
+                    ring: Fifo::default(),
                     shuffle: VecDeque::new(),
                     bg: VecDeque::new(),
-                    remote_sys: Vec::new(),
+                    remote_sys: Fifo::default(),
                     work: None,
                     end: SimTime::ZERO,
                     epoch: 0,
@@ -375,18 +377,19 @@ impl ZygosModel {
                     active: true,
                 })
                 .collect(),
-            conns: (0..cfg.conns)
-                .map(|_| Conn {
+            conns: vec![
+                Conn {
                     st: ConnSt::Idle,
-                    pending: VecDeque::new(),
-                })
-                .collect(),
+                    pending: Fifo::default(),
+                };
+                cfg.conns as usize
+            ],
+            reqs: Arena::new(),
             victims: (0..cfg.cores).collect(),
             victims_rng: zygos_sim::rng::Xoshiro256::new(cfg.seed ^ 0x0056_4543_544F_5253), // "VECTORS"
             dispatch,
             ladder,
             elastic,
-            batch_pool: Vec::new(),
             m_active,
             m_busy: CoreMask::new(cfg.cores),
             m_inapp: CoreMask::new(cfg.cores),
@@ -479,24 +482,22 @@ impl ZygosModel {
 
     /// Applies RX-batch effects: packets join their connections' event
     /// queues; idle connections become ready on this core's shuffle queue.
-    /// The batch buffer is drained and recycled through the pool.
-    fn apply_net_batch(&mut self, core: usize, mut batch: Vec<Req>, cx: &mut Cx<Ev>) {
+    fn apply_net_batch(&mut self, core: usize, mut batch: Fifo, cx: &mut Cx<Ev>) {
         // In elastic mode the executing core may have been parked while
         // this net chunk was in flight (apply_allocation drains queues
         // only on the transition): enqueue on its serving core, or the
         // ready connections would be stranded on a queue nothing scans.
         let dst = self.serving_core(core);
         let mut newly_ready = false;
-        for req in batch.drain(..) {
+        while let Some(req) = self.reqs.pop_front(&mut batch) {
             let conn = &mut self.conns[req.conn as usize];
-            conn.pending.push_back(req);
+            self.reqs.push_back(&mut conn.pending, req);
             if conn.st == ConnSt::Idle {
                 conn.st = ConnSt::Ready;
                 self.cores[dst].shuffle.push_back(req.conn);
                 newly_ready = true;
             }
         }
-        self.batch_pool.push(batch);
         if newly_ready {
             self.m_shuffle.set(dst);
             // Ready connections are steal-able: every idle core may act.
@@ -519,8 +520,10 @@ impl ZygosModel {
         let c = &mut self.conns[conn as usize];
         debug_assert_eq!(c.st, ConnSt::Busy);
         let mut events = std::mem::take(&mut c.pending);
-        debug_assert!(!events.is_empty(), "ready connection without events");
-        let cur = events.pop_front().expect("non-empty");
+        let cur = self
+            .reqs
+            .pop_front(&mut events)
+            .expect("ready connection without events");
         self.schedule_app_chunk(core, conn, cur, events, stolen, bg, extra_ns, now, cx);
     }
 
@@ -533,7 +536,7 @@ impl ZygosModel {
         core: usize,
         conn: u32,
         mut cur: Req,
-        rest: VecDeque<Req>,
+        rest: Fifo,
         stolen: bool,
         bg: bool,
         extra_ns: u64,
@@ -658,8 +661,7 @@ impl ZygosModel {
             return false;
         }
         let per_msg = self.cfg.cost.remote_syscall_ns + self.cfg.cost.stack_tx_per_msg_ns;
-        let spare = self.batch_pool.pop().unwrap_or_default();
-        let batch = std::mem::replace(&mut self.cores[core].remote_sys, spare);
+        let batch = std::mem::take(&mut self.cores[core].remote_sys);
         self.m_remote.clear(core);
         let dur = per_msg * batch.len() as u64;
         self.note_busy(now, 1, true);
@@ -735,8 +737,9 @@ impl ZygosModel {
         let fixed = self.cfg.cost.driver_batch_fixed_ns;
         let per_pkt = self.cfg.cost.driver_per_pkt_ns + self.cfg.cost.stack_rx_per_pkt_ns;
         let k = (self.cores[core].ring.len() as u64).min(self.cfg.rx_batch.max(1));
-        let mut batch = self.batch_pool.pop().unwrap_or_default();
-        batch.extend(self.cores[core].ring.drain(..k as usize));
+        let batch = self
+            .reqs
+            .split_front(&mut self.cores[core].ring, k as usize);
         if self.cores[core].ring.is_empty() {
             self.m_ring.clear(core);
         }
@@ -787,8 +790,8 @@ impl ZygosModel {
         self.conns[conn as usize].st = ConnSt::Busy;
         if cx.edge.tracing() {
             // The stolen batch's first request (`begin_app` pops it next).
-            if let Some(seq) = self.conns[conn as usize].pending.front().map(|r| r.seq) {
-                cx.edge.trace(core as u16, seq, TraceKind::Steal, now);
+            if let Some(r) = self.reqs.front(&self.conns[conn as usize].pending) {
+                cx.edge.trace(core as u16, r.seq, TraceKind::Steal, now);
             }
         }
         let extra = self.cfg.cost.shuffle_op_ns + self.cfg.cost.steal_extra_ns;
@@ -843,12 +846,8 @@ impl ZygosModel {
         debug_assert_eq!(self.conns[entry.conn as usize].st, ConnSt::Ready);
         self.conns[entry.conn as usize].st = ConnSt::Busy;
         if cx.edge.tracing() {
-            if let Some(seq) = self.conns[entry.conn as usize]
-                .pending
-                .front()
-                .map(|r| r.seq)
-            {
-                cx.edge.trace(core as u16, seq, TraceKind::Steal, now);
+            if let Some(r) = self.reqs.front(&self.conns[entry.conn as usize].pending) {
+                cx.edge.trace(core as u16, r.seq, TraceKind::Steal, now);
             }
         }
         let extra = self.cfg.cost.shuffle_op_ns + self.cfg.cost.steal_extra_ns;
@@ -899,10 +898,9 @@ impl ZygosModel {
                 self.apply_net_batch(core, batch, cx);
             }
             Work::RemoteTx { mut batch } => {
-                for req in batch.drain(..) {
+                while let Some(req) = self.reqs.pop_front(&mut batch) {
                     cx.edge.complete(&req, now);
                 }
-                self.batch_pool.push(batch);
             }
             Work::App {
                 conn,
@@ -919,7 +917,7 @@ impl ZygosModel {
                     // elastic mode, whichever core serves its queues)
                     // transmits.
                     let home = self.serving_core(cur.home as usize);
-                    self.cores[home].remote_sys.push(cur);
+                    self.reqs.push_back(&mut self.cores[home].remote_sys, cur);
                     self.m_remote.set(home);
                     if self.cores[home].is_idle() {
                         self.wake(home, cx);
@@ -930,7 +928,7 @@ impl ZygosModel {
                     self.local_events += 1;
                     cx.edge.complete(&cur, now);
                 }
-                if let Some(next) = rest.pop_front() {
+                if let Some(next) = self.reqs.pop_front(&mut rest) {
                     // Continue the connection's event batch (implicit
                     // per-flow batching, §6.2).
                     self.schedule_app_chunk(core, conn, next, rest, stolen, bg, 0, now, cx);
@@ -940,9 +938,6 @@ impl ZygosModel {
                 let connref = &mut self.conns[conn as usize];
                 if connref.pending.is_empty() {
                     connref.st = ConnSt::Idle;
-                    // Recycle the exhausted batch buffer as the
-                    // connection's next pending queue.
-                    connref.pending = rest;
                 } else {
                     connref.st = ConnSt::Ready;
                     let home = self.serving_core(cx.edge.source.home_of(conn) as usize);
@@ -988,14 +983,12 @@ impl ZygosModel {
         cur.service = SimDuration::from_nanos(remaining);
         // Requeue: the remainder stays the connection's oldest event (so
         // per-connection ordering holds), followed by the rest of the taken
-        // batch, then anything that arrived during the slice. Reuses the
-        // taken batch's buffer as the new pending queue.
+        // batch, then anything that arrived during the slice.
         let seq = cur.seq;
         let connref = &mut self.conns[conn as usize];
         debug_assert_eq!(connref.st, ConnSt::Busy);
-        let arrived = std::mem::take(&mut connref.pending);
-        rest.push_front(cur);
-        rest.extend(arrived);
+        self.reqs.push_front(&mut rest, cur);
+        self.reqs.append(&mut rest, connref.pending);
         connref.pending = rest;
         connref.st = ConnSt::Ready;
         let home = self.serving_core(cx.edge.source.home_of(conn) as usize);
@@ -1055,10 +1048,10 @@ impl ZygosModel {
             if was && !self.cores[i].active {
                 // Drain a newly parked core into its redirect target.
                 let dst = i % target;
-                let ring: Vec<Req> = self.cores[i].ring.drain(..).collect();
+                let ring = std::mem::take(&mut self.cores[i].ring);
                 let shuffle: Vec<u32> = self.cores[i].shuffle.drain(..).collect();
                 let bg: Vec<BgEntry> = self.cores[i].bg.drain(..).collect();
-                let remote: Vec<Req> = self.cores[i].remote_sys.drain(..).collect();
+                let remote = std::mem::take(&mut self.cores[i].remote_sys);
                 self.m_ring.clear(i);
                 self.m_shuffle.clear(i);
                 self.m_bg.clear(i);
@@ -1072,12 +1065,12 @@ impl ZygosModel {
                 if !remote.is_empty() {
                     self.m_remote.set(dst);
                 }
-                self.cores[dst].ring.extend(ring);
+                self.reqs.append(&mut self.cores[dst].ring, ring);
                 self.cores[dst].shuffle.extend(shuffle);
                 for entry in bg {
                     self.bg_enqueue(dst, entry);
                 }
-                self.cores[dst].remote_sys.extend(remote);
+                self.reqs.append(&mut self.cores[dst].remote_sys, remote);
                 self.wake(dst, cx);
             } else if !was && self.cores[i].active {
                 self.wake(i, cx);
@@ -1105,8 +1098,9 @@ impl ZygosModel {
         // Handler duty 1: replenish the shuffle queue if it ran dry.
         if self.cores[core].shuffle.is_empty() && !self.cores[core].ring.is_empty() {
             let k = (self.cores[core].ring.len() as u64).min(self.cfg.rx_batch.max(1));
-            let mut batch = self.batch_pool.pop().unwrap_or_default();
-            batch.extend(self.cores[core].ring.drain(..k as usize));
+            let batch = self
+                .reqs
+                .split_front(&mut self.cores[core].ring, k as usize);
             if self.cores[core].ring.is_empty() {
                 self.m_ring.clear(core);
             }
@@ -1116,15 +1110,13 @@ impl ZygosModel {
         }
         // Handler duty 2: flush remote syscalls / transmit.
         if !self.cores[core].remote_sys.is_empty() {
-            let spare = self.batch_pool.pop().unwrap_or_default();
-            let mut batch = std::mem::replace(&mut self.cores[core].remote_sys, spare);
+            let mut batch = std::mem::take(&mut self.cores[core].remote_sys);
             self.m_remote.clear(core);
             ext_ns += (cost.remote_syscall_ns + cost.stack_tx_per_msg_ns) * batch.len() as u64;
             let tx_at = now + ns(cost.ipi_handler_ns);
-            for req in batch.drain(..) {
+            while let Some(req) = self.reqs.pop_front(&mut batch) {
                 cx.edge.complete(&req, tx_at);
             }
-            self.batch_pool.push(batch);
         }
         // The interrupted application event finishes later by the handler's
         // execution time: invalidate and reschedule its completion (or its
@@ -1167,7 +1159,7 @@ impl Server for ZygosModel {
         let now = cx.now();
         let home = self.serving_core(req.home as usize);
         cx.edge.trace(home as u16, req.seq, TraceKind::Enqueue, now);
-        self.cores[home].ring.push_back(req);
+        self.reqs.push_back(&mut self.cores[home].ring, req);
         self.m_ring.set(home);
         if !self.m_busy.test(home) {
             self.wake(home, cx);
@@ -1272,9 +1264,10 @@ impl Server for ZygosModel {
             .sum()
     }
 
-    /// Total queued requests over the active cores: NIC rings, ready
-    /// connections on shuffle queues, preempted background entries, and
-    /// pending remote syscalls. This is the importance-splitting level
+    /// Queued work over the active cores: requests in NIC rings and
+    /// remote-syscall queues, plus *connections* on the shuffle and
+    /// background queues — a ready connection counts once, however many
+    /// requests are queued on it. This is the importance-splitting level
     /// function — a trajectory's backlog crossing a threshold is the
     /// rare-event precursor the RESTART estimator splits on (see
     /// `docs/TAIL.md`).
