@@ -276,7 +276,7 @@ impl SloSignal {
             }
         }
         if let Some(r) = ratio {
-            self.ratio_gauge.store(r.to_bits(), Ordering::Relaxed);
+            self.ratio_gauge.store(r.to_bits(), Ordering::Release);
         }
         (ratio, credit_ratio)
     }
@@ -484,7 +484,7 @@ impl Server {
             .slo
             .as_ref()?
             .ratio_gauge
-            .load(Ordering::Relaxed);
+            .load(Ordering::Acquire);
         let r = f64::from_bits(bits);
         r.is_finite().then_some(r)
     }
@@ -702,6 +702,11 @@ fn control_tick(shared: &Shared) {
         *last = Instant::now();
         elapsed
     };
+    // The registry stays locked from before the gauges (`slo_ratio`,
+    // `active_cores`) move until their points are pushed: a reader that
+    // sees a new gauge value and then reads a series finds the point
+    // behind it.
+    let mut t = shared.telem.lock();
     let (slo_ratio, credit_ratio) = match &shared.slo {
         Some(sig) => sig.harvest(),
         None => (None, None),
@@ -748,7 +753,6 @@ fn control_tick(shared: &Shared) {
     // Publish this tick's signals into the registry: the same decision
     // inputs the controllers just consumed, now re-readable as bounded
     // time-series instead of read-once gauges.
-    let mut t = shared.telem.lock();
     let t_us = t.start.elapsed().as_micros() as f64;
     if let (Some(id), Some(r)) = (t.s_ratio, slo_ratio) {
         t.reg.push(id, t_us, r);

@@ -503,6 +503,9 @@ mod tests {
             factor: 2.0,
             max_attempts: 3,
         });
+        // Without a client timeout, each re-issue reaches the server as one
+        // `Packet` event scheduled from the shed (no `Retry` hop).
+        let folded = edge.clone();
         edge.retry_timeout_us = Some(120.0);
         let mut client = overload();
         client.admission_mode = AdmissionMode::ClientSide;
@@ -524,6 +527,22 @@ mod tests {
                     give_ups: 22_238,
                     timeouts: 49,
                     wire_rejects: 119_566,
+                    p99_bits: f64::to_bits(347.903),
+                },
+            ),
+            (
+                "server-edge credits, backoff, no timeout",
+                folded,
+                Golden {
+                    events: 351_822,
+                    generated: 46_189,
+                    completed_total: 24_000,
+                    admitted: (24_015, vec![24_015]),
+                    rejected: (117_785, vec![117_785]),
+                    retries: 95_968,
+                    give_ups: 21_817,
+                    timeouts: 0,
+                    wire_rejects: 117_785,
                     p99_bits: f64::to_bits(347.903),
                 },
             ),

@@ -37,7 +37,7 @@
 //! target, leaving the event queue intact. That is what makes a post-run
 //! checkpoint resumable without re-arming anything.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 use zygos_load::retry::RetryDecision;
 use zygos_load::route::conn_key;
@@ -61,9 +61,13 @@ pub(crate) enum Ev<E> {
     /// transmission attempt this is (0 = the original send, >0 = a retry
     /// re-issue fed back by the retry policy).
     Packet(Req, u32),
-    /// The retry policy's backoff delay expired: the client re-issues the
-    /// request (attempt number carried), re-entering the same admission
-    /// path the original took.
+    /// The retry policy's backoff delay expired and the client has work to
+    /// do at re-issue time: a client-side credit check, or a client timeout
+    /// to arm ([`Edge::reissue_acts`]). The client re-issues the request
+    /// (attempt number carried) through the same path the original took.
+    /// Without either, no `Retry` is scheduled: the re-sent
+    /// [`Ev::Packet`] is scheduled straight from the shed, at the same
+    /// time this hop would have sent it.
     Retry { req: Req, attempt: u32 },
     /// The client's per-request timeout fired for this attempt; stale
     /// (and ignored) unless the attempt is still the live one.
@@ -267,13 +271,10 @@ pub(crate) struct Edge {
     retries: u64,
     give_ups: u64,
     timeouts_fired: u64,
-    /// Live attempt number per in-flight request sequence, maintained only
-    /// when a client timeout is armed: a `Timeout` event is stale — the
-    /// attempt was superseded or the logical request completed — unless
-    /// its attempt matches this map. World state (clones and
-    /// warm-retargets carry it), touched only off the completion fast path
-    /// when timeouts are off.
-    retry_live: HashMap<u32, u32>,
+    /// Live attempt number per in-flight request, maintained only when a
+    /// client timeout is armed. World state (clones and warm-retargets
+    /// carry it), untouched when timeouts are off.
+    retry_live: LiveAttempts,
     /// Precomputed `retry_timeout_us` (`None` = timeouts off).
     timeout_dur: Option<SimDuration>,
     /// Per-SLO-class latency window of the current control tick (single
@@ -287,6 +288,60 @@ fn timeout_of(cfg: &SysConfig) -> Option<SimDuration> {
     match (cfg.retry, cfg.retry_timeout_us) {
         (Some(_), Some(t)) if t > 0.0 => Some(SimDuration::from_micros_f64(t)),
         _ => None,
+    }
+}
+
+/// The live attempt of each request whose client timeout is armed, indexed
+/// by [`Req::seq`] (a dense counter). A `Timeout` event is stale — its
+/// attempt was superseded or the logical request completed — unless its
+/// attempt is the one stored here. The table spans only the live seqs:
+/// empty slots at either end are dropped as they form, so a checkpoint
+/// clone copies the in-flight window, not the run's history.
+#[derive(Clone, Default)]
+struct LiveAttempts {
+    /// The seq of `slots[0]`.
+    base: u32,
+    /// `attempt + 1` per seq from `base` on; 0 = no live attempt.
+    slots: VecDeque<u32>,
+}
+
+impl LiveAttempts {
+    fn get(&self, seq: u32) -> Option<u32> {
+        let i = seq.checked_sub(self.base)?;
+        self.slots.get(i as usize)?.checked_sub(1)
+    }
+
+    fn insert(&mut self, seq: u32, attempt: u32) {
+        if self.slots.is_empty() {
+            self.base = seq;
+        }
+        // A request re-armed after its slot was trimmed off the front.
+        while seq < self.base {
+            self.slots.push_front(0);
+            self.base -= 1;
+        }
+        let i = (seq - self.base) as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, 0);
+        }
+        self.slots[i] = attempt + 1;
+    }
+
+    fn remove(&mut self, seq: u32) {
+        let Some(i) = seq.checked_sub(self.base) else {
+            return;
+        };
+        let Some(slot) = self.slots.get_mut(i as usize) else {
+            return;
+        };
+        *slot = 0;
+        while self.slots.front() == Some(&0) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        while self.slots.back() == Some(&0) {
+            self.slots.pop_back();
+        }
     }
 }
 
@@ -323,7 +378,7 @@ impl Edge {
             retries: 0,
             give_ups: 0,
             timeouts_fired: 0,
-            retry_live: HashMap::new(),
+            retry_live: LiveAttempts::default(),
             timeout_dur: timeout_of(cfg),
             // The window buckets are ~¼MB per class: only materialized
             // when a controller actually harvests them.
@@ -369,7 +424,7 @@ impl Edge {
         if self.timeout_dur.is_some() {
             // The logical request is answered (by whichever attempt got
             // here first): any pending timeout for it becomes stale.
-            self.retry_live.remove(&req.seq);
+            self.retry_live.remove(req.seq);
         }
         let client_rx = tx_time + self.source.half_rtt;
         if self.rec.complete(req, tx_time) {
@@ -419,6 +474,15 @@ impl Edge {
         sched.after(gap, Ev::Gen);
     }
 
+    /// True when [`Edge::issue`] acts at re-issue time: it checks a
+    /// client-side credit or arms a client timeout. Otherwise a re-issue
+    /// only forwards the packet, so [`Edge::feed_retry`] schedules the
+    /// packet itself and skips the [`Ev::Retry`] hop.
+    fn reissue_acts(&self) -> bool {
+        self.timeout_dur.is_some()
+            || (self.cfg.admission_mode != AdmissionMode::ServerEdge && self.admission.is_some())
+    }
+
     /// Issues (or re-issues) `req` as transmission `attempt`: the same
     /// client-side gating the original send went through, plus timeout
     /// arming. A client-side shed feeds straight back into the policy.
@@ -429,7 +493,7 @@ impl Edge {
                 self.trace(req.home, req.seq, TraceKind::Admit, now);
             }
             if let Some(t) = self.timeout_dur {
-                // The map entry makes this the request's *live* attempt;
+                // The table entry makes this the request's *live* attempt;
                 // any older `Timeout` still in the queue is thereby stale.
                 self.retry_live.insert(req.seq, attempt);
                 sched.at(now + t, Ev::Timeout { req, attempt });
@@ -445,10 +509,10 @@ impl Edge {
     fn timeout<E>(&mut self, req: Req, attempt: u32, now: SimTime, sched: &mut Scheduler<Ev<E>>) {
         // Stale unless this attempt is still the live one (it was neither
         // completed nor superseded by a later re-issue).
-        if self.retry_live.get(&req.seq) != Some(&attempt) {
+        if self.retry_live.get(req.seq) != Some(attempt) {
             return;
         }
-        self.retry_live.remove(&req.seq);
+        self.retry_live.remove(req.seq);
         self.timeouts_fired += 1;
         // The abandoned attempt is *not* recalled from the server: whatever
         // work it queued still runs to completion — the wasted service
@@ -478,8 +542,8 @@ impl Edge {
             // The reject travels back before the client can react: it
             // learns half an RTT from now, and the superseded attempt's
             // timeout must not also fire.
-            if self.timeout_dur.is_some() && self.retry_live.get(&req.seq) == Some(&attempt) {
-                self.retry_live.remove(&req.seq);
+            if self.timeout_dur.is_some() && self.retry_live.get(req.seq) == Some(attempt) {
+                self.retry_live.remove(req.seq);
             }
             self.feed_retry(req, attempt, now, self.source.half_rtt, sched);
             return false;
@@ -495,8 +559,10 @@ impl Edge {
     /// *client* takes to learn of the failure (zero for a local shed or
     /// timeout, half an RTT for a server-edge reject); the re-issue, if
     /// any, fires `notify_delay + backoff` from `now` and re-enters the
-    /// full admission path via [`Ev::Retry`]. Does nothing (and touches no
-    /// counter) when no policy is armed, keeping the open-loop world
+    /// full admission path via [`Ev::Retry`], or, when the client has
+    /// nothing to do then ([`Edge::reissue_acts`]), reaches the server as
+    /// an [`Ev::Packet`] half an RTT after that. Does nothing (and touches
+    /// no counter) when no policy is armed, keeping the open-loop world
     /// bit-identical.
     fn feed_retry<E>(
         &mut self,
@@ -508,7 +574,7 @@ impl Edge {
     ) {
         let Some(policy) = self.cfg.retry else { return };
         let noticed = now + notify_delay;
-        let elapsed_us = noticed.duration_since(req.send).as_micros_f64() as u64;
+        let elapsed_us = noticed.duration_since(req.send).as_nanos() / 1_000;
         let decision = if self.cfg.retry_jitter {
             policy.on_shed_jittered(
                 attempt,
@@ -527,14 +593,13 @@ impl Edge {
             RetryDecision::RetryAfterUs(d) => d,
         };
         self.retries += 1;
-        let at = noticed + SimDuration::from_micros_f64(delay_us as f64);
-        sched.at(
-            at,
-            Ev::Retry {
-                req,
-                attempt: attempt + 1,
-            },
-        );
+        let at = noticed + SimDuration::from_nanos(delay_us.saturating_mul(1_000));
+        let attempt = attempt + 1;
+        if self.reissue_acts() {
+            sched.at(at, Ev::Retry { req, attempt });
+        } else {
+            sched.at(at + self.source.half_rtt, Ev::Packet(req, attempt));
+        }
     }
 
     /// Harvests and clears the control window: drives the credit AIMD from
@@ -622,7 +687,7 @@ impl Edge {
     /// arrival process and replaces the recorder, and every *window
     /// statistic* — shed counts, retry counters, latency windows — is
     /// rewound to zero at `now`. World state (RNG position, credit
-    /// capacity, the live-attempt map) carries over.
+    /// capacity, the live-attempt table) carries over.
     pub(crate) fn retarget(&mut self, cfg: &SysConfig, now: SimTime, warmup: u64) {
         debug_assert!(cfg.telemetry.is_none(), "warm runs are telemetry-off");
         self.source.retarget(cfg);
@@ -790,4 +855,190 @@ pub(crate) fn run<S: Server>(world: World<S>) -> SysOutput {
     engine.run();
     let events = engine.processed();
     finish(engine, events)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SystemKind;
+    use crate::driver::run_system;
+    use zygos_load::retry::RetryPolicy;
+    use zygos_sched::CreditConfig;
+    use zygos_sim::dist::ServiceDist;
+
+    /// Server-edge credits with backoff and no client timeout: the client
+    /// has nothing to do at re-issue time, so each re-issue is one
+    /// `Packet` event scheduled from the shed.
+    fn folded(system: SystemKind, jitter: bool, load: f64, seed: u64, requests: u64) -> SysConfig {
+        let mut cfg = SysConfig::paper(system, ServiceDist::exponential_us(10.0), load);
+        cfg.admission = Some(CreditConfig::for_cores(cfg.cores, 80.0));
+        cfg.retry = Some(RetryPolicy::Backoff {
+            base_us: 50,
+            factor: 2.0,
+            max_attempts: 3,
+        });
+        cfg.retry_jitter = jitter;
+        (cfg.requests, cfg.warmup, cfg.seed) = (requests, requests / 5, seed);
+        cfg
+    }
+
+    /// The same run with a client timeout far past its horizon. The
+    /// timeout never fires, but arming it keeps every re-issue on the
+    /// `Ev::Retry` hop: the path before the fold.
+    fn twin(mut cfg: SysConfig) -> SysConfig {
+        cfg.retry_timeout_us = Some(1e9);
+        cfg
+    }
+
+    #[test]
+    fn the_retry_hop_twin_matches_the_unfolded_loop_bit_for_bit() {
+        // (host, jitter, load, seed, [generated, completed_total, rejected,
+        // retries, give_ups], p99 µs), 5k measured after 1k warm-up
+        // completions. Recorded before the fold, with no timeout armed: the
+        // twin's timeout events never fire, and the re-issue path is the one
+        // these were recorded on.
+        use SystemKind::{Ix, LinuxFloating as Linux, Zygos};
+        #[rustfmt::skip]
+        let pins = [
+            (Zygos, true, 1.1, 1, [9757, 6000, 20959, 17521, 3438], 347.903),
+            (Zygos, true, 1.1, 2, [9679, 6000, 20610, 17245, 3365], 346.367),
+            (Zygos, true, 1.3, 1, [11509, 6000, 28415, 23294, 5121], 348.927),
+            (Zygos, true, 1.3, 2, [11554, 6000, 28598, 23445, 5153], 347.647),
+            (Zygos, true, 1.6, 1, [14141, 6000, 39025, 31382, 7643], 351.231),
+            (Zygos, true, 1.6, 2, [14145, 6000, 39245, 31602, 7643], 348.671),
+            (Zygos, false, 1.1, 1, [9591, 6000, 19868, 16665, 3203], 400.639),
+            (Zygos, false, 1.1, 2, [9711, 6000, 20511, 17219, 3292], 402.431),
+            (Zygos, false, 1.3, 1, [11413, 6000, 27521, 22602, 4919], 402.431),
+            (Zygos, false, 1.3, 2, [11350, 6000, 27425, 22573, 4852], 404.991),
+            (Zygos, false, 1.6, 1, [14261, 6000, 39030, 31456, 7574], 404.479),
+            (Zygos, false, 1.6, 2, [14108, 6000, 38486, 31073, 7413], 403.967),
+            (Ix, true, 1.1, 1, [12132, 6000, 30963, 25192, 5771], 368.895),
+            (Ix, true, 1.1, 2, [11874, 6000, 30065, 24533, 5532], 372.735),
+            (Ix, true, 1.3, 1, [14100, 6000, 39090, 31377, 7713], 373.247),
+            (Ix, true, 1.3, 2, [14282, 6000, 39805, 31978, 7827], 377.855),
+            (Ix, true, 1.6, 1, [17523, 6000, 52928, 41944, 10984], 380.415),
+            (Ix, true, 1.6, 2, [17891, 6000, 54268, 42956, 11312], 376.575),
+            (Ix, false, 1.1, 1, [12119, 6000, 30721, 25080, 5641], 440.063),
+            (Ix, false, 1.1, 2, [12250, 6000, 31254, 25487, 5767], 445.695),
+            (Ix, false, 1.3, 1, [14260, 6000, 39513, 31797, 7716], 450.303),
+            (Ix, false, 1.3, 2, [14210, 6000, 39222, 31583, 7639], 442.367),
+            (Ix, false, 1.6, 1, [17818, 6000, 53585, 42513, 11072], 448.255),
+            (Ix, false, 1.6, 2, [17367, 6000, 51906, 41273, 10633], 446.719),
+            (Linux, true, 1.1, 1, [14433, 6000, 40825, 32761, 8064], 353.535),
+            (Linux, true, 1.1, 2, [14422, 6000, 40778, 32718, 8060], 353.535),
+            (Linux, true, 1.3, 1, [17072, 6000, 51311, 40692, 10619], 351.487),
+            (Linux, true, 1.3, 2, [17158, 6000, 51792, 41090, 10702], 354.047),
+            (Linux, true, 1.6, 1, [20945, 6000, 66843, 52492, 14351], 354.815),
+            (Linux, true, 1.6, 2, [20850, 6000, 66382, 52133, 14249], 356.863),
+            (Linux, false, 1.1, 1, [14381, 6000, 40247, 32361, 7886], 405.503),
+            (Linux, false, 1.1, 2, [14482, 6000, 40630, 32612, 8018], 406.015),
+            (Linux, false, 1.3, 1, [17210, 6000, 51531, 40914, 10617], 405.759),
+            (Linux, false, 1.3, 2, [17018, 6000, 50686, 40280, 10406], 405.503),
+            (Linux, false, 1.6, 1, [20793, 6000, 65717, 51688, 14029], 407.807),
+            (Linux, false, 1.6, 2, [20844, 6000, 66025, 51942, 14083], 410.623),
+        ];
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for (system, jitter, load, seed, counts, p99_us) in pins {
+            let out = run_system(&twin(folded(system, jitter, load, seed, 5_000)));
+            assert_eq!(out.timeouts, 0, "the twin's timeout must never fire");
+            let fields = [
+                out.generated,
+                out.completed_total,
+                out.rejected,
+                out.retries,
+                out.give_ups,
+            ];
+            let key = (system.label(), jitter, load, seed);
+            got.push((key, fields, out.p99_us().to_bits()));
+            want.push((key, counts, f64::to_bits(p99_us)));
+        }
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn live_attempts_match_a_map_and_span_only_live_seqs() {
+        // Random inserts (mostly at the newest seq, some re-arming older
+        // ones) and removes, checked against a map after every step.
+        let mut table = LiveAttempts::default();
+        let mut map = std::collections::HashMap::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut newest = 0u32;
+        for _ in 0..20_000 {
+            let r = next();
+            let seq = match r % 4 {
+                0 => {
+                    newest += 1;
+                    newest
+                }
+                _ => newest.saturating_sub((r >> 8) as u32 % 64),
+            };
+            if (r >> 32) % 3 == 0 {
+                table.remove(seq);
+                map.remove(&seq);
+            } else {
+                let attempt = (r >> 40) as u32 % 5;
+                table.insert(seq, attempt);
+                map.insert(seq, attempt);
+            }
+            for probe in newest.saturating_sub(70)..=newest + 1 {
+                assert_eq!(table.get(probe), map.get(&probe).copied(), "seq {probe}");
+            }
+            let span = match (map.keys().min(), map.keys().max()) {
+                (Some(lo), Some(hi)) => (hi - lo + 1) as usize,
+                _ => 0,
+            };
+            assert_eq!(table.slots.len(), span);
+        }
+    }
+
+    /// Mean and standard error of a sample.
+    fn mean_se(xs: &[f64]) -> (f64, f64) {
+        let n = xs.len() as f64;
+        let mean = xs.iter().sum::<f64>() / n;
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
+        (mean, (var / n).sqrt())
+    }
+
+    #[test]
+    fn folded_reissues_agree_with_the_retry_hop_across_seeds() {
+        // The fold changes only which of two events at the same nanosecond
+        // fires first: the re-sent packet takes its engine sequence number
+        // at shed time instead of at re-issue time. So each sample path
+        // moves, but no statistic may: over paired seeds, the mean
+        // difference of each metric must sit within 3 standard errors of
+        // zero.
+        let (mut goodput, mut retries, mut p99) = (Vec::new(), Vec::new(), Vec::new());
+        let mut moved = 0;
+        for seed in 1..=24 {
+            let cfg = folded(SystemKind::Zygos, true, 1.3, seed, 2_000);
+            let (f, t) = (run_system(&cfg), run_system(&twin(cfg)));
+            assert!(
+                f.events < t.events,
+                "seed {seed}: the fold must save events"
+            );
+            moved += usize::from(f.p99_us() != t.p99_us() || f.retries != t.retries);
+            goodput.push(f.goodput_fraction() - t.goodput_fraction());
+            retries.push(f.retry_rate() - t.retry_rate());
+            p99.push(f.p99_us() - t.p99_us());
+        }
+        assert!(moved > 0, "no sample path moved: the pairs test nothing");
+        for (name, diffs) in [
+            ("goodput", goodput),
+            ("retries/request", retries),
+            ("p99 µs", p99),
+        ] {
+            let (mean, se) = mean_se(&diffs);
+            assert!(
+                mean.abs() <= 3.0 * se,
+                "{name}: folded - twin = {mean:+.5} ± {se:.5} over {} seeds",
+                diffs.len()
+            );
+        }
+    }
 }

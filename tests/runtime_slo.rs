@@ -58,20 +58,29 @@ fn slo_controller_staffs_up_on_an_induced_latency_step() {
     assert_eq!(server.active_cores(), Some(4), "starts fully granted");
 
     // Phase 1 — healthy: fast handler, light closed-loop trickle. The
-    // margin is wide, so the controller parks toward the floor.
+    // margin is wide, so the controller parks toward the floor. Phase 1
+    // ends once a window has measured that margin (a published ratio
+    // below 1) *and* the controller has parked. The park alone is not
+    // enough: a window publishes a ratio only once it holds
+    // `MIN_WINDOW_SAMPLES` samples, this trickle sends about one request
+    // per 1 ms control tick, and the utilization rule can park before the
+    // first ratio exists.
     let mut id = 0u64;
+    let mut margin_measured = false;
     let deadline = Instant::now() + Duration::from_secs(30);
     let parked_at = loop {
         roundtrip(&client, (id % 16) as u32, id);
         id += 1;
         std::thread::sleep(Duration::from_millis(1));
+        margin_measured |= server.slo_ratio().is_some_and(|r| r < 1.0);
         let active = server.active_cores().expect("elastic gauge");
-        if active < 4 {
+        if margin_measured && active < 4 {
             break active;
         }
         assert!(
             Instant::now() < deadline,
-            "controller never parked under a wide margin"
+            "controller never parked under a measured wide margin \
+             (margin measured: {margin_measured}, active = {active})"
         );
     };
     assert!(parked_at < 4);

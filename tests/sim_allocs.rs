@@ -1,10 +1,10 @@
 //! Allocation count of the ZygOS simulator.
 //!
-//! A ZygOS run allocates its world once: queues, the event wheel and the
-//! recorder grow to their working size and are then reused, so the count
-//! barely moves with run length. A RESTART clone copies the world, and
-//! the copy allocates only the world's fixed arrays, not one buffer per
-//! connection.
+//! A ZygOS run allocates its world once: queues, the event wheel, the
+//! recorder and the client's live-attempt table grow to their working size
+//! and are then reused, so the count barely moves with run length. A
+//! RESTART clone copies the world, and the copy allocates only the world's
+//! fixed arrays, not one buffer per connection.
 //!
 //! This is its own test binary with a single test, so nothing else
 //! allocates while the counting allocator is on.
@@ -12,6 +12,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use zygos::load::retry::RetryPolicy;
+use zygos::sched::CreditConfig;
 use zygos::sim::dist::ServiceDist;
 use zygos::sysim::{run_restart, run_system, SysConfig, SystemKind, TailConfig};
 
@@ -75,24 +77,31 @@ const MAX_PER_CLONE: u64 = 250;
 #[test]
 fn zygos_runs_and_restart_clones_allocate_a_bounded_count() {
     let sizes = [20_000, 40_000, 80_000];
+    let paper = |system, load| SysConfig::paper(system, ServiceDist::exponential_us(10.0), load);
+    let mut elastic = paper(SystemKind::Elastic { min_cores: 2 }, 0.5);
+    elastic.preemption_quantum_us = 25.0;
+    // Server-edge credits, backoff and a client timeout at overload: every
+    // attempt arms a timeout, so the edge's live-attempt table is in use.
+    let mut retry = paper(SystemKind::Zygos, 1.3);
+    retry.admission = Some(CreditConfig::for_cores(retry.cores, 80.0));
+    retry.retry = Some(RetryPolicy::Backoff {
+        base_us: 50,
+        factor: 2.0,
+        max_attempts: 3,
+    });
+    retry.retry_timeout_us = Some(120.0);
     let configs = [
-        ("static 0.3", SystemKind::Zygos, 0.3, 0.0),
-        ("static 0.8", SystemKind::Zygos, 0.8, 0.0),
-        (
-            "elastic q=25us 0.5",
-            SystemKind::Elastic { min_cores: 2 },
-            0.5,
-            25.0,
-        ),
+        ("static 0.3", paper(SystemKind::Zygos, 0.3)),
+        ("static 0.8", paper(SystemKind::Zygos, 0.8)),
+        ("elastic q=25us 0.5", elastic),
+        ("retry + timeout 1.3", retry),
     ];
     let mut failures = Vec::new();
-    for (name, system, load, quantum_us) in configs {
+    for (name, mut cfg) in configs {
         let counts: Vec<u64> = sizes
             .iter()
             .map(|&requests| {
-                let mut cfg = SysConfig::paper(system, ServiceDist::exponential_us(10.0), load);
                 (cfg.requests, cfg.warmup) = (requests, requests / 5);
-                cfg.preemption_quantum_us = quantum_us;
                 count(|| run_system(&cfg))
             })
             .collect();
