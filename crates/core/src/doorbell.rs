@@ -130,6 +130,11 @@ impl Doorbell {
         IpiReasons(self.bits.swap(0, Ordering::AcqRel))
     }
 
+    /// The pending reasons, left pending.
+    pub fn pending(&self) -> IpiReasons {
+        IpiReasons(self.bits.load(Ordering::Acquire))
+    }
+
     /// True if any reason is pending (checked at safepoints).
     pub fn any_pending(&self) -> bool {
         self.bits.load(Ordering::Acquire) != 0
@@ -157,6 +162,8 @@ mod tests {
         assert!(!d.any_pending());
         assert!(d.ring(IpiReason::PendingPackets));
         assert!(d.any_pending());
+        assert!(d.pending().contains(IpiReason::PendingPackets));
+        assert!(!d.pending().contains(IpiReason::RemoteSyscalls));
         let taken = d.take();
         assert!(taken.contains(IpiReason::PendingPackets));
         assert_eq!(taken.len(), 1);

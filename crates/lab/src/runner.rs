@@ -97,14 +97,21 @@ enum JobOut {
     Tail(TailResult),
 }
 
-fn run_job(sc: &Scenario, job: &Job, loads: &[f64], smoke: bool) -> Result<JobOut, SpecError> {
+/// Runs one job; a `[tail]` job walks its split tree on `threads` workers.
+fn run_job(
+    sc: &Scenario,
+    job: &Job,
+    loads: &[f64],
+    smoke: bool,
+    threads: usize,
+) -> Result<JobOut, SpecError> {
     match job {
         Job::Chain { ci, lis } => {
             let chain: Vec<f64> = lis.iter().map(|&li| loads[li]).collect();
             run_chain(sc, &sc.cases[*ci], &chain, smoke).map(JobOut::Points)
         }
         Job::Search { ci } => run_search(sc, &sc.cases[*ci], smoke).map(JobOut::Search),
-        Job::Tail { ci } => run_tail(sc, &sc.cases[*ci], smoke).map(JobOut::Tail),
+        Job::Tail { ci } => run_tail(sc, &sc.cases[*ci], smoke, threads).map(JobOut::Tail),
     }
 }
 
@@ -174,12 +181,15 @@ pub fn run_scenario_threads(
     let loads = sc.loads(smoke).to_vec();
     // One slot per deterministic job; live points are computed afterwards.
     let jobs = jobs_for(sc, &loads, smoke);
-    let threads = threads.clamp(1, jobs.len().max(1));
+    // A `[tail]` job splits its own work across all of the lab's workers.
+    let workers = threads.max(1);
+    let threads = workers.min(jobs.len().max(1));
     let results: Vec<Mutex<Option<Result<JobOut, SpecError>>>> =
         jobs.iter().map(|_| Mutex::new(None)).collect();
     if threads <= 1 {
         for (slot, job) in jobs.iter().enumerate() {
-            *results[slot].lock().expect("poisoned") = Some(run_job(sc, job, &loads, smoke));
+            *results[slot].lock().expect("poisoned") =
+                Some(run_job(sc, job, &loads, smoke, workers));
         }
     } else {
         let next = AtomicUsize::new(0);
@@ -190,7 +200,7 @@ pub fn run_scenario_threads(
                     let Some(job) = jobs.get(slot) else {
                         return;
                     };
-                    let out = run_job(sc, job, &loads, smoke);
+                    let out = run_job(sc, job, &loads, smoke, workers);
                     *results[slot].lock().expect("poisoned") = Some(out);
                 });
             }
@@ -372,8 +382,14 @@ fn run_search(sc: &Scenario, case: &Case, smoke: bool) -> Result<SearchResult, S
 /// importance splitting next to the brute-force estimate from the same
 /// master trajectory. The splitting engine owns the clone trajectories
 /// and per-event tracing cannot splice across clones, so tail runs
-/// always go untraced.
-fn run_tail(sc: &Scenario, case: &Case, smoke: bool) -> Result<TailResult, SpecError> {
+/// always go untraced. The split tree runs on `threads` workers; its
+/// result is the same at every count.
+fn run_tail(
+    sc: &Scenario,
+    case: &Case,
+    smoke: bool,
+    threads: usize,
+) -> Result<TailResult, SpecError> {
     let tp = sc
         .tail
         .as_ref()
@@ -389,6 +405,7 @@ fn run_tail(sc: &Scenario, case: &Case, smoke: bool) -> Result<TailResult, SpecE
             check_every: tp.check_every,
             clone_budget: tp.clone_budget,
         },
+        threads,
     );
     Ok(TailResult {
         load: tp.load,

@@ -2,9 +2,12 @@
 //!
 //! [`LatencyHistogram`] is a log-linear (HDR-style) histogram over
 //! nanosecond durations: values are bucketed with ~0.1% relative precision
-//! (1024 sub-buckets per power of two), covering the full `u64` range in
-//! constant memory. All figure harnesses report percentiles through it, and
-//! Figure 10a's CCDF is exported from it.
+//! (1024 sub-buckets per power of two), covering the full `u64` range.
+//! Its counters grow only up to the bucket of the largest value recorded
+//! (about 11 k counters for millisecond latencies, at most 56,320), so a
+//! checkpoint that clones a recorder copies only what it used. All figure
+//! harnesses report percentiles through it, and Figure 10a's CCDF is
+//! exported from it.
 
 use crate::time::SimDuration;
 
@@ -44,6 +47,7 @@ fn lowest_of_index(idx: usize) -> u64 {
 /// A log-linear histogram of durations with ~0.1% value precision.
 #[derive(Clone)]
 pub struct LatencyHistogram {
+    /// Counts by bucket index, up to the highest index recorded.
     counts: Vec<u64>,
     total: u64,
     min: u64,
@@ -61,7 +65,7 @@ impl LatencyHistogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         LatencyHistogram {
-            counts: vec![0; COUNTS_LEN],
+            counts: Vec::new(),
             total: 0,
             min: u64::MAX,
             max: 0,
@@ -86,18 +90,30 @@ impl LatencyHistogram {
     pub(crate) fn highest_equivalent(value: u64) -> u64 {
         let bucket = Self::bucket_index(value);
         let sub = value >> bucket;
-        ((sub + 1) << bucket) - 1
+        // `((sub + 1) << bucket) - 1`, without overflowing in the top bucket.
+        (sub << bucket) | ((1u64 << bucket) - 1)
     }
 
     /// Records one duration expressed in nanoseconds.
     pub fn record_nanos(&mut self, ns: u64) {
         // Map zero to the first bucket; counts_index handles it naturally.
         let idx = Self::counts_index(ns);
-        self.counts[idx] += 1;
+        match self.counts.get_mut(idx) {
+            Some(c) => *c += 1,
+            None => self.grow_to_record(idx),
+        }
         self.total += 1;
         self.min = self.min.min(ns);
         self.max = self.max.max(ns);
         self.sum += ns as u128;
+    }
+
+    /// Records the first value at an index past the counters' end.
+    #[cold]
+    fn grow_to_record(&mut self, idx: usize) {
+        debug_assert!(idx < COUNTS_LEN);
+        self.counts.resize(idx + 1, 0);
+        self.counts[idx] = 1;
     }
 
     /// Records one [`SimDuration`].
@@ -197,6 +213,9 @@ impl LatencyHistogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
+        if self.counts.len() < other.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += *b;
         }
@@ -560,6 +579,93 @@ mod tests {
         // ceil(0.99·100) = 99 ⇒ the 99th smallest, not the max.
         assert_eq!(h.value_at_quantile(0.99), 99);
         assert_eq!(h.value_at_quantile(1.0), 100);
+    }
+
+    /// A histogram with every counter allocated up front, as before the
+    /// counters grew lazily: the reference the lazy one must match.
+    fn dense() -> LatencyHistogram {
+        LatencyHistogram {
+            counts: vec![0; COUNTS_LEN],
+            ..LatencyHistogram::new()
+        }
+    }
+
+    fn assert_same_readings(lazy: &LatencyHistogram, dense: &LatencyHistogram, what: &str) {
+        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            assert_eq!(
+                lazy.value_at_quantile(q),
+                dense.value_at_quantile(q),
+                "{what}: q={q}"
+            );
+        }
+        assert_eq!(lazy.ccdf_us(), dense.ccdf_us(), "{what}: ccdf");
+        assert_eq!(lazy.count(), dense.count(), "{what}: count");
+        assert_eq!(lazy.min_nanos(), dense.min_nanos(), "{what}: min");
+        assert_eq!(lazy.max_nanos(), dense.max_nanos(), "{what}: max");
+        assert_eq!(
+            lazy.mean_nanos().to_bits(),
+            dense.mean_nanos().to_bits(),
+            "{what}: mean"
+        );
+        assert_eq!(
+            lazy.counts[..],
+            dense.counts[..lazy.counts.len()],
+            "{what}: counts"
+        );
+        assert!(
+            dense.counts[lazy.counts.len()..].iter().all(|&c| c == 0),
+            "{what}: the lazy counters stop before a recorded bucket"
+        );
+    }
+
+    #[test]
+    fn lazy_counters_read_like_dense_ones() {
+        // Bucket 0's last value, bucket 1's first, and the top of u64.
+        let edges = [0u64, 2_047, 2_048, u64::MAX];
+        let mut rng = Xoshiro256::new(33);
+        let spread: Vec<u64> = (0..2_000)
+            .map(|i| rng.next_bounded(1 << (8 + i % 40)))
+            .collect();
+        let small: Vec<u64> = (0..500).map(|_| rng.next_bounded(3_000)).collect();
+
+        let (mut lazy, mut reference) = (LatencyHistogram::new(), dense());
+        assert_same_readings(&lazy, &reference, "empty");
+        for v in edges {
+            let (mut one, mut one_ref) = (LatencyHistogram::new(), dense());
+            one.record_nanos(v);
+            one_ref.record_nanos(v);
+            assert_same_readings(&one, &one_ref, &format!("only {v}"));
+        }
+        for &v in &spread {
+            lazy.record_nanos(v);
+            reference.record_nanos(v);
+        }
+        assert_same_readings(&lazy, &reference, "spread");
+        for v in edges {
+            lazy.record_nanos(v);
+            reference.record_nanos(v);
+            assert_same_readings(&lazy, &reference, &format!("spread and {v}"));
+        }
+
+        // Merges of a short histogram and a long one, both ways round,
+        // and of a lazy one into an empty one.
+        let (mut short, mut short_ref) = (LatencyHistogram::new(), dense());
+        for &v in &small {
+            short.record_nanos(v);
+            short_ref.record_nanos(v);
+        }
+        assert!(short.counts.len() < lazy.counts.len());
+        let mut long_into_short = short.clone();
+        long_into_short.merge(&lazy);
+        let mut short_into_long = lazy.clone();
+        short_into_long.merge(&short);
+        let mut merged_ref = short_ref.clone();
+        merged_ref.merge(&reference);
+        assert_same_readings(&long_into_short, &merged_ref, "long into short");
+        assert_same_readings(&short_into_long, &merged_ref, "short into long");
+        let mut into_empty = LatencyHistogram::new();
+        into_empty.merge(&short);
+        assert_same_readings(&into_empty, &short_ref, "short into empty");
     }
 
     #[test]

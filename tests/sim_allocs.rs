@@ -4,7 +4,8 @@
 //! recorder and the client's live-attempt table grow to their working size
 //! and are then reused, so the count barely moves with run length. A
 //! RESTART clone copies the world, and the copy allocates only the world's
-//! fixed arrays, not one buffer per connection.
+//! fixed arrays, not one buffer per connection, whether one thread walks
+//! the split tree or two.
 //!
 //! This is its own test binary with a single test, so nothing else
 //! allocates while the counting allocator is on.
@@ -124,19 +125,23 @@ fn zygos_runs_and_restart_clones_allocate_a_bounded_count() {
         check_every: 64,
         clone_budget: 2_000_000,
     };
-    let mut clones = 0;
-    let allocs = count(|| {
-        let (out, t) = run_restart(&cfg, &tail);
-        clones = t.clones;
-        out
-    });
-    assert!(clones > 0, "the smoke config must split");
-    if allocs > MAX_PER_CLONE * clones {
-        failures.push(format!(
-            "RESTART: {allocs} allocations over {clones} clones = {:.1} per clone \
-             (limit {MAX_PER_CLONE})",
-            allocs as f64 / clones as f64
-        ));
+    // One worker walks the split tree alone; two run its trajectories
+    // in parallel and must not allocate more per clone.
+    for threads in [1, 2] {
+        let mut clones = 0;
+        let allocs = count(|| {
+            let (out, t) = run_restart(&cfg, &tail, threads);
+            clones = t.clones;
+            out
+        });
+        assert!(clones > 0, "the smoke config must split");
+        if allocs > MAX_PER_CLONE * clones {
+            failures.push(format!(
+                "RESTART on {threads} thread(s): {allocs} allocations over {clones} clones \
+                 = {:.1} per clone (limit {MAX_PER_CLONE})",
+                allocs as f64 / clones as f64
+            ));
+        }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
