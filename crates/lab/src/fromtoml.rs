@@ -56,8 +56,6 @@ use zygos_load::slo::{Slo, SloClass, TenantSlos};
 use zygos_load::source::{ArrivalSpec, Phase, Trace};
 use zygos_sched::BackgroundOrder;
 use zygos_sim::dist::ServiceDist;
-use zygos_sysim::config::AllocKind;
-use zygos_sysim::fleet::AdmissionTopology;
 use zygos_sysim::{AdmissionMode, CoreLayout, QueueDiscipline, RoutePolicy, SeriesKind, StageSpec};
 
 use crate::spec::{
@@ -228,8 +226,8 @@ fn parse_case(mut t: Keys) -> Result<Case, SpecError> {
     let host = HostSpec::parse(&t.req("host", Keys::str)?)?;
     let mut p = PolicySpec::default();
 
-    // Admission: `admission = true` arms the gate; its mode, target or
-    // overcommitment without it is the canonical contradictory spec.
+    // Admission: `admission = true` arms the gate; its mode or target
+    // without it is the canonical contradictory spec.
     let armed = t.bool("admission")?.unwrap_or(false);
     let mode = t.choice(
         "admission_mode",
@@ -239,32 +237,21 @@ fn parse_case(mut t: Keys) -> Result<Case, SpecError> {
         ],
     )?;
     let target_us = t.num("credit_target_us")?;
-    let overcommit = t.bool("overcommit")?.unwrap_or(false);
     if armed {
         p.admission = Some(AdmissionSpec {
             mode: mode.unwrap_or(AdmissionMode::ServerEdge),
             target_us,
-            credits: None,
-            overcommit,
         });
     } else if mode.is_some() {
         return Err(
             t.err("admission_mode with admission off — arm `admission = true` or drop the mode")
         );
-    } else if target_us.is_some() || overcommit {
+    } else if target_us.is_some() {
         return Err(t.err("credit knobs with admission off"));
     }
 
     p.min_cores = t.count("min_cores")?;
-    p.alloc = t.choice(
-        "alloc",
-        &[
-            ("utilization", AllocKind::Utilization),
-            ("slo-driven", AllocKind::SloDriven),
-        ],
-    )?;
     p.quantum_us = t.num("quantum_us")?;
-    p.quantum_events = t.count("quantum_events")?;
     p.background_order = t.choice(
         "background_order",
         &[
@@ -277,18 +264,10 @@ fn parse_case(mut t: Keys) -> Result<Case, SpecError> {
     p.ipi_delivery_ns = t.count("ipi_delivery_ns")?;
     p.steal_extra_ns = t.count("steal_extra_ns")?;
 
-    // Fleet knobs: balancer policy, admission topology, and the injected
-    // shard faults.
+    // Fleet knobs: balancer policy and the injected shard faults.
     if let Some(name) = t.str("routing")? {
         p.routing = Some(RoutePolicy::parse(&name).map_err(|e| t.err(e))?);
     }
-    p.fleet_admission = t.choice(
-        "fleet_admission",
-        &[
-            ("per-shard", AdmissionTopology::PerShard),
-            ("fleet-wide", AdmissionTopology::FleetWide),
-        ],
-    )?;
     if let Some(pairs) = t.list("degraded", "[shard, factor] pairs", |v| nums_of(&v))? {
         if pairs.is_empty() {
             return Err(t.err("degraded is empty"));
@@ -303,12 +282,11 @@ fn parse_case(mut t: Keys) -> Result<Case, SpecError> {
     }
     p.fanout = t.count("fanout")?;
 
-    // Retry plane: the closed feedback loop, its jitter, and the client
-    // timeout that feeds it.
+    // Retry plane: the closed feedback loop and the client timeout that
+    // feeds it.
     if let Some(v) = t.take("retry") {
         p.retry = Some(parse_retry(v, &t)?);
     }
-    p.retry_jitter = t.bool("retry_jitter")?;
     p.retry_timeout_us = t.num("retry_timeout_us")?;
 
     // Staged pipeline: the layout plus the core counts that size it, and
@@ -354,7 +332,6 @@ fn parse_case(mut t: Keys) -> Result<Case, SpecError> {
     };
     p.discipline = discipline(&mut t)?;
 
-    // SLO classes: either a full list or a uniform single-bound shortcut.
     let classes = t.list("slo_classes", "[name, p99_bound_us] pairs", |v| match v {
         Value::Arr(pair) => match <[Value; 2]>::try_from(pair) {
             Ok([Value::Str(name), Value::Num(bound)]) => Some(SloClass::new(name, Slo::p99(bound))),
@@ -362,12 +339,10 @@ fn parse_case(mut t: Keys) -> Result<Case, SpecError> {
         },
         _ => None,
     })?;
-    p.slo = match (classes, t.num("slo_bound_us")?) {
-        (Some(_), Some(_)) => return Err(t.err("pick one of slo_classes / slo_bound_us")),
-        (Some(classes), None) if classes.is_empty() => return Err(t.err("slo_classes is empty")),
-        (Some(classes), None) => Some(TenantSlos::new(classes)),
-        (None, Some(bound)) => Some(TenantSlos::uniform(Slo::p99(bound))),
-        (None, None) => None,
+    p.slo = match classes {
+        Some(classes) if classes.is_empty() => return Err(t.err("slo_classes is empty")),
+        Some(classes) => Some(TenantSlos::new(classes)),
+        None => None,
     };
     t.finish()?;
     Ok(Case {
@@ -529,24 +504,12 @@ fn parse_op(t: &mut Keys) -> Result<Op, SpecError> {
 }
 
 /// `[faults]`: scenario-wide adversarial injections — `burst`
-/// `[at_us, duration_us, factor]`, `churn` `[interval_us, spike_us,
-/// factor]`, `slow_clients` `[fraction, stall_us]`, `slowdown`
-/// `[shard, factor]`.
+/// `[at_us, duration_us, factor]`.
 fn parse_faults(mut t: Keys) -> Result<FaultsSpec, SpecError> {
     let spec = FaultsSpec {
         burst: t
             .tuple("burst", "[at_us, duration_us, factor]")?
             .map(|[at, duration, factor]| (at, duration, factor)),
-        churn: t
-            .tuple("churn", "[interval_us, spike_us, factor]")?
-            .map(|[interval, spike, factor]| (interval, spike, factor)),
-        slow_clients: t
-            .tuple("slow_clients", "[fraction, stall_us]")?
-            .map(|[fraction, stall]| (fraction, stall)),
-        slowdown: match t.tuple("slowdown", "[shard, factor]")? {
-            Some([shard, factor]) => Some((as_count(shard, "slowdown shard")?, factor)),
-            None => None,
-        },
     };
     t.finish()?;
     Ok(spec)
@@ -852,6 +815,29 @@ value = 1.5"#;
             blocks += 1;
         }
         assert_eq!(blocks, 15, "every block but the top level");
+        // Retired knobs are unknown keys like any other.
+        let retired = [
+            ("[[case]]", "alloc = \"utilization\""),
+            ("[[case]]", "quantum_events = 8"),
+            ("[[case]]", "overcommit = true"),
+            ("[[case]]", "fleet_admission = \"fleet-wide\""),
+            ("[[case]]", "retry_jitter = false"),
+            ("[[case]]", "slo_bound_us = 100.0"),
+            ("[faults]", "churn = [5000.0, 500.0, 3.0]"),
+            ("[faults]", "slow_clients = [0.1, 200.0]"),
+            ("[faults]", "slowdown = [0, 3.0]"),
+        ];
+        for (header, line) in retired {
+            let key = line.split(" = ").next().expect("a key");
+            let block = match header {
+                "[[case]]" => "[[case]] #1",
+                _ => header,
+            };
+            reject(
+                &EVERY_BLOCK.replacen(header, &format!("{header}\n{line}"), 1),
+                &format!("{block}: unknown key \"{key}\""),
+            );
+        }
         // Tables and arrays of tables nobody reads.
         reject(
             &format!("{EVERY_BLOCK}\n[frobnicate]"),
@@ -870,32 +856,20 @@ value = 1.5"#;
         // host that reads it.
         let rows = [
             ("min_cores", "min_cores = 2", "sim:elastic"),
-            ("alloc", "alloc = \"utilization\"", "live:elastic"),
             (
                 "background_order",
                 "quantum_us = 25.0\nbackground_order = \"srpt\"",
                 "sim:zygos",
             ),
             ("quantum_us", "quantum_us = 25.0", "fleet:elastic"),
-            ("quantum_events", "quantum_events = 8", "live:elastic"),
-            (
-                "overcommit",
-                "admission = true\ncredit_target_us = 70.0\novercommit = true",
-                "live:zygos",
-            ),
-            (
-                "fleet_admission",
-                "admission = true\ncredit_target_us = 70.0\nfleet_admission = \"fleet-wide\"",
-                "fleet:zygos",
-            ),
             (
                 "admission",
                 "admission = true\ncredit_target_us = 70.0",
                 "live:floating",
             ),
             (
-                "slo_classes/slo_bound_us",
-                "slo_bound_us = 100.0",
+                "slo_classes",
+                "slo_classes = [[\"interactive\", 100.0]]",
                 "sim:zygos",
             ),
             ("rx_batch", "rx_batch = 8", "sim:ix"),
@@ -1109,7 +1083,6 @@ conns = 64
 loads = [0.5, 1.4]
 [faults]
 burst = [2000.0, 1000.0, 1.5]
-slow_clients = [0.1, 200.0]
 [telemetry]
 series = ["window_p99_us", "credit_capacity"]
 [[case]]
@@ -1118,7 +1091,6 @@ host = "sim:zygos"
 admission = true
 credit_target_us = 70.0
 retry = ["backoff", 20, 2.0, 4]
-retry_jitter = false
 [[case]]
 label = "drop"
 host = "sim:zygos"
@@ -1134,7 +1106,6 @@ retry_timeout_us = 400.0
         let s = scenario_from_toml(text).expect("valid");
         let faults = s.faults.as_ref().expect("armed");
         assert_eq!(faults.burst, Some((2_000.0, 1_000.0, 1.5)));
-        assert_eq!(faults.slow_clients, Some((0.1, 200.0)));
         let backoff = s.case("backoff").expect("present");
         assert_eq!(
             backoff.policy.retry,
@@ -1144,7 +1115,6 @@ retry_timeout_us = 400.0
                 max_attempts: 4
             })
         );
-        assert_eq!(backoff.policy.retry_jitter, Some(false));
         assert_eq!(
             s.case("drop").unwrap().policy.retry,
             Some(RetryPolicy::Drop)
@@ -1339,7 +1309,6 @@ host = "sim:elastic"
 min_cores = 2
 quantum_us = 25.0
 background_order = "srpt"
-alloc = "slo-driven"
 [[case]]
 label = "tenants"
 host = "sim:zygos"

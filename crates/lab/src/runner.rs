@@ -27,15 +27,15 @@ use bytes::Bytes;
 use zygos_net::flow::ConnId;
 use zygos_net::packet::RpcMessage;
 use zygos_runtime::server::REJECT_OPCODE;
-use zygos_runtime::{ClientPort, RuntimeConfig, SchedulerKind, Server};
+use zygos_runtime::{ClientPort, RuntimeConfig, Server};
 use zygos_sched::CreditConfig;
 use zygos_sim::queueing::{self, QueueConfig};
 use zygos_sim::rng::Xoshiro256;
 use zygos_sim::stats::LatencyHistogram;
 use zygos_sysim::{
     max_load_at_quantile_slo_counting, run_fleet, run_restart, run_system, run_system_chain,
-    warmable, AdmissionMode, AdmissionTopology, FleetConfig, FleetOutput, RoutePolicy, SysConfig,
-    SysOutput, SystemKind, TailConfig, WARM_MAX_LOAD,
+    warmable, AdmissionMode, FleetConfig, FleetOutput, RoutePolicy, SysConfig, SysOutput,
+    SystemKind, TailConfig, WARM_MAX_LOAD,
 };
 use zygos_telemetry::{decompose, decomposition_at_quantile, TelemetryConfig};
 
@@ -355,7 +355,7 @@ fn run_search(sc: &Scenario, case: &Case, smoke: bool) -> Result<SearchResult, S
                     probes += 1;
                     let mut fc = base.clone();
                     fc.base.load = load;
-                    run_fleet(&fc).latency.quantile_us(sp.quantile)
+                    run_fleet(&fc).quantile_us(sp.quantile)
                 },
                 sp.bound_us,
                 sp.resolution,
@@ -566,9 +566,6 @@ fn lower_sim(sc: &Scenario, case: &Case, host: SimHost, load: f64, smoke: bool) 
     if let Some(o) = p.background_order {
         cfg.background_order = o;
     }
-    if let Some(k) = p.alloc {
-        cfg.elastic.alloc = k;
-    }
     if let Some(r) = p.randomize_steal_order {
         cfg.randomize_steal_order = r;
     }
@@ -584,9 +581,6 @@ fn lower_sim(sc: &Scenario, case: &Case, host: SimHost, load: f64, smoke: bool) 
         cfg.admission_mode = a.mode;
     }
     cfg.retry = p.retry;
-    if let Some(j) = p.retry_jitter {
-        cfg.retry_jitter = j;
-    }
     cfg.retry_timeout_us = p.retry_timeout_us;
     if let Some(fl) = &sc.faults {
         apply_faults(&mut cfg, fl);
@@ -594,10 +588,8 @@ fn lower_sim(sc: &Scenario, case: &Case, host: SimHost, load: f64, smoke: bool) 
     cfg
 }
 
-/// Lowers the scenario's `[faults]` block onto one sim world: burst and
-/// churn re-plan the arrival process as phased Poisson, slow clients
-/// inflate the service distribution mean-field. The shard `slowdown`
-/// lowers in [`fleet_config_for`] instead — it needs the fleet topology.
+/// Lowers the scenario's `[faults]` block onto one sim world: the burst
+/// re-plans the arrival process as phased Poisson.
 fn apply_faults(cfg: &mut SysConfig, fl: &FaultsSpec) {
     if let Some((at_us, duration_us, factor)) = fl.burst {
         // Phased arrivals cycle, so the burst gets a tail phase sized to
@@ -621,43 +613,15 @@ fn apply_faults(cfg: &mut SysConfig, fl: &FaultsSpec) {
             },
         ]);
     }
-    if let Some((interval_us, spike_us, factor)) = fl.churn {
-        // Churn is the cyclic twin: a reconnect stampede every interval.
-        cfg.arrivals = ArrivalSpec::Phased(vec![
-            Phase {
-                duration_us: interval_us,
-                rate_factor: 1.0,
-            },
-            Phase {
-                duration_us: spike_us,
-                rate_factor: factor,
-            },
-        ]);
-    }
-    if let Some((fraction, stall_us)) = fl.slow_clients {
-        // Mean-field lowering: a `fraction` of responses stalling the
-        // drain path for `stall_us` inflates expected per-request service
-        // by `fraction × stall`; scaled() keeps the shape (cv²) so only
-        // the mean moves.
-        let mean = cfg.service.mean_us();
-        cfg.service = cfg.service.scaled((mean + fraction * stall_us) / mean);
-    }
 }
 
 /// Lowers a fleet case at one load to a `FleetConfig` — the single
 /// construction point for fleet experiments. The base world is lowered
-/// exactly like a `sim:*` case (`lower_sim`); only the credit-pool
-/// sizing and the telemetry rules differ:
-///
-/// * With [`AdmissionTopology::FleetWide`] the derived pool is sized for
-///   the whole fleet (`shards × cores`) and split across shards by the
-///   engine; per-shard topology sizes it for one shard's cores, same as
-///   a single world. An explicit `credits` override always passes
-///   through verbatim — it *is* the pool at whichever scope the topology
-///   names.
-/// * Fleet worlds harvest time-series only (shard-namespaced by the
-///   engine); lifecycle tracing is forced off because correlation keys
-///   collide across shards.
+/// exactly like a `sim:*` case (`lower_sim`), so each shard runs the
+/// case's credit pool as its own; only the telemetry rules differ: fleet
+/// worlds harvest time-series only (shard-namespaced by the engine), and
+/// lifecycle tracing is forced off because correlation keys collide
+/// across shards.
 pub fn fleet_config_for(
     sc: &Scenario,
     case: &Case,
@@ -678,32 +642,15 @@ pub fn fleet_config_for(
     };
     let p = &case.policy;
     let mut base = lower_sim(sc, case, host, load, smoke);
-    let topology = p.fleet_admission.unwrap_or(AdmissionTopology::PerShard);
-    if let Some(a) = &p.admission {
-        let pool_cores = match topology {
-            AdmissionTopology::FleetWide => sc.workload.cores * f.shards,
-            AdmissionTopology::PerShard => sc.workload.cores,
-        };
-        base.admission = Some(credit_config_for(a, pool_cores));
-    }
     base.telemetry = telemetry_for(sc, false);
     let mut fc = FleetConfig::new(
         base,
         f.shards,
         p.routing.unwrap_or(RoutePolicy::ConsistentHash),
     );
-    fc.admission = topology;
     fc.degraded = p.degraded.clone().unwrap_or_default();
     fc.loss = p.loss;
     fc.fanout = p.fanout.unwrap_or(1);
-    // The [faults] shard slowdown composes with the case's own degraded
-    // list: factors multiply on an already-degraded shard.
-    if let Some((shard, factor)) = sc.faults.as_ref().and_then(|fl| fl.slowdown) {
-        match fc.degraded.iter_mut().find(|d| d.0 == shard) {
-            Some(d) => d.1 *= factor,
-            None => fc.degraded.push((shard, factor)),
-        }
-    }
     Ok(fc)
 }
 
@@ -717,38 +664,26 @@ pub fn runtime_config_for(sc: &Scenario, case: &Case) -> Result<RuntimeConfig, S
         )));
     };
     let p = &case.policy;
-    let scheduler = match host {
-        LiveHost::Zygos => SchedulerKind::Zygos { steal: true },
-        LiveHost::Partitioned => SchedulerKind::Zygos { steal: false },
-        LiveHost::Floating => SchedulerKind::Floating,
-        LiveHost::Elastic => SchedulerKind::Elastic {
-            steal: true,
-            quantum_events: p.quantum_events.unwrap_or(64),
-        },
+    let preset = match host {
+        LiveHost::Zygos => RuntimeConfig::zygos,
+        LiveHost::Partitioned => RuntimeConfig::partitioned,
+        LiveHost::Floating => RuntimeConfig::floating,
+        LiveHost::Elastic => RuntimeConfig::elastic,
     };
-    let mut cfg = RuntimeConfig::zygos(sc.workload.cores, sc.workload.conns);
-    cfg.scheduler = scheduler;
+    let mut cfg = preset(sc.workload.cores, sc.workload.conns);
     cfg.slo = p.slo.clone();
     if let Some(a) = &p.admission {
         cfg.admission = Some(credit_config_for(a, sc.workload.cores));
-        if a.mode == AdmissionMode::ClientSide {
-            cfg.client_credits = true;
-        }
-        if a.overcommit {
-            cfg.client_credits = true;
-            cfg.credit_overcommit = true;
-        }
+        cfg.client_credits = a.mode == AdmissionMode::ClientSide;
     }
     Ok(cfg)
 }
 
-/// The credit pool a case runs: an explicit override, or
-/// `CreditConfig::for_cores` at the case's target. With SLO classes
-/// configured the AIMD runs in ratio space and the µs target is
-/// irrelevant (any positive value); 1.0 is used then.
+/// The credit pool a case runs: `CreditConfig::for_cores` at the case's
+/// target. With SLO classes configured the AIMD runs in ratio space and
+/// the µs target is irrelevant (any positive value); 1.0 is used then.
 fn credit_config_for(a: &AdmissionSpec, cores: usize) -> CreditConfig {
-    a.credits
-        .unwrap_or_else(|| CreditConfig::for_cores(cores, a.target_us.unwrap_or(1.0)))
+    CreditConfig::for_cores(cores, a.target_us.unwrap_or(1.0))
 }
 
 /// Reduces a simulator run to the unified schema.
@@ -869,9 +804,9 @@ fn fleet_metrics(load: f64, out: FleetOutput, case: &Case) -> PointMetrics {
         // the plain merged reductions at fanout = 1 (exactly — ÷1.0 is
         // an IEEE 754 identity), preserving the N=1 bit-identity.
         mrps: out.throughput_mrps(),
-        p50_us: out.latency.p50_us(),
+        p50_us: out.quantile_us(0.5),
         p99_us: out.p99_us(),
-        p999_us: out.latency.quantile_us(0.999),
+        p999_us: out.quantile_us(0.999),
         steal_fraction: if local + stolen == 0 {
             0.0
         } else {
@@ -1151,6 +1086,31 @@ mod tests {
             .case(Case::sim("zygos", SimHost::Zygos))
             .build()
             .expect("valid")
+    }
+
+    #[test]
+    fn fanned_fleet_reports_every_quantile_at_the_user_level() {
+        // A user request of a fanout-M fleet completes at the slowest of M
+        // sub-requests, so p50, p99 and p99.9 all read the merged
+        // sub-request histogram at q^(1/M).
+        let sc = Scenario::builder("fan")
+            .service(ServiceDist::exponential_us(10.0))
+            .cores(4)
+            .conns(64)
+            .loads(vec![0.6])
+            .smoke(2_000, 400)
+            .fleet(crate::spec::FleetSpec { shards: 4 })
+            .case(Case::fleet("m4", SimHost::Zygos).fanout(4))
+            .build()
+            .expect("valid");
+        let case = &sc.cases[0];
+        let out = run_fleet(&fleet_config_for(&sc, case, 0.6, true).expect("a fleet case"));
+        let m = fleet_metrics(0.6, out.clone(), case);
+        let at = |q: f64| out.latency.quantile_us(q.powf(1.0 / 4.0));
+        assert_eq!(m.p50_us.to_bits(), at(0.5).to_bits());
+        assert_eq!(m.p99_us.to_bits(), at(0.99).to_bits());
+        assert_eq!(m.p999_us.to_bits(), at(0.999).to_bits());
+        assert!(m.p50_us > out.latency.p50_us(), "{} user p50", m.p50_us);
     }
 
     #[test]

@@ -24,11 +24,9 @@
 use zygos_load::retry::RetryPolicy;
 use zygos_load::slo::TenantSlos;
 use zygos_load::source::ArrivalSpec;
-use zygos_sched::{BackgroundOrder, CreditConfig};
+use zygos_sched::BackgroundOrder;
 use zygos_sim::dist::ServiceDist;
 use zygos_sim::queueing::Policy;
-use zygos_sysim::config::AllocKind;
-use zygos_sysim::fleet::AdmissionTopology;
 use zygos_sysim::{
     AdmissionMode, CoreLayout, QueueDiscipline, RoutePolicy, SeriesKind, StageSpec, StagedConfig,
     TelemetryConfig,
@@ -65,7 +63,7 @@ pub enum LiveHost {
     Partitioned,
     /// Shared floating queue.
     Floating,
-    /// Elastic core gating (`quantum_events` from the [`PolicySpec`]).
+    /// Elastic core gating with a 64-event cooperative quantum.
     Elastic,
 }
 
@@ -185,10 +183,6 @@ pub enum Readers {
     Gated,
     /// The elastic hosts: `sim:elastic`, `live:elastic`, `fleet:elastic`.
     Elastic,
-    /// `live:elastic`, the one cooperative-quantum host.
-    LiveElastic,
-    /// Every `live:*` host.
-    Live,
     /// Every `fleet:*` host.
     Fleet,
     /// `sim:staged`.
@@ -214,8 +208,6 @@ impl Readers {
                     | HostSpec::Live(LiveHost::Elastic)
                     | HostSpec::Fleet(SimHost::Elastic)
             ),
-            Readers::LiveElastic => host == HostSpec::Live(LiveHost::Elastic),
-            Readers::Live => matches!(host, HostSpec::Live(_)),
             Readers::Fleet => matches!(host, HostSpec::Fleet(_)),
             Readers::Staged => host == HostSpec::Sim(SimHost::Staged),
         }
@@ -230,31 +222,19 @@ pub type Knob = (&'static str, Readers, fn(&PolicySpec) -> bool);
 /// key, the hosts that read it, and whether a case sets it. Setting a
 /// knob on a host that does not read it is a validation error, so a
 /// scenario never silently drops a knob. A knob precedes the knobs it
-/// needs (`overcommit` before `admission`), so a rejection names the knob
-/// the host cannot read rather than its prerequisite.
+/// needs (`background_order` before `quantum_us`), so a rejection names
+/// the knob the host cannot read rather than its prerequisite.
 /// `docs/SCENARIOS.md` renders this table; a unit test pins the copy.
 pub const CASE_KNOBS: &[Knob] = &[
     ("min_cores", Readers::Elastic, |p| p.min_cores.is_some()),
-    ("alloc", Readers::Elastic, |p| p.alloc.is_some()),
     ("background_order", Readers::ZygosWorlds, |p| {
         p.background_order.is_some()
     }),
     ("quantum_us", Readers::ZygosWorlds, |p| {
         p.quantum_us.is_some()
     }),
-    ("quantum_events", Readers::LiveElastic, |p| {
-        p.quantum_events.is_some()
-    }),
-    ("overcommit", Readers::Live, |p| {
-        p.admission.as_ref().is_some_and(|a| a.overcommit)
-    }),
-    ("fleet_admission", Readers::Fleet, |p| {
-        p.fleet_admission.is_some()
-    }),
     ("admission", Readers::Gated, |p| p.admission.is_some()),
-    ("slo_classes/slo_bound_us", Readers::Gated, |p| {
-        p.slo.is_some()
-    }),
+    ("slo_classes", Readers::Gated, |p| p.slo.is_some()),
     ("rx_batch", Readers::Simulated, |p| p.rx_batch.is_some()),
     ("randomize_steal_order", Readers::Simulated, |p| {
         p.randomize_steal_order.is_some()
@@ -294,14 +274,11 @@ pub struct WorkloadSpec {
 pub struct AdmissionSpec {
     /// Where a creditless request is shed.
     pub mode: AdmissionMode,
-    /// AIMD latency target in µs (ignored when [`PolicySpec::slo`] is set
-    /// — per-class targets then derive from the bounds).
+    /// AIMD latency target in µs of the pool
+    /// `CreditConfig::for_cores(cores, target)` (ignored when
+    /// [`PolicySpec::slo`] is set — per-class targets then derive from
+    /// the bounds).
     pub target_us: Option<f64>,
-    /// Full credit-pool override; defaults to
-    /// `CreditConfig::for_cores(cores, target)`.
-    pub credits: Option<CreditConfig>,
-    /// Demand-weighted sender-side shares (live hosts only).
-    pub overcommit: bool,
 }
 
 /// Per-case policy knobs. Each is an `Option`: leaving one `None` takes
@@ -312,13 +289,8 @@ pub struct AdmissionSpec {
 pub struct PolicySpec {
     /// Elastic floor on granted cores (default 2).
     pub min_cores: Option<usize>,
-    /// Which allocation policy staffs an elastic host (default
-    /// SLO-driven).
-    pub alloc: Option<AllocKind>,
     /// Preemptive quantum in µs.
     pub quantum_us: Option<f64>,
-    /// Cooperative quantum in events (default 64).
-    pub quantum_events: Option<usize>,
     /// Background (preempted) queue order (requires `quantum_us`).
     pub background_order: Option<BackgroundOrder>,
     /// Credit-based admission control; `None` admits everything.
@@ -336,9 +308,6 @@ pub struct PolicySpec {
     /// L4 connection-routing policy (default consistent-hash;
     /// pass-through requires a single shard).
     pub routing: Option<RoutePolicy>,
-    /// Credit-admission topology (requires admission; default per-shard
-    /// pools).
-    pub fleet_admission: Option<AdmissionTopology>,
     /// Degraded shards as `(shard, service factor)`.
     pub degraded: Option<Vec<(usize, f64)>>,
     /// Shard loss as `(shard, at_us)` (needs Poisson arrivals and >= 2
@@ -347,9 +316,6 @@ pub struct PolicySpec {
     /// Closed-loop retry: sheds and timeouts re-enter the arrival stream
     /// under this policy (`None` keeps the open-loop client).
     pub retry: Option<RetryPolicy>,
-    /// Deterministic per-connection equal jitter on backoff retry delays
-    /// (requires `retry`; default true).
-    pub retry_jitter: Option<bool>,
     /// Client-side timeout feeding the retry policy, µs (requires
     /// `retry`). Timed-out work is *not* recalled from the server — the
     /// wasted service is what sustains a metastable failure.
@@ -439,12 +405,6 @@ impl Case {
         self
     }
 
-    /// Selects the fleet's credit-admission topology.
-    pub fn fleet_admission(mut self, t: AdmissionTopology) -> Case {
-        self.policy.fleet_admission = Some(t);
-        self
-    }
-
     /// Degrades shards: each `(shard, factor)` serves at `factor ×` its
     /// healthy cost.
     pub fn degraded(mut self, d: Vec<(usize, f64)>) -> Case {
@@ -462,12 +422,6 @@ impl Case {
     /// arrival stream under `policy`.
     pub fn retry(mut self, policy: RetryPolicy) -> Case {
         self.policy.retry = Some(policy);
-        self
-    }
-
-    /// Toggles deterministic equal jitter on backoff retry delays.
-    pub fn retry_jitter(mut self, on: bool) -> Case {
-        self.policy.retry_jitter = Some(on);
         self
     }
 
@@ -501,21 +455,9 @@ impl Case {
         self
     }
 
-    /// Selects the allocation policy of an elastic host.
-    pub fn alloc(mut self, kind: AllocKind) -> Case {
-        self.policy.alloc = Some(kind);
-        self
-    }
-
     /// Arms the simulator's preemptive quantum.
     pub fn quantum_us(mut self, q: f64) -> Case {
         self.policy.quantum_us = Some(q);
-        self
-    }
-
-    /// Sets the live cooperative quantum (events per dequeue).
-    pub fn quantum_events(mut self, n: usize) -> Case {
-        self.policy.quantum_events = Some(n);
         self
     }
 
@@ -530,8 +472,6 @@ impl Case {
         let spec = self.policy.admission.get_or_insert(AdmissionSpec {
             mode,
             target_us: None,
-            credits: None,
-            overcommit: false,
         });
         spec.mode = mode;
         self
@@ -539,48 +479,11 @@ impl Case {
 
     /// Sets the admission AIMD latency target (µs).
     pub fn credit_target_us(mut self, t: f64) -> Case {
-        match &mut self.policy.admission {
-            Some(a) => a.target_us = Some(t),
-            None => {
-                self.policy.admission = Some(AdmissionSpec {
-                    mode: AdmissionMode::ServerEdge,
-                    target_us: Some(t),
-                    credits: None,
-                    overcommit: false,
-                })
-            }
-        }
-        self
-    }
-
-    /// Overrides the full credit-pool configuration.
-    pub fn credits(mut self, cfg: CreditConfig) -> Case {
-        match &mut self.policy.admission {
-            Some(a) => a.credits = Some(cfg),
-            None => {
-                self.policy.admission = Some(AdmissionSpec {
-                    mode: AdmissionMode::ServerEdge,
-                    target_us: None,
-                    credits: Some(cfg),
-                    overcommit: false,
-                })
-            }
-        }
-        self
-    }
-
-    /// Arms demand-weighted sender-side credit shares (live hosts).
-    pub fn overcommit(mut self) -> Case {
-        if let Some(a) = &mut self.policy.admission {
-            a.overcommit = true;
-        } else {
-            self.policy.admission = Some(AdmissionSpec {
-                mode: AdmissionMode::ClientSide,
-                target_us: None,
-                credits: None,
-                overcommit: true,
-            });
-        }
+        let spec = self.policy.admission.get_or_insert(AdmissionSpec {
+            mode: AdmissionMode::ServerEdge,
+            target_us: None,
+        });
+        spec.target_us = Some(t);
         self
     }
 
@@ -781,8 +684,7 @@ pub struct FleetSpec {
 /// A `[faults]` block: scenario-wide adversarial injections, lowered by
 /// the runner onto the arrival/service machinery every host already
 /// models (no fault-specific code paths in the hosts — see
-/// `docs/FAULTS.md`). All entries are optional but at least one must be
-/// armed.
+/// `docs/FAULTS.md`). The burst must be armed.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultsSpec {
     /// Overload burst `(at_us, duration_us, factor)`: the arrival rate
@@ -790,29 +692,6 @@ pub struct FaultsSpec {
     /// returns to the configured load — the metastable-failure probe.
     /// Needs Poisson arrivals (lowered as phased Poisson).
     pub burst: Option<(f64, f64, f64)>,
-    /// Connection churn `(interval_us, spike_us, factor)`: a cyclic
-    /// arrival spike of `spike_us` every `interval_us` — reconnect
-    /// stampedes. Mutually exclusive with `burst`; needs Poisson
-    /// arrivals.
-    pub churn: Option<(f64, f64, f64)>,
-    /// Slow-client drain stalls `(fraction, stall_us)`: a `fraction` of
-    /// responses stall in the client's drain path for `stall_us`,
-    /// modelled mean-field as a uniform service inflation of
-    /// `(mean + fraction × stall) / mean`.
-    pub slow_clients: Option<(f64, f64)>,
-    /// Transient shard slowdown `(shard, factor)`, applied to every
-    /// fleet case on top of its own `degraded` list.
-    pub slowdown: Option<(usize, f64)>,
-}
-
-impl FaultsSpec {
-    /// True when nothing is armed (a contradictory empty block).
-    pub fn is_empty(&self) -> bool {
-        self.burst.is_none()
-            && self.churn.is_none()
-            && self.slow_clients.is_none()
-            && self.slowdown.is_none()
-    }
 }
 
 /// Comparison operator of a [`Claim`].
@@ -1384,79 +1263,24 @@ impl ScenarioBuilder {
             }
         }
         if let Some(fl) = &self.faults {
-            if fl.is_empty() {
-                return err("a [faults] block that injects nothing: \
-                     arm burst, churn, slow_clients or slowdown"
+            let Some((at_us, duration_us, factor)) = fl.burst else {
+                return err("a [faults] block that injects nothing: arm burst".into());
+            };
+            if !matches!(self.arrivals, ArrivalSpec::Poisson) {
+                return err("[faults] burst lowers onto phased Poisson; \
+                     it needs the Poisson arrival process"
                     .into());
             }
-            if fl.burst.is_some() && fl.churn.is_some() {
-                return err(
-                    "[faults] burst and churn both re-plan the arrival process; pick one".into(),
-                );
+            if self.cases.iter().any(|c| c.policy.loss.is_some()) {
+                return err("[faults] burst and shard loss both re-plan arrivals; pick one".into());
             }
-            if fl.burst.is_some() || fl.churn.is_some() {
-                if !matches!(self.arrivals, ArrivalSpec::Poisson) {
-                    return err("[faults] burst/churn lower onto phased Poisson; \
-                         they need the Poisson arrival process"
-                        .into());
-                }
-                if self.cases.iter().any(|c| c.policy.loss.is_some()) {
-                    return err(
-                        "[faults] burst/churn and shard loss both re-plan arrivals; pick one"
-                            .into(),
-                    );
-                }
-            }
-            if let Some((at_us, duration_us, factor)) = fl.burst {
-                for (v, what) in [
-                    (at_us, "at_us"),
-                    (duration_us, "duration_us"),
-                    (factor, "factor"),
-                ] {
-                    if !(v.is_finite() && v > 0.0) {
-                        return err(format!("[faults] burst {what} must be positive, got {v}"));
-                    }
-                }
-            }
-            if let Some((interval_us, spike_us, factor)) = fl.churn {
-                for (v, what) in [
-                    (interval_us, "interval_us"),
-                    (spike_us, "spike_us"),
-                    (factor, "factor"),
-                ] {
-                    if !(v.is_finite() && v > 0.0) {
-                        return err(format!("[faults] churn {what} must be positive, got {v}"));
-                    }
-                }
-            }
-            if let Some((fraction, stall_us)) = fl.slow_clients {
-                if !(fraction > 0.0 && fraction < 1.0) {
-                    return err(format!(
-                        "[faults] slow_clients fraction {fraction} out of range (0, 1)"
-                    ));
-                }
-                if !(stall_us.is_finite() && stall_us > 0.0) {
-                    return err(format!(
-                        "[faults] slow_clients stall must be positive, got {stall_us}"
-                    ));
-                }
-            }
-            if let Some((shard, factor)) = fl.slowdown {
-                let Some(f) = &self.fleet else {
-                    return err(
-                        "[faults] slowdown degrades a shard; it needs a [fleet] block".into(),
-                    );
-                };
-                if shard >= f.shards {
-                    return err(format!(
-                        "[faults] slowdown shard {shard} out of range [0, {})",
-                        f.shards
-                    ));
-                }
-                if !(factor.is_finite() && factor > 0.0) {
-                    return err(format!(
-                        "[faults] slowdown factor must be positive, got {factor}"
-                    ));
+            for (v, what) in [
+                (at_us, "at_us"),
+                (duration_us, "duration_us"),
+                (factor, "factor"),
+            ] {
+                if !(v.is_finite() && v > 0.0) {
+                    return err(format!("[faults] burst {what} must be positive, got {v}"));
                 }
             }
         }
@@ -1639,23 +1463,13 @@ fn validate_case(case: &Case, cores: usize) -> Result<(), SpecError> {
     if p.background_order.is_some() && p.quantum_us.is_none() {
         return fail("background_order orders the preempted queue; it needs quantum_us".into());
     }
-    if p.quantum_events == Some(0) {
-        return fail("quantum_events must be >= 1".into());
-    }
     if let Some(m) = p.min_cores {
         if m == 0 || m > cores {
             return fail(format!("min_cores {m} out of range [1, {cores}]"));
         }
     }
-    if p.fleet_admission.is_some() && p.admission.is_none() {
-        return fail(
-            "fleet_admission places the credit pool but no admission gate is armed".into(),
-        );
-    }
-    if p.retry.is_none() && (p.retry_jitter.is_some() || p.retry_timeout_us.is_some()) {
-        return fail(
-            "retry_jitter/retry_timeout_us shape the retry loop; arm `retry` first".into(),
-        );
+    if p.retry.is_none() && p.retry_timeout_us.is_some() {
+        return fail("retry_timeout_us feeds the retry loop; arm `retry` first".into());
     }
     if let Some(r) = &p.retry {
         // A policy with nothing to feed it never fires: retries are
@@ -1696,21 +1510,10 @@ fn validate_case(case: &Case, cores: usize) -> Result<(), SpecError> {
     // Host-independent admission consistency — the headline rejection:
     // a shed location without a gate to shed from.
     if let Some(a) = &p.admission {
-        if a.mode == AdmissionMode::ClientSide
-            && a.credits.is_none()
-            && a.target_us.is_none()
-            && p.slo.is_none()
-        {
+        if a.target_us.is_none() && p.slo.is_none() {
             return fail(
-                "client-side admission with no credit pool: set credit_target_us, \
-                 a credits override, or SLO classes to derive targets from"
-                    .into(),
-            );
-        }
-        if a.credits.is_none() && a.target_us.is_none() && p.slo.is_none() {
-            return fail(
-                "admission is armed but has no AIMD target: set credit_target_us, \
-                 a credits override, or SLO classes"
+                "admission with no credit pool: set credit_target_us, \
+                 or SLO classes to derive targets from"
                     .into(),
             );
         }
@@ -1935,16 +1738,6 @@ mod tests {
             .case(Case::model("p", Policy::CentralFcfs).rx_batch(64))
             .build()
             .is_err());
-        // Overcommitment in the simulator.
-        assert!(base()
-            .case(
-                Case::sim("o", SimHost::Zygos)
-                    .admission(AdmissionMode::ClientSide)
-                    .credit_target_us(70.0)
-                    .overcommit()
-            )
-            .build()
-            .is_err());
         // Duplicate labels.
         assert!(base()
             .case(Case::sim("x", SimHost::Zygos))
@@ -1986,11 +1779,7 @@ mod tests {
             )
             .build()
             .is_ok());
-        // Jitter/timeout without a policy to shape.
-        assert!(base()
-            .case(Case::sim("j", SimHost::Zygos).retry_jitter(false))
-            .build()
-            .is_err());
+        // A timeout without a policy to feed.
         assert!(base()
             .case(Case::sim("t", SimHost::Zygos).retry_timeout_us(500.0))
             .build()
@@ -2058,7 +1847,6 @@ mod tests {
     fn faults_specs_validate() {
         let burst = FaultsSpec {
             burst: Some((2_000.0, 1_000.0, 1.5)),
-            ..FaultsSpec::default()
         };
         // An empty block injects nothing.
         let e = base()
@@ -2067,15 +1855,6 @@ mod tests {
             .build()
             .expect_err("empty faults");
         assert!(e.to_string().contains("injects nothing"), "{e}");
-        // Burst and churn both re-plan arrivals.
-        assert!(base()
-            .case(Case::sim("z", SimHost::Zygos))
-            .faults(FaultsSpec {
-                churn: Some((5_000.0, 500.0, 3.0)),
-                ..burst.clone()
-            })
-            .build()
-            .is_err());
         // Burst needs Poisson arrivals.
         assert!(base()
             .arrivals(ArrivalSpec::Phased(vec![Phase {
@@ -2093,30 +1872,11 @@ mod tests {
             .faults(burst.clone())
             .build()
             .is_err());
-        // Slowdown without a fleet to degrade, and out of range.
+        // A non-positive burst factor.
         assert!(base()
             .case(Case::sim("z", SimHost::Zygos))
             .faults(FaultsSpec {
-                slowdown: Some((0, 3.0)),
-                ..FaultsSpec::default()
-            })
-            .build()
-            .is_err());
-        assert!(base()
-            .case(Case::fleet("f", SimHost::Zygos))
-            .fleet(FleetSpec { shards: 2 })
-            .faults(FaultsSpec {
-                slowdown: Some((2, 3.0)),
-                ..FaultsSpec::default()
-            })
-            .build()
-            .is_err());
-        // Slow-client fraction outside (0, 1).
-        assert!(base()
-            .case(Case::sim("z", SimHost::Zygos))
-            .faults(FaultsSpec {
-                slow_clients: Some((1.5, 200.0)),
-                ..FaultsSpec::default()
+                burst: Some((2_000.0, 1_000.0, 0.0)),
             })
             .build()
             .is_err());

@@ -5,19 +5,10 @@
 //! connection holds a local credit balance, [`ClientPort::try_send`]
 //! refuses to transmit at zero balance (the shed request never touches
 //! the wire), and response headers replenish the balance with the grants
-//! the server piggybacks on them.
-//!
-//! With [`RuntimeConfig::credit_overcommit`](crate::RuntimeConfig) also
-//! set, the shares are **demand-weighted** (Breakwater's overcommitment):
-//! the initial pool is still split evenly, but a connection that finds
-//! its balance empty may borrow a credit from a connection with zero
-//! demand — one that has never attempted a send — instead of shedding
-//! locally. Grants only ride on responses, so without lending the even
-//! split permanently strands `pool/conns` credits on every idle
-//! connection; under a skewed per-connection load that is most of the
-//! pool.
+//! the server piggybacks on them. The initial pool is split evenly across
+//! connections.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,18 +29,9 @@ pub struct ClientPort {
     /// Sender-side credit balances, one per connection (`None` unless
     /// client-side credits are armed).
     credits: Option<Vec<AtomicU32>>,
-    /// Per-connection send attempts — the demand signal for
-    /// overcommitment: a connection with zero attempts has zero demand
-    /// and may lend its balance.
-    attempts: Vec<AtomicU64>,
-    /// Rotating lender-scan cursor (spreads borrowing across idle
-    /// connections).
-    lend_cursor: AtomicUsize,
     /// Requests refused locally by [`ClientPort::try_send`]: sheds that
     /// cost zero wire RTT.
     local_sheds: AtomicU64,
-    /// Credits borrowed from zero-demand connections (overcommitment).
-    borrowed: AtomicU64,
 }
 
 impl ClientPort {
@@ -68,23 +50,11 @@ impl ClientPort {
                 .map(|_| AtomicU32::new(share))
                 .collect()
         });
-        // Demand tracking exists only for overcommitment; without it the
-        // credited send path stays a single CAS on the own balance.
-        let attempts = if credits.is_some() && shared.cfg.credit_overcommit {
-            (0..shared.cfg.conns as usize)
-                .map(|_| AtomicU64::new(0))
-                .collect()
-        } else {
-            Vec::new()
-        };
         ClientPort {
             shared,
             resp_rx,
             credits,
-            attempts,
-            lend_cursor: AtomicUsize::new(0),
             local_sheds: AtomicU64::new(0),
-            borrowed: AtomicU64::new(0),
         }
     }
 
@@ -108,47 +78,6 @@ impl ClientPort {
         self.local_sheds.load(Ordering::Relaxed)
     }
 
-    /// Credits borrowed from zero-demand connections — sends that
-    /// overcommitment rescued from a local shed. Always 0 unless
-    /// [`RuntimeConfig::credit_overcommit`](crate::RuntimeConfig) is set.
-    pub fn borrowed_credits(&self) -> u64 {
-        self.borrowed.load(Ordering::Relaxed)
-    }
-
-    /// Tries to borrow one credit from a connection with zero demand
-    /// (never attempted a send). Returns `true` on success — the borrowed
-    /// credit is spent directly on the caller's send.
-    fn borrow_credit(&self, credits: &[AtomicU32]) -> bool {
-        let n = credits.len();
-        let start = self.lend_cursor.fetch_add(1, Ordering::Relaxed);
-        for i in 0..n {
-            let lender = (start + i) % n;
-            if self.attempts[lender].load(Ordering::Relaxed) != 0 {
-                continue; // Active (or once-active): not a lender.
-            }
-            let balance = &credits[lender];
-            let mut cur = balance.load(Ordering::Relaxed);
-            loop {
-                if cur == 0 {
-                    break; // Already lent out; try the next candidate.
-                }
-                match balance.compare_exchange_weak(
-                    cur,
-                    cur - 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        self.borrowed.fetch_add(1, Ordering::Relaxed);
-                        return true;
-                    }
-                    Err(seen) => cur = seen,
-                }
-            }
-        }
-        false
-    }
-
     /// Sends `msg` on `conn` if the connection holds a send credit,
     /// spending it; returns `false` (without touching the wire) when the
     /// balance is zero. Always sends when client-side credits are off —
@@ -159,20 +88,10 @@ impl ClientPort {
     /// `zygos_load::retry::RetryPolicy`.
     pub fn try_send(&self, conn: ConnId, msg: &RpcMessage) -> bool {
         if let Some(credits) = &self.credits {
-            if self.shared.cfg.credit_overcommit {
-                // Registering demand first also disqualifies this
-                // connection as a lender before any borrowing below.
-                self.attempts[conn.index()].fetch_add(1, Ordering::Relaxed);
-            }
             let balance = &credits[conn.index()];
             let mut cur = balance.load(Ordering::Relaxed);
             loop {
                 if cur == 0 {
-                    // Demand-weighted shares: spend an idle connection's
-                    // stranded credit instead of shedding.
-                    if self.shared.cfg.credit_overcommit && self.borrow_credit(credits) {
-                        break;
-                    }
                     self.local_sheds.fetch_add(1, Ordering::Relaxed);
                     return false;
                 }
@@ -288,49 +207,5 @@ mod tests {
         let (server, client) = Server::start(RuntimeConfig::zygos(1, 7), Arc::new(EchoApp));
         assert_eq!(client.conns(), 7);
         server.shutdown();
-    }
-
-    #[test]
-    fn overcommitment_cuts_local_sheds_under_skewed_load() {
-        use zygos_sched::CreditConfig;
-        // A fixed 16-credit pool over 16 connections (share = 1 each), a
-        // 32-request burst on just two of them, and no response draining
-        // (grants ride on responses, so balances only shrink here).
-        let base = RuntimeConfig::zygos(2, 16)
-            .with_admission(CreditConfig {
-                min_credits: 16,
-                max_credits: 16,
-                initial_credits: 16,
-                additive: 1,
-                md_factor: 0.3,
-                target: 1_000.0,
-            })
-            .with_client_credits();
-        let run = |cfg: RuntimeConfig| {
-            let (server, client) = Server::start(cfg, Arc::new(EchoApp));
-            for id in 0..32u64 {
-                client.try_send(
-                    ConnId((id % 2) as u32),
-                    &RpcMessage::new(1, id, Bytes::new()),
-                );
-            }
-            let out = (client.local_sheds(), client.borrowed_credits());
-            server.shutdown();
-            out
-        };
-        let (sheds_even, borrowed_even) = run(base.clone());
-        let (sheds_over, borrowed_over) = run(base.with_credit_overcommit());
-        // Even split: the two active connections hold 1 credit each — 2
-        // sends, 30 local sheds, 14 credits stranded on idle connections.
-        assert_eq!(sheds_even, 30);
-        assert_eq!(borrowed_even, 0);
-        // Demand-weighted: the stranded shares are borrowed before any
-        // shed — 16 sends (the whole pool), 16 sheds.
-        assert_eq!(borrowed_over, 14);
-        assert_eq!(sheds_over, 16);
-        assert!(
-            sheds_over < sheds_even,
-            "overcommitment must cut local sheds ({sheds_over} vs {sheds_even})"
-        );
     }
 }

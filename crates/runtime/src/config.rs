@@ -78,13 +78,6 @@ pub struct RuntimeConfig {
     /// wire RTT at all. Only meaningful with
     /// [`RuntimeConfig::admission`] set.
     pub client_credits: bool,
-    /// Demand-weighted sender-side credit shares (Breakwater's
-    /// overcommitment): a connection that finds its own balance empty may
-    /// borrow a credit from a connection with **zero demand** (one that
-    /// has never attempted a send), so the even initial split does not
-    /// strand credits on idle connections under a skewed per-connection
-    /// load. Only meaningful with [`RuntimeConfig::client_credits`].
-    pub credit_overcommit: bool,
 }
 
 impl RuntimeConfig {
@@ -99,7 +92,6 @@ impl RuntimeConfig {
             admission: None,
             slo: None,
             client_credits: false,
-            credit_overcommit: false,
         }
     }
 
@@ -120,14 +112,6 @@ impl RuntimeConfig {
     /// on response headers and the client stops sending at zero balance.
     pub fn with_client_credits(mut self) -> Self {
         self.client_credits = true;
-        self
-    }
-
-    /// Arms demand-weighted sender-side shares on top of client credits:
-    /// zero-demand connections lend their balance to active ones.
-    pub fn with_credit_overcommit(mut self) -> Self {
-        self.client_credits = true;
-        self.credit_overcommit = true;
         self
     }
 

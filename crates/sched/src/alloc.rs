@@ -25,8 +25,7 @@
 //! `T / (cooldown + min(grant_after, revoke_after)) + 1`.
 
 /// Decision-rule knobs shared by every host of the allocator (the
-/// simulator's `ElasticKnobs` and the live runtime embed this whole,
-/// rather than re-declaring the fields).
+/// simulator and the live runtime both run the default).
 #[derive(Clone, Copy, Debug)]
 pub struct AllocatorTuning {
     /// Consecutive overloaded ticks required before a grant.

@@ -85,38 +85,6 @@ impl CreditConfig {
         }
     }
 
-    /// An even split of this pool's capacity across `n` peers: the
-    /// fleet-wide admission topology, where one fleet-sized AIMD budget
-    /// is divided over the live shards instead of each shard running
-    /// [`CreditConfig::for_cores`] on its own slice. Every capacity knob
-    /// divides (ceiling division, floored at one credit so no peer
-    /// deadlocks); `md_factor` and `target` are rates, not budgets, and
-    /// pass through. `split(1)` is the identity.
-    ///
-    /// The observable difference from per-shard pools: `for_cores` is not
-    /// linear in `cores` (per-core floors, `div_ceil` on the additive
-    /// step), so a split fleet pool starts tighter and probes more gently
-    /// than the same cores provisioned shard-locally.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is 0.
-    pub fn split(&self, n: usize) -> Self {
-        assert!(n >= 1, "cannot split a pool zero ways");
-        if n == 1 {
-            return *self;
-        }
-        let n = n as u32;
-        CreditConfig {
-            min_credits: self.min_credits.div_ceil(n).max(1),
-            max_credits: self.max_credits.div_ceil(n).max(1),
-            initial_credits: self.initial_credits.div_ceil(n).max(1),
-            additive: self.additive.div_ceil(n).max(1),
-            md_factor: self.md_factor,
-            target: self.target,
-        }
-    }
-
     fn validate(&self) {
         assert!(self.min_credits >= 1, "zero-credit pools deadlock");
         assert!(self.min_credits <= self.max_credits);

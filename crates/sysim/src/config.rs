@@ -19,11 +19,12 @@ pub enum SystemKind {
     /// ZygOS in purely cooperative mode (no IPIs) — the
     /// `ZygOS (no interrupts)` curve of Figure 6.
     ZygosNoInterrupts,
-    /// ZygOS with the `zygos-sched` elastic control plane: a periodic
-    /// controller grants/revokes cores with hysteresis, parked cores hand
-    /// their RSS queues to active ones, and (with a nonzero
-    /// [`SysConfig::preemption_quantum_us`]) long application chunks are
-    /// preempted at quantum expiry and requeued.
+    /// ZygOS with the `zygos-sched` elastic control plane: a 25 µs
+    /// control tick drives the SLO-margin `SloController` (the utilization
+    /// rule when no [`SysConfig::slo`] is set), which grants/revokes cores
+    /// with hysteresis; parked cores hand their RSS queues to active ones,
+    /// and (with a nonzero [`SysConfig::preemption_quantum_us`]) long
+    /// application chunks are preempted at quantum expiry and requeued.
     Elastic {
         /// Floor on granted cores (the controller never parks below this).
         min_cores: usize,
@@ -60,19 +61,6 @@ impl SystemKind {
     }
 }
 
-/// Which [`zygos_sched::AllocPolicy`] the elastic controller runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AllocKind {
-    /// The PR-1 `util + β·√util` rule ([`zygos_sched::UtilizationPolicy`]).
-    Utilization,
-    /// The SLO-margin controller ([`zygos_sched::SloController`]) — the
-    /// default. Without a configured [`SysConfig::slo`] it receives no
-    /// latency signal and degrades to exactly the utilization rule, so the
-    /// default is safe for SLO-less experiments.
-    #[default]
-    SloDriven,
-}
-
 pub use zygos_load::slo::CREDIT_HEADROOM;
 
 /// Where the credit gate sheds a request that finds no credit.
@@ -90,29 +78,6 @@ pub enum AdmissionMode {
     /// state of that distribution: the client consults the shared pool
     /// before issuing the request.
     ClientSide,
-}
-
-/// Control-plane knobs for [`SystemKind::Elastic`]: the controller's tick
-/// period plus the allocator's shared decision-rule tuning (see
-/// [`zygos_sched::AllocatorTuning`] for each knob's meaning).
-#[derive(Clone, Copy, Debug)]
-pub struct ElasticKnobs {
-    /// Controller tick period in microseconds.
-    pub control_period_us: f64,
-    /// Allocator decision-rule knobs.
-    pub tuning: zygos_sched::AllocatorTuning,
-    /// Which allocation policy staffs the data plane.
-    pub alloc: AllocKind,
-}
-
-impl Default for ElasticKnobs {
-    fn default() -> Self {
-        ElasticKnobs {
-            control_period_us: 25.0,
-            tuning: zygos_sched::AllocatorTuning::default(),
-            alloc: AllocKind::default(),
-        }
-    }
 }
 
 /// Full configuration of one system-simulation run.
@@ -161,8 +126,6 @@ pub struct SysConfig {
     /// Ordering of the background (preempted) queue — FCFS-with-aging or
     /// SRPT on the remaining-time stamps a preempted request carries.
     pub background_order: BackgroundOrder,
-    /// Controller knobs; consulted only by [`SystemKind::Elastic`].
-    pub elastic: ElasticKnobs,
     /// Credit-based admission control (Breakwater-style) at every
     /// simulated host's client edge: arrivals without a credit are shed
     /// before any processing, and an AIMD controller resizes the pool from
@@ -197,7 +160,7 @@ pub struct SysConfig {
     /// effect.
     pub retry_timeout_us: Option<f64>,
     /// Per-tenant SLO classes (connection → class round-robin). Feeds the
-    /// worst p99-vs-bound ratio to the [`AllocKind::SloDriven`] controller
+    /// worst p99-vs-bound ratio to the elastic controller
     /// and, with [`SysConfig::admission`], the per-class credit targets
     /// and weighted-fair shed order.
     pub slo: Option<TenantSlos>,
@@ -259,7 +222,6 @@ impl SysConfig {
             randomize_steal_order: true,
             preemption_quantum_us: 0.0,
             background_order: BackgroundOrder::Fcfs,
-            elastic: ElasticKnobs::default(),
             admission: None,
             admission_mode: AdmissionMode::default(),
             retry: None,

@@ -158,8 +158,10 @@ pub fn latency_throughput_sweep_cold(base: &SysConfig, loads: &[f64]) -> Vec<Swe
         .collect()
 }
 
-/// Finds the maximum load at which a system meets `p99 ≤ slo_us` —
-/// the paper's Figures 3 and 7 metric.
+/// Finds the maximum load at which a system meets `quantile ≤ slo_us`
+/// (the paper's Figures 3 and 7 metric at the 0.99 quantile; the
+/// scenario plane's `[search]` block picks p50/p99/p999 here), reporting
+/// `(max_load, probes, cold_probes)`.
 ///
 /// `resolution` is the load grid (50 ⇒ 2% steps, the figures' visual
 /// granularity).
@@ -169,22 +171,6 @@ pub fn latency_throughput_sweep_cold(base: &SysConfig, loads: &[f64]) -> Vec<Swe
 /// already-probed load below it, so only the first probe pays the cold
 /// warmup (previously *every* probe re-converged from an empty system —
 /// the bisection ran the warmup `O(log resolution)` times).
-pub fn max_load_at_slo(base: &SysConfig, slo_us: f64, resolution: usize) -> f64 {
-    max_load_at_slo_counting(base, slo_us, resolution).0
-}
-
-/// As [`max_load_at_slo`], also reporting `(probes, cold_probes)` — the
-/// probe-count pin for the checkpoint-prefix-reuse fix lives on this.
-pub fn max_load_at_slo_counting(
-    base: &SysConfig,
-    slo_us: f64,
-    resolution: usize,
-) -> (f64, u32, u32) {
-    max_load_at_quantile_slo_counting(base, 0.99, slo_us, resolution)
-}
-
-/// [`max_load_at_slo_counting`] generalized to any latency quantile —
-/// the scenario plane's `[search]` block picks p50/p99/p999 here.
 pub fn max_load_at_quantile_slo_counting(
     base: &SysConfig,
     quantile: f64,
@@ -309,8 +295,9 @@ mod tests {
         // The central claim (§6.1): for an SLO of 10×S̄ at p99, ZygOS
         // sustains much higher load than IX for 10µs exponential tasks.
         let slo = 100.0;
-        let zygos = max_load_at_slo(&small(SystemKind::Zygos, 10.0), slo, 20);
-        let ix = max_load_at_slo(&small(SystemKind::Ix, 10.0), slo, 20);
+        let zygos =
+            max_load_at_quantile_slo_counting(&small(SystemKind::Zygos, 10.0), 0.99, slo, 20).0;
+        let ix = max_load_at_quantile_slo_counting(&small(SystemKind::Ix, 10.0), 0.99, slo, 20).0;
         assert!(
             zygos > ix + 0.10,
             "ZygOS load@SLO {zygos} should clearly beat IX {ix}"
@@ -756,7 +743,8 @@ mod tests {
         assert!(central > 0.85, "central bound = {central}");
         assert!((0.40..0.70).contains(&part), "partitioned bound = {part}");
         // Systems fall below their bound.
-        let zygos = max_load_at_slo(&small(SystemKind::Zygos, 10.0), 100.0, 20);
+        let zygos =
+            max_load_at_quantile_slo_counting(&small(SystemKind::Zygos, 10.0), 0.99, 100.0, 20).0;
         assert!(zygos < central + 0.05);
     }
 
@@ -849,7 +837,7 @@ mod tests {
         // this pins the double-warm-up fix: before it, every probe paid
         // the cold warmup.
         let (load, probes, cold) =
-            max_load_at_slo_counting(&small(SystemKind::Zygos, 10.0), 100.0, 16);
+            max_load_at_quantile_slo_counting(&small(SystemKind::Zygos, 10.0), 0.99, 100.0, 16);
         assert!(load > 0.5, "sane search result, got {load}");
         assert_eq!(probes, 5, "bisection probe count changed");
         assert_eq!(cold, 1, "only the first probe may run cold");

@@ -72,12 +72,15 @@ pub(crate) enum Ev<E> {
     /// The client's per-request timeout fired for this attempt; stale
     /// (and ignored) unless the attempt is still the live one.
     Timeout { req: Req, attempt: u32 },
-    /// Control-plane tick: credit AIMD, the server's control hook, and
-    /// the series harvest.
+    /// Control-plane tick, every [`CONTROL_PERIOD_US`]: credit AIMD, the
+    /// server's control hook, and the series harvest.
     Control,
     /// One of the server model's own events.
     Server(E),
 }
+
+/// The control tick's period in µs ([`Ev::Control`]).
+const CONTROL_PERIOD_US: f64 = 25.0;
 
 /// A simulated server behind the client edge.
 pub(crate) trait Server {
@@ -802,9 +805,8 @@ impl<S: Server> Model for World<S> {
                 let slo_ratio = cx.edge.control_window();
                 self.server.control(slo_ratio, &mut cx);
                 cx.edge.harvest(now, self.server.active_cores());
-                let period = cx.edge.cfg.elastic.control_period_us.max(1.0);
                 cx.sched
-                    .after(SimDuration::from_micros_f64(period), Ev::Control);
+                    .after(SimDuration::from_micros_f64(CONTROL_PERIOD_US), Ev::Control);
             }
             Ev::Server(e) => self.server.handle(e, &mut cx),
         }

@@ -76,19 +76,6 @@ use crate::edge::idle_output;
 /// the single-shard fleet is seed-identical to the base world).
 pub const FLEET_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Where the credit-admission budget lives in a fleet.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AdmissionTopology {
-    /// Each shard runs the base pool as its own (the default: admission
-    /// provisioned where the queues are).
-    PerShard,
-    /// The base pool is one fleet-wide budget, split evenly across the
-    /// shards ([`zygos_sched::CreditConfig::split`]). Observable because
-    /// pool sizing is not linear in cores: a split fleet budget starts
-    /// tighter and probes more gently than shard-local provisioning.
-    FleetWide,
-}
-
 /// A fleet experiment: `shards` copies of `base` behind a balancer.
 ///
 /// `base` is read as the *fleet-level* description: `base.conns` is the
@@ -105,8 +92,6 @@ pub struct FleetConfig {
     pub shards: usize,
     /// Connection-routing policy at the balancer.
     pub routing: RoutePolicy,
-    /// Credit-admission topology (ignored when `base.admission` is off).
-    pub admission: AdmissionTopology,
     /// Degraded shards as `(shard, service factor)`: shard `i` serves at
     /// `factor ×` its healthy cost.
     pub degraded: Vec<(usize, f64)>,
@@ -133,7 +118,6 @@ impl FleetConfig {
             base,
             shards,
             routing,
-            admission: AdmissionTopology::PerShard,
             degraded: Vec::new(),
             loss: None,
             fanout: 1,
@@ -262,19 +246,23 @@ impl FleetOutput {
         sub / self.fanout as f64
     }
 
-    /// Fleet 99th-percentile *user* latency. With `fanout == 1` this is
-    /// the merged histogram's p99 verbatim (bit-identical to the base
+    /// Fleet 99th-percentile *user* latency: [`Self::quantile_us`] at 0.99.
+    pub fn p99_us(&self) -> f64 {
+        self.quantile_us(0.99)
+    }
+
+    /// The `q` quantile of *user* latency. With `fanout == 1` this is the
+    /// merged histogram's quantile verbatim (bit-identical to the base
     /// world in the single-shard differential). With `fanout = M` a user
     /// request completes at the max of `M` iid sub-requests, so
-    /// `P(max ≤ x) = F(x)^M` and the user p99 is the sub-request
-    /// distribution's `0.99^(1/M)` quantile — for `M = 4` that is the
+    /// `P(max ≤ x) = F(x)^M` and the user quantile is the sub-request
+    /// distribution's `q^(1/M)` quantile — for `M = 4` the user p99 is the
     /// sub-request p99.75, the tail-at-scale amplification in one line.
-    pub fn p99_us(&self) -> f64 {
+    pub fn quantile_us(&self, q: f64) -> f64 {
         if self.fanout == 1 {
-            self.latency.p99_us()
+            self.latency.quantile_us(q)
         } else {
-            self.latency
-                .quantile_us(0.99f64.powf(1.0 / self.fanout as f64))
+            self.latency.quantile_us(q.powf(1.0 / self.fanout as f64))
         }
     }
 }
@@ -381,10 +369,6 @@ fn plan_fleet(cfg: &FleetConfig) -> FleetPlan {
                 .seed
                 .wrapping_add((i as u64).wrapping_mul(FLEET_SEED_STRIDE));
             shard.service = cfg.base.service.scaled(factor);
-            if let (AdmissionTopology::FleetWide, Some(pool)) = (cfg.admission, cfg.base.admission)
-            {
-                shard.admission = Some(pool.split(cfg.shards));
-            }
             if let Some(t) = &mut shard.telemetry {
                 // Series only: lifecycle correlation keys collide across
                 // shards, so fleet worlds never trace.
@@ -666,11 +650,10 @@ mod tests {
 
     #[test]
     fn retry_conservation_holds_fleet_wide() {
-        // Retrying shards under fleet-wide credits: the retry-extended
+        // Retrying shards under per-shard credits: the retry-extended
         // identity must close through the fleet reductions.
         let mut fleet = FleetConfig::new(small_base(1.2), 3, RoutePolicy::LeastLoaded);
         fleet.base.admission = Some(zygos_sched::CreditConfig::for_cores(4, 60.0));
-        fleet.admission = AdmissionTopology::FleetWide;
         fleet.base.retry = Some(zygos_load::retry::RetryPolicy::Backoff {
             base_us: 30,
             factor: 2.0,

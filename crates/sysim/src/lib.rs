@@ -11,10 +11,10 @@
 //! * [`config::SystemKind::LinuxPartitioned`] / [`SystemKind::LinuxFloating`]
 //!   — the epoll baselines with Linux's per-request kernel cost.
 //! * [`config::SystemKind::Elastic`] — ZygOS under the `zygos-sched`
-//!   control plane: a periodic controller grants/revokes cores (by
-//!   default the SLO-margin `SloController`, fed per-tenant classes via
-//!   [`SysConfig::slo`]; [`config::AllocKind::Utilization`] selects the
-//!   PR-1 `util + β·√util` rule), parked cores redirect their RSS queues
+//!   control plane: a 25 µs control tick grants/revokes cores (through
+//!   the SLO-margin `SloController`, fed per-tenant classes via
+//!   [`SysConfig::slo`], which degrades to the `util + β·√util` rule
+//!   without them), parked cores redirect their RSS queues
 //!   and stop polling ([`SysOutput::avg_active_cores`] reports the
 //!   grant), and a nonzero [`SysConfig::preemption_quantum_us`] arms
 //!   Shinjuku-style quantum preemption: over-quantum application chunks
@@ -83,12 +83,10 @@ mod zygos;
 pub use config::{AdmissionMode, SysConfig, SysOutput, SystemKind, CREDIT_HEADROOM};
 pub use driver::{
     latency_throughput_sweep, latency_throughput_sweep_cold, max_load_at_quantile_slo_counting,
-    max_load_at_slo, max_load_at_slo_counting, run_system, run_system_chain, theory_central_p99_us,
-    theory_max_load_at_slo, warmable, SweepPoint, WARM_MAX_LOAD,
+    run_system, run_system_chain, theory_central_p99_us, theory_max_load_at_slo, warmable,
+    SweepPoint, WARM_MAX_LOAD,
 };
-pub use fleet::{
-    run_fleet, run_fleet_threads, AdmissionTopology, FleetConfig, FleetOutput, FLEET_SEED_STRIDE,
-};
+pub use fleet::{run_fleet, run_fleet_threads, FleetConfig, FleetOutput, FLEET_SEED_STRIDE};
 pub use staged::{CoreLayout, QueueDiscipline, StageSpec, StagedConfig};
 pub use tail::{run_restart, TailConfig, TailOutput};
 pub use zygos::WarmState;

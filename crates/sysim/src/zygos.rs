@@ -31,12 +31,12 @@
 //! [`SystemKind::Elastic`] layers the `zygos-sched` control plane on this
 //! model. A periodic `Control` event feeds a [`PolicySignal`] (busy-core
 //! and backlog counts plus, when [`SysConfig::slo`] is set, the measured
-//! worst p99-vs-SLO ratio of the last window) to an [`AllocPolicy`] — the
-//! SLO-margin [`SloController`] by default, or the PR-1 utilization rule
-//! via [`AllocKind::Utilization`]. Revoked cores drain their queues into
-//! an active core and stop participating (their RSS queues are redirected,
-//! modeling indirection-table reprogramming); granted cores rejoin and
-//! steal immediately. A nonzero [`SysConfig::preemption_quantum_us`] arms
+//! worst p99-vs-SLO ratio of the last window) to the SLO-margin
+//! [`SloController`], which without a configured SLO receives no latency
+//! signal and degrades to exactly the utilization rule. Revoked cores
+//! drain their queues into an active core and stop participating (their
+//! RSS queues are redirected, modeling indirection-table reprogramming);
+//! granted cores rejoin and steal immediately. A nonzero [`SysConfig::preemption_quantum_us`] arms
 //! a per-chunk timer: application chunks longer than the quantum end in a
 //! `Preempt` event (same epoch-guard machinery as IPIs) that charges the
 //! context save/restore cost and moves the remainder to a **background
@@ -50,9 +50,8 @@
 use std::collections::VecDeque;
 
 use zygos_sched::{
-    AllocPolicy, AllocatorConfig, BackgroundOrder, CoreAllocator, CoreSecondsMeter, Decision,
-    DispatchPolicy, PolicySignal, QuantumPolicy, Rung, SloController, SloTuning, UtilizationPolicy,
-    ZygosPolicy,
+    AllocPolicy, AllocatorConfig, AllocatorTuning, BackgroundOrder, CoreSecondsMeter, Decision,
+    DispatchPolicy, PolicySignal, QuantumPolicy, Rung, SloController, SloTuning, ZygosPolicy,
 };
 use zygos_sim::engine::Engine;
 use zygos_sim::time::{SimDuration, SimTime};
@@ -60,7 +59,7 @@ use zygos_telemetry::TraceKind;
 
 use crate::arena::{Arena, Fifo};
 use crate::arrivals::Req;
-use crate::config::{AllocKind, SysConfig, SysOutput, SystemKind};
+use crate::config::{SysConfig, SysOutput, SystemKind};
 use crate::edge::{self, Cx, Edge, Server, ServerStats, World};
 
 /// The ZygOS server's own events.
@@ -235,7 +234,7 @@ fn ns(v: u64) -> SimDuration {
 /// Elastic-mode control-plane state.
 #[derive(Clone)]
 struct Elastic {
-    allocator: Box<dyn AllocPolicy>,
+    allocator: SloController,
     meter: CoreSecondsMeter,
     /// RSS redirection: home core → serving core (identity while active).
     redirect: Vec<usize>,
@@ -337,18 +336,10 @@ impl ZygosModel {
                 let alloc_cfg = AllocatorConfig {
                     min_cores: min_cores.clamp(1, cfg.cores),
                     max_cores: cfg.cores,
-                    tuning: cfg.elastic.tuning,
-                };
-                let allocator: Box<dyn AllocPolicy> = match cfg.elastic.alloc {
-                    AllocKind::Utilization => {
-                        Box::new(UtilizationPolicy::new(CoreAllocator::new(alloc_cfg)))
-                    }
-                    AllocKind::SloDriven => {
-                        Box::new(SloController::new(alloc_cfg, SloTuning::default()))
-                    }
+                    tuning: AllocatorTuning::default(),
                 };
                 Some(Elastic {
-                    allocator,
+                    allocator: SloController::new(alloc_cfg, SloTuning::default()),
                     meter: CoreSecondsMeter::new(0, cfg.cores),
                     redirect: (0..cfg.cores).collect(),
                     last_ctl_busy_integral: 0,

@@ -6,7 +6,9 @@
 
 use zygos_sim::dist::ServiceDist;
 use zygos_sim::queueing::Policy;
-use zygos_sysim::{max_load_at_slo, theory_max_load_at_slo, SysConfig, SystemKind};
+use zygos_sysim::{
+    max_load_at_quantile_slo_counting, theory_max_load_at_slo, SysConfig, SystemKind,
+};
 
 fn cfg(system: SystemKind, mean_us: f64) -> SysConfig {
     let mut c = SysConfig::paper(system, ServiceDist::exponential_us(mean_us), 0.5);
@@ -22,7 +24,8 @@ fn cfg(system: SystemKind, mean_us: f64) -> SysConfig {
 fn zygos_efficiency_at_10us_near_75_percent() {
     let service = ServiceDist::exponential_us(10.0);
     let slo_us = 100.0;
-    let zygos = max_load_at_slo(&cfg(SystemKind::Zygos, 10.0), slo_us, 40);
+    let zygos =
+        max_load_at_quantile_slo_counting(&cfg(SystemKind::Zygos, 10.0), 0.99, slo_us, 40).0;
     let bound = theory_max_load_at_slo(&service, 16, Policy::CentralFcfs, 10.0, 60_000, 40);
     let eff = zygos / bound;
     assert!(
@@ -36,7 +39,8 @@ fn zygos_efficiency_at_10us_near_75_percent() {
 fn zygos_efficiency_at_25us_near_88_percent() {
     let service = ServiceDist::exponential_us(25.0);
     let slo_us = 250.0;
-    let zygos = max_load_at_slo(&cfg(SystemKind::Zygos, 25.0), slo_us, 40);
+    let zygos =
+        max_load_at_quantile_slo_counting(&cfg(SystemKind::Zygos, 25.0), 0.99, slo_us, 40).0;
     let bound = theory_max_load_at_slo(&service, 16, Policy::CentralFcfs, 10.0, 60_000, 40);
     let eff = zygos / bound;
     assert!(
@@ -50,10 +54,19 @@ fn zygos_efficiency_at_25us_near_88_percent() {
 #[test]
 fn figure7_system_ordering_holds() {
     let slo_us = 100.0;
-    let zygos = max_load_at_slo(&cfg(SystemKind::Zygos, 10.0), slo_us, 25);
-    let ix = max_load_at_slo(&cfg(SystemKind::Ix, 10.0), slo_us, 25);
-    let lf = max_load_at_slo(&cfg(SystemKind::LinuxFloating, 10.0), slo_us, 25);
-    let lp = max_load_at_slo(&cfg(SystemKind::LinuxPartitioned, 10.0), slo_us, 25);
+    let zygos =
+        max_load_at_quantile_slo_counting(&cfg(SystemKind::Zygos, 10.0), 0.99, slo_us, 25).0;
+    let ix = max_load_at_quantile_slo_counting(&cfg(SystemKind::Ix, 10.0), 0.99, slo_us, 25).0;
+    let lf =
+        max_load_at_quantile_slo_counting(&cfg(SystemKind::LinuxFloating, 10.0), 0.99, slo_us, 25)
+            .0;
+    let lp = max_load_at_quantile_slo_counting(
+        &cfg(SystemKind::LinuxPartitioned, 10.0),
+        0.99,
+        slo_us,
+        25,
+    )
+    .0;
     assert!(zygos > ix, "zygos {zygos} vs ix {ix}");
     assert!(zygos > lf, "zygos {zygos} vs linux-floating {lf}");
     assert!(ix >= lp, "ix {ix} vs linux-partitioned {lp}");
@@ -66,8 +79,10 @@ fn figure7_system_ordering_holds() {
 fn linux_floating_overtakes_ix_for_large_tasks() {
     let mean = 100.0;
     let slo_us = 10.0 * mean;
-    let ix = max_load_at_slo(&cfg(SystemKind::Ix, mean), slo_us, 25);
-    let lf = max_load_at_slo(&cfg(SystemKind::LinuxFloating, mean), slo_us, 25);
+    let ix = max_load_at_quantile_slo_counting(&cfg(SystemKind::Ix, mean), 0.99, slo_us, 25).0;
+    let lf =
+        max_load_at_quantile_slo_counting(&cfg(SystemKind::LinuxFloating, mean), 0.99, slo_us, 25)
+            .0;
     assert!(
         lf > ix,
         "at 100us tasks floating ({lf}) must beat IX ({ix})"
@@ -79,7 +94,7 @@ fn linux_floating_overtakes_ix_for_large_tasks() {
 #[test]
 fn ix_efficiency_matches_figure3() {
     let service = ServiceDist::exponential_us(25.0);
-    let ix = max_load_at_slo(&cfg(SystemKind::Ix, 25.0), 250.0, 40);
+    let ix = max_load_at_quantile_slo_counting(&cfg(SystemKind::Ix, 25.0), 0.99, 250.0, 40).0;
     let bound = theory_max_load_at_slo(&service, 16, Policy::PartitionedFcfs, 10.0, 60_000, 40);
     let eff = ix / bound;
     assert!(

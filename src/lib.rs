@@ -27,7 +27,7 @@
 //!   SLO-derived AIMD targets, weighted fair shedding (loosest class
 //!   first), and sender-side credit grants piggybacked on response
 //!   headers. Knobs: `SysConfig::{preemption_quantum_us,
-//!   background_order, admission, admission_mode, slo}`, `ElasticKnobs`,
+//!   background_order, admission, admission_mode, slo}`,
 //!   `SchedulerKind::Elastic` and `RuntimeConfig::{admission, slo,
 //!   client_credits}`.
 //! * [`silo`] — a Silo-style OCC in-memory transactional database with a
