@@ -11,7 +11,7 @@
 //!   cannot (the §6/Figure 6 weakness);
 //! * **diurnal-trace** — the same systems driven by the **bundled diurnal
 //!   request trace** (`zygos_lab::traces::diurnal`) through the
-//!   `ArrivalSource` replay path, replacing the hand-written phase list
+//!   `Arrivals` trace-replay path, replacing the hand-written phase list
 //!   this figure used to carry: the trace's trough/peak shape is what the
 //!   elastic controller tracks, and the panel reports the cores it
 //!   granted doing so.

@@ -1181,7 +1181,7 @@ fanout = 4
                 .replace("loads = [0.3, 0.6]", grids)
                 .replace("label = \"ZygOS\"", "label = \"a\"");
             let more = "[[case]]\nlabel = \"b\"\nhost = \"sim:ix\"\n[[case]]\nlabel = \"c\"\n\
-                        host = \"sim:zygos\"\n[faults]\nburst = [2000.0, 1000.0, 1.5]\n[telemetry]\n\
+                        host = \"sim:zygos\"\n[[case]]\nlabel = \"d\"\nhost = \"live:zygos\"\n[faults]\nburst = [2000.0, 1000.0, 1.5]\n[telemetry]\n\
                         trace = false\nseries = [\"window_p99_us\"]\n[[claim]]\n";
             format!("{base}{more}{claim}")
         };
@@ -1260,10 +1260,7 @@ fanout = 4
                 "window_p99_us => credit_capacity",
                 "not listed in [telemetry]",
             ),
-            (
-                "case = \"a\" => case = \"b\"",
-                "ZygOS-family simulator host",
-            ),
+            ("case = \"a\" => case = \"d\"", "must be a simulator host"),
         ];
         rejects(settles, &unsettled);
         // An extreme needs two loads to be extreme among; a settles claim

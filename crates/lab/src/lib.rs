@@ -10,9 +10,9 @@
 //! *described*:
 //!
 //! * **one workload** — service distribution plus an arrival process
-//!   behind the [`zygos_load::source::ArrivalSource`] trait (Poisson,
-//!   piecewise phases, or replay of a timestamped trace such as the
-//!   bundled diurnal log in [`traces`]);
+//!   ([`zygos_load::source::Arrivals`]: Poisson, piecewise phases, or
+//!   replay of a timestamped trace such as the bundled diurnal log in
+//!   [`traces`]);
 //! * **any host** — each [`spec::Case`] runs on the discrete-event
 //!   simulator, the live multithreaded runtime, or a zero-overhead
 //!   queueing model, and all of them reduce to the same

@@ -1355,6 +1355,36 @@ mod tests {
     }
 
     #[test]
+    fn settles_claims_read_any_simulated_host() {
+        use crate::spec::{Claim, Op};
+        // Every `sim:` world harvests control-tick series behind its client
+        // edge, so a settles claim may name IX.
+        let text = "name = \"ix-settles\"\n[workload]\nservice = \"exponential\"\nmean_us = 10.0\n\
+                    cores = 4\nconns = 64\nloads = [0.8]\n[scale]\nrequests = 12_000\nwarmup = 2_000\n\
+                    smoke_requests = 12_000\nsmoke_warmup = 2_000\n\
+                    [faults]\nburst = [8_000.0, 4_000.0, 2.0]\n\
+                    [telemetry]\ntrace = false\nseries = [\"admitted_rate\"]\nseries_every = 8\n\
+                    [[case]]\nlabel = \"ix\"\nhost = \"sim:ix\"\nadmission = true\n\
+                    credit_target_us = 70.0\n\
+                    [[claim]]\nseries = \"admitted_rate\"\ncase = \"ix\"\nsettle_windows = 4\n\
+                    op = \">=\"\nvalue = 0.5\n";
+        let mut sc = crate::fromtoml::scenario_from_toml(text).expect("builds");
+        let report = run_scenario(&sc, true).expect("runs");
+        assert_eq!(
+            crate::check::check_claims(&sc, &report),
+            Vec::<String>::new()
+        );
+        // Evaluated, not skipped: the negated claim fails on the same run.
+        let Claim::Settles(s) = &mut sc.claims[0] else {
+            unreachable!("one settles claim")
+        };
+        s.op = Op::Lt;
+        let errs = crate::check::check_claims(&sc, &report);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].contains("admitted_rate mean past"), "{errs:?}");
+    }
+
+    #[test]
     fn tracing_leaves_base_report_metrics_bit_identical() {
         use crate::spec::TelemetrySpec;
         // The same scenario with and without the tracer: every base

@@ -487,12 +487,6 @@ impl Case {
         self
     }
 
-    /// Attaches per-tenant SLO classes.
-    pub fn slo(mut self, slos: TenantSlos) -> Case {
-        self.policy.slo = Some(slos);
-        self
-    }
-
     /// Overrides the RX batch bound.
     pub fn rx_batch(mut self, b: u64) -> Case {
         self.policy.rx_batch = Some(b);
@@ -1632,10 +1626,10 @@ fn validate_claims(
                 {
                     return fail(format!("series {series:?} is not listed in [telemetry]"));
                 }
-                let traced = |c: &Case| c.label == s.case && Readers::ZygosSim.reads(c.host);
-                if !cases.iter().any(traced) {
+                let harvested = |c: &Case| c.label == s.case && matches!(c.host, HostSpec::Sim(_));
+                if !cases.iter().any(harvested) {
                     return fail(format!(
-                        "case {:?} must be a ZygOS-family simulator host \
+                        "case {:?} must be a simulator host \
                          (only those harvest control-tick series)",
                         s.case
                     ));

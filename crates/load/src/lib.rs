@@ -1,14 +1,12 @@
 //! Open-loop load generation and SLO measurement (mutilate-style, §3.1).
 //!
-//! * [`schedule`] — Poisson arrival schedules over a set of connections:
-//!   the client-side discipline the paper uses ("incoming requests follow a
-//!   Poisson inter-arrival time on randomly-selected connections").
 //! * [`recorder`] — thread-safe latency recording for the live runtime
 //!   (a shared log-bucketed histogram behind a mutex).
 //! * [`slo`] — SLO specifications (`p99 ≤ k·S̄`), multi-tenant SLO classes
 //!   ([`slo::TenantSlos`]: the source of the allocation ratio, the
 //!   per-class credit-AIMD targets, and the weighted-fair shed order),
-//!   and the exact small-window quantile both hosts' control ticks use.
+//!   and the control tick's latency window ([`slo::ControlWindow`]) both
+//!   hosts read their SLO ratio, credit ratio and window tail from.
 //! * [`retry`] — reject-aware retry policies ([`retry::RetryPolicy`]:
 //!   drop / exponential backoff / hedge-to-deadline) for clients facing a
 //!   credit-gated server.
@@ -17,26 +15,25 @@
 //!   consistent-hash, least-loaded, power-of-two-choices) mapping client
 //!   connections onto server shards, with capacity weights and
 //!   shard-loss remap.
-//! * [`source`] — arrival processes behind one trait
-//!   ([`source::ArrivalSource`]): the paper's constant-rate Poisson,
+//! * [`source`] — arrival processes as one enum ([`source::Arrivals`],
+//!   built by [`ArrivalSpec::source`]): the paper's constant-rate Poisson
+//!   ("incoming requests follow a Poisson inter-arrival time"),
 //!   piecewise-Poisson phases, and trace replay from a timestamped
 //!   request log ([`source::Trace`]) — the scenario plane's workload
 //!   input.
 //!
 //! Everything here is host-agnostic: the live runtime, the discrete-event
-//! simulator and the tests consume the same schedules, SLO arithmetic and
-//! retry decisions.
+//! simulator and the tests consume the same arrival processes, SLO
+//! arithmetic and retry decisions.
 
 pub mod recorder;
 pub mod retry;
 pub mod route;
-pub mod schedule;
 pub mod slo;
 pub mod source;
 
 pub use recorder::SharedRecorder;
 pub use retry::{RetryDecision, RetryPolicy};
 pub use route::{Balancer, RoutePolicy};
-pub use schedule::ArrivalSchedule;
-pub use slo::Slo;
-pub use source::{ArrivalSource, ArrivalSpec, Trace};
+pub use slo::{ControlWindow, Slo, WindowSignals};
+pub use source::{ArrivalSpec, Arrivals, Trace};

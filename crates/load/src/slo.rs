@@ -13,12 +13,12 @@
 //!
 //! * the SLO-driven allocation policy (`zygos_sched::SloController`)
 //!   staffs on the **worst relative margin** across classes — the maximum
-//!   of `p99 / bound` returned by [`TenantSlos::worst_ratio`] — so one
-//!   violated tenant is enough to hold or grant cores;
+//!   of `p99 / bound` ([`WindowSignals::slo_ratio`]) — so one violated
+//!   tenant is enough to hold or grant cores;
 //! * the credit-admission AIMD loop steers to **per-class latency
 //!   targets** derived from the bounds ([`TenantSlos::aimd_targets_us`])
 //!   instead of a fixed µs constant, and compares the measured per-class
-//!   tails against them with [`TenantSlos::worst_credit_ratio`];
+//!   tails against them ([`WindowSignals::credit_ratio`]);
 //! * under overload, **weighted fair shedding** caps each class at a
 //!   fraction of the credit pool ([`TenantSlos::admit_fractions`]) such
 //!   that the *loosest* class (the one with the most latency headroom) is
@@ -39,6 +39,10 @@
 //! // The batch class is capped at half the pool, so it sheds first.
 //! assert_eq!(slos.admit_fractions(), vec![1.0, 0.5]);
 //! ```
+//!
+//! [`ControlWindow`] is the control tick's latency window both hosts read
+//! these signals from: the simulator's client edge every 25 µs of virtual
+//! time, the live runtime's worker 0 every millisecond.
 
 use zygos_sim::stats::{LatencyHistogram, WindowHistogram};
 
@@ -56,22 +60,6 @@ pub const CREDIT_HEADROOM: f64 = 0.7;
 /// of samples — too noisy to staff or shed on. Shared by both hosts'
 /// control ticks.
 pub const MIN_WINDOW_SAMPLES: usize = 8;
-
-/// Upper bound on a carried exact-quantile window (live runtime): a class
-/// stuck below [`MIN_WINDOW_SAMPLES`] stretches its window across ticks,
-/// and a class far *above* it has no use for more history — so windows
-/// are trimmed to the most recent this-many samples, bounding both the
-/// per-tick sort and the memory a slow tick can accumulate.
-pub const MAX_WINDOW_SAMPLES: usize = 4096;
-
-/// Trims an exact-quantile window to its most recent
-/// [`MAX_WINDOW_SAMPLES`] entries (drops the oldest first).
-pub fn trim_window(samples: &mut Vec<u64>) {
-    if samples.len() > MAX_WINDOW_SAMPLES {
-        let excess = samples.len() - MAX_WINDOW_SAMPLES;
-        samples.drain(..excess);
-    }
-}
 
 /// An SLO: `quantile(percentile) ≤ bound_us`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -170,71 +158,6 @@ impl TenantSlos {
             .expect("non-empty")
     }
 
-    /// The worst relative margin across classes:
-    /// `max(quantile_i(percentile_i) / bound_i)` over classes whose
-    /// latency window (nanosecond samples, one `Vec` per class, sorted in
-    /// place) holds at least `min_samples` entries. `> 1.0` means some
-    /// tenant's SLO is violated; `None` when no class has enough samples
-    /// to judge. This is the signal `zygos_sched::SloController` staffs
-    /// on — both hosts' control ticks call it per window (the simulator
-    /// from virtual time, the live runtime from measured sojourns).
-    pub fn worst_ratio(&self, per_class: &mut [Vec<u64>], min_samples: usize) -> Option<f64> {
-        assert_eq!(per_class.len(), self.classes.len(), "one window per class");
-        let mut worst: Option<f64> = None;
-        for (c, samples) in self.classes.iter().zip(per_class) {
-            if samples.len() >= min_samples.max(1) {
-                let q = exact_quantile_us(samples, c.slo.percentile);
-                let r = q / c.slo.bound_us;
-                worst = Some(worst.map_or(r, |w: f64| w.max(r)));
-            }
-        }
-        worst
-    }
-
-    /// [`TenantSlos::worst_ratio`] over constant-memory
-    /// [`WindowHistogram`] windows instead of exact sample vectors — the
-    /// simulator's control tick records every completion, and sorting
-    /// those windows each tick was the dominant per-tick cost. Histogram
-    /// quantiles carry the bucket's ~0.1% relative error, which is far
-    /// below the noise floor of a window tail estimate.
-    pub fn worst_ratio_hist(
-        &self,
-        per_class: &mut [WindowHistogram],
-        min_samples: usize,
-    ) -> Option<f64> {
-        assert_eq!(per_class.len(), self.classes.len(), "one window per class");
-        let mut worst: Option<f64> = None;
-        for (c, win) in self.classes.iter().zip(per_class) {
-            if win.count() >= min_samples.max(1) as u64 {
-                let q = win.quantile_us(c.slo.percentile);
-                let r = q / c.slo.bound_us;
-                worst = Some(worst.map_or(r, |w: f64| w.max(r)));
-            }
-        }
-        worst
-    }
-
-    /// [`TenantSlos::worst_credit_ratio`] over [`WindowHistogram`]
-    /// windows (see [`TenantSlos::worst_ratio_hist`]).
-    pub fn worst_credit_ratio_hist(
-        &self,
-        per_class: &mut [WindowHistogram],
-        targets_us: &[f64],
-        min_samples: usize,
-    ) -> Option<f64> {
-        assert_eq!(per_class.len(), self.classes.len(), "one window per class");
-        assert_eq!(targets_us.len(), self.classes.len(), "one target per class");
-        let mut worst: Option<f64> = None;
-        for ((c, win), &target) in self.classes.iter().zip(per_class).zip(targets_us) {
-            if win.count() >= min_samples.max(1) as u64 && target > 0.0 {
-                let q = win.quantile_us(c.slo.percentile);
-                let r = q / target;
-                worst = Some(worst.map_or(r, |w: f64| w.max(r)));
-            }
-        }
-        worst
-    }
-
     /// Per-class latency targets (µs) for the credit-admission AIMD loop:
     /// `headroom × bound` for each class, in class order.
     ///
@@ -261,35 +184,6 @@ impl TenantSlos {
             .iter()
             .map(|c| headroom * c.slo.bound_us)
             .collect()
-    }
-
-    /// The worst per-class congestion ratio for the credit AIMD loop:
-    /// `max(quantile_i(percentile_i) / target_i)` over classes with at
-    /// least `min_samples` window entries, where `targets_us` comes from
-    /// [`TenantSlos::aimd_targets_us`]. A ratio of 1.0 means "exactly at
-    /// target"; `None` means no class produced a trustworthy signal this
-    /// window (the AIMD loop should hold).
-    ///
-    /// Same shape as [`TenantSlos::worst_ratio`], but normalized against
-    /// the *admission* targets instead of the SLO bounds — the two loops
-    /// deliberately act at different points (shed before you breach).
-    pub fn worst_credit_ratio(
-        &self,
-        per_class: &mut [Vec<u64>],
-        targets_us: &[f64],
-        min_samples: usize,
-    ) -> Option<f64> {
-        assert_eq!(per_class.len(), self.classes.len(), "one window per class");
-        assert_eq!(targets_us.len(), self.classes.len(), "one target per class");
-        let mut worst: Option<f64> = None;
-        for ((c, samples), &target) in self.classes.iter().zip(per_class).zip(targets_us) {
-            if samples.len() >= min_samples.max(1) && target > 0.0 {
-                let q = exact_quantile_us(samples, c.slo.percentile);
-                let r = q / target;
-                worst = Some(worst.map_or(r, |w: f64| w.max(r)));
-            }
-        }
-        worst
     }
 
     /// Per-class admission fractions for weighted fair shedding: the share
@@ -332,15 +226,124 @@ impl TenantSlos {
     }
 }
 
-/// Exact quantile of an (unsorted) window of nanosecond latencies, in µs.
-/// Sorts in place — meant for small control-tick windows, where the
-/// histogram machinery would be allocation-heavy and its ~0.1% bucketing
-/// pointless.
-pub fn exact_quantile_us(samples: &mut [u64], q: f64) -> f64 {
-    assert!(!samples.is_empty(), "quantile of an empty window");
-    samples.sort_unstable();
-    let idx = ((samples.len() as f64 - 1.0) * q).ceil() as usize;
-    samples[idx.min(samples.len() - 1)] as f64 / 1_000.0
+/// The three signals one control tick reads off a [`ControlWindow`].
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct WindowSignals {
+    /// Worst `quantile_i(percentile_i) / bound_i` across tenant classes —
+    /// what `zygos_sched::SloController` staffs on. `> 1.0` means some
+    /// tenant's SLO is violated; `None` without tenant SLOs or when no
+    /// class holds [`MIN_WINDOW_SAMPLES`].
+    pub slo_ratio: Option<f64>,
+    /// The same tails against the credit targets
+    /// ([`TenantSlos::aimd_targets_us`] at [`CREDIT_HEADROOM`]): 1.0 means
+    /// the worst class sits exactly at its target. The credit AIMD's input
+    /// with tenant SLOs.
+    pub credit_ratio: Option<f64>,
+    /// The p99 (µs) of a single-class window: the credit AIMD's input
+    /// without tenant SLOs, steered to `CreditConfig::target`.
+    pub tail_us: Option<f64>,
+}
+
+/// The control tick's latency window: one constant-memory
+/// [`WindowHistogram`] per tenant class (one class without tenant SLOs),
+/// plus what the credit gate derives from the classes — the weighted-fair
+/// admit fractions and the credit targets. Recording is O(1); a quantile
+/// sorts only the touched buckets (~0.1 % relative error).
+///
+/// Both hosts hold one. Each keeps its own clearing rule:
+/// [`ControlWindow::clear`] (the simulator, every tick) or
+/// [`ControlWindow::clear_judged`] (the live runtime, whose 1 ms windows
+/// can be thin).
+///
+/// ```
+/// use zygos_load::slo::{ControlWindow, Slo, TenantSlos};
+///
+/// let slos = TenantSlos::uniform(Slo::p99(100.0));
+/// let mut w = ControlWindow::new(Some(&slos));
+/// for _ in 0..8 {
+///     w.record_nanos(w.class_of(3), 140_000);
+/// }
+/// let s = w.signals();
+/// assert!((s.slo_ratio.unwrap() - 1.4).abs() < 0.01);
+/// assert!((s.credit_ratio.unwrap() - 2.0).abs() < 0.01); // target 70 µs
+/// ```
+#[derive(Clone)]
+pub struct ControlWindow {
+    slos: Option<TenantSlos>,
+    /// Per-class pool fractions for weighted fair shedding (`[1.0]`
+    /// without tenant SLOs).
+    admit_fractions: Vec<f64>,
+    /// Per-class credit-AIMD targets (µs); empty without tenant SLOs.
+    credit_targets_us: Vec<f64>,
+    win: Vec<WindowHistogram>,
+}
+
+impl ControlWindow {
+    /// A window over `slos`' classes, or one untargeted class.
+    pub fn new(slos: Option<&TenantSlos>) -> Self {
+        let classes = slos.map_or(1, |t| t.classes().len());
+        ControlWindow {
+            admit_fractions: slos.map_or_else(|| vec![1.0], TenantSlos::admit_fractions),
+            credit_targets_us: slos.map_or_else(Vec::new, |t| t.aimd_targets_us(CREDIT_HEADROOM)),
+            win: (0..classes).map(|_| WindowHistogram::new()).collect(),
+            slos: slos.cloned(),
+        }
+    }
+
+    /// The class a tenant (connection) id maps to; 0 without tenant SLOs.
+    #[inline]
+    pub fn class_of(&self, tenant: u32) -> usize {
+        self.slos.as_ref().map_or(0, |t| t.class_of(tenant))
+    }
+
+    /// The per-class pool fractions for weighted fair shedding.
+    pub fn admit_fractions(&self) -> &[f64] {
+        &self.admit_fractions
+    }
+
+    /// Records one latency sample of class `class`.
+    #[inline]
+    pub fn record_nanos(&mut self, class: usize, ns: u64) {
+        self.win[class].record_nanos(ns);
+    }
+
+    /// The window's signals. A class is judged once it holds
+    /// [`MIN_WINDOW_SAMPLES`]; below that its tail is the max of a handful
+    /// of samples.
+    pub fn signals(&mut self) -> WindowSignals {
+        let judged = |w: &WindowHistogram| w.count() >= MIN_WINDOW_SAMPLES as u64;
+        let mut s = WindowSignals::default();
+        if let Some(slos) = &self.slos {
+            let classes = slos.classes().iter().zip(&self.credit_targets_us);
+            for ((c, &target), win) in classes.zip(&mut self.win) {
+                if judged(win) {
+                    let q = win.quantile_us(c.slo.percentile);
+                    let (r, cr) = (q / c.slo.bound_us, q / target);
+                    s.slo_ratio = Some(s.slo_ratio.map_or(r, |w| w.max(r)));
+                    s.credit_ratio = Some(s.credit_ratio.map_or(cr, |w| w.max(cr)));
+                }
+            }
+        }
+        if let [only] = &mut self.win[..] {
+            s.tail_us = judged(only).then(|| only.quantile_us(0.99));
+        }
+        s
+    }
+
+    /// Empties every class.
+    pub fn clear(&mut self) {
+        self.win.iter_mut().for_each(WindowHistogram::clear);
+    }
+
+    /// Empties the classes [`ControlWindow::signals`] judged and keeps the
+    /// thinner ones, which stretch across ticks until they can be judged.
+    pub fn clear_judged(&mut self) {
+        for w in &mut self.win {
+            if w.count() >= MIN_WINDOW_SAMPLES as u64 {
+                w.clear();
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -390,69 +393,56 @@ mod tests {
 
         // interactive p99 ≈ 50 (ratio 0.5), batch p99 ≈ 900 (ratio 0.9):
         // the worst ratio is batch's even though its bound is looser.
-        let mut windows = vec![vec![50_000u64; 100], vec![900_000u64; 100]];
-        let r = t
-            .worst_ratio(&mut windows, 10)
-            .expect("both classes sampled");
-        assert!((r - 0.9).abs() < 0.05, "ratio = {r}");
+        let mut w = window_with(&t, &[(0, 50_000, 100), (1, 900_000, 100)]);
+        let r = w.signals().slo_ratio.expect("both classes sampled");
+        assert!((r - 0.9).abs() < 0.01, "ratio = {r}");
 
         // Too few samples in every class → no judgement.
-        let mut empty: Vec<Vec<u64>> = vec![Vec::new(), Vec::new()];
-        assert_eq!(t.worst_ratio(&mut empty, 1), None);
+        let mut thin = window_with(&t, &[(0, 50_000, MIN_WINDOW_SAMPLES - 1)]);
+        assert_eq!(thin.signals(), WindowSignals::default());
+    }
+
+    /// A window over `t` holding `n` samples of `ns` in class `c` for each
+    /// `(c, ns, n)`.
+    fn window_with(t: &TenantSlos, samples: &[(usize, u64, usize)]) -> ControlWindow {
+        let mut w = ControlWindow::new(Some(t));
+        for &(c, ns, n) in samples {
+            (0..n).for_each(|_| w.record_nanos(c, ns));
+        }
+        w
     }
 
     #[test]
-    fn exact_quantile_on_small_windows() {
-        let mut w: Vec<u64> = (1..=100).rev().map(|v| v * 1_000).collect();
-        // Ceil indexing: the quantile never under-reports a small window
-        // (p99 of 100 samples is the max, p90 is the 91st value).
-        assert_eq!(exact_quantile_us(&mut w, 0.99), 100.0);
-        assert_eq!(exact_quantile_us(&mut w, 0.9), 91.0);
-        assert_eq!(exact_quantile_us(&mut w, 0.0), 1.0);
-        assert_eq!(exact_quantile_us(&mut w, 1.0), 100.0);
-        let mut one = vec![7_000u64];
-        assert_eq!(exact_quantile_us(&mut one, 0.99), 7.0);
-    }
-
-    #[test]
-    fn hist_ratios_agree_with_exact_windows() {
+    fn thin_classes_stretch_only_under_clear_judged() {
         let t = TenantSlos::new(vec![
             SloClass::new("interactive", Slo::p99(100.0)),
             SloClass::new("batch", Slo::p99(1000.0)),
         ]);
-        let targets = t.aimd_targets_us(0.7);
-        let mut exact = vec![vec![50_000u64; 100], vec![900_000u64; 100]];
-        let mut hists: Vec<WindowHistogram> = (0..2).map(|_| WindowHistogram::new()).collect();
-        for (c, w) in exact.iter().enumerate() {
-            for &v in w {
-                hists[c].record_nanos(v);
-            }
-        }
-        let re = t.worst_ratio(&mut exact, 10).expect("sampled");
-        let rh = t.worst_ratio_hist(&mut hists, 10).expect("sampled");
-        assert!((re - rh).abs() / re < 0.003, "exact {re} vs hist {rh}");
-        let ce = t
-            .worst_credit_ratio(&mut exact, &targets, 10)
-            .expect("sampled");
-        let ch = t
-            .worst_credit_ratio_hist(&mut hists, &targets, 10)
-            .expect("sampled");
-        assert!((ce - ch).abs() / ce < 0.003, "exact {ce} vs hist {ch}");
-        // Thin windows give no signal on either path.
-        let mut thin: Vec<WindowHistogram> = (0..2).map(|_| WindowHistogram::new()).collect();
-        thin[0].record_nanos(1);
-        assert_eq!(t.worst_ratio_hist(&mut thin, 10), None);
+        let thin = MIN_WINDOW_SAMPLES - 1;
+        let mut w = window_with(&t, &[(0, 50_000, MIN_WINDOW_SAMPLES), (1, 900_000, thin)]);
+        assert!((w.signals().slo_ratio.unwrap() - 0.5).abs() < 0.01);
+        w.clear_judged();
+        // The judged class starts empty; the thin one is judged once one
+        // more sample lands.
+        w.record_nanos(1, 900_000);
+        assert!((w.signals().slo_ratio.unwrap() - 0.9).abs() < 0.01);
+        w.clear_judged();
+        assert_eq!(w.signals().slo_ratio, None);
+        let mut w = window_with(&t, &[(1, 900_000, thin)]);
+        w.clear();
+        w.record_nanos(1, 900_000);
+        assert_eq!(w.signals().slo_ratio, None, "clear empties thin classes");
     }
 
     #[test]
-    fn trim_window_keeps_the_most_recent_samples() {
-        let mut w: Vec<u64> = (0..MAX_WINDOW_SAMPLES as u64 + 100).collect();
-        trim_window(&mut w);
-        assert_eq!(w.len(), MAX_WINDOW_SAMPLES);
-        assert_eq!(w[0], 100, "oldest samples dropped first");
-        let mut small = vec![1u64, 2, 3];
-        trim_window(&mut small);
-        assert_eq!(small, vec![1, 2, 3], "short windows untouched");
+    fn an_untargeted_window_reports_only_its_tail() {
+        let mut w = ControlWindow::new(None);
+        assert_eq!(w.admit_fractions(), &[1.0]);
+        assert_eq!(w.class_of(7), 0);
+        (0..MIN_WINDOW_SAMPLES).for_each(|_| w.record_nanos(0, 300_000));
+        let s = w.signals();
+        assert_eq!((s.slo_ratio, s.credit_ratio), (None, None));
+        assert!((s.tail_us.expect("judged") - 300.0).abs() < 0.5);
     }
 
     #[test]
@@ -477,18 +467,15 @@ mod tests {
             SloClass::new("interactive", Slo::p99(100.0)),
             SloClass::new("batch", Slo::p99(1000.0)),
         ]);
-        let targets = t.aimd_targets_us(0.7);
         // Interactive tail at 140µs = 2× its 70µs target; batch at 350µs =
         // 0.5× its 700µs target. The worst (interactive) drives the loop,
         // even though *neither* SLO bound judges batch the worse class.
-        let mut windows = vec![vec![140_000u64; 100], vec![350_000u64; 100]];
-        let r = t
-            .worst_credit_ratio(&mut windows, &targets, 10)
-            .expect("both classes sampled");
+        let mut w = window_with(&t, &[(0, 140_000, 100), (1, 350_000, 100)]);
+        let r = w.signals().credit_ratio.expect("both classes sampled");
         assert!((r - 2.0).abs() < 0.01, "ratio = {r}");
         // Thin windows give no signal.
-        let mut thin = vec![vec![1u64; 2], vec![]];
-        assert_eq!(t.worst_credit_ratio(&mut thin, &targets, 10), None);
+        let mut thin = window_with(&t, &[(0, 1, 2)]);
+        assert_eq!(thin.signals().credit_ratio, None);
     }
 
     #[test]

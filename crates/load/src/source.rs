@@ -1,13 +1,12 @@
-//! Arrival processes behind one trait: synthetic schedules and trace
-//! replay.
+//! Arrival processes: synthetic schedules and trace replay.
 //!
 //! The paper's evaluation drives every experiment with a constant-rate
 //! open-loop Poisson process. The scenario plane generalizes the *shape*
 //! of the arrival process without touching the hosts: an [`ArrivalSpec`]
 //! is plain data describing the process (so experiment configurations
 //! stay `Clone + Debug` and serializable), and [`ArrivalSpec::source`]
-//! instantiates the stateful generator — an [`ArrivalSource`] — that a
-//! host consumes one inter-arrival gap at a time.
+//! instantiates the stateful generator — an [`Arrivals`] — that a host
+//! consumes one inter-arrival gap at a time.
 //!
 //! Three processes are provided:
 //!
@@ -21,7 +20,7 @@
 //!   keeps meaning "fraction of ideal saturation". The trace loops when
 //!   exhausted.
 //!
-//! The contract every implementation obeys: `next_gap_us` returns a
+//! The contract every process obeys: `next_gap_us` returns a
 //! strictly positive, finite gap, and the long-run mean of the returned
 //! gaps is `1 / base_rate_per_us` — the *shape* varies, the offered load
 //! does not. This is what lets one scenario sweep `load` identically
@@ -202,12 +201,12 @@ impl ArrivalSpec {
     ///
     /// Panics if `base_rate_per_us` is not positive, or the spec is
     /// structurally empty (no phases / empty trace).
-    pub fn source(&self, base_rate_per_us: f64) -> Box<dyn ArrivalSource> {
+    pub fn source(&self, base_rate_per_us: f64) -> Arrivals {
         assert!(base_rate_per_us > 0.0, "base rate must be positive");
         match self {
-            ArrivalSpec::Poisson => Box::new(PoissonArrivals {
+            ArrivalSpec::Poisson => Arrivals::Poisson {
                 mean_gap_us: 1.0 / base_rate_per_us,
-            }),
+            },
             ArrivalSpec::Phased(phases) => {
                 assert!(!phases.is_empty(), "phased arrivals need phases");
                 let mean_factor = phases
@@ -219,118 +218,114 @@ impl ArrivalSpec {
                     })
                     .sum::<f64>()
                     / phases.iter().map(|p| p.duration_us).sum::<f64>();
-                Box::new(PhasedArrivals {
+                Arrivals::Phased {
                     phases: phases.clone(),
                     // Normalize so the long-run mean rate equals the base
                     // rate regardless of the factors chosen.
                     rate_scale: base_rate_per_us / mean_factor,
                     phase: 0,
                     left_us: phases[0].duration_us,
-                })
+                }
             }
             ArrivalSpec::Trace(trace) => {
                 assert!(!trace.is_empty(), "empty trace");
-                Box::new(TraceArrivals {
+                Arrivals::Trace {
                     // Scale recorded gaps so the replayed mean rate is the
                     // base rate: shape from the trace, level from `load`.
                     gap_scale: trace.mean_rate_per_us() / base_rate_per_us,
                     trace: Arc::clone(trace),
                     next: 0,
-                })
+                }
             }
         }
     }
 }
 
-/// A stateful arrival-process generator: the host pulls one inter-arrival
-/// gap at a time (open loop — the generator never observes completions).
+/// A stateful arrival-process generator, built by [`ArrivalSpec::source`]:
+/// the host pulls one inter-arrival gap at a time (open loop — the
+/// generator never observes completions).
 ///
 /// Contract: every gap is strictly positive and finite, and the long-run
 /// mean of the gaps is `1 / base_rate_per_us` for the rate the source was
-/// built with.
-pub trait ArrivalSource: Send {
+/// built with. A clone keeps the position (current phase, trace cursor),
+/// so given the identical RNG stream it emits the identical gaps — the
+/// deterministic-checkpoint contract. The variants are `non_exhaustive`
+/// so that only [`ArrivalSpec::source`], which checks the contract's
+/// conditions, builds one.
+#[derive(Clone, Debug)]
+pub enum Arrivals {
+    /// Exponential gaps of a constant mean.
+    #[non_exhaustive]
+    Poisson {
+        /// Mean gap in µs.
+        mean_gap_us: f64,
+    },
+    /// Piecewise Poisson through a cycle of phases.
+    #[non_exhaustive]
+    Phased {
+        /// The cycle.
+        phases: Vec<Phase>,
+        /// Rate per unit of a phase's `rate_factor`, in requests per µs.
+        rate_scale: f64,
+        /// Index of the current phase.
+        phase: usize,
+        /// Virtual time left in the current phase (µs).
+        left_us: f64,
+    },
+    /// Replay of a trace's gaps, looping.
+    #[non_exhaustive]
+    Trace {
+        /// The recorded gaps.
+        trace: Arc<Trace>,
+        /// Factor from a recorded gap to a replayed one.
+        gap_scale: f64,
+        /// Index of the next gap.
+        next: usize,
+    },
+}
+
+impl Arrivals {
     /// Time from the previous arrival to the next one, in microseconds.
-    fn next_gap_us(&mut self, rng: &mut Xoshiro256) -> f64;
-
-    /// Snapshots the generator, preserving its internal position (current
-    /// phase, trace cursor). Part of the deterministic-checkpoint
-    /// contract: a cloned source must emit the identical gap stream its
-    /// original would, given the identical RNG stream.
-    fn clone_box(&self) -> Box<dyn ArrivalSource>;
-}
-
-impl Clone for Box<dyn ArrivalSource> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
-#[derive(Clone)]
-struct PoissonArrivals {
-    mean_gap_us: f64,
-}
-
-impl ArrivalSource for PoissonArrivals {
-    fn next_gap_us(&mut self, rng: &mut Xoshiro256) -> f64 {
-        rng.next_exp(self.mean_gap_us)
-    }
-
-    fn clone_box(&self) -> Box<dyn ArrivalSource> {
-        Box::new(self.clone())
-    }
-}
-
-#[derive(Clone)]
-struct PhasedArrivals {
-    phases: Vec<Phase>,
-    rate_scale: f64,
-    phase: usize,
-    /// Virtual time left in the current phase (µs).
-    left_us: f64,
-}
-
-impl ArrivalSource for PhasedArrivals {
-    fn next_gap_us(&mut self, rng: &mut Xoshiro256) -> f64 {
-        // Advance phases by the virtual time the gaps themselves consume.
-        let mut gap = 0.0;
-        loop {
-            let rate = self.phases[self.phase].rate_factor * self.rate_scale;
-            let g = rng.next_exp(1.0 / rate);
-            if g <= self.left_us {
-                self.left_us -= g;
-                return gap + g;
+    #[inline]
+    pub fn next_gap_us(&mut self, rng: &mut Xoshiro256) -> f64 {
+        match self {
+            Arrivals::Poisson { mean_gap_us } => rng.next_exp(*mean_gap_us),
+            Arrivals::Phased {
+                phases,
+                rate_scale,
+                phase,
+                left_us,
+            } => {
+                // Advance phases by the virtual time the gaps themselves
+                // consume.
+                let mut gap = 0.0;
+                loop {
+                    let rate = phases[*phase].rate_factor * *rate_scale;
+                    let g = rng.next_exp(1.0 / rate);
+                    if g <= *left_us {
+                        *left_us -= g;
+                        return gap + g;
+                    }
+                    // The sampled gap crosses a phase boundary: consume the
+                    // rest of this phase and resample in the next
+                    // (memorylessness makes this exact for exponential
+                    // gaps).
+                    gap += *left_us;
+                    *phase = (*phase + 1) % phases.len();
+                    *left_us = phases[*phase].duration_us;
+                }
             }
-            // The sampled gap crosses a phase boundary: consume the rest
-            // of this phase and resample in the next (memorylessness makes
-            // this exact for exponential gaps).
-            gap += self.left_us;
-            self.phase = (self.phase + 1) % self.phases.len();
-            self.left_us = self.phases[self.phase].duration_us;
+            // Replay is deterministic: the RNG is not drawn.
+            Arrivals::Trace {
+                trace,
+                gap_scale,
+                next,
+            } => {
+                let gap_ns = trace.gaps_ns[*next];
+                *next = (*next + 1) % trace.gaps_ns.len();
+                (gap_ns as f64 / 1_000.0 * *gap_scale).max(1e-3)
+            }
         }
-    }
-
-    fn clone_box(&self) -> Box<dyn ArrivalSource> {
-        Box::new(self.clone())
-    }
-}
-
-#[derive(Clone)]
-struct TraceArrivals {
-    trace: Arc<Trace>,
-    gap_scale: f64,
-    next: usize,
-}
-
-impl ArrivalSource for TraceArrivals {
-    fn next_gap_us(&mut self, rng: &mut Xoshiro256) -> f64 {
-        let _ = rng; // Replay is deterministic.
-        let gap_ns = self.trace.gaps_ns[self.next];
-        self.next = (self.next + 1) % self.trace.gaps_ns.len();
-        (gap_ns as f64 / 1_000.0 * self.gap_scale).max(1e-3)
-    }
-
-    fn clone_box(&self) -> Box<dyn ArrivalSource> {
-        Box::new(self.clone())
     }
 }
 

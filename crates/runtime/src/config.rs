@@ -20,22 +20,21 @@ pub enum SchedulerKind {
     /// the live, best-effort analogue of the simulator's
     /// `SystemKind::Elastic` + preemption quantum:
     ///
-    /// * **cooperative yield**: at most `quantum_events` events are taken
-    ///   from one connection per dequeue, so a deep pipeline cannot hold
-    ///   its core indefinitely (true preemption of a Rust closure is
+    /// * **cooperative yield**: at most [`RuntimeConfig::conn_batch`]
+    ///   events are taken from one connection per dequeue (64 in
+    ///   [`RuntimeConfig::elastic`]), so a deep pipeline cannot hold its
+    ///   core indefinitely (true preemption of a Rust closure is
     ///   impossible in user space; the simulator models that part);
     /// * **core gating**: a controller (piggybacked on worker 0) feeds
-    ///   queue-depth signals to a `CoreAllocator`; workers above the
-    ///   granted count stop stealing and park an order of magnitude longer
-    ///   when idle, freeing CPU on an oversubscribed host. Parked workers
-    ///   still drain their own ingress rings — RSS cannot be reprogrammed
-    ///   on the loopback port, so home duties remain.
+    ///   duty-cycle, queue-depth and, with [`RuntimeConfig::slo`], measured
+    ///   latency signals to the simulator's `SloController`; workers above
+    ///   the granted count stop stealing and park an order of magnitude
+    ///   longer when idle, freeing CPU on an oversubscribed host. Parked
+    ///   workers still drain their own ingress rings — RSS cannot be
+    ///   reprogrammed on the loopback port, so home duties remain.
     Elastic {
         /// Enable work stealing between granted cores.
         steal: bool,
-        /// Max events taken from one connection per dequeue (the
-        /// cooperative quantum; must be ≥ 1).
-        quantum_events: usize,
     },
 }
 
@@ -50,18 +49,18 @@ pub struct RuntimeConfig {
     pub scheduler: SchedulerKind,
     /// Capacity of each per-core ingress ring.
     pub ring_capacity: usize,
-    /// Maximum events taken from one connection per dequeue (the implicit
-    /// per-flow batch bound; `usize::MAX` = all pending, the paper's
-    /// behaviour).
+    /// Maximum events taken from one connection per dequeue (the per-flow
+    /// batch bound and the elastic mode's cooperative quantum; must be
+    /// ≥ 1; `usize::MAX` = all pending, the paper's behaviour).
     pub conn_batch: usize,
     /// Credit-based admission control (Breakwater-style) at the RX edge:
     /// a framed request without a credit is answered immediately with a
     /// [`crate::server::REJECT_OPCODE`] reply instead of being queued.
-    /// Worker 0 resizes the pool by AIMD — on measured per-tenant sojourn
-    /// tails versus SLO-derived targets when [`RuntimeConfig::slo`] is
-    /// set (the same loop the simulator drives), or on the aggregate
-    /// queue depth otherwise ([`CreditConfig::target`] is then a
-    /// queue-depth target). `None` admits everything.
+    /// Worker 0 resizes the pool by AIMD on measured sojourns, as the
+    /// simulator's control tick does: the per-tenant tails against
+    /// SLO-derived targets when [`RuntimeConfig::slo`] is set, the window
+    /// p99 against [`CreditConfig::target`] (µs) otherwise. `None` admits
+    /// everything.
     pub admission: Option<CreditConfig>,
     /// Per-tenant SLO classes (connection → class round-robin by id).
     /// Arms the runtime's latency signal: ingress-stamped requests feed
@@ -69,7 +68,7 @@ pub struct RuntimeConfig {
     /// SLO-margin `SloController` (fed the measured worst p99-vs-bound
     /// ratio), the credit AIMD steers to per-class targets, and shedding
     /// becomes weighted-fair (loosest class first). `None` leaves the
-    /// PR-2 utilization-and-queue-depth behaviour.
+    /// elastic controller on the utilization rule alone.
     pub slo: Option<TenantSlos>,
     /// Distribute credits to the sender (Breakwater's client-side half):
     /// responses piggyback a credit grant in the wire header and
@@ -135,10 +134,8 @@ impl RuntimeConfig {
     /// cooperative quantum.
     pub fn elastic(cores: usize, conns: u32) -> Self {
         RuntimeConfig {
-            scheduler: SchedulerKind::Elastic {
-                steal: true,
-                quantum_events: 64,
-            },
+            scheduler: SchedulerKind::Elastic { steal: true },
+            conn_batch: 64,
             ..RuntimeConfig::zygos(cores, conns)
         }
     }
@@ -158,12 +155,7 @@ mod tests {
         assert_eq!(f.scheduler, SchedulerKind::Floating);
         assert_eq!(f.cores, 2);
         let e = RuntimeConfig::elastic(4, 64);
-        assert_eq!(
-            e.scheduler,
-            SchedulerKind::Elastic {
-                steal: true,
-                quantum_events: 64
-            }
-        );
+        assert_eq!(e.scheduler, SchedulerKind::Elastic { steal: true });
+        assert_eq!(e.conn_batch, 64);
     }
 }

@@ -5,10 +5,11 @@
 //! the [`DispatchPolicy`] ladder its [`SchedulerKind`] maps to (the same
 //! `ZygosPolicy`/`FcfsPolicy` objects the simulator drives), this file
 //! binds each rung to the live mechanism — MPSC rings, the shuffle layer,
-//! doorbells, the idle sweep. The elastic controller likewise consumes an
-//! [`AllocPolicy`] trait object, and the optional credit gate is the
-//! lock-free [`CreditGate`] sibling of the simulator's `CreditPool` (same
-//! AIMD rule and invariants).
+//! doorbells, the idle sweep. The elastic controller likewise holds the
+//! simulator's [`SloController`], the latency window is the simulator's
+//! [`ControlWindow`], and the optional credit gate is the lock-free
+//! [`CreditGate`] sibling of the simulator's `CreditPool` (same AIMD rule
+//! and invariants).
 //!
 //! # Idle workers and work conservation
 //!
@@ -34,19 +35,23 @@
 //!
 //! # The live latency signal
 //!
-//! With [`RuntimeConfig::slo`](crate::RuntimeConfig::slo) set, every
-//! framed request is stamped at ingress and its **sojourn** (frame →
-//! response produced) lands in a per-core, per-tenant-class window.
-//! Worker 0's control tick harvests the windows and computes the same two
-//! signals the simulator's `Control` event computes:
+//! With [`RuntimeConfig::slo`](crate::RuntimeConfig::slo) or
+//! [`RuntimeConfig::admission`](crate::RuntimeConfig::admission) set,
+//! every framed request is stamped at ingress and its **sojourn** (frame
+//! → response produced) lands in a per-core buffer. Worker 0's control
+//! tick drains the buffers into a [`ControlWindow`] and reads the same
+//! signals the simulator's `Control` event reads:
 //!
-//! * the worst per-class p99-vs-SLO-bound ratio, fed to the SLO-margin
-//!   `SloController` as `PolicySignal::slo_ratio` — the live runtime and
-//!   the simulator now drive the *same* allocation policy object with a
-//!   *measured* signal (the PR-2 `slo_ratio: None` stub is gone);
+//! * the worst per-class p99-vs-SLO-bound ratio, fed to the
+//!   [`SloController`] as `PolicySignal::slo_ratio`;
 //! * the worst per-class tail-vs-credit-target ratio (targets derived
-//!   from the SLO bounds), fed to the [`CreditGate`]'s AIMD — per-tenant
-//!   SLO-driven admission instead of a queue-depth constant.
+//!   from the SLO bounds) or, without SLO classes, the window p99 in µs,
+//!   fed to the [`CreditGate`]'s AIMD.
+//!
+//! One rule differs from the simulator's: a class with fewer than
+//! [`MIN_WINDOW_SAMPLES`](zygos_load::slo::MIN_WINDOW_SAMPLES) samples is
+//! kept across ticks rather than cleared, since at live request rates a
+//! 1 ms window can be thin.
 //!
 //! The windows measure server sojourn rather than the simulator's
 //! client-observed latency (the loopback wire adds no modelled RTT); both
@@ -66,11 +71,10 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Sender};
-use zygos_load::slo::{TenantSlos, CREDIT_HEADROOM, MIN_WINDOW_SAMPLES};
+use zygos_load::slo::{ControlWindow, WindowSignals};
 use zygos_sched::{
-    AllocPolicy, AllocatorConfig, BackgroundOrder, BuiltinDispatch, CoreAllocator, CreditGate,
-    DispatchPolicy, ElasticGate, FcfsPolicy, PolicySignal, QuantumPolicy, Rung, SloController,
-    SloTuning, UtilizationPolicy, ZygosPolicy,
+    AllocatorConfig, BackgroundOrder, BuiltinDispatch, CreditGate, DispatchPolicy, ElasticGate,
+    FcfsPolicy, PolicySignal, QuantumPolicy, Rung, SloController, SloTuning, ZygosPolicy,
 };
 
 use zygos_core::doorbell::{Doorbell, IpiReason};
@@ -132,8 +136,8 @@ pub(crate) struct Shared {
     elastic: Option<ElasticCtl>,
     /// Credit gate (any scheduler kind).
     credits: Option<AdmissionCtl>,
-    /// The live latency signal: per-tenant sojourn windows and the
-    /// SLO-derived policy inputs (present when `cfg.slo` is set).
+    /// The live latency signal: per-tenant sojourn windows (present when
+    /// `cfg.slo` or `cfg.admission` is set).
     slo: Option<SloSignal>,
     /// Control-tick gate shared by all of worker 0's controller duties
     /// (present when any controller is armed).
@@ -165,10 +169,9 @@ const RUNTIME_SERIES_CAP: usize = 8_192;
 
 struct ElasticCtl {
     gate: ElasticGate,
-    /// The allocation policy behind the trait: the same object family the
-    /// simulator's control tick drives ([`SloController`] when tenant
-    /// SLOs are configured, the PR-1 utilization rule otherwise).
-    policy: SpinLock<Box<dyn AllocPolicy>>,
+    /// The allocator the simulator's control tick drives. Without tenant
+    /// SLOs it sees no ratio and makes the utilization rule's decisions.
+    policy: SpinLock<SloController>,
     /// Per-core nanoseconds spent doing work since the last controller
     /// read. A duty-cycle fraction, not a did-anything flag: under a
     /// steady trickle every worker does *something* each period, and a
@@ -181,24 +184,21 @@ struct AdmissionCtl {
     /// Lock-free: RX admits and completion releases are atomic ops, never
     /// a cross-core lock on the dispatch fast path.
     gate: CreditGate,
+    /// Per-class pool fractions for weighted fair shedding, copied from
+    /// the [`ControlWindow`] so the RX path reads them without its lock.
+    admit_fractions: Vec<f64>,
 }
 
-/// The measured per-tenant latency state (armed by `RuntimeConfig::slo`).
+/// The measured latency window (armed by `RuntimeConfig::slo` or
+/// `RuntimeConfig::admission`).
 struct SloSignal {
-    slos: TenantSlos,
-    /// Per-core, per-class sojourn windows (nanoseconds). Per-core locks
-    /// keep completion-path recording off any cross-core lock; worker 0
-    /// drains and merges them each control tick.
-    win: Vec<SpinLock<Vec<Vec<u64>>>>,
-    /// Per-class credit-AIMD targets (µs), `CREDIT_HEADROOM × bound`.
-    credit_targets_us: Vec<f64>,
-    /// Per-class pool fractions for weighted fair shedding.
-    admit_fractions: Vec<f64>,
-    /// Samples carried across ticks for classes that have not yet reached
-    /// [`MIN_WINDOW_SAMPLES`]: at live request rates a 1ms window can be
-    /// thin, and a thin window must stretch (not judge) — only worker 0
-    /// touches this, the lock is uncontended.
-    carry: SpinLock<Vec<Vec<u64>>>,
+    /// The per-class window the simulator's control tick also reads. Only
+    /// worker 0 touches it; the lock is uncontended.
+    window: SpinLock<ControlWindow>,
+    /// Per-core `(class, sojourn ns)` buffers: completion-path recording
+    /// stays off any cross-core lock, and each control tick drains them
+    /// into the window.
+    shards: Vec<SpinLock<Vec<(usize, u64)>>>,
     /// Bits of the last harvested worst p99-vs-bound ratio (`NaN` until
     /// the first trustworthy window) — the observability gauge
     /// [`Server::slo_ratio`] reads.
@@ -206,79 +206,36 @@ struct SloSignal {
 }
 
 impl SloSignal {
-    fn new(slos: TenantSlos, cores: usize) -> Self {
-        let classes = slos.classes().len();
+    fn new(window: ControlWindow, cores: usize) -> Self {
         SloSignal {
-            credit_targets_us: slos.aimd_targets_us(CREDIT_HEADROOM),
-            admit_fractions: slos.admit_fractions(),
-            slos,
-            win: (0..cores)
-                .map(|_| SpinLock::new((0..classes).map(|_| Vec::new()).collect()))
-                .collect(),
-            carry: SpinLock::new((0..classes).map(|_| Vec::new()).collect()),
+            window: SpinLock::new(window),
+            shards: (0..cores).map(|_| SpinLock::new(Vec::new())).collect(),
             ratio_gauge: AtomicU64::new(f64::NAN.to_bits()),
         }
     }
 
     /// Records one completed request's sojourn on the executing core.
-    /// The per-core window is capped near [`MAX_WINDOW_SAMPLES`] so a slow
-    /// control tick cannot make the next harvest sort an unbounded vector;
-    /// the trim runs only when the window doubles past the cap (amortized
-    /// O(1) per record — a per-record drain would shift the whole buffer
-    /// under the lock on every completion).
-    fn record(&self, core: usize, conn: ConnId, sojourn_ns: u64) {
-        use zygos_load::slo::MAX_WINDOW_SAMPLES;
-        let class = self.slos.class_of(conn.0);
-        let mut w = self.win[core].lock();
-        w[class].push(sojourn_ns);
-        if w[class].len() >= 2 * MAX_WINDOW_SAMPLES {
-            zygos_load::slo::trim_window(&mut w[class]);
-        }
+    fn record(&self, core: usize, class: usize, sojourn_ns: u64) {
+        self.shards[core].lock().push((class, sojourn_ns));
     }
 
-    /// The tenant class of `conn`.
-    fn class_of(&self, conn: ConnId) -> usize {
-        self.slos.class_of(conn.0)
-    }
-
-    /// The pool fraction of `conn`'s tenant class.
-    fn fraction_of(&self, conn: ConnId) -> f64 {
-        self.admit_fractions[self.slos.class_of(conn.0)]
-    }
-
-    /// Drains every core's windows into the per-class carry, computes the
-    /// two control signals — worst p99-vs-SLO-bound ratio (allocation)
-    /// and worst tail-vs-credit-target ratio (admission) — and clears
-    /// each class that held enough samples to be judged. Classes still
-    /// below [`MIN_WINDOW_SAMPLES`] keep accumulating: at live request
-    /// rates a 1ms window may be thin, and a thin window must stretch
-    /// rather than produce a max-of-three "tail". Publishes the measured
-    /// ratio to the gauge (held, not cleared, across thin windows).
-    fn harvest(&self) -> (Option<f64>, Option<f64>) {
-        // No trim here: dropping the front of the *merged* vector would
-        // discard whole cores' samples (concatenation order, not time
-        // order) and bias the quantile. The per-core caps in `record`
-        // already bound the merged length to cores × 2 × the cap.
-        let mut merged = self.carry.lock();
-        for core_win in &self.win {
-            let mut w = core_win.lock();
-            for (c, samples) in w.iter_mut().enumerate() {
-                merged[c].append(samples);
+    /// Drains every core's buffer into the window, reads its signals and
+    /// clears the classes it judged; thinner classes keep accumulating.
+    /// Publishes the measured ratio to the gauge (held, not cleared,
+    /// across thin windows).
+    fn harvest(&self) -> WindowSignals {
+        let mut window = self.window.lock();
+        for shard in &self.shards {
+            for (class, ns) in shard.lock().drain(..) {
+                window.record_nanos(class, ns);
             }
         }
-        let ratio = self.slos.worst_ratio(&mut merged, MIN_WINDOW_SAMPLES);
-        let credit_ratio =
-            self.slos
-                .worst_credit_ratio(&mut merged, &self.credit_targets_us, MIN_WINDOW_SAMPLES);
-        for w in merged.iter_mut() {
-            if w.len() >= MIN_WINDOW_SAMPLES {
-                w.clear();
-            }
-        }
-        if let Some(r) = ratio {
+        let signals = window.signals();
+        window.clear_judged();
+        if let Some(r) = signals.slo_ratio {
             self.ratio_gauge.store(r.to_bits(), Ordering::Release);
         }
-        (ratio, credit_ratio)
+        signals
     }
 }
 
@@ -330,11 +287,11 @@ pub struct Server {
 
 /// Builds the dispatch policy a scheduler kind runs. The live runtime has
 /// no preemptive quantum (a Rust closure cannot be interrupted; the
-/// cooperative `quantum_events` bound stands in), so the quantum is always
+/// cooperative `conn_batch` bound stands in), so the quantum is always
 /// disabled here and the background rungs never appear.
 fn dispatch_for(kind: SchedulerKind) -> BuiltinDispatch {
     match kind {
-        SchedulerKind::Zygos { steal } | SchedulerKind::Elastic { steal, .. } => {
+        SchedulerKind::Zygos { steal } | SchedulerKind::Elastic { steal } => {
             // The idle sweep both steals and IPIs, so the paper's two
             // ablation knobs collapse to one here.
             BuiltinDispatch::Zygos(ZygosPolicy::new(
@@ -354,6 +311,7 @@ impl Server {
     pub fn start(cfg: RuntimeConfig, app: Arc<dyn RpcApp>) -> (Server, ClientPort) {
         assert!(cfg.cores > 0, "need at least one core");
         assert!(cfg.conns > 0, "need at least one connection");
+        assert!(cfg.conn_batch >= 1, "conn_batch must be positive");
         let rss = Rss::new(cfg.cores);
         let mut shuffle = ShuffleLayer::new(cfg.cores);
         let mut conn_home = Vec::with_capacity(cfg.conns as usize);
@@ -364,38 +322,33 @@ impl Server {
             conn_home.push(home);
         }
         let (resp_tx, resp_rx) = unbounded();
-        let elastic = match cfg.scheduler {
-            SchedulerKind::Elastic { quantum_events, .. } => {
-                assert!(quantum_events >= 1, "quantum_events must be positive");
-                let alloc_cfg = AllocatorConfig::paper(cfg.cores);
-                // With tenant SLOs configured the controller is the same
-                // SLO-margin object the simulator drives; without them
-                // there is no latency signal to staff on, and the PR-1
-                // utilization rule (to which the SloController degrades
-                // exactly) is used directly.
-                let policy: Box<dyn AllocPolicy> = if cfg.slo.is_some() {
-                    Box::new(SloController::new(alloc_cfg, SloTuning::default()))
-                } else {
-                    Box::new(UtilizationPolicy::new(CoreAllocator::new(alloc_cfg)))
-                };
-                Some(ElasticCtl {
-                    gate: ElasticGate::new(alloc_cfg.min_cores, cfg.cores),
-                    policy: SpinLock::new(policy),
-                    busy_ns: (0..cfg.cores).map(|_| AtomicU64::new(0)).collect(),
-                })
+        let elastic = matches!(cfg.scheduler, SchedulerKind::Elastic { .. }).then(|| {
+            let alloc_cfg = AllocatorConfig::paper(cfg.cores);
+            ElasticCtl {
+                gate: ElasticGate::new(alloc_cfg.min_cores, cfg.cores),
+                policy: SpinLock::new(SloController::new(alloc_cfg, SloTuning::default())),
+                busy_ns: (0..cfg.cores).map(|_| AtomicU64::new(0)).collect(),
             }
-            _ => None,
-        };
-        let classes = cfg.slo.as_ref().map_or(1, |t| t.classes().len());
-        let credits = cfg.admission.map(|c| AdmissionCtl {
-            gate: CreditGate::with_classes(c, classes),
         });
-        let slo = cfg.slo.clone().map(|slos| SloSignal::new(slos, cfg.cores));
+        let window = (cfg.slo.is_some() || cfg.admission.is_some())
+            .then(|| ControlWindow::new(cfg.slo.as_ref()));
+        let credits = cfg.admission.map(|c| {
+            let fractions = window
+                .as_ref()
+                .expect("armed with admission")
+                .admit_fractions();
+            AdmissionCtl {
+                gate: CreditGate::with_classes(c, fractions.len()),
+                admit_fractions: fractions.to_vec(),
+            }
+        });
+        let slo = window.map(|w| SloSignal::new(w, cfg.cores));
         let ctl_tick = (elastic.is_some() || credits.is_some() || slo.is_some())
             .then(|| SpinLock::new(Instant::now()));
         let telem = {
             let mut reg = Registry::new();
-            let s_ratio = slo
+            let s_ratio = cfg
+                .slo
                 .is_some()
                 .then(|| reg.register_series("slo_ratio", RUNTIME_SERIES_CAP));
             let s_active = elastic
@@ -526,6 +479,19 @@ impl Shared {
         // The receiver may already be gone during shutdown; that is fine.
         let _ = self.resp_tx.send((conn, wire));
     }
+
+    /// `conn`'s tenant class (0 without tenant SLOs).
+    fn class_of(&self, conn: ConnId) -> usize {
+        self.cfg.slo.as_ref().map_or(0, |s| s.class_of(conn.0))
+    }
+
+    /// Records a completed request's sojourn when the window is armed.
+    fn record_sojourn(&self, core: usize, conn: ConnId, ingress: Instant) {
+        if let Some(sig) = &self.slo {
+            let ns = ingress.elapsed().as_nanos() as u64;
+            sig.record(core, self.class_of(conn), ns);
+        }
+    }
 }
 
 /// One worker's private state.
@@ -586,12 +552,7 @@ impl Worker {
         Worker {
             core,
             framers: (0..shared.cfg.conns).map(|_| Framer::new()).collect(),
-            batch: match shared.cfg.scheduler {
-                SchedulerKind::Elastic { quantum_events, .. } => {
-                    shared.cfg.conn_batch.min(quantum_events)
-                }
-                _ => shared.cfg.conn_batch,
-            },
+            batch: shared.cfg.conn_batch,
             exec_ns: 0,
             events: Vec::new(),
             shipped: Vec::with_capacity(SYSCALL_BATCH),
@@ -683,10 +644,10 @@ fn timed_handle(app: &Arc<dyn RpcApp>, conn: ConnId, ev: &Stamped) -> (RpcMessag
 }
 
 /// Worker 0's control-plane duty: every [`CTL_PERIOD`], harvest the
-/// sojourn windows (when the latency signal is armed) and drive both
-/// policy loops — allocation ([`AllocPolicy::observe`], now fed the
-/// *measured* `slo_ratio`) and admission (credit AIMD on per-class
-/// tail-vs-target ratios, or on queue depth when no SLOs are configured).
+/// sojourn window (when the latency signal is armed) and drive both
+/// policy loops — allocation ([`SloController::observe`], fed the
+/// *measured* `slo_ratio`) and admission (credit AIMD on the per-class
+/// tail-vs-target ratio, or on the window p99 without SLO classes).
 /// One tick, one harvest: both loops see the same window, exactly like
 /// the simulator's `Control` event.
 fn control_tick(shared: &Shared) {
@@ -707,15 +668,15 @@ fn control_tick(shared: &Shared) {
     // sees a new gauge value and then reads a series finds the point
     // behind it.
     let mut t = shared.telem.lock();
-    let (slo_ratio, credit_ratio) = match &shared.slo {
-        Some(sig) => sig.harvest(),
-        None => (None, None),
-    };
-    let backlog: usize = (0..shared.cfg.cores)
-        .map(|c| shared.shuffle.queue_len(c) + shared.rings[c].len())
-        .sum::<usize>()
-        + shared.floating_q.lock().len();
+    let signals = shared
+        .slo
+        .as_ref()
+        .map_or_else(WindowSignals::default, SloSignal::harvest);
     if let Some(ctl) = &shared.elastic {
+        let backlog: usize = (0..shared.cfg.cores)
+            .map(|c| shared.shuffle.queue_len(c) + shared.rings[c].len())
+            .sum::<usize>()
+            + shared.floating_q.lock().len();
         // Busy cores = summed duty cycle over the period.
         let busy_ns: u64 = ctl
             .busy_ns
@@ -727,7 +688,7 @@ fn control_tick(shared: &Shared) {
         alloc.observe(&PolicySignal {
             busy_cores: busy,
             backlog,
-            slo_ratio,
+            slo_ratio: signals.slo_ratio,
         });
         let target = alloc.active();
         drop(alloc);
@@ -741,20 +702,22 @@ fn control_tick(shared: &Shared) {
         }
     }
     if let Some(gate) = &shared.credits {
-        match &shared.slo {
-            // SLO-driven: steer the worst per-class sojourn tail to its
-            // SLO-derived target; a thin window (None) holds capacity.
-            Some(_) => gate.gate.update_ratio(credit_ratio.unwrap_or(f64::NAN)),
-            // No latency signal configured: AIMD on aggregate queue depth
-            // (the PR-2 congestion proxy).
-            None => gate.gate.update(backlog as f64),
+        // A thin window (None) holds capacity.
+        match shared.cfg.slo {
+            // Steer the worst per-class sojourn tail to its SLO-derived
+            // target.
+            Some(_) => gate
+                .gate
+                .update_ratio(signals.credit_ratio.unwrap_or(f64::NAN)),
+            // Steer the window p99 (µs) to `CreditConfig::target`.
+            None => gate.gate.update(signals.tail_us.unwrap_or(f64::NAN)),
         }
     }
     // Publish this tick's signals into the registry: the same decision
     // inputs the controllers just consumed, now re-readable as bounded
     // time-series instead of read-once gauges.
     let t_us = t.start.elapsed().as_micros() as f64;
-    if let (Some(id), Some(r)) = (t.s_ratio, slo_ratio) {
+    if let (Some(id), Some(r)) = (t.s_ratio, signals.slo_ratio) {
         t.reg.push(id, t_us, r);
     }
     if let (Some(id), Some(ctl)) = (t.s_active, shared.elastic.as_ref()) {
@@ -799,9 +762,11 @@ fn tcp_in(w: &mut Worker, shared: &Shared, floating: bool, max_pkts: usize) -> u
             match framer.next_message() {
                 Ok(Some(msg)) => {
                     if let Some(gate) = &shared.credits {
-                        let class = shared.slo.as_ref().map_or(0, |s| s.class_of(conn));
-                        let fraction = shared.slo.as_ref().map_or(1.0, |s| s.fraction_of(conn));
-                        if !gate.gate.try_admit_weighted(class, fraction) {
+                        let class = shared.class_of(conn);
+                        if !gate
+                            .gate
+                            .try_admit_weighted(class, gate.admit_fractions[class])
+                        {
                             // Shed: explicit reject, nothing queued. The
                             // reject must return at least the credit the
                             // sender spent on it: grants ride only on
@@ -851,8 +816,8 @@ fn tcp_in(w: &mut Worker, shared: &Shared, floating: bool, max_pkts: usize) -> u
 fn grant_credits(shared: &Shared, conn: ConnId, resp: RpcMessage) -> RpcMessage {
     match &shared.credits {
         Some(gate) if shared.cfg.client_credits => {
-            let class = shared.slo.as_ref().map_or(0, |s| s.class_of(conn));
-            let fraction = shared.slo.as_ref().map_or(1.0, |s| s.fraction_of(conn));
+            let class = shared.class_of(conn);
+            let fraction = gate.admit_fractions[class];
             resp.with_credits(gate.gate.grant_for_response_weighted(class, fraction))
         }
         _ => resp,
@@ -864,8 +829,8 @@ fn grant_credits(shared: &Shared, conn: ConnId, resp: RpcMessage) -> RpcMessage 
 fn grant_min_one(shared: &Shared, conn: ConnId, resp: RpcMessage) -> RpcMessage {
     match &shared.credits {
         Some(gate) if shared.cfg.client_credits => {
-            let class = shared.slo.as_ref().map_or(0, |s| s.class_of(conn));
-            let fraction = shared.slo.as_ref().map_or(1.0, |s| s.fraction_of(conn));
+            let class = shared.class_of(conn);
+            let fraction = gate.admit_fractions[class];
             resp.with_credits(
                 gate.gate
                     .grant_for_response_weighted(class, fraction)
@@ -880,8 +845,7 @@ fn grant_min_one(shared: &Shared, conn: ConnId, resp: RpcMessage) -> RpcMessage 
 /// its response is produced.
 fn release_credit(shared: &Shared, conn: ConnId) {
     if let Some(gate) = &shared.credits {
-        let class = shared.slo.as_ref().map_or(0, |s| s.class_of(conn));
-        gate.gate.release_class(class);
+        gate.gate.release_class(shared.class_of(conn));
     }
 }
 
@@ -918,9 +882,7 @@ fn exec_conn(w: &mut Worker, shared: &Shared, app: &Arc<dyn RpcApp>, conn: ConnI
         release_credit(shared, conn);
         let wire = grant_credits(shared, conn, resp).to_bytes();
         // The sojourn sample: framed at ingress, response produced now.
-        if let Some(sig) = &shared.slo {
-            sig.record(core, conn, ev.ingress.elapsed().as_nanos() as u64);
-        }
+        shared.record_sojourn(core, conn, ev.ingress);
         if stolen {
             w.shipped.push(BatchedSyscall::SendMsg { conn, wire });
             shared.stats[core].count_stolen_event();
@@ -1030,9 +992,7 @@ fn rung_floating_claim(w: &mut Worker, shared: &Shared, app: &Arc<dyn RpcApp>) -
     let (resp, handler_ns) = timed_handle(app, conn, &ev);
     w.note_exec(handler_ns);
     release_credit(shared, conn);
-    if let Some(sig) = &shared.slo {
-        sig.record(w.core, conn, ev.ingress.elapsed().as_nanos() as u64);
-    }
+    shared.record_sojourn(w.core, conn, ev.ingress);
     shared.stats[w.core].count_local_event();
     shared.respond(conn, grant_credits(shared, conn, resp).to_bytes());
     true
@@ -1371,11 +1331,8 @@ mod tests {
         // The cooperative quantum (here: 1 event per dequeue, the most
         // yield-happy setting) must not break the §4.3 ordering guarantee.
         let cfg = RuntimeConfig {
-            scheduler: SchedulerKind::Elastic {
-                steal: true,
-                quantum_events: 1,
-            },
-            ..RuntimeConfig::zygos(4, 8)
+            conn_batch: 1,
+            ..RuntimeConfig::elastic(4, 8)
         };
         let (server, client) = echo_server(cfg);
         let depth = 200u64;
@@ -1486,6 +1443,89 @@ mod tests {
         };
         assert!(ratio > 1.0, "500µs sojourns against a 50µs bound: {ratio}");
         server.shutdown();
+    }
+
+    #[test]
+    fn slo_signal_carries_thin_classes_until_they_can_be_judged() {
+        use zygos_load::slo::{Slo, SloClass, TenantSlos, MIN_WINDOW_SAMPLES};
+        let slos = TenantSlos::new(vec![
+            SloClass::new("interactive", Slo::p99(100.0)),
+            SloClass::new("batch", Slo::p99(1000.0)),
+        ]);
+        let sig = SloSignal::new(ControlWindow::new(Some(&slos)), 2);
+        // One sample short of a judgement, spread over both cores' buffers
+        // and two harvests: the batch class is carried, never judged.
+        for i in 0..MIN_WINDOW_SAMPLES - 1 {
+            sig.record(i % 2, 1, 500_000);
+            if i == 2 {
+                assert_eq!(sig.harvest(), WindowSignals::default());
+            }
+        }
+        assert_eq!(sig.harvest().slo_ratio, None, "still thin");
+        assert!(f64::from_bits(sig.ratio_gauge.load(Ordering::Acquire)).is_nan());
+        sig.record(0, 1, 500_000);
+        let r = sig
+            .harvest()
+            .slo_ratio
+            .expect("judged at the eighth sample");
+        assert!((r - 0.5).abs() < 0.01, "500 µs against 1000 µs: {r}");
+        // The judged class starts the next tick empty: seven more samples
+        // are thin again, and the gauge holds the last judgement.
+        for _ in 0..MIN_WINDOW_SAMPLES - 1 {
+            sig.record(1, 1, 500_000);
+        }
+        assert_eq!(sig.harvest().slo_ratio, None);
+        assert_eq!(sig.ratio_gauge.load(Ordering::Acquire), r.to_bits());
+    }
+
+    #[test]
+    fn credit_aimd_without_slo_classes_steers_the_window_p99() {
+        // Admission without SLO classes: `CreditConfig::target` is a
+        // latency in µs, as on the simulator's edge. 300 µs sojourns are
+        // far past a 50 µs target and far inside a one-second one.
+        let min_capacity = |target: f64| {
+            let slow = |_c: ConnId, req: &RpcMessage| {
+                std::thread::sleep(Duration::from_micros(300));
+                RpcMessage::new(0, req.header.req_id, Bytes::new())
+            };
+            let cfg = RuntimeConfig::zygos(2, 16).with_admission(CreditConfig {
+                min_credits: 2,
+                max_credits: 256,
+                initial_credits: 16,
+                additive: 1,
+                md_factor: 0.3,
+                target,
+            });
+            let (server, client) = Server::start(cfg, Arc::new(slow));
+            // Four requests a millisecond: about two thirds of what two
+            // workers serve, so the queues stay short.
+            let n = 400u64;
+            for id in 0..n {
+                client.send(
+                    ConnId((id % 16) as u32),
+                    &RpcMessage::new(1, id, Bytes::new()),
+                );
+                if id % 4 == 3 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            for _ in 0..n {
+                client
+                    .recv_timeout(Duration::from_secs(30))
+                    .expect("every request answered");
+            }
+            let series = server.metric_series("credit_capacity").expect("armed");
+            server.shutdown();
+            series
+                .points
+                .iter()
+                .map(|&(_, v)| v)
+                .fold(f64::MAX, f64::min)
+        };
+        let tight = min_capacity(50.0);
+        assert!(tight < 16.0, "a 50 µs target must shrink the pool: {tight}");
+        let loose = min_capacity(1e6);
+        assert!(loose >= 16.0, "a 1 s target must not shrink it: {loose}");
     }
 
     #[test]

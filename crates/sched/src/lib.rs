@@ -19,9 +19,8 @@
 //!                      │    ├ RtcPolicy       background order      │
 //!                      │    └ ZygosPolicy ──── QuantumPolicy        │
 //!                      │                                            │
-//!   how many cores?    │  AllocPolicy ── PolicySignal → Decision    │
-//!                      │    ├ UtilizationPolicy ── CoreAllocator    │
-//!                      │    └ SloController  (p99-vs-SLO margin)    │
+//!   how many cores?    │  SloController ── PolicySignal → Decision  │
+//!                      │    └ CoreAllocator  (utilization rule)     │
 //!                      │                                            │
 //!   admit or shed?     │  CreditPool ── AIMD credits (Breakwater)   │
 //!                      └───────▲──────────────────────────▲─────────┘
@@ -43,13 +42,12 @@
 //!   baselines / floating), `RtcPolicy` (IX) and `ZygosPolicy` (the
 //!   paper's priority loop, with the elastic/preemptive extensions) cover
 //!   every system model in the workspace.
-//! * [`policy::AllocPolicy`] — the **allocation plane**. One
-//!   [`PolicySignal`] per control tick (time-averaged busy cores, queue
-//!   backlog, and the measured tail-latency-to-SLO ratio), one
-//!   [`Decision`] out. [`UtilizationPolicy`] is the PR-1 `util + β·√util`
-//!   rule; [`SloController`] (the default for elastic hosts) staffs from
-//!   the p99-vs-SLO margin and degrades to the utilization rule when no
-//!   SLO signal exists.
+//! * [`slo_ctl`] — the **allocation plane**. One [`PolicySignal`] per
+//!   control tick (time-averaged busy cores, queue backlog, and the
+//!   measured tail-latency-to-SLO ratio), one [`Decision`] out.
+//!   [`SloController`] is the one allocator every elastic host holds: it
+//!   staffs from the p99-vs-SLO margin and, with no SLO signal, makes
+//!   exactly the embedded `util + β·√util` [`CoreAllocator`]'s decision.
 //! * [`credit`] — the **admission plane**. [`CreditPool`] bounds admitted
 //!   in-flight requests with AIMD-resized Breakwater-style credits so that
 //!   under sustained overload (`util > 1`) admitted requests keep a
@@ -57,8 +55,8 @@
 //!   rejects (`fig13` sweeps this).
 //! * [`alloc`] — the hysteretic [`CoreAllocator`] (demand estimation,
 //!   square-root staffing, consecutive-signal thresholds, cooldown) and
-//!   the [`CoreSecondsMeter`]; the building block both allocation policies
-//!   share.
+//!   the [`CoreSecondsMeter`]; the utilization rule inside
+//!   [`SloController`].
 //! * [`quantum`] — the preemptive time-slice policy ([`QuantumPolicy`]),
 //!   Shinjuku-style microsecond preemption.
 //! * [`gate`] — the lock-free [`ElasticGate`] the live runtime uses to
@@ -77,8 +75,8 @@ pub use alloc::{
 pub use credit::{CreditConfig, CreditGate, CreditPool};
 pub use gate::ElasticGate;
 pub use policy::{
-    AllocPolicy, BackgroundOrder, BuiltinDispatch, DispatchPolicy, FcfsPolicy, PolicySignal,
-    RtcPolicy, Rung, UtilizationPolicy, ZygosPolicy,
+    BackgroundOrder, BuiltinDispatch, DispatchPolicy, FcfsPolicy, PolicySignal, RtcPolicy, Rung,
+    ZygosPolicy,
 };
 pub use quantum::QuantumPolicy;
 pub use slo_ctl::{SloController, SloTuning};

@@ -1,10 +1,11 @@
-//! The unified policy plane: dispatch and allocation as traits.
+//! The unified policy plane: dispatch as a trait, allocation as one
+//! controller.
 //!
 //! Before this module existed, dispatch/allocation decisions were written
 //! three times — once per `zygos-sysim` system model, once in the live
 //! runtime's worker loop, and once in this crate's allocator — so every
-//! policy change had to be implemented in triplicate. The two traits here
-//! are the single home of those decisions:
+//! policy change had to be implemented in triplicate. This module is the
+//! single home of those decisions:
 //!
 //! * [`DispatchPolicy`] — *which queue does a core serve next?* Expressed
 //!   as an ordered **ladder** of [`Rung`]s over an abstract per-core queue
@@ -13,12 +14,12 @@
 //!   preemption (`slice`) and background-ordering decisions. Hosts own the
 //!   *mechanisms* (rings, shuffle queues, doorbells); the policy owns the
 //!   *order* and the steal/preempt choices.
-//! * [`AllocPolicy`] — *how many cores should be granted?* One
-//!   [`PolicySignal`] per control tick in, one [`Decision`] out. The
-//!   utilization rule ([`UtilizationPolicy`], wrapping [`CoreAllocator`])
-//!   and the SLO-margin rule ([`crate::SloController`]) are both
-//!   implementations, so the simulator's `Control` event and the live
-//!   runtime's worker-0 controller drive exactly the same objects.
+//! * [`PolicySignal`] — *how many cores should be granted?* One signal per
+//!   control tick goes into [`crate::SloController`], one
+//!   [`crate::Decision`] comes out. Without an SLO ratio the controller makes the
+//!   [`crate::CoreAllocator`]'s utilization-rule decision, so the simulator's
+//!   `Control` event and the live runtime's worker-0 controller hold the
+//!   same object with or without tenant SLOs.
 //!
 //! The concrete dispatch policies:
 //!
@@ -31,7 +32,7 @@
 //!   steal/IPI ablation knobs, the preemptive quantum and the background
 //!   queue order ([`BackgroundOrder`]).
 
-use crate::alloc::{CoreAllocator, Decision, LoadSignal};
+use crate::alloc::LoadSignal;
 use crate::quantum::{QuantumPolicy, Slice};
 
 /// One rung of a dispatch ladder: a class of work a core can serve.
@@ -243,11 +244,9 @@ impl DispatchPolicy for ZygosPolicy {
 }
 
 /// The three built-in dispatch policies as one enum: hosts that pick a
-/// policy at configuration time hold this instead of a
-/// `Box<dyn DispatchPolicy>`, so the per-dispatch ladder walk is a match
-/// over three inlinable arms rather than a virtual call per decision.
-/// (The trait stays — custom policies still box; the built-ins no longer
-/// pay for that generality on the hot path.)
+/// policy at configuration time hold this instead of a boxed trait
+/// object, so the per-dispatch ladder walk is a match over three
+/// inlinable arms rather than a virtual call per decision.
 #[derive(Clone, Debug)]
 pub enum BuiltinDispatch {
     /// The ZygOS priority loop ([`ZygosPolicy`]).
@@ -308,8 +307,8 @@ impl DispatchPolicy for BuiltinDispatch {
     }
 }
 
-/// One control tick's observation of the data plane, as consumed by an
-/// [`AllocPolicy`]. Extends the utilization-rule [`LoadSignal`] with the
+/// One control tick's observation of the data plane, as consumed by
+/// [`crate::SloController::observe`]. Extends the utilization-rule [`LoadSignal`] with the
 /// measured tail-latency margin the SLO-driven policy staffs on.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PolicySignal {
@@ -335,79 +334,9 @@ impl PolicySignal {
     }
 }
 
-/// The allocation-policy trait: one observation per control tick in, one
-/// staffing decision out. Implementations keep their own `active` count;
-/// hosts apply the returned [`Decision`] to the data plane.
-pub trait AllocPolicy: Send {
-    /// Feeds one control-tick observation; the decision has already been
-    /// applied to [`AllocPolicy::active`].
-    fn observe(&mut self, sig: &PolicySignal) -> Decision;
-
-    /// Currently granted cores.
-    fn active(&self) -> usize;
-
-    /// One-line state description for trace output.
-    fn describe(&self) -> String;
-
-    /// Snapshots the policy, including its learned state (EWMAs,
-    /// hysteresis counters, granted count). Part of the deterministic-
-    /// checkpoint contract: the clone must make the identical decisions
-    /// its original would, given the identical observation stream.
-    fn clone_box(&self) -> Box<dyn AllocPolicy>;
-}
-
-impl Clone for Box<dyn AllocPolicy> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
-/// The PR-1 utilization rule (`util + β·√util` square-root staffing with
-/// hysteresis) as an [`AllocPolicy`]: a thin wrapper over
-/// [`CoreAllocator`] that ignores the SLO signal.
-#[derive(Clone, Debug)]
-pub struct UtilizationPolicy {
-    inner: CoreAllocator,
-}
-
-impl UtilizationPolicy {
-    /// Wraps an allocator.
-    pub fn new(inner: CoreAllocator) -> Self {
-        UtilizationPolicy { inner }
-    }
-
-    /// The wrapped allocator.
-    pub fn allocator(&self) -> &CoreAllocator {
-        &self.inner
-    }
-}
-
-impl AllocPolicy for UtilizationPolicy {
-    fn observe(&mut self, sig: &PolicySignal) -> Decision {
-        self.inner.observe(sig.load())
-    }
-
-    fn active(&self) -> usize {
-        self.inner.active()
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "util~{:.2} press~{:.2}",
-            self.inner.util_ewma(),
-            self.inner.press_ewma()
-        )
-    }
-
-    fn clone_box(&self) -> Box<dyn AllocPolicy> {
-        Box::new(self.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alloc::AllocatorConfig;
 
     #[test]
     fn fcfs_and_rtc_never_steal() {
@@ -470,20 +399,5 @@ mod tests {
         );
         assert!(!partitioned.may_steal(true));
         assert!(!partitioned.ladder().contains(&Rung::StealReady));
-    }
-
-    #[test]
-    fn utilization_policy_delegates() {
-        let mut p = UtilizationPolicy::new(CoreAllocator::new(AllocatorConfig::paper(16)));
-        assert_eq!(p.active(), 16);
-        for _ in 0..200 {
-            p.observe(&PolicySignal {
-                busy_cores: 0.0,
-                backlog: 0,
-                slo_ratio: None,
-            });
-        }
-        assert_eq!(p.active(), 2, "idle shrinks to the floor");
-        assert!(p.describe().contains("util"));
     }
 }

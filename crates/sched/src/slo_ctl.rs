@@ -26,7 +26,7 @@
 //! changes against a monotone plant.
 
 use crate::alloc::{AllocatorConfig, CoreAllocator, Decision};
-use crate::policy::{AllocPolicy, PolicySignal};
+use crate::policy::PolicySignal;
 
 /// Decision-rule knobs of the [`SloController`].
 #[derive(Clone, Copy, Debug)]
@@ -126,10 +126,10 @@ impl SloController {
     pub fn allocator(&self) -> &CoreAllocator {
         &self.inner
     }
-}
 
-impl AllocPolicy for SloController {
-    fn observe(&mut self, sig: &PolicySignal) -> Decision {
+    /// Feeds one control-tick observation and returns the staffing
+    /// decision, already applied to [`SloController::active`].
+    pub fn observe(&mut self, sig: &PolicySignal) -> Decision {
         let a = self.tuning.ratio_alpha;
         if let Some(r) = sig.slo_ratio {
             self.ratio_ewma += a * (r - self.ratio_ewma);
@@ -190,21 +190,9 @@ impl AllocPolicy for SloController {
         }
     }
 
-    fn active(&self) -> usize {
+    /// Currently granted cores.
+    pub fn active(&self) -> usize {
         self.inner.active()
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "slo~{:.2} util~{:.2} press~{:.2}",
-            self.ratio_ewma,
-            self.inner.util_ewma(),
-            self.inner.press_ewma()
-        )
-    }
-
-    fn clone_box(&self) -> Box<dyn AllocPolicy> {
-        Box::new(self.clone())
     }
 }
 

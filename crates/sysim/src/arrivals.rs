@@ -6,7 +6,7 @@
 //! home cores by the *real* RSS implementation (`zygos-net`), i.e. the same
 //! Toeplitz hash + indirection table a multi-queue NIC would apply.
 
-use zygos_load::source::ArrivalSource;
+use zygos_load::source::Arrivals;
 use zygos_net::flow::FiveTuple;
 use zygos_net::rss::Rss;
 use zygos_sim::dist::ServiceDist;
@@ -47,7 +47,7 @@ pub struct Source {
     rng: Xoshiro256,
     conn_home: Vec<u16>,
     service: ServiceDist,
-    arrivals: Box<dyn ArrivalSource>,
+    arrivals: Arrivals,
     next_seq: u32,
     /// One-way wire latency (half the configured RTT).
     pub half_rtt: SimDuration,

@@ -41,15 +41,14 @@ use std::collections::VecDeque;
 
 use zygos_load::retry::RetryDecision;
 use zygos_load::route::conn_key;
-use zygos_load::slo::MIN_WINDOW_SAMPLES;
+use zygos_load::slo::ControlWindow;
 use zygos_sched::CreditPool;
 use zygos_sim::engine::{Engine, Model, Scheduler};
-use zygos_sim::stats::WindowHistogram;
 use zygos_sim::time::{SimDuration, SimTime};
 use zygos_telemetry::{Registry, SeriesId, SeriesKind, TelemetryOut, TraceKind, Tracer};
 
 use crate::arrivals::{Recorder, Req, Source};
-use crate::config::{AdmissionMode, SysConfig, SysOutput, CREDIT_HEADROOM};
+use crate::config::{AdmissionMode, SysConfig, SysOutput};
 
 /// The world's event alphabet: the client edge's events plus the server's
 /// own, wrapped.
@@ -254,13 +253,6 @@ pub(crate) struct Edge {
     telem: Observer,
     /// Credit-based admission gate.
     admission: Option<CreditPool>,
-    /// Per-class pool fractions for weighted fair shedding (all 1.0 when
-    /// no tenant SLOs are configured).
-    admit_fractions: Vec<f64>,
-    /// Per-class AIMD latency targets (µs), derived from the SLO bounds at
-    /// [`CREDIT_HEADROOM`]; empty when no tenant SLOs are configured (the
-    /// AIMD loop then steers the raw window tail to `CreditConfig::target`).
-    credit_targets_us: Vec<f64>,
     /// Sheds per tenant class.
     rejected_by_class: Vec<u64>,
     /// Admissions per tenant class.
@@ -280,11 +272,10 @@ pub(crate) struct Edge {
     retry_live: LiveAttempts,
     /// Precomputed `retry_timeout_us` (`None` = timeouts off).
     timeout_dur: Option<SimDuration>,
-    /// Per-SLO-class latency window of the current control tick (single
-    /// class when no tenant SLOs are configured); empty when no controller
-    /// or series reads the windows. Constant-memory histograms: recording
-    /// is O(1) and the per-tick harvest touches only the used buckets.
-    win: Vec<WindowHistogram>,
+    /// The current control tick's latency window, per tenant class; `None`
+    /// when no controller or series reads it. Its class table also holds
+    /// the weighted-fair admit fractions and the credit targets.
+    window: Option<ControlWindow>,
 }
 
 fn timeout_of(cfg: &SysConfig) -> Option<SimDuration> {
@@ -363,18 +354,12 @@ impl Edge {
             .as_ref()
             .is_some_and(|t| t.series.contains(&SeriesKind::WindowP99));
         let collect_window = admission.is_some() || cfg.slo.is_some() || wants_window_p99;
-        let (admit_fractions, credit_targets_us) = match (&admission, &cfg.slo) {
-            (Some(_), Some(slo)) => (slo.admit_fractions(), slo.aimd_targets_us(CREDIT_HEADROOM)),
-            _ => (vec![1.0; classes], Vec::new()),
-        };
         let telem = cfg.telemetry.as_ref().filter(|t| !t.is_off());
         Edge {
             telem: Observer(telem.map(|t| SimTelemetry::new(cfg, t, classes))),
             source,
             rec,
             admission,
-            admit_fractions,
-            credit_targets_us,
             rejected_by_class: vec![0; classes],
             admitted_by_class: vec![0; classes],
             wire_rejects: 0,
@@ -385,11 +370,7 @@ impl Edge {
             timeout_dur: timeout_of(cfg),
             // The window buckets are ~¼MB per class: only materialized
             // when a controller actually harvests them.
-            win: if collect_window {
-                (0..classes).map(|_| WindowHistogram::new()).collect()
-            } else {
-                Vec::new()
-            },
+            window: collect_window.then(|| ControlWindow::new(cfg.slo.as_ref())),
             cfg: cfg.clone(),
         }
     }
@@ -440,9 +421,8 @@ impl Edge {
         if let Some(pool) = &mut self.admission {
             pool.release_class(class);
         }
-        if !self.win.is_empty() {
-            let lat_ns = client_rx.duration_since(req.send).as_nanos();
-            self.win[class].record_nanos(lat_ns);
+        if let Some(w) = &mut self.window {
+            w.record_nanos(class, client_rx.duration_since(req.send).as_nanos());
         }
     }
 
@@ -454,8 +434,9 @@ impl Edge {
         let Some(pool) = &mut self.admission else {
             return true;
         };
-        let class = self.cfg.slo.as_ref().map_or(0, |t| t.class_of(conn));
-        if pool.try_admit_weighted(class, self.admit_fractions[class]) {
+        let window = self.window.as_ref().expect("armed with admission");
+        let class = window.class_of(conn);
+        if pool.try_admit_weighted(class, window.admit_fractions()[class]) {
             self.admitted_by_class[class] += 1;
             true
         } else {
@@ -610,37 +591,23 @@ impl Edge {
     /// or the overall window tail, and returns the worst per-class
     /// p99-vs-SLO ratio for the server's control hook.
     fn control_window(&mut self) -> Option<f64> {
-        let slo = self.cfg.slo.as_ref();
-        let ratio = slo.and_then(|slo| slo.worst_ratio_hist(&mut self.win, MIN_WINDOW_SAMPLES));
-        let credit_ratio = if self.credit_targets_us.is_empty() {
-            f64::NAN
-        } else {
-            slo.expect("targets derive from slo")
-                .worst_credit_ratio_hist(&mut self.win, &self.credit_targets_us, MIN_WINDOW_SAMPLES)
-                .unwrap_or(f64::NAN)
-        };
-        // The untargeted window tail. Only the single-class configuration
-        // consumes it (with tenant SLOs the AIMD runs on `credit_ratio`).
-        let tail_us = match &mut self.win[..] {
-            [only] if only.count() >= MIN_WINDOW_SAMPLES as u64 => only.quantile_us(0.99),
-            _ => f64::NAN,
-        };
-        for w in &mut self.win {
+        let s = self.window.as_mut().map_or_else(Default::default, |w| {
+            let s = w.signals();
             w.clear();
-        }
+            s
+        });
         if let Some(tl) = &mut self.telem.0 {
-            tl.last_window_tail = tail_us;
+            tl.last_window_tail = s.tail_us.unwrap_or(f64::NAN);
         }
         if let Some(pool) = &mut self.admission {
-            if self.credit_targets_us.is_empty() {
-                pool.update(tail_us);
-            } else {
+            match self.cfg.slo {
                 // Per-tenant-class targets derived from the SLO bounds:
                 // 1.0 means the worst class sits exactly at its target.
-                pool.update_ratio(credit_ratio);
+                Some(_) => pool.update_ratio(s.credit_ratio.unwrap_or(f64::NAN)),
+                None => pool.update(s.tail_us.unwrap_or(f64::NAN)),
             }
         }
-        ratio
+        s.slo_ratio
     }
 
     /// Publishes the requested time-series into the registry. Rides the
@@ -706,7 +673,7 @@ impl Edge {
         if let Some(pool) = &mut self.admission {
             pool.reset_stats();
         }
-        for w in &mut self.win {
+        if let Some(w) = &mut self.window {
             w.clear();
         }
     }

@@ -50,8 +50,8 @@
 use std::collections::VecDeque;
 
 use zygos_sched::{
-    AllocPolicy, AllocatorConfig, AllocatorTuning, BackgroundOrder, CoreSecondsMeter, Decision,
-    DispatchPolicy, PolicySignal, QuantumPolicy, Rung, SloController, SloTuning, ZygosPolicy,
+    AllocatorConfig, AllocatorTuning, BackgroundOrder, CoreSecondsMeter, Decision, DispatchPolicy,
+    PolicySignal, QuantumPolicy, Rung, SloController, SloTuning, ZygosPolicy,
 };
 use zygos_sim::engine::Engine;
 use zygos_sim::time::{SimDuration, SimTime};
@@ -272,7 +272,7 @@ pub(crate) struct ZygosModel {
     victims_rng: zygos_sim::rng::Xoshiro256,
     /// The shared dispatch policy: rung order, steal/preempt decisions,
     /// background discipline. The model owns the queues; this owns the
-    /// choices. Held concretely (not `Box<dyn DispatchPolicy>`) so every
+    /// choices. Held concretely, not as a trait object, so every
     /// per-dispatch decision is a direct, inlinable call.
     dispatch: ZygosPolicy,
     /// Copy of the policy's ladder (iterating it while mutating the model

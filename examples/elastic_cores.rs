@@ -3,7 +3,7 @@
 //! Drives the elastic system (with the preemptive quantum) from the
 //! **recorded diurnal request trace** bundled with `zygos_lab` — a
 //! timestamped arrival log whose rate sweeps trough → peak → trough —
-//! replayed through the `ArrivalSource` trait, and prints the p99 and
+//! replayed as an `Arrivals` trace process, and prints the p99 and
 //! granted cores at two mean utilizations, plus the core-seconds saved
 //! against a static 16-core allocation. (Earlier revisions approximated
 //! the day with a hand-written phase list; the trace replaced it.)

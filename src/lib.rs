@@ -20,10 +20,10 @@
 //!   decision in the workspace, written once. A `DispatchPolicy` trait
 //!   (rung-ladder dispatch, steal/preempt/background-order decisions)
 //!   drives both the simulator's system models and the live runtime's
-//!   workers; an `AllocPolicy` trait (SLO-margin `SloController` by
-//!   default, the `util + β·√util` rule as `UtilizationPolicy`) staffs
-//!   the elastic data plane; Breakwater-style credits
-//!   (`CreditPool`/`CreditGate`) shed load under overload — per-tenant
+//!   workers; one `SloController` (SLO-margin staffing over the
+//!   `util + β·√util` `CoreAllocator`, to which it reduces without an
+//!   SLO) staffs the elastic data plane on both hosts; Breakwater-style
+//!   credits (`CreditPool`/`CreditGate`) shed load under overload — per-tenant
 //!   SLO-derived AIMD targets, weighted fair shedding (loosest class
 //!   first), and sender-side credit grants piggybacked on response
 //!   headers. Knobs: `SysConfig::{preemption_quantum_us,
@@ -33,9 +33,11 @@
 //! * [`silo`] — a Silo-style OCC in-memory transactional database with a
 //!   complete TPC-C implementation.
 //! * [`kv`] — a memcached-like key-value store with USR/ETC workloads.
-//! * [`load`] — open-loop Poisson load generation, SLO tooling
-//!   (`TenantSlos`: per-class bounds, credit targets, shed order) and
-//!   reject-aware retry policies.
+//! * [`load`] — open-loop arrival processes (one `Arrivals` enum:
+//!   Poisson, phased, trace replay), SLO tooling (`TenantSlos`: per-class
+//!   bounds, credit targets, shed order; `ControlWindow`: the control
+//!   tick's latency window both hosts read) and reject-aware retry
+//!   policies.
 //! * [`runtime`] — a live multithreaded implementation of the ZygOS
 //!   scheduler (plus IX / Linux baselines) over a loopback transport,
 //!   running the same closed SLO loop as the simulator from a measured

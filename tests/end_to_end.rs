@@ -6,11 +6,12 @@ use std::time::Duration;
 
 use zygos::core::spinlock::SpinLock;
 use zygos::kv::proto::{encode_get, encode_set, KvServer};
-use zygos::load::{ArrivalSchedule, SharedRecorder, Slo};
+use zygos::load::{ArrivalSpec, SharedRecorder, Slo};
 use zygos::net::flow::ConnId;
 use zygos::net::packet::RpcMessage;
 use zygos::runtime::{app::EchoApp, RpcApp, RuntimeConfig, Server};
 use zygos::silo::tpcc::{Tpcc, TpccConfig, TpccRng, TxnType};
+use zygos::sim::rng::Xoshiro256;
 
 struct KvApp(KvServer);
 
@@ -115,18 +116,28 @@ fn open_loop_schedule_drives_runtime_within_slo() {
     // A deliberately light load on the echo app must meet a loose SLO —
     // the full client pipeline: schedule → send → recv → recorder → SLO.
     let (server, client) = Server::start(RuntimeConfig::zygos(2, 8), Arc::new(EchoApp));
-    let schedule = ArrivalSchedule::generate(0.01, 500, 8, 7); // 10 KRPS.
+    // Pre-sampled the way the lab's live replay does: one RNG stream
+    // draws each gap, then its connection. 0.01 req/µs = 10 KRPS.
+    let mut rng = Xoshiro256::new(7);
+    let mut arrivals = ArrivalSpec::Poisson.source(0.01);
+    let mut at_us = 0.0;
+    let schedule: Vec<(f64, u32)> = (0..500)
+        .map(|_| {
+            at_us += arrivals.next_gap_us(&mut rng);
+            (at_us, rng.next_bounded(8) as u32)
+        })
+        .collect();
     let recorder = SharedRecorder::new();
     let t0 = std::time::Instant::now();
     let mut sent = Vec::new();
-    for (i, a) in schedule.arrivals().iter().enumerate() {
-        let target = Duration::from_nanos(a.at.as_nanos());
+    for (i, &(at_us, conn)) in schedule.iter().enumerate() {
+        let target = Duration::from_secs_f64(at_us / 1e6);
         if let Some(wait) = target.checked_sub(t0.elapsed()) {
             std::thread::sleep(wait);
         }
         sent.push(std::time::Instant::now());
         client.send(
-            ConnId(a.conn),
+            ConnId(conn),
             &RpcMessage::new(1, i as u64, bytes::Bytes::new()),
         );
         // Drain whatever has arrived.

@@ -8,8 +8,7 @@
 use proptest::prelude::*;
 
 use zygos::sched::{
-    AllocPolicy, AllocatorConfig, CreditConfig, CreditPool, Decision, PolicySignal, SloController,
-    SloTuning,
+    AllocatorConfig, CreditConfig, CreditPool, Decision, PolicySignal, SloController, SloTuning,
 };
 
 fn credit_cfg(min: u32, max: u32, initial: u32) -> CreditConfig {
