@@ -12,8 +12,8 @@
 //!   (20-byte header: magic, opcode, request id, body length, and the
 //!   credit grant servers piggyback on responses for sender-side
 //!   admission control).
-//! * [`ring`] — fixed-capacity descriptor rings: a lock-free SPSC ring (the
-//!   NIC↔core interface) and an MPSC injection ring (clients → NIC).
+//! * [`ring`] — the lock-free bounded ring under the ingress rings, the
+//!   remote-syscall channels and the response queue.
 //! * [`wire`] — byte-stream framing (the "TCP byte stream" of §6.2: the
 //!   kernel does not know request boundaries until the framer finds them).
 //! * [`tcp`] — a minimal TCP-like protocol control block: per-connection
@@ -33,5 +33,5 @@ pub mod wire;
 pub use cost::CostModel;
 pub use flow::{ConnId, FiveTuple};
 pub use packet::{Packet, RpcHeader};
-pub use ring::{MpscRing, SpscRing};
+pub use ring::MpscRing;
 pub use rss::Rss;

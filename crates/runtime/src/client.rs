@@ -13,7 +13,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::Receiver;
 
 use zygos_core::doorbell::IpiReason;
 use zygos_net::flow::ConnId;
@@ -25,7 +24,6 @@ use crate::server::Shared;
 /// the connection's RSS home) and receives response frames.
 pub struct ClientPort {
     shared: Arc<Shared>,
-    resp_rx: Receiver<(ConnId, Bytes)>,
     /// Sender-side credit balances, one per connection (`None` unless
     /// client-side credits are armed).
     credits: Option<Vec<AtomicU32>>,
@@ -35,7 +33,7 @@ pub struct ClientPort {
 }
 
 impl ClientPort {
-    pub(crate) fn new(shared: Arc<Shared>, resp_rx: Receiver<(ConnId, Bytes)>) -> Self {
+    pub(crate) fn new(shared: Arc<Shared>) -> Self {
         let credits = (shared.cfg.client_credits && shared.cfg.admission.is_some()).then(|| {
             // Split the initial pool across connections; every connection
             // starts with at least one credit so no sender deadlocks
@@ -52,7 +50,6 @@ impl ClientPort {
         });
         ClientPort {
             shared,
-            resp_rx,
             credits,
             local_sheds: AtomicU64::new(0),
         }
@@ -121,12 +118,17 @@ impl ClientPort {
 
     /// Sends raw stream bytes on `conn` (may be a partial frame or several
     /// frames — the server's framer reassembles, like TCP).
+    ///
+    /// Spins while the home core's ingress ring is full. Once the server
+    /// has shut down, the packet is dropped instead, as a dead host's NIC
+    /// would: no worker will drain the ring again.
     pub fn send_bytes(&self, conn: ConnId, payload: Bytes) {
         let home = self.shared.conn_home[conn.index()] as usize;
         let mut pkt = Packet::new(conn, payload);
         loop {
             match self.shared.rings[home].push(pkt) {
                 Ok(()) => break,
+                Err(_) if self.shared.stop.load(Ordering::Acquire) => return,
                 Err(back) => {
                     pkt = back;
                     std::hint::spin_loop();
@@ -140,9 +142,13 @@ impl ClientPort {
     /// Receives the next response, decoding its frame and harvesting any
     /// piggybacked credit grant into the connection's send balance.
     ///
-    /// Returns `None` on timeout.
+    /// Returns `None` on timeout, or once the server has shut down and
+    /// every queued response has been read.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<(ConnId, RpcMessage)> {
-        let (conn, mut wire) = self.resp_rx.recv_timeout(timeout).ok()?;
+        let (conn, mut wire) = self
+            .shared
+            .responses
+            .recv_timeout(timeout, &self.shared.stop)?;
         debug_assert!(wire.len() >= RPC_HEADER_LEN, "short response frame");
         let header = RpcHeader::decode(&mut wire).expect("well-formed response");
         let body = wire.slice(..header.body_len as usize);
@@ -156,7 +162,7 @@ impl ClientPort {
 
     /// Number of responses currently queued.
     pub fn pending_responses(&self) -> usize {
-        self.resp_rx.len()
+        self.shared.responses.len()
     }
 }
 
@@ -200,6 +206,47 @@ mod tests {
         // Same connection ⇒ strictly in order (§4.3).
         assert_eq!(ids, vec![0, 1, 2, 3]);
         server.shutdown();
+    }
+
+    #[test]
+    fn sends_after_shutdown_drop_instead_of_spinning() {
+        // Four ring slots and one connection: the fifth send finds the ring
+        // full, and no worker is left to drain it.
+        let cfg = RuntimeConfig {
+            ring_capacity: 4,
+            ..RuntimeConfig::zygos(1, 1)
+        };
+        let (server, client) = Server::start(cfg, Arc::new(EchoApp));
+        server.shutdown();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let sender = std::thread::spawn(move || {
+            for id in 0..5u64 {
+                client.send(ConnId(0), &RpcMessage::new(1, id, Bytes::new()));
+            }
+            done_tx.send(()).unwrap();
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(10)).is_ok(),
+            "a send to a stopped server spun on its full ring"
+        );
+        sender.join().unwrap();
+    }
+
+    #[test]
+    fn a_parked_receive_returns_at_shutdown() {
+        let (server, client) = Server::start(RuntimeConfig::zygos(2, 4), Arc::new(EchoApp));
+        let stopper = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            server.shutdown();
+        });
+        let t = std::time::Instant::now();
+        assert!(client.recv_timeout(Duration::from_secs(10)).is_none());
+        let took = t.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "returned {took:?} after entry"
+        );
+        stopper.join().unwrap();
     }
 
     #[test]

@@ -32,6 +32,7 @@
 pub mod app;
 pub mod client;
 pub mod config;
+mod responses;
 pub mod server;
 
 pub use app::RpcApp;

@@ -70,7 +70,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Sender};
 use zygos_load::slo::{ControlWindow, WindowSignals};
 use zygos_sched::{
     AllocatorConfig, BackgroundOrder, BuiltinDispatch, CreditGate, DispatchPolicy, ElasticGate,
@@ -93,6 +92,7 @@ use zygos_telemetry::{Registry, SeriesId, TimeSeries};
 use crate::app::RpcApp;
 use crate::client::ClientPort;
 use crate::config::{RuntimeConfig, SchedulerKind};
+use crate::responses::ResponseQueue;
 
 /// Opcode of the reply sent for a request shed by the credit gate: the
 /// client-visible backpressure signal (Breakwater's explicit reject).
@@ -121,8 +121,9 @@ pub(crate) struct Shared {
     stats: Vec<CoreStats>,
     /// Floating mode: the shared ready queue.
     floating_q: SpinLock<VecDeque<(ConnId, Stamped)>>,
-    resp_tx: Sender<(ConnId, Bytes)>,
-    stop: AtomicBool,
+    /// Response frames on their way to the client port.
+    pub(crate) responses: ResponseQueue<(ConnId, Bytes)>,
+    pub(crate) stop: AtomicBool,
     /// Connection → home core (RSS).
     pub(crate) conn_home: Vec<u16>,
     /// The dispatch policy every worker's loop walks (rung order, steal
@@ -321,7 +322,6 @@ impl Server {
             debug_assert_eq!(id.0, i);
             conn_home.push(home);
         }
-        let (resp_tx, resp_rx) = unbounded();
         let elastic = matches!(cfg.scheduler, SchedulerKind::Elastic { .. }).then(|| {
             let alloc_cfg = AllocatorConfig::paper(cfg.cores);
             ElasticCtl {
@@ -381,7 +381,7 @@ impl Server {
             sleepers: SleeperSet::new(cfg.cores),
             stats: (0..cfg.cores).map(|_| CoreStats::new()).collect(),
             floating_q: SpinLock::new(VecDeque::new()),
-            resp_tx,
+            responses: ResponseQueue::with_capacity(cfg.ring_capacity),
             stop: AtomicBool::new(false),
             conn_home,
             shuffle,
@@ -403,7 +403,7 @@ impl Server {
                     .expect("spawn worker")
             })
             .collect();
-        let port = ClientPort::new(Arc::clone(&shared), resp_rx);
+        let port = ClientPort::new(Arc::clone(&shared));
         (Server { shared, workers }, port)
     }
 
@@ -465,6 +465,8 @@ impl Server {
     /// Stops the workers and joins them.
     pub fn shutdown(mut self) {
         self.shared.stop.store(true, Ordering::Release);
+        // A client parked in `recv_timeout` returns once it sees `stop`.
+        self.shared.responses.wake();
         for d in &self.shared.doorbells {
             d.ring(IpiReason::PendingPackets);
         }
@@ -476,8 +478,7 @@ impl Server {
 
 impl Shared {
     pub(crate) fn respond(&self, conn: ConnId, wire: Bytes) {
-        // The receiver may already be gone during shutdown; that is fine.
-        let _ = self.resp_tx.send((conn, wire));
+        self.responses.push((conn, wire));
     }
 
     /// `conn`'s tenant class (0 without tenant SLOs).

@@ -601,6 +601,34 @@ mod tests {
     }
 
     #[test]
+    fn zygos_static_golden_pin() {
+        // Static ZygOS (16 cores, exp 10 µs) at a low load, where idle
+        // cores are woken in storms, and near the Fig. 6 operating point;
+        // seed 1, 20k measured after 4k warm-up completions. (load,
+        // events, generated, stolen_events, p99 µs.) A change that folds
+        // the wake storms moves `events` here and nothing else.
+        let pins = [
+            (0.2, 418_743, 24_005, 5_354, 55.391),
+            (0.8, 120_830, 24_034, 10_131, 125.695),
+        ];
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for (load, events, generated, stolen, p99_us) in pins {
+            let mut cfg =
+                SysConfig::paper(SystemKind::Zygos, ServiceDist::exponential_us(10.0), load);
+            (cfg.requests, cfg.warmup, cfg.seed) = (20_000, 4_000, 1);
+            let out = run_system(&cfg);
+            let p99 = out.p99_us();
+            got.push((
+                load,
+                p99,
+                [out.events, out.generated, out.stolen_events, p99.to_bits()],
+            ));
+            want.push((load, p99, [events, generated, stolen, f64::to_bits(p99_us)]));
+        }
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn every_host_reads_the_client_edge_knobs() {
         use crate::config::AdmissionMode;
         use crate::SeriesKind;

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use zygos::net::ring::{MpscRing, SpscRing};
+use zygos::net::ring::MpscRing;
 use zygos::silo::tpcc::keys;
 use zygos::silo::tpcc::rows::{Customer, OrderLine, Row, Stock};
 use zygos::sim::dist::ServiceDist;
@@ -11,14 +11,14 @@ use zygos::sim::rng::Xoshiro256;
 use zygos::sim::time::{SimDuration, SimTime};
 
 proptest! {
-    /// An SPSC ring behaves as a bounded FIFO under any single-threaded
+    /// The ring behaves as a bounded FIFO under any single-threaded
     /// push/pop sequence.
     #[test]
-    fn spsc_ring_is_a_bounded_fifo(
+    fn mpsc_ring_is_a_bounded_fifo(
         capacity in 1usize..64,
         ops in proptest::collection::vec(any::<bool>(), 1..500),
     ) {
-        let ring = SpscRing::with_capacity(capacity);
+        let ring = MpscRing::with_capacity(capacity);
         let mut model = std::collections::VecDeque::new();
         let mut next = 0u64;
         for push in ops {
@@ -34,7 +34,7 @@ proptest! {
             } else {
                 prop_assert_eq!(ring.pop(), model.pop_front());
             }
-            prop_assert_eq!(ring.occupancy(), model.len());
+            prop_assert_eq!(ring.len(), model.len());
         }
     }
 
