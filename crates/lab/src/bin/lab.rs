@@ -13,10 +13,10 @@
 //!   nonzero on any violation — the CI gate. `--write-baselines`
 //!   (re)writes the baseline files instead of comparing — unless the
 //!   report violates its claims or telemetry pins, which is never pinned.
-//! * `trace` re-runs the scenario's ZygOS-family simulator cases with
-//!   the lifecycle tracer at full fidelity and prints the p50/p99
-//!   sojourn decomposition (queueing vs service vs steal/IPI vs
-//!   preemption) per case × load. `--chrome FILE` additionally writes
+//! * `trace` re-runs the scenario's `sim:*` cases with the lifecycle
+//!   tracer at full fidelity and prints the p50/p99 sojourn
+//!   decomposition (queueing vs service vs steal/IPI vs preemption) per
+//!   case × load, failing if a case × load yields no decomposition. `--chrome FILE` additionally writes
 //!   the raw lifecycle events in Chrome trace-event format — load the
 //!   file in `chrome://tracing` or Perfetto. See `docs/OBSERVABILITY.md`.
 //! * `gen-trace` regenerates the bundled diurnal trace file.
@@ -26,7 +26,7 @@ use std::process::ExitCode;
 
 use zygos_lab::{
     check_baseline, check_claims, check_telemetry, run_scenario, scenario_from_toml,
-    sys_config_for, Readers, Report, Scenario,
+    sys_config_for, HostSpec, Report, Scenario,
 };
 use zygos_net::cost::CostModel;
 use zygos_sysim::{run_system, StagedConfig, TelemetryConfig};
@@ -54,36 +54,19 @@ fn main() -> ExitCode {
 /// spec carries (tracing here is forced on, series stay off so the
 /// engine event stream is untouched).
 fn cmd_trace(args: &[String]) -> ExitCode {
-    let mut smoke = false;
-    let mut chrome: Option<PathBuf> = None;
-    let mut spec: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--chrome" => match it.next() {
-                Some(p) => chrome = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--chrome needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag {flag}");
-                return ExitCode::from(2);
-            }
-            path if spec.is_none() => spec = Some(PathBuf::from(path)),
-            extra => {
-                eprintln!("lab trace takes one scenario file (got extra {extra:?})");
-                return ExitCode::from(2);
-            }
+    let flags = match parse_flags(args) {
+        Ok(f) if f.specs.len() == 1 && !(f.check || f.write_baselines || f.json) => f,
+        Ok(_) => {
+            eprintln!("usage: lab trace <spec.toml> [--smoke] [--chrome FILE]");
+            return ExitCode::from(2);
         }
-    }
-    let Some(spec) = spec else {
-        eprintln!("no scenario file given");
-        return ExitCode::from(2);
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
     };
-    match run_trace(&spec, smoke, chrome.as_deref()) {
+    let spec = &flags.specs[0];
+    match run_trace(spec, flags.smoke, flags.chrome.as_deref()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("lab trace FAILED [{}]: {e}", spec.display());
@@ -109,7 +92,7 @@ fn run_trace(spec_path: &Path, smoke: bool, chrome: Option<&Path>) -> Result<(),
     let mut pid = 0u32;
     let mut traced = 0usize;
     for case in &sc.cases {
-        if !Readers::ZygosSim.reads(case.host) {
+        if !matches!(case.host, HostSpec::Sim(_)) {
             continue;
         }
         for &load in sc.loads(smoke) {
@@ -126,6 +109,12 @@ fn run_trace(spec_path: &Path, smoke: bool, chrome: Option<&Path>) -> Result<(),
                 );
             }
             let mut decomps = decompose(&tel.events);
+            if decomps.is_empty() {
+                return Err(format!(
+                    "case {:?} @ load {load:.2} traced no complete lifecycle",
+                    case.label
+                ));
+            }
             for q in [0.50, 0.99] {
                 if let Some(d) = decomposition_at_quantile(&mut decomps, q) {
                     let (queue_us, service_us, steal_us, preempt_us) = d.as_us();
@@ -152,10 +141,7 @@ fn run_trace(spec_path: &Path, smoke: bool, chrome: Option<&Path>) -> Result<(),
         }
     }
     if traced == 0 {
-        return Err(
-            "no ZygOS-family simulator case to trace (IX/Linux hosts are not instrumented)"
-                .to_string(),
-        );
+        return Err("no sim:* case to trace".to_string());
     }
     if let Some(path) = chrome {
         std::fs::write(path, ct.finish())
@@ -201,8 +187,11 @@ fn cmd_gen_trace(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-struct RunFlags {
+/// The flags of `lab run` and `lab trace`; each command rejects the ones
+/// it does not read.
+struct Flags {
     smoke: bool,
+    chrome: Option<PathBuf>,
     check: bool,
     write_baselines: bool,
     json: bool,
@@ -210,9 +199,10 @@ struct RunFlags {
     specs: Vec<PathBuf>,
 }
 
-fn parse_run_flags(args: &[String]) -> Result<RunFlags, String> {
-    let mut flags = RunFlags {
+fn parse_flags(args: &[String]) -> Result<Flags, String> {
+    let mut flags = Flags {
         smoke: false,
+        chrome: None,
         check: false,
         write_baselines: false,
         json: false,
@@ -226,6 +216,12 @@ fn parse_run_flags(args: &[String]) -> Result<RunFlags, String> {
             "--check" => flags.check = true,
             "--write-baselines" => flags.write_baselines = true,
             "--json" => flags.json = true,
+            "--chrome" => {
+                let path = it
+                    .next()
+                    .ok_or_else(|| "--chrome needs a path".to_string())?;
+                flags.chrome = Some(PathBuf::from(path));
+            }
             "--baselines" => {
                 flags.baselines = PathBuf::from(
                     it.next()
@@ -243,8 +239,12 @@ fn parse_run_flags(args: &[String]) -> Result<RunFlags, String> {
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
-    let flags = match parse_run_flags(args) {
-        Ok(f) => f,
+    let flags = match parse_flags(args) {
+        Ok(f) if f.chrome.is_none() => f,
+        Ok(_) => {
+            eprintln!("--chrome is a lab trace flag");
+            return ExitCode::from(2);
+        }
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::from(2);
@@ -277,7 +277,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
 }
 
 /// Runs one scenario file; returns check violations (empty = pass).
-fn run_one(spec_path: &Path, flags: &RunFlags) -> Result<Vec<String>, String> {
+fn run_one(spec_path: &Path, flags: &Flags) -> Result<Vec<String>, String> {
     let text = std::fs::read_to_string(spec_path)
         .map_err(|e| format!("reading {}: {e}", spec_path.display()))?;
     let sc: Scenario = scenario_from_toml(&text).map_err(|e| e.to_string())?;
@@ -337,41 +337,40 @@ fn print_report(sc: &Scenario, report: &Report) {
     );
     println!("# columns: scenario\tseries\tmetric\tload\tvalue");
     for s in &report.series {
-        // The [search] and [tail] headline rows: load-free metrics, so
-        // the load column carries the search answer / studied load.
-        if let Some(sr) = &s.search {
+        // One row; the load-free [search] and [tail] headline rows carry
+        // the search answer / the studied load in the load column.
+        let row = |metric: &str, load: f64, value: &str| {
             println!(
-                "{}\t{}\tmax_load_at_slo(p{}<={:.0}us)\t{:.4}\t{} probe(s), {} cold",
-                report.scenario,
-                s.label,
+                "{}\t{}\t{metric}\t{load:.4}\t{value}",
+                report.scenario, s.label
+            )
+        };
+        if let Some(sr) = &s.search {
+            let metric = format!(
+                "max_load_at_slo(p{}<={:.0}us)",
                 sr.quantile * 100.0,
-                sr.bound_us,
-                sr.max_load,
-                sr.probes,
-                sr.cold_probes,
+                sr.bound_us
             );
+            let probes = format!("{} probe(s), {} cold", sr.probes, sr.cold_probes);
+            row(&metric, sr.max_load, &probes);
         }
         if let Some(t) = &s.tail {
-            println!(
-                "{}\t{}\ttail_p{}_us\t{:.4}\t{:.3}",
-                report.scenario,
-                s.label,
-                t.quantile * 100.0,
+            let q = t.quantile * 100.0;
+            row(
+                &format!("tail_p{q}_us"),
                 t.load,
-                t.value_us,
+                &format!("{:.3}", t.value_us),
             );
-            println!(
-                "{}\t{}\ttail_p{}_brute_us\t{:.4}\t{:.3}",
-                report.scenario,
-                s.label,
-                t.quantile * 100.0,
+            row(
+                &format!("tail_p{q}_brute_us"),
                 t.load,
-                t.brute_value_us,
+                &format!("{:.3}", t.brute_value_us),
             );
-            println!(
-                "{}\t{}\ttail_clones\t{:.4}\t{} ({} truncated), {} clone event(s)",
-                report.scenario, s.label, t.load, t.clones, t.truncated, t.clone_events,
+            let clones = format!(
+                "{} ({} truncated), {} clone event(s)",
+                t.clones, t.truncated, t.clone_events
             );
+            row("tail_clones", t.load, &clones);
         }
         // Stage names for the per-stage rows: the scenario's [[stages]] on
         // `sim:staged`; `sim:ix` always runs the paper pipeline.
@@ -384,7 +383,8 @@ fn print_report(sc: &Scenario, report: &Report) {
                 .collect(),
         };
         for p in &s.points {
-            let metrics: [(&str, f64); 7] = [
+            let num = |metric: &str, v: f64| row(metric, p.load, &format!("{v:.3}"));
+            let metrics = [
                 ("p99_us", p.p99_us),
                 ("p50_us", p.p50_us),
                 ("mrps", p.mrps),
@@ -394,42 +394,25 @@ fn print_report(sc: &Scenario, report: &Report) {
                 ("steal", p.steal_fraction),
             ];
             for (name, v) in metrics {
-                println!(
-                    "{}\t{}\t{}\t{:.4}\t{:.3}",
-                    report.scenario, s.label, name, p.load, v
-                );
+                num(name, v);
             }
             for (c, share) in p.shed_share_by_class.iter().enumerate() {
-                println!(
-                    "{}\t{}\tshed_share_class{}\t{:.4}\t{:.3}",
-                    report.scenario, s.label, c, p.load, share
-                );
+                num(&format!("shed_share_class{c}"), *share);
             }
             // Retry-plane rows only when the client plane actually
             // re-issued or abandoned (open-loop points stay 7 rows).
             if p.retry_rate > 0.0 || p.give_up_rate > 0.0 {
-                let retry: [(&str, f64); 3] = [
-                    ("retry_rate", p.retry_rate),
-                    ("give_up_rate", p.give_up_rate),
-                    ("goodput", p.goodput),
-                ];
-                for (name, v) in retry {
-                    println!(
-                        "{}\t{}\t{}\t{:.4}\t{:.3}",
-                        report.scenario, s.label, name, p.load, v
-                    );
-                }
+                num("retry_rate", p.retry_rate);
+                num("give_up_rate", p.give_up_rate);
+                num("goodput", p.goodput);
             }
             // Staged-engine hosts: the per-stage queueing decomposition.
             for (stage, wait) in stage_names.iter().zip(&p.stage_p99_wait_us) {
-                println!(
-                    "{}\t{}\tstage_p99_wait_us:{}\t{:.4}\t{:.3}",
-                    report.scenario, s.label, stage, p.load, wait
-                );
+                num(&format!("stage_p99_wait_us:{stage}"), *wait);
             }
             // Decomposition rows only when the point was actually traced
             // (untraced points carry honest zeros, not measurements).
-            let decomp: [(&str, f64); 4] = [
+            let decomp = [
                 ("p99_queue_us", p.p99_queue_us),
                 ("p99_service_us", p.p99_service_us),
                 ("p99_steal_us", p.p99_steal_us),
@@ -437,22 +420,13 @@ fn print_report(sc: &Scenario, report: &Report) {
             ];
             if decomp.iter().any(|(_, v)| *v > 0.0) {
                 for (name, v) in decomp {
-                    println!(
-                        "{}\t{}\t{}\t{:.4}\t{:.3}",
-                        report.scenario, s.label, name, p.load, v
-                    );
+                    num(name, v);
                 }
             }
             for ts in &p.timeseries {
-                println!(
-                    "{}\t{}\tseries:{}\t{:.4}\t{} point(s), last {:.3}",
-                    report.scenario,
-                    s.label,
-                    ts.name,
-                    p.load,
-                    ts.points.len(),
-                    ts.points.last().map_or(0.0, |&(_, v)| v),
-                );
+                let last = ts.points.last().map_or(0.0, |&(_, v)| v);
+                let value = format!("{} point(s), last {last:.3}", ts.points.len());
+                row(&format!("series:{}", ts.name), p.load, &value);
             }
         }
     }

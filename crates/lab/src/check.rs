@@ -16,7 +16,7 @@
 //!   tolerance. This catches quiet drift that no claim covers.
 
 use crate::report::{Drift, PointMetrics, Report, Series, SCALARS};
-use crate::spec::{Claim, Op, Readers, Rhs, Scenario};
+use crate::spec::{Claim, HostSpec, Op, Readers, Rhs, Scenario};
 
 /// Evaluates the scenario's claims over a report. Returns every
 /// violation (empty = pass); each one prints the claim's own keys, the
@@ -195,7 +195,7 @@ pub fn check_telemetry(sc: &Scenario, report: &Report) -> Vec<String> {
         if !Readers::Simulated.reads(case.host) {
             continue;
         }
-        let traced = tel.trace && Readers::ZygosSim.reads(case.host);
+        let traced = tel.trace && matches!(case.host, HostSpec::Sim(_));
         for p in &s.points {
             if traced && p.p99_us > 0.0 {
                 let sum = p.p99_queue_us + p.p99_service_us + p.p99_steal_us + p.p99_preempt_us;

@@ -184,8 +184,8 @@ impl PointMetrics {
 
 /// The outcome of a `[search]` block for one case: the paper's
 /// "maximum load @ SLO" metric plus the probe accounting that pins the
-/// checkpoint-prefix-reuse win (`cold_probes` stays 1 for warmable
-/// cases).
+/// checkpoint-prefix-reuse win (`cold_probes` is 1 for warmable cases
+/// whose probes stay below saturation).
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct SearchResult {
     /// The latency quantile the SLO binds.
@@ -299,7 +299,7 @@ pub struct Series {
     /// `[search]` block or the host cannot run one).
     pub search: Option<SearchResult>,
     /// Importance-splitting result (`None` without a `[tail]` block or
-    /// on non-ZygOS-family hosts).
+    /// on hosts RESTART does not split).
     pub tail: Option<TailResult>,
 }
 

@@ -29,15 +29,15 @@ use zygos_net::packet::RpcMessage;
 use zygos_runtime::server::REJECT_OPCODE;
 use zygos_runtime::{ClientPort, RuntimeConfig, Server};
 use zygos_sched::CreditConfig;
-use zygos_sim::queueing::{self, QueueConfig};
+use zygos_sim::queueing::{self, Policy, QueueConfig};
 use zygos_sim::rng::Xoshiro256;
 use zygos_sim::stats::LatencyHistogram;
 use zygos_sysim::{
     max_load_at_quantile_slo_counting, run_fleet, run_restart, run_system, run_system_chain,
-    warmable, AdmissionMode, FleetConfig, FleetOutput, RoutePolicy, SysConfig, SysOutput,
-    SystemKind, TailConfig, WARM_MAX_LOAD,
+    AdmissionMode, FleetConfig, FleetOutput, RoutePolicy, SysConfig, SysOutput, SystemKind,
+    TailConfig, WARM_MAX_LOAD,
 };
-use zygos_telemetry::{decompose, decomposition_at_quantile, TelemetryConfig};
+use zygos_telemetry::{decompose, decomposition_at_quantile, TelemetryOut, TimeSeries};
 
 use crate::report::{
     PointMetrics, Report, SearchResult, Series, TailResult, TraceSeries, SCHEMA_VERSION,
@@ -45,7 +45,8 @@ use crate::report::{
 use zygos_load::source::{ArrivalSpec, Phase};
 
 use crate::spec::{
-    AdmissionSpec, Case, FaultsSpec, HostSpec, LiveHost, Readers, Scenario, SimHost, SpecError,
+    AdmissionSpec, Case, FaultsSpec, HostSpec, LiveHost, Readers, Scenario, SearchSpec, SimHost,
+    SpecError,
 };
 
 /// Hard per-point completion cap for live cases: wall-clock experiments
@@ -115,16 +116,17 @@ fn run_job(
     }
 }
 
-/// The deterministic job list: one [`Job::Chain`] per warm-start chain
-/// (per grid point for hosts that cannot warm), plus the case's
-/// `[search]` and `[tail]` work.
-fn jobs_for(sc: &Scenario, loads: &[f64], smoke: bool) -> Vec<Job> {
+/// The deterministic job list: one [`Job::Chain`] per warm-start chain of
+/// a simulator case (per grid point on other hosts), plus the case's
+/// `[search]` and `[tail]` work. `run_system_chain` runs cold whichever
+/// chained points it may not warm-start (telemetry on, say).
+fn jobs_for(sc: &Scenario, loads: &[f64]) -> Vec<Job> {
     let mut jobs = Vec::new();
     for (ci, case) in sc.cases.iter().enumerate() {
         if matches!(case.host, HostSpec::Live(_)) {
             continue;
         }
-        if case_is_warmable(sc, case, loads, smoke) {
+        if matches!(case.host, HostSpec::Sim(_)) {
             jobs.extend(
                 warm_chains(loads)
                     .into_iter()
@@ -143,26 +145,14 @@ fn jobs_for(sc: &Scenario, loads: &[f64], smoke: bool) -> Vec<Job> {
     jobs
 }
 
-/// Whether a case's lowered config can warm-start from a checkpoint
-/// (ZygOS-family simulator, no tracing armed — see
-/// `zygos_sysim::warmable` and `docs/TAIL.md`).
-fn case_is_warmable(sc: &Scenario, case: &Case, loads: &[f64], smoke: bool) -> bool {
-    matches!(case.host, HostSpec::Sim(_))
-        && !loads.is_empty()
-        && sys_config_for(sc, case, loads[0], smoke).is_ok_and(|cfg| warmable(&cfg))
-}
-
 /// Splits a load grid into maximal strictly-ascending runs at or below
-/// [`WARM_MAX_LOAD`] — exactly the spans `run_system_chain` will
-/// warm-start end to end. A pure function of the grid, so parallel
-/// workers and a sequential run carve up identical chains.
+/// [`WARM_MAX_LOAD`] — the spans `run_system_chain` may warm-start end to
+/// end. A pure function of the grid, so parallel workers and a sequential
+/// run carve up identical chains.
 fn warm_chains(loads: &[f64]) -> Vec<Vec<usize>> {
     let mut chains: Vec<Vec<usize>> = Vec::new();
     for i in 0..loads.len() {
-        let chainable = i > 0
-            && loads[i - 1] < loads[i]
-            && loads[i - 1] <= WARM_MAX_LOAD
-            && loads[i] <= WARM_MAX_LOAD;
+        let chainable = i > 0 && loads[i - 1] < loads[i] && loads[i] <= WARM_MAX_LOAD;
         if chainable {
             chains.last_mut().expect("i > 0 has a chain").push(i);
         } else {
@@ -180,7 +170,7 @@ pub fn run_scenario_threads(
 ) -> Result<Report, SpecError> {
     let loads = sc.loads(smoke).to_vec();
     // One slot per deterministic job; live points are computed afterwards.
-    let jobs = jobs_for(sc, &loads, smoke);
+    let jobs = jobs_for(sc, &loads);
     // A `[tail]` job splits its own work across all of the lab's workers.
     let workers = threads.max(1);
     let threads = workers.min(jobs.len().max(1));
@@ -322,45 +312,20 @@ fn run_search(sc: &Scenario, case: &Case, smoke: bool) -> Result<SearchResult, S
             let base = sys_config_for(sc, case, 0.5, smoke)?;
             max_load_at_quantile_slo_counting(&base, sp.quantile, sp.bound_us, sp.resolution)
         }
-        HostSpec::Model(policy) => {
-            let (requests, warmup) = sc.scale.window(smoke);
-            let mut probes = 0u32;
-            let max_load = queueing::max_load_at_slo(
-                |load| {
-                    probes += 1;
-                    queueing::simulate(&QueueConfig {
-                        servers: sc.workload.cores,
-                        load,
-                        service: sc.workload.service.clone(),
-                        policy,
-                        requests,
-                        seed: sc.scale.seed,
-                        warmup,
-                    })
-                    .latency
-                    .quantile_us(sp.quantile)
-                },
-                sp.bound_us,
-                sp.resolution,
-            );
-            (max_load, probes, probes)
-        }
+        HostSpec::Model(policy) => cold_search(sp, |load| {
+            model_run(sc, policy, load, smoke)
+                .latency
+                .quantile_us(sp.quantile)
+        }),
         HostSpec::Fleet(_) => {
             // The bisection overwrites the fleet-level load knob per
             // probe; everything else in the lowering is load-independent.
             let base = fleet_config_for(sc, case, 0.5, smoke)?;
-            let mut probes = 0u32;
-            let max_load = queueing::max_load_at_slo(
-                |load| {
-                    probes += 1;
-                    let mut fc = base.clone();
-                    fc.base.load = load;
-                    run_fleet(&fc).quantile_us(sp.quantile)
-                },
-                sp.bound_us,
-                sp.resolution,
-            );
-            (max_load, probes, probes)
+            cold_search(sp, |load| {
+                let mut fc = base.clone();
+                fc.base.load = load;
+                run_fleet(&fc).quantile_us(sp.quantile)
+            })
         }
         HostSpec::Live(_) => {
             return Err(SpecError::new(
@@ -376,6 +341,20 @@ fn run_search(sc: &Scenario, case: &Case, smoke: bool) -> Result<SearchResult, S
         probes,
         cold_probes,
     })
+}
+
+/// A bisection whose every probe runs cold: `(max_load, probes, probes)`.
+fn cold_search(sp: &SearchSpec, mut probe: impl FnMut(f64) -> f64) -> (f64, u32, u32) {
+    let mut probes = 0u32;
+    let max_load = queueing::max_load_at_slo(
+        |load| {
+            probes += 1;
+            probe(load)
+        },
+        sp.bound_us,
+        sp.resolution,
+    );
+    (max_load, probes, probes)
 }
 
 /// Runs the `[tail]` block for one ZygOS-family simulator case: RESTART
@@ -435,16 +414,7 @@ pub fn run_point(
             Ok(sim_metrics(load, run_system(&cfg), case))
         }
         HostSpec::Model(policy) => {
-            let (requests, warmup) = sc.scale.window(smoke);
-            let out = queueing::simulate(&QueueConfig {
-                servers: sc.workload.cores,
-                load,
-                service: sc.workload.service.clone(),
-                policy,
-                requests,
-                seed: sc.scale.seed,
-                warmup,
-            });
+            let out = model_run(sc, policy, load, smoke);
             Ok(PointMetrics {
                 load,
                 mrps: if out.sim_time_us > 0.0 {
@@ -466,6 +436,20 @@ pub fn run_point(
         }
         HostSpec::Live(_) => run_live_point(sc, case, load, smoke),
     }
+}
+
+/// One zero-overhead queueing-model run of the scenario's workload.
+fn model_run(sc: &Scenario, policy: Policy, load: f64, smoke: bool) -> queueing::SimOutput {
+    let (requests, warmup) = sc.scale.window(smoke);
+    queueing::simulate(&QueueConfig {
+        servers: sc.workload.cores,
+        load,
+        service: sc.workload.service.clone(),
+        policy,
+        requests,
+        seed: sc.scale.seed,
+        warmup,
+    })
 }
 
 /// The paper's "maximum load @ SLO" metric over one case (simulator or
@@ -510,25 +494,11 @@ pub fn sys_config_for(
             case.label
         )));
     };
-    let mut cfg = lower_sim(sc, case, host, load, smoke);
-    // Every world's client edge harvests series; only the ZygOS models
-    // carry the lifecycle trace points.
-    cfg.telemetry = telemetry_for(sc, Readers::ZygosSim.reads(case.host));
-    Ok(cfg)
-}
-
-/// The scenario's `[telemetry]` block lowered for one world, with the
-/// lifecycle trace kept only where `traced`; `None` when that leaves
-/// nothing to record.
-fn telemetry_for(sc: &Scenario, traced: bool) -> Option<TelemetryConfig> {
-    let mut tc = sc.telemetry.as_ref()?.to_config();
-    tc.trace &= traced;
-    (!tc.is_off()).then_some(tc)
+    Ok(lower_sim(sc, case, host, load, smoke))
 }
 
 /// The shared sim-world lowering behind [`sys_config_for`] and
-/// [`fleet_config_for`]: everything except telemetry (whose rules differ
-/// between a single traced world and a series-only fleet shard).
+/// [`fleet_config_for`].
 fn lower_sim(sc: &Scenario, case: &Case, host: SimHost, load: f64, smoke: bool) -> SysConfig {
     let p = &case.policy;
     let system = match host {
@@ -582,6 +552,7 @@ fn lower_sim(sc: &Scenario, case: &Case, host: SimHost, load: f64, smoke: bool) 
     }
     cfg.retry = p.retry;
     cfg.retry_timeout_us = p.retry_timeout_us;
+    cfg.telemetry = sc.telemetry.as_ref().map(|t| t.to_config());
     if let Some(fl) = &sc.faults {
         apply_faults(&mut cfg, fl);
     }
@@ -618,10 +589,9 @@ fn apply_faults(cfg: &mut SysConfig, fl: &FaultsSpec) {
 /// Lowers a fleet case at one load to a `FleetConfig` — the single
 /// construction point for fleet experiments. The base world is lowered
 /// exactly like a `sim:*` case (`lower_sim`), so each shard runs the
-/// case's credit pool as its own; only the telemetry rules differ: fleet
-/// worlds harvest time-series only (shard-namespaced by the engine), and
-/// lifecycle tracing is forced off because correlation keys collide
-/// across shards.
+/// case's credit pool as its own. Shards harvest time-series only
+/// (namespaced by the fleet engine, which forces lifecycle tracing off
+/// because correlation keys collide across shards).
 pub fn fleet_config_for(
     sc: &Scenario,
     case: &Case,
@@ -641,8 +611,7 @@ pub fn fleet_config_for(
         )));
     };
     let p = &case.policy;
-    let mut base = lower_sim(sc, case, host, load, smoke);
-    base.telemetry = telemetry_for(sc, false);
+    let base = lower_sim(sc, case, host, load, smoke);
     let mut fc = FleetConfig::new(
         base,
         f.shards,
@@ -688,33 +657,13 @@ fn credit_config_for(a: &AdmissionSpec, cores: usize) -> CreditConfig {
 
 /// Reduces a simulator run to the unified schema.
 fn sim_metrics(load: f64, out: SysOutput, case: &Case) -> PointMetrics {
-    let classes = classes_of(case);
-    let per_class = |f: &dyn Fn(usize) -> f64| -> Vec<f64> {
-        if classes >= 2 {
-            (0..classes).map(f).collect()
-        } else {
-            Vec::new()
-        }
-    };
+    let per_class = |f: &dyn Fn(usize) -> f64| per_class(case, f);
     let (p99_queue_us, p99_service_us, p99_steal_us, p99_preempt_us) = out
         .telemetry
         .as_ref()
         .and_then(|t| {
             let mut decomps = decompose(&t.events);
             decomposition_at_quantile(&mut decomps, 0.99).map(|d| d.as_us())
-        })
-        .unwrap_or_default();
-    let timeseries = out
-        .telemetry
-        .as_ref()
-        .map(|t| {
-            t.series
-                .iter()
-                .map(|s| TraceSeries {
-                    name: s.name.clone(),
-                    points: s.points.clone(),
-                })
-                .collect()
         })
         .unwrap_or_default();
     PointMetrics {
@@ -744,7 +693,7 @@ fn sim_metrics(load: f64, out: SysOutput, case: &Case) -> PointMetrics {
         p99_steal_us,
         p99_preempt_us,
         stage_p99_wait_us: out.stage_p99_wait_us.clone(),
-        timeseries,
+        timeseries: series_of(out.telemetry.as_ref()),
     }
 }
 
@@ -754,7 +703,7 @@ fn sim_metrics(load: f64, out: SysOutput, case: &Case) -> PointMetrics {
 /// — that is what keeps the N=1 pass-through fleet **bit-identical** to
 /// its `sim:*` base case (pinned by `tests/fleet_differential.rs`).
 fn fleet_metrics(load: f64, out: FleetOutput, case: &Case) -> PointMetrics {
-    let classes = classes_of(case);
+    let per_class = |f: &dyn Fn(usize) -> f64| per_class(case, f);
     let sum = |f: &dyn Fn(&SysOutput) -> u64| -> u64 { out.shards.iter().map(f).sum() };
     let sumf = |f: &dyn Fn(&SysOutput) -> f64| -> f64 { out.shards.iter().map(f).sum() };
     let completed = sum(&|s| s.completed);
@@ -769,26 +718,6 @@ fn fleet_metrics(load: f64, out: FleetOutput, case: &Case) -> PointMetrics {
     let stolen = sum(&|s| s.stolen_events);
     let offered = sum(&|s| s.admitted) + sum(&|s| s.rejected);
     let rejected_total: u64 = sum(&|s| s.rejected_by_class.iter().sum());
-    let per_class = |f: &dyn Fn(usize) -> f64| -> Vec<f64> {
-        if classes >= 2 {
-            (0..classes).map(f).collect()
-        } else {
-            Vec::new()
-        }
-    };
-    let timeseries = out
-        .telemetry
-        .as_ref()
-        .map(|t| {
-            t.series
-                .iter()
-                .map(|s| TraceSeries {
-                    name: s.name.clone(),
-                    points: s.points.clone(),
-                })
-                .collect()
-        })
-        .unwrap_or_default();
     let generated = out.generated();
     let per_generated = |n: u64| {
         if generated == 0 {
@@ -846,16 +775,30 @@ fn fleet_metrics(load: f64, out: FleetOutput, case: &Case) -> PointMetrics {
                 sum(&|s| s.rejected_by_class[c]) as f64 / offered_c as f64
             }
         }),
+        timeseries: series_of(out.telemetry.as_ref()),
         // Fleet worlds never trace, so the p99 decomposition stays zero —
-        // same as an untraced sim case. Staged hosts cannot shard, so
-        // the per-stage waits stay empty too.
-        p99_queue_us: 0.0,
-        p99_service_us: 0.0,
-        p99_steal_us: 0.0,
-        p99_preempt_us: 0.0,
-        stage_p99_wait_us: Vec::new(),
-        timeseries,
+        // same as an untraced sim case. Per-stage waits are not merged
+        // across shards either.
+        ..PointMetrics::default()
     }
+}
+
+/// One value per tenant class of `case`; empty with fewer than two.
+fn per_class(case: &Case, f: &dyn Fn(usize) -> f64) -> Vec<f64> {
+    match classes_of(case) {
+        1 => Vec::new(),
+        classes => (0..classes).map(f).collect(),
+    }
+}
+
+/// A telemetry harvest's time-series in the report's schema.
+fn series_of(t: Option<&TelemetryOut>) -> Vec<TraceSeries> {
+    let series = t.map_or(&[][..], |t| &t.series);
+    let convert = |s: &TimeSeries| TraceSeries {
+        name: s.name.clone(),
+        points: s.points.clone(),
+    };
+    series.iter().map(convert).collect()
 }
 
 /// Tenant-class count of a case (1 without SLO classes).
@@ -1210,13 +1153,13 @@ mod tests {
         let zygos = a.series("zygos").expect("series");
         let ix = a.series("ix").expect("series");
         // Every deterministic case carries a search result; warm-start
-        // prefix reuse leaves exactly one cold probe on the ZygOS case.
-        let zs = zygos.search.as_ref().expect("zygos searches");
-        assert!(zs.max_load > 0.0 && zs.max_load < 1.0, "{zs:?}");
-        assert_eq!(zs.cold_probes, 1, "{zs:?}");
-        assert!(zs.probes > zs.cold_probes, "{zs:?}");
-        let ixs = ix.search.as_ref().expect("ix searches");
-        assert_eq!(ixs.cold_probes, ixs.probes, "IX cannot warm-start");
+        // prefix reuse leaves exactly one cold probe on either host.
+        for s in [zygos, ix] {
+            let r = s.search.as_ref().expect("sim cases search");
+            assert!(r.max_load > 0.0 && r.max_load < 1.0, "{r:?}");
+            assert_eq!(r.cold_probes, 1, "{}: {r:?}", s.label);
+            assert!(r.probes > r.cold_probes, "{}: {r:?}", s.label);
+        }
         // [tail] runs only on the ZygOS-family case, and its brute
         // estimate comes from the same master trajectory.
         let zt = zygos.tail.as_ref().expect("zygos has a tail result");
@@ -1324,17 +1267,25 @@ mod tests {
             .build()
             .expect("valid");
         let report = run_scenario(&sc, true).expect("runs");
-        let p = &report.series[0].points[0];
-        // The decomposition is an exact partition of the tail sojourn:
-        // components sum to the measured p99 within bucket precision.
-        let sum = p.p99_queue_us + p.p99_service_us + p.p99_steal_us + p.p99_preempt_us;
-        assert!(
-            (sum - p.p99_us).abs() <= 0.01 * p.p99_us,
-            "decomposition {sum:.2} vs p99 {:.2}",
-            p.p99_us
-        );
-        assert!(p.p99_queue_us > 0.0 && p.p99_service_us > 0.0);
-        // Every host's client edge harvests the series; only ZygOS traces.
+        // Every host traces. The decomposition is an exact partition of
+        // the tail sojourn: components sum to the measured p99 within
+        // bucket precision.
+        for s in &report.series {
+            let p = &s.points[0];
+            let sum = p.p99_queue_us + p.p99_service_us + p.p99_steal_us + p.p99_preempt_us;
+            assert!(
+                (sum - p.p99_us).abs() <= 0.01 * p.p99_us,
+                "{}: decomposition {sum:.2} vs p99 {:.2}",
+                s.label,
+                p.p99_us
+            );
+            assert!(
+                p.p99_queue_us > 0.0 && p.p99_service_us > 0.0,
+                "{}",
+                s.label
+            );
+        }
+        // Every host's client edge harvests the series.
         for s in &report.series {
             for want in ["admitted_rate", "credit_capacity"] {
                 assert!(
@@ -1347,7 +1298,6 @@ mod tests {
                 );
             }
         }
-        assert_eq!(report.series[1].points[0].p99_queue_us, 0.0, "Linux traces");
         assert_eq!(
             crate::check::check_telemetry(&sc, &report),
             Vec::<String>::new()
@@ -1387,33 +1337,55 @@ mod tests {
     #[test]
     fn tracing_leaves_base_report_metrics_bit_identical() {
         use crate::spec::TelemetrySpec;
-        // The same scenario with and without the tracer: every base
-        // metric must match bit-for-bit (tracing only observes), and the
-        // traced run additionally carries the decomposition.
-        let plain = tiny();
-        let mut traced = tiny();
-        traced.telemetry = Some(TelemetrySpec::default()); // trace, no series
-        let a = run_scenario(&plain, true).expect("runs");
-        let b = run_scenario(&traced, true).expect("runs");
-        let (pa, pb) = (&a.series[0].points[0], &b.series[0].points[0]);
-        for (x, y, name) in [
-            (pa.mrps, pb.mrps, "mrps"),
-            (pa.p50_us, pb.p50_us, "p50"),
-            (pa.p99_us, pb.p99_us, "p99"),
-            (pa.p999_us, pb.p999_us, "p999"),
-            (pa.steal_fraction, pb.steal_fraction, "steal"),
-            (pa.avg_cores, pb.avg_cores, "cores"),
-        ] {
-            assert_eq!(x.to_bits(), y.to_bits(), "{name} perturbed by tracing");
+        use zygos_sysim::{CoreLayout, StagedConfig};
+        // The same scenario with and without the tracer, on every server
+        // model: every base metric must match bit-for-bit (tracing only
+        // observes), and each traced run additionally decomposes its p99.
+        let stages = StagedConfig::paper_pipeline(&zygos_net::cost::CostModel::zygos()).stages;
+        let hosts = |telemetry: Option<TelemetrySpec>| {
+            let mut sc = Scenario::builder("hosts")
+                .service(ServiceDist::exponential_us(10.0))
+                .cores(4)
+                .conns(16)
+                .loads(vec![0.3])
+                .smoke(1_500, 300)
+                .stages(stages.clone())
+                .case(Case::sim("zygos", SimHost::Zygos))
+                .case(Case::sim("ix", SimHost::Ix))
+                .case(Case::sim("linux", SimHost::LinuxPartitioned))
+                .case(
+                    Case::sim("staged", SimHost::Staged)
+                        .layout(CoreLayout::SplitNet { net_cores: 1 }),
+                )
+                .build()
+                .expect("valid");
+            sc.telemetry = telemetry;
+            sc
+        };
+        let a = run_scenario(&hosts(None), true).expect("runs");
+        // Trace, no series.
+        let b = run_scenario(&hosts(Some(TelemetrySpec::default())), true).expect("runs");
+        for (sa, sb) in a.series.iter().zip(&b.series) {
+            let (pa, pb) = (&sa.points[0], &sb.points[0]);
+            for (x, y, name) in [
+                (pa.mrps, pb.mrps, "mrps"),
+                (pa.p50_us, pb.p50_us, "p50"),
+                (pa.p99_us, pb.p99_us, "p99"),
+                (pa.p999_us, pb.p999_us, "p999"),
+                (pa.steal_fraction, pb.steal_fraction, "steal"),
+                (pa.avg_cores, pb.avg_cores, "cores"),
+            ] {
+                assert_eq!(x.to_bits(), y.to_bits(), "{}: {name} perturbed", sa.label);
+            }
+            assert_eq!(pa.p99_queue_us, 0.0, "{}: untraced decomposes", sa.label);
+            let sum = pb.p99_queue_us + pb.p99_service_us + pb.p99_steal_us + pb.p99_preempt_us;
+            assert!(
+                pb.p99_service_us > 0.0 && (sum - pb.p99_us).abs() <= 0.01 * pb.p99_us,
+                "{}: decomposition {sum:.2} vs p99 {:.2}",
+                sa.label,
+                pb.p99_us
+            );
         }
-        assert_eq!(
-            pa.p99_queue_us, 0.0,
-            "untraced run carries no decomposition"
-        );
-        assert!(
-            pb.p99_queue_us + pb.p99_service_us > 0.0,
-            "traced run decomposes"
-        );
     }
 
     #[test]

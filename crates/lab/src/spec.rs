@@ -79,8 +79,8 @@ pub enum HostSpec {
     /// A zero-overhead idealized queueing model (`zygos_sim::queueing`).
     Model(Policy),
     /// A sharded fleet of simulator worlds behind an L4 balancer
-    /// (`zygos_sysim::fleet`); the inner host is the per-shard model
-    /// (ZygOS family only — validated). Needs a `[fleet]` block.
+    /// (`zygos_sysim::fleet`); the inner host is the per-shard model.
+    /// Needs a `[fleet]` block.
     Fleet(SimHost),
 }
 
@@ -136,8 +136,7 @@ impl HostSpec {
         }
     }
 
-    /// Parses [`HostSpec::id`]'s format. Only [`HostSpec::all`]'s hosts
-    /// parse: an IX, Linux or staged fleet shard is an unknown host.
+    /// Parses [`HostSpec::id`]'s format.
     pub fn parse(s: &str) -> Result<HostSpec, SpecError> {
         let shard = s.strip_prefix("fleet:");
         let found = HOSTS.iter().find_map(|&(id, host)| match shard {
@@ -148,18 +147,26 @@ impl HostSpec {
         found.ok_or_else(|| SpecError::new(format!("unknown host {s:?}")))
     }
 
-    /// Every valid host: the listed single-world hosts, then a `fleet:*`
-    /// host per ZygOS-family simulator world.
+    /// Every host: the listed single-world hosts, then a `fleet:*` host
+    /// per simulator world.
     pub fn all() -> impl Iterator<Item = HostSpec> {
         let hosts = HOSTS.iter().map(|&(_, host)| host);
         hosts.clone().chain(hosts.filter_map(HostSpec::fleet_of))
     }
 
-    /// The fleet of this world, if it can be a fleet shard: fleets shard
-    /// the ZygOS-family worlds, the policy plane they exist to study.
+    /// The fleet of this world, if it is a simulator world.
     fn fleet_of(self) -> Option<HostSpec> {
         match self {
-            HostSpec::Sim(h) if Readers::ZygosSim.reads(self) => Some(HostSpec::Fleet(h)),
+            HostSpec::Sim(h) => Some(HostSpec::Fleet(h)),
+            _ => None,
+        }
+    }
+
+    /// The simulator model this host runs: its own on `sim:*`, its
+    /// shards' on `fleet:*`.
+    fn world(self) -> Option<SimHost> {
+        match self {
+            HostSpec::Sim(h) | HostSpec::Fleet(h) => Some(h),
             _ => None,
         }
     }
@@ -172,11 +179,11 @@ pub enum Readers {
     /// Every simulated world: `sim:*` and `fleet:*`.
     Simulated,
     /// The ZygOS-family simulator hosts (`sim:zygos`,
-    /// `sim:zygos-nointerrupts`, `sim:elastic`): the worlds the lifecycle
-    /// tracer instruments, a `[tail]` block clones and a fleet shards.
+    /// `sim:zygos-nointerrupts`, `sim:elastic`): the worlds a `[tail]`
+    /// block's RESTART splitter clones.
     ZygosSim,
-    /// ZygOS-family worlds, single or sharded: [`Readers::ZygosSim`] and
-    /// `fleet:*`.
+    /// Worlds of the ZygOS model, single or sharded: `sim:zygos`,
+    /// `sim:zygos-nointerrupts`, `sim:elastic` and their `fleet:*` hosts.
     ZygosWorlds,
     /// Hosts behind a client edge with a credit gate and SLO windows:
     /// every host except `model:*`.
@@ -185,31 +192,29 @@ pub enum Readers {
     Elastic,
     /// Every `fleet:*` host.
     Fleet,
-    /// `sim:staged`.
+    /// `sim:staged` and `fleet:staged`.
     Staged,
 }
 
 impl Readers {
     /// Whether `host` is in this class.
     pub fn reads(self, host: HostSpec) -> bool {
+        let world = host.world();
         match self {
-            Readers::Simulated => matches!(host, HostSpec::Sim(_) | HostSpec::Fleet(_)),
-            Readers::ZygosSim => matches!(
-                host,
-                HostSpec::Sim(SimHost::Zygos | SimHost::ZygosNoInterrupts | SimHost::Elastic)
-            ),
-            Readers::ZygosWorlds => {
-                Readers::ZygosSim.reads(host) || matches!(host, HostSpec::Fleet(_))
+            Readers::Simulated => world.is_some(),
+            Readers::ZygosSim => {
+                matches!(host, HostSpec::Sim(_)) && Readers::ZygosWorlds.reads(host)
             }
-            Readers::Gated => !matches!(host, HostSpec::Model(_)),
-            Readers::Elastic => matches!(
-                host,
-                HostSpec::Sim(SimHost::Elastic)
-                    | HostSpec::Live(LiveHost::Elastic)
-                    | HostSpec::Fleet(SimHost::Elastic)
+            Readers::ZygosWorlds => matches!(
+                world,
+                Some(SimHost::Zygos | SimHost::ZygosNoInterrupts | SimHost::Elastic)
             ),
+            Readers::Gated => !matches!(host, HostSpec::Model(_)),
+            Readers::Elastic => {
+                host == HostSpec::Live(LiveHost::Elastic) || world == Some(SimHost::Elastic)
+            }
             Readers::Fleet => matches!(host, HostSpec::Fleet(_)),
-            Readers::Staged => host == HostSpec::Sim(SimHost::Staged),
+            Readers::Staged => world == Some(SimHost::Staged),
         }
     }
 }
@@ -515,8 +520,8 @@ impl Case {
 /// Telemetry requested for a scenario's simulator cases: lifecycle
 /// tracing (which puts the p99 sojourn decomposition into the report)
 /// and/or control-tick time-series. Every simulated world harvests the
-/// series; only the [`Readers::ZygosSim`] hosts trace, so validation rejects a
-/// trace request no case can record.
+/// series; every `sim:*` host traces (fleet shards never do), so validation
+/// rejects a trace request no case can record.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TelemetrySpec {
     /// Arm the lifecycle tracer (decomposition fields in the report).
@@ -1278,17 +1283,15 @@ impl ScenarioBuilder {
                 }
             }
         }
-        let staged_cases: Vec<&Case> = self
-            .cases
-            .iter()
-            .filter(|c| c.host == HostSpec::Sim(SimHost::Staged))
+        let staged_cases: Vec<&Case> = (self.cases.iter())
+            .filter(|c| Readers::Staged.reads(c.host))
             .collect();
         match (&self.stages, staged_cases.is_empty()) {
             (None, false) => {
-                return err("sim:staged cases need a [[stages]] block naming the pipeline".into())
+                return err("staged cases need a [[stages]] block naming the pipeline".into())
             }
             (Some(_), true) => {
-                return err("a [[stages]] block with no sim:staged case to run it".into());
+                return err("a [[stages]] block with no staged case to run it".into());
             }
             _ => {}
         }
@@ -1328,13 +1331,15 @@ impl ScenarioBuilder {
             }
             // Every simulated world harvests series; fleet worlds never
             // trace (lifecycle correlation keys collide across shards).
-            if t.trace && !self.cases.iter().any(|c| Readers::ZygosSim.reads(c.host)) {
-                return err(
-                    "lifecycle tracing is recorded by ZygOS-family simulator hosts only \
-                     (other worlds harvest series, never traces); \
+            if t.trace
+                && !self
+                    .cases
+                    .iter()
+                    .any(|c| matches!(c.host, HostSpec::Sim(_)))
+            {
+                return err("lifecycle tracing is recorded by sim:* hosts only; \
                      every case here would silently record nothing"
-                        .into(),
-                );
+                    .into());
             }
         }
         if let Some(s) = &self.search {
@@ -1386,7 +1391,7 @@ impl ScenarioBuilder {
             }
             if !self.cases.iter().any(|c| Readers::ZygosSim.reads(c.host)) {
                 return err("a [tail] block needs a ZygOS-family simulator case; \
-                     only those worlds are checkpoint-cloneable"
+                     RESTART splits only those worlds"
                     .into());
             }
         }
@@ -1430,12 +1435,6 @@ fn validate_case(case: &Case, cores: usize) -> Result<(), SpecError> {
     let p = &case.policy;
     let label = &case.label;
     let fail = |msg: String| Err(SpecError::new(format!("case {label:?}: {msg}")));
-    if !HostSpec::all().any(|h| h == case.host) {
-        return fail(format!(
-            "{} is not a host: fleet shards must be ZygOS-family worlds",
-            case.host.id()
-        ));
-    }
     for &(key, readers, is_set) in CASE_KNOBS {
         if is_set(p) && !readers.reads(case.host) {
             let hosts: Vec<String> = HostSpec::all()
@@ -1662,15 +1661,23 @@ mod tests {
     #[test]
     fn host_ids_round_trip() {
         let hosts: Vec<HostSpec> = HostSpec::all().collect();
-        assert_eq!(hosts.len(), 18);
+        assert_eq!(
+            hosts.len(),
+            22,
+            "15 single-world hosts and a fleet per sim:*"
+        );
         for &host in &hosts {
             assert_eq!(HostSpec::parse(&host.id()).expect("parses"), host);
         }
         assert_eq!(HostSpec::Fleet(SimHost::Elastic).id(), "fleet:elastic");
+        assert_eq!(
+            HostSpec::parse("fleet:ix"),
+            Ok(HostSpec::Fleet(SimHost::Ix))
+        );
         for bad in [
             "sim:does-not-exist",
-            "fleet:ix",
-            "fleet:staged",
+            "fleet:live:zygos",
+            "fleet:model:central-fcfs",
             "fleet:fleet:zygos",
         ] {
             assert!(HostSpec::parse(bad).is_err(), "{bad}");
@@ -1898,7 +1905,7 @@ mod tests {
             .stages(stages())
             .build()
             .expect_err("no staged case");
-        assert!(e.to_string().contains("no sim:staged case"), "{e}");
+        assert!(e.to_string().contains("no staged case"), "{e}");
         // Staged knobs on hosts that would silently drop them.
         let e = base()
             .case(Case::sim("z", SimHost::Zygos).layout(CoreLayout::Unified))
@@ -1916,12 +1923,19 @@ mod tests {
             .build()
             .expect_err("split of single stage");
         assert!(e.to_string().contains("case \"s\""), "{e}");
-        // Fleet shards cannot be staged worlds.
-        assert!(base()
-            .case(Case::fleet("f", SimHost::Staged))
-            .fleet(FleetSpec { shards: 2 })
+        // A staged fleet needs the pipeline too, and reads the staged knobs.
+        let fleet = || {
+            base()
+                .case(
+                    Case::fleet("f", SimHost::Staged).layout(CoreLayout::SplitNet { net_cores: 1 }),
+                )
+                .fleet(FleetSpec { shards: 2 })
+        };
+        assert!(fleet().build().is_err());
+        assert!(fleet()
+            .stages(StagedConfig::paper_pipeline(&zygos_net::cost::CostModel::zygos()).stages)
             .build()
-            .is_err());
+            .is_ok());
         // A valid staged pair builds, and overrides flow into the plan.
         let sc = base()
             .case(Case::sim("unified", SimHost::Staged).discipline(QueueDiscipline::Cfcfs))
@@ -1954,16 +1968,17 @@ mod tests {
             .build()
             .expect_err("records nothing");
         assert!(e.to_string().contains("records nothing"), "{e}");
-        // Telemetry over hosts the tracer does not instrument.
+        // Tracing over hosts that record no lifecycle.
         let e = base()
-            .case(Case::sim("ix", SimHost::Ix))
+            .case(Case::model("m", Policy::CentralFcfs))
             .telemetry(TelemetrySpec::default())
             .build()
             .expect_err("no traced host");
-        assert!(e.to_string().contains("ZygOS-family"), "{e}");
-        // With a ZygOS-family case it builds and lowers faithfully.
+        assert!(e.to_string().contains("sim:* hosts only"), "{e}");
+        // Every sim:* host traces: tracing on IX builds and lowers
+        // faithfully.
         let sc = base()
-            .case(Case::sim("z", SimHost::Zygos))
+            .case(Case::sim("ix", SimHost::Ix))
             .telemetry(TelemetrySpec {
                 series: vec![SeriesKind::ActiveCores],
                 series_every: 4,
@@ -2004,7 +2019,7 @@ mod tests {
             .build()
             .expect_err("live only");
         assert!(e.to_string().contains("deterministic"), "{e}");
-        // Tail splitting needs a checkpoint-cloneable (ZygOS-family) case.
+        // Tail splitting needs a ZygOS-family case.
         let e = base()
             .case(Case::sim("ix", SimHost::Ix))
             .tail(TailSpec::default())

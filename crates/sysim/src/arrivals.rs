@@ -49,6 +49,9 @@ pub struct Source {
     service: ServiceDist,
     arrivals: Arrivals,
     next_seq: u32,
+    /// `next_seq` when the current measurement run began (rebased at a
+    /// warm-start splice).
+    first_seq: u32,
     /// One-way wire latency (half the configured RTT).
     pub half_rtt: SimDuration,
 }
@@ -66,18 +69,21 @@ impl Source {
             service: cfg.service.clone(),
             arrivals: cfg.arrivals.source(cfg.lambda_per_us()),
             next_seq: 0,
+            first_seq: 0,
             half_rtt: SimDuration::from_nanos(cfg.cost.network_rtt_ns / 2),
         }
     }
 
     /// Re-rates a converged source for a warm-started neighbor run: the
     /// arrival process is rebuilt at `cfg`'s offered load while the RNG
-    /// position, RSS map, and sequence counter carry over. A memoryless
-    /// (Poisson) process has no cursor to lose; phased/trace processes
-    /// restart their schedule exactly as a cold run at the new load would.
+    /// position, RSS map, and sequence counter carry over, and
+    /// [`Source::emitted`] counts from zero again. A memoryless (Poisson)
+    /// process has no cursor to lose; phased/trace processes restart their
+    /// schedule exactly as a cold run at the new load would.
     pub fn retarget(&mut self, cfg: &SysConfig) {
         self.service = cfg.service.clone();
         self.arrivals = cfg.arrivals.source(cfg.lambda_per_us());
+        self.first_seq = self.next_seq;
     }
 
     /// Forks the workload RNG onto an independent stream (importance
@@ -111,10 +117,10 @@ impl Source {
         }
     }
 
-    /// Requests emitted by [`Source::next_req`] so far — the `generated`
-    /// side of the conservation identity the fleet proptests pin.
+    /// Requests emitted by [`Source::next_req`] in the current measurement
+    /// run — the `generated` side of the conservation identity.
     pub fn emitted(&self) -> u64 {
-        self.next_seq as u64
+        self.next_seq.wrapping_sub(self.first_seq) as u64
     }
 }
 

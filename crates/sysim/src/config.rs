@@ -171,9 +171,8 @@ pub struct SysConfig {
     /// kind ignores it (and keeps it `None`, which is what the degenerate
     /// staged host's bit-identity to plain ZygOS rides on).
     pub staged: Option<StagedConfig>,
-    /// Telemetry plane: control-tick time-series (every simulated host) and
-    /// lifecycle tracing (the ZygOS-family models; see
-    /// `zygos_telemetry::TelemetryConfig`). `None` — the default — costs
+    /// Telemetry plane: control-tick time-series and lifecycle tracing
+    /// (every simulated host; see `zygos_telemetry::TelemetryConfig`). `None` — the default — costs
     /// one untaken branch per lifecycle point. Tracing only *records*: it
     /// never touches an RNG or reorders an event, so every other
     /// [`SysOutput`] field is bit-identical traced or not.
@@ -254,9 +253,9 @@ pub struct SysOutput {
     /// with `in_flight >= 0` the requests still queued, in service, or
     /// waiting out a backoff delay when the completion target stopped
     /// the engine ([`SysOutput::retries`] is zero without a retry
-    /// policy, recovering the pre-retry identity). (Warm-started
-    /// segments inherit a source mid-stream, so the identity is
-    /// per-chain there, not per-segment.)
+    /// policy, recovering the pre-retry identity). A warm-started run
+    /// counts every term from its splice, so there `in_flight` is the
+    /// change over the run and may be negative.
     pub generated: u64,
     /// Completions over the whole run, warmup included (the measured
     /// window is [`SysOutput::completed`]).
@@ -332,8 +331,10 @@ pub struct SysOutput {
     pub stage_p99_wait_us: Vec<f64>,
     /// Telemetry harvest: the merged lifecycle event stream and the
     /// control-tick time-series. `None` unless [`SysConfig::telemetry`]
-    /// armed the plane. Every host reports series; the staged engine (IX
-    /// included) and the Linux models record no lifecycle events.
+    /// armed the plane. Every host reports series and, when tracing is
+    /// armed, lifecycle events: the edge's Arrival, Admit, Shed and
+    /// Completion, and the server's Enqueue and Dispatch (plus ZygOS's
+    /// Steal, Preempt, BgRequeue and StolenDone).
     pub telemetry: Option<TelemetryOut>,
 }
 

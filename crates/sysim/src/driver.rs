@@ -4,10 +4,11 @@
 //! `zygos-bench`.
 
 use zygos_sim::dist::ServiceDist;
+use zygos_sim::engine::Engine;
 use zygos_sim::queueing::{self, Policy, QueueConfig};
 
 use crate::config::{SysConfig, SysOutput, SystemKind};
-use crate::zygos::WarmState;
+use crate::edge::{self, Server, World};
 use crate::{linux, staged, zygos};
 
 /// Divisor on the cold warmup for a warm-started point: a spliced run
@@ -24,6 +25,14 @@ pub const WARM_WARMUP_MIN: u64 = 500;
 /// the previous point ran — not a state a measurement may inherit.
 pub const WARM_MAX_LOAD: f64 = 0.98;
 
+/// The most a donor's backlog may grow over its own run, as a fraction of
+/// its completions, for it to seed a warm start. A host can saturate well
+/// below [`WARM_MAX_LOAD`]: Linux-floating on exponential 10 µs work
+/// delivers 0.739 of 0.96 MRPS at load 0.6, and its backlog grows by 1,055
+/// requests in 3,500 completions. Every donor that seeds a warm point in
+/// the committed smoke specs grows by 16 or fewer.
+pub const WARM_MAX_GROWTH: f64 = 0.02;
+
 /// Re-equilibration completions for a warm-started run of `cfg`.
 fn warm_warmup(cfg: &SysConfig) -> u64 {
     (cfg.warmup / WARM_WARMUP_DIV)
@@ -31,21 +40,142 @@ fn warm_warmup(cfg: &SysConfig) -> u64 {
         .min(cfg.warmup)
 }
 
-/// True when `cfg` can be warm-started: a checkpointable ZygOS-family
-/// model with telemetry off (checkpoints drop the observer plane).
+/// True when `cfg` can be warm-started: telemetry off (checkpoints drop
+/// the observer plane).
 pub fn warmable(cfg: &SysConfig) -> bool {
-    zygos::is_zygos_family(cfg) && cfg.telemetry.is_none()
+    cfg.telemetry.is_none()
+}
+
+/// How many requests a run left in the world beyond those it found there:
+/// attempts offered (generated and retried) less attempts ended (completed
+/// or shed). The conservation identity makes this the change in requests
+/// in flight over the run.
+fn backlog_growth(out: &SysOutput) -> i64 {
+    (out.generated + out.retries) as i64 - (out.completed_total + out.rejected) as i64
+}
+
+/// A finished run kept to seed warm starts: its load, whether its backlog
+/// held steady ([`WARM_MAX_GROWTH`]), and its final world.
+struct Donor<S: Server> {
+    load: f64,
+    steady: bool,
+    engine: Engine<World<S>>,
+}
+
+impl<S: Server> Donor<S> {
+    /// Whether this donor may seed a run of `cfg`: a steady donor, an
+    /// ascending step, and a target at or below [`WARM_MAX_LOAD`].
+    fn seeds(&self, cfg: &SysConfig) -> bool {
+        self.steady && self.load < cfg.load && cfg.load <= WARM_MAX_LOAD
+    }
+}
+
+/// Runs `cfg`, warm from `donor` when given and cold otherwise, and keeps
+/// the finished world as a donor when asked to and `cfg` is warmable.
+fn run_point<S: Server>(
+    new: &impl Fn(&SysConfig) -> World<S>,
+    cfg: &SysConfig,
+    donor: Option<&Donor<S>>,
+    keep: bool,
+) -> (SysOutput, Option<Donor<S>>) {
+    let engine = match donor {
+        Some(d) => edge::resume(&d.engine, cfg, warm_warmup(cfg)),
+        None => edge::start(new(cfg)),
+    };
+    let (out, kept) = edge::run_kept(engine, keep && warmable(cfg));
+    let donor = kept.map(|engine| Donor {
+        load: cfg.load,
+        steady: backlog_growth(&out) as f64 <= WARM_MAX_GROWTH * out.completed_total as f64,
+        engine,
+    });
+    (out, donor)
+}
+
+/// Work generic over the server model, which [`with_world`] runs on the
+/// model a config names.
+trait WithWorld {
+    type Out;
+    /// Runs on `cfg`, the config the host actually runs; `new` builds a
+    /// fresh world of the host's model for `cfg` or any variant of it.
+    fn run<S: Server>(self, cfg: &SysConfig, new: impl Fn(&SysConfig) -> World<S>) -> Self::Out;
+}
+
+/// The one `SystemKind → World<S>` dispatch point.
+fn with_world<W: WithWorld>(cfg: &SysConfig, w: W) -> W::Out {
+    match cfg.system {
+        SystemKind::Zygos | SystemKind::ZygosNoInterrupts | SystemKind::Elastic { .. } => {
+            w.run(cfg, zygos::world)
+        }
+        SystemKind::LinuxPartitioned | SystemKind::LinuxFloating => w.run(cfg, linux::world),
+        SystemKind::Ix | SystemKind::Staged => match staged::lower(cfg) {
+            (cfg, Some(plan)) => w.run(&cfg, |c| staged::world(c, &plan)),
+            (cfg, None) => w.run(&cfg, zygos::world),
+        },
+    }
+}
+
+/// A cold run to the completion target.
+struct Cold;
+
+impl WithWorld for Cold {
+    type Out = SysOutput;
+    fn run<S: Server>(self, cfg: &SysConfig, new: impl Fn(&SysConfig) -> World<S>) -> SysOutput {
+        edge::run(new(cfg))
+    }
+}
+
+/// A warm chain over a load grid ([`run_system_chain`]).
+struct Chain<'a>(&'a [f64]);
+
+impl WithWorld for Chain<'_> {
+    type Out = Vec<SysOutput>;
+    fn run<S: Server>(self, base: &SysConfig, new: impl Fn(&SysConfig) -> World<S>) -> Self::Out {
+        let mut cfg = base.clone();
+        let mut prev: Option<Donor<S>> = None;
+        let last = self.0.len().saturating_sub(1);
+        (self.0.iter().enumerate())
+            .map(|(i, &load)| {
+                cfg.load = load;
+                let donor = prev.take().filter(|d| d.seeds(&cfg));
+                let (out, kept) = run_point(&new, &cfg, donor.as_ref(), i < last);
+                prev = kept;
+                out
+            })
+            .collect()
+    }
+}
+
+/// A max-load@SLO bisection ([`max_load_at_quantile_slo_counting`]) over
+/// `(quantile, slo_us, resolution)`.
+struct Search(f64, f64, usize);
+
+impl WithWorld for Search {
+    type Out = (f64, u32, u32);
+    fn run<S: Server>(self, base: &SysConfig, new: impl Fn(&SysConfig) -> World<S>) -> Self::Out {
+        let mut cfg = base.clone();
+        let (mut probes, mut cold) = (0u32, 0u32);
+        let mut cache: Vec<Donor<S>> = Vec::new();
+        let load = queueing::max_load_at_slo(
+            |load| {
+                probes += 1;
+                cfg.load = load;
+                let donor = (cache.iter().filter(|d| d.seeds(&cfg)))
+                    .max_by(|a, b| a.load.total_cmp(&b.load));
+                cold += u32::from(donor.is_none());
+                let (out, kept) = run_point(&new, &cfg, donor, true);
+                cache.extend(kept);
+                out.latency.quantile_us(self.0)
+            },
+            self.1,
+            self.2,
+        );
+        (load, probes, cold)
+    }
 }
 
 /// Runs one system-simulation experiment.
 pub fn run_system(cfg: &SysConfig) -> SysOutput {
-    match cfg.system {
-        SystemKind::Zygos | SystemKind::ZygosNoInterrupts | SystemKind::Elastic { .. } => {
-            zygos::run(cfg)
-        }
-        SystemKind::LinuxPartitioned | SystemKind::LinuxFloating => linux::run(cfg),
-        SystemKind::Ix | SystemKind::Staged => staged::run(cfg),
-    }
+    with_world(cfg, Cold)
 }
 
 /// One point of a latency-vs-throughput sweep.
@@ -93,12 +223,13 @@ fn sweep_point(load: f64, out: &SysOutput) -> SweepPoint {
 /// Sweeps offered load and reports `(throughput, p99)` points — the raw
 /// data behind Figures 6, 8, 9, 10b and 11.
 ///
-/// ZygOS-family, telemetry-off sweeps **warm-start**: each point whose
-/// load sits above its predecessor's (and below [`WARM_MAX_LOAD`]) is
-/// spliced onto the previous point's converged checkpoint instead of
-/// re-converging from an empty system, spending `warm_warmup` instead
-/// of the full cold warmup. Other hosts, overload points, and descending
-/// steps fall back to cold runs — see `docs/TAIL.md` for the policy.
+/// Telemetry-off sweeps **warm-start**: each point whose load sits above
+/// its predecessor's (and at or below [`WARM_MAX_LOAD`]) is spliced onto
+/// the previous point's converged checkpoint instead of re-converging from
+/// an empty system, spending `warm_warmup` instead of the full cold
+/// warmup, unless the predecessor's backlog grew past
+/// [`WARM_MAX_GROWTH`]. Every other point runs cold — see `docs/TAIL.md`
+/// for the policy.
 pub fn latency_throughput_sweep(base: &SysConfig, loads: &[f64]) -> Vec<SweepPoint> {
     run_system_chain(base, loads)
         .iter()
@@ -109,37 +240,10 @@ pub fn latency_throughput_sweep(base: &SysConfig, loads: &[f64]) -> Vec<SweepPoi
 
 /// Runs `loads` as one warm chain and returns the full [`SysOutput`] per
 /// load — the raw form of [`latency_throughput_sweep`], for callers (the
-/// lab runner) that reduce outputs to their own schema. Non-warmable
-/// configs, overload points, and descending steps run cold; the chain
-/// head is bit-identical to a cold run.
+/// lab runner) that reduce outputs to their own schema. Points the warm
+/// policy rejects run cold; the chain head is bit-identical to a cold run.
 pub fn run_system_chain(base: &SysConfig, loads: &[f64]) -> Vec<SysOutput> {
-    if !warmable(base) {
-        let mut cfg = base.clone();
-        return loads
-            .iter()
-            .map(|&load| {
-                cfg.load = load;
-                run_system(&cfg)
-            })
-            .collect();
-    }
-    let mut cfg = base.clone();
-    let mut prev: Option<(f64, WarmState)> = None;
-    loads
-        .iter()
-        .map(|&load| {
-            cfg.load = load;
-            let warm_from = prev
-                .as_ref()
-                .filter(|(pl, _)| *pl < load && *pl <= WARM_MAX_LOAD && load <= WARM_MAX_LOAD);
-            let (out, state) = match warm_from {
-                Some((_, w)) => zygos::run_warm(w, &cfg, warm_warmup(&cfg)),
-                None => zygos::run_keep(&cfg),
-            };
-            prev = Some((load, state));
-            out
-        })
-        .collect()
+    with_world(base, Chain(loads))
 }
 
 /// The pre-warm-start sweep: every grid point pays the full cold
@@ -168,56 +272,17 @@ pub fn latency_throughput_sweep_cold(base: &SysConfig, loads: &[f64]) -> Vec<Swe
 ///
 /// Warmable configs reuse checkpoint prefixes across bisection probes:
 /// each probe warm-starts from the converged world of the highest
-/// already-probed load below it, so only the first probe pays the cold
-/// warmup (previously *every* probe re-converged from an empty system —
-/// the bisection ran the warmup `O(log resolution)` times).
+/// already-probed load below it whose backlog held steady, so usually only
+/// the first probe pays the cold warmup (previously *every* probe
+/// re-converged from an empty system — the bisection ran the warmup
+/// `O(log resolution)` times).
 pub fn max_load_at_quantile_slo_counting(
     base: &SysConfig,
     quantile: f64,
     slo_us: f64,
     resolution: usize,
 ) -> (f64, u32, u32) {
-    let mut cfg = base.clone();
-    let mut probes = 0u32;
-    let mut cold = 0u32;
-    if !warmable(base) {
-        let load = queueing::max_load_at_slo(
-            |load| {
-                probes += 1;
-                cold += 1;
-                cfg.load = load;
-                run_system(&cfg).latency.quantile_us(quantile)
-            },
-            slo_us,
-            resolution,
-        );
-        return (load, probes, cold);
-    }
-    let mut cache: Vec<(f64, WarmState)> = Vec::new();
-    let load = queueing::max_load_at_slo(
-        |load| {
-            probes += 1;
-            cfg.load = load;
-            let warm_from = cache
-                .iter()
-                .filter(|(l, _)| *l < load && *l <= WARM_MAX_LOAD)
-                .max_by(|a, b| a.0.partial_cmp(&b.0).expect("grid loads are finite"));
-            let (out, state) = match warm_from {
-                Some((_, w)) if load <= WARM_MAX_LOAD => {
-                    zygos::run_warm(w, &cfg, warm_warmup(&cfg))
-                }
-                _ => {
-                    cold += 1;
-                    zygos::run_keep(&cfg)
-                }
-            };
-            cache.push((load, state));
-            out.latency.quantile_us(quantile)
-        },
-        slo_us,
-        resolution,
-    );
-    (load, probes, cold)
+    with_world(base, Search(quantile, slo_us, resolution))
 }
 
 /// p99 of the zero-overhead **centralized** FCFS bound (M/G/n/FCFS) at a
@@ -869,6 +934,118 @@ mod tests {
         assert!(load > 0.5, "sane search result, got {load}");
         assert_eq!(probes, 5, "bisection probe count changed");
         assert_eq!(cold, 1, "only the first probe may run cold");
+    }
+
+    #[test]
+    fn warm_points_count_only_their_own_requests() {
+        // A warm chain with credits and backoff retries. Each point's
+        // conservation terms are rebased at its splice, so attempts
+        // offered less attempts ended is the change in requests in flight
+        // (queued, or waiting out a backoff) over the point: within the
+        // donor rule's 2 % of its completions, not the donors' arrivals.
+        use zygos_load::retry::RetryPolicy;
+        use zygos_sched::CreditConfig;
+        let mut base = small(SystemKind::Zygos, 10.0);
+        base.admission = Some(CreditConfig::for_cores(base.cores, 40.0));
+        base.retry = Some(RetryPolicy::Backoff {
+            base_us: 50,
+            factor: 2.0,
+            max_attempts: 3,
+        });
+        let outs = run_system_chain(&base, &[0.6, 0.8, 0.95]);
+        for (i, out) in outs.iter().enumerate() {
+            let growth = backlog_growth(out);
+            assert!(out.retries > 0, "point {i}: the gate never shed");
+            assert!(
+                growth.unsigned_abs() as f64 <= WARM_MAX_GROWTH * out.completed_total as f64,
+                "point {i}: generated {} + retries {} - completed {} - rejected {} = {growth}",
+                out.generated,
+                out.retries,
+                out.completed_total,
+                out.rejected
+            );
+            if i > 0 {
+                assert_eq!(
+                    out.completed_total,
+                    warm_warmup(&base) + base.requests,
+                    "point {i} ran cold"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_saturated_donor_seeds_no_warm_start() {
+        // Linux-floating on exponential 10 µs work saturates near load
+        // 0.45: its 0.6 point runs warm from 0.3 but grows a backlog, so
+        // the 0.9 point must run cold, bit-identical to a lone cold run.
+        let mut base = small(SystemKind::LinuxFloating, 10.0);
+        (base.requests, base.warmup) = (3_000, 600);
+        let chain = run_system_chain(&base, &[0.3, 0.6, 0.9]);
+        assert_eq!(chain[1].completed_total, 3_500, "0.6 warm-starts");
+        assert!(backlog_growth(&chain[1]) as f64 > WARM_MAX_GROWTH * 3_500.0);
+        base.load = 0.9;
+        let cold = run_system(&base);
+        assert_eq!(chain[2].events, cold.events);
+        assert_eq!(chain[2].p99_us().to_bits(), cold.p99_us().to_bits());
+    }
+
+    /// Mean and standard error of a sample.
+    fn mean_se(xs: &[f64]) -> (f64, f64) {
+        let n = xs.len() as f64;
+        let mean = xs.iter().sum::<f64>() / n;
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
+        (mean, (var / n).sqrt())
+    }
+
+    #[test]
+    fn warm_and_cold_p99_agree_across_seeds() {
+        // One stable 0.3 → 0.6 chain per seed and host: the warm points'
+        // mean p99 must lie inside the 95 % CI (Student t, 7 degrees of
+        // freedom) of the cold runs' p99 over the same seeds. Linux pays
+        // ~11 µs of kernel time per request, so it runs 100 µs work to
+        // stay below saturation at 0.6.
+        use crate::staged::{CoreLayout, StagedConfig};
+        const SEEDS: u64 = 8;
+        const T_975: f64 = 2.365;
+        for (system, mean_us) in [
+            (SystemKind::Zygos, 10.0),
+            (SystemKind::Ix, 10.0),
+            (SystemKind::LinuxPartitioned, 100.0),
+            (SystemKind::Staged, 10.0),
+        ] {
+            let mut base = SysConfig::paper(system, ServiceDist::exponential_us(mean_us), 0.3);
+            let mut plan = StagedConfig::paper_pipeline(&base.cost);
+            plan.layout = CoreLayout::SplitNet { net_cores: 2 };
+            base.staged = Some(plan);
+            (base.requests, base.warmup) = (3_000, 3_000);
+            let (mut warm, mut cold) = (Vec::new(), Vec::new());
+            for seed in 1..=SEEDS {
+                base.seed = seed;
+                let chain = run_system_chain(&base, &[0.3, 0.6]);
+                assert_eq!(
+                    chain[1].completed_total,
+                    3_500,
+                    "{}: 0.6 ran cold",
+                    system.label()
+                );
+                warm.push(chain[1].p99_us());
+                cold.push(
+                    run_system(&SysConfig {
+                        load: 0.6,
+                        ..base.clone()
+                    })
+                    .p99_us(),
+                );
+            }
+            let ((w, _), (c, se)) = (mean_se(&warm), mean_se(&cold));
+            assert!(
+                (w - c).abs() <= T_975 * se,
+                "{}: warm p99 {w:.1} µs outside the cold {c:.1} ± {:.1} µs",
+                system.label(),
+                T_975 * se
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! its own events; it reports each response through [`Cx::complete`].
 //! [`World`] composes an [`Edge`] with a server into the engine's
 //! [`Model`], and [`start`] / [`finish`] are the one engine setup every
-//! entry point (`run_system`, warm starts, RESTART) shares.
+//! entry point (`run_system`, warm starts, RESTART) shares. Every world
+//! clones, so every server can be checkpointed, warm-started
+//! ([`run_kept`], [`resume`]) and traced.
 //!
 //! # Admission control
 //!
@@ -81,10 +83,11 @@ pub(crate) enum Ev<E> {
 /// The control tick's period in µs ([`Ev::Control`]).
 const CONTROL_PERIOD_US: f64 = 25.0;
 
-/// A simulated server behind the client edge.
-pub(crate) trait Server {
+/// A simulated server behind the client edge. `Clone` is the checkpoint:
+/// a cloned world resumes bit-identically.
+pub(crate) trait Server: Clone {
     /// The server's own event alphabet.
-    type Event;
+    type Event: Clone;
 
     /// An admitted request packet reaches the server.
     fn packet(&mut self, req: Req, cx: &mut Cx<Self::Event>);
@@ -119,6 +122,10 @@ pub(crate) trait Server {
     /// Forks the server's own random streams onto substream `stream`
     /// (importance-splitting clones).
     fn fork_streams(&mut self, _stream: u64) {}
+
+    /// Rewinds the server's window statistics for a warm-started run of
+    /// `cfg` (see [`resume`]); queues and cores carry over.
+    fn retarget(&mut self, cfg: &SysConfig);
 
     /// The server's fields of the run's output, at the run's final time.
     fn stats(self, end: SimTime) -> ServerStats;
@@ -655,10 +662,10 @@ impl Edge {
     /// Splices a fresh measurement run onto this converged edge: `cfg`
     /// (typically the same workload at a neighboring load) re-rates the
     /// arrival process and replaces the recorder, and every *window
-    /// statistic* — shed counts, retry counters, latency windows — is
-    /// rewound to zero at `now`. World state (RNG position, credit
-    /// capacity, the live-attempt table) carries over.
-    pub(crate) fn retarget(&mut self, cfg: &SysConfig, now: SimTime, warmup: u64) {
+    /// statistic* — generated requests, shed counts, retry counters,
+    /// latency windows — is rewound to zero at `now`. World state (RNG
+    /// position, credit capacity, the live-attempt table) carries over.
+    fn retarget(&mut self, cfg: &SysConfig, now: SimTime, warmup: u64) {
         debug_assert!(cfg.telemetry.is_none(), "warm runs are telemetry-off");
         self.source.retarget(cfg);
         self.rec = Recorder::warm(cfg.requests, warmup, self.source.half_rtt, now);
@@ -807,6 +814,42 @@ pub(crate) fn finish<S: Server>(engine: Engine<World<S>>, events: u64) -> SysOut
     edge.into_output(server.stats(end), end, events)
 }
 
+/// Runs `engine` on to its completion target. Returns the run's output
+/// (counting only the events this call processed) and, when `keep`, a
+/// checkpoint of the finished world that a neighboring run can warm-start
+/// from; taking it never perturbs the output.
+pub(crate) fn run_kept<S: Server>(
+    mut engine: Engine<World<S>>,
+    keep: bool,
+) -> (SysOutput, Option<Engine<World<S>>>) {
+    let before = engine.processed();
+    engine.run();
+    let events = engine.processed() - before;
+    let kept = keep.then(|| engine.checkpoint());
+    (finish(engine, events), kept)
+}
+
+/// A copy of the checkpointed `donor` spliced onto a fresh measurement run
+/// of `cfg` (typically the same workload at a neighboring load): the new
+/// config replaces the arrival rate and the recorder, whose window opens
+/// after `warmup` re-equilibration completions, and every *window
+/// statistic* of edge and server is rewound to zero. *World state*
+/// (queues, the event queue, RNG positions, credit capacity, a control
+/// plane's running averages) carries over untouched: that converged state
+/// is what a warm start buys. See `docs/TAIL.md`.
+pub(crate) fn resume<S: Server>(
+    donor: &Engine<World<S>>,
+    cfg: &SysConfig,
+    warmup: u64,
+) -> Engine<World<S>> {
+    let mut engine = donor.clone();
+    let now = engine.now();
+    let world = engine.model_mut();
+    world.edge.retarget(cfg, now, warmup);
+    world.server.retarget(cfg);
+    engine
+}
+
 /// A zeroed output for a world that had nothing to run, shaped like a real
 /// run's (class vectors sized from the SLO config), so fleet reductions
 /// never special-case it.
@@ -820,10 +863,7 @@ pub(crate) fn idle_output(cfg: &SysConfig) -> SysOutput {
 
 /// Runs a fresh world to its completion target.
 pub(crate) fn run<S: Server>(world: World<S>) -> SysOutput {
-    let mut engine = start(world);
-    engine.run();
-    let events = engine.processed();
-    finish(engine, events)
+    run_kept(start(world), false).0
 }
 
 #[cfg(test)]

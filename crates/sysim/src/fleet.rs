@@ -10,9 +10,10 @@
 //! share of the fleet rate. Between routing decisions the shards share
 //! nothing, which buys three things at once:
 //!
-//! 1. **Fidelity** — every shard is a full, unmodified ZygOS-family
-//!    world with its own policy-plane instance (work stealing, IPIs,
-//!    credit admission, elastic control), not a fluid approximation.
+//! 1. **Fidelity** — every shard is a full, unmodified simulator world
+//!    of the base config's model with its own policy-plane instance
+//!    (work stealing, IPIs, credit admission, elastic control, as the
+//!    model has them), not a fluid approximation.
 //! 2. **Scale** — shards fan out over scoped threads with
 //!    shard-index-ordered reassembly, so a 16-shard fleet at 10⁷–10⁸
 //!    aggregate users costs one shard's wall-clock per core.

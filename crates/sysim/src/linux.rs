@@ -24,17 +24,20 @@ use std::collections::VecDeque;
 
 use zygos_sched::{DispatchPolicy, FcfsPolicy, Rung};
 use zygos_sim::time::{SimDuration, SimTime};
+use zygos_telemetry::TraceKind;
 
 use crate::arrivals::Req;
-use crate::config::{SysConfig, SysOutput, SystemKind};
-use crate::edge::{self, Cx, Server, ServerStats, World};
+use crate::config::{SysConfig, SystemKind};
+use crate::edge::{Cx, Server, ServerStats, World};
 
-enum Ev {
+#[derive(Clone)]
+pub(crate) enum Ev {
     Run(usize),
     Done { core: usize, req: Req },
 }
 
-struct LinuxModel {
+#[derive(Clone)]
+pub(crate) struct LinuxModel {
     cfg: SysConfig,
     /// One queue per core (partitioned) or a single queue (floating).
     queues: Vec<VecDeque<Req>>,
@@ -109,6 +112,8 @@ impl LinuxModel {
             start = self.lock_free_at;
         }
         let end = start + SimDuration::from_nanos(cost.linux_per_req_ns) + req.service;
+        cx.edge
+            .trace(core as u16, req.seq, TraceKind::Dispatch, start);
         cx.at(end, Ev::Done { core, req });
         true
     }
@@ -118,6 +123,8 @@ impl Server for LinuxModel {
     type Event = Ev;
 
     fn packet(&mut self, req: Req, cx: &mut Cx<Ev>) {
+        cx.edge
+            .trace(req.home, req.seq, TraceKind::Enqueue, cx.now());
         let q = if self.floating { 0 } else { req.home as usize };
         self.queues[q].push_back(req);
         if self.floating {
@@ -151,6 +158,11 @@ impl Server for LinuxModel {
         self.queues.iter().map(VecDeque::len).sum()
     }
 
+    fn retarget(&mut self, cfg: &SysConfig) {
+        self.cfg = cfg.clone();
+        self.events_done = 0;
+    }
+
     fn stats(self, _end: SimTime) -> ServerStats {
         ServerStats {
             local_events: self.events_done,
@@ -160,18 +172,16 @@ impl Server for LinuxModel {
     }
 }
 
-/// Runs a Linux system simulation (partitioned or floating).
-pub(crate) fn run(cfg: &SysConfig) -> SysOutput {
-    debug_assert!(matches!(
-        cfg.system,
-        SystemKind::LinuxPartitioned | SystemKind::LinuxFloating
-    ));
-    edge::run(World::new(cfg, LinuxModel::new(cfg)))
+/// A fresh Linux world for `cfg` (partitioned or floating).
+pub(crate) fn world(cfg: &SysConfig) -> World<LinuxModel> {
+    World::new(cfg, LinuxModel::new(cfg))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SysOutput;
+    use crate::driver::run_system as run;
     use zygos_sim::dist::ServiceDist;
 
     fn quick(system: SystemKind, load: f64, mean_us: f64) -> SysOutput {

@@ -62,10 +62,11 @@ use zygos_sched::{
 };
 use zygos_sim::stats::LatencyHistogram;
 use zygos_sim::time::{SimDuration, SimTime};
+use zygos_telemetry::TraceKind;
 
 use crate::arrivals::Req;
-use crate::config::{SysConfig, SysOutput, SystemKind};
-use crate::edge::{self, Cx, Server, ServerStats, World};
+use crate::config::{SysConfig, SystemKind};
+use crate::edge::{Cx, Server, ServerStats, World};
 
 /// Queue shape at one stage boundary.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -274,16 +275,22 @@ impl StagedConfig {
 
 /// One queued item: the request plus its enqueue time at the current
 /// segment head (the per-stage wait the telemetry buckets measure).
-struct Item {
+#[derive(Clone)]
+pub(crate) struct Item {
     req: Req,
     enq: SimTime,
 }
 
 /// A maximal stage run executing back-to-back on one set of cores, with a
 /// queue only at its head stage.
+#[derive(Clone)]
 struct Segment {
     /// Stage indices this segment runs.
     stages: Range<usize>,
+    /// Summed per-batch and per-item costs of the segment's network
+    /// stages (every stage but the pipeline's application stage), ns.
+    batch_fixed_ns: u64,
+    fixed_ns: u64,
     /// Global core ids staffing this segment.
     cores: Range<usize>,
     /// Head-stage queue shape.
@@ -337,11 +344,14 @@ fn build_segments(plan: &StagedConfig, cores: usize) -> Vec<Segment> {
         .into_iter()
         .map(|(stages, cores)| {
             let discipline = plan.stages[stages.start].discipline;
+            let net = &plan.stages[stages.start..stages.end.min(n - 1)];
             let lanes = match discipline {
                 QueueDiscipline::Cfcfs => 1,
                 _ => cores.len(),
             };
             Segment {
+                batch_fixed_ns: net.iter().map(|st| st.batch_fixed_ns).sum(),
+                fixed_ns: net.iter().map(|st| st.fixed_ns).sum(),
                 discipline,
                 policy: policy_for(discipline),
                 queues: (0..lanes).map(|_| VecDeque::new()).collect(),
@@ -352,16 +362,19 @@ fn build_segments(plan: &StagedConfig, cores: usize) -> Vec<Segment> {
         .collect()
 }
 
-enum Ev {
+#[derive(Clone)]
+pub(crate) enum Ev {
     /// A segment's run-to-completion network work over a batch finished.
     SegDone { core: usize, batch: VecDeque<Item> },
     /// One application completion of the final segment's current batch.
     AppDone { core: usize, rest: VecDeque<Item> },
 }
 
-struct StagedModel {
+#[derive(Clone)]
+pub(crate) struct StagedModel {
     cfg: SysConfig,
-    plan: StagedConfig,
+    /// Per-item cost of the application stage around the service time, ns.
+    app_ns: u64,
     segs: Vec<Segment>,
     /// Core → owning segment.
     seg_of: Vec<usize>,
@@ -370,7 +383,9 @@ struct StagedModel {
     stolen_events: u64,
     /// Items that finished each stage's processing (the conservation
     /// plane: non-increasing along the pipeline; the final entry equals
-    /// `completed_total`).
+    /// `completed_total`). A warm-start splice subtracts the final entry
+    /// from every entry, so each keeps counting the items whose response
+    /// leaves after the splice and both invariants still hold.
     stage_counts: Vec<u64>,
     /// Per-stage queue wait at the segment heads, measurement window only
     /// (interior stages of a segment have no queue and stay empty).
@@ -381,8 +396,9 @@ struct StagedModel {
 }
 
 impl StagedModel {
-    fn new(cfg: &SysConfig, plan: StagedConfig) -> Self {
-        let segs = build_segments(&plan, cfg.cores);
+    fn new(cfg: &SysConfig, plan: &StagedConfig) -> Self {
+        let segs = build_segments(plan, cfg.cores);
+        let app = plan.stages.last().expect("validated: non-empty");
         let mut seg_of = vec![0usize; cfg.cores];
         for (si, seg) in segs.iter().enumerate() {
             for c in seg.cores.clone() {
@@ -395,9 +411,9 @@ impl StagedModel {
             stage_wait: (0..plan.stages.len())
                 .map(|_| LatencyHistogram::new())
                 .collect(),
+            app_ns: app.batch_fixed_ns + app.fixed_ns,
             segs,
             seg_of,
-            plan,
             cfg: cfg.clone(),
             local_events: 0,
             stolen_events: 0,
@@ -505,15 +521,9 @@ impl StagedModel {
                 self.stage_wait[head].record_nanos(now.duration_since(item.enq).as_nanos());
             }
         }
-        let last = self.plan.stages.len() - 1;
-        let mut dur = 0u64;
-        for sidx in self.segs[si].stages.clone() {
-            if sidx == last {
-                continue; // The application stage runs per item, below.
-            }
-            let st = &self.plan.stages[sidx];
-            dur += st.batch_fixed_ns + k * st.fixed_ns;
-        }
+        // The application stage runs per item, in `next_app`.
+        let seg = &self.segs[si];
+        let mut dur = seg.batch_fixed_ns + k * seg.fixed_ns;
         if stole {
             dur += self.cfg.cost.steal_extra_ns;
         }
@@ -527,14 +537,14 @@ impl StagedModel {
     fn seg_done(&mut self, core: usize, mut batch: VecDeque<Item>, now: SimTime, cx: &mut Cx<Ev>) {
         let si = self.seg_of[core];
         let stages = self.segs[si].stages.clone();
-        let last = self.plan.stages.len() - 1;
+        let last = self.stage_counts.len() - 1;
         let k = batch.len() as u64;
         for sidx in stages.clone() {
             if sidx < last {
                 self.stage_counts[sidx] += k;
             }
         }
-        if stages.end == self.plan.stages.len() {
+        if stages.end == self.stage_counts.len() {
             self.next_app(core, batch, now, cx);
         } else {
             while let Some(mut item) = batch.pop_front() {
@@ -553,9 +563,10 @@ impl StagedModel {
     fn next_app(&mut self, core: usize, mut rest: VecDeque<Item>, now: SimTime, cx: &mut Cx<Ev>) {
         match rest.pop_front() {
             Some(item) => {
-                let st = self.plan.stages.last().expect("validated: non-empty");
-                let dur = st.batch_fixed_ns + st.fixed_ns + item.req.service.as_nanos();
+                let dur = self.app_ns + item.req.service.as_nanos();
                 let end = now + SimDuration::from_nanos(dur);
+                cx.edge
+                    .trace(core as u16, item.req.seq, TraceKind::Dispatch, now);
                 // The response leaves the wire at the end of this event:
                 // the edge records it (and returns its credit) at dispatch.
                 cx.edge.complete(&item.req, end);
@@ -576,6 +587,7 @@ impl Server for StagedModel {
 
     fn packet(&mut self, req: Req, cx: &mut Cx<Ev>) {
         let now = cx.now();
+        cx.edge.trace(req.home, req.seq, TraceKind::Enqueue, now);
         self.enqueue(0, Item { req, enq: now }, now, cx);
     }
 
@@ -596,6 +608,19 @@ impl Server for StagedModel {
         self.segs.iter().map(queued).sum()
     }
 
+    fn retarget(&mut self, cfg: &SysConfig) {
+        self.cfg = cfg.clone();
+        self.local_events = 0;
+        self.stolen_events = 0;
+        let done = *self.stage_counts.last().expect("non-empty");
+        for n in &mut self.stage_counts {
+            *n -= done;
+        }
+        for h in &mut self.stage_wait {
+            *h = LatencyHistogram::new();
+        }
+    }
+
     fn stats(self, _end: SimTime) -> ServerStats {
         ServerStats {
             local_events: self.local_events,
@@ -612,12 +637,13 @@ impl Server for StagedModel {
     }
 }
 
-/// Runs the segment engine for [`SystemKind::Staged`] and
-/// [`SystemKind::Ix`]. IX is always [`StagedConfig::paper_pipeline`] and
-/// ignores [`SysConfig::staged`]. The degenerate
-/// [`StagedConfig::zygos_equivalent`] pipeline is delegated verbatim to
-/// the ZygOS model (the bit-identity contract).
-pub(crate) fn run(cfg: &SysConfig) -> SysOutput {
+/// What a [`SystemKind::Staged`] or [`SystemKind::Ix`] config runs: the
+/// config with its plan taken out, and the plan. IX is always
+/// [`StagedConfig::paper_pipeline`] and ignores [`SysConfig::staged`]. The
+/// degenerate [`StagedConfig::zygos_equivalent`] pipeline comes back as
+/// `None`, with the config re-pointed at the ZygOS model (the bit-identity
+/// contract).
+pub(crate) fn lower(cfg: &SysConfig) -> (SysConfig, Option<StagedConfig>) {
     debug_assert!(matches!(cfg.system, SystemKind::Staged | SystemKind::Ix));
     let mut cfg = cfg.clone();
     let plan = match (cfg.system, cfg.staged.take()) {
@@ -627,17 +653,23 @@ pub(crate) fn run(cfg: &SysConfig) -> SysOutput {
     };
     if plan.is_zygos_equivalent() {
         cfg.system = SystemKind::Zygos;
-        return crate::zygos::run(&cfg);
+        return (cfg, None);
     }
     if let Err(e) = plan.validate(cfg.cores) {
         panic!("invalid staged config: {e}");
     }
-    edge::run(World::new(&cfg, StagedModel::new(&cfg, plan)))
+    (cfg, Some(plan))
+}
+
+/// A fresh staged world running `plan` under `cfg`.
+pub(crate) fn world(cfg: &SysConfig, plan: &StagedConfig) -> World<StagedModel> {
+    World::new(cfg, StagedModel::new(cfg, plan))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::run_system as run;
     use zygos_sim::dist::ServiceDist;
 
     fn staged_cfg(load: f64, plan: StagedConfig) -> SysConfig {
@@ -657,7 +689,7 @@ mod tests {
         zcfg.system = SystemKind::Zygos;
         zcfg.staged = None;
         let s = run(&cfg);
-        let z = crate::zygos::run(&zcfg);
+        let z = run(&zcfg);
         assert_eq!(s.p99_us().to_bits(), z.p99_us().to_bits());
         assert_eq!(s.latency.p50_us().to_bits(), z.latency.p50_us().to_bits());
         assert_eq!(s.completed, z.completed);
@@ -683,20 +715,26 @@ mod tests {
             },
         ] {
             paper.layout = layout;
-            let out = run(&staged_cfg(0.5, paper.clone()));
-            assert_eq!(out.completed, 12_000, "{layout:?}");
-            assert_eq!(out.stage_counts.len(), 3, "{layout:?}");
-            // No request skips a stage: counts are non-increasing along
-            // the pipeline and the app count is exactly completed_total.
-            for w in out.stage_counts.windows(2) {
-                assert!(w[0] >= w[1], "{layout:?}: {:?}", out.stage_counts);
+            // A cold point, then a warm one spliced onto it: the splice
+            // keeps both invariants.
+            let chain =
+                crate::driver::run_system_chain(&staged_cfg(0.3, paper.clone()), &[0.3, 0.5]);
+            assert_eq!(chain[1].completed_total, 12_500, "{layout:?}: 0.5 ran cold");
+            for out in &chain {
+                assert_eq!(out.completed, 12_000, "{layout:?}");
+                assert_eq!(out.stage_counts.len(), 3, "{layout:?}");
+                // No request skips a stage: counts are non-increasing along
+                // the pipeline and the app count is exactly completed_total.
+                for w in out.stage_counts.windows(2) {
+                    assert!(w[0] >= w[1], "{layout:?}: {:?}", out.stage_counts);
+                }
+                assert_eq!(
+                    *out.stage_counts.last().expect("3 stages"),
+                    out.completed_total,
+                    "{layout:?}"
+                );
+                assert_eq!(out.stage_p99_wait_us.len(), 3, "{layout:?}");
             }
-            assert_eq!(
-                *out.stage_counts.last().expect("3 stages"),
-                out.completed_total,
-                "{layout:?}"
-            );
-            assert_eq!(out.stage_p99_wait_us.len(), 3, "{layout:?}");
         }
     }
 

@@ -51,7 +51,7 @@ use std::sync::{Condvar, Mutex, PoisonError};
 use zygos_sim::engine::Engine;
 use zygos_sim::stats::WeightedSamples;
 
-use crate::config::{SysConfig, SysOutput};
+use crate::config::{SysConfig, SysOutput, SystemKind};
 use crate::edge::{self, Server, World};
 use crate::zygos::{self, ZygosModel};
 
@@ -349,6 +349,15 @@ fn work(sh: &Shared, tail: &TailConfig) {
     }
 }
 
+/// True when `cfg` runs on the ZygOS-family model, the only world the
+/// splitter is written for.
+fn is_zygos_family(cfg: &SysConfig) -> bool {
+    matches!(
+        cfg.system,
+        SystemKind::Zygos | SystemKind::ZygosNoInterrupts | SystemKind::Elastic { .. }
+    )
+}
+
 /// Runs `cfg` in importance-splitting mode on `threads` workers (the
 /// caller and `threads - 1` scoped helpers). Returns the master
 /// trajectory's output (bit-identical to `run_system(cfg)`) plus the
@@ -360,8 +369,8 @@ fn work(sh: &Shared, tail: &TailConfig) {
 /// checkpoint plane drops the observer), or invalid [`TailConfig`] knobs.
 pub fn run_restart(cfg: &SysConfig, tail: &TailConfig, threads: usize) -> (SysOutput, TailOutput) {
     assert!(
-        zygos::is_zygos_family(cfg),
-        "importance splitting needs the checkpointable ZygOS-family model"
+        is_zygos_family(cfg),
+        "importance splitting is written for the ZygOS-family model"
     );
     assert!(
         cfg.telemetry.is_none(),

@@ -53,14 +53,13 @@ use zygos_sched::{
     AllocatorConfig, AllocatorTuning, BackgroundOrder, CoreSecondsMeter, Decision, DispatchPolicy,
     PolicySignal, QuantumPolicy, Rung, SloController, SloTuning, ZygosPolicy,
 };
-use zygos_sim::engine::Engine;
 use zygos_sim::time::{SimDuration, SimTime};
 use zygos_telemetry::TraceKind;
 
 use crate::arena::{Arena, Fifo};
 use crate::arrivals::Req;
-use crate::config::{SysConfig, SysOutput, SystemKind};
-use crate::edge::{self, Cx, Edge, Server, ServerStats, World};
+use crate::config::{SysConfig, SystemKind};
+use crate::edge::{Cx, Edge, Server, ServerStats, World};
 
 /// The ZygOS server's own events.
 #[derive(Clone)]
@@ -1123,24 +1122,6 @@ impl ZygosModel {
             cx.at(end, Ev::WorkDone { core, epoch });
         }
     }
-
-    /// Rewinds the server's window statistics for a warm-started run
-    /// (see [`World::retarget`]).
-    fn retarget(&mut self, cfg: &SysConfig) {
-        debug_assert_eq!(self.cfg.cores, cfg.cores, "warm start cannot restaff");
-        debug_assert_eq!(self.cfg.conns, cfg.conns, "warm start cannot re-home");
-        self.cfg = cfg.clone();
-        self.local_events = 0;
-        self.stolen_events = 0;
-        self.ipis_delivered = 0;
-        self.preemptions = 0;
-        if let Some(e) = &mut self.elastic {
-            // Re-snapshot when the new window opens; the meter itself and
-            // the busy-integral diff base stay continuous across the
-            // splice (the control loop keeps running through it).
-            e.meas_snapshot = None;
-        }
-    }
 }
 
 impl Server for ZygosModel {
@@ -1275,6 +1256,22 @@ impl Server for ZygosModel {
         // "TAILSPL"
     }
 
+    fn retarget(&mut self, cfg: &SysConfig) {
+        debug_assert_eq!(self.cfg.cores, cfg.cores, "warm start cannot restaff");
+        debug_assert_eq!(self.cfg.conns, cfg.conns, "warm start cannot re-home");
+        self.cfg = cfg.clone();
+        self.local_events = 0;
+        self.stolen_events = 0;
+        self.ipis_delivered = 0;
+        self.preemptions = 0;
+        if let Some(e) = &mut self.elastic {
+            // Re-snapshot when the new window opens; the meter itself and
+            // the busy-integral diff base stay continuous across the
+            // splice (the control loop keeps running through it).
+            e.meas_snapshot = None;
+        }
+    }
+
     fn stats(self, end: SimTime) -> ServerStats {
         let avg_active_cores = match &self.elastic {
             // Average over the measurement window when we have its start
@@ -1299,94 +1296,17 @@ impl Server for ZygosModel {
     }
 }
 
-impl World<ZygosModel> {
-    /// Splices a fresh measurement run onto this converged world: the new
-    /// `cfg` (typically the same workload at a neighboring load) replaces
-    /// the arrival rate and the recorder, and every *window statistic* —
-    /// event counters, shed counts, latency windows, the core-seconds
-    /// snapshot — is rewound to zero at `now`. Everything that is *world
-    /// state* (queues, connection FSMs, RNG positions, credit capacity,
-    /// allocator EWMAs, busy-time integrals the control plane diffs)
-    /// carries over untouched: that converged state is exactly what the
-    /// warm start is buying.
-    fn retarget(&mut self, cfg: &SysConfig, now: SimTime, warmup: u64) {
-        self.edge.retarget(cfg, now, warmup);
-        self.server.retarget(cfg);
-    }
-}
-
 /// A fresh ZygOS-family world for `cfg`.
 pub(crate) fn world(cfg: &SysConfig) -> World<ZygosModel> {
-    debug_assert!(is_zygos_family(cfg));
     World::new(cfg, ZygosModel::new(cfg))
-}
-
-/// Runs the ZygOS-family system simulation (static, no-interrupts, or
-/// elastic; with or without the credit gate).
-pub(crate) fn run(cfg: &SysConfig) -> SysOutput {
-    edge::run(world(cfg))
-}
-
-/// A converged simulated world, checkpointed at the end of a completed
-/// run: the engine's full event queue (in-flight packets, work
-/// completions, the self-perpetuating `Gen`/`Control` chains) plus the
-/// entire world state. `run_warm` splices the next measurement run onto
-/// it; the handle itself is immutable, so one converged point can seed
-/// several neighbors (the bisection cache does exactly that).
-pub struct WarmState {
-    engine: Engine<World<ZygosModel>>,
-}
-
-impl WarmState {
-    /// The offered load this world converged at.
-    pub fn load(&self) -> f64 {
-        self.engine.model().edge.cfg.load
-    }
-}
-
-/// True when `cfg` runs on the ZygOS-family model — the only systems with
-/// a checkpointable world (`ix`/`linux` hosts always run cold).
-pub(crate) fn is_zygos_family(cfg: &SysConfig) -> bool {
-    matches!(
-        cfg.system,
-        SystemKind::Zygos | SystemKind::ZygosNoInterrupts | SystemKind::Elastic { .. }
-    )
-}
-
-/// Runs `cfg` cold and also checkpoints the finished world for
-/// warm-starting a neighboring run. The returned output is bit-identical
-/// to `run_system(cfg)`.
-pub(crate) fn run_keep(cfg: &SysConfig) -> (SysOutput, WarmState) {
-    let mut engine = edge::start(world(cfg));
-    engine.run();
-    let events = engine.processed();
-    let keep = engine.checkpoint();
-    (edge::finish(engine, events), WarmState { engine: keep })
-}
-
-/// Resumes a checkpointed world under a new config (same machine, new
-/// offered load): the arrival process is re-rated in place, a fresh
-/// recorder opens its measurement window at the splice point (after
-/// `warmup` re-equilibration completions), and the run continues from the
-/// checkpoint's event queue — skipping the cold-start convergence the
-/// previous point already paid for. See `docs/TAIL.md` for the
-/// measurement-window reset rule.
-pub(crate) fn run_warm(warm: &WarmState, cfg: &SysConfig, warmup: u64) -> (SysOutput, WarmState) {
-    debug_assert!(is_zygos_family(cfg));
-    let mut engine = warm.engine.clone();
-    let now = engine.now();
-    let before = engine.processed();
-    engine.model_mut().retarget(cfg, now, warmup);
-    engine.run();
-    let events = engine.processed() - before;
-    let keep = engine.checkpoint();
-    (edge::finish(engine, events), WarmState { engine: keep })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::AdmissionMode;
+    use crate::config::{AdmissionMode, SysOutput};
+    use crate::driver::run_system as run;
+    use crate::edge;
     use zygos_load::slo::{Slo, TenantSlos};
     use zygos_sched::CreditConfig;
     use zygos_sim::dist::ServiceDist;

@@ -1,5 +1,5 @@
-//! The fleet differential wire: a 1-shard `fleet:zygos` case under
-//! pass-through routing must reproduce its `sim:zygos` base case
+//! The fleet differential wire: a 1-shard `fleet:*` case under
+//! pass-through routing must reproduce its `sim:*` base case
 //! **bit-for-bit** — every field of every report point, not within a
 //! tolerance (`common::assert_bits`). This is what certifies that the
 //! fleet plane's lowering and Σ-aggregation add *zero* modelling
@@ -16,13 +16,14 @@ use zygos::sysim::{AdmissionMode, RoutePolicy};
 
 #[test]
 fn single_shard_pass_through_fleet_is_bit_identical_to_sim() {
-    // Three twin pairs: a plain world across sub- and over-saturation
+    // Four twin pairs: a plain world across sub- and over-saturation
     // loads, a credit-gated world shedding at overload (exercising the
-    // per-class/shed reductions as well as the latency ones), and the
-    // same gate with backoff retries (so retry_rate, give_up_rate and
-    // goodput are non-trivial). The grid descends so no two consecutive
-    // loads form a warm-start chain: fleet shards always run cold, so the
-    // sim twin must too.
+    // per-class/shed reductions as well as the latency ones), the same
+    // gate with backoff retries (so retry_rate, give_up_rate and goodput
+    // are non-trivial), and a plain Linux world, so the wire holds for a
+    // server model other than ZygOS. The grid descends so no two
+    // consecutive loads form a warm-start chain: fleet shards always run
+    // cold, so the sim twin must too.
     let backoff = RetryPolicy::Backoff {
         base_us: 50,
         factor: 2.0,
@@ -62,6 +63,8 @@ fn single_shard_pass_through_fleet_is_bit_identical_to_sim() {
                 .credit_target_us(70.0)
                 .retry(backoff),
         )
+        .case(Case::sim("base-linux", SimHost::LinuxFloating))
+        .case(Case::fleet("fleet-linux", SimHost::LinuxFloating).routing(RoutePolicy::PassThrough))
         .build()
         .expect("valid");
     let report = run_scenario(&sc, true).expect("runs");
@@ -69,6 +72,7 @@ fn single_shard_pass_through_fleet_is_bit_identical_to_sim() {
         ("base", "fleet"),
         ("base-credits", "fleet-credits"),
         ("base-retry", "fleet-retry"),
+        ("base-linux", "fleet-linux"),
     ] {
         let sim = report.series(sim_label).expect("sim series");
         let fleet = report.series(fleet_label).expect("fleet series");
