@@ -31,7 +31,7 @@ pub fn run_panel(scale: &Scale, kind: WorkloadKind) -> Vec<Curve> {
     let sc = crate::scenario("fig09", scale)
         .service(service)
         .loads(loads)
-        .case(Case::sim("Linux", SimHost::LinuxFloating).rx_batch(1))
+        .case(Case::sim("Linux", SimHost::LinuxFloating))
         .case(Case::sim("IX B=1", SimHost::Ix).rx_batch(1))
         .case(Case::sim("IX B=64", SimHost::Ix).rx_batch(64))
         .case(Case::sim("ZygOS", SimHost::Zygos).rx_batch(64))

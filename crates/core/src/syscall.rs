@@ -17,20 +17,13 @@ use zygos_net::ring::MpscRing;
 pub enum BatchedSyscall {
     /// Transmit a fully serialized response on a connection.
     SendMsg { conn: ConnId, wire: Bytes },
-    /// Close the connection after flushing pending output.
-    Close { conn: ConnId },
-    /// Signal that the connection's event batch finished without output
-    /// (keeps per-connection completion accounting exact).
-    Nop { conn: ConnId },
 }
 
 impl BatchedSyscall {
     /// The connection this syscall operates on.
     pub fn conn(&self) -> ConnId {
         match self {
-            BatchedSyscall::SendMsg { conn, .. }
-            | BatchedSyscall::Close { conn }
-            | BatchedSyscall::Nop { conn } => *conn,
+            BatchedSyscall::SendMsg { conn, .. } => *conn,
         }
     }
 }
@@ -105,40 +98,34 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// An empty response on `conn`.
+    fn send(conn: u32) -> BatchedSyscall {
+        BatchedSyscall::SendMsg {
+            conn: ConnId(conn),
+            wire: Bytes::new(),
+        }
+    }
+
     #[test]
     fn ship_and_drain_preserve_order() {
         let ch = RemoteSyscallChannel::with_capacity(16);
-        ch.ship(vec![
-            BatchedSyscall::SendMsg {
-                conn: ConnId(1),
-                wire: Bytes::from_static(b"a"),
-            },
-            BatchedSyscall::SendMsg {
-                conn: ConnId(1),
-                wire: Bytes::from_static(b"b"),
-            },
-            BatchedSyscall::Close { conn: ConnId(1) },
-        ]);
+        ch.ship([b"a", b"b", b"c"].map(|w| BatchedSyscall::SendMsg {
+            conn: ConnId(1),
+            wire: Bytes::from_static(w),
+        }));
         let got = ch.drain(usize::MAX);
-        assert_eq!(got.len(), 3);
-        match (&got[0], &got[1], &got[2]) {
-            (
-                BatchedSyscall::SendMsg { wire: w1, .. },
-                BatchedSyscall::SendMsg { wire: w2, .. },
-                BatchedSyscall::Close { .. },
-            ) => {
-                assert_eq!(&w1[..], b"a");
-                assert_eq!(&w2[..], b"b");
-            }
-            other => panic!("wrong order: {other:?}"),
-        }
+        let wires: Vec<&[u8]> = got
+            .iter()
+            .map(|BatchedSyscall::SendMsg { wire, .. }| &wire[..])
+            .collect();
+        assert_eq!(wires, [b"a", b"b", b"c"]);
         assert!(ch.is_empty());
     }
 
     #[test]
     fn drain_respects_max() {
         let ch = RemoteSyscallChannel::with_capacity(16);
-        ch.ship((0..10).map(|i| BatchedSyscall::Nop { conn: ConnId(i) }));
+        ch.ship((0..10).map(send));
         assert_eq!(ch.drain(4).len(), 4);
         assert_eq!(ch.len(), 6);
         assert_eq!(ch.drain(usize::MAX).len(), 6);
@@ -146,8 +133,7 @@ mod tests {
 
     #[test]
     fn conn_accessor() {
-        assert_eq!(BatchedSyscall::Close { conn: ConnId(3) }.conn(), ConnId(3));
-        assert_eq!(BatchedSyscall::Nop { conn: ConnId(4) }.conn(), ConnId(4));
+        assert_eq!(send(3).conn(), ConnId(3));
     }
 
     #[test]
@@ -158,9 +144,7 @@ mod tests {
                 let ch = Arc::clone(&ch);
                 std::thread::spawn(move || {
                     for i in 0..1_000u32 {
-                        ch.ship(vec![BatchedSyscall::Nop {
-                            conn: ConnId(p * 10_000 + i),
-                        }]);
+                        ch.ship([send(p * 10_000 + i)]);
                     }
                 })
             })

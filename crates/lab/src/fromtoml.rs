@@ -515,11 +515,9 @@ fn parse_faults(mut t: Keys) -> Result<FaultsSpec, SpecError> {
     Ok(spec)
 }
 
-/// `retry = "drop"`, `["backoff", base_us, factor, max_attempts]`, or
-/// `["hedge", deadline_us]`.
+/// `retry = "drop"` or `["backoff", base_us, factor, max_attempts]`.
 fn parse_retry(v: Value, t: &Keys) -> Result<RetryPolicy, SpecError> {
-    let shapes = "\"drop\", [\"backoff\", base_us, factor, max_attempts], \
-                  or [\"hedge\", deadline_us]";
+    let shapes = "\"drop\" or [\"backoff\", base_us, factor, max_attempts]";
     let bad = || t.err(format!("retry must be {shapes}"));
     let items = match v {
         Value::Str(s) if s == "drop" => return Ok(RetryPolicy::Drop),
@@ -533,9 +531,6 @@ fn parse_retry(v: Value, t: &Keys) -> Result<RetryPolicy, SpecError> {
             base_us: as_count(num(1)?, "retry base_us")?,
             factor: num(2)?,
             max_attempts: as_count(num(3)?, "retry max_attempts")?,
-        }),
-        (Some("hedge"), 2) => Ok(RetryPolicy::HedgeToDeadline {
-            deadline_us: as_count(num(1)?, "retry deadline_us")?,
         }),
         _ => Err(bad()),
     }
@@ -865,7 +860,7 @@ value = 1.5"#;
             (
                 "admission",
                 "admission = true\ncredit_target_us = 70.0",
-                "live:floating",
+                "live:partitioned",
             ),
             (
                 "slo_classes",
@@ -876,7 +871,7 @@ value = 1.5"#;
             (
                 "randomize_steal_order",
                 "randomize_steal_order = false",
-                "sim:linux-floating",
+                "sim:zygos",
             ),
             ("ipi_delivery_ns", "ipi_delivery_ns = 500", "sim:zygos"),
             ("steal_extra_ns", "steal_extra_ns = 100", "fleet:zygos"),
@@ -907,12 +902,12 @@ value = 1.5"#;
             }
             scenario_from_toml(&text)
         };
-        for ((key, knob, reader), &(table_key, readers, _)) in rows.iter().zip(CASE_KNOBS) {
+        for ((key, knob, reader), &(table_key, reads, _)) in rows.iter().zip(CASE_KNOBS) {
             assert_eq!(*key, table_key, "rows follow CASE_KNOBS");
             let host = HostSpec::parse(reader).expect("a host");
-            assert!(readers.reads(host), "{reader} reads {key}");
+            assert!(reads(host), "{reader} reads {key}");
             build(reader, knob).unwrap_or_else(|e| panic!("{key} on {reader}: {e}"));
-            for host in HostSpec::all().filter(|&h| !readers.reads(h)) {
+            for host in HostSpec::all().filter(|&h| !reads(h)) {
                 let e = build(&host.id(), knob).expect_err(key);
                 assert!(e.to_string().contains(key), "{key} on {}: {e}", host.id());
             }
@@ -1123,16 +1118,26 @@ retry_timeout_us = 400.0
             s.case("naive").unwrap().policy.retry_timeout_us,
             Some(400.0)
         );
-        // Unknown policy spellings and malformed shapes stay loud.
-        let e = scenario_from_toml(&text.replace("\"drop\"", "\"shrug\"")).expect_err("reject");
-        assert!(e.to_string().contains("shrug"), "{e}");
-        let e = scenario_from_toml(&text.replace("[\"backoff\", 20, 2.0, 4]", "[\"backoff\", 20]"))
-            .expect_err("reject");
-        assert!(e.to_string().contains("backoff"), "{e}");
-        let e =
-            scenario_from_toml(&text.replace("burst = [2000.0, 1000.0, 1.5]", "burst = [2000.0]"))
-                .expect_err("reject");
-        assert!(e.to_string().contains("burst"), "{e}");
+        // Unknown policy spellings, hosts and malformed shapes stay loud.
+        let backoff = "[\"backoff\", 20, 2.0, 4]";
+        for (from, to, want) in [
+            (
+                "retry = \"drop\"",
+                "retry = \"shrug\"",
+                "unknown retry \"shrug\"",
+            ),
+            (backoff, "[\"backoff\", 20]", "retry must be"),
+            (backoff, "[\"hedge\", 800.0]", "retry must be"),
+            (
+                "host = \"sim:zygos\"",
+                "host = \"live:floating\"",
+                "unknown host",
+            ),
+            ("burst = [2000.0, 1000.0, 1.5]", "burst = [2000.0]", "burst"),
+        ] {
+            let e = scenario_from_toml(&text.replacen(from, to, 1)).expect_err(to);
+            assert!(e.to_string().contains(want), "{to}: {e}");
+        }
     }
 
     #[test]

@@ -636,7 +636,6 @@ pub fn runtime_config_for(sc: &Scenario, case: &Case) -> Result<RuntimeConfig, S
     let preset = match host {
         LiveHost::Zygos => RuntimeConfig::zygos,
         LiveHost::Partitioned => RuntimeConfig::partitioned,
-        LiveHost::Floating => RuntimeConfig::floating,
         LiveHost::Elastic => RuntimeConfig::elastic,
     };
     let mut cfg = preset(sc.workload.cores, sc.workload.conns);
@@ -1385,6 +1384,52 @@ mod tests {
                 sa.label,
                 pb.p99_us
             );
+        }
+    }
+
+    #[test]
+    fn every_simulated_reader_of_a_model_knob_is_moved_by_it() {
+        use crate::spec::CASE_KNOBS;
+        use zygos_sysim::StagedConfig;
+        // CASE_KNOBS names the hosts that read each knob the lowering
+        // copies into the model's config. On every `sim:` host it names,
+        // one tiny run with the knob off its default must move p99 or the
+        // event count: a knob a model never reads would leave both alone.
+        // `min_cores` runs at a load where the elastic host parks cores.
+        type Setter = fn(Case) -> Case;
+        let knobs: [(&str, f64, Setter); 5] = [
+            ("min_cores", 0.3, |c| c.min_cores(4)),
+            ("rx_batch", 0.5, |c| c.rx_batch(2)),
+            ("randomize_steal_order", 0.5, Case::sequential_steal),
+            ("ipi_delivery_ns", 0.5, |c| c.ipi_delivery_ns(20_000)),
+            ("steal_extra_ns", 0.5, |c| c.steal_extra_ns(8_000)),
+        ];
+        let stages = StagedConfig::zygos_equivalent().stages;
+        let run = |case: Case, load: f64| {
+            let mut b = Scenario::builder("knob")
+                .service(ServiceDist::exponential_us(10.0))
+                .cores(4)
+                .conns(64)
+                .loads(vec![load])
+                .requests(4_000, 500);
+            if case.host == HostSpec::Sim(SimHost::Staged) {
+                b = b.stages(stages.clone());
+            }
+            let sc = b.case(case).build().expect("valid");
+            let out = run_system(&sys_config_for(&sc, &sc.cases[0], load, false).expect("sim"));
+            (out.latency.p99_us(), out.events)
+        };
+        for (key, load, set) in knobs {
+            let &(_, reads, _) = CASE_KNOBS.iter().find(|k| k.0 == key).expect("a knob");
+            let mut readers = 0;
+            for host in HostSpec::all().filter(|&h| reads(h)) {
+                let HostSpec::Sim(sim) = host else { continue };
+                let base = run(Case::sim("c", sim), load);
+                let moved = run(set(Case::sim("c", sim)), load);
+                assert_ne!(moved, base, "{key} leaves {} unmoved", host.id());
+                readers += 1;
+            }
+            assert!(readers > 0, "{key} has a simulated reader");
         }
     }
 

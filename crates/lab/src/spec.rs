@@ -61,8 +61,6 @@ pub enum LiveHost {
     Zygos,
     /// Partitioned run-to-completion (stealing off).
     Partitioned,
-    /// Shared floating queue.
-    Floating,
     /// Elastic core gating with a 64-event cooperative quantum.
     Elastic,
 }
@@ -103,7 +101,6 @@ const HOSTS: &[(&str, HostSpec)] = &[
     ("sim:staged", HostSpec::Sim(SimHost::Staged)),
     ("live:zygos", HostSpec::Live(LiveHost::Zygos)),
     ("live:partitioned", HostSpec::Live(LiveHost::Partitioned)),
-    ("live:floating", HostSpec::Live(LiveHost::Floating)),
     ("live:elastic", HostSpec::Live(LiveHost::Elastic)),
     ("model:central-fcfs", HostSpec::Model(Policy::CentralFcfs)),
     (
@@ -172,8 +169,9 @@ impl HostSpec {
     }
 }
 
-/// A class of hosts that read a knob. Each class's membership is stated
-/// once, in [`Readers::reads`]; [`CASE_KNOBS`] names one class per knob.
+/// A class of hosts that read a knob or a block. Each class's membership
+/// is stated once, in [`Readers::reads`]; a [`CASE_KNOBS`] row names a
+/// class, or narrows one to the models that read its knob.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Readers {
     /// Every simulated world: `sim:*` and `fleet:*`.
@@ -188,8 +186,6 @@ pub enum Readers {
     /// Hosts behind a client edge with a credit gate and SLO windows:
     /// every host except `model:*`.
     Gated,
-    /// The elastic hosts: `sim:elastic`, `live:elastic`, `fleet:elastic`.
-    Elastic,
     /// Every `fleet:*` host.
     Fleet,
     /// `sim:staged` and `fleet:staged`.
@@ -210,18 +206,15 @@ impl Readers {
                 Some(SimHost::Zygos | SimHost::ZygosNoInterrupts | SimHost::Elastic)
             ),
             Readers::Gated => !matches!(host, HostSpec::Model(_)),
-            Readers::Elastic => {
-                host == HostSpec::Live(LiveHost::Elastic) || world == Some(SimHost::Elastic)
-            }
             Readers::Fleet => matches!(host, HostSpec::Fleet(_)),
             Readers::Staged => world == Some(SimHost::Staged),
         }
     }
 }
 
-/// One [`CASE_KNOBS`] row: the TOML key, the hosts that read the knob,
+/// One [`CASE_KNOBS`] row: the TOML key, whether a host reads the knob,
 /// and whether a case sets it.
-pub type Knob = (&'static str, Readers, fn(&PolicySpec) -> bool);
+pub type Knob = (&'static str, fn(HostSpec) -> bool, fn(&PolicySpec) -> bool);
 
 /// **The** capability matrix: every [`PolicySpec`] knob under its TOML
 /// key, the hosts that read it, and whether a case sets it. Setting a
@@ -230,34 +223,43 @@ pub type Knob = (&'static str, Readers, fn(&PolicySpec) -> bool);
 /// needs (`background_order` before `quantum_us`), so a rejection names
 /// the knob the host cannot read rather than its prerequisite.
 /// `docs/SCENARIOS.md` renders this table; a unit test pins the copy.
+#[rustfmt::skip]
 pub const CASE_KNOBS: &[Knob] = &[
-    ("min_cores", Readers::Elastic, |p| p.min_cores.is_some()),
-    ("background_order", Readers::ZygosWorlds, |p| {
-        p.background_order.is_some()
-    }),
-    ("quantum_us", Readers::ZygosWorlds, |p| {
-        p.quantum_us.is_some()
-    }),
-    ("admission", Readers::Gated, |p| p.admission.is_some()),
-    ("slo_classes", Readers::Gated, |p| p.slo.is_some()),
-    ("rx_batch", Readers::Simulated, |p| p.rx_batch.is_some()),
-    ("randomize_steal_order", Readers::Simulated, |p| {
+    // The live elastic runtime keeps `AllocatorConfig::paper`'s floor.
+    ("min_cores", |h| h.world() == Some(SimHost::Elastic), |p| p.min_cores.is_some()),
+    ("background_order", |h| Readers::ZygosWorlds.reads(h), |p| p.background_order.is_some()),
+    ("quantum_us", |h| Readers::ZygosWorlds.reads(h), |p| p.quantum_us.is_some()),
+    ("admission", |h| Readers::Gated.reads(h), |p| p.admission.is_some()),
+    ("slo_classes", |h| Readers::Gated.reads(h), |p| p.slo.is_some()),
+    // The Linux models take no batch.
+    ("rx_batch", |h| Readers::Simulated.reads(h) && !is_linux(h), |p| p.rx_batch.is_some()),
+    // The staged steal stage walks its victims in a fixed order.
+    ("randomize_steal_order", |h| Readers::ZygosWorlds.reads(h), |p| {
         p.randomize_steal_order.is_some()
     }),
-    ("ipi_delivery_ns", Readers::Simulated, |p| {
+    // Only the ZygOS worlds that interrupt a busy home core send IPIs.
+    ("ipi_delivery_ns", |h| matches!(h.world(), Some(SimHost::Zygos | SimHost::Elastic)), |p| {
         p.ipi_delivery_ns.is_some()
     }),
-    ("steal_extra_ns", Readers::Simulated, |p| {
+    ("steal_extra_ns", |h| Readers::ZygosWorlds.reads(h) || Readers::Staged.reads(h), |p| {
         p.steal_extra_ns.is_some()
     }),
-    ("routing", Readers::Fleet, |p| p.routing.is_some()),
-    ("degraded", Readers::Fleet, |p| p.degraded.is_some()),
-    ("loss", Readers::Fleet, |p| p.loss.is_some()),
-    ("fanout", Readers::Fleet, |p| p.fanout.is_some()),
-    ("retry", Readers::Simulated, |p| p.retry.is_some()),
-    ("layout", Readers::Staged, |p| p.layout.is_some()),
-    ("discipline", Readers::Staged, |p| p.discipline.is_some()),
+    ("routing", |h| Readers::Fleet.reads(h), |p| p.routing.is_some()),
+    ("degraded", |h| Readers::Fleet.reads(h), |p| p.degraded.is_some()),
+    ("loss", |h| Readers::Fleet.reads(h), |p| p.loss.is_some()),
+    ("fanout", |h| Readers::Fleet.reads(h), |p| p.fanout.is_some()),
+    ("retry", |h| Readers::Simulated.reads(h), |p| p.retry.is_some()),
+    ("layout", |h| Readers::Staged.reads(h), |p| p.layout.is_some()),
+    ("discipline", |h| Readers::Staged.reads(h), |p| p.discipline.is_some()),
 ];
+
+/// Whether `host` runs a Linux model, single or sharded.
+fn is_linux(host: HostSpec) -> bool {
+    matches!(
+        host.world(),
+        Some(SimHost::LinuxPartitioned | SimHost::LinuxFloating)
+    )
+}
 
 /// The workload every case of a scenario runs.
 #[derive(Clone, Debug)]
@@ -1435,10 +1437,10 @@ fn validate_case(case: &Case, cores: usize) -> Result<(), SpecError> {
     let p = &case.policy;
     let label = &case.label;
     let fail = |msg: String| Err(SpecError::new(format!("case {label:?}: {msg}")));
-    for &(key, readers, is_set) in CASE_KNOBS {
-        if is_set(p) && !readers.reads(case.host) {
+    for &(key, reads, is_set) in CASE_KNOBS {
+        if is_set(p) && !reads(case.host) {
             let hosts: Vec<String> = HostSpec::all()
-                .filter(|&h| readers.reads(h))
+                .filter(|&h| reads(h))
                 .map(|h| h.id())
                 .collect();
             return fail(format!(
@@ -1479,24 +1481,17 @@ fn validate_case(case: &Case, cores: usize) -> Result<(), SpecError> {
                 return fail(format!("retry_timeout_us must be positive, got {t}"));
             }
         }
-        match r {
-            RetryPolicy::Drop => {}
-            RetryPolicy::Backoff {
-                factor,
-                max_attempts,
-                ..
-            } => {
-                if !(factor.is_finite() && *factor >= 1.0) {
-                    return fail(format!("backoff factor must be >= 1, got {factor}"));
-                }
-                if *max_attempts == 0 {
-                    return fail("backoff max_attempts must be >= 1".into());
-                }
+        if let RetryPolicy::Backoff {
+            factor,
+            max_attempts,
+            ..
+        } = r
+        {
+            if !(factor.is_finite() && *factor >= 1.0) {
+                return fail(format!("backoff factor must be >= 1, got {factor}"));
             }
-            RetryPolicy::HedgeToDeadline { deadline_us } => {
-                if *deadline_us == 0 {
-                    return fail("hedge deadline_us must be >= 1".into());
-                }
+            if *max_attempts == 0 {
+                return fail("backoff max_attempts must be >= 1".into());
             }
         }
     }
@@ -1663,8 +1658,8 @@ mod tests {
         let hosts: Vec<HostSpec> = HostSpec::all().collect();
         assert_eq!(
             hosts.len(),
-            22,
-            "15 single-world hosts and a fleet per sim:*"
+            21,
+            "14 single-world hosts and a fleet per sim:*"
         );
         for &host in &hosts {
             assert_eq!(HostSpec::parse(&host.id()).expect("parses"), host);
@@ -1676,6 +1671,7 @@ mod tests {
         );
         for bad in [
             "sim:does-not-exist",
+            "live:floating",
             "fleet:live:zygos",
             "fleet:model:central-fcfs",
             "fleet:fleet:zygos",
@@ -1694,10 +1690,10 @@ mod tests {
             table += &format!(" `{}` |", h.id());
         }
         table += &format!("\n|---|{}", "---|".repeat(hosts.len()));
-        for &(key, readers, _) in CASE_KNOBS {
+        for &(key, reads, _) in CASE_KNOBS {
             table += &format!("\n| `{key}` |");
             for &h in &hosts {
-                table += if readers.reads(h) { " ✓ |" } else { " |" };
+                table += if reads(h) { " ✓ |" } else { " |" };
             }
         }
         let doc = include_str!("../../../docs/SCENARIOS.md");
@@ -1794,14 +1790,6 @@ mod tests {
                         factor: 0.5,
                         max_attempts: 4,
                     })
-                    .retry_timeout_us(500.0)
-            )
-            .build()
-            .is_err());
-        assert!(base()
-            .case(
-                Case::sim("h", SimHost::Zygos)
-                    .retry(RetryPolicy::HedgeToDeadline { deadline_us: 0 })
                     .retry_timeout_us(500.0)
             )
             .build()

@@ -8,7 +8,7 @@
 //!   and the control tick's latency window ([`slo::ControlWindow`]) both
 //!   hosts read their SLO ratio, credit ratio and window tail from.
 //! * [`retry`] — reject-aware retry policies ([`retry::RetryPolicy`]:
-//!   drop / exponential backoff / hedge-to-deadline) for clients facing a
+//!   drop / exponential backoff) for clients facing a
 //!   credit-gated server.
 //! * [`route`] — L4 connection routing for the fleet host
 //!   ([`route::Balancer`]): pluggable policies (pass-through,

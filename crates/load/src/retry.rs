@@ -14,10 +14,6 @@
 //!   delay, up to an attempt cap. Right for fire-and-forget work that
 //!   must eventually land; the growing delay is what keeps a rejecting
 //!   server from being hammered by its own backpressure signal.
-//! * [`RetryPolicy::HedgeToDeadline`] — retry immediately as long as the
-//!   request can still meet its deadline, then give up. Right for
-//!   latency-budgeted interactive work: every microsecond spent backing
-//!   off is budget not spent queueing.
 //!
 //! The policy is pure — given the attempt number and the elapsed time it
 //! returns a [`RetryDecision`] — so hosts (the live load generator, tests,
@@ -33,11 +29,6 @@
 //! assert_eq!(p.on_shed(1, 150), RetryDecision::RetryAfterUs(200));
 //! assert_eq!(p.on_shed(2, 400), RetryDecision::RetryAfterUs(400));
 //! assert_eq!(p.on_shed(3, 900), RetryDecision::GiveUp);
-//!
-//! // Hedging: retry at once while the 1ms deadline is alive.
-//! let h = RetryPolicy::HedgeToDeadline { deadline_us: 1_000 };
-//! assert_eq!(h.on_shed(0, 400), RetryDecision::RetryNow);
-//! assert_eq!(h.on_shed(1, 1_200), RetryDecision::GiveUp);
 //!
 //! // Drop never retries.
 //! assert_eq!(RetryPolicy::Drop.on_shed(0, 0), RetryDecision::GiveUp);
@@ -61,8 +52,6 @@ pub enum RetryDecision {
     GiveUp,
     /// Retry after waiting this many microseconds.
     RetryAfterUs(u64),
-    /// Retry immediately (the latency budget is still alive).
-    RetryNow,
 }
 
 /// A reject-aware retry policy (see module docs for when to use which).
@@ -81,22 +70,7 @@ pub enum RetryPolicy {
         /// Retries attempted before giving up.
         max_attempts: u32,
     },
-    /// Immediate retries while the request can still meet its end-to-end
-    /// deadline; abandoned the moment the elapsed time crosses it, or
-    /// after [`MAX_HEDGES`] attempts, whichever comes first.
-    HedgeToDeadline {
-        /// The request's end-to-end latency budget, µs.
-        deadline_us: u64,
-    },
 }
-
-/// Hard cap on hedged attempts. A hedge decision fires *immediately*, so
-/// bounding it only by the deadline lets a zero-elapsed loop (a local
-/// shed that costs no simulated or wall time) issue unbounded retries
-/// inside one instant. Eight attempts is past the point where any
-/// realistic hedge still pays: each one re-enters the same gate that
-/// just shed its predecessor.
-pub const MAX_HEDGES: u32 = 8;
 
 /// SplitMix64 finalizer — the avalanche step shared with the routing
 /// plane, duplicated here so the retry table stays dependency-free.
@@ -109,8 +83,10 @@ fn mix(mut x: u64) -> u64 {
 
 impl RetryPolicy {
     /// The decision for a request shed on its `attempt`-th try (0-based)
-    /// after `elapsed_us` microseconds since it was first issued.
-    pub fn on_shed(&self, attempt: u32, elapsed_us: u64) -> RetryDecision {
+    /// after `elapsed_us` microseconds since it was first issued. Both
+    /// policies decide on the attempt count alone; hosts pass the elapsed
+    /// time regardless.
+    pub fn on_shed(&self, attempt: u32, _elapsed_us: u64) -> RetryDecision {
         match *self {
             RetryPolicy::Drop => RetryDecision::GiveUp,
             RetryPolicy::Backoff {
@@ -125,13 +101,6 @@ impl RetryPolicy {
                     RetryDecision::RetryAfterUs(delay.min(u64::MAX as f64) as u64)
                 }
             }
-            RetryPolicy::HedgeToDeadline { deadline_us } => {
-                if attempt < MAX_HEDGES && elapsed_us < deadline_us {
-                    RetryDecision::RetryNow
-                } else {
-                    RetryDecision::GiveUp
-                }
-            }
         }
     }
 
@@ -141,8 +110,7 @@ impl RetryPolicy {
     /// function of `(key, attempt)`. Use a stable per-connection key (the
     /// routing plane's `conn_key` is a good choice) so each connection
     /// lands at its own reproducible phase and retry waves decohere.
-    /// `Drop` and `HedgeToDeadline` are unchanged — neither schedules a
-    /// delay to jitter.
+    /// `Drop` is unchanged — it schedules no delay to jitter.
     pub fn on_shed_jittered(&self, attempt: u32, elapsed_us: u64, key: u64) -> RetryDecision {
         match self.on_shed(attempt, elapsed_us) {
             RetryDecision::RetryAfterUs(d) if matches!(self, RetryPolicy::Backoff { .. }) => {
@@ -192,26 +160,6 @@ mod tests {
         };
         assert_eq!(p.on_shed(0, 0), RetryDecision::RetryAfterUs(10));
         assert_eq!(p.on_shed(1, 0), RetryDecision::RetryAfterUs(10));
-    }
-
-    #[test]
-    fn hedge_respects_the_deadline_exactly() {
-        let h = RetryPolicy::HedgeToDeadline { deadline_us: 500 };
-        assert_eq!(h.on_shed(0, 499), RetryDecision::RetryNow);
-        assert_eq!(h.on_shed(0, 500), RetryDecision::GiveUp);
-    }
-
-    #[test]
-    fn runaway_hedge_is_bounded_by_attempts_inside_a_live_deadline() {
-        // A local shed costs no elapsed time, so elapsed_us stays 0 and
-        // the deadline alone would never stop the loop. The attempt cap
-        // must.
-        let h = RetryPolicy::HedgeToDeadline { deadline_us: 500 };
-        for attempt in 0..MAX_HEDGES {
-            assert_eq!(h.on_shed(attempt, 0), RetryDecision::RetryNow);
-        }
-        assert_eq!(h.on_shed(MAX_HEDGES, 0), RetryDecision::GiveUp);
-        assert_eq!(h.on_shed(MAX_HEDGES + 1, 0), RetryDecision::GiveUp);
     }
 
     #[test]
@@ -267,14 +215,10 @@ mod tests {
             distinct.len()
         );
 
-        // Drop and Hedge pass through untouched.
+        // Drop passes through untouched.
         assert_eq!(
             RetryPolicy::Drop.on_shed_jittered(0, 0, 42),
             RetryDecision::GiveUp
-        );
-        assert_eq!(
-            RetryPolicy::HedgeToDeadline { deadline_us: 500 }.on_shed_jittered(0, 100, 42),
-            RetryDecision::RetryNow
         );
     }
 }

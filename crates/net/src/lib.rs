@@ -16,8 +16,6 @@
 //!   remote-syscall channels and the response queue.
 //! * [`wire`] — byte-stream framing (the "TCP byte stream" of §6.2: the
 //!   kernel does not know request boundaries until the framer finds them).
-//! * [`tcp`] — a minimal TCP-like protocol control block: per-connection
-//!   receive reassembly and transmit queue, as seen by the scheduler.
 //! * [`cost`] — the calibrated cost model: every per-operation overhead the
 //!   system simulator charges, documented against the paper's reported
 //!   efficiencies (the Fig 3 calibration targets in `docs/FIGURES.md`).
@@ -27,7 +25,6 @@ pub mod flow;
 pub mod packet;
 pub mod ring;
 pub mod rss;
-pub mod tcp;
 pub mod wire;
 
 pub use cost::CostModel;

@@ -81,7 +81,7 @@ impl ClientPort {
     /// the caller can use this as its only send path.
     ///
     /// On `false`, the caller decides what the request's latency budget
-    /// allows: drop it, back off and retry, or hedge — see
+    /// allows: drop it, or back off and retry — see
     /// `zygos_load::retry::RetryPolicy`.
     pub fn try_send(&self, conn: ConnId, msg: &RpcMessage) -> bool {
         if let Some(credits) = &self.credits {

@@ -13,9 +13,6 @@ pub enum SchedulerKind {
         /// Enable work stealing between cores.
         steal: bool,
     },
-    /// A shared ready-queue with no connection ownership (Linux-floating).
-    /// Per-connection ordering is **not** guaranteed — see crate docs.
-    Floating,
     /// The ZygOS design under the `zygos-sched` elastic control plane —
     /// the live, best-effort analogue of the simulator's
     /// `SystemKind::Elastic` + preemption quantum:
@@ -32,10 +29,9 @@ pub enum SchedulerKind {
     ///   longer when idle, freeing CPU on an oversubscribed host. Parked
     ///   workers still drain their own ingress rings — RSS cannot be
     ///   reprogrammed on the loopback port, so home duties remain.
-    Elastic {
-        /// Enable work stealing between granted cores.
-        steal: bool,
-    },
+    ///
+    /// Granted workers always steal.
+    Elastic,
 }
 
 /// Configuration of a [`crate::Server`].
@@ -122,19 +118,11 @@ impl RuntimeConfig {
         }
     }
 
-    /// Linux-floating-style shared queue.
-    pub fn floating(cores: usize, conns: u32) -> Self {
-        RuntimeConfig {
-            scheduler: SchedulerKind::Floating,
-            ..RuntimeConfig::zygos(cores, conns)
-        }
-    }
-
     /// Elastic ZygOS: stealing plus core gating with a 64-event
     /// cooperative quantum.
     pub fn elastic(cores: usize, conns: u32) -> Self {
         RuntimeConfig {
-            scheduler: SchedulerKind::Elastic { steal: true },
+            scheduler: SchedulerKind::Elastic,
             conn_batch: 64,
             ..RuntimeConfig::zygos(cores, conns)
         }
@@ -151,11 +139,8 @@ mod tests {
         assert_eq!(z.scheduler, SchedulerKind::Zygos { steal: true });
         let p = RuntimeConfig::partitioned(4, 64);
         assert_eq!(p.scheduler, SchedulerKind::Zygos { steal: false });
-        let f = RuntimeConfig::floating(2, 8);
-        assert_eq!(f.scheduler, SchedulerKind::Floating);
-        assert_eq!(f.cores, 2);
         let e = RuntimeConfig::elastic(4, 64);
-        assert_eq!(e.scheduler, SchedulerKind::Elastic { steal: true });
+        assert_eq!(e.scheduler, SchedulerKind::Elastic);
         assert_eq!(e.conn_batch, 64);
     }
 }

@@ -7,17 +7,18 @@
 //! `zygos-core` — shuffle queues, the connection state machine, trylock
 //! steals, remote-syscall shipping, and doorbells.
 //!
-//! Three scheduling modes ([`config::SchedulerKind`]):
+//! Two scheduling modes ([`config::SchedulerKind`]):
 //!
 //! * **Zygos** — the paper's design: home-core network processing,
 //!   connection-granularity stealing, syscalls shipped home, doorbell
 //!   "IPIs". `steal: false` degenerates it to a run-to-completion
 //!   partitioned dataplane (the IX/Linux-partitioned shape).
-//! * **Floating** — all ready events in one shared queue that any worker
-//!   may claim, with no ownership: the Linux-floating model, *including*
-//!   its §4.3 hazard (per-connection response order is not guaranteed) —
-//!   kept deliberately to demonstrate what the shuffle layer's busy-state
-//!   exclusivity buys.
+//! * **Elastic** — the same design under the `zygos-sched` control plane:
+//!   a cooperative per-connection quantum and core gating.
+//!
+//! Both keep per-connection response order. The Linux-floating baseline
+//! (one shared queue, no ownership) is a simulator model only
+//! (`zygos-sysim`'s `SystemKind::LinuxFloating`).
 //!
 //! ## Honest limits of the live runtime
 //!

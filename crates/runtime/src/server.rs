@@ -3,7 +3,7 @@
 //! The *order* in which a worker serves its queues is not written here: it
 //! comes from the shared `zygos_sched` policy plane. Every worker walks
 //! the [`DispatchPolicy`] ladder its [`SchedulerKind`] maps to (the same
-//! `ZygosPolicy`/`FcfsPolicy` objects the simulator drives), this file
+//! `ZygosPolicy` object the simulator drives), this file
 //! binds each rung to the live mechanism — MPSC rings, the shuffle layer,
 //! doorbells, the idle sweep. The elastic controller likewise holds the
 //! simulator's [`SloController`], the latency window is the simulator's
@@ -28,7 +28,7 @@
 //!   then parks (`Worker::park`);
 //! * a worker that leaves a ready connection queued behind it — on
 //!   dequeuing from its shuffle queue, after an RX batch, when a stolen
-//!   connection is re-queued, on a floating-queue push — wakes one parked
+//!   connection is re-queued — wakes one parked
 //!   worker (`Worker::wake_one_sleeper`), provided its own recent
 //!   per-connection handler time exceeds `WAKE_COST_NS`: below that,
 //!   running the connection in place is cheaper than the futex.
@@ -64,7 +64,6 @@
 //! balance is zero — Breakwater's sender-side credit distribution, which
 //! turns every shed from a burned round-trip into a local, free decision.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -72,8 +71,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use zygos_load::slo::{ControlWindow, WindowSignals};
 use zygos_sched::{
-    AllocatorConfig, BackgroundOrder, BuiltinDispatch, CreditGate, DispatchPolicy, ElasticGate,
-    FcfsPolicy, PolicySignal, QuantumPolicy, Rung, SloController, SloTuning, ZygosPolicy,
+    AllocatorConfig, BackgroundOrder, CreditGate, DispatchPolicy, ElasticGate, PolicySignal,
+    QuantumPolicy, Rung, SloController, SloTuning, ZygosPolicy,
 };
 
 use zygos_core::doorbell::{Doorbell, IpiReason};
@@ -119,19 +118,14 @@ pub(crate) struct Shared {
     /// never enter it.
     sleepers: SleeperSet,
     stats: Vec<CoreStats>,
-    /// Floating mode: the shared ready queue.
-    floating_q: SpinLock<VecDeque<(ConnId, Stamped)>>,
     /// Response frames on their way to the client port.
     pub(crate) responses: ResponseQueue<(ConnId, Bytes)>,
     pub(crate) stop: AtomicBool,
     /// Connection → home core (RSS).
     pub(crate) conn_home: Vec<u16>,
     /// The dispatch policy every worker's loop walks (rung order, steal
-    /// gating) — shared with the simulator by construction. Enum-dispatch
-    /// over the built-in policies: the walk runs on every dispatch, and a
-    /// virtual call per decision is pure overhead when the policy set is
-    /// closed.
-    dispatch: BuiltinDispatch,
+    /// gating) — shared with the simulator by construction.
+    dispatch: ZygosPolicy,
     /// Elastic mode: published granted-core count plus the controller
     /// (driven by worker 0; the mutex is uncontended).
     elastic: Option<ElasticCtl>,
@@ -290,20 +284,19 @@ pub struct Server {
 /// no preemptive quantum (a Rust closure cannot be interrupted; the
 /// cooperative `conn_batch` bound stands in), so the quantum is always
 /// disabled here and the background rungs never appear.
-fn dispatch_for(kind: SchedulerKind) -> BuiltinDispatch {
-    match kind {
-        SchedulerKind::Zygos { steal } | SchedulerKind::Elastic { steal } => {
-            // The idle sweep both steals and IPIs, so the paper's two
-            // ablation knobs collapse to one here.
-            BuiltinDispatch::Zygos(ZygosPolicy::new(
-                steal,
-                steal,
-                QuantumPolicy::disabled(),
-                BackgroundOrder::Fcfs,
-            ))
-        }
-        SchedulerKind::Floating => BuiltinDispatch::Fcfs(FcfsPolicy),
-    }
+fn dispatch_for(kind: SchedulerKind) -> ZygosPolicy {
+    let steal = match kind {
+        SchedulerKind::Zygos { steal } => steal,
+        SchedulerKind::Elastic => true,
+    };
+    // The idle sweep both steals and IPIs, so the paper's two ablation
+    // knobs collapse to one here.
+    ZygosPolicy::new(
+        steal,
+        steal,
+        QuantumPolicy::disabled(),
+        BackgroundOrder::Fcfs,
+    )
 }
 
 impl Server {
@@ -322,7 +315,7 @@ impl Server {
             debug_assert_eq!(id.0, i);
             conn_home.push(home);
         }
-        let elastic = matches!(cfg.scheduler, SchedulerKind::Elastic { .. }).then(|| {
+        let elastic = matches!(cfg.scheduler, SchedulerKind::Elastic).then(|| {
             let alloc_cfg = AllocatorConfig::paper(cfg.cores);
             ElasticCtl {
                 gate: ElasticGate::new(alloc_cfg.min_cores, cfg.cores),
@@ -380,7 +373,6 @@ impl Server {
             doorbells: (0..cfg.cores).map(|_| Doorbell::new()).collect(),
             sleepers: SleeperSet::new(cfg.cores),
             stats: (0..cfg.cores).map(|_| CoreStats::new()).collect(),
-            floating_q: SpinLock::new(VecDeque::new()),
             responses: ResponseQueue::with_capacity(cfg.ring_capacity),
             stop: AtomicBool::new(false),
             conn_home,
@@ -450,11 +442,6 @@ impl Server {
     /// available — e.g. the staffing signal's history across a load step.
     pub fn metric_series(&self, name: &str) -> Option<TimeSeries> {
         self.shared.telem.lock().reg.series(name).cloned()
-    }
-
-    /// Snapshot of every control-tick time-series (registration order).
-    pub fn metric_series_all(&self) -> Vec<TimeSeries> {
-        self.shared.telem.lock().reg.take_series()
     }
 
     /// The home core of a connection (RSS).
@@ -573,8 +560,7 @@ impl Worker {
     /// checks instead of spinning: the client thread may need the CPU.
     fn park(&self, shared: &Shared, granted: bool) {
         let core = self.core;
-        let floating = matches!(shared.cfg.scheduler, SchedulerKind::Floating);
-        if !floating && !shared.dispatch.may_steal(granted) {
+        if !shared.dispatch.may_steal(granted) {
             shared.stats[core].count_park();
             std::thread::park_timeout(if granted { IDLE_NAP } else { REVOKED_NAP });
             return;
@@ -582,12 +568,12 @@ impl Worker {
         let poll_start = Instant::now();
         while poll_start.elapsed() < Duration::from_nanos(WAKE_COST_NS) {
             std::thread::yield_now();
-            if shared.doorbells[core].any_pending() || work_in_reach(shared, core, floating) {
+            if shared.doorbells[core].any_pending() || work_in_reach(shared, core) {
                 return;
             }
         }
         shared.sleepers.publish(core);
-        if !work_in_reach(shared, core, floating) {
+        if !work_in_reach(shared, core) {
             shared.stats[core].count_park();
             std::thread::park_timeout(IDLE_NAP);
         }
@@ -625,15 +611,11 @@ impl Worker {
 
 /// Work a worker that may take shared work would find on its next ladder
 /// pass: its own ring, its remote syscalls, and any ready connection (own
-/// shuffle queue included) or, floating, the shared queue.
-fn work_in_reach(shared: &Shared, core: usize, floating: bool) -> bool {
+/// shuffle queue included).
+fn work_in_reach(shared: &Shared, core: usize) -> bool {
     !shared.rings[core].is_empty()
         || !shared.remote_sys[core].is_empty()
-        || if floating {
-            !shared.floating_q.lock().is_empty()
-        } else {
-            shared.shuffle.total_ready() > 0
-        }
+        || shared.shuffle.total_ready() > 0
 }
 
 /// Runs the handler for one event; returns the response and the handler's
@@ -676,8 +658,7 @@ fn control_tick(shared: &Shared) {
     if let Some(ctl) = &shared.elastic {
         let backlog: usize = (0..shared.cfg.cores)
             .map(|c| shared.shuffle.queue_len(c) + shared.rings[c].len())
-            .sum::<usize>()
-            + shared.floating_q.lock().len();
+            .sum();
         // Busy cores = summed duty cycle over the period.
         let busy_ns: u64 = ctl
             .busy_ns
@@ -738,15 +719,14 @@ fn control_tick(shared: &Shared) {
 }
 
 /// RX path: drain this core's ingress ring through the framers into the
-/// shuffle layer (or the floating queue), stamping each framed request's
+/// shuffle layer, stamping each framed request's
 /// ingress time and shedding creditless requests at the edge (weighted by
 /// tenant class: the loosest SLO class is capped at the smallest pool
 /// share and sheds first). Home core only. Leaving more than one ready
 /// connection behind (this worker serves one itself) wakes a sleeper.
-fn tcp_in(w: &mut Worker, shared: &Shared, floating: bool, max_pkts: usize) -> usize {
+fn tcp_in(w: &mut Worker, shared: &Shared, max_pkts: usize) -> usize {
     let core = w.core;
     let mut processed = 0;
-    let mut floating_backlog = 0;
     let ingress = Instant::now();
     while processed < max_pkts {
         let Some(pkt) = shared.rings[core].pop() else {
@@ -783,29 +763,15 @@ fn tcp_in(w: &mut Worker, shared: &Shared, floating: bool, max_pkts: usize) -> u
                             continue;
                         }
                     }
-                    let stamped = Stamped { msg, ingress };
-                    if floating {
-                        let mut q = shared.floating_q.lock();
-                        q.push_back((conn, stamped));
-                        floating_backlog = q.len();
-                    } else {
-                        shared.shuffle.produce(conn, stamped);
-                    }
+                    shared.shuffle.produce(conn, Stamped { msg, ingress });
                 }
                 Ok(None) => break,
                 Err(_) => break,
             }
         }
     }
-    if processed > 0 {
-        let ready = if floating {
-            floating_backlog
-        } else {
-            shared.shuffle.queue_len(core)
-        };
-        if ready > 1 {
-            w.wake_one_sleeper(shared);
-        }
+    if processed > 0 && shared.shuffle.queue_len(core) > 1 {
+        w.wake_one_sleeper(shared);
     }
     processed
 }
@@ -925,18 +891,11 @@ fn dispatch_step(
     for _ in 0..shared.doorbells[w.core].take().len() {
         shared.stats[w.core].count_ipi_handled();
     }
-    let floating = matches!(shared.cfg.scheduler, SchedulerKind::Floating);
     for &rung in shared.dispatch.ladder() {
         let took = match rung {
             Rung::RemoteSyscalls => rung_remote_syscalls(w, shared),
-            Rung::LocalReady => {
-                if floating {
-                    rung_floating_claim(w, shared, app)
-                } else {
-                    rung_local_ready(w, shared, app)
-                }
-            }
-            Rung::LocalNet => tcp_in(w, shared, floating, 64) > 0,
+            Rung::LocalReady => rung_local_ready(w, shared, app),
+            Rung::LocalNet => tcp_in(w, shared, 64) > 0,
             Rung::StealReady => {
                 shared.dispatch.may_steal(core_active) && rung_idle_sweep(w, idle, rng, shared, app)
             }
@@ -960,12 +919,9 @@ fn rung_remote_syscalls(w: &mut Worker, shared: &Shared) -> bool {
     if shared.remote_sys[w.core].drain_into(SYSCALL_BATCH, &mut w.remote) == 0 {
         return false;
     }
-    for sc in w.remote.drain(..) {
+    for BatchedSyscall::SendMsg { conn, wire } in w.remote.drain(..) {
         shared.stats[w.core].count_remote_syscall();
-        match sc {
-            BatchedSyscall::SendMsg { conn, wire } => shared.respond(conn, wire),
-            BatchedSyscall::Close { .. } | BatchedSyscall::Nop { .. } => {}
-        }
+        shared.respond(conn, wire);
     }
     true
 }
@@ -981,21 +937,6 @@ fn rung_local_ready(w: &mut Worker, shared: &Shared, app: &Arc<dyn RpcApp>) -> b
         w.wake_one_sleeper(shared);
     }
     exec_conn(w, shared, app, conn, false);
-    true
-}
-
-/// Floating mode: claim one ready event from the shared pool.
-fn rung_floating_claim(w: &mut Worker, shared: &Shared, app: &Arc<dyn RpcApp>) -> bool {
-    let claimed = shared.floating_q.lock().pop_front();
-    let Some((conn, ev)) = claimed else {
-        return false;
-    };
-    let (resp, handler_ns) = timed_handle(app, conn, &ev);
-    w.note_exec(handler_ns);
-    release_credit(shared, conn);
-    shared.record_sojourn(w.core, conn, ev.ingress);
-    shared.stats[w.core].count_local_event();
-    shared.respond(conn, grant_credits(shared, conn, resp).to_bytes());
     true
 }
 
@@ -1022,7 +963,7 @@ fn rung_idle_sweep(
         match target {
             PollTarget::OwnHwRing => {
                 // Re-check: a packet may have landed since the net rung.
-                if tcp_in(w, shared, false, 64) > 0 {
+                if tcp_in(w, shared, 64) > 0 {
                     return true;
                 }
             }
@@ -1145,24 +1086,6 @@ mod tests {
         assert_eq!(stats.wakes_sent, 0);
         assert_eq!(stats.stolen_events, 0);
         assert_eq!(stats.local_events, 2_000);
-        server.shutdown();
-    }
-
-    #[test]
-    fn floating_mode_completes_everything() {
-        let (server, client) = echo_server(RuntimeConfig::floating(4, 32));
-        for id in 0..2_000u64 {
-            client.send(
-                ConnId((id % 32) as u32),
-                &RpcMessage::new(1, id, Bytes::new()),
-            );
-        }
-        let mut got = 0;
-        for _ in 0..2_000 {
-            client.recv_timeout(Duration::from_secs(10)).expect("resp");
-            got += 1;
-        }
-        assert_eq!(got, 2_000);
         server.shutdown();
     }
 

@@ -39,7 +39,7 @@
 //!   consult the policy for the *order*, the steal decisions, the
 //!   preemption (`slice`) decision and the background-queue discipline
 //!   ([`policy::BackgroundOrder::Fcfs`] or SRPT). `FcfsPolicy` (Linux
-//!   baselines / floating), `RtcPolicy` (IX) and `ZygosPolicy` (the
+//!   baselines, the staged engine's centralized FCFS), `RtcPolicy` (IX) and `ZygosPolicy` (the
 //!   paper's priority loop, with the elastic/preemptive extensions) cover
 //!   every system model in the workspace.
 //! * [`slo_ctl`] — the **allocation plane**. One [`PolicySignal`] per

@@ -580,7 +580,6 @@ impl Edge {
                 self.give_ups += 1;
                 return;
             }
-            RetryDecision::RetryNow => 0,
             RetryDecision::RetryAfterUs(d) => d,
         };
         self.retries += 1;

@@ -10,7 +10,7 @@
 //!   with nanoseconds since ingress. Recording is a bounds-checked store
 //!   into a preallocated ring — no allocation, no branching beyond the
 //!   sampling gate — so the PR-5 hot loop stays inside its bench gate.
-//! * [`registry`] — named counters, gauges and bounded time-series that
+//! * [`registry`] — named, bounded time-series that
 //!   both `zygos-sysim`'s control tick and the live runtime's worker-0
 //!   control tick publish into, replacing ad-hoc output-field accretion.
 //! * [`decomp`] — turns a merged event stream back into per-request
@@ -46,7 +46,7 @@ pub mod trace;
 
 pub use chrome::ChromeTrace;
 pub use decomp::{decompose, decomposition_at_quantile, Decomposition};
-pub use registry::{CounterId, GaugeId, Registry, SeriesId, TimeSeries};
+pub use registry::{Registry, SeriesId, TimeSeries};
 pub use trace::{TraceEvent, TraceKind, Tracer};
 
 /// Which time-series a host should harvest on its control tick.

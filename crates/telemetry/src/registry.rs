@@ -1,24 +1,15 @@
 //! The unified metrics registry.
 //!
-//! Named counters, gauges and bounded time-series. Registration (by
-//! name) happens once at setup and returns an index-typed handle;
-//! updates through the handle are array stores — no hashing, no
-//! allocation — so a control tick can publish a dozen points without
-//! perturbing the host it is observing.
+//! Named, bounded time-series. Registration (by name) happens once at
+//! setup and returns an index-typed handle; pushes through the handle are
+//! array stores — no hashing, no allocation — so a control tick can
+//! publish a dozen points without perturbing the host it is observing.
 //!
 //! Both hosts publish into this vocabulary: the simulator's `Ev::Control`
 //! tick and the live runtime's worker-0 control tick. A reader takes a
-//! point-in-time snapshot (`series`, `counter_value`, `gauge_value`) —
-//! nothing is consumed, which is the fix for the read-once-and-lost
-//! control-tick gauges this registry replaces.
-
-/// Handle to a registered counter.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Handle to a registered gauge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GaugeId(usize);
+//! point-in-time snapshot (`series`, `take_series`) — nothing is
+//! consumed, which is the fix for the read-once-and-lost control-tick
+//! gauges this registry replaces.
 
 /// Handle to a registered time-series.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,8 +37,6 @@ impl TimeSeries {
 /// The registry: registration by name, updates by handle.
 #[derive(Clone, Debug, Default)]
 pub struct Registry {
-    counters: Vec<(String, u64)>,
-    gauges: Vec<(String, f64)>,
     series: Vec<TimeSeries>,
 }
 
@@ -55,24 +44,6 @@ impl Registry {
     /// An empty registry.
     pub fn new() -> Self {
         Registry::default()
-    }
-
-    /// Registers (or re-finds) a counter named `name`.
-    pub fn counter(&mut self, name: &str) -> CounterId {
-        if let Some(i) = self.counters.iter().position(|(n, _)| n == name) {
-            return CounterId(i);
-        }
-        self.counters.push((name.to_string(), 0));
-        CounterId(self.counters.len() - 1)
-    }
-
-    /// Registers (or re-finds) a gauge named `name`.
-    pub fn gauge(&mut self, name: &str) -> GaugeId {
-        if let Some(i) = self.gauges.iter().position(|(n, _)| n == name) {
-            return GaugeId(i);
-        }
-        self.gauges.push((name.to_string(), 0.0));
-        GaugeId(self.gauges.len() - 1)
     }
 
     /// Registers (or re-finds) a time-series named `name`, holding at
@@ -91,18 +62,6 @@ impl Registry {
         SeriesId(self.series.len() - 1)
     }
 
-    /// Adds `by` to a counter.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId, by: u64) {
-        self.counters[id.0].1 += by;
-    }
-
-    /// Sets a gauge.
-    #[inline]
-    pub fn set(&mut self, id: GaugeId, v: f64) {
-        self.gauges[id.0].1 = v;
-    }
-
     /// Appends a `(t_us, value)` point to a series (no-op past the cap).
     #[inline]
     pub fn push(&mut self, id: SeriesId, t_us: f64, v: f64) {
@@ -114,27 +73,9 @@ impl Registry {
         }
     }
 
-    /// Current counter value by name.
-    pub fn counter_value(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-    }
-
-    /// Current gauge value by name.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
-    }
-
     /// A series by name.
     pub fn series(&self, name: &str) -> Option<&TimeSeries> {
         self.series.iter().find(|s| s.name == name)
-    }
-
-    /// All series, in registration order.
-    pub fn all_series(&self) -> &[TimeSeries] {
-        &self.series
     }
 
     /// Clones the series out (registration order) — the harvest path
@@ -149,27 +90,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registration_is_idempotent_and_updates_are_visible() {
-        let mut r = Registry::new();
-        let c = r.counter("admitted");
-        assert_eq!(r.counter("admitted"), c);
-        r.inc(c, 3);
-        r.inc(c, 4);
-        assert_eq!(r.counter_value("admitted"), Some(7));
-
-        let g = r.gauge("slo_ratio");
-        r.set(g, 1.25);
-        r.set(g, 0.75);
-        // Re-readable, not read-once: both reads see the latest value.
-        assert_eq!(r.gauge_value("slo_ratio"), Some(0.75));
-        assert_eq!(r.gauge_value("slo_ratio"), Some(0.75));
-        assert_eq!(r.gauge_value("missing"), None);
-    }
-
-    #[test]
     fn series_caps_without_reallocating() {
         let mut r = Registry::new();
         let s = r.register_series("active_cores", 3);
+        // Registration is idempotent: the same name re-finds the handle.
+        assert_eq!(r.register_series("active_cores", 3), s);
         for i in 0..5 {
             r.push(s, i as f64, 16.0 - i as f64);
         }
@@ -177,5 +102,8 @@ mod tests {
         assert_eq!(ts.points.len(), 3);
         assert_eq!(ts.truncated, 2);
         assert_eq!(ts.last(), Some(14.0));
+        // Re-readable, not read-once: a second read sees the same points.
+        assert_eq!(r.series("active_cores"), Some(ts));
+        assert_eq!(r.series("missing"), None);
     }
 }
