@@ -12,10 +12,10 @@
 //!    partitioned FCFS is pathological; the work-conserving ZygOS is not.
 //!
 //! Every variant is a one-case scenario (the ablation knobs are ordinary
-//! [`zygos_lab::Case`] policy fields), evaluated at 70% load and through
-//! the max-load@SLO search.
+//! [`zygos_lab::Case`] policy fields) with a 70% load grid and a
+//! `[search]` block, so one run gives both columns.
 
-use zygos_lab::{Case, Scenario, SimHost};
+use zygos_lab::{Case, Scenario, SearchSpec, SimHost};
 use zygos_sim::dist::ServiceDist;
 
 use crate::Scale;
@@ -38,23 +38,24 @@ fn variant_scenario(scale: &Scale, service: ServiceDist, case: Case) -> Scenario
     crate::scenario("ablation", scale)
         .service(service)
         .loads(vec![0.7])
+        .search(SearchSpec {
+            quantile: 0.99,
+            bound_us: 100.0,
+            resolution: scale.resolution,
+        })
         .case(case)
         .build()
         .expect("ablation scenario")
 }
 
-fn evaluate(scale: &Scale, group: &'static str, variant: String, sc: &Scenario) -> Row {
-    let label = sc.cases[0].label.clone();
-    let p99_at_70 = zygos_lab::run_point(sc, &sc.cases[0], 0.7, false)
-        .expect("runs")
-        .p99_us;
-    let max_load =
-        zygos_lab::max_load_at_slo(sc, &label, 100.0, scale.resolution, false).expect("sim host");
+fn evaluate(group: &'static str, variant: String, sc: &Scenario) -> Row {
+    let report = crate::run(sc);
+    let series = &report.series[0];
     Row {
         group,
         variant,
-        max_load,
-        p99_at_70,
+        max_load: series.search.as_ref().expect("sim host searches").max_load,
+        p99_at_70: series.points[0].p99_us,
     }
 }
 
@@ -71,7 +72,6 @@ pub fn run(scale: &Scale) -> Vec<Row> {
         }
         let sc = variant_scenario(scale, exp10(), case);
         rows.push(evaluate(
-            scale,
             "steal-order",
             if randomize {
                 "randomized"
@@ -91,7 +91,6 @@ pub fn run(scale: &Scale) -> Vec<Row> {
             Case::sim("zygos", SimHost::Zygos).ipi_delivery_ns(delivery_ns),
         );
         rows.push(evaluate(
-            scale,
             "ipi-delivery",
             format!("{:.1}us", delivery_ns as f64 / 1_000.0),
             &sc,
@@ -105,7 +104,7 @@ pub fn run(scale: &Scale) -> Vec<Row> {
             exp10(),
             Case::sim("zygos", SimHost::Zygos).steal_extra_ns(steal_ns),
         );
-        rows.push(evaluate(scale, "steal-cost", format!("{steal_ns}ns"), &sc));
+        rows.push(evaluate("steal-cost", format!("{steal_ns}ns"), &sc));
     }
 
     // 4. Bimodal-2 at the system level (SLO 10·S̄ = 100µs; note the
@@ -119,7 +118,6 @@ pub fn run(scale: &Scale) -> Vec<Row> {
             Case::sim(crate::fig03::label_of(host), host),
         );
         rows.push(evaluate(
-            scale,
             "bimodal-2",
             crate::fig03::label_of(host).into(),
             &sc,

@@ -2,11 +2,11 @@
 //! mean service time, for the three baseline systems plus the two
 //! zero-overhead theory bounds.
 //!
-//! Each `(system, service time)` cell is a one-case scenario whose
-//! max-load@SLO search runs through the lab runner; the theory bounds
-//! are model-host scenarios over the same machinery.
+//! Each `(distribution, service time)` cell is one scenario holding every
+//! system's `sim:` case and the two bounds' `model:` cases; its `[search]`
+//! block (the same bisection the CI gate runs) gives every curve's point.
 
-use zygos_lab::{Case, SimHost};
+use zygos_lab::{Case, Scenario, SearchSpec, SimHost};
 use zygos_sim::dist::ServiceDist;
 use zygos_sim::queueing::Policy;
 
@@ -32,73 +32,65 @@ pub struct Curve {
     pub points: Vec<(f64, f64)>,
 }
 
-/// Max load at `slo_us` for one simulator host on one service dist —
-/// a one-case scenario driven through the lab's search. The search grid
-/// spans (0, 1): these figures measure *below*-saturation capacity.
-fn max_load(scale: &Scale, host: SimHost, service: ServiceDist, slo_us: f64) -> f64 {
-    let sc = crate::scenario("fig03", scale)
-        .service(service)
-        // The search probes its own loads; the grid here only sizes the
-        // spec (validated non-empty).
-        .loads(vec![0.5])
-        .case(Case::sim("probe", host))
-        .build()
-        .expect("fig03 scenario");
-    zygos_lab::max_load_at_slo(&sc, "probe", slo_us, scale.resolution, false)
-        .expect("deterministic host")
+/// The zero-overhead bounds plotted next to the systems, legend order.
+pub const BOUNDS: [(Policy, &str); 2] = [
+    (Policy::CentralFcfs, "M/G/16/FCFS"),
+    (Policy::PartitionedFcfs, "16xM/G/1/FCFS"),
+];
+
+/// One cell's scenario: every system's `sim:` case, then the [`BOUNDS`]'
+/// `model:` cases, searched for max load at p99 ≤ 10·`mean_us`. The
+/// search grid spans (0, 1): these figures measure *below*-saturation
+/// capacity.
+pub fn cell_scenario(
+    scale: &Scale,
+    dist_label: &str,
+    mean_us: f64,
+    systems: &[SimHost],
+) -> Scenario {
+    let mut builder = crate::scenario("fig03", scale)
+        .service(dist_for(dist_label, mean_us))
+        // The search probes its own loads; the grid only sizes the spec
+        // (validated non-empty), at the search's first, cheapest probe.
+        .loads(vec![1.0 / scale.resolution as f64])
+        .search(SearchSpec {
+            quantile: 0.99,
+            bound_us: 10.0 * mean_us,
+            resolution: scale.resolution,
+        });
+    for &host in systems {
+        builder = builder.case(Case::sim(label_of(host), host));
+    }
+    for (policy, label) in BOUNDS {
+        builder = builder.case(Case::model(label, policy));
+    }
+    builder.build().expect("fig03 scenario")
 }
 
-/// Max load at the SLO for a zero-overhead queueing bound, scale-free in
-/// S̄ (computed at unit mean).
-fn theory_bound(scale: &Scale, dist_label: &str, policy: Policy, label: &str) -> f64 {
-    let sc = zygos_lab::Scenario::builder("fig03-bound")
-        .service(dist_for(dist_label, 1.0))
-        .cores(16)
-        .conns(16)
-        .loads(vec![0.5])
-        .requests(scale.theory_requests, scale.theory_requests / 5)
-        .smoke(scale.theory_requests, scale.theory_requests / 5)
-        .seed(7)
-        .case(Case::model(label, policy))
-        .build()
-        .expect("bound scenario");
-    zygos_lab::max_load_at_slo(&sc, label, 10.0, scale.resolution, false).expect("model host")
-}
-
-/// Runs one panel's curves over the given service-time grid.
+/// Runs one panel's curves over the given service-time grid: the systems'
+/// curves, then the [`BOUNDS`]' (flat: a bound scales with S̄ exactly as
+/// the SLO does).
 pub fn run_panel(
     scale: &Scale,
     dist_label: &'static str,
     service_grid: &[f64],
     systems: &[SimHost],
-    include_bounds: bool,
 ) -> Vec<Curve> {
-    let mut curves = Vec::new();
-    for &host in systems {
-        let points = service_grid
-            .iter()
-            .map(|&mean| {
-                let load = max_load(scale, host, dist_for(dist_label, mean), 10.0 * mean);
-                (mean, load)
-            })
-            .collect();
-        curves.push(Curve {
+    let mut curves: Vec<Curve> = systems
+        .iter()
+        .map(|&host| label_of(host))
+        .chain(BOUNDS.map(|(_, label)| label))
+        .map(|label| Curve {
             dist: dist_label,
-            system: label_of(host).to_string(),
-            points,
-        });
-    }
-    if include_bounds {
-        for (policy, label) in [
-            (Policy::CentralFcfs, "M/G/16/FCFS"),
-            (Policy::PartitionedFcfs, "16xM/G/1/FCFS"),
-        ] {
-            let bound = theory_bound(scale, dist_label, policy, label);
-            curves.push(Curve {
-                dist: dist_label,
-                system: label.to_string(),
-                points: service_grid.iter().map(|&m| (m, bound)).collect(),
-            });
+            system: label.to_string(),
+            points: Vec::new(),
+        })
+        .collect();
+    for &mean in service_grid {
+        let report = crate::run(&cell_scenario(scale, dist_label, mean, systems));
+        for (curve, series) in curves.iter_mut().zip(&report.series) {
+            let search = series.search.as_ref().expect("deterministic cases search");
+            curve.points.push((mean, search.max_load));
         }
     }
     curves
@@ -127,7 +119,7 @@ pub fn run(scale: &Scale) -> Vec<Curve> {
     ];
     let mut curves = Vec::new();
     for dist in ["deterministic", "exponential", "bimodal-1"] {
-        curves.extend(run_panel(scale, dist, &grid, &systems, true));
+        curves.extend(run_panel(scale, dist, &grid, &systems));
     }
     curves
 }
@@ -140,5 +132,44 @@ pub fn print(curves: &[Curve]) {
     );
     for c in curves {
         crate::print_series("fig03", c.dist, &c.system, &c.points);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use zygos_lab::HostSpec;
+    use zygos_sysim::max_load_at_quantile_slo_counting;
+
+    #[test]
+    fn cells_print_the_gate_search_and_flat_bounds() {
+        // IX on exponential 5 µs work reads 0.375 through cold probes and
+        // 0.25 through the warm-started search at this scale: the figure
+        // must print the search the `[search]` gate runs.
+        let (scale, dist, means) = (Scale::smoke(), "exponential", [2.0, 5.0]);
+        let systems = [SimHost::Ix];
+        let curves = run_panel(&scale, dist, &means, &systems);
+        for (i, &mean) in means.iter().enumerate() {
+            let sc = cell_scenario(&scale, dist, mean, &systems);
+            for (case, curve) in sc.cases.iter().zip(&curves) {
+                let HostSpec::Sim(_) = case.host else {
+                    continue;
+                };
+                let cfg = zygos_lab::sys_config_for(&sc, case, 0.5, false).expect("sim case");
+                let (want, _, _) =
+                    max_load_at_quantile_slo_counting(&cfg, 0.99, 10.0 * mean, scale.resolution);
+                assert_eq!(curve.points[i], (mean, want), "{}", curve.system);
+            }
+        }
+        for bound in &curves[systems.len()..] {
+            let first = bound.points[0].1;
+            assert!(first > 0.0, "{}", bound.system);
+            assert!(
+                bound.points.iter().all(|&(_, load)| load == first),
+                "{} is not flat: {:?}",
+                bound.system,
+                bound.points
+            );
+        }
     }
 }

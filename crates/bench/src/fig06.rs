@@ -2,12 +2,14 @@
 //! bimodal-1} × {10µs, 25µs}, comparing Linux-floating, IX, ZygOS,
 //! ZygOS-no-interrupts, and the zero-overhead M/G/16/FCFS model.
 //!
-//! One scenario per panel: four simulator cases sweep the load grid; the
-//! theory line is computed separately (it carries the wire RTT the
-//! models do not know about).
+//! One scenario per panel: four simulator cases sweep the load grid next
+//! to a `model:central-fcfs` case, the "Theoretical M/G/16/FCFS" line. A
+//! model host knows no wire, so the line adds the cost model's RTT to the
+//! model's p99 and plots it at the offered rate.
 
 use zygos_lab::{Case, SimHost};
-use zygos_sysim::theory_central_p99_us;
+use zygos_net::cost::CostModel;
+use zygos_sim::queueing::Policy;
 
 use crate::fig03::{dist_for, label_of};
 use crate::Scale;
@@ -39,34 +41,29 @@ pub fn run_panel(scale: &Scale, dist_label: &'static str, mean_us: f64) -> Vec<C
     for host in SYSTEMS {
         builder = builder.case(Case::sim(label_of(host), host));
     }
-    let sc = builder.build().expect("fig06 scenario");
-    let mut curves: Vec<Curve> = crate::run(&sc)
+    let theory = "Theoretical M/G/16/FCFS";
+    let sc = builder
+        .case(Case::model(theory, Policy::CentralFcfs))
+        .build()
+        .expect("fig06 scenario");
+    let rtt_us = CostModel::zygos().network_rtt_ns as f64 / 1_000.0;
+    crate::run(&sc)
         .series
         .into_iter()
         .map(|series| Curve {
             panel: panel.clone(),
-            system: series.label.clone(),
-            points: zygos_lab::xy(&series.points, |p| p.mrps, |p| p.p99_us),
+            points: if series.label == theory {
+                zygos_lab::xy(
+                    &series.points,
+                    |p| p.load * 16.0 / mean_us,
+                    |p| p.p99_us + rtt_us,
+                )
+            } else {
+                zygos_lab::xy(&series.points, |p| p.mrps, |p| p.p99_us)
+            },
+            system: series.label,
         })
-        .collect();
-    // Zero-overhead centralized bound (the "Theoretical M/G/16/FCFS" line).
-    let service = dist_for(dist_label, mean_us);
-    let theory: Vec<(f64, f64)> = scale
-        .loads
-        .iter()
-        .filter(|&&load| load < 1.0)
-        .map(|&load| {
-            let mrps = load * 16.0 / mean_us;
-            let p99 = theory_central_p99_us(&service, 16, load, 4.0, scale.theory_requests, 5);
-            (mrps, p99)
-        })
-        .collect();
-    curves.push(Curve {
-        panel,
-        system: "Theoretical M/G/16/FCFS".to_string(),
-        points: theory,
-    });
-    curves
+        .collect()
 }
 
 /// All six panels.

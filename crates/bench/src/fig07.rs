@@ -18,7 +18,7 @@ pub fn run(scale: &Scale) -> Vec<Curve> {
     ];
     let mut curves = Vec::new();
     for dist in ["deterministic", "exponential", "bimodal-1"] {
-        curves.extend(run_panel(scale, dist, &grid, &systems, true));
+        curves.extend(run_panel(scale, dist, &grid, &systems));
     }
     curves
 }

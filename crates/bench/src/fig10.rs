@@ -11,7 +11,7 @@
 
 use std::time::Instant;
 
-use zygos_lab::{Case, Scenario, SimHost};
+use zygos_lab::{Case, SearchSpec, SimHost};
 use zygos_silo::tpcc::{Tpcc, TpccConfig, TpccRng, TxnType};
 use zygos_sim::dist::ServiceDist;
 use zygos_sim::stats::LatencyHistogram;
@@ -98,15 +98,20 @@ pub const SYSTEMS: [(SimHost, &str); 3] = [
     (SimHost::Zygos, "ZygOS"),
 ];
 
-/// The three-case TPC-C scenario behind Figure 10b and Table 1.
-fn silo_scenario(scale: &Scale, service: &ServiceDist, loads: Vec<f64>) -> Scenario {
+/// The TPC-C scenario of `systems` behind Figure 10b and Table 1.
+fn silo_scenario(
+    scale: &Scale,
+    service: &ServiceDist,
+    loads: Vec<f64>,
+    systems: &[(SimHost, &str)],
+) -> zygos_lab::ScenarioBuilder {
     let mut builder = crate::scenario("fig10b", scale)
         .service(service.clone())
         .loads(loads);
-    for (host, label) in SYSTEMS {
+    for &(host, label) in systems {
         builder = builder.case(Case::sim(label, host));
     }
-    builder.build().expect("fig10 scenario")
+    builder
 }
 
 /// One Figure-10b curve.
@@ -120,7 +125,9 @@ pub struct Curve {
 /// Runs Figure 10b from measured service samples.
 pub fn run_fig10b(scale: &Scale, mix_samples: Vec<f64>) -> Vec<Curve> {
     let service = ServiceDist::empirical_us(mix_samples);
-    let sc = silo_scenario(scale, &service, scale.loads.clone());
+    let sc = silo_scenario(scale, &service, scale.loads.clone(), &SYSTEMS)
+        .build()
+        .expect("fig10 scenario");
     crate::run(&sc)
         .series
         .iter()
@@ -158,27 +165,40 @@ pub struct Table1Row {
 /// Computes Table 1.
 pub fn run_table1(scale: &Scale, mix_samples: Vec<f64>, service_p99_us: f64) -> Vec<Table1Row> {
     let service = ServiceDist::empirical_us(mix_samples);
-    let slo_us = 1_000.0;
+    let saturation_ktps = 16.0 / service.mean_us() * 1_000.0;
+    // The search probes its own loads; the grid only sizes the spec.
+    let search = silo_scenario(scale, &service, vec![0.5], &SYSTEMS)
+        .search(SearchSpec {
+            quantile: 0.99,
+            bound_us: 1_000.0,
+            resolution: scale.resolution,
+        })
+        .build()
+        .expect("table1 scenario");
+    let report = crate::run(&search);
     let mut rows = Vec::new();
     let mut linux_ktps = None;
-    let sc = silo_scenario(scale, &service, vec![0.5]);
-    for (host, label) in SYSTEMS {
-        let max_load = zygos_lab::max_load_at_slo(&sc, label, slo_us, scale.resolution, false)
-            .expect("sim host");
-        let saturation_ktps = 16.0 / service.mean_us() * 1_000.0;
+    for (series, system) in report.series.iter().zip(SYSTEMS) {
+        let max_load = series.search.as_ref().expect("sim host searches").max_load;
         let max_ktps = max_load * saturation_ktps;
-        if host == SimHost::LinuxFloating {
+        if system.0 == SimHost::LinuxFloating {
             linux_ktps = Some(max_ktps);
         }
-        let case = sc.case(label).expect("case present");
-        let mut at_fractions = [(0.0, 0.0, 0.0); 3];
-        for (i, frac) in [0.5, 0.75, 0.9].iter().enumerate() {
-            let load = (max_load * frac).max(0.01);
-            let p = zygos_lab::run_point(&sc, case, load, false).expect("runs");
-            at_fractions[i] = (p.p99_us, p.p99_us / service_p99_us, load * saturation_ktps);
-        }
+        let loads = [0.5, 0.75, 0.9].map(|frac| (max_load * frac).max(0.01));
+        let at = silo_scenario(scale, &service, loads.to_vec(), &[system])
+            .build()
+            .expect("table1 scenario");
+        let points = &crate::run(&at).series[0].points;
+        let at_fractions = [0, 1, 2].map(|i| {
+            let p = &points[i];
+            (
+                p.p99_us,
+                p.p99_us / service_p99_us,
+                p.load * saturation_ktps,
+            )
+        });
         rows.push(Table1Row {
-            system: label,
+            system: system.1,
             max_ktps,
             speedup: 0.0, // Filled below once Linux is known.
             at_fractions,

@@ -7,14 +7,15 @@
 //! experiments at [`Scale::smoke`]. Performance is measured by the
 //! reference benchmark under `benchmark/`, not here.
 //!
-//! Since PR 4 every module is a **thin wrapper over the scenario plane**
+//! Every module is a **thin wrapper over the scenario plane**
 //! (`zygos_lab`): a fig module *describes* its experiment matrix as a
-//! [`zygos_lab::Scenario`] (workload + cases + claims) and lets the lab
-//! runner execute it — no module constructs a `SysConfig` or
-//! `RuntimeConfig` by hand anymore, so the same matrices are available
-//! as TOML specs under `scenarios/` and the figure binaries and the
-//! `lab` CLI cannot drift apart. [`scenario`] is the shared preamble
-//! binding a [`Scale`] to a builder.
+//! [`zygos_lab::Scenario`] (workload + cases + claims) and runs it through
+//! [`zygos_lab::run_scenario`] and nothing else. Max load @ SLO comes
+//! from the scenario's `[search]` block — the bisection the CI gate
+//! certifies — and theory lines from `model:` cases, so the same
+//! matrices are available as TOML specs under `scenarios/` and the figure
+//! binaries and the `lab` CLI cannot drift apart. [`scenario`] is the
+//! shared preamble binding a [`Scale`] to a builder.
 
 pub mod ablation;
 pub mod fig02;
@@ -39,8 +40,6 @@ pub struct Scale {
     pub loads: Vec<f64>,
     /// Grid resolution for max-load@SLO searches (steps of 1/resolution).
     pub resolution: usize,
-    /// Completions per point for zero-overhead theory curves.
-    pub theory_requests: u64,
     /// TPC-C transactions measured for the Silo experiments.
     pub silo_txns: usize,
     /// TPC-C warehouses loaded.
@@ -55,7 +54,6 @@ impl Scale {
             warmup: 10_000,
             loads: (1..=19).map(|i| i as f64 * 0.05).collect(),
             resolution: 40,
-            theory_requests: 80_000,
             silo_txns: 20_000,
             warehouses: 2,
         }
@@ -68,7 +66,6 @@ impl Scale {
             warmup: 3_000,
             loads: (1..=9).map(|i| i as f64 * 0.1).collect(),
             resolution: 20,
-            theory_requests: 30_000,
             silo_txns: 4_000,
             warehouses: 1,
         }
@@ -81,7 +78,6 @@ impl Scale {
             warmup: 500,
             loads: vec![0.3, 0.6, 0.9],
             resolution: 8,
-            theory_requests: 5_000,
             silo_txns: 300,
             warehouses: 1,
         }

@@ -54,10 +54,7 @@ pub mod traces;
 pub use check::{check_baseline, check_claims, check_telemetry};
 pub use fromtoml::scenario_from_toml;
 pub use report::{PointMetrics, Report, SearchResult, Series, TailResult, TraceSeries};
-pub use runner::{
-    fleet_config_for, max_load_at_slo, run_case, run_point, run_scenario, run_scenario_threads,
-    runtime_config_for, sys_config_for, xy,
-};
+pub use runner::{run_scenario, run_scenario_threads, runtime_config_for, sys_config_for, xy};
 pub use spec::{
     staged_plan, AdmissionSpec, Case, Claim, Compare, FleetSpec, HostSpec, LiveHost, Op,
     PolicySpec, Readers, Recovers, Rhs, ScaleSpec, Scenario, ScenarioBuilder, SearchSpec, Select,

@@ -8,8 +8,9 @@
 //!   `zygos_runtime::RuntimeConfig` — fig binaries and examples no
 //!   longer assemble host configs by hand, which is what keeps sim/live
 //!   parity checkable (see `tests/scenario.rs`).
-//! * [`max_load_at_slo`] runs the paper's "maximum load @ SLO" search
-//!   over one case (simulator and model hosts).
+//! * A scenario's `[search]` block runs the paper's "maximum load @
+//!   SLO" bisection over every deterministic case; it is the only
+//!   max-load search, so the figures print what the gate certifies.
 //!
 //! The live host runs the same scenario against a real multithreaded
 //! server: the replay thread pre-samples arrivals and service times
@@ -33,9 +34,9 @@ use zygos_sim::queueing::{self, Policy, QueueConfig};
 use zygos_sim::rng::Xoshiro256;
 use zygos_sim::stats::LatencyHistogram;
 use zygos_sysim::{
-    max_load_at_quantile_slo_counting, run_fleet, run_restart, run_system, run_system_chain,
-    AdmissionMode, FleetConfig, FleetOutput, RoutePolicy, SysConfig, SysOutput, SystemKind,
-    TailConfig, WARM_MAX_LOAD,
+    max_load_at_quantile_slo_counting, run_fleet, run_restart, run_system_chain, AdmissionMode,
+    FleetConfig, FleetOutput, RoutePolicy, SysConfig, SysOutput, SystemKind, TailConfig,
+    WARM_MAX_LOAD,
 };
 use zygos_telemetry::{decompose, decomposition_at_quantile, TelemetryOut, TimeSeries};
 
@@ -219,21 +220,23 @@ pub fn run_scenario_threads(
     }
     let mut series = Vec::with_capacity(sc.cases.len());
     for (ci, case) in sc.cases.iter().enumerate() {
-        if matches!(case.host, HostSpec::Live(_)) {
-            series.push(run_case(sc, case, smoke)?);
+        let live = matches!(case.host, HostSpec::Live(_));
+        let points = if live {
+            run_chain(sc, case, &loads, smoke)?
         } else {
-            series.push(Series {
-                label: case.label.clone(),
-                host: case.host.id(),
-                deterministic: true,
-                points: by_case[ci]
-                    .iter_mut()
-                    .map(|p| p.take().expect("deterministic point computed"))
-                    .collect(),
-                search: searches[ci].take(),
-                tail: tails[ci].take(),
-            });
-        }
+            by_case[ci]
+                .iter_mut()
+                .map(|p| p.take().expect("deterministic point computed"))
+                .collect()
+        };
+        series.push(Series {
+            label: case.label.clone(),
+            host: case.host.id(),
+            deterministic: !live,
+            points,
+            search: searches[ci].take(),
+            tail: tails[ci].take(),
+        });
     }
     Ok(Report {
         schema: SCHEMA_VERSION,
@@ -243,37 +246,11 @@ pub fn run_scenario_threads(
     })
 }
 
-/// Runs one case over the load grid. A deterministic case runs as the
-/// one-case scenario through the same job list as [`run_scenario`], so it
-/// reproduces its series in the full report exactly.
-pub fn run_case(sc: &Scenario, case: &Case, smoke: bool) -> Result<Series, SpecError> {
-    if !matches!(case.host, HostSpec::Live(_)) {
-        let one = Scenario {
-            cases: vec![case.clone()],
-            ..sc.clone()
-        };
-        let mut report = run_scenario_threads(&one, smoke, 1)?;
-        return Ok(report.series.pop().expect("one case, one series"));
-    }
-    let points = sc
-        .loads(smoke)
-        .iter()
-        .map(|&load| run_point(sc, case, load, smoke));
-    Ok(Series {
-        label: case.label.clone(),
-        host: case.host.id(),
-        deterministic: false,
-        points: points.collect::<Result<_, _>>()?,
-        search: None,
-        tail: None,
-    })
-}
-
-/// Runs one case over consecutive grid loads as a warm-start chain
-/// (simulator hosts; model points are independent anyway). The first
-/// point of a chain is bit-identical to a cold run, so splitting a grid
-/// into chains never changes which numbers are possible — only how much
-/// warmup is re-simulated.
+/// Runs one case over consecutive grid loads. A simulator case runs them
+/// as one warm-start chain; every other host runs each load on its own.
+/// The first point of a chain is bit-identical to a cold run, so
+/// splitting a grid into chains never changes which numbers are
+/// possible — only how much warmup is re-simulated.
 fn run_chain(
     sc: &Scenario,
     case: &Case,
@@ -289,9 +266,20 @@ fn run_chain(
                 .map(|(out, &load)| sim_metrics(load, out, case))
                 .collect())
         }
-        _ => chain
+        HostSpec::Model(policy) => Ok(chain
             .iter()
-            .map(|&load| run_point(sc, case, load, smoke))
+            .map(|&load| model_metrics(sc, load, model_run(sc, policy, load, smoke)))
+            .collect()),
+        HostSpec::Fleet(_) => chain
+            .iter()
+            .map(|&load| {
+                let fc = fleet_config_for(sc, case, load, smoke)?;
+                Ok(fleet_metrics(load, run_fleet(&fc), case))
+            })
+            .collect(),
+        HostSpec::Live(_) => chain
+            .iter()
+            .map(|&load| run_live_point(sc, case, load, smoke))
             .collect(),
     }
 }
@@ -401,43 +389,6 @@ fn run_tail(
     })
 }
 
-/// Runs one case at one load.
-pub fn run_point(
-    sc: &Scenario,
-    case: &Case,
-    load: f64,
-    smoke: bool,
-) -> Result<PointMetrics, SpecError> {
-    match case.host {
-        HostSpec::Sim(_) => {
-            let cfg = sys_config_for(sc, case, load, smoke)?;
-            Ok(sim_metrics(load, run_system(&cfg), case))
-        }
-        HostSpec::Model(policy) => {
-            let out = model_run(sc, policy, load, smoke);
-            Ok(PointMetrics {
-                load,
-                mrps: if out.sim_time_us > 0.0 {
-                    out.completed as f64 / out.sim_time_us
-                } else {
-                    0.0
-                },
-                p50_us: out.latency.p50_us(),
-                p99_us: out.latency.p99_us(),
-                p999_us: out.latency.quantile_us(0.999),
-                avg_cores: sc.workload.cores as f64,
-                core_seconds: sc.workload.cores as f64 * out.sim_time_us / 1e6,
-                ..PointMetrics::default()
-            })
-        }
-        HostSpec::Fleet(_) => {
-            let fc = fleet_config_for(sc, case, load, smoke)?;
-            Ok(fleet_metrics(load, run_fleet(&fc), case))
-        }
-        HostSpec::Live(_) => run_live_point(sc, case, load, smoke),
-    }
-}
-
 /// One zero-overhead queueing-model run of the scenario's workload.
 fn model_run(sc: &Scenario, policy: Policy, load: f64, smoke: bool) -> queueing::SimOutput {
     let (requests, warmup) = sc.scale.window(smoke);
@@ -452,31 +403,21 @@ fn model_run(sc: &Scenario, policy: Policy, load: f64, smoke: bool) -> queueing:
     })
 }
 
-/// The paper's "maximum load @ SLO" metric over one case (simulator or
-/// model hosts; a wall-clock host cannot binary-search loads honestly).
-pub fn max_load_at_slo(
-    sc: &Scenario,
-    case_label: &str,
-    slo_us: f64,
-    resolution: usize,
-    smoke: bool,
-) -> Result<f64, SpecError> {
-    let case = sc
-        .case(case_label)
-        .ok_or_else(|| SpecError::new(format!("no case labelled {case_label:?}")))?;
-    match case.host {
-        HostSpec::Live(_) => Err(SpecError::new(
-            "max_load_at_slo needs a deterministic host (sim or model)",
-        )),
-        _ => Ok(queueing::max_load_at_slo(
-            |load| {
-                run_point(sc, case, load, smoke)
-                    .map(|p| p.p99_us)
-                    .unwrap_or(f64::INFINITY)
-            },
-            slo_us,
-            resolution,
-        )),
+/// Reduces a queueing-model run to the unified schema.
+fn model_metrics(sc: &Scenario, load: f64, out: queueing::SimOutput) -> PointMetrics {
+    PointMetrics {
+        load,
+        mrps: if out.sim_time_us > 0.0 {
+            out.completed as f64 / out.sim_time_us
+        } else {
+            0.0
+        },
+        p50_us: out.latency.p50_us(),
+        p99_us: out.latency.p99_us(),
+        p999_us: out.latency.quantile_us(0.999),
+        avg_cores: sc.workload.cores as f64,
+        core_seconds: sc.workload.cores as f64 * out.sim_time_us / 1e6,
+        ..PointMetrics::default()
     }
 }
 
@@ -592,7 +533,7 @@ fn apply_faults(cfg: &mut SysConfig, fl: &FaultsSpec) {
 /// case's credit pool as its own. Shards harvest time-series only
 /// (namespaced by the fleet engine, which forces lifecycle tracing off
 /// because correlation keys collide across shards).
-pub fn fleet_config_for(
+fn fleet_config_for(
     sc: &Scenario,
     case: &Case,
     load: f64,
@@ -1016,6 +957,7 @@ mod tests {
     use super::*;
     use crate::spec::Case;
     use zygos_sim::dist::ServiceDist;
+    use zygos_sysim::run_system;
 
     fn tiny() -> Scenario {
         Scenario::builder("tiny")
@@ -1168,9 +1110,13 @@ mod tests {
         );
         assert!(zt.value_us > 0.0 && zt.brute_value_us > 0.0, "{zt:?}");
         assert!(zt.samples > 0 && zt.total_weight > 0.0, "{zt:?}");
-        // run_case reproduces the full-report series exactly.
-        let direct = run_case(&sc, sc.case("zygos").expect("case"), true).expect("runs");
-        assert_eq!(&direct, zygos);
+        // A one-case scenario reproduces the full-report series exactly.
+        let one = Scenario {
+            cases: vec![sc.case("zygos").expect("case").clone()],
+            ..sc.clone()
+        };
+        let direct = run_scenario(&one, true).expect("runs");
+        assert_eq!(&direct.series[0], zygos);
     }
 
     #[test]
@@ -1435,8 +1381,16 @@ mod tests {
 
     #[test]
     fn max_load_search_is_monotone_sane() {
-        let sc = tiny();
-        let l = max_load_at_slo(&sc, "zygos", 100.0, 8, true).expect("searches");
+        let sc = Scenario {
+            search: Some(SearchSpec {
+                quantile: 0.99,
+                bound_us: 100.0,
+                resolution: 8,
+            }),
+            ..tiny()
+        };
+        let report = run_scenario(&sc, true).expect("runs");
+        let l = report.series[0].search.as_ref().expect("searched").max_load;
         assert!((0.25..1.0).contains(&l), "load@SLO = {l}");
     }
 }

@@ -144,14 +144,10 @@ pub struct SysConfig {
     /// and a timed-out request ([`SysConfig::retry_timeout_us`]) re-enter
     /// the arrival stream through this policy instead of vanishing — the
     /// behaviour that turns overload into retry storms and, unchecked, into
-    /// metastable failure. `None` (the default) keeps the pure open-loop
-    /// world: sheds are final.
+    /// metastable failure. Backoff delays carry deterministic
+    /// per-connection jitter ([`RetryPolicy::on_shed_jittered`]). `None`
+    /// (the default) keeps the pure open-loop world: sheds are final.
     pub retry: Option<RetryPolicy>,
-    /// Apply deterministic per-connection jitter to
-    /// [`RetryPolicy::Backoff`] delays
-    /// ([`RetryPolicy::on_shed_jittered`]). Ignored without
-    /// [`SysConfig::retry`].
-    pub retry_jitter: bool,
     /// Client request timeout in microseconds: a request not completed
     /// within this budget is abandoned by the client and fed to the
     /// retry policy (the server still finishes the stale work — that
@@ -224,7 +220,6 @@ impl SysConfig {
             admission: None,
             admission_mode: AdmissionMode::default(),
             retry: None,
-            retry_jitter: true,
             retry_timeout_us: None,
             slo: None,
             staged,
@@ -249,13 +244,8 @@ pub struct SysOutput {
     /// (including warmup and shed requests). With
     /// [`SysOutput::completed_total`] and [`SysOutput::rejected`] this
     /// closes the conservation identity a cold run obeys at drain:
-    /// `generated + retries == completed_total + rejected + in_flight`,
-    /// with `in_flight >= 0` the requests still queued, in service, or
-    /// waiting out a backoff delay when the completion target stopped
-    /// the engine ([`SysOutput::retries`] is zero without a retry
-    /// policy, recovering the pre-retry identity). A warm-started run
-    /// counts every term from its splice, so there `in_flight` is the
-    /// change over the run and may be negative.
+    /// `generated + retries == completed_total + rejected + in_flight`
+    /// ([`SysOutput::in_flight`]).
     pub generated: u64,
     /// Completions over the whole run, warmup included (the measured
     /// window is [`SysOutput::completed`]).
@@ -342,6 +332,17 @@ impl SysOutput {
     /// 99th-percentile end-to-end latency in microseconds.
     pub fn p99_us(&self) -> f64 {
         self.latency.p99_us()
+    }
+
+    /// Attempts offered (generated and retried) less attempts ended
+    /// (completed or shed): the requests still queued, in service, or
+    /// waiting out a backoff delay when the completion target stopped the
+    /// engine, never negative for a cold run ([`SysOutput::retries`] is
+    /// zero without a retry policy, recovering the pre-retry identity). A
+    /// warm-started run counts every term from its splice, so there it is
+    /// the change in requests in flight over the run and may be negative.
+    pub fn in_flight(&self) -> i64 {
+        (self.generated + self.retries) as i64 - (self.completed_total + self.rejected) as i64
     }
 
     /// Measured throughput in requests per microsecond (≈ MRPS).

@@ -1,11 +1,10 @@
 //! Experiment drivers: run one system, sweep load, or search max-load@SLO.
 //!
-//! These functions are the building blocks of every figure binary in
-//! `zygos-bench`.
+//! The lab runner lowers every simulator case onto these functions; the
+//! reference benchmark calls them directly.
 
-use zygos_sim::dist::ServiceDist;
 use zygos_sim::engine::Engine;
-use zygos_sim::queueing::{self, Policy, QueueConfig};
+use zygos_sim::queueing;
 
 use crate::config::{SysConfig, SysOutput, SystemKind};
 use crate::edge::{self, Server, World};
@@ -46,14 +45,6 @@ pub fn warmable(cfg: &SysConfig) -> bool {
     cfg.telemetry.is_none()
 }
 
-/// How many requests a run left in the world beyond those it found there:
-/// attempts offered (generated and retried) less attempts ended (completed
-/// or shed). The conservation identity makes this the change in requests
-/// in flight over the run.
-fn backlog_growth(out: &SysOutput) -> i64 {
-    (out.generated + out.retries) as i64 - (out.completed_total + out.rejected) as i64
-}
-
 /// A finished run kept to seed warm starts: its load, whether its backlog
 /// held steady ([`WARM_MAX_GROWTH`]), and its final world.
 struct Donor<S: Server> {
@@ -85,7 +76,7 @@ fn run_point<S: Server>(
     let (out, kept) = edge::run_kept(engine, keep && warmable(cfg));
     let donor = kept.map(|engine| Donor {
         load: cfg.load,
-        steady: backlog_growth(&out) as f64 <= WARM_MAX_GROWTH * out.completed_total as f64,
+        steady: out.in_flight() as f64 <= WARM_MAX_GROWTH * out.completed_total as f64,
         engine,
     });
     (out, donor)
@@ -285,60 +276,10 @@ pub fn max_load_at_quantile_slo_counting(
     with_world(base, Search(quantile, slo_us, resolution))
 }
 
-/// p99 of the zero-overhead **centralized** FCFS bound (M/G/n/FCFS) at a
-/// given load, including the wire RTT — the grey theory curves.
-pub fn theory_central_p99_us(
-    service: &ServiceDist,
-    cores: usize,
-    load: f64,
-    rtt_us: f64,
-    requests: u64,
-    seed: u64,
-) -> f64 {
-    let out = queueing::simulate(&QueueConfig {
-        servers: cores,
-        load,
-        service: service.clone(),
-        policy: Policy::CentralFcfs,
-        requests,
-        seed,
-        warmup: requests / 5,
-    });
-    out.p99_us() + rtt_us
-}
-
-/// Max-load@SLO of a zero-overhead queueing bound (centralized or
-/// partitioned FCFS), for the grey horizontal lines of Figures 3 and 7.
-pub fn theory_max_load_at_slo(
-    service: &ServiceDist,
-    cores: usize,
-    policy: Policy,
-    slo_multiple: f64,
-    requests: u64,
-    resolution: usize,
-) -> f64 {
-    let slo_us = slo_multiple * service.mean_us();
-    queueing::max_load_at_slo(
-        |load| {
-            queueing::simulate(&QueueConfig {
-                servers: cores,
-                load,
-                service: service.clone(),
-                policy,
-                requests,
-                seed: 7,
-                warmup: requests / 5,
-            })
-            .p99_us()
-        },
-        slo_us,
-        resolution,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zygos_sim::dist::ServiceDist;
 
     fn small(system: SystemKind, mean_us: f64) -> SysConfig {
         let mut cfg = SysConfig::paper(system, ServiceDist::exponential_us(mean_us), 0.5);
@@ -767,14 +708,13 @@ mod tests {
                 factor: 1.0,
                 max_attempts: 2,
             });
-            cfg.retry_jitter = false;
             cfg.retry_timeout_us = Some(300.0);
             let timeout = run_system(&cfg);
             assert!(timeout.timeouts > 0, "{name}: no timeouts fired");
 
             for out in [&ungated, &edge, &client, &timeout] {
                 assert!(
-                    out.generated + out.retries >= out.completed_total + out.rejected,
+                    out.in_flight() >= 0,
                     "{name}: gen {} + retries {} < done {} + rejected {}",
                     out.generated,
                     out.retries,
@@ -829,16 +769,11 @@ mod tests {
 
     #[test]
     fn theory_bounds_bracket_systems() {
-        let service = ServiceDist::exponential_us(10.0);
-        let central = theory_max_load_at_slo(&service, 16, Policy::CentralFcfs, 10.0, 40_000, 20);
-        let part = theory_max_load_at_slo(&service, 16, Policy::PartitionedFcfs, 10.0, 40_000, 20);
-        // Known theory: ~0.96 and ~0.54.
-        assert!(central > 0.85, "central bound = {central}");
-        assert!((0.40..0.70).contains(&part), "partitioned bound = {part}");
-        // Systems fall below their bound.
+        // Systems fall below the zero-overhead M/M/16 bound (closed form).
+        let central = queueing::theory::mmn_max_load_at_p99_slo(16, 10.0);
         let zygos =
             max_load_at_quantile_slo_counting(&small(SystemKind::Zygos, 10.0), 0.99, 100.0, 20).0;
-        assert!(zygos < central + 0.05);
+        assert!(zygos < central + 0.05, "zygos {zygos} vs bound {central}");
     }
 
     #[test]
@@ -954,7 +889,7 @@ mod tests {
         });
         let outs = run_system_chain(&base, &[0.6, 0.8, 0.95]);
         for (i, out) in outs.iter().enumerate() {
-            let growth = backlog_growth(out);
+            let growth = out.in_flight();
             assert!(out.retries > 0, "point {i}: the gate never shed");
             assert!(
                 growth.unsigned_abs() as f64 <= WARM_MAX_GROWTH * out.completed_total as f64,
@@ -983,7 +918,7 @@ mod tests {
         (base.requests, base.warmup) = (3_000, 600);
         let chain = run_system_chain(&base, &[0.3, 0.6, 0.9]);
         assert_eq!(chain[1].completed_total, 3_500, "0.6 warm-starts");
-        assert!(backlog_growth(&chain[1]) as f64 > WARM_MAX_GROWTH * 3_500.0);
+        assert!(chain[1].in_flight() as f64 > WARM_MAX_GROWTH * 3_500.0);
         base.load = 0.9;
         let cold = run_system(&base);
         assert_eq!(chain[2].events, cold.events);
@@ -1046,13 +981,5 @@ mod tests {
                 T_975 * se
             );
         }
-    }
-
-    #[test]
-    fn theory_central_curve_is_sane() {
-        let service = ServiceDist::exponential_us(10.0);
-        let p99 = theory_central_p99_us(&service, 16, 0.3, 4.0, 30_000, 3);
-        // ≈ 46µs service p99 + 4µs RTT, with a little queueing.
-        assert!((48.0..62.0).contains(&p99), "p99 = {p99}");
     }
 }

@@ -566,15 +566,11 @@ impl Edge {
         let Some(policy) = self.cfg.retry else { return };
         let noticed = now + notify_delay;
         let elapsed_us = noticed.duration_since(req.send).as_nanos() / 1_000;
-        let decision = if self.cfg.retry_jitter {
-            policy.on_shed_jittered(
-                attempt,
-                elapsed_us,
-                conn_key(self.cfg.seed, req.conn as usize),
-            )
-        } else {
-            policy.on_shed(attempt, elapsed_us)
-        };
+        let decision = policy.on_shed_jittered(
+            attempt,
+            elapsed_us,
+            conn_key(self.cfg.seed, req.conn as usize),
+        );
         let delay_us = match decision {
             RetryDecision::GiveUp => {
                 self.give_ups += 1;
@@ -877,7 +873,7 @@ mod tests {
     /// Server-edge credits with backoff and no client timeout: the client
     /// has nothing to do at re-issue time, so each re-issue is one
     /// `Packet` event scheduled from the shed.
-    fn folded(system: SystemKind, jitter: bool, load: f64, seed: u64, requests: u64) -> SysConfig {
+    fn folded(system: SystemKind, load: f64, seed: u64, requests: u64) -> SysConfig {
         let mut cfg = SysConfig::paper(system, ServiceDist::exponential_us(10.0), load);
         cfg.admission = Some(CreditConfig::for_cores(cfg.cores, 80.0));
         cfg.retry = Some(RetryPolicy::Backoff {
@@ -885,7 +881,6 @@ mod tests {
             factor: 2.0,
             max_attempts: 3,
         });
-        cfg.retry_jitter = jitter;
         (cfg.requests, cfg.warmup, cfg.seed) = (requests, requests / 5, seed);
         cfg
     }
@@ -900,7 +895,7 @@ mod tests {
 
     #[test]
     fn the_retry_hop_twin_matches_the_unfolded_loop_bit_for_bit() {
-        // (host, jitter, load, seed, [generated, completed_total, rejected,
+        // (host, load, seed, [generated, completed_total, rejected,
         // retries, give_ups], p99 µs), 5k measured after 1k warm-up
         // completions. Recorded before the fold, with no timeout armed: the
         // twin's timeout events never fire, and the re-issue path is the one
@@ -908,46 +903,28 @@ mod tests {
         use SystemKind::{Ix, LinuxFloating as Linux, Zygos};
         #[rustfmt::skip]
         let pins = [
-            (Zygos, true, 1.1, 1, [9757, 6000, 20959, 17521, 3438], 347.903),
-            (Zygos, true, 1.1, 2, [9679, 6000, 20610, 17245, 3365], 346.367),
-            (Zygos, true, 1.3, 1, [11509, 6000, 28415, 23294, 5121], 348.927),
-            (Zygos, true, 1.3, 2, [11554, 6000, 28598, 23445, 5153], 347.647),
-            (Zygos, true, 1.6, 1, [14141, 6000, 39025, 31382, 7643], 351.231),
-            (Zygos, true, 1.6, 2, [14145, 6000, 39245, 31602, 7643], 348.671),
-            (Zygos, false, 1.1, 1, [9591, 6000, 19868, 16665, 3203], 400.639),
-            (Zygos, false, 1.1, 2, [9711, 6000, 20511, 17219, 3292], 402.431),
-            (Zygos, false, 1.3, 1, [11413, 6000, 27521, 22602, 4919], 402.431),
-            (Zygos, false, 1.3, 2, [11350, 6000, 27425, 22573, 4852], 404.991),
-            (Zygos, false, 1.6, 1, [14261, 6000, 39030, 31456, 7574], 404.479),
-            (Zygos, false, 1.6, 2, [14108, 6000, 38486, 31073, 7413], 403.967),
-            (Ix, true, 1.1, 1, [12132, 6000, 30963, 25192, 5771], 368.895),
-            (Ix, true, 1.1, 2, [11874, 6000, 30065, 24533, 5532], 372.735),
-            (Ix, true, 1.3, 1, [14100, 6000, 39090, 31377, 7713], 373.247),
-            (Ix, true, 1.3, 2, [14282, 6000, 39805, 31978, 7827], 377.855),
-            (Ix, true, 1.6, 1, [17523, 6000, 52928, 41944, 10984], 380.415),
-            (Ix, true, 1.6, 2, [17891, 6000, 54268, 42956, 11312], 376.575),
-            (Ix, false, 1.1, 1, [12119, 6000, 30721, 25080, 5641], 440.063),
-            (Ix, false, 1.1, 2, [12250, 6000, 31254, 25487, 5767], 445.695),
-            (Ix, false, 1.3, 1, [14260, 6000, 39513, 31797, 7716], 450.303),
-            (Ix, false, 1.3, 2, [14210, 6000, 39222, 31583, 7639], 442.367),
-            (Ix, false, 1.6, 1, [17818, 6000, 53585, 42513, 11072], 448.255),
-            (Ix, false, 1.6, 2, [17367, 6000, 51906, 41273, 10633], 446.719),
-            (Linux, true, 1.1, 1, [14433, 6000, 40825, 32761, 8064], 353.535),
-            (Linux, true, 1.1, 2, [14422, 6000, 40778, 32718, 8060], 353.535),
-            (Linux, true, 1.3, 1, [17072, 6000, 51311, 40692, 10619], 351.487),
-            (Linux, true, 1.3, 2, [17158, 6000, 51792, 41090, 10702], 354.047),
-            (Linux, true, 1.6, 1, [20945, 6000, 66843, 52492, 14351], 354.815),
-            (Linux, true, 1.6, 2, [20850, 6000, 66382, 52133, 14249], 356.863),
-            (Linux, false, 1.1, 1, [14381, 6000, 40247, 32361, 7886], 405.503),
-            (Linux, false, 1.1, 2, [14482, 6000, 40630, 32612, 8018], 406.015),
-            (Linux, false, 1.3, 1, [17210, 6000, 51531, 40914, 10617], 405.759),
-            (Linux, false, 1.3, 2, [17018, 6000, 50686, 40280, 10406], 405.503),
-            (Linux, false, 1.6, 1, [20793, 6000, 65717, 51688, 14029], 407.807),
-            (Linux, false, 1.6, 2, [20844, 6000, 66025, 51942, 14083], 410.623),
+            (Zygos, 1.1, 1, [9757, 6000, 20959, 17521, 3438], 347.903),
+            (Zygos, 1.1, 2, [9679, 6000, 20610, 17245, 3365], 346.367),
+            (Zygos, 1.3, 1, [11509, 6000, 28415, 23294, 5121], 348.927),
+            (Zygos, 1.3, 2, [11554, 6000, 28598, 23445, 5153], 347.647),
+            (Zygos, 1.6, 1, [14141, 6000, 39025, 31382, 7643], 351.231),
+            (Zygos, 1.6, 2, [14145, 6000, 39245, 31602, 7643], 348.671),
+            (Ix, 1.1, 1, [12132, 6000, 30963, 25192, 5771], 368.895),
+            (Ix, 1.1, 2, [11874, 6000, 30065, 24533, 5532], 372.735),
+            (Ix, 1.3, 1, [14100, 6000, 39090, 31377, 7713], 373.247),
+            (Ix, 1.3, 2, [14282, 6000, 39805, 31978, 7827], 377.855),
+            (Ix, 1.6, 1, [17523, 6000, 52928, 41944, 10984], 380.415),
+            (Ix, 1.6, 2, [17891, 6000, 54268, 42956, 11312], 376.575),
+            (Linux, 1.1, 1, [14433, 6000, 40825, 32761, 8064], 353.535),
+            (Linux, 1.1, 2, [14422, 6000, 40778, 32718, 8060], 353.535),
+            (Linux, 1.3, 1, [17072, 6000, 51311, 40692, 10619], 351.487),
+            (Linux, 1.3, 2, [17158, 6000, 51792, 41090, 10702], 354.047),
+            (Linux, 1.6, 1, [20945, 6000, 66843, 52492, 14351], 354.815),
+            (Linux, 1.6, 2, [20850, 6000, 66382, 52133, 14249], 356.863),
         ];
         let (mut got, mut want) = (Vec::new(), Vec::new());
-        for (system, jitter, load, seed, counts, p99_us) in pins {
-            let out = run_system(&twin(folded(system, jitter, load, seed, 5_000)));
+        for (system, load, seed, counts, p99_us) in pins {
+            let out = run_system(&twin(folded(system, load, seed, 5_000)));
             assert_eq!(out.timeouts, 0, "the twin's timeout must never fire");
             let fields = [
                 out.generated,
@@ -956,7 +933,7 @@ mod tests {
                 out.retries,
                 out.give_ups,
             ];
-            let key = (system.label(), jitter, load, seed);
+            let key = (system.label(), load, seed);
             got.push((key, fields, out.p99_us().to_bits()));
             want.push((key, counts, f64::to_bits(p99_us)));
         }
@@ -1024,7 +1001,7 @@ mod tests {
         let (mut goodput, mut retries, mut p99) = (Vec::new(), Vec::new(), Vec::new());
         let mut moved = 0;
         for seed in 1..=24 {
-            let cfg = folded(SystemKind::Zygos, true, 1.3, seed, 2_000);
+            let cfg = folded(SystemKind::Zygos, 1.3, seed, 2_000);
             let (f, t) = (run_system(&cfg), run_system(&twin(cfg)));
             assert!(
                 f.events < t.events,

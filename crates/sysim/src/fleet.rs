@@ -234,9 +234,7 @@ impl FleetOutput {
     /// (with retries off it collapses to the original); never negative
     /// for cold runs (the fleet always runs cold).
     pub fn in_flight(&self) -> i64 {
-        self.generated() as i64 + self.retries() as i64
-            - self.completed_total() as i64
-            - self.rejected() as i64
+        self.shards.iter().map(|s| s.in_flight()).sum()
     }
 
     /// Aggregate fleet throughput in requests/µs of *user* requests: the

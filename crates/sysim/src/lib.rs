@@ -83,8 +83,7 @@ mod zygos;
 pub use config::{AdmissionMode, SysConfig, SysOutput, SystemKind, CREDIT_HEADROOM};
 pub use driver::{
     latency_throughput_sweep, latency_throughput_sweep_cold, max_load_at_quantile_slo_counting,
-    run_system, run_system_chain, theory_central_p99_us, theory_max_load_at_slo, warmable,
-    SweepPoint, WARM_MAX_GROWTH, WARM_MAX_LOAD,
+    run_system, run_system_chain, warmable, SweepPoint, WARM_MAX_GROWTH, WARM_MAX_LOAD,
 };
 pub use fleet::{run_fleet, run_fleet_threads, FleetConfig, FleetOutput, FLEET_SEED_STRIDE};
 pub use staged::{CoreLayout, QueueDiscipline, StageSpec, StagedConfig};

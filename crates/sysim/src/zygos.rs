@@ -1465,7 +1465,6 @@ mod tests {
             factor: 1.0,
             max_attempts: 2,
         });
-        cfg.retry_jitter = false;
         cfg.retry_timeout_us = Some(300.0);
         let out = run(&cfg);
         assert_eq!(out.completed, 12_000);

@@ -1,14 +1,14 @@
 //! Calibration tests: the simulator must reproduce the paper's headline
 //! efficiency numbers (abstract and §6.1) within tolerance.
 //!
-//! These are the anchors that keep the cost model honest: they use the
-//! public API exactly as the figure binaries do.
+//! These are the anchors that keep the cost model honest: they run the
+//! max-load search every `[search]` block runs, and divide by the
+//! closed-form zero-overhead bounds, exact for these exponential
+//! workloads.
 
 use zygos_sim::dist::ServiceDist;
-use zygos_sim::queueing::Policy;
-use zygos_sysim::{
-    max_load_at_quantile_slo_counting, theory_max_load_at_slo, SysConfig, SystemKind,
-};
+use zygos_sim::queueing::theory::{mm1_max_load_at_p99_slo, mmn_max_load_at_p99_slo};
+use zygos_sysim::{max_load_at_quantile_slo_counting, SysConfig, SystemKind};
 
 fn cfg(system: SystemKind, mean_us: f64) -> SysConfig {
     let mut c = SysConfig::paper(system, ServiceDist::exponential_us(mean_us), 0.5);
@@ -22,11 +22,10 @@ fn cfg(system: SystemKind, mean_us: f64) -> SysConfig {
 /// zero-overhead model (centralized queueing with FCFS) for 10µs tasks".
 #[test]
 fn zygos_efficiency_at_10us_near_75_percent() {
-    let service = ServiceDist::exponential_us(10.0);
     let slo_us = 100.0;
     let zygos =
         max_load_at_quantile_slo_counting(&cfg(SystemKind::Zygos, 10.0), 0.99, slo_us, 40).0;
-    let bound = theory_max_load_at_slo(&service, 16, Policy::CentralFcfs, 10.0, 60_000, 40);
+    let bound = mmn_max_load_at_p99_slo(16, 10.0);
     let eff = zygos / bound;
     assert!(
         (0.60..0.90).contains(&eff),
@@ -37,11 +36,10 @@ fn zygos_efficiency_at_10us_near_75_percent() {
 /// Abstract: "... and 88% for 25µs tasks".
 #[test]
 fn zygos_efficiency_at_25us_near_88_percent() {
-    let service = ServiceDist::exponential_us(25.0);
     let slo_us = 250.0;
     let zygos =
         max_load_at_quantile_slo_counting(&cfg(SystemKind::Zygos, 25.0), 0.99, slo_us, 40).0;
-    let bound = theory_max_load_at_slo(&service, 16, Policy::CentralFcfs, 10.0, 60_000, 40);
+    let bound = mmn_max_load_at_p99_slo(16, 10.0);
     let eff = zygos / bound;
     assert!(
         (0.75..0.97).contains(&eff),
@@ -93,9 +91,8 @@ fn linux_floating_overtakes_ix_for_large_tasks() {
 /// task size grows (Figure 3): ≥90% efficiency at 25µs.
 #[test]
 fn ix_efficiency_matches_figure3() {
-    let service = ServiceDist::exponential_us(25.0);
     let ix = max_load_at_quantile_slo_counting(&cfg(SystemKind::Ix, 25.0), 0.99, 250.0, 40).0;
-    let bound = theory_max_load_at_slo(&service, 16, Policy::PartitionedFcfs, 10.0, 60_000, 40);
+    let bound = mm1_max_load_at_p99_slo(10.0);
     let eff = ix / bound;
     assert!(
         eff > 0.85,
