@@ -50,9 +50,7 @@ pub fn cell_scenario(
 ) -> Scenario {
     let mut builder = crate::scenario("fig03", scale)
         .service(dist_for(dist_label, mean_us))
-        // The search probes its own loads; the grid only sizes the spec
-        // (validated non-empty), at the search's first, cheapest probe.
-        .loads(vec![1.0 / scale.resolution as f64])
+        // No grid: the search probes loads of its own.
         .search(SearchSpec {
             quantile: 0.99,
             bound_us: 10.0 * mean_us,

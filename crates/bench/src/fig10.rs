@@ -166,8 +166,8 @@ pub struct Table1Row {
 pub fn run_table1(scale: &Scale, mix_samples: Vec<f64>, service_p99_us: f64) -> Vec<Table1Row> {
     let service = ServiceDist::empirical_us(mix_samples);
     let saturation_ktps = 16.0 / service.mean_us() * 1_000.0;
-    // The search probes its own loads; the grid only sizes the spec.
-    let search = silo_scenario(scale, &service, vec![0.5], &SYSTEMS)
+    // No grid: the search probes loads of its own.
+    let search = silo_scenario(scale, &service, Vec::new(), &SYSTEMS)
         .search(SearchSpec {
             quantile: 0.99,
             bound_us: 1_000.0,

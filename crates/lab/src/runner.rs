@@ -1120,6 +1120,41 @@ mod tests {
     }
 
     #[test]
+    fn a_search_only_scenario_reports_its_search_and_no_points() {
+        use crate::spec::SearchSpec;
+        let sc = Scenario::builder("search-only")
+            .service(ServiceDist::exponential_us(10.0))
+            .cores(4)
+            .conns(16)
+            .requests(4_000, 1_000)
+            .smoke(1_500, 300)
+            .case(Case::sim("zygos", SimHost::Zygos))
+            .case(Case::model("bound", Policy::CentralFcfs))
+            .search(SearchSpec {
+                quantile: 0.99,
+                bound_us: 100.0,
+                resolution: 8,
+            })
+            .build()
+            .expect("a [search] needs no grid");
+        let report = run_scenario(&sc, true).expect("runs");
+        assert_eq!(report.series.len(), 2);
+        for series in &report.series {
+            assert!(
+                series.points.is_empty(),
+                "{}: no grid, no points",
+                series.label
+            );
+            let search = series.search.as_ref().expect("searched");
+            assert!(search.max_load > 0.0 && search.probes > 0, "{search:?}");
+        }
+        assert_eq!(
+            Report::from_json(&report.to_json()).expect("parses"),
+            report
+        );
+    }
+
+    #[test]
     fn warm_chains_are_a_pure_function_of_the_grid() {
         // Ascending spans chain; descents, repeats and beyond-cap loads
         // break them.

@@ -1152,7 +1152,9 @@ impl ScenarioBuilder {
         if self.conns == 0 {
             return err("conns must be >= 1".into());
         }
-        if self.loads.is_empty() {
+        // A scenario that wants only its max load @ SLO needs no grid: the
+        // search probes loads of its own.
+        if self.loads.is_empty() && self.search.is_none() {
             return err("the load grid is empty".into());
         }
         for grid in [Some(&self.loads), self.scale.smoke_loads.as_ref()]
@@ -1998,6 +2000,17 @@ mod tests {
             .expect("valid");
         assert_eq!(sc.search.as_ref().map(|s| s.resolution), Some(16));
         assert_eq!(sc.tail.as_ref().map(|t| t.splits), Some(4));
+        // A search needs no load grid; without one, an empty grid fails.
+        let gridless = || {
+            Scenario::builder("t")
+                .service(ServiceDist::exponential_us(10.0))
+                .case(Case::sim("z", SimHost::Zygos))
+        };
+        let sc =
+            (gridless().search(SearchSpec::default()).build()).expect("a [search] needs no grid");
+        assert!(sc.workload.loads.is_empty());
+        let e = gridless().build().expect_err("no grid, no search");
+        assert_eq!(e.to_string(), "invalid scenario: the load grid is empty");
         // A search over live-only cases has nothing honest to bisect.
         let e = Scenario::builder("t")
             .service(ServiceDist::exponential_us(200.0))

@@ -16,6 +16,10 @@
 //! segment (no copy, no allocation). Only a frame that spans segments is
 //! reassembled in a buffer and copied out.
 //!
+//! Transmit reuses buffers: a [`FrameEncoder`] writes each frame into the
+//! buffer of a frame it sent earlier once every receiver has dropped it,
+//! so a sender whose frames come back allocates nothing in steady state.
+//!
 //! ```
 //! use bytes::Bytes;
 //! use zygos_net::packet::RpcMessage;
@@ -31,6 +35,8 @@
 //! assert_eq!(msg.header.req_id, 7);
 //! assert_eq!(&msg.body[..], b"hi");
 //! ```
+
+use std::collections::VecDeque;
 
 use bytes::{Buf, Bytes, BytesMut};
 
@@ -146,6 +152,81 @@ impl Framer {
     /// True once a framing error has been observed.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
+    }
+}
+
+/// Encodes frames into the buffers of frames it sent earlier.
+///
+/// The encoder keeps a clone of every frame it hands out, oldest first. To
+/// encode, it tries to reclaim the oldest ([`Bytes::try_into_mut`]), which
+/// succeeds once every receiver has dropped its views of that frame; the
+/// header and body are then written over the old bytes. A frame still
+/// held goes to the back of the queue and the new frame gets a fresh
+/// buffer, so the encoder allocates only while its oldest frame is held.
+/// At most `cap` frames are kept: at the cap, a held oldest frame is let
+/// go (its receivers keep it alive) instead of being waited for.
+///
+/// A buffer is rewritten only after `try_into_mut` proves no [`Bytes`]
+/// views it, so a receiver never sees its frame change.
+///
+/// ```
+/// use bytes::Bytes;
+/// use zygos_net::packet::RpcMessage;
+/// use zygos_net::wire::FrameEncoder;
+///
+/// let mut enc = FrameEncoder::new(16);
+/// let first = enc.encode(&RpcMessage::new(1, 1, Bytes::from_static(b"hi")));
+/// assert_eq!(first, RpcMessage::new(1, 1, Bytes::from_static(b"hi")).to_bytes());
+/// let at = first.as_ptr();
+/// drop(first); // The receiver is done with it ...
+/// let second = enc.encode(&RpcMessage::new(1, 2, Bytes::from_static(b"yo")));
+/// assert_eq!(second.as_ptr(), at); // ... so its buffer carries the next.
+/// ```
+pub struct FrameEncoder {
+    /// Clones of the frames handed out, oldest first.
+    sent: VecDeque<Bytes>,
+    /// Most frames kept in `sent`.
+    cap: usize,
+}
+
+impl FrameEncoder {
+    /// An encoder that keeps at most `cap` (at least 1) sent frames for
+    /// reuse.
+    pub fn new(cap: usize) -> Self {
+        FrameEncoder {
+            sent: VecDeque::new(),
+            cap: cap.max(1),
+        }
+    }
+
+    /// Serializes header + body, as [`RpcMessage::to_bytes`] does, into a
+    /// reclaimed buffer when the oldest sent frame has been dropped by
+    /// every receiver, else into a fresh one.
+    pub fn encode(&mut self, msg: &RpcMessage) -> Bytes {
+        let mut buf = match self.sent.pop_front().map(Bytes::try_into_mut) {
+            Some(Ok(mut reclaimed)) => {
+                reclaimed.clear();
+                reclaimed
+            }
+            Some(Err(held)) => {
+                // Room for it and the new frame, or let it go.
+                if self.sent.len() + 2 <= self.cap {
+                    self.sent.push_back(held);
+                }
+                BytesMut::with_capacity(msg.wire_len())
+            }
+            None => BytesMut::with_capacity(msg.wire_len()),
+        };
+        msg.header.encode(&mut buf);
+        buf.extend_from_slice(&msg.body);
+        let frame = buf.freeze();
+        self.sent.push_back(frame.clone());
+        // A hint, not a check: reading the next candidate's count now
+        // starts its cache line back from the receiver that last dropped
+        // it, while this frame is sent, instead of stalling the next
+        // `try_into_mut` on it.
+        std::hint::black_box(self.sent.front().map(Bytes::is_unique));
+        frame
     }
 }
 
@@ -339,6 +420,57 @@ mod tests {
         let m = f.next_message().unwrap().unwrap();
         assert_eq!(m.header.body_len, 0);
         assert!(m.body.is_empty());
+    }
+
+    #[test]
+    fn encoder_reuses_dropped_frames_and_never_rewrites_held_ones() {
+        let mut enc = FrameEncoder::new(3);
+        let a = enc.encode(&msg(1, b"aaaa"));
+        assert_eq!(a, msg(1, b"aaaa").to_bytes());
+        // `a` is held, so the next two frames get buffers of their own.
+        let b = enc.encode(&msg(2, b"bbbb"));
+        let b_at = b.as_ptr();
+        drop(b);
+        let c = enc.encode(&msg(3, b"cccc"));
+        assert_ne!(c.as_ptr(), b_at);
+        // `a` went behind `b`: the oldest is `b`, dropped, so it is reused.
+        let d = enc.encode(&msg(4, b"dddd"));
+        assert_eq!(d.as_ptr(), b_at);
+        assert_eq!(d, msg(4, b"dddd").to_bytes());
+        drop(c);
+        // The oldest is `a`, still held: at the cap it is let go.
+        let e = enc.encode(&msg(5, b"eeee"));
+        assert_eq!(enc.sent.len(), 3);
+        for id in 6..20 {
+            let f = enc.encode(&msg(id, b"ffff"));
+            assert_eq!(f, msg(id, b"ffff").to_bytes());
+            assert_eq!(enc.sent.len(), 3);
+        }
+        for (frame, id, body) in [(a, 1, b"aaaa"), (d, 4, b"dddd"), (e, 5, b"eeee")] {
+            assert_eq!(
+                frame,
+                msg(id, body).to_bytes(),
+                "held frame {id} was rewritten"
+            );
+        }
+    }
+
+    #[test]
+    fn encoded_frames_decode_like_to_bytes_ones() {
+        let mut enc = FrameEncoder::new(4);
+        let mut f = Framer::new();
+        for id in 0..10 {
+            let body: &'static [u8] = if id % 2 == 0 {
+                b"short"
+            } else {
+                b"a longer body"
+            };
+            let m = RpcMessage::new(2, id, Bytes::from_static(body)).with_credits(id as u32);
+            let wire = enc.encode(&m);
+            assert_eq!(wire, m.to_bytes());
+            f.feed(&wire).unwrap();
+            assert_eq!(f.next_message().unwrap(), Some(m));
+        }
     }
 
     #[test]

@@ -15,8 +15,10 @@ use std::time::Duration;
 use bytes::Bytes;
 
 use zygos_core::doorbell::IpiReason;
+use zygos_core::spinlock::SpinLock;
 use zygos_net::flow::ConnId;
 use zygos_net::packet::{Packet, RpcHeader, RpcMessage, RPC_HEADER_LEN};
+use zygos_net::wire::FrameEncoder;
 
 use crate::server::Shared;
 
@@ -24,6 +26,9 @@ use crate::server::Shared;
 /// the connection's RSS home) and receives response frames.
 pub struct ClientPort {
     shared: Arc<Shared>,
+    /// Encodes requests into the buffers of requests the server is done
+    /// with.
+    encoder: SpinLock<FrameEncoder>,
     /// Sender-side credit balances, one per connection (`None` unless
     /// client-side credits are armed).
     credits: Option<Vec<AtomicU32>>,
@@ -49,6 +54,7 @@ impl ClientPort {
                 .collect()
         });
         ClientPort {
+            encoder: SpinLock::new(FrameEncoder::new(shared.cfg.ring_capacity)),
             shared,
             credits,
             local_sheds: AtomicU64::new(0),
@@ -107,13 +113,17 @@ impl ClientPort {
         true
     }
 
-    /// Sends one request message on `conn`.
+    /// Sends one request message on `conn`, encoded into the buffer of an
+    /// earlier request the server has dropped (a fresh one while every
+    /// earlier request is still held).
     ///
     /// # Panics
     ///
     /// Panics if `conn` is out of range.
     pub fn send(&self, conn: ConnId, msg: &RpcMessage) {
-        self.send_bytes(conn, msg.to_bytes());
+        // Released before `send_bytes`, which spins while the ring is full.
+        let wire = self.encoder.lock().encode(msg);
+        self.send_bytes(conn, wire);
     }
 
     /// Sends raw stream bytes on `conn` (may be a partial frame or several

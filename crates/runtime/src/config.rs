@@ -43,7 +43,8 @@ pub struct RuntimeConfig {
     pub conns: u32,
     /// Scheduling discipline.
     pub scheduler: SchedulerKind,
-    /// Capacity of each per-core ingress ring.
+    /// Capacity of each per-core ingress ring; also the most sent frames
+    /// the client port and each worker keep for reuse.
     pub ring_capacity: usize,
     /// Maximum events taken from one connection per dequeue (the per-flow
     /// batch bound and the elastic mode's cooperative quantum; must be

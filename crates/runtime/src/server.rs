@@ -85,7 +85,7 @@ use zygos_net::flow::{ConnId, FiveTuple};
 use zygos_net::packet::{Packet, RpcMessage};
 use zygos_net::ring::MpscRing;
 use zygos_net::rss::Rss;
-use zygos_net::wire::Framer;
+use zygos_net::wire::{FrameEncoder, Framer};
 use zygos_telemetry::{Registry, SeriesId, TimeSeries};
 
 use crate::app::RpcApp;
@@ -487,6 +487,9 @@ struct Worker {
     core: usize,
     /// Framers of the connections homed here.
     framers: Vec<Framer>,
+    /// Encodes every frame this worker produces (responses, shipped
+    /// stolen responses, rejects) into buffers its receivers dropped.
+    frames: FrameEncoder,
     /// Max events taken from one connection per dequeue.
     batch: usize,
     /// Moving average of the handler time this worker spends per executed
@@ -540,6 +543,7 @@ impl Worker {
         Worker {
             core,
             framers: (0..shared.cfg.conns).map(|_| Framer::new()).collect(),
+            frames: FrameEncoder::new(shared.cfg.ring_capacity),
             batch: shared.cfg.conn_batch,
             exec_ns: 0,
             events: Vec::new(),
@@ -759,7 +763,7 @@ fn tcp_in(w: &mut Worker, shared: &Shared, max_pkts: usize) -> usize {
                             let reject =
                                 RpcMessage::new(REJECT_OPCODE, msg.header.req_id, Bytes::new());
                             let reject = grant_min_one(shared, conn, reject);
-                            shared.respond(conn, reject.to_bytes());
+                            shared.respond(conn, w.frames.encode(&reject));
                             continue;
                         }
                     }
@@ -847,7 +851,7 @@ fn exec_conn(w: &mut Worker, shared: &Shared, app: &Arc<dyn RpcApp>, conn: ConnI
         // every response would grant 0 and sender-side clients would
         // ratchet to zero balance and starve.
         release_credit(shared, conn);
-        let wire = grant_credits(shared, conn, resp).to_bytes();
+        let wire = w.frames.encode(&grant_credits(shared, conn, resp));
         // The sojourn sample: framed at ingress, response produced now.
         shared.record_sojourn(core, conn, ev.ingress);
         if stolen {
@@ -1016,6 +1020,52 @@ mod tests {
         assert_eq!(rconn, conn);
         assert_eq!(resp.header.req_id, 42);
         assert_eq!(&resp.body[..], b"hi");
+        server.shutdown();
+    }
+
+    #[test]
+    fn held_responses_keep_their_bytes_while_the_encoders_reuse_buffers() {
+        // Every encoder keeps at most `ring_capacity` frames, so holding
+        // every third of 6 × cap responses drives each one past its cap.
+        let cfg = RuntimeConfig {
+            ring_capacity: 16,
+            ..RuntimeConfig::zygos(2, 8)
+        };
+        let cap = cfg.ring_capacity as u64;
+        let (server, client) = echo_server(cfg);
+        let body = |id: u64| Bytes::from(id.to_le_bytes().repeat(1 + id as usize % 5));
+        // Four RPCs in flight at a time, round-robin over the connections.
+        let rpcs = |ids: std::ops::Range<u64>, held: &mut Vec<RpcMessage>| {
+            for chunk in ids.collect::<Vec<_>>().chunks(4) {
+                for &id in chunk {
+                    let conn = ConnId((id % 8) as u32);
+                    client.send(conn, &RpcMessage::new(1, id, body(id)));
+                }
+                for _ in chunk {
+                    let (_, resp) = client
+                        .recv_timeout(Duration::from_secs(5))
+                        .expect("response");
+                    assert_eq!(resp.body, body(resp.header.req_id));
+                    if resp.header.req_id % 3 == 0 {
+                        held.push(resp);
+                    }
+                }
+            }
+        };
+        let mut held = Vec::new();
+        rpcs(0..6 * cap, &mut held);
+        assert_eq!(held.len() as u64, 2 * cap);
+        rpcs(6 * cap..10 * cap, &mut Vec::new());
+        for resp in &held {
+            let id = resp.header.req_id;
+            assert_eq!(resp.header.opcode, 1, "held response {id}");
+            assert_eq!(resp.header.body_len as usize, resp.body.len());
+            assert_eq!(
+                &resp.body[..],
+                &body(id)[..],
+                "held response {id} was rewritten"
+            );
+        }
         server.shutdown();
     }
 

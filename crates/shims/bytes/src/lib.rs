@@ -6,6 +6,9 @@
 //! the real crate for that subset: [`Bytes`] is a cheaply cloneable,
 //! immutable view into shared storage; [`BytesMut`] is a growable buffer
 //! with an amortized-O(1) front cursor for `advance`/`split_to`.
+//! [`BytesMut::freeze`] hands its storage to a [`Bytes`] without
+//! allocating, and [`Bytes::try_into_mut`] hands the storage of the last
+//! view back as a [`BytesMut`].
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -30,19 +33,20 @@ macro_rules! fmt_bytes_debug {
     };
 }
 
-/// Shared storage behind a [`Bytes`]: a slice that was copied in (one
-/// allocation holds counts and data), or a `Vec` that was moved in (its
-/// buffer is kept as it is; only the counts are allocated).
+/// Shared storage behind a [`Bytes`]: one block that holds the counts and
+/// the bytes (copied in, or frozen from a [`BytesMut`]), or a `Vec` that
+/// was moved in (its buffer is kept as it is; only the counts are
+/// allocated).
 #[derive(Clone)]
 enum Storage {
-    Slice(Arc<[u8]>),
+    Block(Arc<[u8]>),
     Vec(Arc<Vec<u8>>),
 }
 
 impl Default for Storage {
     fn default() -> Self {
         // The empty `Arc<[u8]>` is a shared static: no allocation.
-        Storage::Slice(Arc::default())
+        Storage::Block(Arc::default())
     }
 }
 
@@ -73,7 +77,7 @@ impl Bytes {
         Bytes {
             start: 0,
             end: b.len(),
-            data: Storage::Slice(Arc::from(b)),
+            data: Storage::Block(Arc::from(b)),
         }
     }
 
@@ -108,14 +112,52 @@ impl Bytes {
         }
     }
 
+    /// True if no other `Bytes` shares this view's storage, so
+    /// [`Bytes::try_into_mut`] would succeed.
+    pub fn is_unique(&self) -> bool {
+        match &self.data {
+            Storage::Block(block) => Arc::strong_count(block) == 1,
+            Storage::Vec(vec) => Arc::strong_count(vec) == 1,
+        }
+    }
+
     /// Copies the view into a `Vec<u8>`.
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_slice().to_vec()
     }
 
+    /// Turns the view into a [`BytesMut`] holding the same bytes if no
+    /// other `Bytes` shares its storage; otherwise hands `self` back
+    /// unchanged.
+    ///
+    /// A block (storage copied in, or frozen from a [`BytesMut`]) is taken
+    /// over as it is: the buffer writes into the same allocation, and
+    /// freezing it again allocates nothing. A `Vec` that was moved in is
+    /// copied out into a block.
+    pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
+        let Bytes {
+            mut data,
+            start,
+            end,
+        } = self;
+        let unique = match &mut data {
+            Storage::Block(block) => Arc::get_mut(block).is_some(),
+            Storage::Vec(vec) => Arc::get_mut(vec).is_some(),
+        };
+        match data {
+            Storage::Block(block) if unique => Ok(BytesMut {
+                block,
+                head: start,
+                len: end,
+            }),
+            Storage::Vec(vec) if unique => Ok(BytesMut::from(&vec[start..end])),
+            data => Err(Bytes { data, start, end }),
+        }
+    }
+
     fn as_slice(&self) -> &[u8] {
         match &self.data {
-            Storage::Slice(data) => &data[self.start..self.end],
+            Storage::Block(data) => &data[self.start..self.end],
             Storage::Vec(data) => &data[self.start..self.end],
         }
     }
@@ -208,11 +250,37 @@ impl<'a> IntoIterator for &'a Bytes {
 }
 
 /// A growable byte buffer with a consuming front cursor.
-#[derive(Clone, Default)]
+///
+/// The buffer is one shared block, the same kind a [`Bytes`] views, held
+/// by nothing else while the `BytesMut` lives: `block[head..len]` are the
+/// unconsumed bytes and `block[len..]` is spare capacity. [`freeze`]
+/// hands the block over as it is.
+///
+/// [`freeze`]: BytesMut::freeze
+#[derive(Default)]
 pub struct BytesMut {
-    buf: Vec<u8>,
+    block: Arc<[u8]>,
     /// Bytes before `head` have been consumed by `advance`/`split_to`.
     head: usize,
+    /// End of the written bytes.
+    len: usize,
+}
+
+impl Clone for BytesMut {
+    /// Copies the unconsumed bytes into a block of their own.
+    fn clone(&self) -> Self {
+        BytesMut::from(self.as_slice())
+    }
+}
+
+impl From<&[u8]> for BytesMut {
+    fn from(b: &[u8]) -> Self {
+        BytesMut {
+            block: Arc::from(b),
+            head: 0,
+            len: b.len(),
+        }
+    }
 }
 
 impl BytesMut {
@@ -224,19 +292,22 @@ impl BytesMut {
     /// Creates an empty buffer with reserved capacity.
     pub fn with_capacity(cap: usize) -> Self {
         BytesMut {
-            buf: Vec::with_capacity(cap),
+            block: zeroed(cap),
             head: 0,
+            len: 0,
         }
     }
 
     /// Reserves space for at least `additional` more bytes.
     pub fn reserve(&mut self, additional: usize) {
-        self.buf.reserve(additional);
+        if self.len + additional > self.block.len() {
+            self.grow(additional);
+        }
     }
 
     /// Number of unconsumed bytes.
     pub fn len(&self) -> usize {
-        self.buf.len() - self.head
+        self.len - self.head
     }
 
     /// True if no unconsumed bytes remain.
@@ -247,7 +318,7 @@ impl BytesMut {
     /// Appends a slice.
     pub fn extend_from_slice(&mut self, b: &[u8]) {
         self.compact_if_large();
-        self.buf.extend_from_slice(b);
+        self.spare(b.len()).copy_from_slice(b);
     }
 
     /// Consumes the first `n` bytes (also exposed as [`Buf::advance`]).
@@ -260,54 +331,91 @@ impl BytesMut {
     /// Splits off and returns the first `n` bytes.
     pub fn split_to(&mut self, n: usize) -> BytesMut {
         assert!(n <= self.len(), "split_to past end");
-        let front = self.as_slice()[..n].to_vec();
+        let front = BytesMut::from(&self.as_slice()[..n]);
         self.consume(n);
-        BytesMut {
-            buf: front,
-            head: 0,
-        }
+        front
     }
 
     /// Shortens the buffer to at most `n` unconsumed bytes.
     pub fn truncate(&mut self, n: usize) {
         if n < self.len() {
-            self.buf.truncate(self.head + n);
+            self.len = self.head + n;
         }
     }
 
-    /// Clears the buffer.
+    /// Clears the buffer, keeping its capacity.
     pub fn clear(&mut self) {
-        self.buf.clear();
         self.head = 0;
+        self.len = 0;
     }
 
-    /// Freezes the buffer into an immutable [`Bytes`] over the same
-    /// storage: nothing is copied, a consumed prefix is just not viewed.
+    /// Freezes the buffer into an immutable [`Bytes`] over the same block:
+    /// nothing is copied or allocated, a consumed prefix is just not
+    /// viewed.
     pub fn freeze(self) -> Bytes {
         Bytes {
             start: self.head,
-            end: self.buf.len(),
-            data: Storage::Vec(Arc::new(self.buf)),
+            end: self.len,
+            data: Storage::Block(self.block),
         }
     }
 
     /// Appends `cnt` copies of `val` (the `BufMut::put_bytes` operation).
     pub fn put_bytes(&mut self, val: u8, cnt: usize) {
-        self.buf.resize(self.buf.len() + cnt, val);
+        self.spare(cnt).fill(val);
     }
 
     fn as_slice(&self) -> &[u8] {
-        &self.buf[self.head..]
+        &self.block[self.head..self.len]
     }
 
-    /// Reclaims consumed space once it dominates the allocation, keeping
+    /// Extends the written bytes by `n` and returns them for writing,
+    /// growing the block first if it is too small.
+    fn spare(&mut self, n: usize) -> &mut [u8] {
+        if n == 0 {
+            return &mut [];
+        }
+        if self.len + n > self.block.len() {
+            self.grow(n);
+        }
+        let at = self.len;
+        self.len += n;
+        &mut Arc::get_mut(&mut self.block).expect("nothing else holds a BytesMut's block")
+            [at..at + n]
+    }
+
+    /// Moves the unconsumed bytes into a new block with room for `n` more
+    /// (at least twice the bytes held).
+    fn grow(&mut self, n: usize) {
+        let held = self.len();
+        let cap = (held + n).max(2 * held);
+        let bytes = self.as_slice().iter().copied();
+        self.block = bytes.chain(std::iter::repeat_n(0, cap - held)).collect();
+        self.head = 0;
+        self.len = held;
+    }
+
+    /// Reclaims consumed space once it dominates the buffer, keeping
     /// `advance` amortized O(1) without unbounded growth.
     fn compact_if_large(&mut self) {
-        if self.head > 4096 && self.head * 2 > self.buf.len() {
-            self.buf.drain(..self.head);
+        if self.head > 4096 && self.head * 2 > self.len {
+            let (head, len) = (self.head, self.len);
+            Arc::get_mut(&mut self.block)
+                .expect("nothing else holds a BytesMut's block")
+                .copy_within(head..len, 0);
             self.head = 0;
+            self.len = len - head;
         }
     }
+}
+
+/// A block of `len` zeroed bytes, allocated once (the empty block is a
+/// shared static).
+fn zeroed(len: usize) -> Arc<[u8]> {
+    if len == 0 {
+        return Arc::default();
+    }
+    std::iter::repeat_n(0, len).collect()
 }
 
 impl Deref for BytesMut {
@@ -402,7 +510,7 @@ pub trait Buf {
         Bytes {
             start: 0,
             end: len,
-            data: Storage::Slice(data),
+            data: Storage::Block(data),
         }
     }
 
@@ -535,6 +643,118 @@ impl BufMut for BytesMut {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Allocations made by this thread (const-initialized and without a
+        /// destructor, so the allocator may touch it at any time).
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Counts each thread's allocations, so a test reads its own count
+    /// while other tests run beside it.
+    struct Counting;
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // which upholds the `GlobalAlloc` contract; the only addition is a
+    // thread-local counter update that neither allocates nor touches the
+    // returned memory.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            ALLOCS.with(|n| n.set(n.get() + 1));
+            System.alloc(layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            ALLOCS.with(|n| n.set(n.get() + 1));
+            System.realloc(ptr, layout, new_size)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: Counting = Counting;
+
+    /// Allocations this thread makes while running `f`.
+    fn allocs_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = ALLOCS.with(Cell::get);
+        let out = f();
+        (out, ALLOCS.with(Cell::get) - before)
+    }
+
+    #[test]
+    fn a_buffer_is_one_block_that_freeze_hands_over() {
+        let (_, allocs) = allocs_in(BytesMut::new);
+        assert_eq!(allocs, 0, "an empty buffer allocates");
+        let (frame, allocs) = allocs_in(|| {
+            let mut m = BytesMut::with_capacity(32);
+            m.extend_from_slice(b"header");
+            m.put_bytes(b'.', 3);
+            m.extend_from_slice(b"body");
+            m.freeze()
+        });
+        assert_eq!(allocs, 1, "one block, written in place and handed over");
+        assert_eq!(&frame[..], b"header...body");
+        // Growing past the capacity moves the bytes to a bigger block.
+        let mut m = BytesMut::with_capacity(4);
+        m.extend_from_slice(b"abcd");
+        m.advance(1);
+        let (_, allocs) = allocs_in(|| m.extend_from_slice(b"efgh"));
+        assert_eq!(allocs, 1, "growing allocates the bigger block only");
+        assert_eq!(&m[..], b"bcdefgh");
+        assert_eq!(&m.clone().freeze()[..], b"bcdefgh");
+    }
+
+    #[test]
+    fn try_into_mut_reclaims_the_last_view_and_freeze_reuses_it() {
+        let mut m = BytesMut::with_capacity(64);
+        m.extend_from_slice(b"frame one");
+        let frame = m.freeze();
+        let at = frame.as_ptr();
+        let held = frame.clone();
+
+        // A live clone keeps the storage shared: the view comes back as is.
+        assert!(!frame.is_unique());
+        let frame = frame.try_into_mut().expect_err("a clone still views it");
+        assert_eq!(&frame[..], b"frame one");
+        assert_eq!(frame.as_ptr(), at);
+
+        drop(held);
+        assert!(frame.is_unique());
+        let mut buf = frame.try_into_mut().expect("the last view");
+        assert_eq!(&buf[..], b"frame one");
+        assert_eq!(buf.as_ptr(), at, "the same allocation, not a copy");
+
+        buf.clear();
+        buf.extend_from_slice(b"frame two");
+        let (frame, allocs) = allocs_in(|| buf.freeze());
+        assert_eq!(allocs, 0, "freezing a reclaimed buffer allocates");
+        assert_eq!(&frame[..], b"frame two");
+        assert_eq!(frame.as_ptr(), at);
+
+        // Round trip: a frozen reclaimed buffer is reclaimable again.
+        let (buf, allocs) = allocs_in(|| frame.try_into_mut().expect("unshared"));
+        assert_eq!(allocs, 0);
+        assert_eq!(buf.as_ptr(), at);
+    }
+
+    #[test]
+    fn try_into_mut_keeps_a_sub_view_and_copied_storage() {
+        let whole = Bytes::from(b"header+body".to_vec());
+        let body = whole.slice(7..);
+        let body = body.try_into_mut().expect_err("`whole` shares it");
+        assert_eq!(&body[..], b"body");
+        drop(whole);
+        let buf = body.try_into_mut().expect("the last view");
+        assert_eq!(&buf[..], b"body");
+
+        let copied = Bytes::copy_from_slice(b"copied");
+        assert_eq!(&copied.try_into_mut().expect("unshared")[..], b"copied");
+    }
 
     #[test]
     fn bytes_slice_and_clone_share() {

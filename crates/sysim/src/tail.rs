@@ -114,7 +114,13 @@ pub struct TailOutput {
     pub brute_value_us: f64,
     /// Weighted samples pooled into the estimate.
     pub samples: usize,
-    /// Total weight of the pooled samples (≈ the master's measured count).
+    /// Total weight of the pooled samples: each master completion at the
+    /// master's weight when it completed, each clone completion at its
+    /// bundle share. It is not the master's measured count: a clone still
+    /// inside its birth band after the master left it and restored its
+    /// weight keeps adding mass, so the total can run over it (63 % over
+    /// on the committed smoke `tail_splitting`, 17 % in
+    /// `splitting_multiplies_tail_mass_at_matched_base_cost`).
     pub total_weight: f64,
     /// Engine events spent on the master trajectory.
     pub master_events: u64,
@@ -496,9 +502,9 @@ mod tests {
             t.value_us,
             t.brute_value_us
         );
-        // Weight conservation: the pooled weight stays within a few
-        // percent of the master's measured count (clone bundles conserve
-        // expected mass; boundary effects explain the slack).
+        // Weight conservation, loosely: the pooled weight stays within a
+        // quarter of the master's measured count (it reads 17 % over:
+        // clones that outlive the master's stay in a band add mass).
         let rel = (t.total_weight - c.requests as f64).abs() / c.requests as f64;
         assert!(
             rel < 0.25,
