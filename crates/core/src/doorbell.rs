@@ -58,7 +58,9 @@ impl IpiReasons {
 }
 
 /// A per-core doorbell: pending-reason bits plus an optional thread handle
-/// to kick a parked core.
+/// to kick a parked core. Other cores ring it while its owner polls it, so
+/// it owns its cache line (`CACHE_LINE`, 128 bytes).
+#[repr(align(128))]
 pub struct Doorbell {
     /// Bit `r` set ⇒ reason `r` pending.
     bits: AtomicU64,
@@ -126,7 +128,12 @@ impl Doorbell {
     }
 
     /// Atomically takes and clears all pending reasons (the IPI handler).
+    /// An empty doorbell is only read, so polling it leaves its line
+    /// shared with the cores that ring it.
     pub fn take(&self) -> IpiReasons {
+        if self.bits.load(Ordering::Acquire) == 0 {
+            return IpiReasons::default();
+        }
         IpiReasons(self.bits.swap(0, Ordering::AcqRel))
     }
 
@@ -210,6 +217,15 @@ mod tests {
         let got = waiter.join().unwrap();
         assert!(got.contains(IpiReason::PendingPackets));
         assert_eq!(got.len(), 1);
+    }
+
+    #[test]
+    fn a_doorbell_owns_its_cache_line() {
+        // Remote cores ring it on every RPC they hand over; sharing a line
+        // with the next core's doorbell would make each ring evict that
+        // core's polled line too.
+        assert_eq!(align_of::<Doorbell>() % crate::CACHE_LINE, 0);
+        assert_eq!(size_of::<Doorbell>() % crate::CACHE_LINE, 0);
     }
 
     #[test]

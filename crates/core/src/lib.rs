@@ -28,6 +28,15 @@
 //! threads; the system simulator (`zygos-sysim`) models their costs on a
 //! virtual 16-core machine.
 
+/// The line size the per-core and per-connection structures that other
+/// cores write are aligned and padded to: two 64-byte lines, since x86's
+/// adjacent-line prefetcher fetches lines in pairs (the size
+/// `crossbeam`'s `CachePadded` uses there too). A `#[repr(align)]` takes
+/// only a literal, so each such type spells it out and a unit test pins
+/// it to this constant.
+#[cfg(test)]
+const CACHE_LINE: usize = 128;
+
 pub mod doorbell;
 pub mod idle;
 pub mod shuffle;

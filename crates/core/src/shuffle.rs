@@ -64,6 +64,10 @@ pub enum FinishOutcome {
     Requeued,
 }
 
+/// A connection's scheduling state. The home core produces into it and
+/// whichever core runs the connection drains it, so it owns its cache
+/// line (`CACHE_LINE`, 128 bytes).
+#[repr(align(128))]
 struct PcbSched<E> {
     home: usize,
     /// State byte; mutated only while holding the home core's lock.
@@ -73,6 +77,9 @@ struct PcbSched<E> {
     events: SpinLock<VecDeque<E>>,
 }
 
+/// One core's shuffle queue. Its home core and every thief lock it, so
+/// it owns its cache line (`CACHE_LINE`, 128 bytes).
+#[repr(align(128))]
 struct CoreQueue {
     /// The shuffle queue proper: ready connections homed here.
     queue: SpinLock<VecDeque<ConnId>>,
@@ -87,15 +94,30 @@ struct CoreQueue {
 pub struct ShuffleLayer<E> {
     cores: Vec<CoreQueue>,
     pcbs: Vec<PcbSched<E>>,
+    /// Events each connection's queue holds without growing.
+    events_per_conn: usize,
 }
 
 impl<E> ShuffleLayer<E> {
-    /// Creates a layer with `n_cores` empty shuffle queues.
+    /// Creates a layer with `n_cores` empty shuffle queues, whose
+    /// connections' event queues grow as events arrive.
     ///
     /// # Panics
     ///
     /// Panics if `n_cores == 0`.
     pub fn new(n_cores: usize) -> Self {
+        ShuffleLayer::with_event_capacity(n_cores, 0)
+    }
+
+    /// [`new`](ShuffleLayer::new), with room reserved at registration for
+    /// `events_per_conn` waiting events on each connection, so a
+    /// connection that never gets deeper than that never grows its queue
+    /// while serving.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_cores == 0`.
+    pub fn with_event_capacity(n_cores: usize, events_per_conn: usize) -> Self {
         assert!(n_cores > 0, "need at least one core");
         ShuffleLayer {
             cores: (0..n_cores)
@@ -105,6 +127,7 @@ impl<E> ShuffleLayer<E> {
                 })
                 .collect(),
             pcbs: Vec::new(),
+            events_per_conn,
         }
     }
 
@@ -129,7 +152,7 @@ impl<E> ShuffleLayer<E> {
         self.pcbs.push(PcbSched {
             home,
             state: AtomicU8::new(0),
-            events: SpinLock::new(VecDeque::new()),
+            events: SpinLock::new(VecDeque::with_capacity(self.events_per_conn)),
         });
         // A connection sits on its home queue at most once: with a slot for
         // every connection homed here, the queue never grows while serving.
@@ -284,7 +307,43 @@ impl<E> ShuffleLayer<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CACHE_LINE;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
     use std::sync::Arc;
+
+    thread_local! {
+        /// Allocations made by this thread (const-initialized and without a
+        /// destructor, so the allocator may touch it at any time).
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Counts each thread's allocations, so a test reads its own count
+    /// while other tests run beside it.
+    struct Counting;
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // which upholds the `GlobalAlloc` contract; the only addition is a
+    // thread-local counter update that neither allocates nor touches the
+    // returned memory.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            ALLOCS.with(|n| n.set(n.get() + 1));
+            System.alloc(layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            ALLOCS.with(|n| n.set(n.get() + 1));
+            System.realloc(ptr, layout, new_size)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: Counting = Counting;
 
     fn layer(cores: usize, conns_per_core: usize) -> (ShuffleLayer<u64>, Vec<ConnId>) {
         let mut l = ShuffleLayer::new(cores);
@@ -295,6 +354,41 @@ mod tests {
             }
         }
         (l, ids)
+    }
+
+    #[test]
+    fn reserved_event_queues_take_events_without_allocating() {
+        let mut l = ShuffleLayer::with_event_capacity(2, 5);
+        let conn = l.register(1);
+        let mut out = Vec::with_capacity(5);
+        let before = ALLOCS.with(Cell::get);
+        for e in 0..5u64 {
+            l.produce(conn, e);
+        }
+        let conn = l.dequeue_local(1).unwrap();
+        l.take_events_into(conn, usize::MAX, &mut out);
+        l.finish(conn);
+        assert_eq!(ALLOCS.with(Cell::get) - before, 0, "a queue grew");
+        assert_eq!(out, [0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn queues_and_pcbs_own_their_cache_lines() {
+        // Other cores write both on every RPC (thieves lock the queue, a
+        // connection's executing core drains its PCB): packed beside a
+        // neighbour, each write would evict the neighbour's line from its
+        // owner. A field added past the line must not silently re-pack them.
+        for (what, align, size) in [
+            ("CoreQueue", align_of::<CoreQueue>(), size_of::<CoreQueue>()),
+            (
+                "PcbSched",
+                align_of::<PcbSched<u64>>(),
+                size_of::<PcbSched<u64>>(),
+            ),
+        ] {
+            assert_eq!(align % CACHE_LINE, 0, "{what} alignment {align}");
+            assert_eq!(size % CACHE_LINE, 0, "{what} size {size}");
+        }
     }
 
     #[test]

@@ -6,8 +6,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Per-core counters, updated with relaxed atomics on the fast path.
+/// Per-core counters, updated with relaxed atomics on the fast path. Only
+/// their core writes them, and each core's own cache line
+/// (`CACHE_LINE`, 128 bytes) keeps the writes of one core from evicting
+/// another's.
 #[derive(Default)]
+#[repr(align(128))]
 pub struct CoreStats {
     /// Events executed by this core for connections homed here.
     pub local_events: AtomicU64,
@@ -171,6 +175,14 @@ mod tests {
         assert_eq!(s.total_events(), 4);
         assert!((s.steal_fraction() - 0.25).abs() < 1e-12);
         assert!((s.ipis_per_event() - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn core_stats_own_their_cache_line() {
+        // Every core bumps its counters on every event; packed beside the
+        // next core's, each bump would evict that core's line.
+        assert_eq!(align_of::<CoreStats>() % crate::CACHE_LINE, 0);
+        assert_eq!(size_of::<CoreStats>() % crate::CACHE_LINE, 0);
     }
 
     #[test]

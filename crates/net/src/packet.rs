@@ -155,7 +155,7 @@ impl RpcMessage {
     /// Serializes header + body into a single buffer: one allocation, into
     /// which header and body are each copied once. A sender of many frames
     /// reuses their buffers through a
-    /// [`FrameEncoder`](crate::wire::FrameEncoder) instead.
+    /// [`FrameStack`](crate::wire::FrameStack) instead.
     pub fn to_bytes(&self) -> Bytes {
         let header = self.header.to_array();
         (&header[..])

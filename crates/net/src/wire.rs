@@ -16,9 +16,10 @@
 //! segment (no copy, no allocation). Only a frame that spans segments is
 //! reassembled in a buffer and copied out.
 //!
-//! Transmit reuses buffers: a [`FrameEncoder`] writes each frame into the
-//! buffer of a frame it sent earlier once every receiver has dropped it,
-//! so a sender whose frames come back allocates nothing in steady state.
+//! Transmit reuses buffers: a [`FrameStack`] writes each frame into the
+//! buffer of a frame its producer received once every view of it is
+//! dropped, so a producer whose frames circulate allocates nothing in
+//! steady state.
 //!
 //! ```
 //! use bytes::Bytes;
@@ -36,8 +37,6 @@
 //! assert_eq!(&msg.body[..], b"hi");
 //! ```
 
-use std::collections::VecDeque;
-
 use bytes::{Buf, Bytes, BytesMut};
 
 use crate::packet::{FrameError, RpcHeader, RpcMessage, RPC_HEADER_LEN};
@@ -47,7 +46,8 @@ use crate::packet::{FrameError, RpcHeader, RpcMessage, RPC_HEADER_LEN};
 /// The stream it has been fed and not yet handed out is `buf` followed by
 /// `seg`. A body handed out as a slice of a segment keeps that whole
 /// segment alive for as long as the body lives. The framer itself keeps
-/// the last segment fed alive until the next one arrives.
+/// the last segment fed alive only until every byte of it is handed out,
+/// so once a whole frame's body is dropped nothing views the frame.
 #[derive(Default)]
 pub struct Framer {
     /// The unconsumed rest of the last segment fed.
@@ -94,6 +94,10 @@ impl Framer {
         }
         let next = self.take_frame();
         self.poisoned = next.is_err();
+        if self.seg.is_empty() {
+            // Spent: let it go without waiting for the next feed.
+            self.seg = Bytes::new();
+        }
         next
     }
 
@@ -155,78 +159,59 @@ impl Framer {
     }
 }
 
-/// Encodes frames into the buffers of frames it sent earlier.
+/// Most frames a [`FrameStack`] keeps; past that the oldest is let go.
+const KEPT_FRAMES: usize = 32;
+
+/// The frames a producer received, kept to carry the frames it sends.
 ///
-/// The encoder keeps a clone of every frame it hands out, oldest first. To
-/// encode, it tries to reclaim the oldest ([`Bytes::try_into_mut`]), which
-/// succeeds once every receiver has dropped its views of that frame; the
-/// header and body are then written over the old bytes. A frame still
-/// held goes to the back of the queue and the new frame gets a fresh
-/// buffer, so the encoder allocates only while its oldest frame is held.
-/// At most `cap` frames are kept: at the cap, a held oldest frame is let
-/// go (its receivers keep it alive) instead of being waited for.
-///
-/// A buffer is rewritten only after `try_into_mut` proves no [`Bytes`]
-/// views it, so a receiver never sees its frame change.
+/// The client keeps its responses, a worker the requests it runs, and
+/// each encodes into the newest kept frame that [`Bytes::is_unique`]
+/// proves nothing else views, so a receiver never sees its frame change.
+/// The last views of a received frame drop on the thread that received
+/// it, so that proof reads a count already in the thread's cache.
 ///
 /// ```
 /// use bytes::Bytes;
 /// use zygos_net::packet::RpcMessage;
-/// use zygos_net::wire::FrameEncoder;
+/// use zygos_net::wire::FrameStack;
 ///
-/// let mut enc = FrameEncoder::new(16);
-/// let first = enc.encode(&RpcMessage::new(1, 1, Bytes::from_static(b"hi")));
-/// assert_eq!(first, RpcMessage::new(1, 1, Bytes::from_static(b"hi")).to_bytes());
-/// let at = first.as_ptr();
-/// drop(first); // The receiver is done with it ...
-/// let second = enc.encode(&RpcMessage::new(1, 2, Bytes::from_static(b"yo")));
-/// assert_eq!(second.as_ptr(), at); // ... so its buffer carries the next.
+/// let mut frames = FrameStack::default();
+/// let request = RpcMessage::new(1, 1, Bytes::from_static(b"hi")).to_bytes();
+/// let at = request.as_ptr();
+/// frames.keep(request); // Received, handled and dropped ...
+/// let reply = frames.encode(&RpcMessage::new(1, 1, Bytes::from_static(b"yo")));
+/// assert_eq!(reply.as_ptr(), at); // ... so its buffer carries the reply.
 /// ```
-pub struct FrameEncoder {
-    /// Clones of the frames handed out, oldest first.
-    sent: VecDeque<Bytes>,
-    /// Most frames kept in `sent`.
-    cap: usize,
+#[derive(Default)]
+pub struct FrameStack {
+    /// Received frames, oldest first.
+    kept: Vec<Bytes>,
 }
 
-impl FrameEncoder {
-    /// An encoder that keeps at most `cap` (at least 1) sent frames for
-    /// reuse.
-    pub fn new(cap: usize) -> Self {
-        FrameEncoder {
-            sent: VecDeque::new(),
-            cap: cap.max(1),
+impl FrameStack {
+    /// Keeps a received frame, or any view of it, for reuse once its
+    /// views drop. An empty view need not hold a buffer: it is not kept.
+    pub fn keep(&mut self, frame: Bytes) {
+        if !frame.is_empty() {
+            if self.kept.len() == KEPT_FRAMES {
+                self.kept.remove(0);
+            }
+            self.kept.push(frame);
         }
     }
 
-    /// Serializes header + body, as [`RpcMessage::to_bytes`] does, into a
-    /// reclaimed buffer when the oldest sent frame has been dropped by
-    /// every receiver, else into a fresh one.
+    /// Serializes header + body, as [`RpcMessage::to_bytes`] does, into
+    /// the newest kept frame nothing else views, else a fresh buffer.
     pub fn encode(&mut self, msg: &RpcMessage) -> Bytes {
-        let mut buf = match self.sent.pop_front().map(Bytes::try_into_mut) {
-            Some(Ok(mut reclaimed)) => {
-                reclaimed.clear();
-                reclaimed
-            }
-            Some(Err(held)) => {
-                // Room for it and the new frame, or let it go.
-                if self.sent.len() + 2 <= self.cap {
-                    self.sent.push_back(held);
-                }
-                BytesMut::with_capacity(msg.wire_len())
-            }
-            None => BytesMut::with_capacity(msg.wire_len()),
-        };
+        let at = self.kept.iter().rposition(Bytes::is_unique);
+        let mut buf = at
+            .and_then(|at| self.kept.remove(at).try_into_mut().ok())
+            .unwrap_or_default();
+        buf.clear();
+        buf.reserve(msg.wire_len());
         msg.header.encode(&mut buf);
         buf.extend_from_slice(&msg.body);
-        let frame = buf.freeze();
-        self.sent.push_back(frame.clone());
-        // A hint, not a check: reading the next candidate's count now
-        // starts its cache line back from the receiver that last dropped
-        // it, while this frame is sent, instead of stalling the next
-        // `try_into_mut` on it.
-        std::hint::black_box(self.sent.front().map(Bytes::is_unique));
-        frame
+        buf.freeze()
     }
 }
 
@@ -423,54 +408,59 @@ mod tests {
     }
 
     #[test]
-    fn encoder_reuses_dropped_frames_and_never_rewrites_held_ones() {
-        let mut enc = FrameEncoder::new(3);
-        let a = enc.encode(&msg(1, b"aaaa"));
-        assert_eq!(a, msg(1, b"aaaa").to_bytes());
-        // `a` is held, so the next two frames get buffers of their own.
-        let b = enc.encode(&msg(2, b"bbbb"));
-        let b_at = b.as_ptr();
-        drop(b);
-        let c = enc.encode(&msg(3, b"cccc"));
-        assert_ne!(c.as_ptr(), b_at);
-        // `a` went behind `b`: the oldest is `b`, dropped, so it is reused.
-        let d = enc.encode(&msg(4, b"dddd"));
-        assert_eq!(d.as_ptr(), b_at);
-        assert_eq!(d, msg(4, b"dddd").to_bytes());
-        drop(c);
-        // The oldest is `a`, still held: at the cap it is let go.
-        let e = enc.encode(&msg(5, b"eeee"));
-        assert_eq!(enc.sent.len(), 3);
-        for id in 6..20 {
-            let f = enc.encode(&msg(id, b"ffff"));
-            assert_eq!(f, msg(id, b"ffff").to_bytes());
-            assert_eq!(enc.sent.len(), 3);
-        }
-        for (frame, id, body) in [(a, 1, b"aaaa"), (d, 4, b"dddd"), (e, 5, b"eeee")] {
-            assert_eq!(
-                frame,
-                msg(id, body).to_bytes(),
-                "held frame {id} was rewritten"
-            );
-        }
+    fn a_spent_segment_is_let_go_at_once() {
+        let wire = pipelined(1..3, b"zz");
+        let mut f = Framer::new();
+        f.feed(&wire).unwrap();
+        drop(f.next_message().unwrap());
+        let two = f.next_message().unwrap();
+        assert!(!wire.is_unique(), "frame 2's body views the segment");
+        drop(two);
+        assert!(wire.is_unique(), "the framer still holds a spent segment");
     }
 
     #[test]
-    fn encoded_frames_decode_like_to_bytes_ones() {
-        let mut enc = FrameEncoder::new(4);
+    fn frames_circulate_and_a_viewed_one_is_never_rewritten() {
+        // Requests ride in replies and replies in requests, whichever is
+        // longer; a frame still viewed is skipped, then reused once free.
+        let (mut client, mut server) = (FrameStack::default(), FrameStack::default());
         let mut f = Framer::new();
+        let mut held = Vec::new();
         for id in 0..10 {
-            let body: &'static [u8] = if id % 2 == 0 {
-                b"short"
+            let body: &'static [u8] = if id % 3 == 0 {
+                b"longer body"
             } else {
-                b"a longer body"
+                b"short"
             };
-            let m = RpcMessage::new(2, id, Bytes::from_static(body)).with_credits(id as u32);
-            let wire = enc.encode(&m);
-            assert_eq!(wire, m.to_bytes());
+            let req = RpcMessage::new(2, id, Bytes::from_static(body)).with_credits(7);
+            let wire = client.encode(&req);
+            assert_eq!(wire, req.to_bytes());
             f.feed(&wire).unwrap();
-            assert_eq!(f.next_message().unwrap(), Some(m));
+            drop(wire);
+            let got = f.next_message().unwrap().unwrap();
+            assert_eq!(got, req);
+            let reply = server.encode(&RpcMessage::new(3, id, got.body.clone()));
+            server.keep(got.body);
+            assert_eq!(server.kept.len(), 1, "each reply rides in the last request");
+            held.push((id, body, reply.clone()));
+            client.keep(reply);
+            if id % 2 == 0 {
+                held.pop(); // Odd replies stay viewed.
+            }
         }
+        assert_eq!(client.kept.len(), 5, "even replies carried requests");
+        for (id, body, reply) in held {
+            assert_eq!(
+                reply,
+                RpcMessage::new(3, id, Bytes::from_static(body)).to_bytes()
+            );
+        }
+        // Empty views are not kept; past the cap the oldest is let go.
+        client.keep(Bytes::new());
+        let frames: Vec<Bytes> = (0..40).map(|id| msg(id, b"f").to_bytes()).collect();
+        frames.iter().for_each(|f| client.keep(f.clone()));
+        assert_eq!(client.kept.len(), KEPT_FRAMES);
+        assert_eq!(client.kept[0].as_ptr(), frames[8].as_ptr());
     }
 
     #[test]

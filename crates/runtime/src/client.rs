@@ -18,7 +18,7 @@ use zygos_core::doorbell::IpiReason;
 use zygos_core::spinlock::SpinLock;
 use zygos_net::flow::ConnId;
 use zygos_net::packet::{Packet, RpcHeader, RpcMessage, RPC_HEADER_LEN};
-use zygos_net::wire::FrameEncoder;
+use zygos_net::wire::FrameStack;
 
 use crate::server::Shared;
 
@@ -26,9 +26,9 @@ use crate::server::Shared;
 /// the connection's RSS home) and receives response frames.
 pub struct ClientPort {
     shared: Arc<Shared>,
-    /// Encodes requests into the buffers of requests the server is done
-    /// with.
-    encoder: SpinLock<FrameEncoder>,
+    /// Responses received, whose buffers carry the next requests once
+    /// the caller drops them.
+    frames: SpinLock<FrameStack>,
     /// Sender-side credit balances, one per connection (`None` unless
     /// client-side credits are armed).
     credits: Option<Vec<AtomicU32>>,
@@ -54,7 +54,7 @@ impl ClientPort {
                 .collect()
         });
         ClientPort {
-            encoder: SpinLock::new(FrameEncoder::new(shared.cfg.ring_capacity)),
+            frames: SpinLock::new(FrameStack::default()),
             shared,
             credits,
             local_sheds: AtomicU64::new(0),
@@ -113,16 +113,16 @@ impl ClientPort {
         true
     }
 
-    /// Sends one request message on `conn`, encoded into the buffer of an
-    /// earlier request the server has dropped (a fresh one while every
-    /// earlier request is still held).
+    /// Sends one request message on `conn`, encoded into the buffer of a
+    /// response the caller has dropped (a fresh one while the caller
+    /// still holds every response received).
     ///
     /// # Panics
     ///
     /// Panics if `conn` is out of range.
     pub fn send(&self, conn: ConnId, msg: &RpcMessage) {
         // Released before `send_bytes`, which spins while the ring is full.
-        let wire = self.encoder.lock().encode(msg);
+        let wire = self.frames.lock().encode(msg);
         self.send_bytes(conn, wire);
     }
 
@@ -155,13 +155,14 @@ impl ClientPort {
     /// Returns `None` on timeout, or once the server has shut down and
     /// every queued response has been read.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<(ConnId, RpcMessage)> {
-        let (conn, mut wire) = self
+        let (conn, wire) = self
             .shared
             .responses
             .recv_timeout(timeout, &self.shared.stop)?;
         debug_assert!(wire.len() >= RPC_HEADER_LEN, "short response frame");
-        let header = RpcHeader::decode(&mut wire).expect("well-formed response");
-        let body = wire.slice(..header.body_len as usize);
+        let header = RpcHeader::decode(&mut &wire[..]).expect("well-formed response");
+        let body = wire.slice(RPC_HEADER_LEN..RPC_HEADER_LEN + header.body_len as usize);
+        self.frames.lock().keep(wire);
         if let Some(credits) = &self.credits {
             if header.credits > 0 {
                 credits[conn.index()].fetch_add(header.credits, Ordering::Relaxed);

@@ -85,7 +85,7 @@ use zygos_net::flow::{ConnId, FiveTuple};
 use zygos_net::packet::{Packet, RpcMessage};
 use zygos_net::ring::MpscRing;
 use zygos_net::rss::Rss;
-use zygos_net::wire::{FrameEncoder, Framer};
+use zygos_net::wire::{FrameStack, Framer};
 use zygos_telemetry::{Registry, SeriesId, TimeSeries};
 
 use crate::app::RpcApp;
@@ -274,6 +274,13 @@ const REVOKED_NAP: Duration = Duration::from_millis(1);
 /// room for this many, so serving does not grow them.
 const SYSCALL_BATCH: usize = 64;
 
+/// Events each connection's queue has room for from setup on: its share of
+/// one ingress ring, `ring_capacity / conns`. A connection gets deeper
+/// only while the client keeps more requests than that in flight on it.
+fn events_per_conn(cfg: &RuntimeConfig) -> usize {
+    cfg.ring_capacity.div_ceil(cfg.conns as usize)
+}
+
 /// A running server instance.
 pub struct Server {
     shared: Arc<Shared>,
@@ -307,7 +314,7 @@ impl Server {
         assert!(cfg.conns > 0, "need at least one connection");
         assert!(cfg.conn_batch >= 1, "conn_batch must be positive");
         let rss = Rss::new(cfg.cores);
-        let mut shuffle = ShuffleLayer::new(cfg.cores);
+        let mut shuffle = ShuffleLayer::with_event_capacity(cfg.cores, events_per_conn(&cfg));
         let mut conn_home = Vec::with_capacity(cfg.conns as usize);
         for i in 0..cfg.conns {
             let home = rss.queue_for(&FiveTuple::synthetic(i)) as u16;
@@ -487,9 +494,10 @@ struct Worker {
     core: usize,
     /// Framers of the connections homed here.
     framers: Vec<Framer>,
-    /// Encodes every frame this worker produces (responses, shipped
-    /// stolen responses, rejects) into buffers its receivers dropped.
-    frames: FrameEncoder,
+    /// The requests this worker executed or rejected, whose buffers
+    /// carry every frame it produces (responses, shipped stolen
+    /// responses, rejects).
+    frames: FrameStack,
     /// Max events taken from one connection per dequeue.
     batch: usize,
     /// Moving average of the handler time this worker spends per executed
@@ -543,10 +551,10 @@ impl Worker {
         Worker {
             core,
             framers: (0..shared.cfg.conns).map(|_| Framer::new()).collect(),
-            frames: FrameEncoder::new(shared.cfg.ring_capacity),
+            frames: FrameStack::default(),
             batch: shared.cfg.conn_batch,
             exec_ns: 0,
-            events: Vec::new(),
+            events: Vec::with_capacity(events_per_conn(&shared.cfg).min(shared.cfg.conn_batch)),
             shipped: Vec::with_capacity(SYSCALL_BATCH),
             remote: Vec::with_capacity(SYSCALL_BATCH),
         }
@@ -733,14 +741,17 @@ fn tcp_in(w: &mut Worker, shared: &Shared, max_pkts: usize) -> usize {
     let mut processed = 0;
     let ingress = Instant::now();
     while processed < max_pkts {
-        let Some(pkt) = shared.rings[core].pop() else {
+        let Some(Packet { conn, payload }) = shared.rings[core].pop() else {
             break;
         };
         processed += 1;
-        let conn = pkt.conn;
         debug_assert_eq!(shared.conn_home[conn.index()] as usize, core);
         let framer = &mut w.framers[conn.index()];
-        if framer.feed(&pkt.payload).is_err() {
+        let fed = framer.feed(&payload);
+        // Only the framer views the segment from here: a thief that runs
+        // a request framed below must find its frame free once it is done.
+        drop(payload);
+        if fed.is_err() {
             continue; // Poisoned stream: drop (a real stack would RST).
         }
         loop {
@@ -763,6 +774,7 @@ fn tcp_in(w: &mut Worker, shared: &Shared, max_pkts: usize) -> usize {
                             let reject =
                                 RpcMessage::new(REJECT_OPCODE, msg.header.req_id, Bytes::new());
                             let reject = grant_min_one(shared, conn, reject);
+                            w.frames.keep(msg.body);
                             shared.respond(conn, w.frames.encode(&reject));
                             continue;
                         }
@@ -851,6 +863,9 @@ fn exec_conn(w: &mut Worker, shared: &Shared, app: &Arc<dyn RpcApp>, conn: ConnI
         // every response would grant 0 and sender-side clients would
         // ratchet to zero balance and starve.
         release_credit(shared, conn);
+        // The request's own frame carries the response unless the
+        // response still views it (an echo): then an earlier one does.
+        w.frames.keep(ev.msg.body);
         let wire = w.frames.encode(&grant_credits(shared, conn, resp));
         // The sojourn sample: framed at ingress, response produced now.
         shared.record_sojourn(core, conn, ev.ingress);
@@ -1023,50 +1038,122 @@ mod tests {
         server.shutdown();
     }
 
+    /// Echoes after spinning 20 µs: slow enough that a worker leaving
+    /// connections queued behind it wakes a thief.
+    fn spin_echo(_c: ConnId, req: &RpcMessage) -> RpcMessage {
+        let t0 = Instant::now();
+        while t0.elapsed() < Duration::from_micros(20) {
+            std::hint::spin_loop();
+        }
+        RpcMessage::new(req.header.opcode, req.header.req_id, req.body.clone())
+    }
+
+    /// Runs RPCs `ids` on `conns`, four in flight, each body derived from
+    /// its id, and checks every response's body; `held` gets the responses
+    /// `hold` picks.
+    fn rpcs(
+        client: &ClientPort,
+        conns: &[ConnId],
+        ids: std::ops::Range<u64>,
+        hold: impl Fn(u64) -> bool,
+        held: &mut Vec<RpcMessage>,
+    ) {
+        for chunk in ids.collect::<Vec<_>>().chunks(4) {
+            for &id in chunk {
+                let conn = conns[id as usize % conns.len()];
+                client.send(conn, &RpcMessage::new(1, id, body_of(id)));
+            }
+            for _ in chunk {
+                let (_, resp) = client
+                    .recv_timeout(Duration::from_secs(5))
+                    .expect("response");
+                assert_eq!(resp.body, body_of(resp.header.req_id));
+                if hold(resp.header.req_id) {
+                    held.push(resp);
+                }
+            }
+        }
+    }
+
+    fn body_of(id: u64) -> Bytes {
+        Bytes::from(id.to_le_bytes().repeat(1 + id as usize % 5))
+    }
+
     #[test]
-    fn held_responses_keep_their_bytes_while_the_encoders_reuse_buffers() {
-        // Every encoder keeps at most `ring_capacity` frames, so holding
-        // every third of 6 × cap responses drives each one past its cap.
+    fn held_responses_keep_their_bytes_while_frames_are_reused() {
+        // Holding every third of 96 responses keeps 32 frames viewed, as
+        // many as a frame stack keeps: the client must skip them and let
+        // some go. Echo on both workers, then every connection on worker
+        // 0 with a slow handler: the thief's responses ride in the
+        // requests it stole, and travel home before reaching the client.
+        let cfg = RuntimeConfig::zygos(2, 8);
+        for steal in [false, true] {
+            let app: Arc<dyn RpcApp> = if steal {
+                Arc::new(spin_echo)
+            } else {
+                Arc::new(EchoApp)
+            };
+            let (server, client) = Server::start(cfg.clone(), app);
+            let conns: Vec<ConnId> = (0..8)
+                .map(ConnId)
+                .filter(|&c| !steal || server.home_of(c) == 0)
+                .collect();
+            assert!(!conns.is_empty(), "RSS homes a connection on worker 0");
+            let mut held = Vec::new();
+            rpcs(&client, &conns, 0..96, |id| id.is_multiple_of(3), &mut held);
+            assert_eq!(held.len(), 32);
+            rpcs(&client, &conns, 96..160, |_| false, &mut Vec::new());
+            for resp in &held {
+                let id = resp.header.req_id;
+                assert_eq!(resp.header.opcode, 1, "held response {id}");
+                assert_eq!(resp.header.body_len as usize, resp.body.len());
+                assert_eq!(
+                    &resp.body[..],
+                    &body_of(id)[..],
+                    "held response {id} was rewritten"
+                );
+            }
+            if steal {
+                assert!(server.stats().stolen_events > 0, "worker 1 never stole");
+            }
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn request_bodies_an_app_keeps_are_never_rewritten() {
+        // The app keeps every third request body, a slice of the frame it
+        // arrived in, over 12 × ring_capacity RPCs (64 kept, past what a
+        // worker's frame stack holds): a frame the app still views must
+        // not carry a later response or request.
         let cfg = RuntimeConfig {
             ring_capacity: 16,
             ..RuntimeConfig::zygos(2, 8)
         };
-        let cap = cfg.ring_capacity as u64;
-        let (server, client) = echo_server(cfg);
-        let body = |id: u64| Bytes::from(id.to_le_bytes().repeat(1 + id as usize % 5));
-        // Four RPCs in flight at a time, round-robin over the connections.
-        let rpcs = |ids: std::ops::Range<u64>, held: &mut Vec<RpcMessage>| {
-            for chunk in ids.collect::<Vec<_>>().chunks(4) {
-                for &id in chunk {
-                    let conn = ConnId((id % 8) as u32);
-                    client.send(conn, &RpcMessage::new(1, id, body(id)));
+        let rpcs_n = 12 * cfg.ring_capacity as u64;
+        let kept = Arc::new(SpinLock::new(Vec::new()));
+        let keeper = {
+            let kept = Arc::clone(&kept);
+            move |_c: ConnId, req: &RpcMessage| {
+                if req.header.req_id.is_multiple_of(3) {
+                    kept.lock().push((req.header.req_id, req.body.clone()));
                 }
-                for _ in chunk {
-                    let (_, resp) = client
-                        .recv_timeout(Duration::from_secs(5))
-                        .expect("response");
-                    assert_eq!(resp.body, body(resp.header.req_id));
-                    if resp.header.req_id % 3 == 0 {
-                        held.push(resp);
-                    }
-                }
+                RpcMessage::new(1, req.header.req_id, req.body.clone())
             }
         };
-        let mut held = Vec::new();
-        rpcs(0..6 * cap, &mut held);
-        assert_eq!(held.len() as u64, 2 * cap);
-        rpcs(6 * cap..10 * cap, &mut Vec::new());
-        for resp in &held {
-            let id = resp.header.req_id;
-            assert_eq!(resp.header.opcode, 1, "held response {id}");
-            assert_eq!(resp.header.body_len as usize, resp.body.len());
+        let (server, client) = Server::start(cfg, Arc::new(keeper));
+        let conns: Vec<ConnId> = (0..8).map(ConnId).collect();
+        rpcs(&client, &conns, 0..rpcs_n, |_| false, &mut Vec::new());
+        server.shutdown();
+        let kept = kept.lock();
+        assert_eq!(kept.len() as u64, rpcs_n / 3);
+        for (id, body) in kept.iter() {
             assert_eq!(
-                &resp.body[..],
-                &body(id)[..],
-                "held response {id} was rewritten"
+                &body[..],
+                &body_of(*id)[..],
+                "kept request {id} was rewritten"
             );
         }
-        server.shutdown();
     }
 
     #[test]

@@ -34,20 +34,18 @@ macro_rules! fmt_bytes_debug {
 }
 
 /// Shared storage behind a [`Bytes`]: one block that holds the counts and
-/// the bytes (copied in, or frozen from a [`BytesMut`]), or a `Vec` that
-/// was moved in (its buffer is kept as it is; only the counts are
-/// allocated).
-#[derive(Clone)]
+/// the bytes (copied in, or frozen from a [`BytesMut`]), a `Vec` that was
+/// moved in (its buffer is kept as it is; only the counts are allocated),
+/// or none at all for [`Bytes::new`].
+#[derive(Clone, Default)]
 enum Storage {
+    /// No bytes and no counts, like the real crate's static empty
+    /// `Bytes`: making, cloning and dropping one touches no shared
+    /// count (an empty `Arc<[u8]>` is one static every thread counts on).
+    #[default]
+    Empty,
     Block(Arc<[u8]>),
     Vec(Arc<Vec<u8>>),
-}
-
-impl Default for Storage {
-    fn default() -> Self {
-        // The empty `Arc<[u8]>` is a shared static: no allocation.
-        Storage::Block(Arc::default())
-    }
 }
 
 /// A cheaply cloneable, contiguous, immutable slice of memory.
@@ -116,6 +114,7 @@ impl Bytes {
     /// [`Bytes::try_into_mut`] would succeed.
     pub fn is_unique(&self) -> bool {
         match &self.data {
+            Storage::Empty => false,
             Storage::Block(block) => Arc::strong_count(block) == 1,
             Storage::Vec(vec) => Arc::strong_count(vec) == 1,
         }
@@ -141,6 +140,7 @@ impl Bytes {
             end,
         } = self;
         let unique = match &mut data {
+            Storage::Empty => false,
             Storage::Block(block) => Arc::get_mut(block).is_some(),
             Storage::Vec(vec) => Arc::get_mut(vec).is_some(),
         };
@@ -157,6 +157,7 @@ impl Bytes {
 
     fn as_slice(&self) -> &[u8] {
         match &self.data {
+            Storage::Empty => &[],
             Storage::Block(data) => &data[self.start..self.end],
             Storage::Vec(data) => &data[self.start..self.end],
         }
@@ -740,6 +741,15 @@ mod tests {
         let (buf, allocs) = allocs_in(|| frame.try_into_mut().expect("unshared"));
         assert_eq!(allocs, 0);
         assert_eq!(buf.as_ptr(), at);
+    }
+
+    #[test]
+    fn an_empty_bytes_holds_nothing_to_reclaim() {
+        let (empty, allocs) = allocs_in(Bytes::new);
+        assert_eq!(allocs, 0);
+        assert!(empty.is_empty() && !empty.is_unique());
+        let empty = empty.try_into_mut().expect_err("no buffer to hand over");
+        assert_eq!(empty.slice(..), Bytes::default());
     }
 
     #[test]
