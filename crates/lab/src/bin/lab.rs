@@ -337,8 +337,8 @@ fn print_report(sc: &Scenario, report: &Report) {
     );
     println!("# columns: scenario\tseries\tmetric\tload\tvalue");
     for s in &report.series {
-        // One row; the load-free [search] and [tail] headline rows carry
-        // the search answer / the studied load in the load column.
+        // One row; the load-free [search] headline row carries the search
+        // answer in the load column.
         let row = |metric: &str, load: f64, value: &str| {
             println!(
                 "{}\t{}\t{metric}\t{load:.4}\t{value}",
@@ -353,24 +353,6 @@ fn print_report(sc: &Scenario, report: &Report) {
             );
             let probes = format!("{} probe(s), {} cold", sr.probes, sr.cold_probes);
             row(&metric, sr.max_load, &probes);
-        }
-        if let Some(t) = &s.tail {
-            let q = t.quantile * 100.0;
-            row(
-                &format!("tail_p{q}_us"),
-                t.load,
-                &format!("{:.3}", t.value_us),
-            );
-            row(
-                &format!("tail_p{q}_brute_us"),
-                t.load,
-                &format!("{:.3}", t.brute_value_us),
-            );
-            let clones = format!(
-                "{} ({} truncated), {} clone event(s)",
-                t.clones, t.truncated, t.clone_events
-            );
-            row("tail_clones", t.load, &clones);
         }
         // Stage names for the per-stage rows: the scenario's [[stages]] on
         // `sim:staged`; `sim:ix` always runs the paper pipeline.

@@ -304,7 +304,7 @@ pub fn check_baseline(sc: &Scenario, fresh: &Report, baseline: &Report) -> Vec<S
                 }
             }
         }
-        // Search and tail results: presence is structural; values compare
+        // Search results: presence is structural; the max load compares
         // within the same tolerance. Probe counts are deliberately not
         // compared — they are pinned by unit tests, not baselines.
         if b.search.is_some() != f.search.is_some() {
@@ -313,26 +313,10 @@ pub fn check_baseline(sc: &Scenario, fresh: &Report, baseline: &Report) -> Vec<S
                 f.label
             ));
         }
-        if b.tail.is_some() != f.tail.is_some() {
-            errs.push(format!(
-                "[{}] tail result presence changed — regenerate the baseline",
-                f.label
-            ));
-        }
-        if b.deterministic && f.deterministic {
-            let mut results = Vec::new();
-            if let (Some(bs), Some(fs)) = (&b.search, &f.search) {
-                results.push(("search.max_load", bs.max_load, fs.max_load, 0.05));
-            }
-            if let (Some(bt), Some(ft)) = (&b.tail, &f.tail) {
-                results.push(("tail.value_us", bt.value_us, ft.value_us, 5.0));
-                let (bv, fv) = (bt.brute_value_us, ft.brute_value_us);
-                results.push(("tail.brute_value_us", bv, fv, 5.0));
-            }
-            for (name, bv, fv, floor) in results {
-                if let Some(e) = drifted(sc, name, bv, fv, floor) {
-                    errs.push(format!("[{}] {e}", f.label));
-                }
+        let deterministic = b.deterministic && f.deterministic;
+        if let (true, Some(bs), Some(fs)) = (deterministic, &b.search, &f.search) {
+            if let Some(e) = drifted(sc, "search.max_load", bs.max_load, fs.max_load, 0.05) {
+                errs.push(format!("[{}] {e}", f.label));
             }
         }
     }
@@ -423,7 +407,6 @@ mod tests {
             deterministic: true,
             points: curve.iter().map(point).collect(),
             search: None,
-            tail: None,
         };
         Report {
             schema: SCHEMA_VERSION,
@@ -638,6 +621,18 @@ mod tests {
         let newer = json.replace("\"load\": ", "\"p9999_us\": 1.5, \"load\": ");
         let newer = Report::from_json(&newer).expect("unknown keys are ignored");
         assert_eq!(newer, fresh);
+        // A baseline written before the RESTART `tail` result was deleted:
+        // its series still carry one, or `null`.
+        let tail =
+            r#""search": null, "tail": {"load": 0.85, "quantile": 0.999, "value_us": 439.017}"#;
+        let with_tail = (json.replacen("\"search\": null", tail, 1)).replace(
+            "\"search\": null\n",
+            "\"search\": null,\n      \"tail\": null\n",
+        );
+        assert!(with_tail.contains("\"tail\": {") && with_tail.contains("\"tail\": null"));
+        let with_tail = Report::from_json(&with_tail).expect("a deleted result key is ignored");
+        assert_eq!(with_tail, fresh);
+        assert!(check_baseline(&sc, &fresh, &with_tail).is_empty());
         // Real drift still fails.
         let mut drifted = fresh.clone();
         drifted.series[0].points[0].p99_us *= 3.0;
@@ -700,8 +695,8 @@ mod tests {
     }
 
     #[test]
-    fn baseline_gates_search_and_tail_results() {
-        use crate::report::{SearchResult, TailResult};
+    fn baseline_gates_search_results() {
+        use crate::report::SearchResult;
         let sc = scenario();
         let mut base = report(2_500.0, 90.0, 0.3);
         base.series[0].search = Some(SearchResult {
@@ -712,24 +707,11 @@ mod tests {
             probes: 5,
             cold_probes: 1,
         });
-        base.series[0].tail = Some(TailResult {
-            load: 0.8,
-            quantile: 0.999,
-            value_us: 200.0,
-            brute_value_us: 195.0,
-            samples: 10_000,
-            total_weight: 9_000.0,
-            clones: 40,
-            truncated: 0,
-            master_events: 80_000,
-            clone_events: 20_000,
-            max_backlog: 50,
-        });
         // Identical results pass; probe counts are free to differ.
         let mut fresh = base.clone();
         fresh.series[0].search.as_mut().expect("set").probes = 7;
         assert!(check_baseline(&sc, &fresh, &base).is_empty());
-        // A drifted search load or tail estimate fails.
+        // A drifted search load fails.
         let mut drifted = base.clone();
         drifted.series[0].search.as_mut().expect("set").max_load = 0.25;
         let errs = check_baseline(&sc, &drifted, &base);
@@ -737,10 +719,6 @@ mod tests {
             errs.iter().any(|e| e.contains("search.max_load")),
             "{errs:?}"
         );
-        let mut drifted = base.clone();
-        drifted.series[0].tail.as_mut().expect("set").value_us = 900.0;
-        let errs = check_baseline(&sc, &drifted, &base);
-        assert!(errs.iter().any(|e| e.contains("tail.value_us")), "{errs:?}");
         // Dropping a result entirely is structural.
         let mut missing = base.clone();
         missing.series[0].search = None;

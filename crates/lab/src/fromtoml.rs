@@ -60,7 +60,7 @@ use zygos_sysim::{AdmissionMode, CoreLayout, QueueDiscipline, RoutePolicy, Serie
 
 use crate::spec::{
     AdmissionSpec, Case, Claim, Compare, FaultsSpec, FleetSpec, HostSpec, Op, PolicySpec, Recovers,
-    Rhs, Scenario, SearchSpec, Select, Settles, SpecError, TailSpec, TelemetrySpec,
+    Rhs, Scenario, SearchSpec, Select, Settles, SpecError, TelemetrySpec,
 };
 use crate::toml::{self, Table, Value};
 
@@ -139,9 +139,6 @@ pub fn scenario_from_toml(text: &str) -> Result<Scenario, SpecError> {
     }
     if let Some(t) = tables.remove("search") {
         b = b.search(parse_search(Keys::new("[search]", t))?);
-    }
-    if let Some(t) = tables.remove("tail") {
-        b = b.tail(parse_tail(Keys::new("[tail]", t))?);
     }
     for (i, t) in arrays.remove("claim").into_iter().flatten().enumerate() {
         b = b.claim(parse_claim(Keys::new(format!("[[claim]] #{}", i + 1), t))?);
@@ -407,31 +404,6 @@ fn parse_search(mut t: Keys) -> Result<SearchSpec, SpecError> {
         quantile: t.choice("metric", &metrics)?.unwrap_or(d.quantile),
         bound_us: t.req("bound_us", Keys::num)?,
         resolution: t.count("resolution")?.unwrap_or(d.resolution),
-    };
-    t.finish()?;
-    Ok(spec)
-}
-
-/// `[tail]`: `load` (required), `quantile`, `levels`, `splits`,
-/// `check_every`, `clone_budget` — see `docs/TAIL.md` for how to pick
-/// the levels.
-fn parse_tail(mut t: Keys) -> Result<TailSpec, SpecError> {
-    let d = TailSpec::default();
-    let load = t.req("load", Keys::num)?;
-    let levels = match t.nums("levels")? {
-        Some(levels) => levels
-            .into_iter()
-            .map(|l| as_count(l, "levels"))
-            .collect::<Result<_, _>>()?,
-        None => d.levels,
-    };
-    let spec = TailSpec {
-        load,
-        quantile: t.num("quantile")?.unwrap_or(d.quantile),
-        levels,
-        splits: t.count("splits")?.unwrap_or(d.splits),
-        check_every: t.count("check_every")?.unwrap_or(d.check_every),
-        clone_budget: t.count("clone_budget")?.unwrap_or(d.clone_budget),
     };
     t.finish()?;
     Ok(spec)
@@ -756,8 +728,6 @@ burst = [2000.0, 1000.0, 1.5]
 series = ["window_p99_us"]
 [search]
 bound_us = 100.0
-[tail]
-load = 0.8
 [check]
 tolerance = 0.5
 [[claim]]
@@ -809,7 +779,7 @@ value = 1.5"#;
             );
             blocks += 1;
         }
-        assert_eq!(blocks, 15, "every block but the top level");
+        assert_eq!(blocks, 14, "every block but the top level");
         // Retired knobs are unknown keys like any other.
         let retired = [
             ("[[case]]", "alloc = \"utilization\""),
@@ -833,15 +803,16 @@ value = 1.5"#;
                 &format!("{block}: unknown key \"{key}\""),
             );
         }
-        // Tables and arrays of tables nobody reads.
-        reject(
-            &format!("{EVERY_BLOCK}\n[frobnicate]"),
-            "unknown table [frobnicate]",
-        );
-        reject(
-            &format!("{EVERY_BLOCK}\n[[frobnicate]]"),
-            "unknown array [[frobnicate]]",
-        );
+        // Tables and arrays of tables nobody reads, the deleted RESTART
+        // block among them.
+        let unread = [
+            ("[frobnicate]", "unknown table [frobnicate]"),
+            ("[tail]\nload = 0.85\nsplits = 4", "unknown table [tail]"),
+            ("[[frobnicate]]", "unknown array [[frobnicate]]"),
+        ];
+        for (block, want) in unread {
+            reject(&format!("{EVERY_BLOCK}\n{block}"), want);
+        }
     }
 
     #[test]
@@ -962,39 +933,24 @@ sample_period = 2
     }
 
     #[test]
-    fn search_and_tail_tables_parse() {
+    fn search_table_parses() {
         let text = MINIMAL.to_string()
             + r#"
 [search]
 metric = "p999"
 bound_us = 250.0
 resolution = 32
-[tail]
-load = 0.6
-quantile = 0.9995
-levels = [24, 48, 96]
-splits = 8
-check_every = 32
-clone_budget = 500_000
 "#;
         let s = scenario_from_toml(&text).expect("valid");
         let search = s.search.as_ref().expect("armed");
         assert_eq!(search.quantile, 0.999);
         assert_eq!(search.bound_us, 250.0);
         assert_eq!(search.resolution, 32);
-        let tail = s.tail.as_ref().expect("armed");
-        assert_eq!(tail.load, 0.6);
-        assert_eq!(tail.levels, vec![24, 48, 96]);
-        assert_eq!(tail.splits, 8);
-        assert_eq!(tail.check_every, 32);
-        assert_eq!(tail.clone_budget, 500_000);
         // Unknown metrics and missing required keys are loud.
         let e = scenario_from_toml(&text.replace("\"p999\"", "\"p42\"")).expect_err("reject");
         assert!(e.to_string().contains("p42"), "{e}");
         let e = scenario_from_toml(&text.replace("bound_us = 250.0", "")).expect_err("reject");
         assert!(e.to_string().contains("bound_us"), "{e}");
-        let e = scenario_from_toml(&text.replace("load = 0.6", "")).expect_err("reject");
-        assert!(e.to_string().contains("load"), "{e}");
     }
 
     #[test]

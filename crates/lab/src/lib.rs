@@ -53,10 +53,10 @@ pub mod traces;
 
 pub use check::{check_baseline, check_claims, check_telemetry};
 pub use fromtoml::scenario_from_toml;
-pub use report::{PointMetrics, Report, SearchResult, Series, TailResult, TraceSeries};
+pub use report::{PointMetrics, Report, SearchResult, Series, TraceSeries};
 pub use runner::{run_scenario, run_scenario_threads, runtime_config_for, sys_config_for, xy};
 pub use spec::{
     staged_plan, AdmissionSpec, Case, Claim, Compare, FleetSpec, HostSpec, LiveHost, Op,
     PolicySpec, Readers, Recovers, Rhs, ScaleSpec, Scenario, ScenarioBuilder, SearchSpec, Select,
-    Settles, SimHost, SpecError, TailSpec, TelemetrySpec, WorkloadSpec, CASE_KNOBS,
+    Settles, SimHost, SpecError, TelemetrySpec, WorkloadSpec, CASE_KNOBS,
 };

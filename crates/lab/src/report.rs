@@ -202,87 +202,6 @@ pub struct SearchResult {
     pub cold_probes: u32,
 }
 
-/// The outcome of a `[tail]` block for one case: the
-/// importance-splitting deep-tail estimate next to the brute-force
-/// estimate from the bit-identical master trajectory (see
-/// `docs/TAIL.md` for the estimator).
-#[derive(Clone, Debug, PartialEq, Default)]
-pub struct TailResult {
-    /// The load studied.
-    pub load: f64,
-    /// The deep quantile estimated.
-    pub quantile: f64,
-    /// Splitting (weighted) estimate of that quantile, µs.
-    pub value_us: f64,
-    /// Brute-force estimate from the master trajectory alone, µs.
-    pub brute_value_us: f64,
-    /// Weighted samples collected (master + clones).
-    pub samples: u64,
-    /// Total sample weight (≈ master completions when unbiased).
-    pub total_weight: f64,
-    /// Trajectory clones spawned.
-    pub clones: u64,
-    /// Clone spawns suppressed by the budget (nonzero ⇒ biased low).
-    pub truncated: u64,
-    /// Events run by the master trajectory.
-    pub master_events: u64,
-    /// Events run by all clones together.
-    pub clone_events: u64,
-    /// Deepest backlog level observed.
-    pub max_backlog: u64,
-}
-
-/// One field of a `[search]`/`[tail]` result under its JSON key. Integer
-/// fields travel as `f64` (exact below 2^53); `f64`'s `Display` prints
-/// them with neither a fraction nor an exponent.
-struct ResultField<R> {
-    name: &'static str,
-    get: fn(&R) -> f64,
-    set: fn(&mut R, f64),
-}
-
-macro_rules! result_field {
-    ($field:ident) => {
-        ResultField {
-            name: stringify!($field),
-            get: |r| r.$field,
-            set: |r, v| r.$field = v,
-        }
-    };
-    ($field:ident as $int:ty) => {
-        ResultField {
-            name: stringify!($field),
-            get: |r| r.$field as f64,
-            set: |r, v| r.$field = v as $int,
-        }
-    };
-}
-
-/// [`SearchResult`]'s JSON fields, in key order.
-const SEARCH_FIELDS: &[ResultField<SearchResult>] = &[
-    result_field!(quantile),
-    result_field!(bound_us),
-    result_field!(resolution as u32),
-    result_field!(max_load),
-    result_field!(probes as u32),
-    result_field!(cold_probes as u32),
-];
-
-/// [`TailResult`]'s JSON fields, in key order.
-const TAIL_FIELDS: &[ResultField<TailResult>] = &[
-    result_field!(load),
-    result_field!(quantile),
-    result_field!(value_us),
-    result_field!(brute_value_us),
-    result_field!(samples as u64),
-    result_field!(total_weight),
-    result_field!(clones as u64),
-    result_field!(truncated as u64),
-    result_field!(master_events as u64),
-    result_field!(clone_events as u64),
-    result_field!(max_backlog as u64),
-];
-
 /// One case's sweep.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Series {
@@ -298,9 +217,6 @@ pub struct Series {
     /// Max-load@SLO search result (`None` when the scenario has no
     /// `[search]` block or the host cannot run one).
     pub search: Option<SearchResult>,
-    /// Importance-splitting result (`None` without a `[tail]` block or
-    /// on hosts RESTART does not split).
-    pub tail: Option<TailResult>,
 }
 
 /// A full scenario result.
@@ -321,7 +237,8 @@ pub struct Report {
 /// per-point telemetry time-series; v3 added per-series `search` and
 /// `tail` results; v4 added per-point `stage_p99_wait_us` (staged
 /// hosts); v5 added the retry plane (`retry_rate`, `give_up_rate`,
-/// `goodput`).
+/// `goodput`). The RESTART `tail` result was later deleted without a
+/// bump: a baseline that still carries it parses, its key ignored.
 pub const SCHEMA_VERSION: u32 = 5;
 
 impl Report {
@@ -358,9 +275,7 @@ impl Report {
                 out.push_str(if j + 1 < s.points.len() { ",\n" } else { "\n" });
             }
             out.push_str("      ],\n      \"search\": ");
-            write_result(&mut out, &s.search, SEARCH_FIELDS);
-            out.push_str(",\n      \"tail\": ");
-            write_result(&mut out, &s.tail, TAIL_FIELDS);
+            write_search(&mut out, &s.search);
             out.push('\n');
             out.push_str(if i + 1 < self.series.len() {
                 "    },\n"
@@ -436,15 +351,13 @@ impl Report {
                 }
                 points.push(point);
             }
-            let search = read_result(get(so, "search")?, "search", SEARCH_FIELDS)?;
-            let tail = read_result(get(so, "tail")?, "tail", TAIL_FIELDS)?;
+            let search = read_search(get(so, "search")?)?;
             series.push(Series {
                 label: get(so, "label")?.string("label")?,
                 host: get(so, "host")?.string("host")?,
                 deterministic: get(so, "deterministic")?.boolean("deterministic")?,
                 points,
                 search,
-                tail,
             });
         }
         Ok(Report {
@@ -475,35 +388,41 @@ fn num_array(vs: &[f64]) -> String {
     format!("[{}]", inner.join(", "))
 }
 
-/// Writes a `[search]`/`[tail]` result as one JSON object (or `null`),
-/// its fields in table order.
-fn write_result<R>(out: &mut String, r: &Option<R>, fields: &[ResultField<R>]) {
+/// Writes a series' `search` value: `null`, or every field in key
+/// order. Integer fields print with neither a fraction nor an exponent.
+fn write_search(out: &mut String, r: &Option<SearchResult>) {
     let Some(r) = r else {
         out.push_str("null");
         return;
     };
-    for (i, f) in fields.iter().enumerate() {
-        let sep = if i == 0 { "{" } else { ", " };
-        let _ = write!(out, "{sep}\"{}\": {}", f.name, num((f.get)(r)));
-    }
-    out.push('}');
+    let _ = write!(
+        out,
+        "{{\"quantile\": {}, \"bound_us\": {}, \"resolution\": {}, \"max_load\": {}, \
+         \"probes\": {}, \"cold_probes\": {}}}",
+        num(r.quantile),
+        num(r.bound_us),
+        r.resolution,
+        num(r.max_load),
+        r.probes,
+        r.cold_probes
+    );
 }
 
-/// Reads what [`write_result`] wrote; every field is required.
-fn read_result<R: Default>(
-    v: &Json,
-    what: &str,
-    fields: &[ResultField<R>],
-) -> Result<Option<R>, String> {
+/// Reads what [`write_search`] wrote; every field is required.
+fn read_search(v: &Json) -> Result<Option<SearchResult>, String> {
     if *v == Json::Null {
         return Ok(None);
     }
-    let o = v.object(what)?;
-    let mut r = R::default();
-    for f in fields {
-        (f.set)(&mut r, get(o, f.name)?.number(f.name)?);
-    }
-    Ok(Some(r))
+    let o = v.object("search")?;
+    let n = |k: &str| get(o, k)?.number(k);
+    Ok(Some(SearchResult {
+        quantile: n("quantile")?,
+        bound_us: n("bound_us")?,
+        resolution: n("resolution")? as u32,
+        max_load: n("max_load")?,
+        probes: n("probes")? as u32,
+        cold_probes: n("cold_probes")? as u32,
+    }))
 }
 
 fn series_array(series: &[TraceSeries]) -> String {
@@ -789,19 +708,6 @@ mod tests {
                         probes: 5,
                         cold_probes: 1,
                     }),
-                    tail: Some(TailResult {
-                        load: 0.8,
-                        quantile: 0.999,
-                        value_us: 212.5,
-                        brute_value_us: 208.0,
-                        samples: 41_000,
-                        total_weight: 12_000.25,
-                        clones: 96,
-                        truncated: 0,
-                        master_events: 150_000,
-                        clone_events: 42_000,
-                        max_backlog: 71,
-                    }),
                 },
                 Series {
                     label: "ZygOS (credits)".to_string(),
@@ -830,7 +736,6 @@ mod tests {
                         ..PointMetrics::default()
                     }],
                     search: None,
-                    tail: None,
                 },
             ],
         }

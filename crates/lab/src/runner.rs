@@ -34,20 +34,16 @@ use zygos_sim::queueing::{self, Policy, QueueConfig};
 use zygos_sim::rng::Xoshiro256;
 use zygos_sim::stats::LatencyHistogram;
 use zygos_sysim::{
-    max_load_at_quantile_slo_counting, run_fleet, run_restart, run_system_chain, AdmissionMode,
-    FleetConfig, FleetOutput, RoutePolicy, SysConfig, SysOutput, SystemKind, TailConfig,
-    WARM_MAX_LOAD,
+    max_load_at_quantile_slo_counting, run_fleet, run_system_chain, AdmissionMode, FleetConfig,
+    FleetOutput, RoutePolicy, SysConfig, SysOutput, SystemKind, WARM_MAX_LOAD,
 };
 use zygos_telemetry::{decompose, decomposition_at_quantile, TelemetryOut, TimeSeries};
 
-use crate::report::{
-    PointMetrics, Report, SearchResult, Series, TailResult, TraceSeries, SCHEMA_VERSION,
-};
+use crate::report::{PointMetrics, Report, SearchResult, Series, TraceSeries, SCHEMA_VERSION};
 use zygos_load::source::{ArrivalSpec, Phase};
 
 use crate::spec::{
-    AdmissionSpec, Case, FaultsSpec, HostSpec, LiveHost, Readers, Scenario, SearchSpec, SimHost,
-    SpecError,
+    AdmissionSpec, Case, FaultsSpec, HostSpec, LiveHost, Scenario, SearchSpec, SimHost, SpecError,
 };
 
 /// Hard per-point completion cap for live cases: wall-clock experiments
@@ -89,38 +85,27 @@ enum Job {
     Chain { ci: usize, lis: Vec<usize> },
     /// The case's `[search]` bisection.
     Search { ci: usize },
-    /// The case's `[tail]` importance-splitting run.
-    Tail { ci: usize },
 }
 
 enum JobOut {
     Points(Vec<PointMetrics>),
     Search(SearchResult),
-    Tail(TailResult),
 }
 
-/// Runs one job; a `[tail]` job walks its split tree on `threads` workers.
-fn run_job(
-    sc: &Scenario,
-    job: &Job,
-    loads: &[f64],
-    smoke: bool,
-    threads: usize,
-) -> Result<JobOut, SpecError> {
+fn run_job(sc: &Scenario, job: &Job, loads: &[f64], smoke: bool) -> Result<JobOut, SpecError> {
     match job {
         Job::Chain { ci, lis } => {
             let chain: Vec<f64> = lis.iter().map(|&li| loads[li]).collect();
             run_chain(sc, &sc.cases[*ci], &chain, smoke).map(JobOut::Points)
         }
         Job::Search { ci } => run_search(sc, &sc.cases[*ci], smoke).map(JobOut::Search),
-        Job::Tail { ci } => run_tail(sc, &sc.cases[*ci], smoke, threads).map(JobOut::Tail),
     }
 }
 
 /// The deterministic job list: one [`Job::Chain`] per warm-start chain of
 /// a simulator case (per grid point on other hosts), plus the case's
-/// `[search]` and `[tail]` work. `run_system_chain` runs cold whichever
-/// chained points it may not warm-start (telemetry on, say).
+/// `[search]`. `run_system_chain` runs cold whichever chained points it
+/// may not warm-start (telemetry on, say).
 fn jobs_for(sc: &Scenario, loads: &[f64]) -> Vec<Job> {
     let mut jobs = Vec::new();
     for (ci, case) in sc.cases.iter().enumerate() {
@@ -138,9 +123,6 @@ fn jobs_for(sc: &Scenario, loads: &[f64]) -> Vec<Job> {
         }
         if sc.search.is_some() {
             jobs.push(Job::Search { ci });
-        }
-        if sc.tail.is_some() && Readers::ZygosSim.reads(case.host) {
-            jobs.push(Job::Tail { ci });
         }
     }
     jobs
@@ -172,15 +154,12 @@ pub fn run_scenario_threads(
     let loads = sc.loads(smoke).to_vec();
     // One slot per deterministic job; live points are computed afterwards.
     let jobs = jobs_for(sc, &loads);
-    // A `[tail]` job splits its own work across all of the lab's workers.
-    let workers = threads.max(1);
-    let threads = workers.min(jobs.len().max(1));
+    let threads = threads.clamp(1, jobs.len().max(1));
     let results: Vec<Mutex<Option<Result<JobOut, SpecError>>>> =
         jobs.iter().map(|_| Mutex::new(None)).collect();
     if threads <= 1 {
         for (slot, job) in jobs.iter().enumerate() {
-            *results[slot].lock().expect("poisoned") =
-                Some(run_job(sc, job, &loads, smoke, workers));
+            *results[slot].lock().expect("poisoned") = Some(run_job(sc, job, &loads, smoke));
         }
     } else {
         let next = AtomicUsize::new(0);
@@ -191,7 +170,7 @@ pub fn run_scenario_threads(
                     let Some(job) = jobs.get(slot) else {
                         return;
                     };
-                    let out = run_job(sc, job, &loads, smoke, workers);
+                    let out = run_job(sc, job, &loads, smoke);
                     *results[slot].lock().expect("poisoned") = Some(out);
                 });
             }
@@ -200,7 +179,6 @@ pub fn run_scenario_threads(
     let mut by_case: Vec<Vec<Option<PointMetrics>>> =
         sc.cases.iter().map(|_| vec![None; loads.len()]).collect();
     let mut searches: Vec<Option<SearchResult>> = vec![None; sc.cases.len()];
-    let mut tails: Vec<Option<TailResult>> = vec![None; sc.cases.len()];
     for (slot, job) in jobs.iter().enumerate() {
         let out = results[slot]
             .lock()
@@ -214,7 +192,6 @@ pub fn run_scenario_threads(
                 }
             }
             (Job::Search { ci }, JobOut::Search(s)) => searches[*ci] = Some(s),
-            (Job::Tail { ci }, JobOut::Tail(t)) => tails[*ci] = Some(t),
             _ => unreachable!("job and result kinds always agree"),
         }
     }
@@ -235,7 +212,6 @@ pub fn run_scenario_threads(
             deterministic: !live,
             points,
             search: searches[ci].take(),
-            tail: tails[ci].take(),
         });
     }
     Ok(Report {
@@ -343,50 +319,6 @@ fn cold_search(sp: &SearchSpec, mut probe: impl FnMut(f64) -> f64) -> (f64, u32,
         sp.resolution,
     );
     (max_load, probes, probes)
-}
-
-/// Runs the `[tail]` block for one ZygOS-family simulator case: RESTART
-/// importance splitting next to the brute-force estimate from the same
-/// master trajectory. The splitting engine owns the clone trajectories
-/// and per-event tracing cannot splice across clones, so tail runs
-/// always go untraced. The split tree runs on `threads` workers; its
-/// result is the same at every count.
-fn run_tail(
-    sc: &Scenario,
-    case: &Case,
-    smoke: bool,
-    threads: usize,
-) -> Result<TailResult, SpecError> {
-    let tp = sc
-        .tail
-        .as_ref()
-        .ok_or_else(|| SpecError::new("run_tail needs a [tail] block"))?;
-    let mut cfg = sys_config_for(sc, case, tp.load, smoke)?;
-    cfg.telemetry = None;
-    let (_, t) = run_restart(
-        &cfg,
-        &TailConfig {
-            quantile: tp.quantile,
-            levels: tp.levels.clone(),
-            splits: tp.splits,
-            check_every: tp.check_every,
-            clone_budget: tp.clone_budget,
-        },
-        threads,
-    );
-    Ok(TailResult {
-        load: tp.load,
-        quantile: t.quantile,
-        value_us: t.value_us,
-        brute_value_us: t.brute_value_us,
-        samples: t.samples as u64,
-        total_weight: t.total_weight,
-        clones: t.clones,
-        truncated: t.truncated,
-        master_events: t.master_events,
-        clone_events: t.clone_events,
-        max_backlog: t.max_backlog as u64,
-    })
 }
 
 /// One zero-overhead queueing-model run of the scenario's workload.
@@ -1026,8 +958,8 @@ mod tests {
         // Deterministic work is a pure function of (config, seed): the
         // parallel fan-out must emit byte-identical report JSON even
         // though warm-start chains couple consecutive grid points and
-        // [search]/[tail] jobs interleave with them.
-        use crate::spec::{FleetSpec, SearchSpec, TailSpec};
+        // [search] jobs interleave with them.
+        use crate::spec::{FleetSpec, SearchSpec};
         let sc = Scenario::builder("par")
             .service(ServiceDist::exponential_us(10.0))
             .cores(4)
@@ -1050,12 +982,6 @@ mod tests {
                 resolution: 8,
                 ..SearchSpec::default()
             })
-            .tail(TailSpec {
-                load: 0.8,
-                quantile: 0.99,
-                levels: vec![8, 16],
-                ..TailSpec::default()
-            })
             .build()
             .expect("valid");
         let seq = run_scenario_threads(&sc, true, 1).expect("runs");
@@ -1064,8 +990,8 @@ mod tests {
     }
 
     #[test]
-    fn search_and_tail_populate_the_report() {
-        use crate::spec::{SearchSpec, TailSpec};
+    fn search_populates_the_report() {
+        use crate::spec::SearchSpec;
         let sc = Scenario::builder("st")
             .service(ServiceDist::exponential_us(10.0))
             .cores(4)
@@ -1080,17 +1006,11 @@ mod tests {
                 bound_us: 100.0,
                 resolution: 8,
             })
-            .tail(TailSpec {
-                load: 0.7,
-                quantile: 0.99,
-                levels: vec![8, 16],
-                ..TailSpec::default()
-            })
             .build()
             .expect("valid");
         let a = run_scenario(&sc, true).expect("runs");
         let b = run_scenario(&sc, true).expect("runs");
-        assert_eq!(a, b, "search and tail results are deterministic");
+        assert_eq!(a, b, "search results are deterministic");
         let zygos = a.series("zygos").expect("series");
         let ix = a.series("ix").expect("series");
         // Every deterministic case carries a search result; warm-start
@@ -1101,15 +1021,6 @@ mod tests {
             assert_eq!(r.cold_probes, 1, "{}: {r:?}", s.label);
             assert!(r.probes > r.cold_probes, "{}: {r:?}", s.label);
         }
-        // [tail] runs only on the ZygOS-family case, and its brute
-        // estimate comes from the same master trajectory.
-        let zt = zygos.tail.as_ref().expect("zygos has a tail result");
-        assert!(
-            ix.tail.is_none(),
-            "IX hosts cannot run the splitting engine"
-        );
-        assert!(zt.value_us > 0.0 && zt.brute_value_us > 0.0, "{zt:?}");
-        assert!(zt.samples > 0 && zt.total_weight > 0.0, "{zt:?}");
         // A one-case scenario reproduces the full-report series exactly.
         let one = Scenario {
             cases: vec![sc.case("zygos").expect("case").clone()],

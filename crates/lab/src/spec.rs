@@ -176,10 +176,6 @@ impl HostSpec {
 pub enum Readers {
     /// Every simulated world: `sim:*` and `fleet:*`.
     Simulated,
-    /// The ZygOS-family simulator hosts (`sim:zygos`,
-    /// `sim:zygos-nointerrupts`, `sim:elastic`): the worlds a `[tail]`
-    /// block's RESTART splitter clones.
-    ZygosSim,
     /// Worlds of the ZygOS model, single or sharded: `sim:zygos`,
     /// `sim:zygos-nointerrupts`, `sim:elastic` and their `fleet:*` hosts.
     ZygosWorlds,
@@ -198,9 +194,6 @@ impl Readers {
         let world = host.world();
         match self {
             Readers::Simulated => world.is_some(),
-            Readers::ZygosSim => {
-                matches!(host, HostSpec::Sim(_)) && Readers::ZygosWorlds.reads(host)
-            }
             Readers::ZygosWorlds => matches!(
                 world,
                 Some(SimHost::Zygos | SimHost::ZygosNoInterrupts | SimHost::Elastic)
@@ -591,44 +584,6 @@ impl Default for SearchSpec {
     }
 }
 
-/// A `[tail]` block: RESTART importance splitting for deep-tail
-/// quantiles at one load. Trajectories entering rare high-backlog
-/// states are cloned (weights divided by the split factor), so tail
-/// mass is sampled 10–100× more often than brute force at matched base
-/// cost; the master trajectory stays bit-identical to the brute-force
-/// run, so every result carries both estimates. ZygOS-family simulator
-/// cases only, always untraced (checkpoints drop the observer plane).
-/// Estimator math and bias caveats live in `docs/TAIL.md`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TailSpec {
-    /// The offered load to study (usually the interesting knee).
-    pub load: f64,
-    /// Which deep quantile to estimate (default 0.999).
-    pub quantile: f64,
-    /// Ascending backlog thresholds; crossing level `i` splits the
-    /// trajectory.
-    pub levels: Vec<usize>,
-    /// Clones per level crossing (weight divides by this).
-    pub splits: usize,
-    /// Events between backlog-level checks.
-    pub check_every: u64,
-    /// Cap on total clone events (truncation is counted and reported).
-    pub clone_budget: u64,
-}
-
-impl Default for TailSpec {
-    fn default() -> Self {
-        TailSpec {
-            load: 0.8,
-            quantile: 0.999,
-            levels: vec![32, 64],
-            splits: 4,
-            check_every: 64,
-            clone_budget: 2_000_000,
-        }
-    }
-}
-
 /// Measurement sizing, full and smoke.
 #[derive(Clone, Debug)]
 pub struct ScaleSpec {
@@ -930,8 +885,6 @@ pub struct Scenario {
     pub telemetry: Option<TelemetrySpec>,
     /// Max-load@SLO search over every deterministic case.
     pub search: Option<SearchSpec>,
-    /// RESTART importance splitting over ZygOS-family simulator cases.
-    pub tail: Option<TailSpec>,
     /// Acceptance claims, in file order (empty: `--check` only diffs the
     /// baseline).
     pub claims: Vec<Claim>,
@@ -958,7 +911,6 @@ impl Scenario {
             faults: None,
             telemetry: None,
             search: None,
-            tail: None,
             claims: Vec::new(),
             check_tolerance: 0.5,
         }
@@ -1013,7 +965,6 @@ pub struct ScenarioBuilder {
     faults: Option<FaultsSpec>,
     telemetry: Option<TelemetrySpec>,
     search: Option<SearchSpec>,
-    tail: Option<TailSpec>,
     claims: Vec<Claim>,
     check_tolerance: f64,
 }
@@ -1108,12 +1059,6 @@ impl ScenarioBuilder {
     /// Arms the max-load@SLO search over deterministic cases.
     pub fn search(mut self, s: SearchSpec) -> Self {
         self.search = Some(s);
-        self
-    }
-
-    /// Arms RESTART importance splitting over ZygOS-family sim cases.
-    pub fn tail(mut self, t: TailSpec) -> Self {
-        self.tail = Some(t);
         self
     }
 
@@ -1377,28 +1322,6 @@ impl ScenarioBuilder {
                 );
             }
         }
-        if let Some(t) = &self.tail {
-            if !(t.load > 0.0 && t.load <= 4.0) {
-                return err(format!("tail load {} out of range (0, 4]", t.load));
-            }
-            if !(t.quantile > 0.0 && t.quantile < 1.0) {
-                return err(format!("tail quantile {} out of range (0, 1)", t.quantile));
-            }
-            if t.levels.is_empty() || !t.levels.windows(2).all(|w| w[0] < w[1]) {
-                return err("tail levels must be non-empty and strictly ascending".into());
-            }
-            if t.splits < 2 {
-                return err(format!("tail splits must be >= 2, got {}", t.splits));
-            }
-            if t.check_every == 0 {
-                return err("tail check_every must be >= 1".into());
-            }
-            if !self.cases.iter().any(|c| Readers::ZygosSim.reads(c.host)) {
-                return err("a [tail] block needs a ZygOS-family simulator case; \
-                     RESTART splits only those worlds"
-                    .into());
-            }
-        }
         validate_claims(
             &self.claims,
             &self.cases,
@@ -1426,7 +1349,6 @@ impl ScenarioBuilder {
             faults: self.faults,
             telemetry: self.telemetry,
             search: self.search,
-            tail: self.tail,
             claims: self.claims,
             check_tolerance: self.check_tolerance,
         })
@@ -1983,8 +1905,8 @@ mod tests {
     }
 
     #[test]
-    fn search_and_tail_blocks_validate() {
-        // A valid pair of blocks builds and is carried through.
+    fn search_block_validates() {
+        // A valid block builds and is carried through.
         let sc = base()
             .case(Case::sim("z", SimHost::Zygos))
             .search(SearchSpec {
@@ -1992,14 +1914,9 @@ mod tests {
                 bound_us: 100.0,
                 resolution: 16,
             })
-            .tail(TailSpec {
-                load: 0.8,
-                ..TailSpec::default()
-            })
             .build()
             .expect("valid");
         assert_eq!(sc.search.as_ref().map(|s| s.resolution), Some(16));
-        assert_eq!(sc.tail.as_ref().map(|t| t.splits), Some(4));
         // A search needs no load grid; without one, an empty grid fails.
         let gridless = || {
             Scenario::builder("t")
@@ -2020,35 +1937,12 @@ mod tests {
             .build()
             .expect_err("live only");
         assert!(e.to_string().contains("deterministic"), "{e}");
-        // Tail splitting needs a ZygOS-family case.
-        let e = base()
-            .case(Case::sim("ix", SimHost::Ix))
-            .tail(TailSpec::default())
-            .build()
-            .expect_err("no zygos-family case");
-        assert!(e.to_string().contains("ZygOS-family"), "{e}");
-        // Degenerate knobs are rejected.
+        // A degenerate resolution is rejected.
         assert!(base()
             .case(Case::sim("z", SimHost::Zygos))
             .search(SearchSpec {
                 resolution: 1,
                 ..SearchSpec::default()
-            })
-            .build()
-            .is_err());
-        assert!(base()
-            .case(Case::sim("z", SimHost::Zygos))
-            .tail(TailSpec {
-                levels: vec![40, 40],
-                ..TailSpec::default()
-            })
-            .build()
-            .is_err());
-        assert!(base()
-            .case(Case::sim("z", SimHost::Zygos))
-            .tail(TailSpec {
-                splits: 1,
-                ..TailSpec::default()
             })
             .build()
             .is_err());

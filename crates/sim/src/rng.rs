@@ -233,7 +233,7 @@ mod tests {
     }
 
     #[test]
-    fn fork_streams_are_uncorrelated() {
+    fn forked_siblings_are_uncorrelated() {
         let mut root = Xoshiro256::new(1234);
         let mut a = root.fork(0);
         let mut b = root.fork(1);

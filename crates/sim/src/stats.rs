@@ -364,77 +364,6 @@ impl WindowHistogram {
     }
 }
 
-/// Weighted latency samples for rare-event estimation.
-///
-/// Importance splitting (RESTART) records each completion with the weight
-/// of the trajectory that produced it (`1/∏ splits` across the levels the
-/// trajectory crossed); the deep-tail quantile is then the *weighted*
-/// inverse CDF. Unlike the histograms above this keeps exact values — the
-/// sample counts in splitting runs are small enough (one entry per
-/// completion across all trajectories) that bucketing would only add a
-/// second error term to an already-statistical estimate.
-#[derive(Clone, Debug, Default)]
-pub struct WeightedSamples {
-    /// `(value_ns, weight)` pairs, unsorted until a quantile is taken.
-    samples: Vec<(u64, f64)>,
-}
-
-impl WeightedSamples {
-    /// Creates an empty sample set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one value with the given (positive) weight.
-    pub fn push(&mut self, value_ns: u64, weight: f64) {
-        debug_assert!(weight > 0.0, "weights must be positive");
-        self.samples.push((value_ns, weight));
-    }
-
-    /// Number of recorded samples (trajectory completions, not effective
-    /// sample size).
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Total recorded weight — the estimator's denominator. For an
-    /// unbiased splitting run this converges to the number of *base*
-    /// completions the run emulates.
-    pub fn total_weight(&self) -> f64 {
-        self.samples.iter().map(|&(_, w)| w).sum()
-    }
-
-    /// Weighted quantile in nanoseconds: the smallest recorded value `v`
-    /// with `weight{x ≤ v} ≥ q · total_weight` (0 when empty). Sorts the
-    /// samples in place, hence `&mut`.
-    pub fn value_at_quantile(&mut self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        if self.samples.is_empty() {
-            return 0;
-        }
-        self.samples.sort_unstable_by_key(|s| s.0);
-        let target = q * self.total_weight();
-        let mut acc = 0.0;
-        for &(v, w) in &self.samples {
-            acc += w;
-            if acc >= target {
-                return v;
-            }
-        }
-        self.samples.last().expect("non-empty").0
-    }
-
-    /// Weighted quantile in microseconds.
-    pub fn quantile_us(&mut self, q: f64) -> f64 {
-        self.value_at_quantile(q) as f64 / 1_000.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -719,42 +648,6 @@ mod tests {
         w.record_nanos(42);
         assert_eq!(w.count(), 1);
         assert_eq!(w.value_at_quantile(0.5), 42);
-    }
-
-    #[test]
-    fn weighted_samples_match_unweighted_quantiles_at_unit_weight() {
-        let mut w = WeightedSamples::new();
-        let mut values: Vec<u64> = Vec::new();
-        let mut rng = Xoshiro256::new(17);
-        for _ in 0..5_000 {
-            let v = rng.next_bounded(1_000_000) + 1;
-            w.push(v, 1.0);
-            values.push(v);
-        }
-        values.sort_unstable();
-        for q in [0.5, 0.9, 0.99, 0.999] {
-            let rank = ((q * values.len() as f64).ceil() as usize).max(1) - 1;
-            let truth = values[rank];
-            let est = w.value_at_quantile(q);
-            assert!(
-                (est as i64 - truth as i64).unsigned_abs() <= 1,
-                "q={q}: est {est} vs truth {truth}"
-            );
-        }
-    }
-
-    #[test]
-    fn weighted_samples_respect_weights() {
-        // 90% of the weight at 10, 10% at 1000: the p95 must be 1000 and
-        // the p50 must be 10, regardless of sample multiplicity.
-        let mut w = WeightedSamples::new();
-        w.push(10, 0.9);
-        for _ in 0..100 {
-            w.push(1_000, 0.001);
-        }
-        assert_eq!(w.value_at_quantile(0.5), 10);
-        assert_eq!(w.value_at_quantile(0.95), 1_000);
-        assert!((w.total_weight() - 1.0).abs() < 1e-9);
     }
 
     #[test]

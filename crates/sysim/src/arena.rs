@@ -5,8 +5,8 @@
 //! tail and length — threaded through one [`Arena`] of linked nodes, with
 //! freed nodes kept on a free list. The slab grows to the most requests
 //! ever queued at once and is then reused, so a run allocates it a
-//! logarithmic number of times, and a cloned world (a checkpoint, a
-//! RESTART clone) copies it as one buffer instead of one per queue.
+//! logarithmic number of times, and a cloned world (a checkpoint) copies
+//! it as one buffer instead of one per queue.
 //! Moving a queue, taking a batch off its front or joining two queues
 //! relinks nodes and never copies a request (IX takes every dataplane
 //! buffer from pools allocated up front, for the same reason).

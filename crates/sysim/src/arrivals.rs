@@ -86,13 +86,6 @@ impl Source {
         self.first_seq = self.next_seq;
     }
 
-    /// Forks the workload RNG onto an independent stream (importance
-    /// splitting gives each cloned trajectory its own arrival/service
-    /// randomness; the master keeps the original stream).
-    pub fn fork_rng(&mut self, stream: u64) {
-        self.rng = self.rng.fork(stream);
-    }
-
     /// Home core of connection `conn`.
     pub fn home_of(&self, conn: u32) -> u16 {
         self.conn_home[conn as usize]
@@ -136,10 +129,6 @@ pub struct Recorder {
     meas_start: SimTime,
     meas_end: SimTime,
     done: bool,
-    /// Per-completion latency samples (ns), kept only when armed: the
-    /// importance-splitting estimator needs individual samples to weight,
-    /// not the aggregate histogram. Drained between splitting segments.
-    tail: Option<Vec<u64>>,
 }
 
 impl Recorder {
@@ -162,22 +151,7 @@ impl Recorder {
             meas_start: start,
             meas_end: start,
             done: false,
-            tail: None,
         }
-    }
-
-    /// Arms per-completion sample collection (importance splitting).
-    pub fn arm_tail_sampling(&mut self) {
-        if self.tail.is_none() {
-            self.tail = Some(Vec::new());
-        }
-    }
-
-    /// Drains the per-completion samples collected since the last drain.
-    /// The buffer keeps its capacity: a splitting run drains every few
-    /// dozen events.
-    pub fn drain_tail(&mut self) -> impl Iterator<Item = u64> + '_ {
-        self.tail.iter_mut().flat_map(|buf| buf.drain(..))
     }
 
     /// Records that `req`'s response left the server at `tx_time`.
@@ -196,11 +170,7 @@ impl Recorder {
         }
         if self.completed > self.warmup {
             let client_rx = tx_time + self.half_rtt;
-            let lat = client_rx.duration_since(req.send);
-            self.latency.record(lat);
-            if let Some(buf) = &mut self.tail {
-                buf.push(lat.as_nanos());
-            }
+            self.latency.record(client_rx.duration_since(req.send));
             if self.completed - self.warmup >= self.target {
                 self.done = true;
                 self.meas_end = tx_time;

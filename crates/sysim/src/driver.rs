@@ -279,6 +279,7 @@ pub fn max_load_at_quantile_slo_counting(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mean_se;
     use zygos_sim::dist::ServiceDist;
 
     fn small(system: SystemKind, mean_us: f64) -> SysConfig {
@@ -923,14 +924,6 @@ mod tests {
         let cold = run_system(&base);
         assert_eq!(chain[2].events, cold.events);
         assert_eq!(chain[2].p99_us().to_bits(), cold.p99_us().to_bits());
-    }
-
-    /// Mean and standard error of a sample.
-    fn mean_se(xs: &[f64]) -> (f64, f64) {
-        let n = xs.len() as f64;
-        let mean = xs.iter().sum::<f64>() / n;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
-        (mean, (var / n).sqrt())
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! its own events; it reports each response through [`Cx::complete`].
 //! [`World`] composes an [`Edge`] with a server into the engine's
 //! [`Model`], and [`start`] / [`finish`] are the one engine setup every
-//! entry point (`run_system`, warm starts, RESTART) shares. Every world
+//! entry point (`run_system`, warm starts) shares. Every world
 //! clones, so every server can be checkpointed, warm-started
 //! ([`run_kept`], [`resume`]) and traced.
 //!
@@ -115,13 +115,6 @@ pub(crate) trait Server: Clone {
 
     /// Granted cores, for the `active_cores` series.
     fn active_cores(&self) -> usize;
-
-    /// Total queued requests — the importance-splitting level function.
-    fn backlog(&self) -> usize;
-
-    /// Forks the server's own random streams onto substream `stream`
-    /// (importance-splitting clones).
-    fn fork_streams(&mut self, _stream: u64) {}
 
     /// Rewinds the server's window statistics for a warm-started run of
     /// `cfg` (see [`resume`]); queues and cores carry over.
@@ -739,15 +732,6 @@ impl<S: Server> World<S> {
             server,
         }
     }
-
-    /// Forks every stochastic stream — the edge's workload RNG and the
-    /// server's own — onto an independent substream: importance-splitting
-    /// clones diverge from the master trajectory at the split point, while
-    /// the master keeps the original streams.
-    pub(crate) fn fork_streams(&mut self, stream: u64) {
-        self.edge.source.fork_rng(stream);
-        self.server.fork_streams(stream);
-    }
 }
 
 impl<S: Server> Model for World<S> {
@@ -866,6 +850,7 @@ mod tests {
     use super::*;
     use crate::config::SystemKind;
     use crate::driver::run_system;
+    use crate::mean_se;
     use zygos_load::retry::RetryPolicy;
     use zygos_sched::CreditConfig;
     use zygos_sim::dist::ServiceDist;
@@ -980,14 +965,6 @@ mod tests {
             };
             assert_eq!(table.slots.len(), span);
         }
-    }
-
-    /// Mean and standard error of a sample.
-    fn mean_se(xs: &[f64]) -> (f64, f64) {
-        let n = xs.len() as f64;
-        let mean = xs.iter().sum::<f64>() / n;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
-        (mean, (var / n).sqrt())
     }
 
     #[test]

@@ -77,7 +77,6 @@ mod edge;
 pub mod fleet;
 mod linux;
 pub mod staged;
-pub mod tail;
 mod zygos;
 
 pub use config::{AdmissionMode, SysConfig, SysOutput, SystemKind, CREDIT_HEADROOM};
@@ -87,9 +86,18 @@ pub use driver::{
 };
 pub use fleet::{run_fleet, run_fleet_threads, FleetConfig, FleetOutput, FLEET_SEED_STRIDE};
 pub use staged::{CoreLayout, QueueDiscipline, StageSpec, StagedConfig};
-pub use tail::{run_restart, TailConfig, TailOutput};
 pub use zygos_load::route::RoutePolicy;
 pub use zygos_load::source::ArrivalSpec;
 // The telemetry vocabulary callers need to arm [`SysConfig::telemetry`]
 // and to read [`SysOutput::telemetry`].
 pub use zygos_telemetry::{SeriesKind, TelemetryConfig, TelemetryOut, TraceEvent, TraceKind};
+
+/// Mean and standard error of a sample: the across-seed statistic the
+/// crate's seed-sweep tests compare.
+#[cfg(test)]
+pub(crate) fn mean_se(xs: &[f64]) -> (f64, f64) {
+    let n = xs.len() as f64;
+    let mean = xs.iter().sum::<f64>() / n;
+    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
+    (mean, (var / n).sqrt())
+}

@@ -154,10 +154,6 @@ impl Server for LinuxModel {
         self.cfg.cores
     }
 
-    fn backlog(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
-    }
-
     fn retarget(&mut self, cfg: &SysConfig) {
         self.cfg = cfg.clone();
         self.events_done = 0;

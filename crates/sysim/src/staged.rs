@@ -603,11 +603,6 @@ impl Server for StagedModel {
         self.cfg.cores
     }
 
-    fn backlog(&self) -> usize {
-        let queued = |s: &Segment| s.queues.iter().map(VecDeque::len).sum::<usize>();
-        self.segs.iter().map(queued).sum()
-    }
-
     fn retarget(&mut self, cfg: &SysConfig) {
         self.cfg = cfg.clone();
         self.local_events = 0;

@@ -1236,26 +1236,6 @@ impl Server for ZygosModel {
             .sum()
     }
 
-    /// Queued work over the active cores: requests in NIC rings and
-    /// remote-syscall queues, plus *connections* on the shuffle and
-    /// background queues — a ready connection counts once, however many
-    /// requests are queued on it. This is the importance-splitting level
-    /// function — a trajectory's backlog crossing a threshold is the
-    /// rare-event precursor the RESTART estimator splits on (see
-    /// `docs/TAIL.md`).
-    fn backlog(&self) -> usize {
-        self.cores
-            .iter()
-            .filter(|c| c.active)
-            .map(|c| c.ring.len() + c.shuffle.len() + c.bg.len() + c.remote_sys.len())
-            .sum()
-    }
-
-    fn fork_streams(&mut self, stream: u64) {
-        self.victims_rng = self.victims_rng.fork(stream ^ 0x0054_4149_4C53_504C);
-        // "TAILSPL"
-    }
-
     fn retarget(&mut self, cfg: &SysConfig) {
         debug_assert_eq!(self.cfg.cores, cfg.cores, "warm start cannot restaff");
         debug_assert_eq!(self.cfg.conns, cfg.conns, "warm start cannot re-home");
@@ -1549,7 +1529,7 @@ mod tests {
         // original and the resumed clone: every output — histogram,
         // counters, event count, window — must equal the straight-through
         // run's exactly. This is the exact-resume guarantee the warm-start
-        // sweeps and the importance splitter are built on.
+        // sweeps are built on.
         let mut cfg = SysConfig::paper(SystemKind::Zygos, ServiceDist::exponential_us(10.0), 0.7);
         cfg.requests = 8_000;
         cfg.warmup = 1_000;

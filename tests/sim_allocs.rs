@@ -2,10 +2,7 @@
 //!
 //! A ZygOS run allocates its world once: queues, the event wheel, the
 //! recorder and the client's live-attempt table grow to their working size
-//! and are then reused, so the count barely moves with run length. A
-//! RESTART clone copies the world, and the copy allocates only the world's
-//! fixed arrays, not one buffer per connection, whether one thread walks
-//! the split tree or two.
+//! and are then reused, so the count barely moves with run length.
 //!
 //! This is its own test binary with a single test, so nothing else
 //! allocates while the counting allocator is on.
@@ -16,7 +13,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use zygos::load::retry::RetryPolicy;
 use zygos::sched::CreditConfig;
 use zygos::sim::dist::ServiceDist;
-use zygos::sysim::{run_restart, run_system, SysConfig, SystemKind, TailConfig};
+use zygos::sysim::{run_system, SysConfig, SystemKind};
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -72,11 +69,9 @@ fn count<T>(f: impl FnOnce() -> T) -> u64 {
 const MAX_PER_RUN: u64 = 400;
 /// Most the count may grow from the smallest run to the largest.
 const MAX_GROWTH: u64 = 32;
-/// Most allocations per clone, averaged over a RESTART run.
-const MAX_PER_CLONE: u64 = 250;
 
 #[test]
-fn zygos_runs_and_restart_clones_allocate_a_bounded_count() {
+fn zygos_runs_allocate_a_bounded_count() {
     let sizes = [20_000, 40_000, 80_000];
     let paper = |system, load| SysConfig::paper(system, ServiceDist::exponential_us(10.0), load);
     let mut elastic = paper(SystemKind::Elastic { min_cores: 2 }, 0.5);
@@ -115,33 +110,5 @@ fn zygos_runs_and_restart_clones_allocate_a_bounded_count() {
         }
     }
 
-    // The smoke `[tail]` block of scenarios/tail_splitting.toml.
-    let mut cfg = SysConfig::paper(SystemKind::Zygos, ServiceDist::exponential_us(10.0), 0.85);
-    (cfg.requests, cfg.warmup) = (4_000, 800);
-    let tail = TailConfig {
-        quantile: 0.999,
-        levels: vec![16, 32, 64],
-        splits: 4,
-        check_every: 64,
-        clone_budget: 2_000_000,
-    };
-    // One worker walks the split tree alone; two run its trajectories
-    // in parallel and must not allocate more per clone.
-    for threads in [1, 2] {
-        let mut clones = 0;
-        let allocs = count(|| {
-            let (out, t) = run_restart(&cfg, &tail, threads);
-            clones = t.clones;
-            out
-        });
-        assert!(clones > 0, "the smoke config must split");
-        if allocs > MAX_PER_CLONE * clones {
-            failures.push(format!(
-                "RESTART on {threads} thread(s): {allocs} allocations over {clones} clones \
-                 = {:.1} per clone (limit {MAX_PER_CLONE})",
-                allocs as f64 / clones as f64
-            ));
-        }
-    }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
